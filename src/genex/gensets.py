@@ -1,9 +1,21 @@
 """Generating tuples: d(G), pooled searches, D-metrics, densities, replacements.
 
-All searches are exhaustive with order-monotone pruning and run in a fixed
-canonical order (elements ascending by image tuple), so returned witnesses
-are deterministic.  The first slot is reduced to one representative per
-conjugacy class whenever every later pool is closed under conjugation.
+All searches are exhaustive and run in a fixed canonical order (elements
+ascending by image tuple), so returned witnesses are deterministic.  The
+first slot is reduced to one representative per conjugacy class whenever
+every later pool is closed under conjugation.  Three prunes cut the tuple
+search without changing the order or the first witness, because each drops
+only subtrees that contain no generating tuple:
+
+* order-monotone: a candidate already in the subgroup K generated by the
+  partial tuple leaves K unchanged, so its subtree is the same as that of the
+  first such candidate and only that one is explored;
+* suffix join: every completion lies in the join of K, the candidate and all
+  later pools, so if that join is proper no completion generates G;
+* cyclic quotient: with one slot left and K proper, a completion x with
+  <K, x> = G makes G/N cyclic, generated by xN, where N is the normal closure
+  of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so when G/N is
+  not cyclic no element of any pool completes K.
 """
 
 from __future__ import annotations
@@ -14,9 +26,10 @@ from itertools import product
 from math import log2
 from typing import Callable, Sequence
 
-from .group import BoundExceeded, Group, _build_chain, subgroup_closure
-from .perm import Permutation, _mul, _order
+from .group import BoundExceeded, Group, _build_chain, normal_closure
+from .perm import Permutation, _inv, _mul, _pow, prime_factors
 from .structure import (
+    DEFAULT_LATTICE_BOUND,
     MaximalSubgroupReport,
     all_subgroups,
     classify_maximal,
@@ -72,7 +85,7 @@ def _resolve_pools(G: Group, pools) -> list[list]:
 
 
 def _conjugation_closed(G: Group, pool_raw: list) -> bool:
-    class_of = _class_map(G)
+    class_of = G.class_index_raw()
     by_class: dict[int, int] = {}
     for p in pool_raw:
         c = class_of[p]
@@ -81,18 +94,23 @@ def _conjugation_closed(G: Group, pool_raw: list) -> bool:
     return all(by_class[c] == len(classes[c]) for c in by_class)
 
 
-_CLASS_MAPS: dict[int, dict] = {}
+def _quotient_is_cyclic(G: Group, N: Group) -> bool:
+    """Whether G/N is cyclic, for N normal in G.
 
-
-def _class_map(G: Group) -> dict:
-    key = id(G)
-    if key not in _CLASS_MAPS:
-        m = {}
-        for ci, cls in enumerate(G.conjugacy_classes_raw()):
-            for p in cls:
-                m[p] = ci
-        _CLASS_MAPS[key] = m
-    return _CLASS_MAPS[key]
+    G/N is abelian iff every commutator of G's generators lies in N.  An
+    abelian G/N of order m is cyclic iff some xN has order m, that is
+    x^(m/p) is not in N for every prime p dividing m; xN depends only on the
+    conjugacy class of x, so class representatives suffice.
+    """
+    gens = G._raw_gens
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            if not N._contains_raw(_mul(_mul(a, b), _inv(_mul(b, a)))):
+                return False
+    m = G.order() // N.order()
+    primes = prime_factors(m)
+    return any(all(not N._contains_raw(_pow(cls[0], m // p)) for p in primes)
+               for cls in G.conjugacy_classes_raw())
 
 
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
@@ -100,6 +118,15 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
 
     The exhaustive search certificate is exact: a None return means no such
     tuple exists.  Returned witnesses are the first found in canonical order.
+    Every prune is exact, so none changes the witness:
+
+    * order-monotone: of the candidates lying in K = <partial>, only the
+      first is explored, since each leaves K, and so the subtree, unchanged;
+    * suffix join: a candidate g is dropped when <K, g, all later pools> is
+      proper, since every completion lies inside that join;
+    * cyclic quotient: with one slot left, g is dropped when <K, g> is proper
+      and G / ncl_G(<K, g>) is not cyclic, since <K, g, x> = G would make
+      that quotient cyclic, generated by the image of x.
     """
     if stats is None:
         stats = SearchStats()
@@ -111,7 +138,7 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
 
     # first-slot conjugacy reduction when the rest is conjugation-closed
     if all(_conjugation_closed(G, p) for p in raw_pools[1:]):
-        class_of = _class_map(G)
+        class_of = G.class_index_raw()
         seen: set[int] = set()
         reduced = []
         for p in raw_pools[0]:
@@ -156,6 +183,11 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
             elif new_order != target:
                 stats.pruned += 1
                 continue
+            if level == d - 2 and new_order < target:
+                closure = normal_closure(G, [Permutation._wrap(p) for p in partial + (g,)])
+                if not _quotient_is_cyclic(G, closure):
+                    stats.pruned += 1
+                    continue
             got = rec(level + 1, partial + (g,), new_order)
             if got is not None:
                 return got
@@ -212,7 +244,7 @@ def d_metric(G: Group, H: Group) -> DReport:
                    tuple(i for i, w in enumerate(base.witness) if H.contains(w)), stats)
 
 
-def d_min(G: Group, lattice_bound: int = 2000) -> tuple[int, MaximalSubgroupReport]:
+def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> tuple[int, MaximalSubgroupReport]:
     """D(G): minimum of D_M(G) over one maximal subgroup per conjugacy class."""
     lat = all_subgroups(G, lattice_bound)
     best_value = None
@@ -347,11 +379,10 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
     n_elems = N.elements()
     pool1 = [v for v in n_elems if htilde(v * g1)]
     rest_raw = [g.imgs for g in gens[2:]]
-    target = G.order()
     for v1 in pool1:
         a = (v1 * g1).imgs
         for v2 in n_elems:
             b = (v2 * g2).imgs
-            if _build_chain(G.degree, [a, b] + rest_raw).order() == target:
+            if _generates(G, [a, b] + rest_raw):
                 return v1, v2
     return None

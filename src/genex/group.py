@@ -9,6 +9,7 @@ them are reproducible run to run.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -28,17 +29,24 @@ class _Chain:
     Level i holds the i-th stabilizer group: ``gens[i]`` are the strong
     generators fixing ``base[:i]`` and ``trans[i]`` maps each point of the
     basepoint's orbit to a representative carrying the basepoint there.
+    ``ginvs[i]`` holds the inverses of ``gens[i]`` and ``itrans[i]`` the
+    inverse of every representative, built alongside ``trans[i]`` as
+    g^-1 * rep^-1, so sifting and Schreier generators never invert a
+    permutation (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
     New base points are always the smallest moved point, and orbits are
     explored breadth-first in insertion order, so chains are reproducible.
     """
 
-    __slots__ = ("degree", "base", "gens", "trans")
+    __slots__ = ("degree", "ident", "base", "gens", "ginvs", "trans", "itrans")
 
     def __init__(self, degree):
         self.degree = degree
+        self.ident = _identity(degree)
         self.base = []
         self.gens = []
+        self.ginvs = []
         self.trans = []
+        self.itrans = []
 
     def order(self):
         n = 1
@@ -52,34 +60,39 @@ class _Chain:
 
     def _sift_from(self, start, p):
         for lev in range(start, len(self.base)):
-            img = p[self.base[lev]]
-            if img == self.base[lev]:
+            b = self.base[lev]
+            img = p[b]
+            if img == b:
                 continue
-            rep = self.trans[lev].get(img)
-            if rep is None:
+            rep_inv = self.itrans[lev].get(img)
+            if rep_inv is None:
                 return p, lev
-            p = _mul(p, _inv(rep))
+            p = _mul(p, rep_inv)
         return p, len(self.base)
 
     def _rebuild_orbit(self, i):
         b = self.base[i]
-        gens = self.gens[i]
-        tr = {b: _identity(self.degree)}
-        queue = [b]
+        gens = list(zip(self.gens[i], self.ginvs[i]))
+        tr = {b: self.ident}
+        itr = {b: self.ident}
+        queue = deque([b])
         while queue:
-            pt = queue.pop(0)
+            pt = queue.popleft()
             rep = tr[pt]
-            for g in gens:
+            rep_inv = itr[pt]
+            for g, ginv in gens:
                 img = g[pt]
                 if img not in tr:
                     tr[img] = _mul(rep, g)
+                    itr[img] = _mul(ginv, rep_inv)
                     queue.append(img)
         self.trans[i] = tr
+        self.itrans[i] = itr
 
     def extend(self, p):
         """Add p (raw tuple) to the group; returns True if the group grew."""
         residue, j = self._sift_from(0, p)
-        if all(a == b for a, b in enumerate(residue)):
+        if residue == self.ident:
             return False
         self._add(residue, j, 0)
         return True
@@ -91,9 +104,13 @@ class _Chain:
             moved = min(a for a, b in enumerate(g) if a != b)
             self.base.append(moved)
             self.gens.append([])
-            self.trans.append({moved: _identity(self.degree)})
+            self.ginvs.append([])
+            self.trans.append({moved: self.ident})
+            self.itrans.append({moved: self.ident})
+        ginv = _inv(g)
         for k in range(top, j + 1):
             self.gens[k].append(g)
+            self.ginvs[k].append(ginv)
         for k in range(j, top - 1, -1):
             self._schreier_sims(k)
 
@@ -103,13 +120,14 @@ class _Chain:
         while True:
             self._rebuild_orbit(i)
             tr = self.trans[i]
+            itr = self.itrans[i]
             clean = True
             for pt in sorted(tr):
                 rep = tr[pt]
                 for g in self.gens[i]:
-                    sg = _mul(_mul(rep, g), _inv(tr[g[pt]]))
+                    sg = _mul(_mul(rep, g), itr[g[pt]])
                     residue, j = self._sift_from(i + 1, sg)
-                    if not all(a == b for a, b in enumerate(residue)):
+                    if residue != self.ident:
                         self._add(residue, j, i + 1)
                         clean = False
                         break
@@ -138,13 +156,20 @@ class Group:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generators of mixed degrees")
+        self._setup(degree, tuple(g.imgs for g in gens))
+
+    def _setup(self, degree, raw_gens):
+        # the one place every field, caches included, is set; subgroup_closure
+        # calls it directly to skip the degree checks on trusted raw tuples
         self._degree = degree
-        self._gens = tuple(g for g in gens if not g.is_identity())
-        self._raw_gens = tuple(g.imgs for g in self._gens)
+        ident = _identity(degree)
+        self._raw_gens = tuple(p for p in raw_gens if p != ident)
+        self._gens = tuple(Permutation._wrap(p) for p in self._raw_gens)
         self._chain = _build_chain(degree, self._raw_gens)
         self._order = self._chain.order()
         self._elements: tuple | None = None
         self._classes: tuple | None = None
+        self._class_of: dict | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -165,8 +190,7 @@ class Group:
         return self._contains_raw(g.imgs)
 
     def _contains_raw(self, p) -> bool:
-        residue = self._chain.sift(p)
-        return all(i == j for i, j in enumerate(residue))
+        return self._chain.sift(p) == self._chain.ident
 
     def base(self) -> tuple[int, ...]:
         """Chain base points (1-based)."""
@@ -224,6 +248,13 @@ class Group:
             classes.sort(key=lambda c: c[0])
             self._classes = tuple(classes)
         return self._classes
+
+    def class_index_raw(self) -> dict:
+        """Map from each raw element to the index of its conjugacy class."""
+        if self._class_of is None:
+            self._class_of = {p: ci for ci, cls in enumerate(self.conjugacy_classes_raw())
+                              for p in cls}
+        return self._class_of
 
     def class_representatives(self) -> list[Permutation]:
         return [Permutation._wrap(c[0]) for c in self.conjugacy_classes_raw()]
@@ -285,14 +316,7 @@ def contains(G: Group, g: Permutation) -> bool:
 
 def subgroup_closure(ambient_degree: int, raw_gens) -> Group:
     g = Group.__new__(Group)
-    g._degree = ambient_degree
-    raw = tuple(p for p in raw_gens if not all(i == j for i, j in enumerate(p)))
-    g._raw_gens = raw
-    g._gens = tuple(Permutation._wrap(p) for p in raw)
-    g._chain = _build_chain(ambient_degree, raw)
-    g._order = g._chain.order()
-    g._elements = None
-    g._classes = None
+    g._setup(ambient_degree, raw_gens)
     return g
 
 
@@ -300,11 +324,11 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     """Smallest normal subgroup of G containing the seed elements."""
     raw_seeds = [s.imgs for s in seeds]
     chain = _build_chain(G.degree, raw_seeds)
-    gens = [p for p in raw_seeds if not all(i == j for i, j in enumerate(p))]
-    queue = list(gens)
+    gens = [p for p in raw_seeds if p != chain.ident]
+    queue = deque(gens)
     ambient = [(g, _inv(g)) for g in G._raw_gens]
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for g, ginv in ambient:
             y = _mul(ginv, _mul(x, g))
             if chain.extend(y):
@@ -332,11 +356,9 @@ def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND)
     raw_x = x.imgs
     gens = [(g, _inv(g)) for g in G._raw_gens]
     orbit = {raw_x: _identity(G.degree)}
-    queue = [raw_x]
-    if len(orbit) * 1 > bound:
-        raise BoundExceeded("conjugacy class too large")
+    queue = deque([raw_x])
     while queue:
-        y = queue.pop(0)
+        y = queue.popleft()
         rep = orbit[y]
         for g, ginv in gens:
             z = _mul(ginv, _mul(y, g))
@@ -413,10 +435,10 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     start = coset_canonical(H, _identity(G.degree))
     labels = {start: 0}
     reps = [start]
-    queue = [start]
+    queue = deque([start])
     raw_gens = G._raw_gens
     while queue:
-        rep = queue.pop(0)
+        rep = queue.popleft()
         for g in raw_gens:
             img = coset_canonical(H, _mul(rep, g))
             if img not in labels:

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .group import (
+    DEFAULT_MAX_POINTS,
     BoundExceeded,
     Group,
     _build_chain,
@@ -188,7 +189,7 @@ def is_primitive(G: Group) -> bool:
     return True
 
 
-def is_maximal(G: Group, M: Group, max_points: int = 100_000) -> bool:
+def is_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> bool:
     """M maximal in G iff the coset action of G on G:M is primitive."""
     if M.order() >= G.order():
         return False
@@ -504,7 +505,7 @@ def _socle_factors(N: Group) -> list[Group]:
     return minimal_normal_subgroups(N)
 
 
-def classify_maximal(G: Group, M: Group, max_points: int = 100_000) -> MaximalSubgroupReport:
+def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
     Raises ValueError when M is not maximal (the coset action is the

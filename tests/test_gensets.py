@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from genex import gensets
 from genex.group import Group, direct_product, trivial_group, wreath_product
 from genex.gensets import (
     ALL,
+    SearchStats,
     HypothesisError,
     d_metric,
     d_min,
@@ -31,6 +33,8 @@ S5 = make(["(1,2,3,4,5)", "(1,2)"], 5)
 A5 = make(["(1,2,3,4,5)", "(3,4,5)"], 5)
 C6 = make(["(1,2,3,4,5,6)"], 6)
 V8 = make(["(1,2)", "(3,4)", "(5,6)"], 6)  # C2 x C2 x C2
+A4 = make(["(1,2,3)", "(1,2)(3,4)"], 4)
+D8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5)(2,8)(3,7)(4,6)"], 8)  # regular action
 
 
 def test_min_generators_cyclic():
@@ -65,6 +69,53 @@ def test_witness_is_deterministic():
     a = min_generators(make(["(1,2,3,4)", "(1,2)"], 4))
     b = min_generators(make(["(1,2,3,4)", "(1,2)"], 4))
     assert [w.imgs for w in a.witness] == [w.imgs for w in b.witness]
+
+
+# First witnesses in canonical order, frozen from the search without the
+# cyclic-quotient prune; every prune is exact, so none may change them.
+FROZEN_WITNESSES = [
+    (S4, ["(3,4)", "(1,2,3)"]),
+    (D8, ["(1,2,3,4)(5,6,7,8)", "(1,5)(2,8)(3,7)(4,6)"]),
+    (A4, ["(2,3,4)", "(1,2)(3,4)"]),
+    (S5, ["(4,5)", "(1,2,3,4)"]),
+    (V8, ["(5,6)", "(3,4)", "(1,2)"]),  # d = 3: the prune runs at level 1 of 3
+]
+
+
+@pytest.mark.parametrize("g, witness", FROZEN_WITNESSES)
+def test_min_generators_frozen_witness(g, witness):
+    rep = min_generators(g)
+    assert rep.witness == tuple(P(t, g.degree) for t in witness)
+    elems = oracles.closure([x.imgs for x in g.generators], g.degree)
+    assert rep.d == len(witness) == oracles.min_generating_size(elems, g.degree)
+
+
+def test_d_metric_frozen_witness():
+    s4 = make(["(1,2,3,4)", "(1,2)"], 5)
+    rep = d_metric(S5, s4)
+    assert rep.value == 1
+    assert rep.witness == (P("(3,4)", 5), P("(1,2,3)(4,5)", 5))
+    assert rep.in_subgroup == (0,)
+
+
+def test_exists_tuple_restricted_pools_frozen():
+    first = [P("(1,2)(3,4)", 4)]
+    got = exists_generating_tuple(S4, [first, ALL, ALL])
+    assert got == (P("(1,2)(3,4)", 4), P("(3,4)", 4), P("(2,3)", 4))
+    # <first two slots> <= V4 and S4/V4 = S3 is not cyclic: every second-slot
+    # node is pruned by the cyclic quotient, and the certificate stays None
+    doubles = [P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)]
+    four_cycles = [p for p in S4.elements() if p.order() == 4]
+    stats = SearchStats()
+    assert exists_generating_tuple(S4, [doubles, doubles, four_cycles], stats) is None
+    assert stats.pruned > 0
+
+
+def test_class_index_survives_id_reuse(monkeypatch):
+    # a cache keyed by id(G) would hand D8 the class map of the dead S4
+    monkeypatch.setattr(gensets, "id", lambda g: 0, raising=False)
+    assert min_generators(make(["(1,2,3,4)", "(1,2)"], 4)).d == 2
+    assert min_generators(D8).witness == tuple(P(t, 8) for t in FROZEN_WITNESSES[1][1])
 
 
 def test_exists_tuple_identity_pools():

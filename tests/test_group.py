@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex.group import (
@@ -16,7 +17,7 @@ from genex.group import (
     trivial_group,
     wreath_product,
 )
-from genex.perm import Permutation, parse_permutation
+from genex.perm import Permutation, _mul, parse_permutation
 
 
 def P(text, degree):
@@ -298,3 +299,27 @@ def test_wreath_decomposition_unique():
 def test_wreath_degree_bound():
     with pytest.raises(BoundExceeded):
         wreath_product(A5, make(["(1,2)"], 2), max_degree=5)
+
+
+@st.composite
+def _generating_sets(draw):
+    n = draw(st.integers(1, 6))
+    perm = st.permutations(range(n)).map(tuple)
+    return n, draw(st.lists(perm, max_size=3)), draw(st.lists(perm, min_size=1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generating_sets())
+def test_chain_matches_closure(case):
+    n, gens, probes = case
+    G = Group([Permutation(g) for g in gens], n)
+    elems = oracles.closure(gens, n)
+    assert G.order() == len(elems)
+    for p in probes:
+        assert G.contains(Permutation(p)) == (p in elems)
+    assert all(G.contains(Permutation(p)) for p in elems)
+    chain = G._chain
+    for trans, itrans in zip(chain.trans, chain.itrans):
+        assert trans.keys() == itrans.keys()
+        for pt, rep in trans.items():
+            assert _mul(rep, itrans[pt]) == chain.ident
