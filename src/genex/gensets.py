@@ -26,7 +26,7 @@ from itertools import product
 from math import log2
 from typing import Callable, Sequence
 
-from .group import BoundExceeded, Group, _build_chain, normal_closure
+from .group import BoundExceeded, Group, _build_chain, _conjugation_orbits, normal_closure
 from .perm import Permutation, _inv, _mul, _pow, prime_factors
 from .structure import (
     DEFAULT_LATTICE_BOUND,
@@ -244,8 +244,14 @@ def d_metric(G: Group, H: Group) -> DReport:
                    tuple(i for i, w in enumerate(base.witness) if H.contains(w)), stats)
 
 
-def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> tuple[int, MaximalSubgroupReport]:
-    """D(G): minimum of D_M(G) over one maximal subgroup per conjugacy class."""
+def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND
+          ) -> tuple[int, MaximalSubgroupReport | None]:
+    """D(G): minimum of D_M(G) over one maximal subgroup per conjugacy class.
+
+    Returns the value with the classification of the first maximal subgroup
+    attaining it; the trivial group has no maximal subgroup, and gives
+    (d(G), None).
+    """
     lat = all_subgroups(G, lattice_bound)
     best_value = None
     best_report = None
@@ -277,7 +283,16 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
 
 def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
                        budget: int = DEFAULT_DENSITY_BUDGET) -> DensityReport:
-    """Exact count of (n_1..n_d) in N^d with <l_1 n_1, .., l_d n_d> = G."""
+    """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G.
+
+    Conjugation by any c in N maps each coset N l_i onto itself, since
+    c^-1 n l c = (c^-1 n l c l^-1) l with N normal, and it preserves
+    generation, since <x_1^c, .., x_d^c> = G^c = G.  So the number of
+    completions (x_2..x_d) of a first entry x_1 in N l_1 is constant on the
+    N-conjugacy orbit of x_1: the count is the sum over the orbits of N l_1
+    of orbit size times the completions of one representative.  ``total`` is
+    still |N|^d, and ``budget`` still bounds it.
+    """
     check_monolithic_nonabelian(G, N)
     lifts = tuple(lifts)
     d = len(lifts)
@@ -290,11 +305,13 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
     total = len(n_elems) ** d
     if total > budget:
         raise BoundExceeded(f"|N|^d = {total} exceeds the enumeration budget {budget}")
-    raw_lifts = [l.imgs for l in lifts]
+    first, *rest = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
+    pairs = [(c, _inv(c)) for c in N._raw_gens]
     favorable = 0
-    for combo in product(n_elems, repeat=d):
-        if _generates(G, [_mul(n, l) for n, l in zip(combo, raw_lifts)]):
-            favorable += 1
+    for orbit in _conjugation_orbits(first, pairs):
+        x = orbit[0]
+        completions = sum(1 for combo in product(*rest) if _generates(G, (x,) + combo))
+        favorable += len(orbit) * completions
     return DensityReport(lifts, favorable, total, Fraction(favorable, total))
 
 

@@ -144,6 +144,32 @@ def _build_chain(degree, raw_gens):
     return chain
 
 
+def _conjugation_orbits(points, pairs) -> list[tuple]:
+    """Orbits of x -> g^-1 x g over the (g, g^-1) pairs, partitioning ``points``.
+
+    ``points`` must be closed under the action.  Each orbit is a sorted tuple,
+    and orbits come in the order of their first member in ``points``, so for
+    sorted points they are ordered by least member.
+    """
+    remaining = set(points)
+    orbits = []
+    for x in points:
+        if x not in remaining:
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g, ginv in pairs:
+                z = _mul(ginv, _mul(y, g))
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        remaining -= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
 class Group:
     """A finite permutation group given by generators plus a chain certificate."""
 
@@ -170,6 +196,7 @@ class Group:
         self._elements: tuple | None = None
         self._classes: tuple | None = None
         self._class_of: dict | None = None
+        self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
 
     # -- basic queries ------------------------------------------------------
 
@@ -227,26 +254,8 @@ class Group:
     def conjugacy_classes_raw(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple:
         """Conjugacy classes as sorted tuples of raw tuples, ordered by least member."""
         if self._classes is None:
-            elems = self.elements_raw(bound)
-            inv_gens = [(_g, _inv(_g)) for _g in self._raw_gens]
-            remaining = set(elems)
-            classes = []
-            for e in elems:
-                if e not in remaining:
-                    continue
-                orbit = {e}
-                queue = [e]
-                while queue:
-                    x = queue.pop()
-                    for g, ginv in inv_gens:
-                        y = _mul(ginv, _mul(x, g))
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
-                remaining -= orbit
-                classes.append(tuple(sorted(orbit)))
-            classes.sort(key=lambda c: c[0])
-            self._classes = tuple(classes)
+            pairs = [(g, _inv(g)) for g in self._raw_gens]
+            self._classes = tuple(_conjugation_orbits(self.elements_raw(bound), pairs))
         return self._classes
 
     def class_index_raw(self) -> dict:
@@ -477,10 +486,6 @@ def direct_product(A: Group, B: Group) -> Group:
     for g in B._raw_gens:
         gens.append(Permutation._wrap(tuple(range(da)) + tuple(x + da for x in g)))
     return Group(gens, da + db)
-
-
-def embed_left(A: Group, g: Permutation, total_degree: int) -> Permutation:
-    return Permutation._wrap(tuple(g.imgs) + tuple(range(A.degree, total_degree)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .group import (
     BoundExceeded,
     Group,
     _build_chain,
+    _conjugation_orbits,
     centralizer_in,
     commutator_subgroup,
     coset_action,
@@ -112,10 +113,9 @@ def socle(G: Group) -> Group:
     return subgroup_closure(G.degree, gens)
 
 
-def fitting_subgroup(G: Group, lattice: "SubgroupLattice | None" = None) -> Group:
+def fitting_subgroup(G: Group) -> Group:
     """Largest nilpotent normal subgroup: join of the nilpotent normal classes."""
-    if lattice is None:
-        lattice = all_subgroups(G)
+    lattice = all_subgroups(G)
     gens = []
     for cls, size in zip(lattice.classes, lattice.class_sizes):
         if size == 1 and is_nilpotent(cls.rep):
@@ -278,10 +278,9 @@ class SubgroupLattice:
         small, big = self.classes[i], self.classes[j]
         if big.order % small.order:
             return False
-        orbit = small.orbit if small.orbit is not None else (small.ids,)
         if small.orbit is None:
             raise ValueError("containment test requires retained orbits")
-        return any(s <= big.ids for s in orbit)
+        return any(s <= big.ids for s in small.orbit)
 
     def maximal_classes(self) -> list[SubgroupClass]:
         return [c for c, f in zip(self.classes, self.maximality_flags) if f]
@@ -309,7 +308,8 @@ def _perfect_seed_classes(G: Group, max_order: int):
     derived = commutator_subgroup(G)
     if derived.order() < 60:
         return []
-    d_elems = set(derived.elements_raw())
+    d_raw = derived.elements_raw()
+    d_elems = set(d_raw)
     out = []
     reps = [c[0] for c in G.conjugacy_classes_raw()]
     for a in reps:
@@ -317,21 +317,8 @@ def _perfect_seed_classes(G: Group, max_order: int):
             continue
         cent = centralizer_in(G, Permutation._wrap(a))
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
-        remaining = set(d_elems)
-        for b in sorted(d_elems):
-            if b not in remaining:
-                continue
-            orbit = {b}
-            queue = [b]
-            while queue:
-                x = queue.pop()
-                for g, ginv in cgens:
-                    y = _mul(ginv, _mul(x, g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
-            remaining -= orbit
-            H = subgroup_closure(G.degree, [a, b])
+        for orbit in _conjugation_orbits(d_raw, cgens):
+            H = subgroup_closure(G.degree, [a, orbit[0]])
             if 60 <= H.order() <= max_order and is_perfect(H):
                 out.append(H)
     return out
@@ -460,11 +447,17 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
 
 
 def all_subgroups(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> SubgroupLattice:
-    """Full subgroup lattice, one representative per conjugacy class."""
+    """Full subgroup lattice, one representative per conjugacy class.
+
+    Built once per group and kept on it, so later calls return the same
+    object; the bound is checked on every call, cached or not.
+    """
     if G.order() > lattice_bound:
         raise BoundExceeded(
             f"group order {G.order()} exceeds the lattice bound {lattice_bound}")
-    return _enumerate_classes(G, G.order(), keep_orbits=True)
+    if G._lattice is None:
+        G._lattice = _enumerate_classes(G, G.order(), keep_orbits=True)
+    return G._lattice
 
 
 def subgroup_classes_up_to(G: Group, max_order: int) -> SubgroupLattice:
@@ -500,11 +493,6 @@ def _point_stabilizer(Q: Group, point: int) -> Group:
     return subgroup_closure(Q.degree, gens)
 
 
-def _socle_factors(N: Group) -> list[Group]:
-    """Simple direct factors of a semisimple group (its minimal normals)."""
-    return minimal_normal_subgroups(N)
-
-
 def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
@@ -536,7 +524,7 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
             shape = "trivial"
         else:
             inter = subgroup_closure(image.degree, inter_elems)
-            factors = _socle_factors(soc)
+            factors = minimal_normal_subgroups(soc)  # the simple direct factors
             factor_sets = [set(f.elements_raw()) for f in factors]
             per_factor = [sum(1 for p in inter_elems if p in fs) for fs in factor_sets]
             prod = 1

@@ -190,6 +190,10 @@ def test_d_min_cyclic():
     assert value == 0
 
 
+def test_d_min_trivial_group_has_no_report():
+    assert d_min(trivial_group(3)) == (0, None)
+
+
 def test_d_min_a5():
     value, worst = d_min(A5)
     assert value >= min_generators(A5).d - 2
@@ -210,6 +214,35 @@ def test_density_s5_basic():
     assert rep.total == 3600
     assert rep.ratio >= Fraction(53, 90)
     assert rep.ratio == Fraction(rep.favorable, rep.total)
+
+
+PHI2_A5 = 2280  # generating pairs of A5 (P. Hall, Q. J. Math. 7, 1936)
+
+
+def test_density_a5_matches_hall_and_oracle():
+    ident = Permutation.identity(5)
+    rep = generation_density(A5, A5, (ident, ident))
+    elems = oracles.closure([g.imgs for g in A5.generators], 5)
+    brute = sum(1 for x in elems for y in elems if oracles.generates([x, y], 5, 60))
+    assert rep.favorable == brute == PHI2_A5
+    assert rep.total == 3600
+
+
+@pytest.mark.parametrize("lifts", [("(1,2)", "(1,2,3,4)"), ("(1,2)", "()"), ("()", "(1,3)")],
+                         ids=["odd-odd", "odd-even", "even-odd"])
+def test_density_s5_independent_of_lifts(lifts):
+    # Gaschuetz: the count does not depend on the lifts chosen
+    rep = generation_density(S5, A5, [P(t, 5) for t in lifts])
+    assert (rep.favorable, rep.total) == (PHI2_A5, 3600)
+
+
+def test_density_s5_matches_oracle():
+    lifts = (P("(1,2)", 5), Permutation.identity(5))
+    l1, l2 = (l.imgs for l in lifts)
+    elems = oracles.closure([g.imgs for g in A5.generators], 5)
+    brute = sum(1 for x in elems for y in elems
+                if oracles.generates([oracles.mul(x, l1), oracles.mul(y, l2)], 5, 120))
+    assert generation_density(S5, A5, lifts).favorable == brute
 
 
 def test_density_requires_generating_lifts():

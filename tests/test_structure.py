@@ -1,7 +1,8 @@
 import pytest
 
 import oracles
-from genex.group import Group, coset_action, direct_product
+from genex import structure
+from genex.group import BoundExceeded, Group, coset_action, direct_product
 from genex.perm import parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
@@ -180,6 +181,29 @@ def test_lattice_deterministic():
     b = all_subgroups(make(["(1,2,3,4)", "(1,2)"], 4))
     assert [(c.order, c.size, c.key) for c in a.classes] == \
         [(c.order, c.size, c.key) for c in b.classes]
+
+
+def test_lattice_cached_on_group(monkeypatch):
+    calls = []
+    enumerate_classes = structure._enumerate_classes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_classes(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "_enumerate_classes", counted)
+    g = make(["(1,2,3,4)", "(1,2)"], 4)
+    lat = all_subgroups(g)
+    assert all_subgroups(g) is lat
+    assert frattini(g).order() == 1
+    assert fitting_subgroup(g).order() == 4
+    assert calls == [g]
+    # the bound is checked before the cache is consulted
+    with pytest.raises(BoundExceeded):
+        all_subgroups(g, lattice_bound=23)
+    # subgroup_classes_up_to is not cached
+    subgroup_classes_up_to(g, 8)
+    assert len(calls) == 2
 
 
 # -- frattini -----------------------------------------------------------------
