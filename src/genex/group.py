@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .perm import Permutation, _conj, _identity, _inv, _mul, _order
+from .perm import Permutation, _identity, _inv, _mul, _order
 
 DEFAULT_MAX_POINTS = 100_000
 DEFAULT_ELEMENT_BOUND = 200_000
@@ -268,9 +268,6 @@ class Group:
     def class_representatives(self) -> list[Permutation]:
         return [Permutation._wrap(c[0]) for c in self.conjugacy_classes_raw()]
 
-    def element_orders(self) -> list[int]:
-        return sorted(_order(p) for p in self.elements_raw())
-
     def is_abelian(self) -> bool:
         gens = self._raw_gens
         return all(_mul(a, b) == _mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -312,14 +309,6 @@ def trivial_group(degree: int) -> Group:
     return Group([], degree)
 
 
-def order(G: Group) -> int:
-    return G.order()
-
-
-def contains(G: Group, g: Permutation) -> bool:
-    return G.contains(g)
-
-
 # ---------------------------------------------------------------------------
 # closures built inside an ambient group
 
@@ -356,39 +345,45 @@ def commutator_subgroup(G: Group) -> Group:
     return normal_closure(G, [Permutation._wrap(c) for c in comms])
 
 
-def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND) -> Group:
-    """Centralizer of x in G via the conjugation orbit of x.
+def _stabilizer(degree, order, gens, moves, start, bound=DEFAULT_ELEMENT_BOUND):
+    """Stabilizer of ``start`` in K = <gens> of the given order, by orbit-stabilizer.
 
-    Uses orbit-stabilizer with Schreier generators; stops extending once the
-    known order |G| / |class of x| is reached.
+    ``moves[i]`` maps a point to its image under ``gens[i]``.  Schreier
+    generators are sifted into a chain until it reaches the exact order
+    |K| / |orbit|.  Returns the stabilizer's generators and its order.
     """
-    raw_x = x.imgs
-    gens = [(g, _inv(g)) for g in G._raw_gens]
-    orbit = {raw_x: _identity(G.degree)}
-    queue = deque([raw_x])
+    orbit = {start: _identity(degree)}
+    queue = deque([start])
     while queue:
         y = queue.popleft()
         rep = orbit[y]
-        for g, ginv in gens:
-            z = _mul(ginv, _mul(y, g))
+        for g, move in zip(gens, moves):
+            z = move(y)
             if z not in orbit:
                 if len(orbit) >= bound:
-                    raise BoundExceeded("conjugacy class too large")
+                    raise BoundExceeded("orbit too large")
                 orbit[z] = _mul(rep, g)
                 queue.append(z)
-    target = G.order() // len(orbit)
-    chain = _build_chain(G.degree, [])
+    target = order // len(orbit)
+    chain = _build_chain(degree, [])
     stab_gens = []
     for y in sorted(orbit):
         if chain.order() >= target:
             break
         rep = orbit[y]
-        for g, ginv in gens:
-            schreier = _mul(_mul(rep, g), _inv(orbit[_mul(ginv, _mul(y, g))]))
+        for g, move in zip(gens, moves):
+            schreier = _mul(_mul(rep, g), _inv(orbit[move(y)]))
             if chain.extend(schreier):
                 stab_gens.append(schreier)
                 if chain.order() >= target:
                     break
+    return stab_gens, target
+
+
+def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND) -> Group:
+    """Centralizer of x in G: the stabilizer of x under conjugation."""
+    moves = [lambda y, g=g, ginv=_inv(g): _mul(ginv, _mul(y, g)) for g in G._raw_gens]
+    stab_gens, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, x.imgs, bound)
     return subgroup_closure(G.degree, stab_gens)
 
 
@@ -397,21 +392,32 @@ def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND)
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """Group homomorphism given by generator images and an apply rule."""
+    """Group homomorphism onto ``target``, given by an apply rule on raw tuples."""
 
     source: Group
     target: Group
-    images: dict
     _apply: Callable[[tuple], tuple]
 
     def apply(self, g: Permutation) -> Permutation:
         return Permutation._wrap(self._apply(g.imgs))
 
-    def kernel(self, bound: int = DEFAULT_ELEMENT_BOUND) -> Group:
-        """Kernel by element scan (preimage data); exact at enumeration scale."""
-        idt = _identity(self.target.degree)
-        gens = [p for p in self.source.elements_raw(bound) if self._apply(p) == idt]
-        return subgroup_closure(self.source.degree, gens)
+    def kernel(self) -> Group:
+        """Kernel as iterated point stabilizers over a base of the image.
+
+        k is in the kernel iff its image fixes the base; each step acts through
+        the images of the current stabilizer's generators only (Seress, 2003,
+        ch. 5), and stops once the known order |source|/|target| is reached.
+        """
+        degree = self.source.degree
+        gens = self.source._raw_gens
+        order = self.source.order()
+        want = order // self.target.order()
+        for b in self.target._chain.base:
+            if order == want:
+                break
+            moves = [self._apply(g).__getitem__ for g in gens]
+            gens, order = _stabilizer(degree, order, gens, moves, b)
+        return subgroup_closure(degree, gens)
 
 
 def coset_canonical(H: Group, p):
@@ -462,8 +468,7 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
 
     image_gens = [Permutation._wrap(act(g)) for g in raw_gens]
     image = Group(image_gens, index)
-    images = {Permutation._wrap(g): Permutation._wrap(act(g)) for g in raw_gens}
-    hom = Homomorphism(G, image, images, act)
+    hom = Homomorphism(G, image, act)
     return image, hom
 
 

@@ -288,22 +288,15 @@ class SubgroupLattice:
     def normal_classes(self) -> list[SubgroupClass]:
         return [c for c in self.classes if c.size == 1]
 
-    def records(self) -> list[dict]:
-        """Documented record form for table emission."""
-        flags = self.maximality_flags if self.complete else [None] * len(self.classes)
-        return [
-            {"order": c.order, "class_size": c.size, "maximal": f,
-             "normalizer_order": c.normalizer_order}
-            for c, f in zip(self.classes, flags)
-        ]
-
 
 def _perfect_seed_classes(G: Group, max_order: int):
     """Candidate perfect subgroups: <a, b> with both in G', a over class
     representatives, b over centralizer orbits.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
-    together with cyclic extension is exhaustive here.
+    together with cyclic extension is exhaustive here.  Many pairs generate
+    the same subgroup; each distinct element set is tested once, and the
+    first pair that reaches it supplies its generators.
     """
     derived = commutator_subgroup(G)
     if derived.order() < 60:
@@ -311,6 +304,7 @@ def _perfect_seed_classes(G: Group, max_order: int):
     d_raw = derived.elements_raw()
     d_elems = set(d_raw)
     out = []
+    tried = set()
     reps = [c[0] for c in G.conjugacy_classes_raw()]
     for a in reps:
         if a not in d_elems or all(x == y for x, y in enumerate(a)):
@@ -319,8 +313,10 @@ def _perfect_seed_classes(G: Group, max_order: int):
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
         for orbit in _conjugation_orbits(d_raw, cgens):
             H = subgroup_closure(G.degree, [a, orbit[0]])
-            if 60 <= H.order() <= max_order and is_perfect(H):
-                out.append(H)
+            if 60 <= H.order() <= max_order and H.elements_raw() not in tried:
+                tried.add(H.elements_raw())
+                if is_perfect(H):
+                    out.append(H)
     return out
 
 
@@ -441,7 +437,6 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
                     break
 
     classes.sort(key=lambda c: (c.order, c.key))
-    # re-point the seen map after sorting is unnecessary; keys are per class
     return SubgroupLattice(G, elems, classes, max_order,
                            complete=max_order >= G.order())
 
@@ -488,11 +483,6 @@ class MaximalSubgroupReport:
     intersection_shape: str  # coordinate / diagonal / trivial / not-applicable
 
 
-def _point_stabilizer(Q: Group, point: int) -> Group:
-    gens = [p for p in Q.elements_raw() if p[point] == point]
-    return subgroup_closure(Q.degree, gens)
-
-
 def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
@@ -518,7 +508,8 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
     if ptype == 2:
         soc = nonab[0]
         soc_ids = set(soc.elements_raw())
-        mq = _point_stabilizer(image, 0)
+        # point 0 is the coset M itself, so its stabilizer is the image of M
+        mq = subgroup_closure(image.degree, [hom._apply(g) for g in M._raw_gens])
         inter_elems = [p for p in soc_ids if mq._contains_raw(p)]
         if len(inter_elems) == 1:
             shape = "trivial"

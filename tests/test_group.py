@@ -18,6 +18,7 @@ from genex.group import (
     wreath_product,
 )
 from genex.perm import Permutation, _mul, parse_permutation
+from genex.structure import all_subgroups
 
 
 def P(text, degree):
@@ -203,6 +204,50 @@ def test_coset_action_kernel_is_core():
         assert image.order() * ker.order() == S4.order()
         assert ker.is_normal_in(S4)
         assert ker.is_subgroup_of(h)
+
+
+def brute_force_core(G, H):
+    """Intersection of the conjugates g^-1 H g over all g in G (oracle closures)."""
+    h_elems = oracles.closure([x.imgs for x in H.generators], H.degree)
+    core = set(h_elems)
+    for g in oracles.closure([x.imgs for x in G.generators], G.degree):
+        ginv = oracles.inv(g)
+        core &= {oracles.mul(oracles.mul(ginv, h), g) for h in h_elems}
+    return core
+
+
+@pytest.mark.parametrize("G, core_orders", [(S4, {1, 4, 12, 24}), (S5, {1, 60, 120})],
+                         ids=["S4", "S5"])
+def test_coset_action_kernel_equals_brute_force_core(G, core_orders):
+    seen = set()
+    for H in all_subgroups(G).groups:
+        _, hom = coset_action(G, H)
+        core = set(hom.kernel().elements_raw())
+        assert core == brute_force_core(G, H)
+        seen.add(len(core))
+    assert seen == core_orders  # V4 and A4 in S4, A5 in S5, besides 1 and G
+
+
+def test_quotient_kernel_is_v4():
+    v4 = make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)
+    _, hom = quotient(S4, v4)
+    assert set(hom.kernel().elements_raw()) == set(v4.elements_raw())
+
+
+def test_kernel_does_not_enumerate_source(monkeypatch):
+    G = make(["(1,2,3,4,5)", "(1,2)"], 5)
+    H = make(["(1,2,3,4)", "(1,3)"], 5)  # D4, core trivial
+    _, hom = coset_action(G, H)
+    enumerated = []
+    elements_raw = Group.elements_raw
+
+    def counted(self, *args, **kwargs):
+        enumerated.append(self)
+        return elements_raw(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "elements_raw", counted)
+    assert hom.kernel().order() == 1
+    assert not any(g is G for g in enumerated)
 
 
 def test_coset_action_requires_subgroup():

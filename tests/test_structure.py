@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from genex import structure
-from genex.group import BoundExceeded, Group, coset_action, direct_product
+from genex.group import BoundExceeded, Group, coset_action, direct_product, wreath_product
 from genex.perm import parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
@@ -165,6 +165,28 @@ def test_lattice_class_count_s5():
     assert sorted(c.order for c in lat.maximal_classes()) == [12, 20, 24, 60]
 
 
+@pytest.mark.parametrize("texts, classes, subgroups", [
+    (["(1,2,3,4,5)", "(4,5,6)"], 22, 501),
+    (["(1,2,3,4,5,6)", "(1,2)"], 56, 1455),
+], ids=["A6", "S6"])
+def test_lattice_a6_s6_counts_and_perfect_seeds(monkeypatch, texts, classes, subgroups):
+    tested = []
+    is_perfect = structure.is_perfect
+
+    def counted(H):
+        tested.append(frozenset(H.elements_raw()))
+        return is_perfect(H)
+
+    monkeypatch.setattr(structure, "is_perfect", counted)
+    lat = all_subgroups(make(texts, 6))
+    assert len(lat.classes) == classes
+    assert sum(lat.class_sizes) == subgroups
+    # each distinct candidate subgroup is tested for perfectness at most once
+    assert len(tested) == len(set(tested))
+    perfect = [c.order for c in lat.classes if c.order > 1 and is_perfect(c.rep)]
+    assert perfect == [60, 60, 360]
+
+
 def test_bounded_enumeration_matches_full():
     lat = subgroup_classes_up_to(S4, 8)
     full = all_subgroups(S4)
@@ -265,6 +287,20 @@ def test_classify_diagonal_type3():
     rep = classify_maximal(a5a5, diag)
     assert rep.primitive_type == 3
     assert rep.core.order() == 1
+
+
+def test_classify_wreath_diagonal_type2():
+    # A5 wr C2 acting on the cosets of the diagonal A5.2: socle A5 x A5, and the
+    # point stabilizer meets it in a diagonal subgroup
+    W, _ = wreath_product(A5, make(["(1,2)"], 2))
+    swap = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
+    diag = Group([P("(1,2,3,4,5)(6,7,8,9,10)", 10), P("(3,4,5)(8,9,10)", 10), swap], 10)
+    assert diag.order() == 120
+    rep = classify_maximal(W, diag)
+    assert rep.primitive_type == 2
+    assert rep.intersection_shape == "diagonal"
+    assert rep.core.order() == 1
+    assert rep.quotient_order == 7200
 
 
 def test_classify_rejects_non_maximal():
