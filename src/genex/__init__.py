@@ -8,7 +8,6 @@ from .group import (
     WreathElement,
     coset_action,
     direct_product,
-    group_from_generators,
     quotient,
     trivial_group,
     wreath_product,
@@ -20,7 +19,6 @@ __all__ = [
     "format_cycles",
     "element_order_r_part",
     "Group",
-    "group_from_generators",
     "trivial_group",
     "BoundExceeded",
     "Homomorphism",

@@ -23,11 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log2
+from math import log2, prod
 from typing import Callable, Sequence
 
-from .group import BoundExceeded, Group, _build_chain, _conjugation_orbits, normal_closure
-from .perm import Permutation, _inv, _mul, _pow, prime_factors
+from .group import (
+    BoundExceeded,
+    Group,
+    _build_chain,
+    _conjugation_orbits,
+    centralizer_in,
+    normal_closure,
+)
+from .perm import Permutation, _inv, _mul, _order, _pow, prime_factors
 from .structure import (
     DEFAULT_LATTICE_BOUND,
     MaximalSubgroupReport,
@@ -207,10 +214,10 @@ def min_generators(G: Group) -> GenerationReport:
     if n == 1:
         return GenerationReport(0, (), stats)
     # d = 1: cyclic
-    for rep in G.class_representatives():
+    for cls in G.conjugacy_classes_raw():
         stats.nodes += 1
-        if rep.order() == n:
-            return GenerationReport(1, (rep,), stats)
+        if _order(cls[0]) == n:
+            return GenerationReport(1, (Permutation._wrap(cls[0]),), stats)
     k = 2
     while True:
         if k > max(2, int(log2(n)) + 1):
@@ -271,14 +278,47 @@ def _generates(G: Group, raw_gens) -> bool:
 
 
 def check_monolithic_nonabelian(G: Group, N: Group) -> None:
-    mins = minimal_normal_subgroups(G)
-    if len(mins) != 1:
-        raise ValueError("group is not monolithic")
-    m = mins[0]
-    if m.order() != N.order() or not N.is_subgroup_of(G) or not m.is_subgroup_of(N):
-        raise ValueError("N is not the socle")
-    if m.is_abelian():
+    """Raise ValueError unless N is nonabelian and the only minimal normal
+    subgroup of G; G itself is never enumerated.
+
+    The certificate: N is a nontrivial normal subgroup; its own minimal normal
+    subgroups F_1..F_k are nonabelian with |F_1|..|F_k| = |N|; G permutes them
+    transitively; and C_G(N) = 1.  Distinct F_i commute and meet trivially,
+    and F_i inside the join of the others would centralize itself, so the
+    order condition makes N = F_1 x .. x F_k with each F_i simple.  A normal
+    subgroup of G inside N is then a product of factors that G leaves
+    invariant, so transitivity makes N minimal normal.  Another minimal
+    normal M meets N trivially, so [M, N] = 1 and M <= C_G(N) = 1.
+    Conversely, if N is the unique minimal normal subgroup and nonabelian,
+    all four conditions hold: C_G(N) is normal and meets N in Z(N) = 1, so a
+    nontrivial C_G(N) would contain a second minimal normal subgroup
+    (Dixon-Mortimer, *Permutation Groups*, 1996, sec. 4.3).
+    """
+    if N.order() == 1 or not N.is_normal_in(G):
+        raise ValueError("N is not a nontrivial normal subgroup")
+    factors = minimal_normal_subgroups(N)
+    if any(f.is_abelian() for f in factors):
         raise ValueError("socle is abelian")
+    if prod(f.order() for f in factors) != N.order():
+        raise ValueError("N is not a direct product of its minimal normal subgroups")
+    # the orbit of factor 0: x^g for a generator x of F lies in one factor, F^g
+    pairs = [(g, _inv(g)) for g in G._raw_gens]
+    reached = [0]
+    for i in reached:
+        x = factors[i]._raw_gens[0]
+        for g, ginv in pairs:
+            y = _mul(ginv, _mul(x, g))
+            j = next(j for j, f in enumerate(factors) if f._contains_raw(y))
+            if j not in reached:
+                reached.append(j)
+    if len(reached) != len(factors):
+        raise ValueError("G does not permute the simple factors of N transitively")
+    cent = G
+    for x in N.generators:
+        cent = centralizer_in(cent, x)
+        if cent.order() == 1:
+            return
+    raise ValueError("group is not monolithic: C_G(N) is not trivial")
 
 
 def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
@@ -330,13 +370,8 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
     For n = 1 every element projects to the identity on one point.
     """
     factors = minimal_normal_subgroups(N)
-    supports = []
-    for f in factors:
-        moved = set()
-        for g in f.generators:
-            moved.update(i for i, j in enumerate(g.imgs) if i != j)
-        supports.append(frozenset(moved))
-    supports.sort(key=min)
+    supports = sorted((frozenset(i for g in f._raw_gens for i, j in enumerate(g) if i != j)
+                       for f in factors), key=min)
     block_of = {}
     for bi, sup in enumerate(supports):
         for pt in sup:

@@ -184,19 +184,22 @@ class Group:
                 raise ValueError("generators of mixed degrees")
         self._setup(degree, tuple(g.imgs for g in gens))
 
-    def _setup(self, degree, raw_gens):
+    def _setup(self, degree, raw_gens, chain=None):
         # the one place every field, caches included, is set; subgroup_closure
-        # calls it directly to skip the degree checks on trusted raw tuples
+        # calls it directly to skip the degree checks on trusted raw tuples.
+        # A caller that already extended a chain by raw_gens in order passes
+        # it as ``chain``: extending again would rebuild the same chain.
         self._degree = degree
         ident = _identity(degree)
         self._raw_gens = tuple(p for p in raw_gens if p != ident)
         self._gens = tuple(Permutation._wrap(p) for p in self._raw_gens)
-        self._chain = _build_chain(degree, self._raw_gens)
+        self._chain = chain if chain is not None else _build_chain(degree, self._raw_gens)
         self._order = self._chain.order()
         self._elements: tuple | None = None
         self._classes: tuple | None = None
         self._class_of: dict | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
+        self._minimal_normals = None  # set by structure.minimal_normal_subgroups
 
     # -- basic queries ------------------------------------------------------
 
@@ -225,9 +228,6 @@ class Group:
 
     def identity(self) -> Permutation:
         return Permutation.identity(self._degree)
-
-    def is_trivial(self) -> bool:
-        return self._order == 1
 
     def __repr__(self) -> str:
         return f"Group(degree={self._degree}, order={self._order}, ngens={len(self._gens)})"
@@ -265,9 +265,6 @@ class Group:
                               for p in cls}
         return self._class_of
 
-    def class_representatives(self) -> list[Permutation]:
-        return [Permutation._wrap(c[0]) for c in self.conjugacy_classes_raw()]
-
     def is_abelian(self) -> bool:
         gens = self._raw_gens
         return all(_mul(a, b) == _mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -300,11 +297,6 @@ class Group:
         return Group([ginv * h * g for h in self._gens], self._degree)
 
 
-def group_from_generators(gens: Iterable[Permutation], degree: int | None = None) -> Group:
-    """Group with a stabilizer-chain certificate; exact order and membership."""
-    return Group(gens, degree)
-
-
 def trivial_group(degree: int) -> Group:
     return Group([], degree)
 
@@ -312,9 +304,11 @@ def trivial_group(degree: int) -> Group:
 # ---------------------------------------------------------------------------
 # closures built inside an ambient group
 
-def subgroup_closure(ambient_degree: int, raw_gens) -> Group:
+def subgroup_closure(ambient_degree: int, raw_gens, chain=None) -> Group:
+    """Subgroup generated by trusted raw tuples; ``chain``, if given, is the
+    chain already built by extending with ``raw_gens`` in order."""
     g = Group.__new__(Group)
-    g._setup(ambient_degree, raw_gens)
+    g._setup(ambient_degree, raw_gens, chain)
     return g
 
 
@@ -332,7 +326,7 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
             if chain.extend(y):
                 gens.append(y)
                 queue.append(y)
-    return subgroup_closure(G.degree, gens)
+    return subgroup_closure(G.degree, gens, chain)
 
 
 def commutator_subgroup(G: Group) -> Group:
@@ -350,7 +344,8 @@ def _stabilizer(degree, order, gens, moves, start, bound=DEFAULT_ELEMENT_BOUND):
 
     ``moves[i]`` maps a point to its image under ``gens[i]``.  Schreier
     generators are sifted into a chain until it reaches the exact order
-    |K| / |orbit|.  Returns the stabilizer's generators and its order.
+    |K| / |orbit|.  Returns the stabilizer's generators and that chain, which
+    is the one ``_build_chain`` would make from them.
     """
     orbit = {start: _identity(degree)}
     queue = deque([start])
@@ -377,14 +372,14 @@ def _stabilizer(degree, order, gens, moves, start, bound=DEFAULT_ELEMENT_BOUND):
                 stab_gens.append(schreier)
                 if chain.order() >= target:
                     break
-    return stab_gens, target
+    return stab_gens, chain
 
 
 def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND) -> Group:
     """Centralizer of x in G: the stabilizer of x under conjugation."""
     moves = [lambda y, g=g, ginv=_inv(g): _mul(ginv, _mul(y, g)) for g in G._raw_gens]
-    stab_gens, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, x.imgs, bound)
-    return subgroup_closure(G.degree, stab_gens)
+    return subgroup_closure(G.degree, *_stabilizer(
+        G.degree, G.order(), G._raw_gens, moves, x.imgs, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +407,14 @@ class Homomorphism:
         gens = self.source._raw_gens
         order = self.source.order()
         want = order // self.target.order()
+        chain = None
         for b in self.target._chain.base:
             if order == want:
                 break
             moves = [self._apply(g).__getitem__ for g in gens]
-            gens, order = _stabilizer(degree, order, gens, moves, b)
-        return subgroup_closure(degree, gens)
+            gens, chain = _stabilizer(degree, order, gens, moves, b)
+            order = chain.order()
+        return subgroup_closure(degree, gens, chain)
 
 
 def coset_canonical(H: Group, p):
@@ -441,8 +438,6 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    if H.order() == 0 or G.order() % H.order():
-        raise ValueError("invalid subgroup")
     index = G.order() // H.order()
     if index > max_points:
         raise BoundExceeded(f"index {index} exceeds the {max_points}-point bound")

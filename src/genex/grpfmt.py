@@ -3,12 +3,14 @@
 A file is a `degree: <n>` line followed by one `gen: <cycles>` line per
 generator.  Lines starting with `#` and blank lines are ignored.  Round
 trips are bit-exact on the parsed generators: parse -> serialize -> parse
-yields identical generator permutations in identical order.
+yields identical generator permutations in identical order.  A degree
+above ``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any point list
+is built.
 """
 
 from __future__ import annotations
 
-from .group import Group
+from .group import DEFAULT_MAX_POINTS, BoundExceeded, Group
 from .perm import Permutation, format_cycles, parse_permutation
 
 
@@ -28,6 +30,9 @@ def parse_group_text(text: str) -> Group:
                 raise ValueError(f"line {lineno}: bad degree") from None
             if degree < 1:
                 raise ValueError(f"line {lineno}: degree must be positive")
+            if degree > DEFAULT_MAX_POINTS:
+                raise BoundExceeded(
+                    f"line {lineno}: degree {degree} exceeds the {DEFAULT_MAX_POINTS}-point bound")
         elif line.startswith("gen:"):
             if degree is None:
                 raise ValueError(f"line {lineno}: gen before degree")

@@ -31,13 +31,6 @@ def _inv(p):
     return tuple(inv)
 
 
-def _conj(x, g, ginv=None):
-    """g^-1 x g."""
-    if ginv is None:
-        ginv = _inv(g)
-    return _mul(ginv, _mul(x, g))
-
-
 def _pow(p, n):
     if n < 0:
         return _pow(_inv(p), -n)
@@ -186,7 +179,7 @@ class Permutation:
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
-        return Permutation._wrap(_conj(self.imgs, g.imgs))
+        return Permutation._wrap(_mul(_inv(g.imgs), _mul(self.imgs, g.imgs)))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.imgs))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import prod
 
 from .group import (
     DEFAULT_MAX_POINTS,
@@ -52,21 +53,6 @@ def is_perfect(G: Group) -> bool:
     return commutator_subgroup(G).order() == G.order()
 
 
-def lower_central_series(G: Group) -> list[Group]:
-    """Test oracle for nilpotency; terms are normal closures of [term, G]."""
-    series = [G]
-    while True:
-        cur = series[-1]
-        comms = []
-        for a in cur.generators:
-            for g in G.generators:
-                comms.append(a.inverse() * g.inverse() * a * g)
-        nxt = normal_closure(G, comms)
-        if nxt.order() == cur.order():
-            return series
-        series.append(nxt)
-
-
 def is_nilpotent(G: Group) -> bool:
     """All Sylow subgroups normal: for each prime p the p-elements number
     exactly the p-part of |G| (two distinct Sylows would give more)."""
@@ -75,42 +61,43 @@ def is_nilpotent(G: Group) -> bool:
         return True
     orders = [_order(p) for p in G.elements_raw()]
     for p in prime_factors(n):
-        if sum(1 for o in orders if _is_power_of(o, p)) != r_part(n, p):
+        if sum(1 for o in orders if r_part(o, p) == o) != r_part(n, p):
             return False
     return True
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def minimal_normal_subgroups(G: Group) -> list[Group]:
-    """All minimal normal subgroups, from normal closures of prime-order elements."""
+    """All minimal normal subgroups, from normal closures of prime-order elements.
+
+    Every minimal normal subgroup is the normal closure of any of its
+    prime-order elements, so one element per class of prime-order elements
+    suffices.  Those classes are the conjugation orbits of the prime-order
+    elements alone; the rest of G is never orbited.  The result is kept on G.
+    """
     if G.order() <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
+    if G._minimal_normals is not None:
+        return list(G._minimal_normals)
+    pairs = [(g, _inv(g)) for g in G._raw_gens]
+    prime_order = [p for p in G.elements_raw() if is_prime(_order(p))]
     closures: list[Group] = []
-    for rep in G.class_representatives():
-        if is_prime(rep.order()):
-            n = normal_closure(G, [rep])
-            if not any(n.order() == m.order() and n.is_subgroup_of(m) and m.is_subgroup_of(n)
-                       for m in closures):
-                closures.append(n)
+    for orbit in _conjugation_orbits(prime_order, pairs):
+        n = normal_closure(G, [Permutation._wrap(orbit[0])])
+        if not any(n.order() == m.order() and n.is_subgroup_of(m) and m.is_subgroup_of(n)
+                   for m in closures):
+            closures.append(n)
     minimal = []
     for n in closures:
         if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures):
             minimal.append(n)
     minimal.sort(key=lambda m: (m.order(), [g.imgs for g in m.generators]))
+    G._minimal_normals = tuple(minimal)
     return minimal
 
 
 def socle(G: Group) -> Group:
     """Join of all minimal normal subgroups."""
-    gens = []
-    for m in minimal_normal_subgroups(G):
-        gens.extend(g.imgs for g in m.generators)
-    return subgroup_closure(G.degree, gens)
+    return subgroup_closure(G.degree, [g for m in minimal_normal_subgroups(G) for g in m._raw_gens])
 
 
 def fitting_subgroup(G: Group) -> Group:
@@ -284,9 +271,6 @@ class SubgroupLattice:
 
     def maximal_classes(self) -> list[SubgroupClass]:
         return [c for c, f in zip(self.classes, self.maximality_flags) if f]
-
-    def normal_classes(self) -> list[SubgroupClass]:
-        return [c for c in self.classes if c.size == 1]
 
 
 def _perfect_seed_classes(G: Group, max_order: int):
@@ -514,43 +498,28 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
         if len(inter_elems) == 1:
             shape = "trivial"
         else:
-            inter = subgroup_closure(image.degree, inter_elems)
             factors = minimal_normal_subgroups(soc)  # the simple direct factors
-            factor_sets = [set(f.elements_raw()) for f in factors]
-            per_factor = [sum(1 for p in inter_elems if p in fs) for fs in factor_sets]
-            prod = 1
-            for c in per_factor:
-                prod *= c
-            if prod == inter.order():
+            per_factor = [sum(1 for p in inter_elems if f._contains_raw(p)) for f in factors]
+            if prod(per_factor) == len(inter_elems):
                 shape = "coordinate"
+            elif (all(c < f.order() for c, f in zip(per_factor, factors))
+                  and _projections_cover(inter_elems, factors, soc)):
+                shape = "diagonal"
             else:
-                projections_full = _projections_cover(inter_elems, factors, soc)
-                proper = all(c < f.order() for c, f in zip(per_factor, factors))
-                if projections_full and proper:
-                    shape = "diagonal"
-                else:
-                    raise AssertionError("socle intersection fits no expected shape")
+                raise AssertionError("socle intersection fits no expected shape")
     return MaximalSubgroupReport(
         subgroup=M, core=core, quotient_order=image.order(),
         primitive_type=ptype, intersection_shape=shape)
 
 
 def _projections_cover(inter_elems, factors, soc) -> bool:
-    """Does the intersection project onto every simple factor of the socle?"""
+    """Does the intersection I project onto every simple factor F of the socle?
+
+    The projection onto F has kernel I meet R, where R is the product of the
+    other factors, so its image has order |I| / |I meet R|.
+    """
     for f in factors:
-        f_set = set(f.elements_raw())
-        others = []
-        for g in factors:
-            if g is not f:
-                others.extend(g.generators)
-        rest = subgroup_closure(soc.degree, [g.imgs for g in others])
-        seen = set()
-        for p in inter_elems:
-            # component of p in this factor: unique s in f with s^-1 p in rest
-            for s in f_set:
-                if rest._contains_raw(_mul(_inv(s), p)):
-                    seen.add(s)
-                    break
-        if len(seen) != f.order():
+        rest = subgroup_closure(soc.degree, [g for h in factors if h is not f for g in h._raw_gens])
+        if len(inter_elems) != f.order() * sum(1 for p in inter_elems if rest._contains_raw(p)):
             return False
     return True

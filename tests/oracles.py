@@ -86,6 +86,39 @@ def commutator_closure(elements, degree):
     return closure(comms, degree)
 
 
+def element_order(p):
+    ident = tuple(range(len(p)))
+    k, x = 1, p
+    while x != ident:
+        x = mul(x, p)
+        k += 1
+    return k
+
+
+def minimal_normal_subgroups(gens, degree):
+    """Minimal members of {<class of x>, x != 1}, with classes built by
+    conjugating x by every element of G."""
+    elems = closure(gens, degree)
+    ident = tuple(range(degree))
+    classes = {frozenset(mul(mul(inv(g), x), g) for g in elems) for x in elems if x != ident}
+    normals = {closure(c, degree) for c in classes}
+    return [n for n in normals if not any(m < n for m in normals)]
+
+
+def lower_central_series(gens, degree):
+    """G = g_1 >= g_2 >= ... with g_(i+1) = <[a, g] : a in g_i, g in G>, as
+    element sets, until stable; G is nilpotent iff the last term is trivial."""
+    full = closure(gens, degree)
+    series = [full]
+    while True:
+        cur = series[-1]
+        comms = {mul(mul(inv(a), inv(g)), mul(a, g)) for a in cur for g in full}
+        nxt = closure(comms, degree)
+        if nxt == cur:
+            return series
+        series.append(nxt)
+
+
 def non_generators(elements, degree):
     """Elements g such that no proper subgroup H has <H, g> = everything."""
     subs = all_subgroups(elements, degree)

@@ -9,6 +9,7 @@ from genex.gensets import (
     ALL,
     SearchStats,
     HypothesisError,
+    check_monolithic_nonabelian,
     d_metric,
     d_min,
     exists_generating_tuple,
@@ -18,6 +19,7 @@ from genex.gensets import (
     socle_block_projection,
 )
 from genex.perm import Permutation, parse_permutation
+from genex.structure import minimal_normal_subgroups
 
 
 def P(text, degree):
@@ -266,6 +268,61 @@ def test_density_budget():
     from genex.group import BoundExceeded
     with pytest.raises(BoundExceeded):
         generation_density(S5, A5, (P("(1,2)", 5), Permutation.identity(5)), budget=100)
+
+
+# -- monolithic check ---------------------------------------------------------
+
+def _wreath_a5_c2():
+    W, _ = wreath_product(A5, make(["(1,2)"], 2))
+    N = make(["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)"], 10)
+    return W, N
+
+
+A6 = make(["(1,2,3)", "(1,2,4)", "(1,2,5)", "(1,2,6)"], 6)
+MONOLITHIC_CASES = {  # G, N, message of the failing branch (None: passes)
+    "S5/A5": (S5, A5, None),
+    "S6/A6": (make(["(1,2,3,4,5,6)", "(1,2)"], 6), A6, None),
+    "A6/A6": (A6, A6, None),
+    "A5wrC2/A5xA5": _wreath_a5_c2() + (None,),
+    "S5/C5": (S5, make(["(1,2,3,4,5)"], 5), "normal"),
+    "S4/V4": (S4, make(["(1,2)(3,4)", "(1,3)(2,4)"], 4), "abelian"),
+    "S5/S5": (S5, S5, "direct product"),
+    "A5xA5/A5xA5": (direct_product(A5, A5), direct_product(A5, A5), "transitively"),
+    "A5xC2/A5": (direct_product(A5, make(["(1,2)"], 2)),
+                 make(["(1,2,3,4,5)", "(3,4,5)"], 7), "C_G"),
+}
+
+
+def _monolithic_by_definition(G, N):
+    mins = minimal_normal_subgroups(G)
+    return (len(mins) == 1 and mins[0].order() == N.order() and N.is_subgroup_of(G)
+            and mins[0].is_subgroup_of(N) and not N.is_abelian())
+
+
+@pytest.mark.parametrize("name", MONOLITHIC_CASES)
+def test_monolithic_check_agrees_with_definition(name):
+    G, N, message = MONOLITHIC_CASES[name]
+    assert _monolithic_by_definition(G, N) == (message is None)
+    if message is None:
+        check_monolithic_nonabelian(G, N)
+    else:
+        with pytest.raises(ValueError, match=message):
+            check_monolithic_nonabelian(G, N)
+
+
+def test_monolithic_check_never_enumerates_the_group(monkeypatch):
+    W, N = _wreath_a5_c2()
+    enumerated = []
+    original = Group.elements_raw
+
+    def spy(self, *args, **kwargs):
+        enumerated.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "elements_raw", spy)
+    check_monolithic_nonabelian(W, N)
+    assert any(g is N for g in enumerated)
+    assert not any(g is W for g in enumerated)
 
 
 # -- replacement --------------------------------------------------------------

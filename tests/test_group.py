@@ -11,7 +11,6 @@ from genex.group import (
     commutator_subgroup,
     coset_action,
     direct_product,
-    group_from_generators,
     normal_closure,
     quotient,
     trivial_group,
@@ -26,7 +25,7 @@ def P(text, degree):
 
 
 def make(texts, degree):
-    return group_from_generators([P(t, degree) for t in texts], degree)
+    return Group([P(t, degree) for t in texts], degree)
 
 
 S4 = make(["(1,2,3,4)", "(1,2)"], 4)
@@ -62,7 +61,7 @@ def test_c7_order():
 
 def test_mixed_degree_rejected():
     with pytest.raises(ValueError):
-        group_from_generators([P("(1,2)", 2), P("(1,2,3)", 3)])
+        Group([P("(1,2)", 2), P("(1,2,3)", 3)])
 
 
 def test_membership_identity_and_generators():

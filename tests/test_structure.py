@@ -16,7 +16,6 @@ from genex.structure import (
     is_primitive,
     is_solvable,
     is_transitive,
-    lower_central_series,
     minimal_block,
     minimal_normal_subgroups,
     socle,
@@ -68,7 +67,8 @@ def test_nilpotent_basics():
 
 def test_nilpotent_agrees_with_lower_central_series():
     for g in [C6, D4, S3, Q8, S4, A4, A5]:
-        via_lcs = lower_central_series(g)[-1].order() == 1
+        lcs = oracles.lower_central_series([x.imgs for x in g.generators], g.degree)
+        via_lcs = len(lcs[-1]) == 1
         assert is_nilpotent(g) == via_lcs
 
 
@@ -78,6 +78,53 @@ def test_minimal_normal_subgroups():
     assert sorted(m.order() for m in minimal_normal_subgroups(C6)) == [2, 3]
     with pytest.raises(ValueError):
         minimal_normal_subgroups(Group([], 3))
+
+
+S3xS3 = direct_product(S3, S3)
+A5xC2 = direct_product(A5, make(["(1,2)"], 2))
+MINIMAL_NORMAL_CASES = {  # group, number of minimal normal subgroups
+    "S3": (S3, 1), "S4": (S4, 1), "D8": (D4, 1), "Q8": (Q8, 1),
+    "C2^3": (make(["(1,2)", "(3,4)", "(5,6)"], 6), 7), "C6": (C6, 2), "A4": (A4, 1),
+    "S3xS3": (S3xS3, 2), "A5": (A5, 1), "S5": (S5, 1), "A5xC2": (A5xC2, 2),
+}
+
+
+@pytest.mark.parametrize("name", MINIMAL_NORMAL_CASES)
+def test_minimal_normal_subgroups_match_oracle(name):
+    g, count = MINIMAL_NORMAL_CASES[name]
+    got = [frozenset(m.elements_raw()) for m in minimal_normal_subgroups(g)]
+    want = oracles.minimal_normal_subgroups([x.imgs for x in g.generators], g.degree)
+    # sorted by order, then by generators; the first generator of each is the
+    # least prime-order element in it, whose class is the first to reach it
+    want.sort(key=lambda m: (len(m), min(x for x in m if _is_prime(oracles.element_order(x)))))
+    assert got == want
+    assert len(got) == count
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, n))
+
+
+def test_minimal_normal_subgroups_orbit_no_classes(monkeypatch):
+    calls = []
+    original = Group.conjugacy_classes_raw
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "conjugacy_classes_raw", counting)
+    for g in [make(["(1,2,3,4,5)", "(1,2)"], 5), direct_product(A5, make(["(1,2)"], 2))]:
+        assert minimal_normal_subgroups(g)
+    assert calls == []
+
+
+def test_minimal_normal_subgroups_kept_on_the_group():
+    g = make(["(1,2,3,4)", "(1,2)"], 4)
+    first = minimal_normal_subgroups(g)
+    again = minimal_normal_subgroups(g)
+    assert again is not first  # a fresh list each call
+    assert [id(m) for m in again] == [id(m) for m in first]
 
 
 def test_socle():
