@@ -1,11 +1,23 @@
 """Generating tuples: d(G), pooled searches, D-metrics, densities, replacements.
 
 All searches are exhaustive and run in a fixed canonical order (elements
-ascending by image tuple), so returned witnesses are deterministic.  The
-first slot is reduced to one representative per conjugacy class whenever
-every later pool is closed under conjugation.  Three prunes cut the tuple
-search without changing the order or the first witness, because each drops
-only subtrees that contain no generating tuple:
+ascending by image tuple), so returned witnesses are deterministic.  Every
+generation test goes through ``_generates``, which first compares orbit
+counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and equal
+groups have equal orbits; a tuple with more orbits than G generates a proper
+subgroup, and only when the counts agree is a stabilizer chain built.
+
+The first slot is reduced to the first member of each conjugacy class of G
+that it holds whenever every later pool is closed under conjugation: if
+(x^c, y_2..y_d) generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)), whose
+entries lie in the same pools, so a class member after the first has a
+completion only if the first has one, and the search would already have
+returned.  A pool is closed iff it is ``ALL`` or closed under conjugation by
+G's generators (a finite set mapped into itself by each is mapped onto
+itself).  A class is orbited only when its first member is reached, so no
+class table of G is built.  Three prunes cut the tuple search without
+changing the order or the first witness, because each drops only subtrees
+that contain no generating tuple:
 
 * order-monotone: a candidate already in the subgroup K generated by the
   partial tuple leaves K unchanged, so its subtree is the same as that of the
@@ -15,7 +27,15 @@ only subtrees that contain no generating tuple:
 * cyclic quotient: with one slot left and K proper, a completion x with
   <K, x> = G makes G/N cyclic, generated by xN, where N is the normal closure
   of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so when G/N is
-  not cyclic no element of any pool completes K.
+  not cyclic no element of any pool completes K.  G/N is cyclic iff the
+  commutators of G's generators lie in N and |G : <N, g_1^p, .., g_k^p>| = p
+  for every prime p with p^2 | |G:N|, since then every Sylow subgroup of
+  the abelian G/N is cyclic (proof in ``_quotient_is_cyclic``).
+
+``SearchStats.nodes`` counts the candidates the tuple search visits and, in
+``min_generators``, the elements its d = 1 step tries; that step runs only
+for an abelian G, since a nonabelian group is not cyclic, so no class
+representatives of a nonabelian G are counted.
 """
 
 from __future__ import annotations
@@ -31,6 +51,7 @@ from .group import (
     Group,
     _build_chain,
     _conjugation_orbits,
+    _orbit_count,
     centralizer_in,
     normal_closure,
 )
@@ -91,23 +112,17 @@ def _resolve_pools(G: Group, pools) -> list[list]:
     return out
 
 
-def _conjugation_closed(G: Group, pool_raw: list) -> bool:
-    class_of = G.class_index_raw()
-    by_class: dict[int, int] = {}
-    for p in pool_raw:
-        c = class_of[p]
-        by_class[c] = by_class.get(c, 0) + 1
-    classes = G.conjugacy_classes_raw()
-    return all(by_class[c] == len(classes[c]) for c in by_class)
-
-
 def _quotient_is_cyclic(G: Group, N: Group) -> bool:
     """Whether G/N is cyclic, for N normal in G.
 
     G/N is abelian iff every commutator of G's generators lies in N.  An
-    abelian G/N of order m is cyclic iff some xN has order m, that is
-    x^(m/p) is not in N for every prime p dividing m; xN depends only on the
-    conjugacy class of x, so class representatives suffice.
+    abelian A = G/N of order m is cyclic iff every Sylow subgroup is, that is
+    iff |A : A^p| = p for every prime p dividing m, since A/A^p is elementary
+    abelian of rank the number of cyclic factors of the Sylow p-subgroup.
+    The p-th power map of an abelian group is a homomorphism, so A^p is
+    generated by the p-th powers of the images of G's generators, and its
+    preimage in G is <N, g_1^p, .., g_k^p>.  A Sylow subgroup of prime order
+    is cyclic, so only the primes p with p^2 | m need that chain.
     """
     gens = G._raw_gens
     for i, a in enumerate(gens):
@@ -115,92 +130,110 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
             if not N._contains_raw(_mul(_mul(a, b), _inv(_mul(b, a)))):
                 return False
     m = G.order() // N.order()
-    primes = prime_factors(m)
-    return any(all(not N._contains_raw(_pow(cls[0], m // p)) for p in primes)
-               for cls in G.conjugacy_classes_raw())
+    for p, e in prime_factors(m).items():
+        if e > 1:
+            powers = [_pow(g, p) for g in gens]
+            if _build_chain(G.degree, list(N._raw_gens) + powers).order() * p != G.order():
+                return False
+    return True
 
 
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
-    The exhaustive search certificate is exact: a None return means no such
-    tuple exists.  Returned witnesses are the first found in canonical order.
-    Every prune is exact, so none changes the witness:
+    Pools are subsets of G.  The exhaustive search certificate is exact: a
+    None return means no such tuple exists.  Returned witnesses are the first
+    found in canonical order.  Every prune is exact, so none changes the
+    witness:
 
     * order-monotone: of the candidates lying in K = <partial>, only the
       first is explored, since each leaves K, and so the subtree, unchanged;
+      membership is a sift into the chain of K, built once per partial tuple;
     * suffix join: a candidate g is dropped when <K, g, all later pools> is
       proper, since every completion lies inside that join;
     * cyclic quotient: with one slot left, g is dropped when <K, g> is proper
       and G / ncl_G(<K, g>) is not cyclic, since <K, g, x> = G would make
       that quotient cyclic, generated by the image of x.
+
+    Each generation test, the join and the last slot included, is
+    ``_generates``: the orbits of <T> <= G refine those of G, so more orbits
+    than G prove <T> proper without a chain.  The quotient G/N of the third
+    prune is cyclic iff it is abelian and |G : <N, g_1^p, .., g_k^p>| = p for
+    every prime p with p^2 dividing |G:N|, that is iff every Sylow subgroup
+    of G/N is cyclic (``_quotient_is_cyclic``).  The first slot holds the
+    first member of each conjugacy class of G when the later pools are
+    conjugation-closed (module docstring).
     """
     if stats is None:
         stats = SearchStats()
     raw_pools = _resolve_pools(G, pools)
     d = len(raw_pools)
-    target = G.order()
     if d == 0:
-        return () if target == 1 else None
+        return () if G.order() == 1 else None
 
-    # first-slot conjugacy reduction when the rest is conjugation-closed
-    if all(_conjugation_closed(G, p) for p in raw_pools[1:]):
-        class_of = G.class_index_raw()
-        seen: set[int] = set()
-        reduced = []
-        for p in raw_pools[0]:
-            c = class_of[p]
-            if c not in seen:
-                seen.add(c)
-                reduced.append(p)
-        raw_pools[0] = reduced
+    pairs = [(g, _inv(g)) for g in G._raw_gens]
 
-    # suffix joins for pruning: no completion can exceed <partial, suffix pool>
-    suffix_gens: list[list] = [[] for _ in range(d + 1)]
+    def closed(pool, raw):
+        if pool == ALL:
+            return True
+        members = set(raw)
+        return all(_mul(ginv, _mul(x, g)) in members for x in raw for g, ginv in pairs)
+
+    def first_of_each_class(pool):
+        marked: set = set()
+        for x in pool:
+            if x not in marked:
+                marked.update(_conjugation_orbits([x], pairs)[0])
+                yield x
+
+    if all(closed(pool, raw) for pool, raw in zip(pools[1:], raw_pools[1:])):
+        raw_pools[0] = first_of_each_class(raw_pools[0])
+
+    # suffix joins for pruning: no completion can exceed <partial, suffix pool>;
+    # G's generators span the same join as an ALL pool
+    suffix_gens: list[tuple] = [()] * (d + 1)
     suffix_spans: list[bool] = [False] * (d + 1)
-    for k in range(d - 1, -1, -1):
+    for k in range(d - 1, 0, -1):
         chain = _build_chain(G.degree, list(suffix_gens[k + 1]))
         gens = list(suffix_gens[k + 1])
-        for p in raw_pools[k]:
+        for p in G._raw_gens if pools[k] == ALL else raw_pools[k]:
+            if chain.order() == G.order():
+                break
             if chain.extend(p):
                 gens.append(p)
-        suffix_gens[k] = gens
-        suffix_spans[k] = chain.order() == target
+        suffix_gens[k] = tuple(gens)
+        suffix_spans[k] = chain.order() == G.order()
 
-    def rec(level: int, partial: tuple, partial_order: int):
-        if level == d:
-            return partial if partial_order == target else None
-        pool = raw_pools[level]
+    def rec(level: int, partial: tuple):
+        inside = _build_chain(G.degree, list(partial))
         skipped_inside = False
-        for g in pool:
+        for g in raw_pools[level]:
             stats.nodes += 1
-            new_order = _build_chain(G.degree, list(partial) + [g]).order()
-            if new_order == partial_order:
+            if inside.sift(g) == inside.ident:
                 if skipped_inside:
                     continue  # same subgroup as a previous candidate
                 skipped_inside = True
-            if level + 1 < d:
-                # when the suffix pools alone span G the join test cannot prune
-                if not suffix_spans[level + 1]:
-                    reach = _build_chain(
-                        G.degree, list(partial) + [g] + suffix_gens[level + 1])
-                    if reach.order() < target:
-                        stats.pruned += 1
-                        continue
-            elif new_order != target:
+            tup = partial + (g,)
+            if level == d - 1:
+                if _generates(G, tup):
+                    return tup
                 stats.pruned += 1
                 continue
-            if level == d - 2 and new_order < target:
-                closure = normal_closure(G, [Permutation._wrap(p) for p in partial + (g,)])
+            # when the suffix pools alone span G the join test cannot prune
+            if not suffix_spans[level + 1] and not _generates(G, tup + suffix_gens[level + 1]):
+                stats.pruned += 1
+                continue
+            if level == d - 2 and not _generates(G, tup):
+                closure = normal_closure(G, [Permutation._wrap(p) for p in tup])
                 if not _quotient_is_cyclic(G, closure):
                     stats.pruned += 1
                     continue
-            got = rec(level + 1, partial + (g,), new_order)
+            got = rec(level + 1, tup)
             if got is not None:
                 return got
         return None
 
-    found = rec(0, (), 1)
+    found = rec(0, ())
     if found is None:
         return None
     return tuple(Permutation._wrap(p) for p in found)
@@ -213,11 +246,12 @@ def min_generators(G: Group) -> GenerationReport:
     n = G.order()
     if n == 1:
         return GenerationReport(0, (), stats)
-    # d = 1: cyclic
-    for cls in G.conjugacy_classes_raw():
-        stats.nodes += 1
-        if _order(cls[0]) == n:
-            return GenerationReport(1, (Permutation._wrap(cls[0]),), stats)
+    # d = 1: only an abelian group can be cyclic, and its classes are singletons
+    if G.is_abelian():
+        for p in G.elements_raw():
+            stats.nodes += 1
+            if _order(p) == n:
+                return GenerationReport(1, (Permutation._wrap(p),), stats)
     k = 2
     while True:
         if k > max(2, int(log2(n)) + 1):
@@ -274,7 +308,12 @@ def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND
 
 
 def _generates(G: Group, raw_gens) -> bool:
-    return _build_chain(G.degree, list(raw_gens)).order() == G.order()
+    """Whether raw tuples lying in G generate G; a proper <T> with more
+    orbits than G is rejected without a chain."""
+    raw_gens = list(raw_gens)
+    if _orbit_count(G.degree, raw_gens) != G._orbits:
+        return False
+    return _build_chain(G.degree, raw_gens).order() == G.order()
 
 
 def check_monolithic_nonabelian(G: Group, N: Group) -> None:

@@ -144,12 +144,30 @@ def _build_chain(degree, raw_gens):
     return chain
 
 
-def _conjugation_orbits(points, pairs) -> list[tuple]:
-    """Orbits of x -> g^-1 x g over the (g, g^-1) pairs, partitioning ``points``.
+def _orbit_count(degree, raw_gens) -> int:
+    """Number of orbits of <raw_gens> on range(degree), by union-find."""
+    root = list(range(degree))
+    count = degree
+    for g in raw_gens:
+        for a, b in enumerate(g):
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                count -= 1
+    return count
 
-    ``points`` must be closed under the action.  Each orbit is a sorted tuple,
-    and orbits come in the order of their first member in ``points``, so for
-    sorted points they are ordered by least member.
+
+def _conjugation_orbits(points, pairs) -> list[tuple]:
+    """Orbits of x -> g^-1 x g over the (g, g^-1) pairs, one per member of
+    ``points`` not in an earlier orbit.
+
+    With ``points`` closed under the action the orbits partition it.  Each
+    orbit is a sorted tuple, and orbits come in the order of their first
+    member in ``points``, so for sorted points they are ordered by least
+    member.
     """
     remaining = set(points)
     orbits = []
@@ -195,9 +213,9 @@ class Group:
         self._gens = tuple(Permutation._wrap(p) for p in self._raw_gens)
         self._chain = chain if chain is not None else _build_chain(degree, self._raw_gens)
         self._order = self._chain.order()
+        self._orbits = _orbit_count(degree, self._raw_gens)
         self._elements: tuple | None = None
         self._classes: tuple | None = None
-        self._class_of: dict | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
         self._minimal_normals = None  # set by structure.minimal_normal_subgroups
 
@@ -258,21 +276,12 @@ class Group:
             self._classes = tuple(_conjugation_orbits(self.elements_raw(bound), pairs))
         return self._classes
 
-    def class_index_raw(self) -> dict:
-        """Map from each raw element to the index of its conjugacy class."""
-        if self._class_of is None:
-            self._class_of = {p: ci for ci, cls in enumerate(self.conjugacy_classes_raw())
-                              for p in cls}
-        return self._class_of
-
     def is_abelian(self) -> bool:
         gens = self._raw_gens
         return all(_mul(a, b) == _mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def is_cyclic(self) -> bool:
-        if self._order == 1:
-            return True
-        return any(_order(c[0]) == self._order for c in self.conjugacy_classes_raw())
+        return self.is_abelian() and any(_order(p) == self._order for p in self.elements_raw())
 
     # -- subgroup relations ---------------------------------------------------
 

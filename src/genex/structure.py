@@ -147,18 +147,7 @@ def minimal_block(degree: int, raw_gens, alpha: int, beta: int) -> list[int]:
 
 
 def is_transitive(G: Group) -> bool:
-    if G.degree == 0:
-        return True
-    orbit = {0}
-    queue = [0]
-    while queue:
-        pt = queue.pop()
-        for g in G._raw_gens:
-            img = g[pt]
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
-    return len(orbit) == G.degree
+    return G._orbits <= 1
 
 
 def is_primitive(G: Group) -> bool:

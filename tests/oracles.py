@@ -95,6 +95,20 @@ def element_order(p):
     return k
 
 
+def quotient_is_cyclic(G_elems, N_elems):
+    """Whether G/N is cyclic, N normal: some g has least k with g^k in N
+    equal to |G:N|, that is gN has order |G:N|."""
+    index = len(G_elems) // len(N_elems)
+    for g in G_elems:
+        k, x = 1, g
+        while x not in N_elems:
+            x = mul(x, g)
+            k += 1
+        if k == index:
+            return True
+    return False
+
+
 def minimal_normal_subgroups(gens, degree):
     """Minimal members of {<class of x>, x != 1}, with classes built by
     conjugating x by every element of G."""

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from genex import gensets
+from genex import gensets, structure
+from genex import group as group_module
 from genex.group import Group, direct_product, trivial_group, wreath_product
 from genex.gensets import (
     ALL,
@@ -37,6 +40,15 @@ C6 = make(["(1,2,3,4,5,6)"], 6)
 V8 = make(["(1,2)", "(3,4)", "(5,6)"], 6)  # C2 x C2 x C2
 A4 = make(["(1,2,3)", "(1,2)(3,4)"], 4)
 D8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5)(2,8)(3,7)(4,6)"], 8)  # regular action
+A6 = make(["(1,2,3)", "(1,2,4)", "(1,2,5)", "(1,2,6)"], 6)
+S6 = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
+
+
+def _wreath_a5_c2():
+    W, _ = wreath_product(A5, make(["(1,2)"], 2))
+    N = make(["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)"], 10)
+    return W, N
 
 
 def test_min_generators_cyclic():
@@ -111,6 +123,151 @@ def test_exists_tuple_restricted_pools_frozen():
     stats = SearchStats()
     assert exists_generating_tuple(S4, [doubles, doubles, four_cycles], stats) is None
     assert stats.pruned > 0
+
+
+# d(G) and D_M(G) with witnesses, frozen from the search that built a chain
+# at every node and reduced the first slot through a conjugacy-class table.
+# Both searches take the same branches, so the prune counts agree too; the
+# node counts of min_generators are lower by the class count of G (11, 7, 15
+# and 20), which that search's d = 1 step visited for a nonabelian G.
+SEARCH_PINS = {  # G, M, (d witness, nodes, pruned), (D, witness, in_subgroup, nodes, pruned)
+    "S6": (S6, make(["(1,2,3,4,5)", "(1,2)"], 6),
+           (["(5,6)", "(1,2,3,4,5)"], 155, 152),
+           (1, ["(4,5)", "(1,2,3,4,5,6)"], (0,), 156, 153)),
+    "A6": (A6, make(["(1,2,3,4,5)", "(3,4,5)"], 6),
+           (["(4,5,6)", "(1,2,3,4)(5,6)"], 78, 74),
+           (1, ["(3,4,5)", "(1,2,3)(4,5,6)"], (0,), 76, 72)),
+    "S7": (S7, make(["(1,2,3,4,5,6)", "(1,2)"], 7),
+           (["(6,7)", "(1,2,3,4,5,6)"], 875, 872),
+           (1, ["(5,6)", "(1,2,3,4,5)(6,7)"], (0,), 874, 871)),
+    "A5wrC2": (_wreath_a5_c2()[0],
+               make(["(1,2,3,4,5)(6,7,8,9,10)", "(3,4,5)(8,9,10)",
+                     "(1,6)(2,7)(3,8)(4,9)(5,10)"], 10),  # diagonal A5.2
+               (["(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], 3618, 3614),
+               (1, ["(3,4,5)(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (0,), 3618, 3614)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_PINS)
+def test_search_pins(name):
+    G, M, (d_witness, d_nodes, d_pruned), (value, witness, in_subgroup, nodes, pruned) = \
+        SEARCH_PINS[name]
+    rep = min_generators(G)
+    assert rep.d == 2
+    assert rep.witness == tuple(P(t, G.degree) for t in d_witness)
+    assert (rep.stats.nodes, rep.stats.pruned) == (d_nodes, d_pruned)
+    dm = d_metric(G, M)
+    assert dm.value == value
+    assert dm.witness == tuple(P(t, G.degree) for t in witness)
+    assert dm.in_subgroup == in_subgroup
+    assert (dm.stats.nodes, dm.stats.pruned) == (nodes, pruned)
+
+
+def test_first_slot_takes_one_member_per_class():
+    # exhausted searches visit one first entry per class of S4 (5 classes);
+    # counts frozen from the reduction through a conjugacy-class table
+    doubles = [P(t, 4) for t in ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]]
+    for pools in ([ALL], [ALL, doubles]):
+        stats = SearchStats()
+        assert exists_generating_tuple(S4, pools, stats) is None
+        assert (stats.nodes, stats.pruned) == (5, 5)
+    # {(2,3,4)} is not closed, so the conjugate (1,2) after (3,4) is still tried
+    pools = [[P("(1,2)", 4), P("(3,4)", 4)], [P("(2,3,4)", 4)]]
+    assert exists_generating_tuple(S4, pools) == (P("(1,2)", 4), P("(2,3,4)", 4))
+
+
+def test_search_builds_no_class_table(monkeypatch):
+    # classes are orbited one at a time as the first slot reaches them, and a
+    # chain is built only where a tuple has as few orbits as G
+    builds = []
+    for mod in (group_module, gensets, structure):
+        original = mod._build_chain
+        monkeypatch.setattr(mod, "_build_chain",
+                            lambda *a, f=original: builds.append(1) or f(*a))
+
+    def no_classes(self, *args, **kwargs):
+        raise AssertionError("conjugacy class table built")
+
+    monkeypatch.setattr(Group, "conjugacy_classes_raw", no_classes)
+    min_generators(S7)
+    d_metric(S7, SEARCH_PINS["S7"][1])
+    assert len(builds) < 50
+
+
+Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
+C4C2 = make(["(1,2,3,4)", "(5,6)"], 6)
+S3 = make(["(1,2,3)", "(1,2)"], 3)
+
+
+@pytest.mark.parametrize("g", [S3, S4, D8, Q8, V8, C4C2, C6, A4],
+                         ids=["S3", "S4", "D8", "Q8", "C2^3", "C4xC2", "C6", "A4"])
+def test_quotient_is_cyclic_matches_oracle(g):
+    elems = oracles.closure([x.imgs for x in g.generators], g.degree)
+    normals = [n for n in oracles.all_subgroups(elems, g.degree)
+               if all(oracles.mul(oracles.mul(oracles.inv(x), h), x) in n
+                      for x in elems for h in n)]
+    seen = set()
+    for n in normals:
+        N = Group([Permutation(h) for h in sorted(n)], g.degree)
+        want = oracles.quotient_is_cyclic(elems, n)
+        assert gensets._quotient_is_cyclic(g, N) == want
+        seen.add(want)
+    assert seen == {True, False} or g is C6  # C6 has only cyclic quotients
+
+
+# random subgroups of S4 and S5, each given by one or two of these generators
+_SEARCH_GENS = [
+    (4, ["(1,2,3,4)", "(1,2)", "(1,2)(3,4)", "(1,2,3)", "(1,3)(2,4)"]),
+    (5, ["(1,2,3,4,5)", "(1,2)", "(3,4,5)", "(1,2)(3,4)", "(2,3,4,5)"]),
+]
+
+
+@st.composite
+def _search_cases(draw):
+    degree, texts = draw(st.sampled_from(_SEARCH_GENS))
+    chosen = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=2, unique=True))
+    G = make(chosen, degree)
+    elems = sorted(oracles.closure([x.imgs for x in G.generators], degree))
+    d = draw(st.sampled_from([2, 3]))
+    pools = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["all", "subset", "cyclic", "classes"]))
+        # one ALL pool at most above order 24 keeps the brute force small
+        if kind == "all" and (len(elems) <= 24 or ALL not in pools):
+            pools.append(ALL)
+            continue
+        picked = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3, unique=True))
+        if kind == "cyclic":  # a subgroup: often no tuple generates
+            picked = sorted(oracles.closure(picked[:1], degree))
+        elif kind == "classes":  # a union of conjugacy classes: a closed pool
+            picked = sorted({oracles.mul(oracles.mul(oracles.inv(c), x), c)
+                             for x in picked for c in elems})
+        pools.append(picked)
+    return G, elems, pools
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_search_cases())
+def test_search_agrees_with_brute_force(case):
+    G, elems, pools = case
+    degree, order = G.degree, len(elems)
+    raw = [elems if pool == ALL else pool for pool in pools]
+    generated = {}
+
+    def generates(tup):
+        key = frozenset(tup)
+        if key not in generated:
+            generated[key] = oracles.generates(list(key), degree, order)
+        return generated[key]
+
+    brute = any(generates(t) for t in product(*raw))
+    got = exists_generating_tuple(G, [pool if pool == ALL else [Permutation(p) for p in pool]
+                                      for pool in pools])
+    assert (got is not None) == brute
+    if got is not None:
+        assert all(w.imgs in pool for w, pool in zip(got, raw))
+        assert len(oracles.closure([w.imgs for w in got], degree)) == order
+    assert min_generators(G).d == oracles.min_generating_size(elems, degree)
 
 
 def test_class_index_survives_id_reuse(monkeypatch):
@@ -272,16 +429,9 @@ def test_density_budget():
 
 # -- monolithic check ---------------------------------------------------------
 
-def _wreath_a5_c2():
-    W, _ = wreath_product(A5, make(["(1,2)"], 2))
-    N = make(["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)"], 10)
-    return W, N
-
-
-A6 = make(["(1,2,3)", "(1,2,4)", "(1,2,5)", "(1,2,6)"], 6)
 MONOLITHIC_CASES = {  # G, N, message of the failing branch (None: passes)
     "S5/A5": (S5, A5, None),
-    "S6/A6": (make(["(1,2,3,4,5,6)", "(1,2)"], 6), A6, None),
+    "S6/A6": (S6, A6, None),
     "A6/A6": (A6, A6, None),
     "A5wrC2/A5xA5": _wreath_a5_c2() + (None,),
     "S5/C5": (S5, make(["(1,2,3,4,5)"], 5), "normal"),
