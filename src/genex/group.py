@@ -252,12 +252,12 @@ class Group:
 
     # -- element enumeration -------------------------------------------------
 
-    def elements_raw(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple:
+    def elements_raw(self) -> tuple:
         """All elements as raw image tuples, sorted."""
         if self._elements is None:
-            if self._order > bound:
-                raise BoundExceeded(
-                    f"group order {self._order} exceeds element enumeration bound {bound}")
+            if self._order > DEFAULT_ELEMENT_BOUND:
+                raise BoundExceeded(f"group order {self._order} exceeds element "
+                                    f"enumeration bound {DEFAULT_ELEMENT_BOUND}")
             out = [_identity(self._degree)]
             for t in reversed(self._chain.trans):
                 reps = [t[pt] for pt in sorted(t)]
@@ -266,14 +266,14 @@ class Group:
             self._elements = tuple(out)
         return self._elements
 
-    def elements(self, bound: int = DEFAULT_ELEMENT_BOUND) -> list[Permutation]:
-        return [Permutation._wrap(p) for p in self.elements_raw(bound)]
+    def elements(self) -> list[Permutation]:
+        return [Permutation._wrap(p) for p in self.elements_raw()]
 
-    def conjugacy_classes_raw(self, bound: int = DEFAULT_ELEMENT_BOUND) -> tuple:
+    def conjugacy_classes_raw(self) -> tuple:
         """Conjugacy classes as sorted tuples of raw tuples, ordered by least member."""
         if self._classes is None:
             pairs = [(g, _inv(g)) for g in self._raw_gens]
-            self._classes = tuple(_conjugation_orbits(self.elements_raw(bound), pairs))
+            self._classes = tuple(_conjugation_orbits(self.elements_raw(), pairs))
         return self._classes
 
     def is_abelian(self) -> bool:
@@ -348,13 +348,17 @@ def commutator_subgroup(G: Group) -> Group:
     return normal_closure(G, [Permutation._wrap(c) for c in comms])
 
 
-def _stabilizer(degree, order, gens, moves, start, bound=DEFAULT_ELEMENT_BOUND):
+def _stabilizer(degree, order, gens, moves, start):
     """Stabilizer of ``start`` in K = <gens> of the given order, by orbit-stabilizer.
 
-    ``moves[i]`` maps a point to its image under ``gens[i]``.  Schreier
-    generators are sifted into a chain until it reaches the exact order
-    |K| / |orbit|.  Returns the stabilizer's generators and that chain, which
-    is the one ``_build_chain`` would make from them.
+    ``moves[i]`` maps a point to its image under ``gens[i]``; points may be
+    any hashable, such as frozensets of element ids.  The orbit is walked
+    breadth-first and kept in discovery order, which needs no ordering of
+    the points.  Schreier generators are sifted, in that order, into a chain
+    until it reaches the exact order |K| / |orbit|.  Returns the stabilizer's
+    generators, that chain (the one ``_build_chain`` would make from them),
+    and the orbit as a dict from each point to an element of K carrying
+    ``start`` there.
     """
     orbit = {start: _identity(degree)}
     queue = deque([start])
@@ -364,31 +368,30 @@ def _stabilizer(degree, order, gens, moves, start, bound=DEFAULT_ELEMENT_BOUND):
         for g, move in zip(gens, moves):
             z = move(y)
             if z not in orbit:
-                if len(orbit) >= bound:
+                if len(orbit) >= DEFAULT_ELEMENT_BOUND:
                     raise BoundExceeded("orbit too large")
                 orbit[z] = _mul(rep, g)
                 queue.append(z)
     target = order // len(orbit)
     chain = _build_chain(degree, [])
     stab_gens = []
-    for y in sorted(orbit):
+    for y, rep in orbit.items():
         if chain.order() >= target:
             break
-        rep = orbit[y]
         for g, move in zip(gens, moves):
             schreier = _mul(_mul(rep, g), _inv(orbit[move(y)]))
             if chain.extend(schreier):
                 stab_gens.append(schreier)
                 if chain.order() >= target:
                     break
-    return stab_gens, chain
+    return stab_gens, chain, orbit
 
 
-def centralizer_in(G: Group, x: Permutation, bound: int = DEFAULT_ELEMENT_BOUND) -> Group:
+def centralizer_in(G: Group, x: Permutation) -> Group:
     """Centralizer of x in G: the stabilizer of x under conjugation."""
     moves = [lambda y, g=g, ginv=_inv(g): _mul(ginv, _mul(y, g)) for g in G._raw_gens]
-    return subgroup_closure(G.degree, *_stabilizer(
-        G.degree, G.order(), G._raw_gens, moves, x.imgs, bound))
+    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, x.imgs)
+    return subgroup_closure(G.degree, gens, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +424,7 @@ class Homomorphism:
             if order == want:
                 break
             moves = [self._apply(g).__getitem__ for g in gens]
-            gens, chain = _stabilizer(degree, order, gens, moves, b)
+            gens, chain, _ = _stabilizer(degree, order, gens, moves, b)
             order = chain.order()
         return subgroup_closure(degree, gens, chain)
 

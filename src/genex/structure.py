@@ -3,10 +3,12 @@
 The subgroup lattice is enumerated bottom-up: a perfect base layer found by
 two-generator search, then cyclic extension by prime-order cosets of the
 normalizer.  Classes are deduplicated by full conjugation orbits of
-element-id sets, so the enumeration is exact.  With ``max_order`` below the
-group order the same machinery yields every conjugacy class of subgroups of
-order at most the bound (any subgroup's construction chain stays inside it),
-which is how the large symmetric/alternating groups are handled.
+element-id sets, so the enumeration is exact; each class's orbit and its
+normalizer come from the one orbit-stabilizer routine, ``group._stabilizer``,
+acting on those id sets.  With ``max_order`` below the group order the same
+machinery yields every conjugacy class of subgroups of order at most the
+bound (any subgroup's construction chain stays inside it), which is how the
+large symmetric/alternating groups are handled.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .group import (
     DEFAULT_MAX_POINTS,
     BoundExceeded,
     Group,
-    _build_chain,
     _conjugation_orbits,
+    _stabilizer,
     centralizer_in,
     commutator_subgroup,
     coset_action,
@@ -83,8 +85,7 @@ def minimal_normal_subgroups(G: Group) -> list[Group]:
     closures: list[Group] = []
     for orbit in _conjugation_orbits(prime_order, pairs):
         n = normal_closure(G, [Permutation._wrap(orbit[0])])
-        if not any(n.order() == m.order() and n.is_subgroup_of(m) and m.is_subgroup_of(n)
-                   for m in closures):
+        if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
     minimal = []
     for n in closures:
@@ -178,15 +179,13 @@ def is_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> bool
 
 @dataclass
 class SubgroupClass:
-    """One conjugacy class of subgroups: representative, ids, orbit data."""
+    """One conjugacy class of subgroups: representative, ids, normalizer, orbit data."""
 
     rep: Group
     ids: frozenset
-    gens_raw: tuple
     size: int
     key: tuple
-    normalizer_order: int
-    norm_gens: tuple
+    normalizer: Group
     orbit: tuple | None  # frozensets of ids over the whole class (full mode)
 
     @property
@@ -267,29 +266,35 @@ def _perfect_seed_classes(G: Group, max_order: int):
     representatives, b over centralizer orbits.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
-    together with cyclic extension is exhaustive here.  Many pairs generate
-    the same subgroup; each distinct element set is tested once, and the
-    first pair that reaches it supplies its generators.
+    together with cyclic extension is exhaustive here.  G' is normal, so its
+    G-orbits are the classes of G inside it, and their least members are the
+    class representatives; G itself is never enumerated.  Many pairs generate
+    the same subgroup: <a, b> is skipped when a subgroup T tried earlier has
+    its order and contains a and b, since then <a, b> = T.  So each distinct
+    subgroup is tested once, and the first pair that reaches it supplies its
+    generators.
     """
     derived = commutator_subgroup(G)
     if derived.order() < 60:
         return []
     d_raw = derived.elements_raw()
-    d_elems = set(d_raw)
+    pairs = [(g, _inv(g)) for g in G._raw_gens]
     out = []
-    tried = set()
-    reps = [c[0] for c in G.conjugacy_classes_raw()]
-    for a in reps:
-        if a not in d_elems or all(x == y for x, y in enumerate(a)):
-            continue
+    tried: list[Group] = []
+    for cls in _conjugation_orbits(d_raw, pairs)[1:]:  # the first is the identity
+        a = cls[0]
         cent = centralizer_in(G, Permutation._wrap(a))
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
         for orbit in _conjugation_orbits(d_raw, cgens):
-            H = subgroup_closure(G.degree, [a, orbit[0]])
-            if 60 <= H.order() <= max_order and H.elements_raw() not in tried:
-                tried.add(H.elements_raw())
-                if is_perfect(H):
-                    out.append(H)
+            b = orbit[0]
+            H = subgroup_closure(G.degree, [a, b])
+            if not 60 <= H.order() <= max_order or any(
+                    T.order() == H.order() and T._contains_raw(a) and T._contains_raw(b)
+                    for T in tried):
+                continue
+            tried.append(H)
+            if is_perfect(H):
+                out.append(H)
     return out
 
 
@@ -305,54 +310,24 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
         ginv = _inv(g)
         tables.append(tuple(id_of[_mul(ginv, _mul(elems[i], g))] for i in range(len(elems))))
 
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     classes: list[SubgroupClass] = []
 
+    # conjugation of id sets by each parent generator
+    moves = [lambda s, table=table: frozenset(map(table.__getitem__, s)) for table in tables]
+
     def register(ids: frozenset, gens_raw: tuple) -> int | None:
-        """Dedup against every known conjugate; compute orbit and normalizer."""
-        key0 = tuple(sorted(ids))
-        hit = seen.get(key0)
-        if hit is not None:
+        """Dedup against every known conjugate; take orbit and normalizer."""
+        if tuple(sorted(ids)) in seen:
             return None
-        orbit = {ids: tuple(range(degree))}
-        queue = deque([ids])
-        keys = {ids: key0}
-        while queue:
-            s = queue.popleft()
-            u = orbit[s]
-            for g, table in zip(n_gens, tables):
-                t = frozenset(map(table.__getitem__, s))
-                if t not in orbit:
-                    orbit[t] = _mul(u, g)
-                    keys[t] = tuple(sorted(t))
-                    queue.append(t)
-        idx = len(classes)
-        for k in keys.values():
-            seen[k] = idx
-        # normalizer from Schreier generators, seeded with the subgroup itself
-        target = G.order() // len(orbit)
-        chain = _build_chain(degree, list(gens_raw))
-        norm_gens = list(gens_raw)
-        if chain.order() < target:
-            done = False
-            for s, u in orbit.items():
-                for g, table in zip(n_gens, tables):
-                    t = frozenset(map(table.__getitem__, s))
-                    schreier = _mul(_mul(u, g), _inv(orbit[t]))
-                    if chain.extend(schreier):
-                        norm_gens.append(schreier)
-                        if chain.order() >= target:
-                            done = True
-                            break
-                if done:
-                    break
-        canonical = min(keys.values())
-        rep = subgroup_closure(degree, gens_raw)
+        norm_gens, chain, orbit = _stabilizer(degree, G.order(), n_gens, moves, ids)
+        keys = {s: tuple(sorted(s)) for s in orbit}
+        seen.update(keys.values())
         classes.append(SubgroupClass(
-            rep=rep, ids=ids, gens_raw=tuple(gens_raw), size=len(orbit),
-            key=canonical, normalizer_order=chain.order(), norm_gens=tuple(norm_gens),
-            orbit=tuple(sorted(orbit, key=lambda s: keys[s])) if keep_orbits else None))
-        return idx
+            rep=subgroup_closure(degree, gens_raw), ids=ids, size=len(orbit),
+            key=min(keys.values()), normalizer=subgroup_closure(degree, norm_gens, chain),
+            orbit=tuple(sorted(orbit, key=keys.__getitem__)) if keep_orbits else None))
+        return len(classes) - 1
 
     # trivial class
     register(frozenset([ident_id]), ())
@@ -380,7 +355,7 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
         idx = work.popleft()
         cls = classes[idx]
         h_order = cls.order
-        norm = subgroup_closure(degree, cls.norm_gens)
+        norm = cls.normalizer
         index = norm.order() // h_order
         if index == 1:
             continue
@@ -404,7 +379,7 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
                     for _ in range(p - 1):
                         j_ids.update(id_of[_mul(h, x)] for h in h_elems)
                         x = _mul(x, n)
-                    new_idx = register(frozenset(j_ids), cls.gens_raw + (n,))
+                    new_idx = register(frozenset(j_ids), cls.rep._raw_gens + (n,))
                     if new_idx is not None:
                         work.append(new_idx)
                     break

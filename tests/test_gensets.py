@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from genex import gensets, structure
+from genex import gensets
 from genex import group as group_module
 from genex.group import Group, direct_product, trivial_group, wreath_product
 from genex.gensets import (
@@ -180,7 +180,7 @@ def test_search_builds_no_class_table(monkeypatch):
     # classes are orbited one at a time as the first slot reaches them, and a
     # chain is built only where a tuple has as few orbits as G
     builds = []
-    for mod in (group_module, gensets, structure):
+    for mod in (group_module, gensets):
         original = mod._build_chain
         monkeypatch.setattr(mod, "_build_chain",
                             lambda *a, f=original: builds.append(1) or f(*a))

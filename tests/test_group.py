@@ -16,6 +16,7 @@ from genex.group import (
     trivial_group,
     wreath_product,
 )
+from genex.gensets import min_generators
 from genex.perm import Permutation, _mul, parse_permutation
 from genex.structure import all_subgroups
 
@@ -103,6 +104,14 @@ def test_elements_sorted_and_cached():
     e1 = S4.elements_raw()
     assert list(e1) == sorted(e1)
     assert S4.elements_raw() is e1
+
+
+def test_enumeration_above_the_element_bound_raises():
+    S9 = make(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9)  # 362880 > DEFAULT_ELEMENT_BOUND
+    assert S9.order() == 362880
+    for query in (S9.elements_raw, S9.conjugacy_classes_raw, lambda: min_generators(S9)):
+        with pytest.raises(BoundExceeded):
+            query()
 
 
 def test_conjugacy_classes():

@@ -1,9 +1,13 @@
+from collections import Counter
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex import structure
 from genex.group import BoundExceeded, Group, coset_action, direct_product, wreath_product
-from genex.perm import parse_permutation
+from genex.perm import Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -232,6 +236,72 @@ def test_lattice_a6_s6_counts_and_perfect_seeds(monkeypatch, texts, classes, sub
     assert len(tested) == len(set(tested))
     perfect = [c.order for c in lat.classes if c.order > 1 and is_perfect(c.rep)]
     assert perfect == [60, 60, 360]
+
+
+def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
+    # candidates <a, b> are deduplicated by order and containment, so no
+    # candidate's elements are listed, and class reps come from G' alone
+    calls = []
+    elements_raw = Group.elements_raw
+
+    def counted(self):
+        calls.append(self)
+        return elements_raw(self)
+
+    monkeypatch.setattr(Group, "elements_raw", counted)
+    a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
+    seeds = structure._perfect_seed_classes(a6, 360)
+    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60, 60, 60]
+    assert len(calls) == 1
+    assert calls[0] is not a6 and calls[0].order() == 360  # the derived subgroup
+
+
+# random subgroups of S4 and of S3 x S3 on 6 points, each given by 1-3 elements
+_LATTICE_AMBIENTS = [
+    (4, sorted(oracles.closure([P("(1,2,3,4)", 4).imgs, P("(1,2)", 4).imgs], 4))),
+    (6, sorted(oracles.closure([x.imgs for x in S3xS3.generators], 6))),
+]
+
+
+@st.composite
+def _lattice_cases(draw):
+    degree, elems = draw(st.sampled_from(_LATTICE_AMBIENTS))
+    gens = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3, unique=True))
+    return Group([Permutation(g) for g in gens], degree)
+
+
+@cache  # examples often draw the same subgroup
+def _oracle_lattice(elems, degree):
+    return oracles.all_subgroups(elems, degree), set(oracles.maximal_subgroups(elems, degree))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_lattice_cases())
+def test_lattice_agrees_with_oracle(g):
+    degree = g.degree
+    elems = oracles.closure([x.imgs for x in g.generators], degree)
+    conj = {x: oracles.inv(x) for x in elems}
+
+    def conjugate(s, x):
+        return frozenset(oracles.mul(oracles.mul(conj[x], h), x) for h in s)
+
+    oracle_subs, maximal = _oracle_lattice(elems, degree)
+    want_sizes = Counter((len(s), len({conjugate(s, x) for x in elems})) for s in oracle_subs)
+    lat = all_subgroups(g)
+    got_sizes = Counter()
+    for c in lat.classes:
+        got_sizes[(c.order, c.size)] += c.size
+        members = frozenset(lat.elements[i] for i in c.ids)
+        normalizer = {x for x in elems if conjugate(members, x) == members}
+        assert set(c.normalizer.elements_raw()) == normalizer
+        assert c.size == len(elems) // c.normalizer.order()
+    assert got_sizes == want_sizes
+
+    got_maximal = {frozenset(lat.elements[i] for i in s)
+                   for c in lat.maximal_classes() for s in c.orbit}
+    assert got_maximal == maximal
+    want_frattini = frozenset(elems).intersection(*maximal)
+    assert set(frattini(g).elements_raw()) == want_frattini
 
 
 def test_bounded_enumeration_matches_full():
