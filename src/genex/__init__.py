@@ -5,7 +5,6 @@ from .group import (
     BoundExceeded,
     Group,
     Homomorphism,
-    WreathElement,
     coset_action,
     direct_product,
     quotient,
@@ -22,7 +21,6 @@ __all__ = [
     "trivial_group",
     "BoundExceeded",
     "Homomorphism",
-    "WreathElement",
     "coset_action",
     "quotient",
     "direct_product",

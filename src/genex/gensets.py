@@ -99,11 +99,11 @@ class DensityReport:
     ratio: Fraction
 
 
-def _resolve_pools(G: Group, pools) -> list[list]:
+def _resolve_pools(G: Group, pools) -> list:
     out = []
     for pool in pools:
         if pool == ALL:
-            out.append(list(G.elements_raw()))
+            out.append(G.elements_raw())
         else:
             raw = sorted(p.imgs if isinstance(p, Permutation) else tuple(p) for p in pool)
             if not raw:
@@ -275,7 +275,7 @@ def d_metric(G: Group, H: Group) -> DReport:
     d = base.d
     if H.order() == G.order():
         return DReport(H, d, base.witness, tuple(range(d)), stats)
-    h_elems = H.elements()
+    h_elems = H.elements_raw()
     for k in range(d - 1, 0, -1):
         pools = [h_elems] * k + [ALL] * (d - k)
         witness = exists_generating_tuple(G, pools, stats)

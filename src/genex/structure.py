@@ -1,4 +1,4 @@
-"""Structural analysis: solvability, socle, subgroup lattice, maximal types.
+"""Structural analysis: minimal normal subgroups, subgroup lattice, maximal types.
 
 The subgroup lattice is enumerated bottom-up: a perfect base layer found by
 two-generator search, then cyclic extension by prime-order cosets of the
@@ -22,6 +22,7 @@ from .group import (
     BoundExceeded,
     Group,
     _conjugation_orbits,
+    _orbit_count,
     _stabilizer,
     centralizer_in,
     commutator_subgroup,
@@ -29,43 +30,16 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _inv, _mul, _order, _pow, is_prime, prime_factors, r_part
+from .perm import Permutation, _inv, _mul, _order, _pow, is_prime, prime_factors
 
 DEFAULT_LATTICE_BOUND = 2000
 
 
 # ---------------------------------------------------------------------------
-# series and basic predicates
-
-def derived_series(G: Group) -> list[Group]:
-    """G = G(0) >= G(1) >= ... until stable; solvable iff the last term is trivial."""
-    series = [G]
-    while True:
-        nxt = commutator_subgroup(series[-1])
-        if nxt.order() == series[-1].order():
-            return series
-        series.append(nxt)
-
-
-def is_solvable(G: Group) -> bool:
-    return derived_series(G)[-1].order() == 1
-
+# perfectness and minimal normal subgroups
 
 def is_perfect(G: Group) -> bool:
     return commutator_subgroup(G).order() == G.order()
-
-
-def is_nilpotent(G: Group) -> bool:
-    """All Sylow subgroups normal: for each prime p the p-elements number
-    exactly the p-part of |G| (two distinct Sylows would give more)."""
-    n = G.order()
-    if n == 1:
-        return True
-    orders = [_order(p) for p in G.elements_raw()]
-    for p in prime_factors(n):
-        if sum(1 for o in orders if r_part(o, p) == o) != r_part(n, p):
-            return False
-    return True
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
@@ -94,21 +68,6 @@ def minimal_normal_subgroups(G: Group) -> list[Group]:
     minimal.sort(key=lambda m: (m.order(), [g.imgs for g in m.generators]))
     G._minimal_normals = tuple(minimal)
     return minimal
-
-
-def socle(G: Group) -> Group:
-    """Join of all minimal normal subgroups."""
-    return subgroup_closure(G.degree, [g for m in minimal_normal_subgroups(G) for g in m._raw_gens])
-
-
-def fitting_subgroup(G: Group) -> Group:
-    """Largest nilpotent normal subgroup: join of the nilpotent normal classes."""
-    lattice = all_subgroups(G)
-    gens = []
-    for cls, size in zip(lattice.classes, lattice.class_sizes):
-        if size == 1 and is_nilpotent(cls.rep):
-            gens.extend(g.imgs for g in cls.rep.generators)
-    return subgroup_closure(G.degree, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +123,6 @@ def is_primitive(G: Group) -> bool:
         if len(set(reps)) != 1:
             return False
     return True
-
-
-def is_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> bool:
-    """M maximal in G iff the coset action of G on G:M is primitive."""
-    if M.order() >= G.order():
-        return False
-    image, _ = coset_action(G, M, max_points)
-    return is_primitive(image)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +387,17 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
 
     Raises ValueError when M is not maximal (the coset action is the
     maximality certificate: it must be primitive).
+
+    For type 2 the shape of I = soc meet M comes from orbit counts.  Point 0
+    is the coset M, so M's image meets each K normal in the socle in K_0,
+    and |K_0| = |K| * orbits(K) / n as the socle is transitive.  So I is
+    trivial iff |soc| = n, and coordinate iff |I| is the product of the
+    |F_0| over the simple factors F.  I projects onto F iff soc = I * R_F,
+    R_F the product of the other factors, that is iff R_F is transitive
+    (Frattini argument); I is diagonal iff that holds for every F.
     """
+    if M.order() >= G.order():
+        raise ValueError("M is not maximal in G")
     image, hom = coset_action(G, M, max_points)
     if not is_primitive(image):
         raise ValueError("M is not maximal in G")
@@ -454,36 +415,17 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
 
     shape = "not-applicable"
     if ptype == 2:
-        soc = nonab[0]
-        soc_ids = set(soc.elements_raw())
-        # point 0 is the coset M itself, so its stabilizer is the image of M
-        mq = subgroup_closure(image.degree, [hom._apply(g) for g in M._raw_gens])
-        inter_elems = [p for p in soc_ids if mq._contains_raw(p)]
-        if len(inter_elems) == 1:
+        soc, n = nonab[0], image.degree
+        factors = minimal_normal_subgroups(soc)  # the simple direct factors
+        if soc.order() == n:
             shape = "trivial"
+        elif prod(f.order() * f._orbits // n for f in factors) == soc.order() // n:
+            shape = "coordinate"
+        elif all(_orbit_count(n, [g for h in factors if h is not f for g in h._raw_gens]) == 1
+                 for f in factors):
+            shape = "diagonal"
         else:
-            factors = minimal_normal_subgroups(soc)  # the simple direct factors
-            per_factor = [sum(1 for p in inter_elems if f._contains_raw(p)) for f in factors]
-            if prod(per_factor) == len(inter_elems):
-                shape = "coordinate"
-            elif (all(c < f.order() for c, f in zip(per_factor, factors))
-                  and _projections_cover(inter_elems, factors, soc)):
-                shape = "diagonal"
-            else:
-                raise AssertionError("socle intersection fits no expected shape")
+            raise AssertionError("socle intersection fits no expected shape")
     return MaximalSubgroupReport(
         subgroup=M, core=core, quotient_order=image.order(),
         primitive_type=ptype, intersection_shape=shape)
-
-
-def _projections_cover(inter_elems, factors, soc) -> bool:
-    """Does the intersection I project onto every simple factor F of the socle?
-
-    The projection onto F has kernel I meet R, where R is the product of the
-    other factors, so its image has order |I| / |I meet R|.
-    """
-    for f in factors:
-        rest = subgroup_closure(soc.degree, [g for h in factors if h is not f for g in h._raw_gens])
-        if len(inter_elems) != f.order() * sum(1 for p in inter_elems if rest._contains_raw(p)):
-            return False
-    return True

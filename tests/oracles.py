@@ -7,6 +7,7 @@ obviously correct, usable up to a few thousand elements.
 """
 
 from itertools import product
+from math import prod
 
 
 def mul(p, q):
@@ -119,18 +120,31 @@ def minimal_normal_subgroups(gens, degree):
     return [n for n in normals if not any(m < n for m in normals)]
 
 
-def lower_central_series(gens, degree):
-    """G = g_1 >= g_2 >= ... with g_(i+1) = <[a, g] : a in g_i, g in G>, as
-    element sets, until stable; G is nilpotent iff the last term is trivial."""
-    full = closure(gens, degree)
-    series = [full]
-    while True:
-        cur = series[-1]
-        comms = {mul(mul(inv(a), inv(g)), mul(a, g)) for a in cur for g in full}
-        nxt = closure(comms, degree)
-        if nxt == cur:
-            return series
-        series.append(nxt)
+def socle_intersection_shape(stabilizer_gens, factor_gens, degree):
+    """Shape of I = soc meet M in a primitive group of type 2, from element sets.
+
+    ``stabilizer_gens`` generate M, the stabilizer of a point, and
+    ``factor_gens`` holds the generators of each simple direct factor F of
+    the socle.  I is trivial, coordinate (the product of its meets with the
+    factors) or diagonal (each meet is proper and I projects onto every F:
+    the projection's kernel is I meet R, R the product of the other factors,
+    so its image has order |I| / |I meet R|); anything else is "none".
+    """
+    factors = [closure(gens, degree) for gens in factor_gens]
+    soc = factors[0] if len(factors) == 1 else \
+        closure([g for gens in factor_gens for g in gens], degree)
+    inter = soc & closure(stabilizer_gens, degree)
+    per_factor = [len(inter & f) for f in factors]
+    if len(inter) == 1:
+        return "trivial"
+    if prod(per_factor) == len(inter):
+        return "coordinate"
+    rests = [closure([g for j, gens in enumerate(factor_gens) if j != i for g in gens], degree)
+             for i in range(len(factors))]
+    if all(c < len(f) and len(inter) == len(f) * len(inter & r)
+           for c, f, r in zip(per_factor, factors, rests)):
+        return "diagonal"
+    return "none"
 
 
 def non_generators(elements, degree):

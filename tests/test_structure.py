@@ -12,17 +12,11 @@ from genex.structure import (
     MaximalSubgroupReport,
     all_subgroups,
     classify_maximal,
-    derived_series,
-    fitting_subgroup,
     frattini,
-    is_maximal,
-    is_nilpotent,
     is_primitive,
-    is_solvable,
     is_transitive,
     minimal_block,
     minimal_normal_subgroups,
-    socle,
     subgroup_classes_up_to,
 )
 
@@ -43,37 +37,6 @@ C6 = make(["(1,2,3,4,5,6)"], 6)
 Q8 = make(["(1,3,2,4)(5,7,6,8)", "(1,5,2,6)(3,8,4,7)"], 8)
 D4 = make(["(1,2,3,4)", "(1,3)"], 4)
 S3 = make(["(1,2,3)", "(1,2)"], 3)
-
-
-def test_derived_series_abelian():
-    series = derived_series(C6)
-    assert [g.order() for g in series] == [6, 1]
-
-
-def test_derived_series_s4():
-    assert [g.order() for g in derived_series(S4)] == [24, 12, 4, 1]
-
-
-def test_derived_series_a5_stable():
-    series = derived_series(A5)
-    assert [g.order() for g in series] == [60]
-    assert not is_solvable(A5)
-    assert is_solvable(S4)
-
-
-def test_nilpotent_basics():
-    assert is_nilpotent(C6)
-    assert is_nilpotent(D4)
-    assert not is_nilpotent(S3)
-    assert is_nilpotent(Q8)
-    assert not is_nilpotent(S4)
-
-
-def test_nilpotent_agrees_with_lower_central_series():
-    for g in [C6, D4, S3, Q8, S4, A4, A5]:
-        lcs = oracles.lower_central_series([x.imgs for x in g.generators], g.degree)
-        via_lcs = len(lcs[-1]) == 1
-        assert is_nilpotent(g) == via_lcs
 
 
 def test_minimal_normal_subgroups():
@@ -131,13 +94,6 @@ def test_minimal_normal_subgroups_kept_on_the_group():
     assert [id(m) for m in again] == [id(m) for m in first]
 
 
-def test_socle():
-    assert socle(S5).order() == 60
-    assert socle(S4).order() == 4
-    v4 = make(["(1,2)", "(3,4)"], 4)  # elementary abelian
-    assert socle(v4).order() == 4
-
-
 def test_blocks_and_primitivity():
     assert is_primitive(S4)
     assert is_primitive(A5)
@@ -147,18 +103,6 @@ def test_blocks_and_primitivity():
     assert not is_primitive(c4)
     reps = minimal_block(4, [g.imgs for g in D4.generators], 0, 2)
     assert len(set(reps)) == 2
-
-
-def test_is_maximal():
-    s3_in_s4 = make(["(2,3,4)", "(2,3)"], 4)
-    assert is_maximal(S4, s3_in_s4)
-    assert is_maximal(S4, A4)
-    c2 = make(["(1,2)"], 4)
-    assert not is_maximal(S4, c2)
-    v4 = make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)
-    assert is_maximal(A4, v4)
-    assert not is_maximal(S4, v4)  # V4 < A4 < S4
-    assert not is_maximal(S4, S4)
 
 
 # -- lattice -----------------------------------------------------------------
@@ -335,7 +279,6 @@ def test_lattice_cached_on_group(monkeypatch):
     lat = all_subgroups(g)
     assert all_subgroups(g) is lat
     assert frattini(g).order() == 1
-    assert fitting_subgroup(g).order() == 4
     assert calls == [g]
     # the bound is checked before the cache is consulted
     with pytest.raises(BoundExceeded):
@@ -360,16 +303,6 @@ def test_frattini_equals_non_generators():
         oracle = set(oracles.non_generators(elems, g.degree))
         frat = frattini(g)
         assert set(frat.elements_raw()) == oracle
-
-
-def test_fitting():
-    assert fitting_subgroup(S4).order() == 4
-    assert fitting_subgroup(S3).order() == 3
-    assert fitting_subgroup(C6).order() == 6
-    d10 = make(["(1,2,3,4,5,6,7,8,9,10)", "(2,10)(3,9)(4,8)(5,7)"], 10)
-    f = fitting_subgroup(d10)
-    assert f.order() == 10
-    assert is_nilpotent(f)
 
 
 # -- classification -----------------------------------------------------------
@@ -424,6 +357,62 @@ def test_classify_rejects_non_maximal():
     v4 = make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)
     with pytest.raises(ValueError):
         classify_maximal(S4, v4)
+
+
+def test_classify_maximal_certifies_maximality():
+    v4 = make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)
+    assert isinstance(classify_maximal(A4, v4), MaximalSubgroupReport)
+    assert isinstance(classify_maximal(S4, A4), MaximalSubgroupReport)
+    for M in [make(["(1,2)"], 4), v4, S4]:  # C2 and V4 lie in A4 < S4
+        with pytest.raises(ValueError, match="not maximal"):
+            classify_maximal(S4, M)
+
+
+def test_classify_rejects_the_whole_group_before_acting(monkeypatch):
+    calls = []
+    monkeypatch.setattr(structure, "coset_action", lambda *args: calls.append(args))
+    for g in [S4, A5, S5]:
+        with pytest.raises(ValueError, match="not maximal"):
+            classify_maximal(g, g)
+    assert calls == []
+
+
+def _reference_shape(image, hom, M):
+    """The socle-intersection shape from element sets (type 2 only)."""
+    soc = minimal_normal_subgroups(image)[0]  # type 2: the only minimal normal
+    return oracles.socle_intersection_shape(
+        [hom.apply(g).imgs for g in M.generators],
+        [[g.imgs for g in f.generators] for f in minimal_normal_subgroups(soc)], image.degree)
+
+
+S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
+SHAPE_CASES = {  # group, and its maximal subgroups or the number of its maximal classes
+    "S4": (S4, 3), "A5": (A5, 3), "S5": (S5, 4),
+    "A6": (make(["(1,2,3,4,5)", "(4,5,6)"], 6), 5),
+    "S6": (make(["(1,2,3,4,5,6)", "(1,2)"], 6), 6),
+    "A5xA5": (direct_product(A5, A5), [direct_product(A5, make(["(1,2,3)", "(1,2)(3,4)"], 5))]),
+    "S7": (S7, [make(texts, 7) for texts in [
+        ["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)"],  # AGL(1,7)
+        ["(1,2,3,4,5,6)", "(1,2)"], ["(1,2,3,4,5)", "(1,2)", "(6,7)"],
+        ["(1,2,3,4)", "(1,2)", "(5,6,7)", "(5,6)"]]]),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_CASES)
+def test_classify_shape_matches_element_set_reference(monkeypatch, name):
+    actions = []  # the reference reuses classify_maximal's coset action
+    monkeypatch.setattr(structure, "coset_action",
+                        lambda *args: actions.append(coset_action(*args)) or actions[-1])
+    G, maximal = SHAPE_CASES[name]
+    if isinstance(maximal, int):
+        count, maximal = maximal, [c.rep for c in all_subgroups(G).maximal_classes()]
+        assert len(maximal) == count
+    for M in maximal:
+        rep = classify_maximal(G, M)
+        if rep.primitive_type == 2:
+            assert rep.intersection_shape == _reference_shape(*actions[-1], M)
+        else:
+            assert rep.intersection_shape == "not-applicable"
 
 
 def test_classify_type2_with_core():
