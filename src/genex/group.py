@@ -2,9 +2,12 @@
 
 Groups are immutable once constructed; all queries after construction are
 read-only, so Group objects can be shared freely between workers.  Chains are
-built deterministically (base points are the smallest moved points, orbits
-explored in point order), so orders, transversals and everything derived from
-them are reproducible run to run.
+built deterministically by incremental Schreier-Sims: base points are the
+smallest moved points, each level's orbit grows in place in discovery order as
+the level gains generators, and each (orbit point, generator) Schreier pair is
+sifted once.  Orders, transversals and everything derived from them are
+reproducible run to run.  The base is deterministic but differs from that of
+releases which rebuilt each orbit in point order; no answer depends on it.
 """
 
 from __future__ import annotations
@@ -33,11 +36,18 @@ class _Chain:
     inverse of every representative, built alongside ``trans[i]`` as
     g^-1 * rep^-1, so sifting and Schreier generators never invert a
     permutation (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
-    New base points are always the smallest moved point, and orbits are
-    explored breadth-first in insertion order, so chains are reproducible.
+
+    Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
+    and a point keeps its representative once found.  ``sifted[i]`` is the
+    (points, generators) prefix whose Schreier pairs are done (sifted, or
+    trivial because the pair found its point), so each pair is handled once
+    however often the level gains generators.
+    New base points are always the smallest moved point, so chains are
+    reproducible; the base need not match that of releases which rebuilt
+    each orbit in point order.
     """
 
-    __slots__ = ("degree", "ident", "base", "gens", "ginvs", "trans", "itrans")
+    __slots__ = ("degree", "ident", "base", "gens", "ginvs", "trans", "itrans", "sifted")
 
     def __init__(self, degree):
         self.degree = degree
@@ -47,6 +57,7 @@ class _Chain:
         self.ginvs = []
         self.trans = []
         self.itrans = []
+        self.sifted = []
 
     def order(self):
         n = 1
@@ -70,25 +81,6 @@ class _Chain:
             p = _mul(p, rep_inv)
         return p, len(self.base)
 
-    def _rebuild_orbit(self, i):
-        b = self.base[i]
-        gens = list(zip(self.gens[i], self.ginvs[i]))
-        tr = {b: self.ident}
-        itr = {b: self.ident}
-        queue = deque([b])
-        while queue:
-            pt = queue.popleft()
-            rep = tr[pt]
-            rep_inv = itr[pt]
-            for g, ginv in gens:
-                img = g[pt]
-                if img not in tr:
-                    tr[img] = _mul(rep, g)
-                    itr[img] = _mul(ginv, rep_inv)
-                    queue.append(img)
-        self.trans[i] = tr
-        self.itrans[i] = itr
-
     def extend(self, p):
         """Add p (raw tuple) to the group; returns True if the group grew."""
         residue, j = self._sift_from(0, p)
@@ -107,6 +99,7 @@ class _Chain:
             self.ginvs.append([])
             self.trans.append({moved: self.ident})
             self.itrans.append({moved: self.ident})
+            self.sifted.append((1, 0))
         ginv = _inv(g)
         for k in range(top, j + 1):
             self.gens[k].append(g)
@@ -115,26 +108,35 @@ class _Chain:
             self._schreier_sims(k)
 
     def _schreier_sims(self, i):
-        # establish H^(i)_{base[i]} = H^(i+1) by sifting Schreier generators;
-        # assumes the invariant already holds at deeper levels
-        while True:
-            self._rebuild_orbit(i)
-            tr = self.trans[i]
-            itr = self.itrans[i]
-            clean = True
-            for pt in sorted(tr):
-                rep = tr[pt]
-                for g in self.gens[i]:
-                    sg = _mul(_mul(rep, g), itr[g[pt]])
-                    residue, j = self._sift_from(i + 1, sg)
-                    if residue != self.ident:
-                        self._add(residue, j, i + 1)
-                        clean = False
-                        break
-                if not clean:
-                    break
-            if clean:
-                return
+        # establish H^(i)_{base[i]} = H^(i+1), assuming it holds at deeper
+        # levels.  The orbit grows in place: the first ``npts`` points are
+        # closed under the first ``ngens`` generators and their pairs are
+        # done, so they meet only the newer generators, and every point
+        # found since meets all of them.  A pair that finds a new point gives
+        # a trivial Schreier generator; any other is sifted once, as a known
+        # point's representative never changes.  A residue is added at deeper
+        # levels only, so this level's generators stay fixed during the scan.
+        tr = self.trans[i]
+        itr = self.itrans[i]
+        gens = list(zip(self.gens[i], self.ginvs[i]))
+        npts, ngens = self.sifted[i]
+        orbit = list(tr)
+        pos = 0
+        while pos < len(orbit):
+            pt = orbit[pos]
+            rep = tr[pt]
+            for g, ginv in (gens[ngens:] if pos < npts else gens):
+                img = g[pt]
+                if img not in tr:
+                    tr[img] = _mul(rep, g)
+                    itr[img] = _mul(ginv, itr[pt])
+                    orbit.append(img)
+                    continue
+                residue, j = self._sift_from(i + 1, _mul(_mul(rep, g), itr[img]))
+                if residue != self.ident:
+                    self._add(residue, j, i + 1)
+            pos += 1
+        self.sifted[i] = (len(orbit), len(gens))
 
 
 def _build_chain(degree, raw_gens):

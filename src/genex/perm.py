@@ -10,6 +10,7 @@ the right-action convention used for wreath coordinates throughout.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import itemgetter
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +21,14 @@ def _identity(n):
 
 
 def _mul(p, q):
-    """Product p then q on 0-based image tuples."""
+    """Product p then q on 0-based image tuples: entry i is ``q[p[i]]``.
+
+    ``itemgetter(*p)`` gathers the images in C.  It returns a scalar for a
+    single index and cannot be built from none, so degrees 0 and 1 take the
+    ``map`` form instead.
+    """
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(map(q.__getitem__, p))
 
 

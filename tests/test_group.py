@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -376,3 +377,24 @@ def test_chain_matches_closure(case):
         assert trans.keys() == itrans.keys()
         for pt, rep in trans.items():
             assert _mul(rep, itrans[pt]) == chain.ident
+    for i, (strong, trans) in enumerate(zip(chain.gens, chain.trans)):
+        assert all(g[b] == b for g in strong for b in chain.base[:i])
+        # every Schreier pair of the final orbit and generators was handled
+        assert chain.sifted[i] == (len(trans), len(strong))
+    # the order does not depend on the order or redundancy of the generators
+    redundant = [_mul(a, b) for a, b in zip(gens, gens[1:])]
+    shuffled = Group([Permutation(g) for g in gens[::-1] + redundant], n)
+    assert shuffled.order() == G.order()
+
+
+def test_literature_orders():
+    # ATLAS standard generators of the Mathieu groups
+    assert make(["(2,10)(4,11)(5,7)(8,9)", "(1,4,3,8)(2,5,6,9)"], 11).order() == 7920
+    assert make(["(1,4)(3,10)(5,11)(6,12)", "(1,8,9)(2,3,4)(5,12,11)(6,10,7)"], 12).order() == 95040
+    assert make(["(1,4)(2,7)(3,17)(5,13)(6,9)(8,15)(10,19)(11,18)(12,21)(14,16)(20,24)(22,23)",
+                 "(1,4,6)(2,21,14)(3,9,15)(5,18,10)(13,17,16)(19,24,23)"], 24).order() == 244823040
+    cycle = "(" + ",".join(map(str, range(1, 31))) + ")"
+    assert make([cycle, "(1,2)"], 30).order() == math.factorial(30)
+    # A_n for even n: <(1,2,3), (2,3,...,n)>
+    long_cycle = "(" + ",".join(map(str, range(2, 31))) + ")"
+    assert make(["(1,2,3)", long_cycle], 30).order() == math.factorial(30) // 2

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from genex.group import Group
 from genex.perm import (
     Permutation,
+    _identity,
+    _inv,
+    _mul,
     element_order_r_part,
     format_cycles,
     is_prime,
@@ -57,6 +62,32 @@ def test_product_left_to_right():
     p = P("(1,2)", 3)
     q = P("(2,3)", 3)
     assert (p * q)(1) == 3
+
+
+def test_mul_degree_zero_and_one():
+    # itemgetter returns a scalar for one index and cannot take none, so
+    # these degrees must still come back as tuples
+    assert _mul((), ()) == ()
+    assert _mul((0,), (0,)) == (0,)
+    assert Permutation([0]) * Permutation([0]) == Permutation.identity(1)
+    assert (Permutation([]) * Permutation([])).imgs == ()
+    for n in (0, 1):
+        G = Group([], n)
+        assert G.order() == 1
+        assert G.elements_raw() == (_identity(n),)
+        assert G.contains(Permutation.identity(n))
+    assert Group([Permutation([0])], 1).order() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(n)).map(tuple)] * 2)))
+def test_mul_composes_left_to_right(pq):
+    p, q = pq
+    r = _mul(p, q)
+    assert type(r) is tuple
+    assert all(r[i] == q[p[i]] for i in range(len(p)))
+    assert _mul(p, _inv(p)) == _identity(len(p))
 
 
 def test_inverse_and_identity():
