@@ -100,14 +100,24 @@ class DensityReport:
 
 
 def _resolve_pools(G: Group, pools) -> list:
+    """Each pool as sorted raw tuples.  A pool is ``ALL``, a subgroup of G
+    (checked on its generators), or a nonempty collection of elements of G
+    (each checked); anything else raises ValueError."""
     out = []
     for pool in pools:
         if pool == ALL:
             out.append(G.elements_raw())
+        elif isinstance(pool, Group):
+            if not pool.is_subgroup_of(G):
+                raise ValueError("pool is not a subgroup of G")
+            out.append(pool.elements_raw())
         else:
-            raw = sorted(p.imgs if isinstance(p, Permutation) else tuple(p) for p in pool)
+            raw = sorted(p.imgs if isinstance(p, Permutation) else Permutation(p).imgs
+                         for p in pool)
             if not raw:
                 raise ValueError("empty pool")
+            if any(len(p) != G.degree or not G._contains_raw(p) for p in raw):
+                raise ValueError("pool element does not lie in G")
             out.append(raw)
     return out
 
@@ -141,10 +151,11 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
-    Pools are subsets of G.  The exhaustive search certificate is exact: a
-    None return means no such tuple exists.  Returned witnesses are the first
-    found in canonical order.  Every prune is exact, so none changes the
-    witness:
+    Pools are ``ALL``, subgroups of G or sets of elements of G, and
+    ``_resolve_pools`` rejects anything else with ValueError.  The exhaustive
+    search certificate is exact: a None return means no such tuple exists.
+    Returned witnesses are the first found in canonical order.  Every prune
+    is exact, so none changes the witness:
 
     * order-monotone: of the candidates lying in K = <partial>, only the
       first is explored, since each leaves K, and so the subtree, unchanged;
@@ -275,9 +286,8 @@ def d_metric(G: Group, H: Group) -> DReport:
     d = base.d
     if H.order() == G.order():
         return DReport(H, d, base.witness, tuple(range(d)), stats)
-    h_elems = H.elements_raw()
     for k in range(d - 1, 0, -1):
-        pools = [h_elems] * k + [ALL] * (d - k)
+        pools = [H] * k + [ALL] * (d - k)
         witness = exists_generating_tuple(G, pools, stats)
         if witness is not None:
             return DReport(H, k, witness, tuple(range(k)), stats)

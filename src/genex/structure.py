@@ -2,13 +2,22 @@
 
 The subgroup lattice is enumerated bottom-up: a perfect base layer found by
 two-generator search, then cyclic extension by prime-order cosets of the
-normalizer.  Classes are deduplicated by full conjugation orbits of
-element-id sets, so the enumeration is exact; each class's orbit and its
-normalizer come from the one orbit-stabilizer routine, ``group._stabilizer``,
-acting on those id sets.  With ``max_order`` below the group order the same
-machinery yields every conjugacy class of subgroups of order at most the
-bound (any subgroup's construction chain stays inside it), which is how the
-large symmetric/alternating groups are handled.
+normalizer (the cyclic-extension method, Holt-Eick-O'Brien, *Handbook of
+CGT*, 2005).  The two-generator search tries each unordered pair of classes
+once, since <x, y> = <y, x>: the second entry comes only from classes at or
+after the first entry's (``_perfect_seed_classes``).  Classes are
+deduplicated by full conjugation orbits of element-id sets, so the
+enumeration is exact; each class's orbit and its normalizer come from the
+one orbit-stabilizer routine, ``group._stabilizer``, acting on those id
+sets.  With ``max_order`` below the group order the same machinery yields
+every conjugacy class of subgroups of order at most the bound (any
+subgroup's construction chain stays inside it), which is how the large
+symmetric/alternating groups are handled.
+
+``classify_maximal`` reads the minimal normal subgroups on G, not on the
+coset image, whenever the action is faithful: an isomorphism carries the
+minimal normal subgroups of G onto those of its image, so they are found
+once per G and kept there, and only their generators are mapped.
 """
 
 from __future__ import annotations
@@ -214,30 +223,38 @@ class SubgroupLattice:
 
 def _perfect_seed_classes(G: Group, max_order: int):
     """Candidate perfect subgroups: <a, b> with both in G', a over class
-    representatives, b over centralizer orbits.
+    representatives, b over centralizer orbits of the classes from a's on.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
     together with cyclic extension is exhaustive here.  G' is normal, so its
     G-orbits are the classes of G inside it, and their least members are the
-    class representatives; G itself is never enumerated.  Many pairs generate
-    the same subgroup: <a, b> is skipped when a subgroup T tried earlier has
-    its order and contains a and b, since then <a, b> = T.  So each distinct
-    subgroup is tested once, and the first pair that reaches it supplies its
+    class representatives; G itself is never enumerated.  <x, y> = <y, x>, so
+    each unordered pair is tried once: with x in class i, y in class j and
+    i <= j, conjugating x to the representative a of class i and then y by
+    C_G(a) to its orbit representative b gives a conjugate <a, b> with b
+    still in class j.  So b is drawn only from classes j >= i, and C_G(a)
+    orbits only those.  A commuting pair generates an abelian group, which
+    is never perfect, and is skipped.  Many pairs still generate the same
+    subgroup: <a, b> is skipped when a subgroup T tried earlier has its order
+    and contains a and b, since then <a, b> = T.  So each distinct subgroup
+    is tested once, and the first pair that reaches it supplies its
     generators.
     """
     derived = commutator_subgroup(G)
     if derived.order() < 60:
         return []
-    d_raw = derived.elements_raw()
     pairs = [(g, _inv(g)) for g in G._raw_gens]
+    classes = _conjugation_orbits(derived.elements_raw(), pairs)
     out = []
     tried: list[Group] = []
-    for cls in _conjugation_orbits(d_raw, pairs)[1:]:  # the first is the identity
-        a = cls[0]
+    for i in range(1, len(classes)):  # class 0 is the identity
+        a = classes[i][0]
         cent = centralizer_in(G, Permutation._wrap(a))
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
-        for orbit in _conjugation_orbits(d_raw, cgens):
+        for orbit in _conjugation_orbits([x for cls in classes[i:] for x in cls], cgens):
             b = orbit[0]
+            if _mul(a, b) == _mul(b, a):
+                continue
             H = subgroup_closure(G.degree, [a, b])
             if not 60 <= H.order() <= max_order or any(
                     T.order() == H.order() and T._contains_raw(a) and T._contains_raw(b)
@@ -388,13 +405,23 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
     Raises ValueError when M is not maximal (the coset action is the
     maximality certificate: it must be primitive).
 
-    For type 2 the shape of I = soc meet M comes from orbit counts.  Point 0
-    is the coset M, so M's image meets each K normal in the socle in K_0,
-    and |K_0| = |K| * orbits(K) / n as the socle is transitive.  So I is
-    trivial iff |soc| = n, and coordinate iff |I| is the product of the
-    |F_0| over the simple factors F.  I projects onto F iff soc = I * R_F,
-    R_F the product of the other factors, that is iff R_F is transitive
-    (Frattini argument); I is diagonal iff that holds for every F.
+    When the core is trivial the coset action is an isomorphism onto the
+    image, and an isomorphism maps the minimal normal subgroups of G onto
+    those of the image (Dixon-Mortimer, *Permutation Groups*, 1996,
+    sec. 4.3).  So the minimal normal subgroups and the socle's simple
+    factors are read on G and on its socle, where they are kept, and carried
+    to the image through ``act``: G's image is never scanned, and G is
+    scanned once however many maximal classes are classified.  A nontrivial
+    core reads them on the image itself.
+
+    For type 2 the shape of I = soc meet M comes from orbit counts of the
+    factors' images.  Point 0 is the coset M, so M's image meets each K
+    normal in the socle in K_0, and |K_0| = |K| * orbits(K) / n as the socle
+    is transitive.  So I is trivial iff |soc| = n, and coordinate iff |I| is
+    the product of the |F_0| over the simple factors F.  I projects onto F
+    iff soc = I * R_F, R_F the product of the other factors, that is iff R_F
+    is transitive (Frattini argument); I is diagonal iff that holds for
+    every F.
     """
     if M.order() >= G.order():
         raise ValueError("M is not maximal in G")
@@ -402,7 +429,8 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
     if not is_primitive(image):
         raise ValueError("M is not maximal in G")
     core = hom.kernel()
-    mins = minimal_normal_subgroups(image)
+    source, act = (G, hom._apply) if core.order() == 1 else (image, lambda p: p)
+    mins = minimal_normal_subgroups(source)
     nonab = [m for m in mins if not m.is_abelian()]
     if len(mins) != len(nonab):
         ptype = 1
@@ -417,12 +445,14 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
     if ptype == 2:
         soc, n = nonab[0], image.degree
         factors = minimal_normal_subgroups(soc)  # the simple direct factors
+        images = [[act(g) for g in f._raw_gens] for f in factors]
         if soc.order() == n:
             shape = "trivial"
-        elif prod(f.order() * f._orbits // n for f in factors) == soc.order() // n:
+        elif prod(f.order() * _orbit_count(n, gens) // n
+                  for f, gens in zip(factors, images)) == soc.order() // n:
             shape = "coordinate"
-        elif all(_orbit_count(n, [g for h in factors if h is not f for g in h._raw_gens]) == 1
-                 for f in factors):
+        elif all(_orbit_count(n, [g for other in images if other is not gens for g in other]) == 1
+                 for gens in images):
             shape = "diagonal"
         else:
             raise AssertionError("socle intersection fits no expected shape")

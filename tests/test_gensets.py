@@ -304,6 +304,34 @@ def test_exists_tuple_empty_pool():
         exists_generating_tuple(S4, [[], ALL])
 
 
+def test_pool_elements_must_lie_in_the_group():
+    # (1,2,4) gives <(1,2,4)> the orbit count and order of <(1,2,3)>, so an
+    # unchecked pool would pass it off as a generator
+    c3 = make(["(1,2,3)"], 4)
+    for pool in ([P("(1,2,4)", 4)], [P("(1,2)", 2)], [(0, 0, 1, 2)]):
+        with pytest.raises(ValueError):
+            exists_generating_tuple(c3, [pool])
+    assert exists_generating_tuple(c3, [[P("(1,3,2)", 4)]]) == (P("(1,3,2)", 4),)
+
+
+def test_subgroup_pools(monkeypatch):
+    s3 = make(["(2,3,4)", "(2,3)"], 4)
+    got = exists_generating_tuple(S4, [s3, ALL])
+    assert got == exists_generating_tuple(S4, [s3.elements(), ALL])
+    assert s3.contains(got[0]) and len(oracles.closure([g.imgs for g in got], 4)) == 24
+    with pytest.raises(ValueError):
+        exists_generating_tuple(s3, [S4, ALL])
+    with pytest.raises(ValueError):
+        exists_generating_tuple(S4, [S5, ALL])
+    # d_metric hands the subgroup itself to the search, not its elements
+    pools = []
+    search = gensets.exists_generating_tuple
+    monkeypatch.setattr(gensets, "exists_generating_tuple",
+                        lambda G, p, stats=None: pools.append(p) or search(G, p, stats))
+    assert d_metric(S4, s3).value == 1
+    assert pools[-1] == [s3, ALL]  # after the min_generators searches
+
+
 def test_d_metric_s4_s3():
     s3 = make(["(2,3,4)", "(2,3)"], 4)
     rep = d_metric(S4, s3)

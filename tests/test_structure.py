@@ -195,9 +195,53 @@ def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
     monkeypatch.setattr(Group, "elements_raw", counted)
     a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
     seeds = structure._perfect_seed_classes(a6, 360)
-    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60, 60, 60]
+    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60, 60]
     assert len(calls) == 1
     assert calls[0] is not a6 and calls[0].order() == 360  # the derived subgroup
+
+
+def _conjugacy_closure(G, subgroups):
+    """Every G-conjugate of the given element sets."""
+    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
+    seen, queue = set(subgroups), list(subgroups)
+    while queue:
+        s = queue.pop()
+        for g, ginv in pairs:
+            t = frozenset(oracles.mul(oracles.mul(ginv, h), g) for h in s)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+@pytest.mark.parametrize("texts, degree, max_order", [
+    (["(1,2,3,4,5)", "(3,4,5)"], 5, 60), (["(1,2,3,4,5)", "(1,2)"], 5, 120),
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, 360), (["(1,2,3,4,5,6)", "(1,2)"], 6, 720),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 360),
+], ids=["A5", "S5", "A6", "S6", "S7"])
+def test_perfect_seeds_cover_every_perfect_class(texts, degree, max_order):
+    # the unrestricted loop: a over the class reps of G in G', b over every
+    # C_G(a)-orbit of G', commuting pairs included
+    G = make(texts, degree)
+    derived = structure.commutator_subgroup(G)
+    orbits = structure._conjugation_orbits
+    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
+    want = set()
+    for cls in orbits(derived.elements_raw(), pairs):
+        a = Permutation(cls[0])
+        cent = structure.centralizer_in(G, a)
+        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
+        for orbit in orbits(derived.elements_raw(), cpairs):
+            H = Group([a, Permutation(orbit[0])], degree)
+            if 60 <= H.order() <= max_order and structure.is_perfect(H):
+                want.add(frozenset(H.elements_raw()))
+    got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G, max_order)}
+    assert _conjugacy_closure(G, got) == _conjugacy_closure(G, want)
+    if max_order < G.order():
+        lat = subgroup_classes_up_to(G, max_order)
+        perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
+        # A5 on 5 points, PSL(2,5) on 6 points, PSL(3,2) on 7 points, A6
+        assert perfect == [60, 60, 168, 360]
 
 
 # random subgroups of S4 and of S3 x S3 on 6 points, each given by 1-3 elements
@@ -307,6 +351,13 @@ def test_frattini_equals_non_generators():
 
 # -- classification -----------------------------------------------------------
 
+A5xA5 = direct_product(A5, A5)
+A5xA5_DIAGONAL = make(["(1,2,3,4,5)(6,7,8,9,10)", "(3,4,5)(8,9,10)"], 10)
+A5wrC2, _ = wreath_product(A5, make(["(1,2)"], 2))
+A5wrC2_DIAGONAL = Group(list(A5xA5_DIAGONAL.generators) + [P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)],
+                        10)  # the diagonal A5.2
+
+
 def test_classify_s4_s3_type1():
     s3 = make(["(2,3,4)", "(2,3)"], 4)
     rep = classify_maximal(S4, s3)
@@ -325,16 +376,8 @@ def test_classify_s5_s4_type2_coordinate():
 
 
 def test_classify_diagonal_type3():
-    a5a5 = direct_product(A5, A5)
-    diag_gens = []
-    for t in ["(1,2,3,4,5)", "(3,4,5)"]:
-        left = P(t, 5)
-        right = P(t.replace("1", "6").replace("2", "7").replace("3", "8")
-                  .replace("4", "9").replace("5", "10"), 10)
-        diag_gens.append(P(t, 10) * right)
-    diag = Group(diag_gens, 10)
-    assert diag.order() == 60
-    rep = classify_maximal(a5a5, diag)
+    assert A5xA5_DIAGONAL.order() == 60
+    rep = classify_maximal(A5xA5, A5xA5_DIAGONAL)
     assert rep.primitive_type == 3
     assert rep.core.order() == 1
 
@@ -342,11 +385,8 @@ def test_classify_diagonal_type3():
 def test_classify_wreath_diagonal_type2():
     # A5 wr C2 acting on the cosets of the diagonal A5.2: socle A5 x A5, and the
     # point stabilizer meets it in a diagonal subgroup
-    W, _ = wreath_product(A5, make(["(1,2)"], 2))
-    swap = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
-    diag = Group([P("(1,2,3,4,5)(6,7,8,9,10)", 10), P("(3,4,5)(8,9,10)", 10), swap], 10)
-    assert diag.order() == 120
-    rep = classify_maximal(W, diag)
+    assert A5wrC2_DIAGONAL.order() == 120
+    rep = classify_maximal(A5wrC2, A5wrC2_DIAGONAL)
     assert rep.primitive_type == 2
     assert rep.intersection_shape == "diagonal"
     assert rep.core.order() == 1
@@ -377,12 +417,22 @@ def test_classify_rejects_the_whole_group_before_acting(monkeypatch):
     assert calls == []
 
 
-def _reference_shape(image, hom, M):
-    """The socle-intersection shape from element sets (type 2 only)."""
-    soc = minimal_normal_subgroups(image)[0]  # type 2: the only minimal normal
-    return oracles.socle_intersection_shape(
-        [hom.apply(g).imgs for g in M.generators],
-        [[g.imgs for g in f.generators] for f in minimal_normal_subgroups(soc)], image.degree)
+def _image_reference(image, hom, M):
+    """The report fields read off the coset image itself: its minimal normal
+    subgroups give the type, element sets give the shape, and the core is
+    the part of M acting trivially."""
+    mins = minimal_normal_subgroups(image)
+    nonab = [m for m in mins if not m.is_abelian()]
+    ptype = 1 if len(nonab) < len(mins) else 3 if len(nonab) == 2 else 2
+    shape = "not-applicable"
+    if ptype == 2:
+        shape = oracles.socle_intersection_shape(
+            [hom.apply(g).imgs for g in M.generators],
+            [[g.imgs for g in f.generators] for f in minimal_normal_subgroups(nonab[0])],
+            image.degree)
+    ident = tuple(range(image.degree))
+    core = sorted(g for g in M.elements_raw() if hom._apply(g) == ident)
+    return ptype, shape, image.order(), core
 
 
 S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
@@ -390,16 +440,19 @@ SHAPE_CASES = {  # group, and its maximal subgroups or the number of its maximal
     "S4": (S4, 3), "A5": (A5, 3), "S5": (S5, 4),
     "A6": (make(["(1,2,3,4,5)", "(4,5,6)"], 6), 5),
     "S6": (make(["(1,2,3,4,5,6)", "(1,2)"], 6), 6),
-    "A5xA5": (direct_product(A5, A5), [direct_product(A5, make(["(1,2,3)", "(1,2)(3,4)"], 5))]),
+    "A5xA5": (A5xA5, [direct_product(A5, make(["(1,2,3)", "(1,2)(3,4)"], 5)), A5xA5_DIAGONAL]),
     "S7": (S7, [make(texts, 7) for texts in [
         ["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)"],  # AGL(1,7)
         ["(1,2,3,4,5,6)", "(1,2)"], ["(1,2,3,4,5)", "(1,2)", "(6,7)"],
         ["(1,2,3,4)", "(1,2)", "(5,6,7)", "(5,6)"]]]),
+    "A5wrC2": (A5wrC2, [A5wrC2_DIAGONAL]),
 }
 
 
 @pytest.mark.parametrize("name", SHAPE_CASES)
 def test_classify_shape_matches_element_set_reference(monkeypatch, name):
+    # minimal normal subgroups carried over a faithful action must give the
+    # report that scanning the image gives
     actions = []  # the reference reuses classify_maximal's coset action
     monkeypatch.setattr(structure, "coset_action",
                         lambda *args: actions.append(coset_action(*args)) or actions[-1])
@@ -409,10 +462,29 @@ def test_classify_shape_matches_element_set_reference(monkeypatch, name):
         assert len(maximal) == count
     for M in maximal:
         rep = classify_maximal(G, M)
-        if rep.primitive_type == 2:
-            assert rep.intersection_shape == _reference_shape(*actions[-1], M)
-        else:
-            assert rep.intersection_shape == "not-applicable"
+        got = (rep.primitive_type, rep.intersection_shape, rep.quotient_order,
+               sorted(rep.core.elements_raw()))
+        assert got == _image_reference(*actions[-1], M)
+
+
+def test_faithful_classify_reads_minimal_normals_on_the_group(monkeypatch):
+    images, scanned = [], []
+
+    def action(*args):
+        images.append(coset_action(*args))
+        return images[-1]
+
+    original = structure.minimal_normal_subgroups
+    monkeypatch.setattr(structure, "coset_action", action)
+    monkeypatch.setattr(structure, "minimal_normal_subgroups",
+                        lambda g: scanned.append(g) or original(g))
+    for G, M in [(S4, make(["(2,3,4)", "(2,3)"], 4)), (S5, make(["(2,3,4,5)", "(2,3)"], 5)),
+                 (A5xA5, A5xA5_DIAGONAL), (A5wrC2, A5wrC2_DIAGONAL)]:
+        assert classify_maximal(G, M).core.order() == 1
+    assert scanned and not any(g is image for g in scanned for image, _ in images)
+    # a nontrivial core still reads the image: S4 over D8 acts as S3
+    classify_maximal(S4, make(["(1,2,3,4)", "(1,3)"], 4))
+    assert scanned[-1] is images[-1][0]
 
 
 def test_classify_type2_with_core():
