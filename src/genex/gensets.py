@@ -1,7 +1,9 @@
 """Generating tuples: d(G), pooled searches, D-metrics, densities, replacements.
 
 All searches are exhaustive and run in a fixed canonical order (elements
-ascending by image tuple), so returned witnesses are deterministic.  Every
+ascending by image tuple), so returned witnesses are deterministic.  A pool
+that is ``ALL`` or a subgroup is walked lazily in that order down its lex
+chain (``Group._lex_walk``), so G is never enumerated or sorted.  Every
 generation test goes through ``_generates``, which first compares orbit
 counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and equal
 groups have equal orbits; a tuple with more orbits than G generates a proper
@@ -12,10 +14,10 @@ that it holds whenever every later pool is closed under conjugation: if
 (x^c, y_2..y_d) generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)), whose
 entries lie in the same pools, so a class member after the first has a
 completion only if the first has one, and the search would already have
-returned.  A pool is closed iff it is ``ALL`` or closed under conjugation by
-G's generators (a finite set mapped into itself by each is mapped onto
-itself).  A class is orbited only when its first member is reached, so no
-class table of G is built.  Three prunes cut the tuple search without
+returned.  A pool is closed iff it is ``ALL``, a subgroup normal in G, or
+a set closed under conjugation by G's generators (a finite set mapped into
+itself by each is mapped onto itself).  A class is orbited only once the
+subtree of its first member has failed, so no class table of G is built.  Four prunes cut the tuple search without
 changing the order or the first witness, because each drops only subtrees
 that contain no generating tuple:
 
@@ -30,12 +32,24 @@ that contain no generating tuple:
   not cyclic no element of any pool completes K.  G/N is cyclic iff the
   commutators of G's generators lie in N and |G : <N, g_1^p, .., g_k^p>| = p
   for every prime p with p^2 | |G:N|, since then every Sylow subgroup of
-  the abelian G/N is cyclic (proof in ``_quotient_is_cyclic``).
+  the abelian G/N is cyclic (proof in ``_quotient_is_cyclic``);
+* lex coset: the last slot, when walked, visits cosets C = {y : y[p] = c[p]
+  for all p < j} of the lex chain (Seress, *Permutation Group Algorithms*,
+  2003, ch. 4).  Join p and x(p) for each entry x of the partial tuple and
+  each point p, and p and c(p) for each p < j.  A component Z of this graph
+  with every point below j is mapped into itself by each x and, since
+  y(p) = c(p) for p < j, by every y in C; so Z is a union of orbits of
+  <partial, y>.  If Z is smaller than the G-orbit containing it, no y in C
+  completes the tuple, and C is skipped unvisited.  Only the points in Z
+  must lie below j: a point at or above j has an unknown image under y.
 
 ``SearchStats.nodes`` counts the candidates the tuple search visits and, in
 ``min_generators``, the elements its d = 1 step tries; that step runs only
 for an abelian G, since a nonabelian group is not cyclic, so no class
-representatives of a nonabelian G are counted.
+representatives of a nonabelian G are counted.  ``SearchStats.skipped``
+counts the cosets the lex-coset prune drops, whose members are not visited.
+The first-slot reduction marks a class only among visited candidates, so a
+class whose first member lay in a skipped coset is reached at a later member.
 """
 
 from __future__ import annotations
@@ -71,8 +85,9 @@ DEFAULT_DENSITY_BUDGET = 10 ** 8
 
 @dataclass
 class SearchStats:
-    nodes: int = 0
-    pruned: int = 0
+    nodes: int = 0  # candidates visited
+    pruned: int = 0  # visited candidates dropped
+    skipped: int = 0  # last-slot cosets dropped unvisited by the lex-coset prune
 
 
 @dataclass
@@ -100,17 +115,19 @@ class DensityReport:
 
 
 def _resolve_pools(G: Group, pools) -> list:
-    """Each pool as sorted raw tuples.  A pool is ``ALL``, a subgroup of G
-    (checked on its generators), or a nonempty collection of elements of G
-    (each checked); anything else raises ValueError."""
+    """Each pool as a Group, walked lazily in canonical order by
+    ``Group._lex_walk``, or as a sorted list of raw tuples.  A pool is
+    ``ALL`` (G itself), a subgroup of G (checked on its generators), or a
+    nonempty collection of elements of G (each checked); anything else
+    raises ValueError."""
     out = []
     for pool in pools:
         if pool == ALL:
-            out.append(G.elements_raw())
+            out.append(G)
         elif isinstance(pool, Group):
             if not pool.is_subgroup_of(G):
                 raise ValueError("pool is not a subgroup of G")
-            out.append(pool.elements_raw())
+            out.append(pool)
         else:
             raw = sorted(p.imgs if isinstance(p, Permutation) else Permutation(p).imgs
                          for p in pool)
@@ -164,7 +181,13 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
       proper, since every completion lies inside that join;
     * cyclic quotient: with one slot left, g is dropped when <K, g> is proper
       and G / ncl_G(<K, g>) is not cyclic, since <K, g, x> = G would make
-      that quotient cyclic, generated by the image of x.
+      that quotient cyclic, generated by the image of x;
+    * lex coset: a last-slot pool walked down its lex chain skips a coset
+      {y : y[p] = c[p] for p < j} when some component of the graph joining
+      p to x(p), for the partial tuple's entries x, and p to c(p), for
+      p < j, lies wholly below j and is smaller than its G-orbit: that
+      component is invariant under <K, y> for every y in the coset, so no
+      such y generates G.
 
     Each generation test, the join and the last slot included, is
     ``_generates``: the orbits of <T> <= G refine those of G, so more orbits
@@ -173,7 +196,10 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
     every prime p with p^2 dividing |G:N|, that is iff every Sylow subgroup
     of G/N is cyclic (``_quotient_is_cyclic``).  The first slot holds the
     first member of each conjugacy class of G when the later pools are
-    conjugation-closed (module docstring).
+    conjugation-closed (module docstring); a subgroup pool is closed when it
+    is normal in G.  ``ALL`` and subgroup pools are walked lazily in
+    canonical order, and raise ``BoundExceeded`` above the element bound as
+    ``Group.elements_raw`` does.
     """
     if stats is None:
         stats = SearchStats()
@@ -184,30 +210,36 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
 
     pairs = [(g, _inv(g)) for g in G._raw_gens]
 
-    def closed(pool, raw):
-        if pool == ALL:
-            return True
-        members = set(raw)
-        return all(_mul(ginv, _mul(x, g)) in members for x in raw for g, ginv in pairs)
+    def closed(pool):
+        if isinstance(pool, Group):
+            return pool is G or pool.is_normal_in(G)
+        members = set(pool)
+        return all(_mul(ginv, _mul(x, g)) in members for x in pool for g, ginv in pairs)
 
     def first_of_each_class(pool):
+        # x's class is orbited only once the search asks for the next
+        # candidate, so a witness's first entry is never orbited
         marked: set = set()
         for x in pool:
             if x not in marked:
-                marked.update(_conjugation_orbits([x], pairs)[0])
                 yield x
+                marked.update(_conjugation_orbits([x], pairs)[0])
 
-    if all(closed(pool, raw) for pool, raw in zip(pools[1:], raw_pools[1:])):
-        raw_pools[0] = first_of_each_class(raw_pools[0])
+    reduce_first = all(closed(pool) for pool in raw_pools[1:])
 
     # suffix joins for pruning: no completion can exceed <partial, suffix pool>;
-    # G's generators span the same join as an ALL pool
+    # a subgroup pool's generators span the same join as its elements, and
+    # suffix_gens[k] is read only where suffix_spans[k] is False
     suffix_gens: list[tuple] = [()] * (d + 1)
     suffix_spans: list[bool] = [False] * (d + 1)
     for k in range(d - 1, 0, -1):
+        pool = raw_pools[k]
+        if pool is G or suffix_spans[k + 1]:
+            suffix_spans[k] = True
+            continue
         chain = _build_chain(G.degree, list(suffix_gens[k + 1]))
         gens = list(suffix_gens[k + 1])
-        for p in G._raw_gens if pools[k] == ALL else raw_pools[k]:
+        for p in pool._raw_gens if isinstance(pool, Group) else pool:
             if chain.order() == G.order():
                 break
             if chain.extend(p):
@@ -215,10 +247,35 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
         suffix_gens[k] = tuple(gens)
         suffix_spans[k] = chain.order() == G.order()
 
+    orbit = _components(G.degree, G._raw_gens)
+    orbit_size = [orbit.count(label) for label in orbit]
+
+    def lex_coset_prune(comp, c, lo, hi):
+        # comp labels the components of the graph with edges p - x(p) for the
+        # partial tuple's entries x and p - c(p) for p < lo; add p < hi
+        for p in range(lo, hi):
+            comp = _join(comp, p, c[p])
+        for p in range(lo, hi):
+            members = [q for q, label in enumerate(comp) if label == comp[p]]
+            if members[-1] < hi and len(members) < orbit_size[p]:
+                stats.skipped += 1
+                return None
+        return comp
+
+    def candidates(level: int, partial: tuple):
+        pool = raw_pools[level]
+        if not isinstance(pool, Group):
+            cands = pool
+        elif level < d - 1:
+            cands = pool._lex_walk()
+        else:
+            cands = pool._lex_walk(lex_coset_prune, _components(G.degree, partial))
+        return first_of_each_class(cands) if level == 0 and reduce_first else cands
+
     def rec(level: int, partial: tuple):
         inside = _build_chain(G.degree, list(partial))
         skipped_inside = False
-        for g in raw_pools[level]:
+        for g in candidates(level, partial):
             stats.nodes += 1
             if inside.sift(g) == inside.ident:
                 if skipped_inside:
@@ -259,7 +316,7 @@ def min_generators(G: Group) -> GenerationReport:
         return GenerationReport(0, (), stats)
     # d = 1: only an abelian group can be cyclic, and its classes are singletons
     if G.is_abelian():
-        for p in G.elements_raw():
+        for p in G._lex_walk():
             stats.nodes += 1
             if _order(p) == n:
                 return GenerationReport(1, (Permutation._wrap(p),), stats)
@@ -315,6 +372,25 @@ def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND
         # no maximal subgroups: the trivial group
         return min_generators(G).d, None
     return best_value, best_report
+
+
+def _join(comp: list, p: int, q: int) -> list:
+    """Component labels with the components of p and q merged; a new list
+    when they differ, so a caller's labels are never changed."""
+    a, b = comp[p], comp[q]
+    if a == b:
+        return comp
+    return [a if label == b else label for label in comp]
+
+
+def _components(degree: int, raw_gens) -> list:
+    """Orbit labels of <raw_gens> on range(degree): points share a label
+    exactly when they share an orbit."""
+    comp = list(range(degree))
+    for g in raw_gens:
+        for p, q in enumerate(g):
+            comp = _join(comp, p, q)
+    return comp
 
 
 def _generates(G: Group, raw_gens) -> bool:

@@ -8,6 +8,9 @@ the level gains generators, and each (orbit point, generator) Schreier pair is
 sifted once.  Orders, transversals and everything derived from them are
 reproducible run to run.  The base is deterministic but differs from that of
 releases which rebuilt each orbit in point order; no answer depends on it.
+A second, lazily built chain stabilizes the points in order 0, 1, 2, .. (the
+lex chain), so that searches can walk a group's elements in sorted order
+without enumerating them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .perm import Permutation, _identity, _inv, _mul, _order
+from .perm import Permutation, _identity, _inv, _mul
 
 DEFAULT_MAX_POINTS = 100_000
 DEFAULT_ELEMENT_BOUND = 200_000
@@ -217,6 +220,7 @@ class Group:
         self._order = self._chain.order()
         self._orbits = _orbit_count(degree, self._raw_gens)
         self._elements: tuple | None = None
+        self._lex: tuple | None = None  # see _lex_levels
         self._classes: tuple | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
         self._minimal_normals = None  # set by structure.minimal_normal_subgroups
@@ -254,12 +258,19 @@ class Group:
 
     # -- element enumeration -------------------------------------------------
 
+    def _check_enumerable(self) -> None:
+        if self._order > DEFAULT_ELEMENT_BOUND:
+            raise BoundExceeded(f"group order {self._order} exceeds element "
+                                f"enumeration bound {DEFAULT_ELEMENT_BOUND}")
+
     def elements_raw(self) -> tuple:
-        """All elements as raw image tuples, sorted."""
+        """All elements as raw image tuples, sorted.
+
+        A full scan multiplies out the chain's transversals and sorts, which
+        is faster than ``_lex_walk``; searches that may stop early walk.
+        """
         if self._elements is None:
-            if self._order > DEFAULT_ELEMENT_BOUND:
-                raise BoundExceeded(f"group order {self._order} exceeds element "
-                                    f"enumeration bound {DEFAULT_ELEMENT_BOUND}")
+            self._check_enumerable()
             out = [_identity(self._degree)]
             for t in reversed(self._chain.trans):
                 reps = [t[pt] for pt in sorted(t)]
@@ -271,6 +282,70 @@ class Group:
     def elements(self) -> list[Permutation]:
         return [Permutation._wrap(p) for p in self.elements_raw()]
 
+    def _lex_levels(self) -> tuple:
+        """The lex chain: the point stabilizers of 0, 1, 2, .. in point order.
+
+        Level i is a pair (b, reps).  H_i, the pointwise stabilizer of the
+        points below b, moves b and fixes every point below it; ``reps``
+        maps each point of b's H_i-orbit to an element of H_i carrying b
+        there, and H_(i+1) is the stabilizer of b in H_i.  Points that H_i
+        fixes give no level.  Built once per group by iterating
+        ``_stabilizer``, as ``Homomorphism.kernel`` does (Seress,
+        *Permutation Group Algorithms*, 2003, ch. 4).
+        """
+        if self._lex is None:
+            levels = []
+            gens, order = self._raw_gens, self._order
+            for b in range(self._degree):
+                if order == 1:
+                    break
+                if all(g[b] == b for g in gens):
+                    continue
+                moves = [g.__getitem__ for g in gens]
+                gens, _, reps = _stabilizer(self._degree, order, gens, moves, b)
+                order //= len(reps)
+                levels.append((b, reps))
+            self._lex = tuple(levels)
+        return self._lex
+
+    def _lex_walk(self, prune=None, state=None):
+        """The elements in ``elements_raw()`` order, generated lazily.
+
+        A depth-i node of the walk is a coset H_i c = {y : y[p] = c[p] for
+        every p < b_i}, with b_i and H_i those of lex level i (the root is G
+        itself, with c the identity).  Its children are the cosets
+        H_(i+1) (u c) for the reps u of level i, and y[b_i] = c[u[b_i]] on
+        the child of u, so visiting the children by ascending c[u[b_i]]
+        yields the elements sorted by image tuple without building or
+        sorting G.  ``prune(state, c, lo, hi)`` is called on entering each
+        node strictly between the root and the elements, where the node's
+        members agree with c on the points below ``hi`` and its parent's on
+        those below ``lo``; it returns None to skip the node's elements,
+        and otherwise the state handed on to its children.
+        """
+        self._check_enumerable()
+        levels = self._lex_levels()
+        last = len(levels) - 1
+
+        def walk(i, c, state):
+            b, reps = levels[i]
+            for o in sorted(reps, key=c.__getitem__):
+                y = _mul(reps[o], c)
+                if i == last:
+                    yield y
+                    continue
+                child = state
+                if prune is not None:
+                    child = prune(state, y, b, levels[i + 1][0])
+                    if child is None:
+                        continue
+                yield from walk(i + 1, y, child)
+
+        if not levels:
+            yield _identity(self._degree)
+            return
+        yield from walk(0, _identity(self._degree), state)
+
     def conjugacy_classes_raw(self) -> tuple:
         """Conjugacy classes as sorted tuples of raw tuples, ordered by least member."""
         if self._classes is None:
@@ -281,9 +356,6 @@ class Group:
     def is_abelian(self) -> bool:
         gens = self._raw_gens
         return all(_mul(a, b) == _mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
-
-    def is_cyclic(self) -> bool:
-        return self.is_abelian() and any(_order(p) == self._order for p in self.elements_raw())
 
     # -- subgroup relations ---------------------------------------------------
 
@@ -302,10 +374,6 @@ class Group:
                 if not self._contains_raw(_mul(ginv, _mul(h, g))):
                     return False
         return True
-
-    def conjugated(self, g: Permutation) -> "Group":
-        ginv = g.inverse()
-        return Group([ginv * h * g for h in self._gens], self._degree)
 
 
 def trivial_group(degree: int) -> Group:
@@ -479,13 +547,6 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     image = Group(image_gens, index)
     hom = Homomorphism(G, image, act)
     return image, hom
-
-
-def quotient(G: Group, N: Group, max_points: int = DEFAULT_MAX_POINTS) -> tuple[Group, Homomorphism]:
-    """G/N realized by the coset action; requires N normal in G."""
-    if not N.is_normal_in(G):
-        raise ValueError("N is not normal in G")
-    return coset_action(G, N, max_points)
 
 
 # ---------------------------------------------------------------------------

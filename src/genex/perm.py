@@ -123,15 +123,6 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def r_part(n: int, r: int) -> int:
-    """Largest power of the prime r dividing n."""
-    part = 1
-    while n % r == 0:
-        part *= r
-        n //= r
-    return part
-
-
 class Permutation:
     """A bijection of {1..degree} stored in image form."""
 
@@ -276,11 +267,3 @@ def format_cycles(p: Permutation) -> str:
     if not cycs:
         return "()"
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
-
-
-def element_order_r_part(g: Permutation, r: int) -> tuple[int, int]:
-    """Order of g and the largest power of the prime r dividing it."""
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    o = g.order()
-    return o, r_part(o, r)

@@ -126,25 +126,24 @@ def test_exists_tuple_restricted_pools_frozen():
 
 
 # d(G) and D_M(G) with witnesses, frozen from the search that built a chain
-# at every node and reduced the first slot through a conjugacy-class table.
-# Both searches take the same branches, so the prune counts agree too; the
-# node counts of min_generators are lower by the class count of G (11, 7, 15
-# and 20), which that search's d = 1 step visited for a nonabelian G.
+# at every node and reduced the first slot through a conjugacy-class table;
+# every prune is exact, so none may change them.  The (nodes, pruned) counts
+# are those of the lex-coset prune, which skips last-slot cosets unvisited.
 SEARCH_PINS = {  # G, M, (d witness, nodes, pruned), (D, witness, in_subgroup, nodes, pruned)
     "S6": (S6, make(["(1,2,3,4,5)", "(1,2)"], 6),
-           (["(5,6)", "(1,2,3,4,5)"], 155, 152),
-           (1, ["(4,5)", "(1,2,3,4,5,6)"], (0,), 156, 153)),
+           (["(5,6)", "(1,2,3,4,5)"], 3, 1),
+           (1, ["(4,5)", "(1,2,3,4,5,6)"], (0,), 6, 4)),
     "A6": (A6, make(["(1,2,3,4,5)", "(3,4,5)"], 6),
-           (["(4,5,6)", "(1,2,3,4)(5,6)"], 78, 74),
-           (1, ["(3,4,5)", "(1,2,3)(4,5,6)"], (0,), 76, 72)),
+           (["(4,5,6)", "(1,2,3,4)(5,6)"], 3, 1),
+           (1, ["(3,4,5)", "(1,2,3)(4,5,6)"], (0,), 4, 2)),
     "S7": (S7, make(["(1,2,3,4,5,6)", "(1,2)"], 7),
-           (["(6,7)", "(1,2,3,4,5,6)"], 875, 872),
-           (1, ["(5,6)", "(1,2,3,4,5)(6,7)"], (0,), 874, 871)),
+           (["(6,7)", "(1,2,3,4,5,6)"], 3, 1),
+           (1, ["(5,6)", "(1,2,3,4,5)(6,7)"], (0,), 4, 2)),
     "A5wrC2": (_wreath_a5_c2()[0],
                make(["(1,2,3,4,5)(6,7,8,9,10)", "(3,4,5)(8,9,10)",
                      "(1,6)(2,7)(3,8)(4,9)(5,10)"], 10),  # diagonal A5.2
-               (["(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], 3618, 3614),
-               (1, ["(3,4,5)(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (0,), 3618, 3614)),
+               (["(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], 3, 1),
+               (1, ["(3,4,5)(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (0,), 3, 1)),
 }
 
 
@@ -164,13 +163,16 @@ def test_search_pins(name):
 
 
 def test_first_slot_takes_one_member_per_class():
-    # exhausted searches visit one first entry per class of S4 (5 classes);
-    # counts frozen from the reduction through a conjugacy-class table
+    # exhausted searches visit one first entry per class of S4 (5 classes),
+    # counts frozen from the reduction through a conjugacy-class table.  As
+    # the last slot, the lex-coset prune skips 4 cosets holding the first
+    # members of 4 classes; the walk then reaches later members of two of
+    # them, a 3-cycle and a double transposition, besides the first 4-cycle
     doubles = [P(t, 4) for t in ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]]
-    for pools in ([ALL], [ALL, doubles]):
+    for pools, counts in (([ALL], (3, 3, 4)), ([ALL, doubles], (5, 5, 0))):
         stats = SearchStats()
         assert exists_generating_tuple(S4, pools, stats) is None
-        assert (stats.nodes, stats.pruned) == (5, 5)
+        assert (stats.nodes, stats.pruned, stats.skipped) == counts
     # {(2,3,4)} is not closed, so the conjugate (1,2) after (3,4) is still tried
     pools = [[P("(1,2)", 4), P("(3,4)", 4)], [P("(2,3,4)", 4)]]
     assert exists_generating_tuple(S4, pools) == (P("(1,2)", 4), P("(2,3,4)", 4))
@@ -228,30 +230,40 @@ def _search_cases(draw):
     chosen = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=2, unique=True))
     G = make(chosen, degree)
     elems = sorted(oracles.closure([x.imgs for x in G.generators], degree))
-    d = draw(st.sampled_from([2, 3]))
-    pools = []
+    d = draw(st.sampled_from([1, 2, 3]))
+    pools, raws = [], []
     for _ in range(d):
-        kind = draw(st.sampled_from(["all", "subset", "cyclic", "classes"]))
-        # one ALL pool at most above order 24 keeps the brute force small
-        if kind == "all" and (len(elems) <= 24 or ALL not in pools):
+        kind = draw(st.sampled_from(["all", "subgroup", "subset", "cyclic", "classes"]))
+        # one pool above order 24 at most keeps the brute force small
+        small = len(elems) <= 24 or all(len(raw) <= 24 for raw in raws)
+        if kind == "all" and small:
             pools.append(ALL)
+            raws.append(elems)
             continue
         picked = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3, unique=True))
-        if kind == "cyclic":  # a subgroup: often no tuple generates
+        if kind == "subgroup":  # walked in lex order, like ALL
+            members = sorted(oracles.closure(picked[:2], degree))
+            if small or len(members) <= 24:
+                pools.append(Group([Permutation(p) for p in picked[:2]], degree))
+                raws.append(members)
+                continue
+        if kind == "cyclic":  # a subgroup as a list: often no tuple generates
             picked = sorted(oracles.closure(picked[:1], degree))
         elif kind == "classes":  # a union of conjugacy classes: a closed pool
             picked = sorted({oracles.mul(oracles.mul(oracles.inv(c), x), c)
                              for x in picked for c in elems})
-        pools.append(picked)
-    return G, elems, pools
+        pools.append([Permutation(p) for p in picked])
+        raws.append(sorted(picked))
+    return G, elems, pools, raws
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_search_cases())
 def test_search_agrees_with_brute_force(case):
-    G, elems, pools = case
+    # the witness is the first generating tuple in canonical order: every
+    # prune, the lex-coset prune of the last slot included, is exact
+    G, elems, pools, raws = case
     degree, order = G.degree, len(elems)
-    raw = [elems if pool == ALL else pool for pool in pools]
     generated = {}
 
     def generates(tup):
@@ -260,13 +272,9 @@ def test_search_agrees_with_brute_force(case):
             generated[key] = oracles.generates(list(key), degree, order)
         return generated[key]
 
-    brute = any(generates(t) for t in product(*raw))
-    got = exists_generating_tuple(G, [pool if pool == ALL else [Permutation(p) for p in pool]
-                                      for pool in pools])
-    assert (got is not None) == brute
-    if got is not None:
-        assert all(w.imgs in pool for w, pool in zip(got, raw))
-        assert len(oracles.closure([w.imgs for w in got], degree)) == order
+    first = next((t for t in product(*raws) if generates(t)), None)
+    got = exists_generating_tuple(G, pools)
+    assert (got if got is None else tuple(w.imgs for w in got)) == first
     assert min_generators(G).d == oracles.min_generating_size(elems, degree)
 
 
@@ -390,7 +398,8 @@ def test_d_min_a5():
 def test_d_metric_conjugation_invariance():
     s3 = make(["(2,3,4)", "(2,3)"], 4)
     for g in [P("(1,3)", 4), P("(1,2,3,4)", 4), P("(1,4)(2,3)", 4)]:
-        assert d_metric(S4, s3.conjugated(g)).value == d_metric(S4, s3).value
+        conjugate = Group([g.inverse() * h * g for h in s3.generators], 4)
+        assert d_metric(S4, conjugate).value == d_metric(S4, s3).value
 
 
 # -- density ------------------------------------------------------------------

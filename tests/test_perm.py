@@ -7,12 +7,10 @@ from genex.perm import (
     _identity,
     _inv,
     _mul,
-    element_order_r_part,
     format_cycles,
     is_prime,
     parse_permutation,
     prime_factors,
-    r_part,
 )
 
 
@@ -133,23 +131,6 @@ def test_cycles_canonical():
 def test_bad_images_rejected():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
-
-
-def test_order_r_part():
-    g = P("(1,2,3,4)(5,6,7)", 7)  # order 12
-    assert element_order_r_part(g, 2) == (12, 4)
-    assert element_order_r_part(g, 5) == (12, 1)
-    assert element_order_r_part(Permutation.identity(4), 3) == (1, 1)
-    with pytest.raises(ValueError):
-        element_order_r_part(g, 4)
-
-
-def test_r_part_properties():
-    for n in [1, 2, 12, 60, 360, 1440]:
-        for r in [2, 3, 5, 7]:
-            part = r_part(n, r)
-            assert n % part == 0
-            assert (n // part) % r != 0
 
 
 def test_prime_helpers():
