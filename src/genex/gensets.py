@@ -9,30 +9,28 @@ counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and equal
 groups have equal orbits; a tuple with more orbits than G generates a proper
 subgroup, and only when the counts agree is a stabilizer chain built.
 
-The first slot is reduced to the first member of each conjugacy class of G
-that it holds whenever every later pool is closed under conjugation: if
-(x^c, y_2..y_d) generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)), whose
-entries lie in the same pools, so a class member after the first has a
-completion only if the first has one, and the search would already have
-returned.  A pool is closed iff it is ``ALL``, a subgroup normal in G, or
-a set closed under conjugation by G's generators (a finite set mapped into
-itself by each is mapped onto itself).  A class is orbited only once the
-subtree of its first member has failed, so no class table of G is built.  Four prunes cut the tuple search without
-changing the order or the first witness, because each drops only subtrees
-that contain no generating tuple:
+The tuple search (``exists_generating_tuple``) makes three cuts, none of
+which changes the order or the first witness, because each drops only
+candidates whose subtrees contain no generating tuple:
 
-* order-monotone: a candidate already in the subgroup K generated by the
-  partial tuple leaves K unchanged, so its subtree is the same as that of the
-  first such candidate and only that one is explored;
-* suffix join: every completion lies in the join of K, the candidate and all
-  later pools, so if that join is proper no completion generates G;
-* cyclic quotient: with one slot left and K proper, a completion x with
-  <K, x> = G makes G/N cyclic, generated by xN, where N is the normal closure
-  of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so when G/N is
-  not cyclic no element of any pool completes K.  G/N is cyclic iff the
-  commutators of G's generators lie in N and |G : <N, g_1^p, .., g_k^p>| = p
-  for every prime p with p^2 | |G:N|, since then every Sylow subgroup of
-  the abelian G/N is cyclic (proof in ``_quotient_is_cyclic``);
+* first slot: it is reduced to the first member of each conjugacy class of
+  G that it holds whenever every later pool is closed under conjugation: if
+  (x^c, y_2..y_d) generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)),
+  whose entries lie in the same pools, so a class member after the first
+  has a completion only if the first has one, and the search would already
+  have returned.  A pool is closed iff it is ``ALL``, a subgroup normal in
+  G, or a set closed under conjugation by G's generators (a finite set
+  mapped into itself by each is mapped onto itself).  A class is orbited
+  only once the subtree of its first member has failed, so no class table
+  of G is built;
+* cyclic quotient: with one slot left and K = <partial> proper, a
+  completion x with <K, x> = G makes G/N cyclic, generated by xN, where N
+  is the normal closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005,
+  sec. 4.4); so when G/N is not cyclic no element of any pool completes K.
+  G/N is cyclic iff the commutators of G's generators lie in N and
+  |G : <N, g_1^p, .., g_k^p>| = p for every prime p with p^2 | |G:N|,
+  since then every Sylow subgroup of the abelian G/N is cyclic (proof in
+  ``_quotient_is_cyclic``);
 * lex coset: the last slot, when walked, visits cosets C = {y : y[p] = c[p]
   for all p < j} of the lex chain (Seress, *Permutation Group Algorithms*,
   2003, ch. 4).  Join p and x(p) for each entry x of the partial tuple and
@@ -171,35 +169,12 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
     Pools are ``ALL``, subgroups of G or sets of elements of G, and
     ``_resolve_pools`` rejects anything else with ValueError.  The exhaustive
     search certificate is exact: a None return means no such tuple exists.
-    Returned witnesses are the first found in canonical order.  Every prune
-    is exact, so none changes the witness:
-
-    * order-monotone: of the candidates lying in K = <partial>, only the
-      first is explored, since each leaves K, and so the subtree, unchanged;
-      membership is a sift into the chain of K, built once per partial tuple;
-    * suffix join: a candidate g is dropped when <K, g, all later pools> is
-      proper, since every completion lies inside that join;
-    * cyclic quotient: with one slot left, g is dropped when <K, g> is proper
-      and G / ncl_G(<K, g>) is not cyclic, since <K, g, x> = G would make
-      that quotient cyclic, generated by the image of x;
-    * lex coset: a last-slot pool walked down its lex chain skips a coset
-      {y : y[p] = c[p] for p < j} when some component of the graph joining
-      p to x(p), for the partial tuple's entries x, and p to c(p), for
-      p < j, lies wholly below j and is smaller than its G-orbit: that
-      component is invariant under <K, y> for every y in the coset, so no
-      such y generates G.
-
-    Each generation test, the join and the last slot included, is
-    ``_generates``: the orbits of <T> <= G refine those of G, so more orbits
-    than G prove <T> proper without a chain.  The quotient G/N of the third
-    prune is cyclic iff it is abelian and |G : <N, g_1^p, .., g_k^p>| = p for
-    every prime p with p^2 dividing |G:N|, that is iff every Sylow subgroup
-    of G/N is cyclic (``_quotient_is_cyclic``).  The first slot holds the
-    first member of each conjugacy class of G when the later pools are
-    conjugation-closed (module docstring); a subgroup pool is closed when it
-    is normal in G.  ``ALL`` and subgroup pools are walked lazily in
-    canonical order, and raise ``BoundExceeded`` above the element bound as
-    ``Group.elements_raw`` does.
+    Returned witnesses are the first found in canonical order; the
+    first-slot reduction, the cyclic-quotient prune and the lex-coset prune
+    (module docstring) drop only candidates that cannot complete a
+    generating tuple, so none changes the witness.  ``ALL`` and subgroup
+    pools are walked lazily in canonical order, and raise ``BoundExceeded``
+    above the element bound as ``Group.elements_raw`` does.
     """
     if stats is None:
         stats = SearchStats()
@@ -227,26 +202,6 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
 
     reduce_first = all(closed(pool) for pool in raw_pools[1:])
 
-    # suffix joins for pruning: no completion can exceed <partial, suffix pool>;
-    # a subgroup pool's generators span the same join as its elements, and
-    # suffix_gens[k] is read only where suffix_spans[k] is False
-    suffix_gens: list[tuple] = [()] * (d + 1)
-    suffix_spans: list[bool] = [False] * (d + 1)
-    for k in range(d - 1, 0, -1):
-        pool = raw_pools[k]
-        if pool is G or suffix_spans[k + 1]:
-            suffix_spans[k] = True
-            continue
-        chain = _build_chain(G.degree, list(suffix_gens[k + 1]))
-        gens = list(suffix_gens[k + 1])
-        for p in pool._raw_gens if isinstance(pool, Group) else pool:
-            if chain.order() == G.order():
-                break
-            if chain.extend(p):
-                gens.append(p)
-        suffix_gens[k] = tuple(gens)
-        suffix_spans[k] = chain.order() == G.order()
-
     orbit = _components(G.degree, G._raw_gens)
     orbit_size = [orbit.count(label) for label in orbit]
 
@@ -273,22 +228,12 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
         return first_of_each_class(cands) if level == 0 and reduce_first else cands
 
     def rec(level: int, partial: tuple):
-        inside = _build_chain(G.degree, list(partial))
-        skipped_inside = False
         for g in candidates(level, partial):
             stats.nodes += 1
-            if inside.sift(g) == inside.ident:
-                if skipped_inside:
-                    continue  # same subgroup as a previous candidate
-                skipped_inside = True
             tup = partial + (g,)
             if level == d - 1:
                 if _generates(G, tup):
                     return tup
-                stats.pruned += 1
-                continue
-            # when the suffix pools alone span G the join test cannot prune
-            if not suffix_spans[level + 1] and not _generates(G, tup + suffix_gens[level + 1]):
                 stats.pruned += 1
                 continue
             if level == d - 2 and not _generates(G, tup):
@@ -463,6 +408,8 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
     d = len(lifts)
     if d < 2:
         raise ValueError("at least two lifts required")
+    if not all(G.contains(l) for l in lifts):
+        raise ValueError("lift does not lie in G")
     n_gens = [g.imgs for g in N.generators]
     if not _generates(G, [l.imgs for l in lifts] + n_gens):
         raise ValueError("lifts do not generate G modulo N")
@@ -539,12 +486,14 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
     """Search v1, v2 in N with <v1 g1, v2 g2, g3, ..> = G and v1 g1 in Htilde.
 
     v1 ranges over the coset-compatible subset {v in N : v g1 in Htilde},
-    computed up front; enumeration order is canonical.  Returns None only
-    after exhausting all of N^2 for the restricted v1 range.
+    tested as each v1 is reached; enumeration order is canonical.  Returns
+    None only after exhausting all of N^2 for the restricted v1 range.
     """
     gens = tuple(gens)
     if len(gens) < 2:
         raise ValueError("need at least two generators")
+    if not all(G.contains(g) for g in gens):
+        raise ValueError("generator does not lie in G")
     check_monolithic_nonabelian(G, N)
     n_raw = [g.imgs for g in N.generators]
     if not _generates(G, [g.imgs for g in gens] + n_raw):
@@ -554,10 +503,12 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
     replacement_hypothesis(project(g1), project(g2), g1, g2, project)
 
     n_elems = N.elements()
-    pool1 = [v for v in n_elems if htilde(v * g1)]
     rest_raw = [g.imgs for g in gens[2:]]
-    for v1 in pool1:
-        a = (v1 * g1).imgs
+    for v1 in n_elems:
+        lift = v1 * g1
+        if not htilde(lift):
+            continue
+        a = lift.imgs
         for v2 in n_elems:
             b = (v2 * g2).imgs
             if _generates(G, [a, b] + rest_raw):

@@ -392,19 +392,22 @@ def subgroup_closure(ambient_degree: int, raw_gens, chain=None) -> Group:
 
 
 def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements; the
+    closure lies in G, so it is G as soon as its chain reaches |G|."""
     raw_seeds = [s.imgs for s in seeds]
     chain = _build_chain(G.degree, raw_seeds)
     gens = [p for p in raw_seeds if p != chain.ident]
     queue = deque(gens)
     ambient = [(g, _inv(g)) for g in G._raw_gens]
-    while queue:
+    while queue and chain.order() < G.order():
         x = queue.popleft()
         for g, ginv in ambient:
             y = _mul(ginv, _mul(x, g))
             if chain.extend(y):
                 gens.append(y)
                 queue.append(y)
+                if chain.order() == G.order():
+                    break
     return subgroup_closure(G.degree, gens, chain)
 
 
@@ -476,6 +479,8 @@ class Homomorphism:
     _apply: Callable[[tuple], tuple]
 
     def apply(self, g: Permutation) -> Permutation:
+        if not self.source.contains(g):
+            raise ValueError("element does not lie in the source group")
         return Permutation._wrap(self._apply(g.imgs))
 
     def kernel(self) -> Group:

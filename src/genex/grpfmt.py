@@ -56,8 +56,3 @@ def serialize_group(G: Group, comment: str | None = None) -> str:
 def load_group_file(path: str) -> Group:
     with open(path, encoding="utf-8") as fh:
         return parse_group_text(fh.read())
-
-
-def save_group_file(path: str, G: Group, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_group(G, comment))

@@ -167,9 +167,12 @@ def test_first_slot_takes_one_member_per_class():
     # counts frozen from the reduction through a conjugacy-class table.  As
     # the last slot, the lex-coset prune skips 4 cosets holding the first
     # members of 4 classes; the walk then reaches later members of two of
-    # them, a 3-cycle and a double transposition, besides the first 4-cycle
+    # them, a 3-cycle and a double transposition, besides the first 4-cycle.
+    # Over [ALL, doubles] the cyclic quotient makes the cuts: it prunes the
+    # identity and the double transposition (S4/1 and S4/V4 are not cyclic),
+    # and each of the other 3 class members tries all 3 doubles
     doubles = [P(t, 4) for t in ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]]
-    for pools, counts in (([ALL], (3, 3, 4)), ([ALL, doubles], (5, 5, 0))):
+    for pools, counts in (([ALL], (3, 3, 4)), ([ALL, doubles], (14, 11, 0))):
         stats = SearchStats()
         assert exists_generating_tuple(S4, pools, stats) is None
         assert (stats.nodes, stats.pruned, stats.skipped) == counts
@@ -180,7 +183,10 @@ def test_first_slot_takes_one_member_per_class():
 
 def test_search_builds_no_class_table(monkeypatch):
     # classes are orbited one at a time as the first slot reaches them, and a
-    # chain is built only where a tuple has as few orbits as G
+    # chain is built only where a tuple has as few orbits as G; fresh groups,
+    # so no lex chain or orbit count cached by an earlier test is reused
+    G = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
+    M = make(["(1,2,3,4,5,6)", "(1,2)"], 7)
     builds = []
     for mod in (group_module, gensets):
         original = mod._build_chain
@@ -191,9 +197,9 @@ def test_search_builds_no_class_table(monkeypatch):
         raise AssertionError("conjugacy class table built")
 
     monkeypatch.setattr(Group, "conjugacy_classes_raw", no_classes)
-    min_generators(S7)
-    d_metric(S7, SEARCH_PINS["S7"][1])
-    assert len(builds) < 50
+    min_generators(G)
+    d_metric(G, M)
+    assert len(builds) == 20
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
@@ -450,6 +456,12 @@ def test_density_requires_generating_lifts():
         generation_density(S5, A5, bad)
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+def test_density_rejects_lifts_outside_the_group(degree):
+    with pytest.raises(ValueError):
+        generation_density(S5, A5, (P("(1,2)", degree), P("(1,2,3)", degree)))
+
+
 def test_density_requires_socle():
     with pytest.raises(ValueError):
         generation_density(S5, make(["(1,2,3,4,5)"], 5), (P("(1,2)", 5), P("(1,2)", 5)))
@@ -554,6 +566,13 @@ def test_replacement_trivial_when_already_generating():
     assert got is not None
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+def test_replacement_search_rejects_generators_outside_the_group(degree):
+    gens = (P("(2,3,4)", degree), P("(2,3)", degree))
+    with pytest.raises(ValueError):
+        replacement_search(S5, A5, gens, lambda g: True)
+
+
 def test_replacement_hypothesis_failure():
     c2 = make(["(1,2)"], 2)
     W, dec = wreath_product(A5, c2)
@@ -584,8 +603,11 @@ def test_replacement_search_wreath():
     g1 = P("(1,2,3)(6,7,8)", 10)
     g2 = swap
     assert htilde(g1) and htilde(g2)
-    got = replacement_search(W, N, (g1, g2), htilde)
+    tested = []
+    got = replacement_search(W, N, (g1, g2), lambda g: tested.append(g) or htilde(g))
     assert got is not None
     v1, v2 = got
     assert htilde(v1 * g1)
+    # htilde is tested lazily: on N in order, up to the v1 returned
+    assert tested == [v * g1 for v in N.elements()[:N.elements().index(v1) + 1]]
     assert Group([v1 * g1, v2 * g2], 10).order() == W.order()

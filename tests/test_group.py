@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genex.group import (
     BoundExceeded,
+    _Chain,
     Group,
     centralizer_in,
     commutator_subgroup,
@@ -173,6 +174,20 @@ def test_normal_closure():
     assert normal_closure(S4, [P("(1,2)(3,4)", 4)]).order() == 4
 
 
+def test_normal_closure_stops_at_the_whole_group(monkeypatch):
+    # the closure lies in G, so once its chain reaches |G| no further
+    # conjugate is sifted: the last extension is the one that grew it to G
+    grew = []
+    original = _Chain.extend
+    monkeypatch.setattr(_Chain, "extend",
+                        lambda self, p: grew.append(original(self, p)) or grew[-1])
+    for n in (4, 5, 6, 7):
+        G = Group([Permutation(list(range(1, n)) + [0]), P("(1,2)", n)], n)
+        grew.clear()
+        assert normal_closure(G, [P("(1,2)", n)]).order() == math.factorial(n)
+        assert grew[-1]
+
+
 def test_commutator_subgroup_matches_oracle():
     for g in [S4, A4, Q8, C6]:
         elems = oracles.closure([x.imgs for x in g.generators], g.degree)
@@ -294,6 +309,16 @@ def test_homomorphism_multiplicative():
     for _ in range(30):
         a, b = rng.choice(elems), rng.choice(elems)
         assert hom.apply(a * b) == hom.apply(a) * hom.apply(b)
+
+
+def test_homomorphism_rejects_elements_outside_the_source():
+    _, hom = coset_action(S5, make(["(1,2,3,4)", "(1,2)"], 5))
+    for degree in (4, 6):
+        with pytest.raises(ValueError):
+            hom.apply(P("(1,2)", degree))
+    _, hom = coset_action(A5, make(["(1,2,3)", "(1,2)(3,4)"], 5))
+    with pytest.raises(ValueError):
+        hom.apply(P("(1,2)", 5))
 
 
 # -- products ---------------------------------------------------------------
