@@ -439,7 +439,8 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
 
     The simple factors of N = S^n have disjoint supports forming a block
     system for G; the projection maps g to the induced block permutation.
-    For n = 1 every element projects to the identity on one point.
+    For n = 1 every element projects to the identity on one point.  An
+    argument of another degree than G raises ValueError.
     """
     factors = minimal_normal_subgroups(N)
     supports = sorted((frozenset(i for g in f._raw_gens for i, j in enumerate(g) if i != j)
@@ -450,6 +451,8 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
             block_of[pt] = bi
 
     def project(g: Permutation) -> Permutation:
+        if g.degree != G.degree:
+            raise ValueError("degree mismatch")
         imgs = [0] * len(supports)
         for bi, sup in enumerate(supports):
             tgt = block_of.get(g.imgs[min(sup)])

@@ -8,9 +8,13 @@ the level gains generators, and each (orbit point, generator) Schreier pair is
 sifted once.  Orders, transversals and everything derived from them are
 reproducible run to run.  The base is deterministic but differs from that of
 releases which rebuilt each orbit in point order; no answer depends on it.
-A second, lazily built chain stabilizes the points in order 0, 1, 2, .. (the
-lex chain), so that searches can walk a group's elements in sorted order
-without enumerating them.
+On at most 256 points a chain composes bytes with ``bytes.translate`` over
+256-byte tables, in C and without building a getter per product; above 256
+points it composes tuples with ``perm._mul``.  Both run the same loops and
+give the same chain (see ``_Chain``).  A second, lazily built chain
+stabilizes the points in order 0, 1, 2, .. (the lex chain), so that
+searches can walk a group's elements in sorted order without enumerating
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .perm import Permutation, _identity, _inv, _mul
 
 DEFAULT_MAX_POINTS = 100_000
 DEFAULT_ELEMENT_BOUND = 200_000
+_TABLE_ID = bytes(range(256))  # the identity translate table
 
 
 class BoundExceeded(ValueError):
@@ -40,6 +45,17 @@ class _Chain:
     g^-1 * rep^-1, so sifting and Schreier generators never invert a
     permutation (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
+    Elements are encoded once, by degree.  Up to 256 points a working
+    element (a residue, a representative being extended) is ``bytes`` of
+    length ``degree``, and the right-hand factors ``gens``, ``ginvs`` and
+    ``itrans`` are stored as 256-byte translate tables: the images, then
+    the fixed points degree..255.  The product p*q is then
+    ``p.translate(table_q)``, composed in C without building a getter per
+    product, and the inverse of a table is ``bytes.maketrans(table,
+    identity)``.  Above 256 points the same code runs on tuples, with
+    ``_mul`` and ``_inv``.  Either way ``p[b]`` reads an image, and
+    ``trans`` keeps tuple representatives for the readers outside the chain.
+
     Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
     and a point keeps its representative once found.  ``sifted[i]`` is the
     (points, generators) prefix whose Schreier pairs are done (sifted, or
@@ -50,11 +66,19 @@ class _Chain:
     each orbit in point order.
     """
 
-    __slots__ = ("degree", "ident", "base", "gens", "ginvs", "trans", "itrans", "sifted")
+    __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
+                 "base", "gens", "ginvs", "trans", "itrans", "sifted")
 
     def __init__(self, degree):
         self.degree = degree
         self.ident = _identity(degree)
+        if degree <= 256:
+            self.enc, self.mul, self.inv = bytes, bytes.translate, _table_inv
+            self.tail = _TABLE_ID[degree:]
+        else:
+            self.enc, self.mul, self.inv = tuple, _mul, _inv
+            self.tail = ()
+        self.one = self.enc(self.ident)  # the identity as a working element
         self.base = []
         self.gens = []
         self.ginvs = []
@@ -69,41 +93,46 @@ class _Chain:
         return n
 
     def sift(self, p):
-        """Reduce p through the chain; identity residue means membership."""
-        return self._sift_from(0, p)[0]
+        """Reduce the tuple p through the chain; the residue is returned as a
+        tuple, and members, whose residue is the identity, get ``ident``
+        itself without decoding."""
+        residue = self._sift_from(0, self.enc(p))[0]
+        return self.ident if residue == self.one else tuple(residue)
 
     def _sift_from(self, start, p):
-        for lev in range(start, len(self.base)):
-            b = self.base[lev]
+        base, itrans, mul = self.base, self.itrans, self.mul
+        for lev in range(start, len(base)):
+            b = base[lev]
             img = p[b]
             if img == b:
                 continue
-            rep_inv = self.itrans[lev].get(img)
+            rep_inv = itrans[lev].get(img)
             if rep_inv is None:
                 return p, lev
-            p = _mul(p, rep_inv)
-        return p, len(self.base)
+            p = mul(p, rep_inv)
+        return p, len(base)
 
     def extend(self, p):
         """Add p (raw tuple) to the group; returns True if the group grew."""
-        residue, j = self._sift_from(0, p)
-        if residue == self.ident:
+        residue, j = self._sift_from(0, self.enc(p))
+        if residue == self.one:
             return False
         self._add(residue, j, 0)
         return True
 
     def _add(self, g, j, top):
-        # g fixes base[:j]; register it at levels top..j, then restore the
-        # stabilizer invariant from the bottom up
+        # g is a working element fixing base[:j]; register it at levels
+        # top..j, then restore the stabilizer invariant from the bottom up
         if j == len(self.base):
             moved = min(a for a, b in enumerate(g) if a != b)
             self.base.append(moved)
             self.gens.append([])
             self.ginvs.append([])
             self.trans.append({moved: self.ident})
-            self.itrans.append({moved: self.ident})
+            self.itrans.append({moved: self.one + self.tail})
             self.sifted.append((1, 0))
-        ginv = _inv(g)
+        g += self.tail
+        ginv = self.inv(g)
         for k in range(top, j + 1):
             self.gens[k].append(g)
             self.ginvs[k].append(ginv)
@@ -121,25 +150,32 @@ class _Chain:
         # levels only, so this level's generators stay fixed during the scan.
         tr = self.trans[i]
         itr = self.itrans[i]
+        enc, mul, one = self.enc, self.mul, self.one
         gens = list(zip(self.gens[i], self.ginvs[i]))
         npts, ngens = self.sifted[i]
         orbit = list(tr)
         pos = 0
         while pos < len(orbit):
             pt = orbit[pos]
-            rep = tr[pt]
+            rep = enc(tr[pt])
             for g, ginv in (gens[ngens:] if pos < npts else gens):
                 img = g[pt]
+                rep_g = mul(rep, g)
                 if img not in tr:
-                    tr[img] = _mul(rep, g)
-                    itr[img] = _mul(ginv, itr[pt])
+                    tr[img] = tuple(rep_g)
+                    itr[img] = mul(ginv, itr[pt])
                     orbit.append(img)
                     continue
-                residue, j = self._sift_from(i + 1, _mul(_mul(rep, g), itr[img]))
-                if residue != self.ident:
+                residue, j = self._sift_from(i + 1, mul(rep_g, itr[img]))
+                if residue != one:
                     self._add(residue, j, i + 1)
             pos += 1
         self.sifted[i] = (len(orbit), len(gens))
+
+
+def _table_inv(t):
+    """Inverse of a 256-byte translate table."""
+    return bytes.maketrans(t, _TABLE_ID)
 
 
 def _build_chain(degree, raw_gens):
@@ -244,7 +280,8 @@ class Group:
         return self._contains_raw(g.imgs)
 
     def _contains_raw(self, p) -> bool:
-        return self._chain.sift(p) == self._chain.ident
+        # sift hands members ``ident`` itself, so no residue is decoded
+        return self._chain.sift(p) is self._chain.ident
 
     def base(self) -> tuple[int, ...]:
         """Chain base points (1-based)."""
@@ -393,7 +430,11 @@ def subgroup_closure(ambient_degree: int, raw_gens, chain=None) -> Group:
 
 def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     """Smallest normal subgroup of G containing the seed elements; the
-    closure lies in G, so it is G as soon as its chain reaches |G|."""
+    closure lies in G, so it is G as soon as its chain reaches |G|.  A seed
+    outside G or of another degree raises ValueError."""
+    seeds = list(seeds)
+    if not all(G.contains(s) for s in seeds):
+        raise ValueError("seed does not lie in G")
     raw_seeds = [s.imgs for s in seeds]
     chain = _build_chain(G.degree, raw_seeds)
     gens = [p for p in raw_seeds if p != chain.ident]
@@ -461,7 +502,11 @@ def _stabilizer(degree, order, gens, moves, start):
 
 
 def centralizer_in(G: Group, x: Permutation) -> Group:
-    """Centralizer of x in G: the stabilizer of x under conjugation."""
+    """Centralizer of x in G: the stabilizer of x under conjugation.  x may
+    lie outside G, as when C_G(N) is cut down one generator of N at a time,
+    but an x of another degree raises ValueError."""
+    if x.degree != G.degree:
+        raise ValueError("degree mismatch")
     moves = [lambda y, g=g, ginv=_inv(g): _mul(ginv, _mul(y, g)) for g in G._raw_gens]
     gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, x.imgs)
     return subgroup_closure(G.degree, gens, chain)

@@ -51,8 +51,3 @@ def serialize_group(G: Group, comment: str | None = None) -> str:
     lines.append(f"degree: {G.degree}")
     lines.extend(f"gen: {format_cycles(g)}" for g in G.generators)
     return "\n".join(lines) + "\n"
-
-
-def load_group_file(path: str) -> Group:
-    with open(path, encoding="utf-8") as fh:
-        return parse_group_text(fh.read())

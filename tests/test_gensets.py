@@ -531,6 +531,13 @@ def test_socle_projection_s5():
     assert project(P("(1,2)", 5)).degree == 1
 
 
+def test_socle_projection_rejects_wrong_degree():
+    project = socle_block_projection(S5, A5)
+    for n in (4, 6):
+        with pytest.raises(ValueError):
+            project(P("(1,2)", n))
+
+
 def test_socle_projection_wreath():
     c2 = make(["(1,2)"], 2)
     W, _ = wreath_product(A5, c2)

@@ -18,7 +18,7 @@ from genex.group import (
     wreath_product,
 )
 from genex.gensets import min_generators
-from genex.perm import Permutation, _mul, parse_permutation
+from genex.perm import Permutation, _inv, _mul, parse_permutation
 from genex.structure import all_subgroups
 
 
@@ -188,6 +188,15 @@ def test_normal_closure_stops_at_the_whole_group(monkeypatch):
         assert grew[-1]
 
 
+def test_normal_closure_rejects_seeds_outside_the_group():
+    for bad in (P("(1,2)", 4), P("(1,2)", 6)):
+        with pytest.raises(ValueError):
+            normal_closure(S5, [bad])
+    # (1,2) has degree 5 but is odd: its closure would leave A5
+    with pytest.raises(ValueError):
+        normal_closure(A5, [P("(1,2)", 5)])
+
+
 def test_commutator_subgroup_matches_oracle():
     for g in [S4, A4, Q8, C6]:
         elems = oracles.closure([x.imgs for x in g.generators], g.degree)
@@ -204,6 +213,14 @@ def test_centralizer():
     # center of Q8
     zq = centralizer_in(Q8, Q8.generators[0])
     assert zq.order() == 4
+
+
+def test_centralizer_rejects_wrong_degree():
+    for bad in (P("(1,2)", 4), P("(1,2)", 6)):
+        with pytest.raises(ValueError):
+            centralizer_in(S5, bad)
+    # an element outside G is fine: C_A5((1,2)) = <(3,4,5), (1,2)(3,4)>
+    assert centralizer_in(A5, P("(1,2)", 5)).order() == 6
 
 
 def test_base_is_deterministic():
@@ -410,10 +427,20 @@ def test_chain_matches_closure(case):
         assert G.contains(Permutation(p)) == (p in elems)
     assert all(G.contains(Permutation(p)) for p in elems)
     chain = G._chain
+    for p in probes:
+        # members get the identity itself back, other residues are tuples
+        residue = chain.sift(p)
+        assert type(residue) is tuple and (residue is chain.ident) == (p in elems)
     for trans, itrans in zip(chain.trans, chain.itrans):
         assert trans.keys() == itrans.keys()
         for pt, rep in trans.items():
             assert _mul(rep, itrans[pt]) == chain.ident
+            # each stored table decodes to the inverse of its tuple rep
+            assert itrans[pt][n:] == chain.tail and tuple(itrans[pt][:n]) == _inv(rep)
+    for strong, invs in zip(chain.gens, chain.ginvs):
+        for g, ginv in zip(strong, invs):
+            assert g[n:] == ginv[n:] == chain.tail
+            assert tuple(ginv[:n]) == _inv(tuple(g[:n]))
     for i, (strong, trans) in enumerate(zip(chain.gens, chain.trans)):
         assert all(g[b] == b for g in strong for b in chain.base[:i])
         # every Schreier pair of the final orbit and generators was handled
@@ -422,6 +449,33 @@ def test_chain_matches_closure(case):
     redundant = [_mul(a, b) for a, b in zip(gens, gens[1:])]
     shuffled = Group([Permutation(g) for g in gens[::-1] + redundant], n)
     assert shuffled.order() == G.order()
+
+
+def test_chain_encodings_agree_across_the_byte_boundary():
+    # up to 256 points the chain works on bytes, above on tuples; padding S5
+    # and A5 with fixed points changes neither the chain nor any answer
+    rng = random.Random(11)
+    probes = [tuple(rng.sample(range(5), 5)) for _ in range(40)]
+    for small in (S5, A5):
+        elements = small.elements_raw()
+        for n in (256, 257, 300):
+            pad = tuple(range(5, n))
+            big = Group([Permutation(g.imgs + pad) for g in small.generators], n)
+            assert isinstance(big._chain.one, bytes) == (n <= 256)
+            assert big.order() == small.order()
+            assert big.base() == small.base()
+            assert [big.contains(Permutation(p + pad)) for p in probes] == \
+                [small.contains(Permutation(p)) for p in probes]
+            assert not big.contains(P(f"(5,{n})", n))
+            assert tuple(p[:5] for p in big.elements_raw()) == elements
+
+
+def test_regular_action_above_the_byte_boundary():
+    A6 = make(["(1,2,3)", "(2,3,4,5,6)"], 6)
+    image, hom = coset_action(A6, trivial_group(6))
+    assert image.degree == 360 and isinstance(image._chain.one, tuple)
+    assert image.order() == 360
+    assert hom.kernel().order() == 1
 
 
 def test_literature_orders():
