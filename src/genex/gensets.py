@@ -158,7 +158,7 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
     for p, e in prime_factors(m).items():
         if e > 1:
             powers = [_pow(g, p) for g in gens]
-            if _build_chain(G.degree, list(N._raw_gens) + powers).order() * p != G.order():
+            if _build_chain(G.degree, list(N._raw_gens) + powers)[0].order() * p != G.order():
                 return False
     return True
 
@@ -254,24 +254,36 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
 
 def min_generators(G: Group) -> GenerationReport:
     """Exact d(G) with a witness; non-existence of shorter tuples is certified
-    by exhausted search."""
+    by exhausted search.
+
+    d and the witness are kept on G, so ``d_metric`` and ``d_min`` search
+    once per group.  The stats are this call's: a later call on the same G
+    searches nothing and reports empty stats.
+    """
     stats = SearchStats()
+    if G._generation is None:
+        G._generation = _search_d(G, stats)
+    return GenerationReport(*G._generation, stats)
+
+
+def _search_d(G: Group, stats: SearchStats) -> tuple:
+    """(d(G), witness) by the exhaustive search, counted into ``stats``."""
     n = G.order()
     if n == 1:
-        return GenerationReport(0, (), stats)
+        return 0, ()
     # d = 1: only an abelian group can be cyclic, and its classes are singletons
     if G.is_abelian():
         for p in G._lex_walk():
             stats.nodes += 1
             if _order(p) == n:
-                return GenerationReport(1, (Permutation._wrap(p),), stats)
+                return 1, (Permutation._wrap(p),)
     k = 2
     while True:
         if k > max(2, int(log2(n)) + 1):
             raise AssertionError("generating-set search exceeded the log2 bound")
         witness = exists_generating_tuple(G, [ALL] * k, stats)
         if witness is not None:
-            return GenerationReport(k, witness, stats)
+            return k, witness
         k += 1
 
 
@@ -344,7 +356,7 @@ def _generates(G: Group, raw_gens) -> bool:
     raw_gens = list(raw_gens)
     if _orbit_count(G.degree, raw_gens) != G._orbits:
         return False
-    return _build_chain(G.degree, raw_gens).order() == G.order()
+    return _build_chain(G.degree, raw_gens)[0].order() == G.order()
 
 
 def check_monolithic_nonabelian(G: Group, N: Group) -> None:

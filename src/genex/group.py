@@ -15,6 +15,12 @@ give the same chain (see ``_Chain``).  A second, lazily built chain
 stabilizes the points in order 0, 1, 2, .. (the lex chain), so that
 searches can walk a group's elements in sorted order without enumerating
 them.
+
+A group acts only by the given generators that extended its chain, since
+the others would multiply the work of every orbit, Schreier, coset and
+closure loop and add nothing (``Group._setup``).  Its conjugation tables
+under those generators are its one element index (``Group._element_index``),
+shared by the conjugacy classes and the subgroup lattice.
 """
 
 from __future__ import annotations
@@ -179,10 +185,11 @@ def _table_inv(t):
 
 
 def _build_chain(degree, raw_gens):
+    """The chain of <raw_gens>, extended by each generator in order, and the
+    generators that extended it, in that order; the others lie in the group
+    the earlier ones generate."""
     chain = _Chain(degree)
-    for g in raw_gens:
-        chain.extend(g)
-    return chain
+    return chain, [g for g in raw_gens if chain.extend(g)]
 
 
 def _orbit_count(degree, raw_gens) -> int:
@@ -234,6 +241,8 @@ class Group:
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None):
         gens = tuple(generators)
+        if not all(isinstance(g, Permutation) for g in gens):
+            raise ValueError("generators must be Permutation values")
         if degree is None:
             if not gens:
                 raise ValueError("degree required for an empty generating set")
@@ -244,21 +253,35 @@ class Group:
         self._setup(degree, tuple(g.imgs for g in gens))
 
     def _setup(self, degree, raw_gens, chain=None):
-        # the one place every field, caches included, is set; subgroup_closure
-        # calls it directly to skip the degree checks on trusted raw tuples.
-        # A caller that already extended a chain by raw_gens in order passes
-        # it as ``chain``: extending again would rebuild the same chain.
+        """Set every field, caches included; ``subgroup_closure`` calls it
+        directly to skip the degree checks on trusted raw tuples.
+
+        ``generators`` keeps every given non-identity generator.  When the
+        chain is built here, the group acts (``_raw_gens``) only by the
+        given generators that extended it, in order: any other lies in the
+        group the earlier ones generate, so it adds no orbit point, Schreier
+        generator or coset, and acting by it only repeats work.  A caller
+        that already extended a chain by ``raw_gens`` in order passes it as
+        ``chain`` (extending again would rebuild it), and the group then
+        acts by all of ``raw_gens``.
+        """
         self._degree = degree
         ident = _identity(degree)
-        self._raw_gens = tuple(p for p in raw_gens if p != ident)
-        self._gens = tuple(Permutation._wrap(p) for p in self._raw_gens)
-        self._chain = chain if chain is not None else _build_chain(degree, self._raw_gens)
-        self._order = self._chain.order()
-        self._orbits = _orbit_count(degree, self._raw_gens)
+        raw_gens = tuple(p for p in raw_gens if p != ident)
+        self._gens = tuple(Permutation._wrap(p) for p in raw_gens)
+        if chain is None:
+            chain, used = _build_chain(degree, raw_gens)
+            raw_gens = tuple(used)
+        self._raw_gens = raw_gens
+        self._chain = chain
+        self._order = chain.order()
+        self._orbits = _orbit_count(degree, raw_gens)
         self._elements: tuple | None = None
         self._lex: tuple | None = None  # see _lex_levels
+        self._index: tuple | None = None  # see _element_index
         self._classes: tuple | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
+        self._generation = None  # (d, witness), set by gensets.min_generators
         self._minimal_normals = None  # set by structure.minimal_normal_subgroups
 
     # -- basic queries ------------------------------------------------------
@@ -383,11 +406,47 @@ class Group:
             return
         yield from walk(0, _identity(self._degree), state)
 
+    def _element_index(self) -> tuple:
+        """The group's one element index: ``(id_of, tables)``.
+
+        ``id_of`` maps each element to its position in ``elements_raw()``,
+        and ``tables[k]`` maps each id x to the id of g^-1 x g for the k-th
+        generator g the group acts by.  Built once, so the conjugacy classes
+        and the subgroup lattice conjugate every element once per generator
+        between them.
+        """
+        if self._index is None:
+            elems = self.elements_raw()
+            id_of = {p: i for i, p in enumerate(elems)}
+            tables = []
+            for g in self._raw_gens:
+                ginv = _inv(g)
+                tables.append(tuple([id_of[_mul(ginv, _mul(x, g))] for x in elems]))
+            self._index = (id_of, tuple(tables))
+        return self._index
+
     def conjugacy_classes_raw(self) -> tuple:
-        """Conjugacy classes as sorted tuples of raw tuples, ordered by least member."""
+        """Conjugacy classes as sorted tuples of raw tuples, ordered by least
+        member; orbits on ids through ``_element_index``, which lists the
+        elements sorted, so an orbit's ids sorted give its members sorted."""
         if self._classes is None:
-            pairs = [(g, _inv(g)) for g in self._raw_gens]
-            self._classes = tuple(_conjugation_orbits(self.elements_raw(), pairs))
+            elems = self.elements_raw()
+            tables = self._element_index()[1]
+            seen = bytearray(len(elems))
+            classes = []
+            for i in range(len(elems)):
+                if seen[i]:
+                    continue
+                seen[i] = 1
+                orbit = [i]
+                for x in orbit:
+                    for table in tables:
+                        y = table[x]
+                        if not seen[y]:
+                            seen[y] = 1
+                            orbit.append(y)
+                classes.append(tuple(elems[j] for j in sorted(orbit)))
+            self._classes = tuple(classes)
         return self._classes
 
     def is_abelian(self) -> bool:
@@ -436,7 +495,7 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     if not all(G.contains(s) for s in seeds):
         raise ValueError("seed does not lie in G")
     raw_seeds = [s.imgs for s in seeds]
-    chain = _build_chain(G.degree, raw_seeds)
+    chain, _ = _build_chain(G.degree, raw_seeds)
     gens = [p for p in raw_seeds if p != chain.ident]
     queue = deque(gens)
     ambient = [(g, _inv(g)) for g in G._raw_gens]
@@ -467,33 +526,47 @@ def _stabilizer(degree, order, gens, moves, start):
 
     ``moves[i]`` maps a point to its image under ``gens[i]``; points may be
     any hashable, such as frozensets of element ids.  The orbit is walked
-    breadth-first and kept in discovery order, which needs no ordering of
-    the points.  Schreier generators are sifted, in that order, into a chain
-    until it reaches the exact order |K| / |orbit|.  Returns the stabilizer's
-    generators, that chain (the one ``_build_chain`` would make from them),
-    and the orbit as a dict from each point to an element of K carrying
-    ``start`` there.
+    breadth-first, once, and kept in discovery order, which needs no
+    ordering of the points.  The walk records, for each orbit point y and
+    generator g, the rep of y^g (the rep itself, not a copy of the point),
+    so no point is moved twice.  The Schreier generators rep(y) g rep(y^g)^-1
+    are then sifted, in that order, into a chain until it reaches the exact
+    order |K| / |orbit|.  Each rep is inverted at most once, and the pair
+    that found a point is skipped, as its Schreier generator is the
+    identity.  Returns the stabilizer's generators, that chain (the one
+    ``_build_chain`` would make from them), and the orbit as a dict from
+    each point to an element of K carrying ``start`` there.
     """
     orbit = {start: _identity(degree)}
-    queue = deque([start])
-    while queue:
-        y = queue.popleft()
+    points = [start]  # discovery order; grows while it is walked
+    image_reps = []  # per point, per generator: rep of the image, None where found
+    for y in points:
         rep = orbit[y]
+        row = []
         for g, move in zip(gens, moves):
             z = move(y)
-            if z not in orbit:
+            zrep = orbit.get(z)
+            if zrep is None:
                 if len(orbit) >= DEFAULT_ELEMENT_BOUND:
                     raise BoundExceeded("orbit too large")
                 orbit[z] = _mul(rep, g)
-                queue.append(z)
+                points.append(z)
+            row.append(zrep)
+        image_reps.append(row)
     target = order // len(orbit)
-    chain = _build_chain(degree, [])
-    stab_gens = []
-    for y, rep in orbit.items():
+    chain, stab_gens = _build_chain(degree, [])
+    invs = {}  # id of a rep -> its inverse; orbit keeps every rep alive
+    for y, row in zip(points, image_reps):
         if chain.order() >= target:
             break
-        for g, move in zip(gens, moves):
-            schreier = _mul(_mul(rep, g), _inv(orbit[move(y)]))
+        rep = orbit[y]
+        for g, zrep in zip(gens, row):
+            if zrep is None:
+                continue
+            zinv = invs.get(id(zrep))
+            if zinv is None:
+                zinv = invs[id(zrep)] = _inv(zrep)
+            schreier = _mul(_mul(rep, g), zinv)
             if chain.extend(schreier):
                 stab_gens.append(schreier)
                 if chain.order() >= target:
@@ -566,7 +639,9 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     """Action of G on the right cosets of H; kernel is the core of H in G.
 
     The image acts transitively on |G:H| points and realizes G / core(H)
-    faithfully.
+    faithfully.  The cosets are enumerated breadth-first, and the walk
+    records the label of each coset's image under each generator, which
+    are the images of G's generators, so no coset is moved twice.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -576,25 +651,23 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
 
     start = coset_canonical(H, _identity(G.degree))
     labels = {start: 0}
-    reps = [start]
-    queue = deque([start])
-    raw_gens = G._raw_gens
-    while queue:
-        rep = queue.popleft()
-        for g in raw_gens:
+    reps = [start]  # discovery order; grows while it is walked
+    images = [[] for _ in G._raw_gens]  # images[k][i]: label of coset i under generator k
+    for rep in reps:
+        for g, row in zip(G._raw_gens, images):
             img = coset_canonical(H, _mul(rep, g))
-            if img not in labels:
-                labels[img] = len(reps)
+            label = labels.get(img)
+            if label is None:
+                label = labels[img] = len(reps)
                 reps.append(img)
-                queue.append(img)
+            row.append(label)
     if len(reps) != index:
         raise AssertionError("coset enumeration mismatch")
 
     def act(p):
         return tuple(labels[coset_canonical(H, _mul(rep, p))] for rep in reps)
 
-    image_gens = [Permutation._wrap(act(g)) for g in raw_gens]
-    image = Group(image_gens, index)
+    image = Group([Permutation._wrap(row) for row in images], index)
     hom = Homomorphism(G, image, act)
     return image, hom
 
@@ -606,10 +679,10 @@ def direct_product(A: Group, B: Group) -> Group:
     """A x B acting on the disjoint union of the two point sets."""
     da, db = A.degree, B.degree
     gens = []
-    for g in A._raw_gens:
-        gens.append(Permutation._wrap(tuple(g) + tuple(range(da, da + db))))
-    for g in B._raw_gens:
-        gens.append(Permutation._wrap(tuple(range(da)) + tuple(x + da for x in g)))
+    for g in A.generators:
+        gens.append(Permutation._wrap(g.imgs + tuple(range(da, da + db))))
+    for g in B.generators:
+        gens.append(Permutation._wrap(tuple(range(da)) + tuple(x + da for x in g.imgs)))
     return Group(gens, da + db)
 
 

@@ -269,14 +269,9 @@ def _perfect_seed_classes(G: Group, max_order: int):
 def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupLattice:
     elems = G.elements_raw()
     degree = G.degree
-    id_of = {p: i for i, p in enumerate(elems)}
+    id_of, tables = G._element_index()
     ident_id = id_of[tuple(range(degree))]
     n_gens = G._raw_gens
-    # conjugation tables per parent generator
-    tables = []
-    for g in n_gens:
-        ginv = _inv(g)
-        tables.append(tuple(id_of[_mul(ginv, _mul(elems[i], g))] for i in range(len(elems))))
 
     seen: set[tuple] = set()
     classes: list[SubgroupClass] = []
@@ -372,7 +367,12 @@ def all_subgroups(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Subgr
 
 
 def subgroup_classes_up_to(G: Group, max_order: int) -> SubgroupLattice:
-    """Every conjugacy class of subgroups of order <= max_order (exact)."""
+    """Every conjugacy class of subgroups of order <= max_order (exact).
+
+    A bound below 1 raises ValueError: even the trivial subgroup is above it.
+    """
+    if max_order < 1:
+        raise ValueError(f"max_order {max_order} is below 1, the order of the trivial subgroup")
     return _enumerate_classes(G, min(max_order, G.order()), keep_orbits=False)
 
 

@@ -22,7 +22,7 @@ from genex.gensets import (
     socle_block_projection,
 )
 from genex.perm import Permutation, parse_permutation
-from genex.structure import minimal_normal_subgroups
+from genex.structure import all_subgroups, classify_maximal, frattini, minimal_normal_subgroups
 
 
 def P(text, degree):
@@ -199,7 +199,8 @@ def test_search_builds_no_class_table(monkeypatch):
     monkeypatch.setattr(Group, "conjugacy_classes_raw", no_classes)
     min_generators(G)
     d_metric(G, M)
-    assert len(builds) == 20
+    # d(G) is kept on G, so d_metric does not search for it again
+    assert len(builds) == 17
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
@@ -399,6 +400,71 @@ def test_d_min_a5():
     value, worst = d_min(A5)
     assert value >= min_generators(A5).d - 2
     assert value == 1
+
+
+def test_d_min_searches_for_d_once(monkeypatch):
+    # d(S5) is searched once, not once per maximal class (A5, S4, F20, S3 x S2)
+    G = make(["(1,2,3,4,5)", "(1,2)"], 5)
+    searches = []
+    original = gensets.exists_generating_tuple
+
+    def counting(G, pools, stats=None):
+        if all(p == ALL for p in pools):
+            searches.append(len(pools))
+        return original(G, pools, stats)
+
+    monkeypatch.setattr(gensets, "exists_generating_tuple", counting)
+    value, report = d_min(G)
+    assert value == 1 and report is not None
+    assert searches == [2]
+
+
+def test_min_generators_kept_on_the_group_with_fresh_stats():
+    G = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+    first = min_generators(G)
+    assert first.stats.nodes > 0
+    again = min_generators(G)
+    assert (again.d, again.witness) == (first.d, first.witness)
+    assert again.stats == SearchStats()  # this call searched nothing
+
+
+def _with_two_words(G):
+    # the bench's shape: the generators plus two words in them, which lie in
+    # the group the generators build and so never extend its chain
+    g = G.generators
+    return Group(list(g) + [g[0] * g[1], g[1] * g[0] * g[-1]], G.degree)
+
+
+def _lattice_digest(G, bound):
+    lat = all_subgroups(G, bound)
+    maximal = lat.maximal_classes()
+    reports = [classify_maximal(G, c.rep) for c in maximal]
+    metrics = [d_metric(G, c.rep) for c in maximal]
+    d = min_generators(G)
+    return ([(c.order, c.size, c.key, c.orbit) for c in lat.classes],
+            lat.maximality_flags,
+            frattini(G, bound).elements_raw(),
+            [(r.core.elements_raw(), r.quotient_order, r.primitive_type, r.intersection_shape)
+             for r in reports],
+            (d.d, d.witness),
+            [(m.value, m.witness, m.in_subgroup) for m in metrics])
+
+
+@pytest.mark.parametrize("texts, degree, bound", [
+    (["(1,2,3,4,5)", "(1,2)"], 5, 120),
+    (["(1,2,3,4,5,6)", "(1,2)"], 6, 720),
+    (None, 10, 7200),
+], ids=["S5", "S6", "A5wrC2"])
+def test_group_acts_by_the_generators_that_built_its_chain(texts, degree, bound):
+    plain = make(texts, degree) if texts else _wreath_a5_c2()[0]
+    padded = _with_two_words(plain)
+    given = padded.generators
+    assert len(given) == len(plain.generators) + 2
+    # a generator extends the chain iff it lies outside <the earlier ones>
+    extending = [g.imgs for i, g in enumerate(given)
+                 if not Group(given[:i], degree).contains(g)]
+    assert padded._raw_gens == tuple(extending) == plain._raw_gens
+    assert _lattice_digest(padded, bound) == _lattice_digest(plain, bound)
 
 
 def test_d_metric_conjugation_invariance():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from genex import group as group_module
 from genex.group import (
     BoundExceeded,
     _Chain,
@@ -16,6 +17,8 @@ from genex.group import (
     normal_closure,
     trivial_group,
     wreath_product,
+    _conjugation_orbits,
+    _stabilizer,
 )
 from genex.gensets import min_generators
 from genex.perm import Permutation, _inv, _mul, parse_permutation
@@ -132,6 +135,50 @@ def test_enumeration_above_the_element_bound_raises():
     for query in (S9.elements_raw, S9.conjugacy_classes_raw, lambda: min_generators(S9)):
         with pytest.raises(BoundExceeded):
             query()
+
+
+@pytest.mark.parametrize("texts, degree", [
+    (["(1,2,3,4)", "(1,2)"], 4), (["(1,2,3,4,5)", "(3,4,5)"], 5), (["(1,2,3,4,5,6)", "(1,2)"], 6),
+], ids=["S4", "A5", "S6"])
+def test_conjugacy_classes_from_the_element_index(monkeypatch, texts, degree):
+    G = make(texts, degree)
+    pairs = [(g, _inv(g)) for g in G._raw_gens]
+    want = tuple(_conjugation_orbits(G.elements_raw(), pairs))
+    G._element_index()
+
+    def no_mul(p, q):
+        raise AssertionError("perm._mul called")
+
+    monkeypatch.setattr(group_module, "_mul", no_mul)
+    assert G.conjugacy_classes_raw() == want
+
+
+def test_stabilizer_moves_each_orbit_point_once():
+    # S5 on points and on 2-sets of points, given by three generators
+    gens = [P(t, 5).imgs for t in ("(1,2,3,4,5)", "(1,2)", "(1,3)(2,4)")]
+    actions = [lambda y, g: g[y], lambda y, g: frozenset(g[i] for i in y)]
+    for act, start in zip(actions, (0, frozenset({0, 1}))):
+        calls = [0] * len(gens)
+
+        def counted(k):
+            def move(y):
+                calls[k] += 1
+                return act(y, gens[k])
+            return move
+
+        stab, chain, orbit = _stabilizer(5, 120, gens, [counted(k) for k in range(3)], start)
+        assert calls == [len(orbit)] * 3
+        assert chain.order() * len(orbit) == 120
+        assert all(act(start, g) == start for g in stab)
+        assert all(act(start, rep) == y for y, rep in orbit.items())
+
+
+def test_generators_must_be_permutations():
+    for bad in ([(1, 0, 2)], [[1, 0, 2]], [P("(1,2)", 3), (1, 0, 2)]):
+        with pytest.raises(ValueError):
+            Group(bad)
+        with pytest.raises(ValueError):
+            Group(bad, 3)
 
 
 def test_conjugacy_classes():

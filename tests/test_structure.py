@@ -303,6 +303,13 @@ def test_bounded_enumeration_matches_full():
         lat.maximality_flags
 
 
+def test_bounded_enumeration_rejects_a_bound_below_one():
+    for bound in (0, -5):
+        with pytest.raises(ValueError):
+            subgroup_classes_up_to(S4, bound)
+    assert [c.order for c in subgroup_classes_up_to(S4, 1).classes] == [1]
+
+
 def test_lattice_deterministic():
     a = all_subgroups(S4)
     b = all_subgroups(make(["(1,2,3,4)", "(1,2)"], 4))
