@@ -2,12 +2,13 @@
 
 All searches are exhaustive and run in a fixed canonical order (elements
 ascending by image tuple), so returned witnesses are deterministic.  A pool
-that is ``ALL`` or a subgroup is walked lazily in that order down its lex
-chain (``Group._lex_walk``), so G is never enumerated or sorted.  Every
-generation test goes through ``_generates``, which first compares orbit
-counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and equal
-groups have equal orbits; a tuple with more orbits than G generates a proper
-subgroup, and only when the counts agree is a stabilizer chain built.
+that is ``ALL`` or a subgroup is walked lazily in that order down its chain,
+whose base is in point order (``Group._lex_walk``), so G is never
+enumerated or sorted.  Every generation test goes through ``_generates``,
+which first compares orbit counts: <T> <= G, so each orbit of <T> lies
+inside an orbit of G, and equal groups have equal orbits; a tuple with more
+orbits than G generates a proper subgroup, and only when the counts agree is
+a stabilizer chain built.
 
 The tuple search (``exists_generating_tuple``) makes three cuts, none of
 which changes the order or the first witness, because each drops only
@@ -32,7 +33,7 @@ candidates whose subtrees contain no generating tuple:
   since then every Sylow subgroup of the abelian G/N is cyclic (proof in
   ``_quotient_is_cyclic``);
 * lex coset: the last slot, when walked, visits cosets C = {y : y[p] = c[p]
-  for all p < j} of the lex chain (Seress, *Permutation Group Algorithms*,
+  for all p < j} of the pool's chain (Seress, *Permutation Group Algorithms*,
   2003, ch. 4).  Join p and x(p) for each entry x of the partial tuple and
   each point p, and p and c(p) for each p < j.  A component Z of this graph
   with every point below j is mapped into itself by each x and, since

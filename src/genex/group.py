@@ -2,19 +2,18 @@
 
 Groups are immutable once constructed; all queries after construction are
 read-only, so Group objects can be shared freely between workers.  Chains are
-built deterministically by incremental Schreier-Sims: base points are the
-smallest moved points, each level's orbit grows in place in discovery order as
-the level gains generators, and each (orbit point, generator) Schreier pair is
+built deterministically by incremental Schreier-Sims: the base is kept in
+point order, each level's orbit grows in place in discovery order as the
+level gains generators, and each (orbit point, generator) Schreier pair is
 sifted once.  Orders, transversals and everything derived from them are
-reproducible run to run.  The base is deterministic but differs from that of
-releases which rebuilt each orbit in point order; no answer depends on it.
+reproducible run to run.  Level i of a chain is the pointwise stabilizer of
+every point below its base point, so the base is the group's lex base,
+whatever its generators, and searches walk a group's elements in sorted
+order down the chain itself without enumerating them (``Group._lex_walk``).
 On at most 256 points a chain composes bytes with ``bytes.translate`` over
 256-byte tables, in C and without building a getter per product; above 256
 points it composes tuples with ``perm._mul``.  Both run the same loops and
-give the same chain (see ``_Chain``).  A second, lazily built chain
-stabilizes the points in order 0, 1, 2, .. (the lex chain), so that
-searches can walk a group's elements in sorted order without enumerating
-them.
+give the same chain (see ``_Chain``).
 
 A group acts only by the given generators that extended its chain, since
 the others would multiply the work of every orbit, Schreier, coset and
@@ -25,6 +24,7 @@ shared by the conjugacy classes and the subgroup lattice.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -67,9 +67,11 @@ class _Chain:
     (points, generators) prefix whose Schreier pairs are done (sifted, or
     trivial because the pair found its point), so each pair is handled once
     however often the level gains generators.
-    New base points are always the smallest moved point, so chains are
-    reproducible; the base need not match that of releases which rebuilt
-    each orbit in point order.
+    The base is kept in ascending point order, and every strong generator at
+    level i fixes every point below ``base[i]`` (``_add``).  So level i's
+    group is the pointwise stabilizer of all points below ``base[i]``, and
+    ``base`` is the group's lex base: the points q moved by some element
+    fixing every point below q, the same for every generating set.
     """
 
     __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
@@ -102,7 +104,7 @@ class _Chain:
         """Reduce the tuple p through the chain; the residue is returned as a
         tuple, and members, whose residue is the identity, get ``ident``
         itself without decoding."""
-        residue = self._sift_from(0, self.enc(p))[0]
+        residue = self._sift_from(0, self.enc(p))
         return self.ident if residue == self.one else tuple(residue)
 
     def _sift_from(self, start, p):
@@ -114,29 +116,35 @@ class _Chain:
                 continue
             rep_inv = itrans[lev].get(img)
             if rep_inv is None:
-                return p, lev
+                return p
             p = mul(p, rep_inv)
-        return p, len(base)
+        return p
 
     def extend(self, p):
         """Add p (raw tuple) to the group; returns True if the group grew."""
-        residue, j = self._sift_from(0, self.enc(p))
+        residue = self._sift_from(0, self.enc(p))
         if residue == self.one:
             return False
-        self._add(residue, j, 0)
+        self._add(residue, 0)
         return True
 
-    def _add(self, g, j, top):
-        # g is a working element fixing base[:j]; register it at levels
-        # top..j, then restore the stabilizer invariant from the bottom up
-        if j == len(self.base):
-            moved = min(a for a, b in enumerate(g) if a != b)
-            self.base.append(moved)
-            self.gens.append([])
-            self.ginvs.append([])
-            self.trans.append({moved: self.ident})
-            self.itrans.append({moved: self.one + self.tail})
-            self.sifted.append((1, 0))
+    def _add(self, g, top):
+        # g, a residue of a sift from level top, goes to the level j >= top
+        # of its least moved point, which gets a new level if it is no base
+        # point yet; that level starts with the next level's generators,
+        # which fix the point, so their Schreier pairs there are done.
+        # Register g at levels top..j, then restore the stabilizer invariant
+        # from the bottom up
+        moved = next(a for a, b in enumerate(g) if a != b)
+        j = bisect_left(self.base, moved)
+        if self.base[j:j + 1] != [moved]:
+            gens, ginvs = (self.gens[j], self.ginvs[j]) if j < len(self.base) else ([], [])
+            self.base.insert(j, moved)
+            self.gens.insert(j, gens[:])
+            self.ginvs.insert(j, ginvs[:])
+            self.trans.insert(j, {moved: self.ident})
+            self.itrans.insert(j, {moved: self.one + self.tail})
+            self.sifted.insert(j, (1, len(gens)))
         g += self.tail
         ginv = self.inv(g)
         for k in range(top, j + 1):
@@ -172,9 +180,9 @@ class _Chain:
                     itr[img] = mul(ginv, itr[pt])
                     orbit.append(img)
                     continue
-                residue, j = self._sift_from(i + 1, mul(rep_g, itr[img]))
+                residue = self._sift_from(i + 1, mul(rep_g, itr[img]))
                 if residue != one:
-                    self._add(residue, j, i + 1)
+                    self._add(residue, i + 1)
             pos += 1
         self.sifted[i] = (len(orbit), len(gens))
 
@@ -247,6 +255,8 @@ class Group:
             if not gens:
                 raise ValueError("degree required for an empty generating set")
             degree = gens[0].degree
+        if not isinstance(degree, int) or degree < 0:
+            raise ValueError(f"degree must be an int >= 0, not {degree!r}")
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generators of mixed degrees")
@@ -277,7 +287,6 @@ class Group:
         self._order = chain.order()
         self._orbits = _orbit_count(degree, raw_gens)
         self._elements: tuple | None = None
-        self._lex: tuple | None = None  # see _lex_levels
         self._index: tuple | None = None  # see _element_index
         self._classes: tuple | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
@@ -298,6 +307,8 @@ class Group:
         return self._order
 
     def contains(self, g: Permutation) -> bool:
+        if not isinstance(g, Permutation):
+            raise ValueError("contains takes a Permutation")
         if g.degree != self._degree:
             raise ValueError("degree mismatch")
         return self._contains_raw(g.imgs)
@@ -307,7 +318,8 @@ class Group:
         return self._chain.sift(p) is self._chain.ident
 
     def base(self) -> tuple[int, ...]:
-        """Chain base points (1-based)."""
+        """Chain base points (1-based), ascending: the points q moved by some
+        element that fixes every point below q."""
         return tuple(b + 1 for b in self._chain.base)
 
     def identity(self) -> Permutation:
@@ -342,49 +354,23 @@ class Group:
     def elements(self) -> list[Permutation]:
         return [Permutation._wrap(p) for p in self.elements_raw()]
 
-    def _lex_levels(self) -> tuple:
-        """The lex chain: the point stabilizers of 0, 1, 2, .. in point order.
-
-        Level i is a pair (b, reps).  H_i, the pointwise stabilizer of the
-        points below b, moves b and fixes every point below it; ``reps``
-        maps each point of b's H_i-orbit to an element of H_i carrying b
-        there, and H_(i+1) is the stabilizer of b in H_i.  Points that H_i
-        fixes give no level.  Built once per group by iterating
-        ``_stabilizer``, as ``Homomorphism.kernel`` does (Seress,
-        *Permutation Group Algorithms*, 2003, ch. 4).
-        """
-        if self._lex is None:
-            levels = []
-            gens, order = self._raw_gens, self._order
-            for b in range(self._degree):
-                if order == 1:
-                    break
-                if all(g[b] == b for g in gens):
-                    continue
-                moves = [g.__getitem__ for g in gens]
-                gens, _, reps = _stabilizer(self._degree, order, gens, moves, b)
-                order //= len(reps)
-                levels.append((b, reps))
-            self._lex = tuple(levels)
-        return self._lex
-
     def _lex_walk(self, prune=None, state=None):
         """The elements in ``elements_raw()`` order, generated lazily.
 
         A depth-i node of the walk is a coset H_i c = {y : y[p] = c[p] for
-        every p < b_i}, with b_i and H_i those of lex level i (the root is G
-        itself, with c the identity).  Its children are the cosets
-        H_(i+1) (u c) for the reps u of level i, and y[b_i] = c[u[b_i]] on
-        the child of u, so visiting the children by ascending c[u[b_i]]
-        yields the elements sorted by image tuple without building or
-        sorting G.  ``prune(state, c, lo, hi)`` is called on entering each
-        node strictly between the root and the elements, where the node's
-        members agree with c on the points below ``hi`` and its parent's on
-        those below ``lo``; it returns None to skip the node's elements,
-        and otherwise the state handed on to its children.
+        every p < b_i}, with b_i and H_i those of level i of the chain, whose
+        base is in point order (the root is G, with c the identity).  Its
+        children are the cosets H_(i+1) (u c) for the reps u of level i, and
+        y[b_i] = c[u[b_i]] on the child of u, so visiting the children by
+        ascending c[u[b_i]] yields the elements sorted by image tuple without
+        building or sorting G.  ``prune(state, c, lo, hi)`` is called on
+        entering each node strictly between the root and the elements, where
+        the node's members agree with c on the points below ``hi`` and its
+        parent's on those below ``lo``; it returns None to skip the node's
+        elements, and otherwise the state handed on to its children.
         """
         self._check_enumerable()
-        levels = self._lex_levels()
+        levels = tuple(zip(self._chain.base, self._chain.trans))
         last = len(levels) - 1
 
         def walk(i, c, state):
@@ -625,8 +611,8 @@ class Homomorphism:
 def coset_canonical(H: Group, p):
     """Canonical representative of the right coset H*p (raw tuples).
 
-    Greedily minimizes the images of H's base points, so equal cosets get
-    equal representatives.
+    Greedily minimizes the images of H's base points, which are in point
+    order, so the representative is the coset's least member.
     """
     chain = H._chain
     for b, t in zip(chain.base, chain.trans):
@@ -641,7 +627,8 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     The image acts transitively on |G:H| points and realizes G / core(H)
     faithfully.  The cosets are enumerated breadth-first, and the walk
     records the label of each coset's image under each generator, which
-    are the images of G's generators, so no coset is moved twice.
+    are the images of G's generators, so no coset is moved twice; ``act``
+    returns them for those generators, as ``kernel`` asks first.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -664,8 +651,13 @@ def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tu
     if len(reps) != index:
         raise AssertionError("coset enumeration mismatch")
 
+    recorded = {g: tuple(row) for g, row in zip(G._raw_gens, images)}
+
     def act(p):
-        return tuple(labels[coset_canonical(H, _mul(rep, p))] for rep in reps)
+        row = recorded.get(p)
+        if row is None:
+            row = tuple(labels[coset_canonical(H, _mul(rep, p))] for rep in reps)
+        return row
 
     image = Group([Permutation._wrap(row) for row in images], index)
     hom = Homomorphism(G, image, act)

@@ -377,14 +377,13 @@ def subgroup_classes_up_to(G: Group, max_order: int) -> SubgroupLattice:
 
 
 def frattini(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Group:
-    """Intersection of all maximal subgroups, expanding conjugacy classes."""
+    """Intersection of all maximal subgroups, expanding conjugacy classes;
+    Phi(G) is normal, so it is the lone member of a lattice class."""
     lat = all_subgroups(G, lattice_bound)
-    ids = set(range(len(lat.elements)))
+    ids = frozenset(range(len(lat.elements)))
     for cls in lat.maximal_classes():
-        for member in cls.orbit:
-            ids &= member
-    gens = [lat.elements[i] for i in sorted(ids)]
-    return subgroup_closure(G.degree, gens)
+        ids = ids.intersection(*cls.orbit)
+    return next(cls.rep for cls in lat.classes if cls.ids == ids)
 
 
 # ---------------------------------------------------------------------------

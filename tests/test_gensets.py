@@ -184,7 +184,7 @@ def test_first_slot_takes_one_member_per_class():
 def test_search_builds_no_class_table(monkeypatch):
     # classes are orbited one at a time as the first slot reaches them, and a
     # chain is built only where a tuple has as few orbits as G; fresh groups,
-    # so no lex chain or orbit count cached by an earlier test is reused
+    # so no d or orbit count cached by an earlier test is reused
     G = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
     M = make(["(1,2,3,4,5,6)", "(1,2)"], 7)
     builds = []
@@ -200,7 +200,7 @@ def test_search_builds_no_class_table(monkeypatch):
     min_generators(G)
     d_metric(G, M)
     # d(G) is kept on G, so d_metric does not search for it again
-    assert len(builds) == 17
+    assert len(builds) == 6
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action

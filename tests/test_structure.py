@@ -356,6 +356,13 @@ def test_frattini_equals_non_generators():
         assert set(frat.elements_raw()) == oracle
 
 
+def test_frattini_is_the_lattice_class_rep():
+    # Phi(G) is normal, so its lattice class has one member and no new
+    # chain is built for it
+    for g in [S4, Q8, C6]:
+        assert any(frattini(g) is cls.rep for cls in all_subgroups(g).classes)
+
+
 # -- classification -----------------------------------------------------------
 
 A5xA5 = direct_product(A5, A5)
