@@ -49,13 +49,20 @@ representatives of a nonabelian G are counted.  ``SearchStats.skipped``
 counts the cosets the lex-coset prune drops, whose members are not visited.
 The first-slot reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
+
+The socle queries (``generation_density``, ``replacement_search``) work in
+proportion to one simple factor of the socle N and to orbits, not to |N|^d.
+Their certificate (``check_monolithic_nonabelian``) scans N's simple
+factors one at a time and keeps them on N for ``socle_block_projection``;
+the density is summed, at every slot, over the orbits of the centralizer in
+N of the partial tuple; the replacement search walks N lazily, only as far
+as the first witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import log2, prod
 from typing import Callable, Sequence
 
@@ -72,9 +79,11 @@ from .perm import Permutation, _inv, _mul, _order, _pow, prime_factors
 from .structure import (
     DEFAULT_LATTICE_BOUND,
     MaximalSubgroupReport,
+    _minimal_normal_key,
     all_subgroups,
     classify_maximal,
     minimal_normal_subgroups,
+    minimal_normals_inside,
 )
 
 ALL = "all"  # pool sentinel: every element of the group
@@ -362,28 +371,54 @@ def _generates(G: Group, raw_gens) -> bool:
 
 def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     """Raise ValueError unless N is nonabelian and the only minimal normal
-    subgroup of G; G itself is never enumerated.
+    subgroup of G; G is never enumerated, and N only through normal
+    closures of one element, each a single simple factor when the factors
+    have disjoint supports.
 
-    The certificate: N is a nontrivial normal subgroup; its own minimal normal
-    subgroups F_1..F_k are nonabelian with |F_1|..|F_k| = |N|; G permutes them
-    transitively; and C_G(N) = 1.  Distinct F_i commute and meet trivially,
-    and F_i inside the join of the others would centralize itself, so the
-    order condition makes N = F_1 x .. x F_k with each F_i simple.  A normal
-    subgroup of G inside N is then a product of factors that G leaves
-    invariant, so transitivity makes N minimal normal.  Another minimal
-    normal M meets N trivially, so [M, N] = 1 and M <= C_G(N) = 1.
-    Conversely, if N is the unique minimal normal subgroup and nonabelian,
-    all four conditions hold: C_G(N) is normal and meets N in Z(N) = 1, so a
-    nontrivial C_G(N) would contain a second minimal normal subgroup
-    (Dixon-Mortimer, *Permutation Groups*, 1996, sec. 4.3).
+    The certificate: N is a nontrivial normal subgroup; it has nonabelian
+    minimal normal subgroups F_1..F_k with |F_1|..|F_k| = |N|; G permutes
+    them transitively; and C_G(N) = 1.  Distinct F_i commute and meet
+    trivially, and F_i inside the join of the others would centralize
+    itself, so the order condition makes N = F_1 x .. x F_k with each F_i
+    simple.  A normal subgroup of G inside N is then a product of factors
+    that G leaves invariant, so transitivity makes N minimal normal.
+    Another minimal normal M meets N trivially, so [M, N] = 1 and
+    M <= C_G(N) = 1.  Conversely, if N is the unique minimal normal
+    subgroup and nonabelian, all four conditions hold: C_G(N) is normal and
+    meets N in Z(N) = 1, so a nontrivial C_G(N) would contain a second
+    minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
+    sec. 4.3).
+
+    The F_i are found one at a time.  R, the centralizer in N of the
+    factors found so far, starts at N; while R is nontrivial, F is a
+    minimal normal subgroup of N inside K = ncl_N(s), s an element of the
+    deepest level of R's chain, found by scanning K alone
+    (``structure.minimal_normals_inside``), and R becomes C_R(F).  On
+    disjoint supports that level lies in one factor, so K is one factor.
+    An abelian minimal normal subgroup of N centralizes every other one, so
+    it stays in R until some step meets an abelian F and raises.  When the
+    loop ends at R = 1 and the orders multiply to |N|, the F_i are all of
+    N's minimal normal subgroups (another would lie in Z(N) = 1), each the
+    normal closure of its least prime-order element as in a scan of N, so
+    they are kept on N as ``minimal_normal_subgroups(N)``.
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
-    factors = minimal_normal_subgroups(N)
-    if any(f.is_abelian() for f in factors):
-        raise ValueError("socle is abelian")
+    factors = []
+    R = N
+    while R.order() > 1:
+        s = next(rep for rep in R._chain.trans[-1].values() if rep != R._chain.ident)
+        K = normal_closure(N, [Permutation._wrap(s)])
+        F = minimal_normals_inside(N, K)[0]
+        if F.is_abelian():
+            raise ValueError("socle is abelian")
+        factors.append(F)
+        for x in F.generators:
+            R = centralizer_in(R, x)
     if prod(f.order() for f in factors) != N.order():
         raise ValueError("N is not a direct product of its minimal normal subgroups")
+    factors.sort(key=_minimal_normal_key)
+    N._minimal_normals = tuple(factors)
     # the orbit of factor 0: x^g for a generator x of F lies in one factor, F^g
     pairs = [(g, _inv(g)) for g in G._raw_gens]
     reached = [0]
@@ -410,11 +445,14 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
 
     Conjugation by any c in N maps each coset N l_i onto itself, since
     c^-1 n l c = (c^-1 n l c l^-1) l with N normal, and it preserves
-    generation, since <x_1^c, .., x_d^c> = G^c = G.  So the number of
-    completions (x_2..x_d) of a first entry x_1 in N l_1 is constant on the
-    N-conjugacy orbit of x_1: the count is the sum over the orbits of N l_1
-    of orbit size times the completions of one representative.  ``total`` is
-    still |N|^d, and ``budget`` still bounds it.
+    generation, since <x_1^c, .., x_d^c> = G^c = G.  For c in C, the
+    centralizer in N of a partial tuple (x_1..x_(i-1)), it also fixes the
+    partial tuple, so the number of completions is constant on the C-orbits
+    of x_i in N l_i.  So each slot counts, over those orbits, orbit size
+    times the completions of one representative x, whose partial tuple has
+    centralizer C_C(x); slot 1 has C = N, and at the last slot a
+    representative counts 1 if its tuple generates G.  ``total`` is still
+    |N|^d, and ``budget`` still bounds it.
     """
     check_monolithic_nonabelian(G, N)
     lifts = tuple(lifts)
@@ -430,13 +468,20 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
     total = len(n_elems) ** d
     if total > budget:
         raise BoundExceeded(f"|N|^d = {total} exceeds the enumeration budget {budget}")
-    first, *rest = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
-    pairs = [(c, _inv(c)) for c in N._raw_gens]
-    favorable = 0
-    for orbit in _conjugation_orbits(first, pairs):
-        x = orbit[0]
-        completions = sum(1 for combo in product(*rest) if _generates(G, (x,) + combo))
-        favorable += len(orbit) * completions
+    cosets = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
+
+    def completions(partial: tuple, C: Group) -> int:
+        pairs = [(c, _inv(c)) for c in C._raw_gens]
+        count = 0
+        for orbit in _conjugation_orbits(cosets[len(partial)], pairs):
+            tup = partial + (orbit[0],)
+            if len(tup) == d:
+                count += len(orbit) if _generates(G, tup) else 0
+            else:
+                count += len(orbit) * completions(tup, centralizer_in(C, Permutation._wrap(orbit[0])))
+        return count
+
+    favorable = completions((), N)
     return DensityReport(lifts, favorable, total, Fraction(favorable, total))
 
 
@@ -453,7 +498,9 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
     The simple factors of N = S^n have disjoint supports forming a block
     system for G; the projection maps g to the induced block permutation.
     For n = 1 every element projects to the identity on one point.  An
-    argument of another degree than G raises ValueError.
+    argument of another degree than G raises ValueError.  The factors are
+    N's minimal normal subgroups, which ``check_monolithic_nonabelian``
+    keeps on N, so after the certificate N is not scanned again.
     """
     factors = minimal_normal_subgroups(N)
     supports = sorted((frozenset(i for g in f._raw_gens for i, j in enumerate(g) if i != j)
@@ -502,8 +549,11 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
     """Search v1, v2 in N with <v1 g1, v2 g2, g3, ..> = G and v1 g1 in Htilde.
 
     v1 ranges over the coset-compatible subset {v in N : v g1 in Htilde},
-    tested as each v1 is reached; enumeration order is canonical.  Returns
-    None only after exhausting all of N^2 for the restricted v1 range.
+    tested as each v1 is reached; enumeration order is canonical.  Both
+    entries walk N lazily down its chain (``Group._lex_walk``), so N is
+    enumerated, and its elements wrapped, only as far as the first witness.
+    Returns None only after exhausting all of N^2 for the restricted v1
+    range.
     """
     gens = tuple(gens)
     if len(gens) < 2:
@@ -518,15 +568,12 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
     g1, g2 = gens[0], gens[1]
     replacement_hypothesis(project(g1), project(g2), g1, g2, project)
 
-    n_elems = N.elements()
     rest_raw = [g.imgs for g in gens[2:]]
-    for v1 in n_elems:
-        lift = v1 * g1
-        if not htilde(lift):
+    for v1 in N._lex_walk():
+        a = _mul(v1, g1.imgs)
+        if not htilde(Permutation._wrap(a)):
             continue
-        a = lift.imgs
-        for v2 in n_elems:
-            b = (v2 * g2).imgs
-            if _generates(G, [a, b] + rest_raw):
-                return v1, v2
+        for v2 in N._lex_walk():
+            if _generates(G, [a, _mul(v2, g2.imgs)] + rest_raw):
+                return Permutation._wrap(v1), Permutation._wrap(v2)
     return None

@@ -52,30 +52,50 @@ def is_perfect(G: Group) -> bool:
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
-    """All minimal normal subgroups, from normal closures of prime-order elements.
-
-    Every minimal normal subgroup is the normal closure of any of its
-    prime-order elements, so one element per class of prime-order elements
-    suffices.  Those classes are the conjugation orbits of the prime-order
-    elements alone; the rest of G is never orbited.  The result is kept on G.
-    """
+    """All minimal normal subgroups: ``minimal_normals_inside(G, G)``, kept
+    on G."""
     if G.order() <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
-    if G._minimal_normals is not None:
-        return list(G._minimal_normals)
-    pairs = [(g, _inv(g)) for g in G._raw_gens]
-    prime_order = [p for p in G.elements_raw() if is_prime(_order(p))]
+    if G._minimal_normals is None:
+        G._minimal_normals = tuple(minimal_normals_inside(G, G))
+    return list(G._minimal_normals)
+
+
+def _minimal_normal_key(M: Group) -> tuple:
+    """The order in which minimal normal subgroups are listed."""
+    return M.order(), [g.imgs for g in M.generators]
+
+
+def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
+    """The minimal normal subgroups of G that lie in K, a nontrivial normal
+    subgroup of G, from normal closures of prime-order elements of K.
+
+    Every minimal normal subgroup is the normal closure of any of its
+    prime-order elements, so one element per G-class of prime-order
+    elements of K suffices, and a closure that contains another is not
+    minimal.  Only K is scanned: the classes are the conjugation orbits of
+    K's prime-order elements alone.  When K is G and G's element index is
+    already built, as in the lattice query, the classes come from
+    ``conjugacy_classes_raw`` instead, and only their least members are
+    tested for prime order; both ways give the least member of each class,
+    in the same order.  Sorted by ``_minimal_normal_key``.
+    """
+    if K is G and G._index is not None:
+        reps = [cls[0] for cls in G.conjugacy_classes_raw() if is_prime(_order(cls[0]))]
+    else:
+        pairs = [(g, _inv(g)) for g in G._raw_gens]
+        prime_order = [p for p in K.elements_raw() if is_prime(_order(p))]
+        reps = [orbit[0] for orbit in _conjugation_orbits(prime_order, pairs)]
     closures: list[Group] = []
-    for orbit in _conjugation_orbits(prime_order, pairs):
-        n = normal_closure(G, [Permutation._wrap(orbit[0])])
+    for x in reps:
+        n = normal_closure(G, [Permutation._wrap(x)])
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
     minimal = []
     for n in closures:
         if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures):
             minimal.append(n)
-    minimal.sort(key=lambda m: (m.order(), [g.imgs for g in m.generators]))
-    G._minimal_normals = tuple(minimal)
+    minimal.sort(key=_minimal_normal_key)
     return minimal
 
 

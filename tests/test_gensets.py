@@ -485,6 +485,7 @@ def test_density_s5_basic():
 
 
 PHI2_A5 = 2280  # generating pairs of A5 (P. Hall, Q. J. Math. 7, 1936)
+PHI3_A5 = 200160  # generating triples of A5, the Eulerian function phi_3 (Hall, 1936)
 
 
 def test_density_a5_matches_hall_and_oracle():
@@ -494,6 +495,24 @@ def test_density_a5_matches_hall_and_oracle():
     brute = sum(1 for x in elems for y in elems if oracles.generates([x, y], 5, 60))
     assert rep.favorable == brute == PHI2_A5
     assert rep.total == 3600
+
+
+def test_density_a5_triples_match_hall():
+    # slot 3 is counted per orbit of the centralizer of the first two entries
+    ident = Permutation.identity(5)
+    rep = generation_density(A5, A5, (ident, ident, ident))
+    assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
+
+
+def test_density_counts_per_centralizer_orbit(monkeypatch):
+    # one generation test for the lifts, then one per orbit of C_A5(x) on A5
+    # for each class representative x: 1 + 5 + 18 + 22 + 16 + 16
+    calls = []
+    original = gensets._generates
+    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    ident = Permutation.identity(5)
+    assert generation_density(A5, A5, (ident, ident)).favorable == PHI2_A5
+    assert len(calls) <= 78
 
 
 @pytest.mark.parametrize("lifts", [("(1,2)", "(1,2,3,4)"), ("(1,2)", "()"), ("()", "(1,3)")],
@@ -585,9 +604,12 @@ def test_monolithic_check_never_enumerates_the_group(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Group, "elements_raw", spy)
+    monkeypatch.setattr(Group, "_lex_walk", spy)
     check_monolithic_nonabelian(W, N)
-    assert any(g is N for g in enumerated)
-    assert not any(g is W for g in enumerated)
+    # the certificate scans one simple factor at a time, never W or N = A5 x A5
+    assert enumerated
+    assert not any(g is W or g is N for g in enumerated)
+    assert {g.order() for g in enumerated} == {60}
 
 
 # -- replacement --------------------------------------------------------------
@@ -684,3 +706,21 @@ def test_replacement_search_wreath():
     # htilde is tested lazily: on N in order, up to the v1 returned
     assert tested == [v * g1 for v in N.elements()[:N.elements().index(v1) + 1]]
     assert Group([v1 * g1, v2 * g2], 10).order() == W.order()
+
+
+def test_replacement_search_walks_the_socle_lazily(monkeypatch):
+    W, dec = wreath_product(A5, make(["(1,2)"], 2))
+    N = _wreath_a5_c2()[1]
+    a4 = make(["(1,2,3)", "(1,2)(3,4)"], 5)
+    enumerated = []
+    original = Group.elements_raw
+
+    def spy(self, *args, **kwargs):
+        enumerated.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Group, "elements_raw", spy)
+    gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
+    got = replacement_search(W, N, gens, lambda g: all(a4.contains(b) for b in dec(g).base))
+    assert got == (Permutation.identity(10), P("(8,9,10)", 10))
+    assert {g.order() for g in enumerated} == {60}  # the certificate's factors only

@@ -86,6 +86,22 @@ def test_minimal_normal_subgroups_orbit_no_classes(monkeypatch):
     assert calls == []
 
 
+def test_minimal_normal_subgroups_read_an_existing_class_table(monkeypatch):
+    # with the element index built, only the least member of each class has
+    # its order computed, and the answer is the scan's
+    orders = []
+    original = structure._order
+    monkeypatch.setattr(structure, "_order", lambda p: orders.append(p) or original(p))
+    for gens, degree in [(["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4)", "(1,2)"], 4)]:
+        scanned = minimal_normal_subgroups(make(gens, degree))
+        g = make(gens, degree)
+        g._element_index()
+        orders.clear()
+        indexed = minimal_normal_subgroups(g)
+        assert orders == [cls[0] for cls in g.conjugacy_classes_raw()]
+        assert [m.generators for m in indexed] == [m.generators for m in scanned]
+
+
 def test_minimal_normal_subgroups_kept_on_the_group():
     g = make(["(1,2,3,4)", "(1,2)"], 4)
     first = minimal_normal_subgroups(g)
