@@ -77,7 +77,6 @@ from .group import (
 )
 from .perm import Permutation, _inv, _mul, _order, _pow, prime_factors
 from .structure import (
-    DEFAULT_LATTICE_BOUND,
     MaximalSubgroupReport,
     _minimal_normal_key,
     all_subgroups,
@@ -319,15 +318,14 @@ def d_metric(G: Group, H: Group) -> DReport:
                    tuple(i for i, w in enumerate(base.witness) if H.contains(w)), stats)
 
 
-def d_min(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND
-          ) -> tuple[int, MaximalSubgroupReport | None]:
+def d_min(G: Group) -> tuple[int, MaximalSubgroupReport | None]:
     """D(G): minimum of D_M(G) over one maximal subgroup per conjugacy class.
 
     Returns the value with the classification of the first maximal subgroup
     attaining it; the trivial group has no maximal subgroup, and gives
     (d(G), None).
     """
-    lat = all_subgroups(G, lattice_bound)
+    lat = all_subgroups(G)
     best_value = None
     best_report = None
     for cls in lat.maximal_classes():
@@ -439,8 +437,7 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     raise ValueError("group is not monolithic: C_G(N) is not trivial")
 
 
-def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
-                       budget: int = DEFAULT_DENSITY_BUDGET) -> DensityReport:
+def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> DensityReport:
     """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G.
 
     Conjugation by any c in N maps each coset N l_i onto itself, since
@@ -452,22 +449,24 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation],
     times the completions of one representative x, whose partial tuple has
     centralizer C_C(x); slot 1 has C = N, and at the last slot a
     representative counts 1 if its tuple generates G.  ``total`` is still
-    |N|^d, and ``budget`` still bounds it.
+    |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET`` raises
+    ``BoundExceeded`` before N is checked or enumerated.
     """
-    check_monolithic_nonabelian(G, N)
     lifts = tuple(lifts)
     d = len(lifts)
     if d < 2:
         raise ValueError("at least two lifts required")
+    total = N.order() ** d
+    if total > DEFAULT_DENSITY_BUDGET:
+        raise BoundExceeded(
+            f"|N|^d = {total} exceeds the enumeration budget {DEFAULT_DENSITY_BUDGET}")
+    check_monolithic_nonabelian(G, N)
     if not all(G.contains(l) for l in lifts):
         raise ValueError("lift does not lie in G")
     n_gens = [g.imgs for g in N.generators]
     if not _generates(G, [l.imgs for l in lifts] + n_gens):
         raise ValueError("lifts do not generate G modulo N")
     n_elems = N.elements_raw()
-    total = len(n_elems) ** d
-    if total > budget:
-        raise BoundExceeded(f"|N|^d = {total} exceeds the enumeration budget {budget}")
     cosets = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
 
     def completions(partial: tuple, C: Group) -> int:

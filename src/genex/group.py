@@ -582,11 +582,6 @@ class Homomorphism:
     target: Group
     _apply: Callable[[tuple], tuple]
 
-    def apply(self, g: Permutation) -> Permutation:
-        if not self.source.contains(g):
-            raise ValueError("element does not lie in the source group")
-        return Permutation._wrap(self._apply(g.imgs))
-
     def kernel(self) -> Group:
         """Kernel as iterated point stabilizers over a base of the image.
 
@@ -621,20 +616,22 @@ def coset_canonical(H: Group, p):
     return p
 
 
-def coset_action(G: Group, H: Group, max_points: int = DEFAULT_MAX_POINTS) -> tuple[Group, Homomorphism]:
+def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
     """Action of G on the right cosets of H; kernel is the core of H in G.
 
     The image acts transitively on |G:H| points and realizes G / core(H)
     faithfully.  The cosets are enumerated breadth-first, and the walk
     records the label of each coset's image under each generator, which
     are the images of G's generators, so no coset is moved twice; ``act``
-    returns them for those generators, as ``kernel`` asks first.
+    returns them for those generators, as ``kernel`` asks first.  An index
+    above ``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any coset
+    is enumerated.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order() // H.order()
-    if index > max_points:
-        raise BoundExceeded(f"index {index} exceeds the {max_points}-point bound")
+    if index > DEFAULT_MAX_POINTS:
+        raise BoundExceeded(f"index {index} exceeds the {DEFAULT_MAX_POINTS}-point bound")
 
     start = coset_canonical(H, _identity(G.degree))
     labels = {start: 0}
@@ -678,25 +675,6 @@ def direct_product(A: Group, B: Group) -> Group:
     return Group(gens, da + db)
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    """Element of inner wr top, decomposed: base coordinates and top permutation.
-
-    ``flat`` is the imprimitive-action permutation on n * m points and is the
-    canonical form for equality and hashing.
-    """
-
-    base: tuple[Permutation, ...]
-    top: Permutation
-    flat: Permutation
-
-    def __eq__(self, other):
-        return isinstance(other, WreathElement) and self.flat == other.flat
-
-    def __hash__(self):
-        return hash(self.flat)
-
-
 def wreath_flat(base, top, inner_degree: int) -> Permutation:
     """Flatten ((a_1..a_n), s) to the permutation of n*inner_degree points.
 
@@ -714,17 +692,17 @@ def wreath_flat(base, top, inner_degree: int) -> Permutation:
     return Permutation._wrap(imgs)
 
 
-def wreath_product(inner: Group, top: Group,
-                   max_degree: int = DEFAULT_MAX_POINTS) -> tuple[Group, Callable[[Permutation], WreathElement]]:
-    """Imprimitive wreath product inner wr top, plus an exact decomposer.
+def wreath_product(inner: Group, top: Group) -> Group:
+    """Imprimitive wreath product inner wr top on n * m points.
 
-    Returns the group of order |inner|^n * |top| on n * m points together
-    with a function inverting the flat embedding.
+    The group has order |inner|^n * |top|, with n = top.degree and
+    m = inner.degree; a degree n * m above ``DEFAULT_MAX_POINTS`` raises
+    ``BoundExceeded`` before any generator is built.
     """
     n = top.degree
     m = inner.degree
-    if n * m > max_degree:
-        raise BoundExceeded(f"wreath degree {n * m} exceeds bound {max_degree}")
+    if n * m > DEFAULT_MAX_POINTS:
+        raise BoundExceeded(f"wreath degree {n * m} exceeds bound {DEFAULT_MAX_POINTS}")
     ident_inner = Permutation.identity(m)
     ident_top = Permutation.identity(n)
     gens = []
@@ -735,24 +713,4 @@ def wreath_product(inner: Group, top: Group,
             gens.append(wreath_flat(base, ident_top, m))
     for t in top.generators:
         gens.append(wreath_flat([ident_inner] * n, t, m))
-    W = Group(gens, n * m)
-
-    def decompose(flat: Permutation) -> WreathElement:
-        if flat.degree != n * m:
-            raise ValueError("degree mismatch")
-        imgs = flat.imgs
-        top_imgs = []
-        base = []
-        for i in range(n):
-            j = imgs[i * m] // m
-            coord = [0] * m
-            for d in range(m):
-                img = imgs[i * m + d]
-                if img // m != j:
-                    raise ValueError("permutation does not preserve the block system")
-                coord[d] = img - j * m
-            top_imgs.append(j)
-            base.append(Permutation(coord))
-        return WreathElement(tuple(base), Permutation(top_imgs), flat)
-
-    return W, decompose
+    return Group(gens, n * m)

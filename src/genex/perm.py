@@ -187,14 +187,8 @@ class Permutation:
         """Nontrivial cycles on 1-based points."""
         return [tuple(i + 1 for i in c) for c in _cycles(self.imgs)]
 
-    def fixed_points(self) -> list[int]:
-        return [i + 1 for i, j in enumerate(self.imgs) if i == j]
-
     def has_fixed_point(self) -> bool:
         return any(i == j for i, j in enumerate(self.imgs))
-
-    def sign(self) -> int:
-        return -1 if sum(len(c) - 1 for c in _cycles(self.imgs)) % 2 else 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.imgs == other.imgs

@@ -9,10 +9,7 @@ after the first entry's (``_perfect_seed_classes``).  Classes are
 deduplicated by full conjugation orbits of element-id sets, so the
 enumeration is exact; each class's orbit and its normalizer come from the
 one orbit-stabilizer routine, ``group._stabilizer``, acting on those id
-sets.  With ``max_order`` below the group order the same machinery yields
-every conjugacy class of subgroups of order at most the bound (any
-subgroup's construction chain stays inside it), which is how the large
-symmetric/alternating groups are handled.
+sets.
 
 ``classify_maximal`` reads the minimal normal subgroups on G, not on the
 coset image, whenever the action is faithful: an isomorphism carries the
@@ -27,7 +24,6 @@ from dataclasses import dataclass
 from math import prod
 
 from .group import (
-    DEFAULT_MAX_POINTS,
     BoundExceeded,
     Group,
     _conjugation_orbits,
@@ -166,7 +162,7 @@ class SubgroupClass:
     size: int
     key: tuple
     normalizer: Group
-    orbit: tuple | None  # frozensets of ids over the whole class (full mode)
+    orbit: tuple  # frozensets of ids over the whole class
 
     @property
     def order(self) -> int:
@@ -174,34 +170,17 @@ class SubgroupClass:
 
 
 class SubgroupLattice:
-    """Conjugacy classes of subgroups, sorted by (order, canonical key).
+    """Conjugacy classes of subgroups, sorted by (order, canonical key)."""
 
-    ``complete`` is True when every subgroup class of the parent is present;
-    otherwise the enumeration is exact for classes of order <= ``max_order``
-    and silent about anything larger.
-    """
-
-    def __init__(self, parent, elements, classes, max_order, complete):
+    def __init__(self, parent, elements, classes):
         self.parent: Group = parent
         self.elements = elements  # id -> raw image tuple
         self.classes: list[SubgroupClass] = classes
-        self.max_order = max_order
-        self.complete = complete
         self._flags: list[bool] | None = None
-
-    @property
-    def groups(self) -> list[Group]:
-        return [c.rep for c in self.classes]
-
-    @property
-    def class_sizes(self) -> list[int]:
-        return [c.size for c in self.classes]
 
     @property
     def maximality_flags(self) -> list[bool]:
         """Per class: no lattice class strictly between it and the parent."""
-        if not self.complete:
-            raise ValueError("maximality flags require a complete lattice")
         if self._flags is None:
             self._flags = self._compute_flags()
         return self._flags
@@ -233,15 +212,13 @@ class SubgroupLattice:
         small, big = self.classes[i], self.classes[j]
         if big.order % small.order:
             return False
-        if small.orbit is None:
-            raise ValueError("containment test requires retained orbits")
         return any(s <= big.ids for s in small.orbit)
 
     def maximal_classes(self) -> list[SubgroupClass]:
         return [c for c, f in zip(self.classes, self.maximality_flags) if f]
 
 
-def _perfect_seed_classes(G: Group, max_order: int):
+def _perfect_seed_classes(G: Group):
     """Candidate perfect subgroups: <a, b> with both in G', a over class
     representatives, b over centralizer orbits of the classes from a's on.
 
@@ -276,7 +253,7 @@ def _perfect_seed_classes(G: Group, max_order: int):
             if _mul(a, b) == _mul(b, a):
                 continue
             H = subgroup_closure(G.degree, [a, b])
-            if not 60 <= H.order() <= max_order or any(
+            if H.order() < 60 or any(
                     T.order() == H.order() and T._contains_raw(a) and T._contains_raw(b)
                     for T in tried):
                 continue
@@ -286,7 +263,7 @@ def _perfect_seed_classes(G: Group, max_order: int):
     return out
 
 
-def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupLattice:
+def _enumerate_classes(G: Group) -> SubgroupLattice:
     elems = G.elements_raw()
     degree = G.degree
     id_of, tables = G._element_index()
@@ -309,7 +286,7 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
         classes.append(SubgroupClass(
             rep=subgroup_closure(degree, gens_raw), ids=ids, size=len(orbit),
             key=min(keys.values()), normalizer=subgroup_closure(degree, norm_gens, chain),
-            orbit=tuple(sorted(orbit, key=keys.__getitem__)) if keep_orbits else None))
+            orbit=tuple(sorted(orbit, key=keys.__getitem__))))
         return len(classes) - 1
 
     # trivial class
@@ -320,14 +297,14 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
     for cls in G.conjugacy_classes_raw():
         x = cls[0]
         o = _order(x)
-        if is_prime(o) and o <= max_order:
+        if is_prime(o):
             ids = frozenset(id_of[_pow(x, k)] for k in range(o))
             idx = register(ids, (x,))
             if idx is not None:
                 work.append(idx)
 
     # perfect base layer
-    for H in _perfect_seed_classes(G, max_order):
+    for H in _perfect_seed_classes(G):
         ids = frozenset(id_of[p] for p in H.elements_raw())
         idx = register(ids, tuple(g.imgs for g in H.generators))
         if idx is not None:
@@ -337,16 +314,13 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
     while work:
         idx = work.popleft()
         cls = classes[idx]
-        h_order = cls.order
         norm = cls.normalizer
-        index = norm.order() // h_order
+        index = norm.order() // cls.order
         if index == 1:
             continue
         h_ids = cls.ids
         h_elems = [elems[i] for i in sorted(h_ids)]
-        primes = [p for p in prime_factors(index) if p * h_order <= max_order]
-        if not primes:
-            continue
+        primes = list(prime_factors(index))
         visited = set(h_ids)
         for n in norm.elements_raw():
             i = id_of[n]
@@ -368,38 +342,28 @@ def _enumerate_classes(G: Group, max_order: int, keep_orbits: bool) -> SubgroupL
                     break
 
     classes.sort(key=lambda c: (c.order, c.key))
-    return SubgroupLattice(G, elems, classes, max_order,
-                           complete=max_order >= G.order())
+    return SubgroupLattice(G, elems, classes)
 
 
-def all_subgroups(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> SubgroupLattice:
+def all_subgroups(G: Group) -> SubgroupLattice:
     """Full subgroup lattice, one representative per conjugacy class.
 
     Built once per group and kept on it, so later calls return the same
-    object; the bound is checked on every call, cached or not.
+    object.  A group above ``DEFAULT_LATTICE_BOUND`` raises
+    ``BoundExceeded`` before any element is indexed.
     """
-    if G.order() > lattice_bound:
+    if G.order() > DEFAULT_LATTICE_BOUND:
         raise BoundExceeded(
-            f"group order {G.order()} exceeds the lattice bound {lattice_bound}")
+            f"group order {G.order()} exceeds the lattice bound {DEFAULT_LATTICE_BOUND}")
     if G._lattice is None:
-        G._lattice = _enumerate_classes(G, G.order(), keep_orbits=True)
+        G._lattice = _enumerate_classes(G)
     return G._lattice
 
 
-def subgroup_classes_up_to(G: Group, max_order: int) -> SubgroupLattice:
-    """Every conjugacy class of subgroups of order <= max_order (exact).
-
-    A bound below 1 raises ValueError: even the trivial subgroup is above it.
-    """
-    if max_order < 1:
-        raise ValueError(f"max_order {max_order} is below 1, the order of the trivial subgroup")
-    return _enumerate_classes(G, min(max_order, G.order()), keep_orbits=False)
-
-
-def frattini(G: Group, lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Group:
+def frattini(G: Group) -> Group:
     """Intersection of all maximal subgroups, expanding conjugacy classes;
     Phi(G) is normal, so it is the lone member of a lattice class."""
-    lat = all_subgroups(G, lattice_bound)
+    lat = all_subgroups(G)
     ids = frozenset(range(len(lat.elements)))
     for cls in lat.maximal_classes():
         ids = ids.intersection(*cls.orbit)
@@ -418,7 +382,7 @@ class MaximalSubgroupReport:
     intersection_shape: str  # coordinate / diagonal / trivial / not-applicable
 
 
-def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -> MaximalSubgroupReport:
+def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
     Raises ValueError when M is not maximal (the coset action is the
@@ -444,7 +408,7 @@ def classify_maximal(G: Group, M: Group, max_points: int = DEFAULT_MAX_POINTS) -
     """
     if M.order() >= G.order():
         raise ValueError("M is not maximal in G")
-    image, hom = coset_action(G, M, max_points)
+    image, hom = coset_action(G, M)
     if not is_primitive(image):
         raise ValueError("M is not maximal in G")
     core = hom.kernel()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from genex import gensets
+from genex import gensets, structure
 from genex import group as group_module
-from genex.group import Group, direct_product, trivial_group, wreath_product
+from genex.group import BoundExceeded, Group, direct_product, trivial_group, wreath_product
 from genex.gensets import (
     ALL,
     SearchStats,
@@ -46,7 +46,7 @@ S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
 
 
 def _wreath_a5_c2():
-    W, _ = wreath_product(A5, make(["(1,2)"], 2))
+    W = wreath_product(A5, make(["(1,2)"], 2))
     N = make(["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)"], 10)
     return W, N
 
@@ -435,28 +435,28 @@ def _with_two_words(G):
     return Group(list(g) + [g[0] * g[1], g[1] * g[0] * g[-1]], G.degree)
 
 
-def _lattice_digest(G, bound):
-    lat = all_subgroups(G, bound)
+def _lattice_digest(G):
+    lat = all_subgroups(G)
     maximal = lat.maximal_classes()
     reports = [classify_maximal(G, c.rep) for c in maximal]
     metrics = [d_metric(G, c.rep) for c in maximal]
     d = min_generators(G)
     return ([(c.order, c.size, c.key, c.orbit) for c in lat.classes],
             lat.maximality_flags,
-            frattini(G, bound).elements_raw(),
+            frattini(G).elements_raw(),
             [(r.core.elements_raw(), r.quotient_order, r.primitive_type, r.intersection_shape)
              for r in reports],
             (d.d, d.witness),
             [(m.value, m.witness, m.in_subgroup) for m in metrics])
 
 
-@pytest.mark.parametrize("texts, degree, bound", [
-    (["(1,2,3,4,5)", "(1,2)"], 5, 120),
-    (["(1,2,3,4,5,6)", "(1,2)"], 6, 720),
-    (None, 10, 7200),
+@pytest.mark.parametrize("texts, degree", [
+    (["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4,5,6)", "(1,2)"], 6), (None, 10),
 ], ids=["S5", "S6", "A5wrC2"])
-def test_group_acts_by_the_generators_that_built_its_chain(texts, degree, bound):
+def test_group_acts_by_the_generators_that_built_its_chain(monkeypatch, texts, degree):
     plain = make(texts, degree) if texts else _wreath_a5_c2()[0]
+    # |A5 wr C2| = 7200 is above the default lattice bound of 2000
+    monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", plain.order())
     padded = _with_two_words(plain)
     given = padded.generators
     assert len(given) == len(plain.generators) + 2
@@ -464,7 +464,7 @@ def test_group_acts_by_the_generators_that_built_its_chain(texts, degree, bound)
     extending = [g.imgs for i, g in enumerate(given)
                  if not Group(given[:i], degree).contains(g)]
     assert padded._raw_gens == tuple(extending) == plain._raw_gens
-    assert _lattice_digest(padded, bound) == _lattice_digest(plain, bound)
+    assert _lattice_digest(padded) == _lattice_digest(plain)
 
 
 def test_d_metric_conjugation_invariance():
@@ -555,10 +555,26 @@ def test_density_requires_socle():
                            (P("(1,2)", 4), P("(1,2)", 4)))
 
 
-def test_density_budget():
-    from genex.group import BoundExceeded
+def test_density_budget(monkeypatch):
+    # |A5|^5 = 60^5 is above the default budget of 10^8 tuples, and the
+    # budget raises before the monolithic certificate runs
+    calls = []
+    monkeypatch.setattr(gensets, "check_monolithic_nonabelian", lambda *args: calls.append(args))
     with pytest.raises(BoundExceeded):
-        generation_density(S5, A5, (P("(1,2)", 5), Permutation.identity(5)), budget=100)
+        generation_density(S5, A5, (P("(1,2)", 5),) + (Permutation.identity(5),) * 4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("query", [all_subgroups, frattini, d_min],
+                         ids=["all_subgroups", "frattini", "d_min"])
+def test_lattice_bound_raises_before_the_element_index(monkeypatch, query):
+    # |S7| = 5040 is above the default lattice bound of 2000
+    def no_index(self):
+        raise AssertionError("element index built")
+
+    monkeypatch.setattr(Group, "_element_index", no_index)
+    with pytest.raises(BoundExceeded):
+        query(make(["(1,2,3,4,5,6,7)", "(1,2)"], 7))
 
 
 # -- monolithic check ---------------------------------------------------------
@@ -628,7 +644,7 @@ def test_socle_projection_rejects_wrong_degree():
 
 def test_socle_projection_wreath():
     c2 = make(["(1,2)"], 2)
-    W, _ = wreath_product(A5, c2)
+    W = wreath_product(A5, c2)
     N = Group([P("(1,2,3,4,5)", 10), P("(3,4,5)", 10),
                P("(6,7,8,9,10)", 10), P("(8,9,10)", 10)], 10)
     project = socle_block_projection(W, N)
@@ -670,7 +686,7 @@ def test_replacement_search_rejects_generators_outside_the_group(degree):
 
 def test_replacement_hypothesis_failure():
     c2 = make(["(1,2)"], 2)
-    W, dec = wreath_product(A5, c2)
+    W = wreath_product(A5, c2)
     N = Group([P("(1,2,3,4,5)", 10), P("(3,4,5)", 10),
                P("(6,7,8,9,10)", 10), P("(8,9,10)", 10)], 10)
     swap = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
@@ -683,14 +699,11 @@ def test_replacement_hypothesis_failure():
 
 def test_replacement_search_wreath():
     c2 = make(["(1,2)"], 2)
-    W, dec = wreath_product(A5, c2)
+    W = wreath_product(A5, c2)
     N = Group([P("(1,2,3,4,5)", 10), P("(3,4,5)", 10),
                P("(6,7,8,9,10)", 10), P("(8,9,10)", 10)], 10)
-    a4 = make(["(1,2,3)", "(1,2)(3,4)"], 5)
-
-    def htilde(g):
-        w = dec(g)
-        return all(a4.contains(b) for b in w.base)
+    # A4 wr C2 inside A5 wr C2: both base coordinates lie in A4
+    htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), c2).contains
 
     swap = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
     # g1 has identity top (fixed point); g2 swaps the blocks; together mod N
@@ -709,9 +722,8 @@ def test_replacement_search_wreath():
 
 
 def test_replacement_search_walks_the_socle_lazily(monkeypatch):
-    W, dec = wreath_product(A5, make(["(1,2)"], 2))
-    N = _wreath_a5_c2()[1]
-    a4 = make(["(1,2,3)", "(1,2)(3,4)"], 5)
+    W, N = _wreath_a5_c2()
+    htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), make(["(1,2)"], 2)).contains
     enumerated = []
     original = Group.elements_raw
 
@@ -721,6 +733,6 @@ def test_replacement_search_walks_the_socle_lazily(monkeypatch):
 
     monkeypatch.setattr(Group, "elements_raw", spy)
     gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
-    got = replacement_search(W, N, gens, lambda g: all(a4.contains(b) for b in dec(g).base))
+    got = replacement_search(W, N, gens, htilde)
     assert got == (Permutation.identity(10), P("(8,9,10)", 10))
     assert {g.order() for g in enumerated} == {60}  # the certificate's factors only

@@ -122,7 +122,7 @@ def test_lex_walk_yields_the_sorted_elements():
             gens = [Permutation(rng.sample(range(degree), degree))
                     for _ in range(rng.randint(1, 3))]
             groups.append(Group(gens, degree))
-    W, _ = wreath_product(A5, make(["(1,2)"], 2))
+    W = wreath_product(A5, make(["(1,2)"], 2))
     for G in (make(["(1,2,3,4,5,6,7)", "(1,2)"], 7), W):
         sigma = Permutation(rng.sample(range(G.degree), G.degree))
         groups.append(Group([sigma.inverse() * g * sigma for g in G.generators], G.degree))
@@ -358,7 +358,7 @@ def brute_force_core(G, H):
                          ids=["S4", "S5"])
 def test_coset_action_kernel_equals_brute_force_core(G, core_orders):
     seen = set()
-    for H in all_subgroups(G).groups:
+    for H in (cls.rep for cls in all_subgroups(G).classes):
         _, hom = coset_action(G, H)
         core = set(hom.kernel().elements_raw())
         assert core == brute_force_core(G, H)
@@ -406,8 +406,10 @@ def test_coset_action_requires_subgroup():
 
 
 def test_coset_action_bound():
+    # index 9! = 362880 is above the default bound of 100000 points
+    S9 = make(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9)
     with pytest.raises(BoundExceeded):
-        coset_action(S5, trivial_group(5), max_points=10)
+        coset_action(S9, trivial_group(9))
 
 
 def test_homomorphism_multiplicative():
@@ -416,17 +418,7 @@ def test_homomorphism_multiplicative():
     elems = S4.elements()
     for _ in range(30):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert hom.apply(a * b) == hom.apply(a) * hom.apply(b)
-
-
-def test_homomorphism_rejects_elements_outside_the_source():
-    _, hom = coset_action(S5, make(["(1,2,3,4)", "(1,2)"], 5))
-    for degree in (4, 6):
-        with pytest.raises(ValueError):
-            hom.apply(P("(1,2)", degree))
-    _, hom = coset_action(A5, make(["(1,2,3)", "(1,2)(3,4)"], 5))
-    with pytest.raises(ValueError):
-        hom.apply(P("(1,2)", 5))
+        assert hom._apply((a * b).imgs) == _mul(hom._apply(a.imgs), hom._apply(b.imgs))
 
 
 # -- products ---------------------------------------------------------------
@@ -453,51 +445,23 @@ def test_direct_product_c2_c3_cyclic():
 
 def test_wreath_a5_c2():
     c2 = make(["(1,2)"], 2)
-    w, _ = wreath_product(A5, c2)
+    w = wreath_product(A5, c2)
     assert w.degree == 10
     assert w.order() == 3600 * 2
 
 
 def test_wreath_c2_c2_is_d4():
     c2 = make(["(1,2)"], 2)
-    w, _ = wreath_product(c2, c2)
+    w = wreath_product(c2, c2)
     assert w.order() == 8
     assert not w.is_abelian()
     assert any(e.order() == 4 for e in w.elements())
 
 
-def test_wreath_decomposer_roundtrip():
-    c2 = make(["(1,2)"], 2)
-    w, decompose = wreath_product(A5, c2)
-    rng = random.Random(11)
-    elems = None
-    for _ in range(20):
-        # random member as a word in the generators
-        x = Permutation.identity(10)
-        for _ in range(rng.randrange(1, 10)):
-            x = x * rng.choice(w.generators)
-        we = decompose(x)
-        assert we.flat == x
-        from genex.group import wreath_flat
-        assert wreath_flat(we.base, we.top, 5) == x
-        assert all(A5.contains(b) for b in we.base)
-
-
-def test_wreath_decomposition_unique():
-    c2 = make(["(1,2)"], 2)
-    w, decompose = wreath_product(make(["(1,2,3)"], 3), c2)
-    seen = {}
-    for x in w.elements():
-        we = decompose(x)
-        key = (we.base, we.top.imgs)
-        assert key not in seen
-        seen[key] = x
-    assert len(seen) == w.order() == 18
-
-
 def test_wreath_degree_bound():
+    # degree 2 * 50001 = 100002 is above the default bound of 100000 points
     with pytest.raises(BoundExceeded):
-        wreath_product(A5, make(["(1,2)"], 2), max_degree=5)
+        wreath_product(make(["(1,2)"], 2), trivial_group(50001))
 
 
 @st.composite

@@ -105,15 +105,8 @@ def test_power_and_order():
 def test_call_and_fixed_points():
     p = P("(1,2,3)", 5)
     assert p(3) == 1
-    assert p.fixed_points() == [4, 5]
     assert p.has_fixed_point()
     assert not P("(1,2)(3,4)", 4).has_fixed_point()
-
-
-def test_sign():
-    assert P("(1,2)", 3).sign() == -1
-    assert P("(1,2,3)", 3).sign() == 1
-    assert P("(1,2)(3,4)", 4).sign() == 1
 
 
 def test_conjugate():

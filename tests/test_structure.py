@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex import structure
-from genex.group import BoundExceeded, Group, coset_action, direct_product, wreath_product
+from genex.group import Group, coset_action, direct_product, wreath_product
 from genex.perm import Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
@@ -17,7 +17,6 @@ from genex.structure import (
     is_transitive,
     minimal_block,
     minimal_normal_subgroups,
-    subgroup_classes_up_to,
 )
 
 
@@ -152,7 +151,7 @@ def test_lattice_matches_join_closure_oracle():
         oracle_subs = oracles.all_subgroups(elems, g.degree)
         lat = all_subgroups(g)
         # class sizes sum to the subgroup count, per-order multiset matches
-        assert sum(lat.class_sizes) == len(oracle_subs)
+        assert sum(c.size for c in lat.classes) == len(oracle_subs)
         by_order_lat = {}
         for c in lat.classes:
             by_order_lat[c.order] = by_order_lat.get(c.order, 0) + c.size
@@ -166,13 +165,13 @@ def test_lattice_a5_contains_perfect_layer():
     lat = all_subgroups(A5)
     assert max(c.order for c in lat.classes) == 60  # A5 itself, found as perfect
     # A5 has 59 subgroups in total
-    assert sum(lat.class_sizes) == 59
+    assert sum(c.size for c in lat.classes) == 59
     assert sorted(c.order for c in lat.maximal_classes()) == [6, 10, 12]
 
 
 def test_lattice_class_count_s5():
     lat = all_subgroups(S5)
-    assert sum(lat.class_sizes) == 156
+    assert sum(c.size for c in lat.classes) == 156
     assert sorted(c.order for c in lat.maximal_classes()) == [12, 20, 24, 60]
 
 
@@ -191,7 +190,7 @@ def test_lattice_a6_s6_counts_and_perfect_seeds(monkeypatch, texts, classes, sub
     monkeypatch.setattr(structure, "is_perfect", counted)
     lat = all_subgroups(make(texts, 6))
     assert len(lat.classes) == classes
-    assert sum(lat.class_sizes) == subgroups
+    assert sum(c.size for c in lat.classes) == subgroups
     # each distinct candidate subgroup is tested for perfectness at most once
     assert len(tested) == len(set(tested))
     perfect = [c.order for c in lat.classes if c.order > 1 and is_perfect(c.rep)]
@@ -210,7 +209,7 @@ def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
 
     monkeypatch.setattr(Group, "elements_raw", counted)
     a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
-    seeds = structure._perfect_seed_classes(a6, 360)
+    seeds = structure._perfect_seed_classes(a6)
     assert [H.order() for H in seeds] == [60, 360, 60, 60, 60, 60]
     assert len(calls) == 1
     assert calls[0] is not a6 and calls[0].order() == 360  # the derived subgroup
@@ -230,16 +229,17 @@ def _conjugacy_closure(G, subgroups):
     return seen
 
 
-@pytest.mark.parametrize("texts, degree, max_order", [
-    (["(1,2,3,4,5)", "(3,4,5)"], 5, 60), (["(1,2,3,4,5)", "(1,2)"], 5, 120),
-    (["(1,2,3,4,5)", "(4,5,6)"], 6, 360), (["(1,2,3,4,5,6)", "(1,2)"], 6, 720),
-    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 360),
+@pytest.mark.parametrize("texts, degree", [
+    (["(1,2,3,4,5)", "(3,4,5)"], 5), (["(1,2,3,4,5)", "(1,2)"], 5),
+    (["(1,2,3,4,5)", "(4,5,6)"], 6), (["(1,2,3,4,5,6)", "(1,2)"], 6),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7),
 ], ids=["A5", "S5", "A6", "S6", "S7"])
-def test_perfect_seeds_cover_every_perfect_class(texts, degree, max_order):
+def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree):
     # the unrestricted loop: a over the class reps of G in G', b over every
     # C_G(a)-orbit of G', commuting pairs included
     G = make(texts, degree)
     derived = structure.commutator_subgroup(G)
+    is_perfect = cache(structure.is_perfect)  # tests G' once, however many pairs reach it
     orbits = structure._conjugation_orbits
     pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
     want = set()
@@ -249,15 +249,19 @@ def test_perfect_seeds_cover_every_perfect_class(texts, degree, max_order):
         cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
         for orbit in orbits(derived.elements_raw(), cpairs):
             H = Group([a, Permutation(orbit[0])], degree)
-            if 60 <= H.order() <= max_order and structure.is_perfect(H):
+            if H.order() == derived.order():
+                H = derived  # H lies in G', so it is G'
+            if H.order() >= 60 and is_perfect(H):
                 want.add(frozenset(H.elements_raw()))
-    got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G, max_order)}
+    got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G)}
     assert _conjugacy_closure(G, got) == _conjugacy_closure(G, want)
-    if max_order < G.order():
-        lat = subgroup_classes_up_to(G, max_order)
+    if G.order() > structure.DEFAULT_LATTICE_BOUND:
+        monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", G.order())
+        lat = all_subgroups(G)
+        assert len(lat.classes) == 96  # OEIS A000638
         perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
-        # A5 on 5 points, PSL(2,5) on 6 points, PSL(3,2) on 7 points, A6
-        assert perfect == [60, 60, 168, 360]
+        # A5 on 5 points, PSL(2,5) on 6 points, PSL(3,2) on 7 points, A6, A7
+        assert perfect == [60, 60, 168, 360, 2520]
 
 
 # random subgroups of S4 and of S3 x S3 on 6 points, each given by 1-3 elements
@@ -308,24 +312,6 @@ def test_lattice_agrees_with_oracle(g):
     assert set(frattini(g).elements_raw()) == want_frattini
 
 
-def test_bounded_enumeration_matches_full():
-    lat = subgroup_classes_up_to(S4, 8)
-    full = all_subgroups(S4)
-    want = sorted((c.order, c.size) for c in full.classes if c.order <= 8)
-    got = sorted((c.order, c.size) for c in lat.classes)
-    assert got == want
-    assert not lat.complete
-    with pytest.raises(ValueError):
-        lat.maximality_flags
-
-
-def test_bounded_enumeration_rejects_a_bound_below_one():
-    for bound in (0, -5):
-        with pytest.raises(ValueError):
-            subgroup_classes_up_to(S4, bound)
-    assert [c.order for c in subgroup_classes_up_to(S4, 1).classes] == [1]
-
-
 def test_lattice_deterministic():
     a = all_subgroups(S4)
     b = all_subgroups(make(["(1,2,3,4)", "(1,2)"], 4))
@@ -347,12 +333,6 @@ def test_lattice_cached_on_group(monkeypatch):
     assert all_subgroups(g) is lat
     assert frattini(g).order() == 1
     assert calls == [g]
-    # the bound is checked before the cache is consulted
-    with pytest.raises(BoundExceeded):
-        all_subgroups(g, lattice_bound=23)
-    # subgroup_classes_up_to is not cached
-    subgroup_classes_up_to(g, 8)
-    assert len(calls) == 2
 
 
 # -- frattini -----------------------------------------------------------------
@@ -383,7 +363,7 @@ def test_frattini_is_the_lattice_class_rep():
 
 A5xA5 = direct_product(A5, A5)
 A5xA5_DIAGONAL = make(["(1,2,3,4,5)(6,7,8,9,10)", "(3,4,5)(8,9,10)"], 10)
-A5wrC2, _ = wreath_product(A5, make(["(1,2)"], 2))
+A5wrC2 = wreath_product(A5, make(["(1,2)"], 2))
 A5wrC2_DIAGONAL = Group(list(A5xA5_DIAGONAL.generators) + [P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)],
                         10)  # the diagonal A5.2
 
@@ -457,7 +437,7 @@ def _image_reference(image, hom, M):
     shape = "not-applicable"
     if ptype == 2:
         shape = oracles.socle_intersection_shape(
-            [hom.apply(g).imgs for g in M.generators],
+            [hom._apply(g.imgs) for g in M.generators],
             [[g.imgs for g in f.generators] for f in minimal_normal_subgroups(nonab[0])],
             image.degree)
     ident = tuple(range(image.degree))
