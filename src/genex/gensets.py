@@ -448,7 +448,11 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     of x_i in N l_i.  So each slot counts, over those orbits, orbit size
     times the completions of one representative x, whose partial tuple has
     centralizer C_C(x); slot 1 has C = N, and at the last slot a
-    representative counts 1 if its tuple generates G.  ``total`` is still
+    representative counts 1 if its tuple generates G.  When d >= 3 and the
+    first d - 1 entries already generate G, the whole last coset, |N|
+    entries, completes them with no further test; for d = 2 one entry never
+    generates G, which has the nonabelian minimal normal subgroup N, so that
+    slot is never tested alone.  ``total`` is still
     |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET`` raises
     ``BoundExceeded`` before N is checked or enumerated.
     """
@@ -470,6 +474,8 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     cosets = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
 
     def completions(partial: tuple, C: Group) -> int:
+        if len(partial) == d - 1 >= 2 and _generates(G, partial):
+            return N.order()  # every entry of the last coset completes it
         pairs = [(c, _inv(c)) for c in C._raw_gens]
         count = 0
         for orbit in _conjugation_orbits(cosets[len(partial)], pairs):

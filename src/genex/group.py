@@ -75,10 +75,11 @@ class _Chain:
     """
 
     __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
-                 "base", "gens", "ginvs", "trans", "itrans", "sifted")
+                 "base", "gens", "ginvs", "trans", "itrans", "sifted", "cap")
 
-    def __init__(self, degree):
+    def __init__(self, degree, cap=None):
         self.degree = degree
+        self.cap = cap  # see _build_chain
         self.ident = _identity(degree)
         if degree <= 256:
             self.enc, self.mul, self.inv = bytes, bytes.translate, _table_inv
@@ -164,7 +165,7 @@ class _Chain:
         # levels only, so this level's generators stay fixed during the scan.
         tr = self.trans[i]
         itr = self.itrans[i]
-        enc, mul, one = self.enc, self.mul, self.one
+        enc, mul, one, cap = self.enc, self.mul, self.one, self.cap
         gens = list(zip(self.gens[i], self.ginvs[i]))
         npts, ngens = self.sifted[i]
         orbit = list(tr)
@@ -179,6 +180,8 @@ class _Chain:
                     tr[img] = tuple(rep_g)
                     itr[img] = mul(ginv, itr[pt])
                     orbit.append(img)
+                    if cap is not None and self.order() > cap:
+                        raise _CapPassed
                     continue
                 residue = self._sift_from(i + 1, mul(rep_g, itr[img]))
                 if residue != one:
@@ -192,12 +195,27 @@ def _table_inv(t):
     return bytes.maketrans(t, _TABLE_ID)
 
 
-def _build_chain(degree, raw_gens):
+class _CapPassed(Exception):
+    """A capped build's order passed its cap (``_build_chain``)."""
+
+
+def _build_chain(degree, raw_gens, cap=None):
     """The chain of <raw_gens>, extended by each generator in order, and the
     generators that extended it, in that order; the others lie in the group
-    the earlier ones generate."""
-    chain = _Chain(degree)
-    return chain, [g for g in raw_gens if chain.extend(g)]
+    the earlier ones generate.
+
+    With a ``cap`` >= 1, the build stops as soon as the chain's order
+    passes it and returns ``(None, None)``: <raw_gens> then has order above
+    ``cap``.  The order is checked only when an orbit grows.
+    A chain under construction has order at most the group's, since its
+    level-i reps fix every point below ``base[i]`` and send it to distinct
+    points, so distinct products of one rep per level are distinct elements.
+    """
+    chain = _Chain(degree, cap)
+    try:
+        return chain, [g for g in raw_gens if chain.extend(g)]
+    except _CapPassed:
+        return None, None
 
 
 def _orbit_count(degree, raw_gens) -> int:
@@ -476,13 +494,17 @@ def subgroup_closure(ambient_degree: int, raw_gens, chain=None) -> Group:
 def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     """Smallest normal subgroup of G containing the seed elements; the
     closure lies in G, so it is G as soon as its chain reaches |G|.  A seed
-    outside G or of another degree raises ValueError."""
+    outside G or of another degree raises ValueError.
+
+    Only the seeds that extended the chain, which generate the seeds'
+    subgroup, are conjugated and kept, so the closure acts by them and by
+    the conjugates that extended it: a ``commutator_subgroup`` seeded with
+    k^2 commutators does not act by all of them.
+    """
     seeds = list(seeds)
     if not all(G.contains(s) for s in seeds):
         raise ValueError("seed does not lie in G")
-    raw_seeds = [s.imgs for s in seeds]
-    chain, _ = _build_chain(G.degree, raw_seeds)
-    gens = [p for p in raw_seeds if p != chain.ident]
+    chain, gens = _build_chain(G.degree, [s.imgs for s in seeds])
     queue = deque(gens)
     ambient = [(g, _inv(g)) for g in G._raw_gens]
     while queue and chain.order() < G.order():
@@ -588,11 +610,16 @@ class Homomorphism:
         k is in the kernel iff its image fixes the base; each step acts through
         the images of the current stabilizer's generators only (Seress, 2003,
         ch. 5), and stops once the known order |source|/|target| is reached.
+        When |target| = |source| the map is injective, since |source| =
+        |kernel| * |image| (first isomorphism theorem), and the trivial group
+        is returned with no stabilizer step.
         """
         degree = self.source.degree
         gens = self.source._raw_gens
         order = self.source.order()
         want = order // self.target.order()
+        if want == 1:
+            return subgroup_closure(degree, ())
         chain = None
         for b in self.target._chain.base:
             if order == want:

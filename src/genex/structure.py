@@ -3,13 +3,18 @@
 The subgroup lattice is enumerated bottom-up: a perfect base layer found by
 two-generator search, then cyclic extension by prime-order cosets of the
 normalizer (the cyclic-extension method, Holt-Eick-O'Brien, *Handbook of
-CGT*, 2005).  The two-generator search tries each unordered pair of classes
-once, since <x, y> = <y, x>: the second entry comes only from classes at or
-after the first entry's (``_perfect_seed_classes``).  Classes are
-deduplicated by full conjugation orbits of element-id sets, so the
-enumeration is exact; each class's orbit and its normalizer come from the
-one orbit-stabilizer routine, ``group._stabilizer``, acting on those id
-sets.
+CGT*, 2005).  The two-generator search runs inside the perfect residuum D
+of G and tries each unordered pair of classes once, since <x, y> = <y, x>:
+the second entry comes only from classes at or after the first entry's.
+It builds no chain for a pair that the orders of a, b and ab prove solvable
+(von Dyck), and stops a chain as soon as it passes |D| / 5, since a perfect
+D has no proper subgroup of index below 5 (``_perfect_seed_classes`` gives
+both proofs).  Classes are deduplicated by full conjugation orbits of
+element-id sets, so the enumeration is exact; each class's orbit and its
+normalizer come from the one orbit-stabilizer routine,
+``group._stabilizer``, acting on those id sets.  A class keeps the
+generators of its representative and builds the representative's chain
+only when it is read.
 
 ``classify_maximal`` reads the minimal normal subgroups on G, not on the
 coset image, whenever the action is faithful: an isomorphism carries the
@@ -21,11 +26,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .group import (
     BoundExceeded,
     Group,
+    _build_chain,
     _conjugation_orbits,
     _orbit_count,
     _stabilizer,
@@ -155,9 +162,15 @@ def is_primitive(G: Group) -> bool:
 
 @dataclass
 class SubgroupClass:
-    """One conjugacy class of subgroups: representative, ids, normalizer, orbit data."""
+    """One conjugacy class of subgroups: generators of its representative,
+    ids, normalizer, orbit data.
 
-    rep: Group
+    The representative ``rep`` = <gens> is built when first read, since a
+    query reads only a few of them (the maximal classes, Phi(G)); a seed
+    class is registered with the closure the seed search already built.
+    """
+
+    gens: tuple  # raw tuples
     ids: frozenset
     size: int
     key: tuple
@@ -167,6 +180,10 @@ class SubgroupClass:
     @property
     def order(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def rep(self) -> Group:
+        return subgroup_closure(self.normalizer.degree, self.gens)
 
 
 class SubgroupLattice:
@@ -218,41 +235,91 @@ class SubgroupLattice:
         return [c for c, f in zip(self.classes, self.maximality_flags) if f]
 
 
+def _perfect_residuum(G: Group) -> Group:
+    """The last term of the derived series G >= G' >= G'' >= ..., which is
+    perfect; a term of order below 60 is returned as soon as it is reached,
+    since no nontrivial perfect group is that small."""
+    D = G
+    while True:
+        E = commutator_subgroup(D)
+        if E.order() == D.order() or E.order() < 60:
+            return E
+        D = E
+
+
+def _von_dyck_solvable(l: int, m: int, n: int) -> bool:
+    """Whether every group generated by a, b with a, b, ab of orders l, m, n
+    is solvable, read off the triangle group D(l, m, n).
+
+    <a, b> is a quotient of D(l, m, n) = <x, y | x^l, y^m, (xy)^n>.  When
+    1/l + 1/m + 1/n >= 1 that group is dihedral for (2, 2, n), A4 for
+    (2, 3, 3), S4 for (2, 3, 4), A5 for (2, 3, 5), and infinite but
+    solvable for the Euclidean triples (2, 3, 6), (2, 4, 4), (3, 3, 3)
+    (Coxeter-Moser, *Generators and Relations for Discrete Groups*, 1957,
+    ch. 4).  So the pair generates a solvable group unless the triple is
+    (2, 3, 5) up to order or the sum is below 1.
+    """
+    return m * n + l * n + l * m >= l * m * n and sorted((l, m, n)) != [2, 3, 5]
+
+
 def _perfect_seed_classes(G: Group):
-    """Candidate perfect subgroups: <a, b> with both in G', a over class
-    representatives, b over centralizer orbits of the classes from a's on.
+    """Candidate perfect subgroups: <a, b> with both in D, the perfect
+    residuum of G, a over class representatives, b over centralizer orbits
+    of the classes from a's on.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
-    together with cyclic extension is exhaustive here.  G' is normal, so its
-    G-orbits are the classes of G inside it, and their least members are the
-    class representatives; G itself is never enumerated.  <x, y> = <y, x>, so
-    each unordered pair is tried once: with x in class i, y in class j and
-    i <= j, conjugating x to the representative a of class i and then y by
-    C_G(a) to its orbit representative b gives a conjugate <a, b> with b
-    still in class j.  So b is drawn only from classes j >= i, and C_G(a)
-    orbits only those.  A commuting pair generates an abelian group, which
-    is never perfect, and is skipped.  Many pairs still generate the same
-    subgroup: <a, b> is skipped when a subgroup T tried earlier has its order
-    and contains a and b, since then <a, b> = T.  So each distinct subgroup
-    is tested once, and the first pair that reaches it supplies its
-    generators.
+    together with cyclic extension is exhaustive here.  A perfect subgroup P
+    equals its own derived subgroups, so it lies in every term of G's
+    derived series, and in D; a solvable G has D = 1 and no seed.  D is
+    normal, so its G-orbits are the classes of G inside it, and their least
+    members are the class representatives; G itself is never enumerated.
+    <x, y> = <y, x>, so each unordered pair is tried once: with x in class
+    i, y in class j and i <= j, conjugating x to the representative a of
+    class i and then y by C_G(a) to its orbit representative b gives a
+    conjugate <a, b> with b still in class j.  So b is drawn only from
+    classes j >= i, and C_G(a) orbits only those.
+
+    Three cuts skip a pair's closure or stop it early:
+
+    * a commuting pair generates an abelian group, and a pair whose orders
+      of a, b, ab pass ``_von_dyck_solvable`` a solvable one; neither is
+      ever perfect, so the pair is skipped;
+    * index 5: a proper subgroup of D of index k < 5 would map D onto a
+      nontrivial transitive subgroup of the solvable S_k by its coset
+      action, impossible for a perfect D.  So once the chain of <a, b>
+      under construction, whose order is a lower bound on |<a, b>|, passes
+      |D| / 5, <a, b> = D and the build stops; D itself is the seed;
+    * many pairs still generate the same subgroup: <a, b> is skipped when a
+      subgroup T tried earlier has its order and contains a and b, since
+      then <a, b> = T.
+
+    So each distinct subgroup is tested once, and the first pair that
+    reaches it supplies its generators.
     """
-    derived = commutator_subgroup(G)
-    if derived.order() < 60:
+    D = _perfect_residuum(G)
+    if D.order() < 60:
         return []
     pairs = [(g, _inv(g)) for g in G._raw_gens]
-    classes = _conjugation_orbits(derived.elements_raw(), pairs)
+    classes = _conjugation_orbits(D.elements_raw(), pairs)
+    cap = D.order() // 5
     out = []
     tried: list[Group] = []
     for i in range(1, len(classes)):  # class 0 is the identity
         a = classes[i][0]
+        order_a = _order(a)
         cent = centralizer_in(G, Permutation._wrap(a))
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
         for orbit in _conjugation_orbits([x for cls in classes[i:] for x in cls], cgens):
             b = orbit[0]
-            if _mul(a, b) == _mul(b, a):
+            ab = _mul(a, b)
+            if ab == _mul(b, a) or _von_dyck_solvable(order_a, _order(b), _order(ab)):
                 continue
-            H = subgroup_closure(G.degree, [a, b])
+            chain, used = _build_chain(G.degree, (a, b), cap)
+            if chain is None:
+                if D not in out:
+                    out.append(D)
+                continue
+            H = subgroup_closure(G.degree, used, chain)
             if H.order() < 60 or any(
                     T.order() == H.order() and T._contains_raw(a) and T._contains_raw(b)
                     for T in tried):
@@ -276,17 +343,20 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     # conjugation of id sets by each parent generator
     moves = [lambda s, table=table: frozenset(map(table.__getitem__, s)) for table in tables]
 
-    def register(ids: frozenset, gens_raw: tuple) -> int | None:
+    def register(ids: frozenset, gens_raw: tuple, rep: Group | None = None) -> int | None:
         """Dedup against every known conjugate; take orbit and normalizer."""
         if tuple(sorted(ids)) in seen:
             return None
         norm_gens, chain, orbit = _stabilizer(degree, G.order(), n_gens, moves, ids)
         keys = {s: tuple(sorted(s)) for s in orbit}
         seen.update(keys.values())
-        classes.append(SubgroupClass(
-            rep=subgroup_closure(degree, gens_raw), ids=ids, size=len(orbit),
-            key=min(keys.values()), normalizer=subgroup_closure(degree, norm_gens, chain),
-            orbit=tuple(sorted(orbit, key=keys.__getitem__))))
+        cls = SubgroupClass(
+            gens=gens_raw, ids=ids, size=len(orbit), key=min(keys.values()),
+            normalizer=subgroup_closure(degree, norm_gens, chain),
+            orbit=tuple(sorted(orbit, key=keys.__getitem__)))
+        if rep is not None:
+            cls.rep = rep
+        classes.append(cls)
         return len(classes) - 1
 
     # trivial class
@@ -306,7 +376,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     # perfect base layer
     for H in _perfect_seed_classes(G):
         ids = frozenset(id_of[p] for p in H.elements_raw())
-        idx = register(ids, tuple(g.imgs for g in H.generators))
+        idx = register(ids, H._raw_gens, H)
         if idx is not None:
             work.append(idx)
 
@@ -336,7 +406,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
                     for _ in range(p - 1):
                         j_ids.update(id_of[_mul(h, x)] for h in h_elems)
                         x = _mul(x, n)
-                    new_idx = register(frozenset(j_ids), cls.rep._raw_gens + (n,))
+                    new_idx = register(frozenset(j_ids), cls.gens + (n,))
                     if new_idx is not None:
                         work.append(new_idx)
                     break

@@ -504,6 +504,19 @@ def test_density_a5_triples_match_hall():
     assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
 
 
+def test_density_counts_whole_cosets_after_a_generating_prefix(monkeypatch):
+    # a pair that generates A5 completes with all 60 last entries, untested:
+    # one test per slot-2 orbit (77), then one per slot-3 orbit of the 39
+    # pairs that do not generate, besides the lifts' test
+    calls = []
+    original = gensets._generates
+    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    ident = Permutation.identity(5)
+    rep = generation_density(A5, A5, (ident, ident, ident))
+    assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
+    assert len(calls) <= 1473
+
+
 def test_density_counts_per_centralizer_orbit(monkeypatch):
     # one generation test for the lifts, then one per orbit of C_A5(x) on A5
     # for each class representative x: 1 + 5 + 18 + 22 + 16 + 16

@@ -388,6 +388,50 @@ def test_kernel_does_not_enumerate_source(monkeypatch):
     assert not any(g is G for g in enumerated)
 
 
+def test_faithful_coset_action_kernel_needs_no_stabilizer(monkeypatch):
+    # |image| = |G| makes the action injective, so the kernel is trivial
+    S6 = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+    homs = [coset_action(S6, cls.rep)[1] for cls in all_subgroups(S6).maximal_classes()]
+    faithful = [hom for hom in homs if hom.target.order() == S6.order()]
+    assert len(faithful) == 5 == len(homs) - 1  # all but the action on A6's two cosets
+
+    def no_stabilizer(*args):
+        raise AssertionError("_stabilizer called")
+
+    monkeypatch.setattr(group_module, "_stabilizer", no_stabilizer)
+    assert all(hom.kernel().order() == 1 for hom in faithful)
+
+
+def test_normal_closure_acts_by_the_seeds_that_extend():
+    seeds = [P("(1,2,3)", 5), P("(1,3,2)", 5), P("(1,2,3)", 5), P("(3,4,5)", 5)]
+    N = normal_closure(A5, seeds)
+    assert N.order() == 60
+    assert N._raw_gens[:2] == (seeds[0].imgs, seeds[3].imgs)
+    # S4 wr C2: the commutator seeds of each derived term are not all kept
+    G = wreath_product(S4, make(["(1,2)"], 2))
+    orders = []
+    while G.order() > 1:
+        G = commutator_subgroup(G)
+        orders.append(G.order())
+        assert len(G._raw_gens) <= math.log2(G.order()) + len(G._chain.base)
+    assert orders == [288, 144, 16, 1]
+
+
+def test_capped_build_stops_once_the_order_passes_the_cap():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        chain, used = group_module._build_chain(n, gens)
+        order = chain.order()
+        if order == 1:
+            continue
+        assert group_module._build_chain(n, gens, order - 1) == (None, None)
+        capped, capped_used = group_module._build_chain(n, gens, order)
+        assert capped_used == used
+        assert (capped.base, capped.trans) == (chain.base, chain.trans)
+
+
 def test_coset_action_returns_the_recorded_generator_images(monkeypatch):
     G = make(["(1,2,3,4,5)", "(1,2)"], 5)
     H = make(["(1,2,3,4)", "(1,3)"], 5)

@@ -264,6 +264,88 @@ def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree):
         assert perfect == [60, 60, 168, 360, 2520]
 
 
+def _is_solvable(H):
+    while H.order() > 1:
+        D = structure.commutator_subgroup(H)
+        if D.order() == H.order():
+            return False
+        H = D
+    return True
+
+
+@pytest.mark.parametrize("texts, degree, skipped, stopped", [
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, 32, 122), (["(1,2,3,4,5,6)", "(1,2)"], 6, 26, 66),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 42, 547),
+], ids=["A6", "S6", "S7"])
+def test_perfect_seed_cuts_are_sound(texts, degree, skipped, stopped):
+    # every noncommuting pair of the seed loop, closed in full: a pair the von
+    # Dyck test skips generates a solvable group, and a pair whose capped
+    # build stops generates D
+    G = make(texts, degree)
+    D = structure._perfect_residuum(G)
+    orbits = structure._conjugation_orbits
+    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
+    classes = orbits(D.elements_raw(), pairs)
+    counts = Counter()
+    for i in range(1, len(classes)):
+        a = Permutation(classes[i][0])
+        cent = structure.centralizer_in(G, a)
+        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
+        for orbit in orbits([x for cls in classes[i:] for x in cls], cpairs):
+            b = Permutation(orbit[0])
+            if a * b == b * a:
+                continue
+            H = Group([a, b], degree)
+            if structure._von_dyck_solvable(a.order(), b.order(), (a * b).order()):
+                assert _is_solvable(H)
+                counts["skipped"] += 1
+            elif structure._build_chain(degree, (a.imgs, b.imgs), D.order() // 5)[0] is None:
+                assert H.order() == D.order()
+                counts["stopped"] += 1
+            else:
+                assert H.order() <= D.order() // 5
+    assert (counts["skipped"], counts["stopped"]) == (skipped, stopped)
+
+
+def test_solvable_group_makes_no_seed_closure(monkeypatch):
+    # S4 wr C2 is solvable: its perfect residuum is trivial, so the seed
+    # search builds no chain, though |G'| = 288
+    built = []
+    build = structure._build_chain
+    monkeypatch.setattr(structure, "_build_chain",
+                        lambda *args: built.append(args) or build(*args))
+    G = wreath_product(S4, make(["(1,2)"], 2))
+    assert structure.commutator_subgroup(G).order() == 288
+    lat = all_subgroups(G)
+    assert not built
+    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (221, 4586)
+
+
+@pytest.mark.parametrize("G", [S5, make(["(1,2,3,4,5,6)", "(1,2)"], 6)], ids=["S5", "S6"])
+def test_class_rep_is_the_closure_of_its_generators(G):
+    id_of = G._element_index()[0]
+    for cls in all_subgroups(G).classes:
+        elements = cls.rep.elements_raw()
+        assert set(elements) == oracles.closure(cls.gens, G.degree)
+        assert frozenset(id_of[p] for p in elements) == cls.ids
+
+
+def test_lattice_query_builds_only_the_reps_it_reads():
+    G = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+    lat = all_subgroups(G)
+    # the seed classes are registered with their closures
+    seeded = {i for i, c in enumerate(lat.classes) if "rep" in vars(c)}
+    assert sorted(lat.classes[i].order for i in seeded) == [60, 60, 360]
+    maximal = {i for i, flag in enumerate(lat.maximality_flags) if flag}
+    for i in maximal:
+        classify_maximal(G, lat.classes[i].rep)
+    phi = frattini(G)
+    read = maximal | {i for i, c in enumerate(lat.classes) if vars(c).get("rep") is phi}
+    built = {i for i, c in enumerate(lat.classes) if "rep" in vars(c)}
+    assert built == seeded | read
+    assert len(built) == 9 < len(lat.classes)
+
+
 # random subgroups of S4 and of S3 x S3 on 6 points, each given by 1-3 elements
 _LATTICE_AMBIENTS = [
     (4, sorted(oracles.closure([P("(1,2,3,4)", 4).imgs, P("(1,2)", 4).imgs], 4))),
