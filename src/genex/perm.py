@@ -9,8 +9,9 @@ the right-action convention used for wreath coordinates throughout.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import index, itemgetter
 
 
 # ---------------------------------------------------------------------------
@@ -18,6 +19,11 @@ from operator import itemgetter
 
 def _identity(n):
     return tuple(range(n))
+
+
+@lru_cache(maxsize=16)
+def _point_set(n):
+    return frozenset(range(n))
 
 
 def _mul(p, q):
@@ -129,8 +135,18 @@ class Permutation:
     __slots__ = ("imgs",)
 
     def __init__(self, imgs):
+        """Checked in C: ``bytes`` (up to 256 points) and ``index`` reject a
+        non-integer image, and a set of integers equal to range(n) has n
+        distinct members, so n images form a bijection."""
         imgs = tuple(imgs)
-        if sorted(imgs) != list(range(len(imgs))):
+        try:
+            if len(imgs) <= 256:
+                bytes(imgs)
+            else:
+                imgs = tuple(map(index, imgs))
+        except (TypeError, ValueError):
+            raise ValueError("images are not a bijection of the point set") from None
+        if set(imgs) != _point_set(len(imgs)):
             raise ValueError("images are not a bijection of the point set")
         object.__setattr__(self, "imgs", imgs)
 

@@ -3,18 +3,22 @@
 The subgroup lattice is enumerated bottom-up: a perfect base layer found by
 two-generator search, then cyclic extension by prime-order cosets of the
 normalizer (the cyclic-extension method, Holt-Eick-O'Brien, *Handbook of
-CGT*, 2005).  The two-generator search runs inside the perfect residuum D
-of G and tries each unordered pair of classes once, since <x, y> = <y, x>:
-the second entry comes only from classes at or after the first entry's.
-It builds no chain for a pair that the orders of a, b and ab prove solvable
-(von Dyck), and stops a chain as soon as it passes |D| / 5, since a perfect
-D has no proper subgroup of index below 5 (``_perfect_seed_classes`` gives
-both proofs).  Classes are deduplicated by full conjugation orbits of
-element-id sets, so the enumeration is exact; each class's orbit and its
-normalizer come from the one orbit-stabilizer routine,
-``group._stabilizer``, acting on those id sets.  A class keeps the
-generators of its representative and builds the representative's chain
-only when it is read.
+CGT*, 2005, sec. 10.1), which builds each extension <H, n> once per H.
+The two-generator search runs inside the perfect residuum D of G, on the
+classes of G that lie in D, and tries each unordered pair of classes once,
+since <x, y> = <y, x>: the second entry comes only from classes at or after
+the first entry's.  It works per cyclic subgroup, as <a^k, b^l> = <a, b>
+for k, l prime to the orders: the first entry skips a class holding such a
+power of an earlier first entry, and the second entry a centralizer orbit
+holding such a power of an earlier second entry.  It builds no chain for a
+pair that the orders of a, b and ab prove solvable (von Dyck), and stops a
+chain as soon as it passes |D| / 5, since a perfect D has no proper
+subgroup of index below 5 (``_perfect_seed_classes`` gives the proofs).
+Classes are deduplicated by full conjugation orbits of element-id sets, so
+the enumeration is exact; each class's orbit and its normalizer come from
+the one orbit-stabilizer routine, ``group._stabilizer``, acting on those id
+sets.  A class keeps the generators of its representative and builds the
+representative's chain only when it is read.
 
 ``classify_maximal`` reads the minimal normal subgroups on G, not on the
 coset image, whenever the action is faithful: an isomorphism carries the
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 from .group import (
     BoundExceeded,
@@ -264,22 +268,38 @@ def _von_dyck_solvable(l: int, m: int, n: int) -> bool:
 
 def _perfect_seed_classes(G: Group):
     """Candidate perfect subgroups: <a, b> with both in D, the perfect
-    residuum of G, a over class representatives, b over centralizer orbits
-    of the classes from a's on.
+    residuum of G, a over class representatives, one per rational class,
+    and b over centralizer orbits of the classes from a's on, one per
+    cyclic subgroup.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
     together with cyclic extension is exhaustive here.  A perfect subgroup P
     equals its own derived subgroups, so it lies in every term of G's
     derived series, and in D; a solvable G has D = 1 and no seed.  D is
-    normal, so its G-orbits are the classes of G inside it, and their least
-    members are the class representatives; G itself is never enumerated.
-    <x, y> = <y, x>, so each unordered pair is tried once: with x in class
-    i, y in class j and i <= j, conjugating x to the representative a of
-    class i and then y by C_G(a) to its orbit representative b gives a
-    conjugate <a, b> with b still in class j.  So b is drawn only from
-    classes j >= i, and C_G(a) orbits only those.
+    normal, so every class of G lies inside D or misses it, and D's classes
+    are those of G's classes (``conjugacy_classes_raw``, which the lattice
+    query has built already) whose least member lies in D; D itself is
+    never enumerated.  <x, y> = <y, x>, so each unordered pair is tried once:
+    with x in class i, y in class j and i <= j, conjugating x to the
+    representative a of class i and then y by C_G(a) to its orbit
+    representative b gives a conjugate <a, b> with b still in class j.  So
+    b is drawn only from classes j >= i, and C_G(a) orbits only those.
 
-    Three cuts skip a pair's closure or stop it early:
+    A subgroup depends only on the cyclic subgroups of its generators:
+    <a^k, y> = <a, y> and <x, b^l> = <x, b> for k, l prime to the orders of
+    a and b.  Two power cuts follow:
+
+    * class i is skipped when it holds a^k for the representative a of an
+      earlier class tried, k prime to |a|: a pair from class i is then
+      conjugate to a pair <a, y> with y in a class j >= i, and a's pass
+      already runs b over those classes;
+    * with a fixed, a C_G(a)-orbit is skipped when it holds b^l for the
+      representative b of an orbit tried earlier, l prime to |b|: since
+      conjugation by C_G(a) commutes with powers, the orbit's
+      representative is c^-1 b^l c for some c in C_G(a), and
+      <a, c^-1 b^l c> = c^-1 <a, b> c.
+
+    Three more cuts skip a pair's closure or stop it early:
 
     * a commuting pair generates an abelian group, and a pair whose orders
       of a, b, ab pass ``_von_dyck_solvable`` a solvable one; neither is
@@ -299,20 +319,32 @@ def _perfect_seed_classes(G: Group):
     D = _perfect_residuum(G)
     if D.order() < 60:
         return []
-    pairs = [(g, _inv(g)) for g in G._raw_gens]
-    classes = _conjugation_orbits(D.elements_raw(), pairs)
+    classes = [cls for cls in G.conjugacy_classes_raw() if D._contains_raw(cls[0])]
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
     cap = D.order() // 5
     out = []
     tried: list[Group] = []
+    done_classes = set()
     for i in range(1, len(classes)):  # class 0 is the identity
+        if i in done_classes:
+            continue
         a = classes[i][0]
         order_a = _order(a)
+        done_classes.update(class_of[x] for x in _generators_of_cyclic(a, order_a))
         cent = centralizer_in(G, Permutation._wrap(a))
         cgens = [(g, _inv(g)) for g in cent._raw_gens]
-        for orbit in _conjugation_orbits([x for cls in classes[i:] for x in cls], cgens):
+        orbits = _conjugation_orbits([x for cls in classes[i:] for x in cls], cgens)
+        orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
+        done_orbits = set()
+        for k, orbit in enumerate(orbits):
+            if k in done_orbits:
+                continue
             b = orbit[0]
+            order_b = _order(b)
+            # a power of b in a class before i lies in no orbit here
+            done_orbits.update(orbit_of.get(x) for x in _generators_of_cyclic(b, order_b))
             ab = _mul(a, b)
-            if ab == _mul(b, a) or _von_dyck_solvable(order_a, _order(b), _order(ab)):
+            if ab == _mul(b, a) or _von_dyck_solvable(order_a, order_b, _order(ab)):
                 continue
             chain, used = _build_chain(G.degree, (a, b), cap)
             if chain is None:
@@ -328,6 +360,26 @@ def _perfect_seed_classes(G: Group):
             if is_perfect(H):
                 out.append(H)
     return out
+
+
+def _generators_of_cyclic(x, order: int):
+    """The generators x^k (0 < k < order, k prime to order) of <x>."""
+    yield x
+    y = x
+    for k in range(2, order):
+        y = _mul(y, x)
+        if gcd(k, order) == 1:
+            yield y
+
+
+def _cyclic_extension_ids(h_ids, h_elems, n, p, id_of) -> frozenset:
+    """The ids of J = <H, n> = H u Hn u ... u Hn^(p-1), for n^p in H."""
+    j_ids = set(h_ids)
+    x = n
+    for _ in range(p - 1):
+        j_ids.update(id_of[_mul(h, x)] for h in h_elems)
+        x = _mul(x, n)
+    return frozenset(j_ids)
 
 
 def _enumerate_classes(G: Group) -> SubgroupLattice:
@@ -380,7 +432,10 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
         if idx is not None:
             work.append(idx)
 
-    # cyclic extension by prime-order cosets of the normalizer
+    # cyclic extension by prime-order cosets of the normalizer.  Each J =
+    # <H, n> is built once: its ids join ``visited``, since every other coset
+    # H n^k (0 < k < p) in J has n^k H of the same order p in N/H, so it
+    # would only build J again
     while work:
         idx = work.popleft()
         cls = classes[idx]
@@ -401,12 +456,9 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
             visited.update(coset_ids)
             for p in primes:
                 if id_of[_pow(n, p)] in h_ids:
-                    j_ids = set(h_ids)
-                    x = n
-                    for _ in range(p - 1):
-                        j_ids.update(id_of[_mul(h, x)] for h in h_elems)
-                        x = _mul(x, n)
-                    new_idx = register(frozenset(j_ids), cls.gens + (n,))
+                    j_ids = _cyclic_extension_ids(h_ids, h_elems, n, p, id_of)
+                    visited.update(j_ids)
+                    new_idx = register(j_ids, cls.gens + (n,))
                     if new_idx is not None:
                         work.append(new_idx)
                     break

@@ -126,6 +126,26 @@ def test_bad_images_rejected():
         Permutation((0, 0, 1))
 
 
+@pytest.mark.parametrize("imgs", [
+    (0, 2), (-1, 0), (1.0, 0.0, 2.0), (0, "a"), (None, 0), (0.5, 1), "10", [b"\x00"],
+    tuple(range(299)) + (299.0,), tuple(range(299)) + ("a",),
+    tuple(range(299)) + (298,), tuple(range(299)) + (-1,),
+], ids=["gap", "negative", "floats", "str", "None", "fraction", "text", "bytes",
+        "large-float", "large-str", "large-repeat", "large-negative"])
+def test_non_integer_or_out_of_range_images_rejected(imgs):
+    # each raises ValueError here, not TypeError later in Group, contains or *
+    with pytest.raises(ValueError):
+        Permutation(imgs)
+
+
+def test_images_accepted_at_any_degree():
+    for n in (0, 1, 2, 255, 256, 257, 300):
+        imgs = tuple(reversed(range(n)))
+        p = Permutation(imgs)
+        assert p.imgs == imgs and (p * p).is_identity()
+    assert Permutation(range(3)).imgs == (0, 1, 2)
+
+
 def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}

@@ -199,7 +199,8 @@ def test_lattice_a6_s6_counts_and_perfect_seeds(monkeypatch, texts, classes, sub
 
 def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
     # candidates <a, b> are deduplicated by order and containment, so no
-    # candidate's elements are listed, and class reps come from G' alone
+    # candidate's elements are listed, and the classes of G' are read off
+    # G's classes, so no subgroup of G is enumerated at all
     calls = []
     elements_raw = Group.elements_raw
 
@@ -210,9 +211,8 @@ def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
     monkeypatch.setattr(Group, "elements_raw", counted)
     a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
     seeds = structure._perfect_seed_classes(a6)
-    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60, 60]
-    assert len(calls) == 1
-    assert calls[0] is not a6 and calls[0].order() == 360  # the derived subgroup
+    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60]
+    assert calls and all(g is a6 for g in calls)
 
 
 def _conjugacy_closure(G, subgroups):
@@ -307,6 +307,71 @@ def test_perfect_seed_cuts_are_sound(texts, degree, skipped, stopped):
     assert (counts["skipped"], counts["stopped"]) == (skipped, stopped)
 
 
+@pytest.mark.parametrize("text", ["()", "(1,2)", "(1,2,3,4)", "(1,2,3,4,5,6)",
+                                  "(1,2,3)(4,5,6,7,8)", "(1,2,3,4)(5,6,7,8,9,10)"])
+def test_generators_of_cyclic_are_its_elements_of_full_order(text):
+    # the power cuts rest on these generating <x>, and on nothing else doing so
+    x = P(text, 10)
+    cyclic = [x ** k for k in range(x.order())]
+    want = sorted(y.imgs for y in cyclic if y.order() == x.order())
+    got = list(structure._generators_of_cyclic(x.imgs, x.order()))
+    assert sorted(got) == want and len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("texts, degree, closed, skipped", [
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, 62, 116), (["(1,2,3,4,5,6)", "(1,2)"], 6, 46, 52),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 293, 475),
+], ids=["A6", "S6", "S7"])
+def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, degree,
+                                                          closed, skipped):
+    # every pair that the seed loop without the power cuts would close, but
+    # the seed search skips, generates D or a G-conjugate of a subgroup
+    # generated by a pair the seed search closes
+    G = make(texts, degree)
+    D = structure._perfect_residuum(G)
+    built = []
+    build = structure._build_chain
+    monkeypatch.setattr(structure, "_build_chain",
+                        lambda *args: built.append(args[1]) or build(*args))
+    structure._perfect_seed_classes(G)
+    id_of, tables = G._element_index()
+
+    def ids(H):
+        return frozenset(id_of[p] for p in H.elements_raw())
+
+    reached = set()
+    for a, b in built:
+        H = Group([Permutation(a), Permutation(b)], degree)
+        if H.order() < D.order():
+            reached.add(ids(H))
+    queue = list(reached)
+    while queue:  # every G-conjugate, by conjugating ids with G's generators
+        s = queue.pop()
+        for table in tables:
+            t = frozenset(map(table.__getitem__, s))
+            if t not in reached:
+                reached.add(t)
+                queue.append(t)
+    orbits = structure._conjugation_orbits
+    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
+    classes = orbits(D.elements_raw(), pairs)
+    done = set(built)
+    count = 0
+    for i in range(1, len(classes)):
+        a = Permutation(classes[i][0])
+        cent = structure.centralizer_in(G, a)
+        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
+        for orbit in orbits([x for cls in classes[i:] for x in cls], cpairs):
+            b = Permutation(orbit[0])
+            if (a * b == b * a or (a.imgs, b.imgs) in done
+                    or structure._von_dyck_solvable(a.order(), b.order(), (a * b).order())):
+                continue
+            count += 1
+            H = Group([a, b], degree)
+            assert H.order() == D.order() or ids(H) in reached
+    assert (len(built), count) == (closed, skipped)
+
+
 def test_solvable_group_makes_no_seed_closure(monkeypatch):
     # S4 wr C2 is solvable: its perfect residuum is trivial, so the seed
     # search builds no chain, though |G'| = 288
@@ -344,6 +409,24 @@ def test_lattice_query_builds_only_the_reps_it_reads():
     built = {i for i, c in enumerate(lat.classes) if "rep" in vars(c)}
     assert built == seeded | read
     assert len(built) == 9 < len(lat.classes)
+
+
+def test_cyclic_extension_builds_each_extension_once(monkeypatch):
+    # the cosets H n^k (0 < k < p) all give J = <H, n>, so each J is built
+    # once per H: 135 builds for S6, where 151 rebuilt some J from H n^k
+    built = Counter()
+    extend = structure._cyclic_extension_ids
+
+    def counted(h_ids, *args):
+        j_ids = extend(h_ids, *args)
+        built[h_ids, j_ids] += 1
+        return j_ids
+
+    monkeypatch.setattr(structure, "_cyclic_extension_ids", counted)
+    lat = all_subgroups(make(["(1,2,3,4,5,6)", "(1,2)"], 6))
+    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (56, 1455)
+    assert sum(built.values()) == 135
+    assert set(built.values()) == {1}
 
 
 # random subgroups of S4 and of S3 x S3 on 6 points, each given by 1-3 elements
