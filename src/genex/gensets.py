@@ -70,8 +70,10 @@ from .group import (
     BoundExceeded,
     Group,
     _build_chain,
-    _conjugation_orbits,
+    _conjugations,
     _orbit_count,
+    _orbits,
+    _walk,
     centralizer_in,
     normal_closure,
 )
@@ -192,13 +194,13 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
     if d == 0:
         return () if G.order() == 1 else None
 
-    pairs = [(g, _inv(g)) for g in G._raw_gens]
+    conjugations = list(_conjugations(G._raw_gens))
 
     def closed(pool):
         if isinstance(pool, Group):
             return pool is G or pool.is_normal_in(G)
         members = set(pool)
-        return all(_mul(ginv, _mul(x, g)) in members for x in pool for g, ginv in pairs)
+        return all(conj(x) in members for x in pool for conj in conjugations)
 
     def first_of_each_class(pool):
         # x's class is orbited only once the search asks for the next
@@ -207,7 +209,7 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
         for x in pool:
             if x not in marked:
                 yield x
-                marked.update(_conjugation_orbits([x], pairs)[0])
+                marked.update(_orbits([x], conjugations)[0])
 
     reduce_first = all(closed(pool) for pool in raw_pools[1:])
 
@@ -314,8 +316,10 @@ def d_metric(G: Group, H: Group) -> DReport:
         witness = exists_generating_tuple(G, pools, stats)
         if witness is not None:
             return DReport(H, k, witness, tuple(range(k)), stats)
-    return DReport(H, 0, base.witness,
-                   tuple(i for i, w in enumerate(base.witness) if H.contains(w)), stats)
+    # no witness entry lies in H: with d >= 2 it would make a generating
+    # tuple with an entry in H, which the k = 1 search rules out, and with
+    # d = 1 the entry generates G, which H is not
+    return DReport(H, 0, base.witness, (), stats)
 
 
 def d_min(G: Group) -> tuple[int, MaximalSubgroupReport | None]:
@@ -418,16 +422,12 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     factors.sort(key=_minimal_normal_key)
     N._minimal_normals = tuple(factors)
     # the orbit of factor 0: x^g for a generator x of F lies in one factor, F^g
-    pairs = [(g, _inv(g)) for g in G._raw_gens]
-    reached = [0]
-    for i in reached:
-        x = factors[i]._raw_gens[0]
-        for g, ginv in pairs:
-            y = _mul(ginv, _mul(x, g))
-            j = next(j for j, f in enumerate(factors) if f._contains_raw(y))
-            if j not in reached:
-                reached.append(j)
-    if len(reached) != len(factors):
+    def factor_of(y):
+        return next(j for j, f in enumerate(factors) if f._contains_raw(y))
+
+    moves = [lambda i, conj=conj: factor_of(conj(factors[i]._raw_gens[0]))
+             for conj in _conjugations(G._raw_gens)]
+    if len(_walk(0, moves)[0]) != len(factors):
         raise ValueError("G does not permute the simple factors of N transitively")
     cent = G
     for x in N.generators:
@@ -476,9 +476,8 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     def completions(partial: tuple, C: Group) -> int:
         if len(partial) == d - 1 >= 2 and _generates(G, partial):
             return N.order()  # every entry of the last coset completes it
-        pairs = [(c, _inv(c)) for c in C._raw_gens]
         count = 0
-        for orbit in _conjugation_orbits(cosets[len(partial)], pairs):
+        for orbit in _orbits(cosets[len(partial)], _conjugations(C._raw_gens)):
             tup = partial + (orbit[0],)
             if len(tup) == d:
                 count += len(orbit) if _generates(G, tup) else 0

@@ -20,6 +20,12 @@ the others would multiply the work of every orbit, Schreier, coset and
 closure loop and add nothing (``Group._setup``).  Its conjugation tables
 under those generators are its one element index (``Group._element_index``),
 shared by the conjugacy classes and the subgroup lattice.
+
+Every action is walked by one layer: ``_walk`` for one orbit with its action
+table (cosets, id sets of subgroups, socle factors, and ``_stabilizer``'s
+orbit-stabilizer), ``_orbits`` for a partition into orbits (classes,
+centralizer orbits), and ``_conjugations`` for the maps x -> g^-1 x g by
+which a group acts on its elements.
 """
 
 from __future__ import annotations
@@ -234,15 +240,43 @@ def _orbit_count(degree, raw_gens) -> int:
     return count
 
 
-def _conjugation_orbits(points, pairs) -> list[tuple]:
-    """Orbits of x -> g^-1 x g over the (g, g^-1) pairs, one per member of
-    ``points`` not in an earlier orbit.
+def _walk(start, moves):
+    """The orbit of ``start`` under the maps ``moves``, walked breadth-first.
 
-    With ``points`` closed under the action the orbits partition it.  Each
-    orbit is a sorted tuple, and orbits come in the order of their first
-    member in ``points``, so for sorted points they are ordered by least
-    member.
+    Returns ``(position, rows, found)``: ``position`` maps each point, any
+    hashable, to its place in discovery order, ``rows[i][k]`` is the
+    position of point i's image under ``moves[k]``, and ``found[i]`` is the
+    (position, k) pair that first reached point i, None for ``start``.  Each
+    point is moved once by each map.  An orbit that would pass
+    ``DEFAULT_ELEMENT_BOUND`` points raises ``BoundExceeded``.
     """
+    moves = tuple(moves)
+    position = {start: 0}
+    points = [start]  # discovery order; grows while it is walked
+    rows = []
+    found = [None]
+    for i, y in enumerate(points):
+        row = []
+        for k, move in enumerate(moves):
+            z = move(y)
+            j = position.get(z)
+            if j is None:
+                if len(points) >= DEFAULT_ELEMENT_BOUND:
+                    raise BoundExceeded("orbit too large")
+                j = position[z] = len(points)
+                points.append(z)
+                found.append((i, k))
+            row.append(j)
+        rows.append(row)
+    return position, rows, found
+
+
+def _orbits(points, moves) -> list[tuple]:
+    """The orbits under the maps ``moves`` of the members of ``points``, as
+    sorted tuples in the order of their first member in ``points``, so by
+    least member for sorted points; a partition of ``points`` when the maps
+    keep it, walked without the rows of ``_walk``."""
+    moves = tuple(moves)
     remaining = set(points)
     orbits = []
     for x in points:
@@ -252,14 +286,22 @@ def _conjugation_orbits(points, pairs) -> list[tuple]:
         queue = [x]
         while queue:
             y = queue.pop()
-            for g, ginv in pairs:
-                z = _mul(ginv, _mul(y, g))
+            for move in moves:
+                z = move(y)
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
         remaining -= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+def _conjugations(raw_gens):
+    """The maps x -> g^-1 x g, one per generator g, yielded lazily: a caller
+    that stops early inverts only the generators it reached."""
+    for g in raw_gens:
+        ginv = _inv(g)
+        yield lambda x, g=g, ginv=ginv: _mul(ginv, _mul(x, g))
 
 
 class Group:
@@ -275,6 +317,8 @@ class Group:
             degree = gens[0].degree
         if not isinstance(degree, int) or degree < 0:
             raise ValueError(f"degree must be an int >= 0, not {degree!r}")
+        if degree > DEFAULT_MAX_POINTS:
+            raise BoundExceeded(f"degree {degree} exceeds bound {DEFAULT_MAX_POINTS}")
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generators of mixed degrees")
@@ -422,11 +466,8 @@ class Group:
         if self._index is None:
             elems = self.elements_raw()
             id_of = {p: i for i, p in enumerate(elems)}
-            tables = []
-            for g in self._raw_gens:
-                ginv = _inv(g)
-                tables.append(tuple([id_of[_mul(ginv, _mul(x, g))] for x in elems]))
-            self._index = (id_of, tuple(tables))
+            self._index = (id_of, tuple(tuple([id_of[conj(x)] for x in elems])
+                                        for conj in _conjugations(self._raw_gens)))
         return self._index
 
     def conjugacy_classes_raw(self) -> tuple:
@@ -435,22 +476,9 @@ class Group:
         elements sorted, so an orbit's ids sorted give its members sorted."""
         if self._classes is None:
             elems = self.elements_raw()
-            tables = self._element_index()[1]
-            seen = bytearray(len(elems))
-            classes = []
-            for i in range(len(elems)):
-                if seen[i]:
-                    continue
-                seen[i] = 1
-                orbit = [i]
-                for x in orbit:
-                    for table in tables:
-                        y = table[x]
-                        if not seen[y]:
-                            seen[y] = 1
-                            orbit.append(y)
-                classes.append(tuple(elems[j] for j in sorted(orbit)))
-            self._classes = tuple(classes)
+            moves = [table.__getitem__ for table in self._element_index()[1]]
+            self._classes = tuple(tuple(elems[j] for j in orbit)
+                                  for orbit in _orbits(range(len(elems)), moves))
         return self._classes
 
     def is_abelian(self) -> bool:
@@ -468,12 +496,8 @@ class Group:
     def is_normal_in(self, other: "Group") -> bool:
         if not self.is_subgroup_of(other):
             return False
-        for g in other._raw_gens:
-            ginv = _inv(g)
-            for h in self._raw_gens:
-                if not self._contains_raw(_mul(ginv, _mul(h, g))):
-                    return False
-        return True
+        return all(self._contains_raw(conj(h))
+                   for conj in _conjugations(other._raw_gens) for h in self._raw_gens)
 
 
 def trivial_group(degree: int) -> Group:
@@ -499,18 +523,18 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     Only the seeds that extended the chain, which generate the seeds'
     subgroup, are conjugated and kept, so the closure acts by them and by
     the conjugates that extended it: a ``commutator_subgroup`` seeded with
-    k^2 commutators does not act by all of them.
+    k(k-1)/2 commutators does not act by all of them.
     """
     seeds = list(seeds)
     if not all(G.contains(s) for s in seeds):
         raise ValueError("seed does not lie in G")
     chain, gens = _build_chain(G.degree, [s.imgs for s in seeds])
     queue = deque(gens)
-    ambient = [(g, _inv(g)) for g in G._raw_gens]
+    ambient = list(_conjugations(G._raw_gens))
     while queue and chain.order() < G.order():
         x = queue.popleft()
-        for g, ginv in ambient:
-            y = _mul(ginv, _mul(x, g))
+        for conj in ambient:
+            y = conj(x)
             if chain.extend(y):
                 gens.append(y)
                 queue.append(y)
@@ -520,66 +544,51 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
 
 
 def commutator_subgroup(G: Group) -> Group:
-    """Derived subgroup: normal closure of generator commutators."""
-    comms = []
-    for a in G._raw_gens:
-        ainv = _inv(a)
-        for b in G._raw_gens:
-            comms.append(_mul(_mul(ainv, _inv(b)), _mul(a, b)))
+    """Derived subgroup: normal closure of the commutators [a, b] of
+    generators with a before b; [a, a] = 1 and [b, a] = [a, b]^-1 add
+    nothing."""
+    gens = G._raw_gens
+    invs = [_inv(g) for g in gens]
+    comms = [_mul(_mul(invs[i], invs[j]), _mul(gens[i], gens[j]))
+             for i in range(len(gens)) for j in range(i + 1, len(gens))]
     return normal_closure(G, [Permutation._wrap(c) for c in comms])
 
 
 def _stabilizer(degree, order, gens, moves, start):
     """Stabilizer of ``start`` in K = <gens> of the given order, by orbit-stabilizer.
 
-    ``moves[i]`` maps a point to its image under ``gens[i]``; points may be
-    any hashable, such as frozensets of element ids.  The orbit is walked
-    breadth-first, once, and kept in discovery order, which needs no
-    ordering of the points.  The walk records, for each orbit point y and
-    generator g, the rep of y^g (the rep itself, not a copy of the point),
-    so no point is moved twice.  The Schreier generators rep(y) g rep(y^g)^-1
-    are then sifted, in that order, into a chain until it reaches the exact
-    order |K| / |orbit|.  Each rep is inverted at most once, and the pair
-    that found a point is skipped, as its Schreier generator is the
-    identity.  Returns the stabilizer's generators, that chain (the one
-    ``_build_chain`` would make from them), and the orbit as a dict from
-    each point to an element of K carrying ``start`` there.
+    ``moves[i]`` maps a point to its image under ``gens[i]``.  The orbit is
+    walked once (``_walk``), and a point's rep is the rep of the point that
+    found it times the generator that did.  The Schreier generators
+    rep(y) g rep(y^g)^-1 are sifted, in walk order, into a chain until it
+    reaches the order |K| / |orbit|, each rep inverted at most once and the
+    pair that found a point skipped, as its Schreier generator is 1.
+    Returns the stabilizer's generators, that chain, and the orbit as a dict
+    from each point to an element of K carrying ``start`` there.
     """
-    orbit = {start: _identity(degree)}
-    points = [start]  # discovery order; grows while it is walked
-    image_reps = []  # per point, per generator: rep of the image, None where found
-    for y in points:
-        rep = orbit[y]
-        row = []
-        for g, move in zip(gens, moves):
-            z = move(y)
-            zrep = orbit.get(z)
-            if zrep is None:
-                if len(orbit) >= DEFAULT_ELEMENT_BOUND:
-                    raise BoundExceeded("orbit too large")
-                orbit[z] = _mul(rep, g)
-                points.append(z)
-            row.append(zrep)
-        image_reps.append(row)
-    target = order // len(orbit)
+    position, rows, found = _walk(start, moves)
+    reps = [_identity(degree)]
+    for i, k in found[1:]:
+        reps.append(_mul(reps[i], gens[k]))
+    target = order // len(reps)
     chain, stab_gens = _build_chain(degree, [])
-    invs = {}  # id of a rep -> its inverse; orbit keeps every rep alive
-    for y, row in zip(points, image_reps):
+    invs = {}  # position -> inverse of its rep
+    for i, row in enumerate(rows):
         if chain.order() >= target:
             break
-        rep = orbit[y]
-        for g, zrep in zip(gens, row):
-            if zrep is None:
+        rep = reps[i]
+        for k, (g, j) in enumerate(zip(gens, row)):
+            if found[j] == (i, k):
                 continue
-            zinv = invs.get(id(zrep))
+            zinv = invs.get(j)
             if zinv is None:
-                zinv = invs[id(zrep)] = _inv(zrep)
+                zinv = invs[j] = _inv(reps[j])
             schreier = _mul(_mul(rep, g), zinv)
             if chain.extend(schreier):
                 stab_gens.append(schreier)
                 if chain.order() >= target:
                     break
-    return stab_gens, chain, orbit
+    return stab_gens, chain, dict(zip(position, reps))
 
 
 def centralizer_in(G: Group, x: Permutation) -> Group:
@@ -588,8 +597,8 @@ def centralizer_in(G: Group, x: Permutation) -> Group:
     but an x of another degree raises ValueError."""
     if x.degree != G.degree:
         raise ValueError("degree mismatch")
-    moves = [lambda y, g=g, ginv=_inv(g): _mul(ginv, _mul(y, g)) for g in G._raw_gens]
-    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, x.imgs)
+    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens,
+                                 _conjugations(G._raw_gens), x.imgs)
     return subgroup_closure(G.degree, gens, chain)
 
 
@@ -647,10 +656,10 @@ def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
     """Action of G on the right cosets of H; kernel is the core of H in G.
 
     The image acts transitively on |G:H| points and realizes G / core(H)
-    faithfully.  The cosets are enumerated breadth-first, and the walk
-    records the label of each coset's image under each generator, which
-    are the images of G's generators, so no coset is moved twice; ``act``
-    returns them for those generators, as ``kernel`` asks first.  An index
+    faithfully.  ``_walk`` enumerates the cosets by their canonical reps,
+    labelled in discovery order, and its rows, transposed, are the images of
+    G's generators, so no coset is moved twice; ``act`` returns them for
+    those generators, as ``kernel`` asks first.  An index
     above ``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any coset
     is enumerated.
     """
@@ -660,22 +669,13 @@ def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
     if index > DEFAULT_MAX_POINTS:
         raise BoundExceeded(f"index {index} exceeds the {DEFAULT_MAX_POINTS}-point bound")
 
-    start = coset_canonical(H, _identity(G.degree))
-    labels = {start: 0}
-    reps = [start]  # discovery order; grows while it is walked
-    images = [[] for _ in G._raw_gens]  # images[k][i]: label of coset i under generator k
-    for rep in reps:
-        for g, row in zip(G._raw_gens, images):
-            img = coset_canonical(H, _mul(rep, g))
-            label = labels.get(img)
-            if label is None:
-                label = labels[img] = len(reps)
-                reps.append(img)
-            row.append(label)
-    if len(reps) != index:
+    moves = [lambda rep, g=g: coset_canonical(H, _mul(rep, g)) for g in G._raw_gens]
+    labels, rows, _ = _walk(coset_canonical(H, _identity(G.degree)), moves)
+    if len(labels) != index:
         raise AssertionError("coset enumeration mismatch")
-
-    recorded = {g: tuple(row) for g, row in zip(G._raw_gens, images)}
+    reps = list(labels)
+    images = list(zip(*rows))  # images[k][i]: label of coset i under generator k
+    recorded = dict(zip(G._raw_gens, images))
 
     def act(p):
         row = recorded.get(p)

@@ -37,8 +37,9 @@ from .group import (
     BoundExceeded,
     Group,
     _build_chain,
-    _conjugation_orbits,
+    _conjugations,
     _orbit_count,
+    _orbits,
     _stabilizer,
     centralizer_in,
     commutator_subgroup,
@@ -46,7 +47,7 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _inv, _mul, _order, _pow, is_prime, prime_factors
+from .perm import Permutation, _mul, _order, _pow, is_prime, prime_factors
 
 DEFAULT_LATTICE_BOUND = 2000
 
@@ -90,9 +91,8 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     if K is G and G._index is not None:
         reps = [cls[0] for cls in G.conjugacy_classes_raw() if is_prime(_order(cls[0]))]
     else:
-        pairs = [(g, _inv(g)) for g in G._raw_gens]
         prime_order = [p for p in K.elements_raw() if is_prime(_order(p))]
-        reps = [orbit[0] for orbit in _conjugation_orbits(prime_order, pairs)]
+        reps = [orbit[0] for orbit in _orbits(prime_order, _conjugations(G._raw_gens))]
     closures: list[Group] = []
     for x in reps:
         n = normal_closure(G, [Permutation._wrap(x)])
@@ -332,8 +332,7 @@ def _perfect_seed_classes(G: Group):
         order_a = _order(a)
         done_classes.update(class_of[x] for x in _generators_of_cyclic(a, order_a))
         cent = centralizer_in(G, Permutation._wrap(a))
-        cgens = [(g, _inv(g)) for g in cent._raw_gens]
-        orbits = _conjugation_orbits([x for cls in classes[i:] for x in cls], cgens)
+        orbits = _orbits([x for cls in classes[i:] for x in cls], _conjugations(cent._raw_gens))
         orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
         done_orbits = set()
         for k, orbit in enumerate(orbits):

@@ -372,6 +372,15 @@ def test_d_metric_c2c2():
     assert rep.value == 1
 
 
+def test_d_metric_zero_puts_no_witness_entry_in_the_subgroup():
+    # C6 is cyclic, so its d = 1 witness generates it and misses C3; no
+    # generating pair of S4 has an entry in the trivial group
+    for G, H in ((C6, make(["(1,3,5)(2,4,6)"], 6)), (S4, trivial_group(4))):
+        rep = d_metric(G, H)
+        assert rep.value == 0 and rep.in_subgroup == ()
+        assert not any(H.contains(w) for w in rep.witness)
+
+
 def test_d_metric_whole_group():
     rep = d_metric(S4, S4)
     assert rep.value == 2

@@ -18,7 +18,8 @@ from genex.group import (
     normal_closure,
     trivial_group,
     wreath_product,
-    _conjugation_orbits,
+    _conjugations,
+    _orbits,
     _stabilizer,
 )
 from genex.gensets import min_generators
@@ -143,8 +144,7 @@ def test_enumeration_above_the_element_bound_raises():
 ], ids=["S4", "A5", "S6"])
 def test_conjugacy_classes_from_the_element_index(monkeypatch, texts, degree):
     G = make(texts, degree)
-    pairs = [(g, _inv(g)) for g in G._raw_gens]
-    want = tuple(_conjugation_orbits(G.elements_raw(), pairs))
+    want = tuple(_orbits(G.elements_raw(), _conjugations(G._raw_gens)))
     G._element_index()
 
     def no_mul(p, q):
@@ -245,13 +245,20 @@ def test_normal_closure_rejects_seeds_outside_the_group():
         normal_closure(A5, [P("(1,2)", 5)])
 
 
-def test_commutator_subgroup_matches_oracle():
-    for g in [S4, A4, Q8, C6]:
+def test_commutator_subgroup_matches_oracle(monkeypatch):
+    seeded = []
+    closure = group_module.normal_closure
+    monkeypatch.setattr(group_module, "normal_closure",
+                        lambda G, seeds: seeded.append(len(seeds)) or closure(G, seeds))
+    for g in [S4, A4, Q8, C6, make(["(1,2)", "(2,3)", "(3,4)", "(4,5)"], 5)]:
         elems = oracles.closure([x.imgs for x in g.generators], g.degree)
         expect = oracles.commutator_closure(elems, g.degree)
         got = commutator_subgroup(g)
         assert got.order() == len(expect)
         assert all(imgs in expect for imgs in got.elements_raw())
+        # one seed per unordered pair of the generators G acts by
+        k = len(g._raw_gens)
+        assert seeded.pop() == k * (k - 1) // 2
 
 
 def test_centralizer():
@@ -300,6 +307,24 @@ def test_coset_canonical_is_the_least_coset_member():
         H = Group(gens, n)
         p = tuple(rng.sample(range(n), n))
         assert coset_canonical(H, p) == min(_mul(h, p) for h in H.elements_raw())
+
+
+def test_degree_above_the_point_bound_raises():
+    bound = group_module.DEFAULT_MAX_POINTS
+    assert Group([], bound).degree == trivial_group(bound).degree == bound
+    for build in (lambda: Group([], bound + 1), lambda: trivial_group(bound + 1),
+                  lambda: direct_product(trivial_group(bound), trivial_group(1))):
+        with pytest.raises(BoundExceeded):
+            build()
+
+
+def test_orbit_above_the_element_bound_raises(monkeypatch):
+    # the class of a 5-cycle in S5 has 24 members; the bound is read at call time
+    x = P("(1,2,3,4,5)", 5)
+    assert centralizer_in(S5, x).order() == 5
+    monkeypatch.setattr(group_module, "DEFAULT_ELEMENT_BOUND", 10)
+    with pytest.raises(BoundExceeded, match="orbit too large"):
+        centralizer_in(S5, x)
 
 
 def test_degree_and_membership_inputs_are_checked():

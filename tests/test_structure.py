@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex import structure
-from genex.group import Group, coset_action, direct_product, wreath_product
+from genex.group import Group, _conjugations, _orbits, coset_action, direct_product, wreath_product
 from genex.perm import Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
@@ -240,14 +240,12 @@ def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree):
     G = make(texts, degree)
     derived = structure.commutator_subgroup(G)
     is_perfect = cache(structure.is_perfect)  # tests G' once, however many pairs reach it
-    orbits = structure._conjugation_orbits
-    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
     want = set()
-    for cls in orbits(derived.elements_raw(), pairs):
+    for cls in _orbits(derived.elements_raw(), _conjugations(g.imgs for g in G.generators)):
         a = Permutation(cls[0])
         cent = structure.centralizer_in(G, a)
-        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
-        for orbit in orbits(derived.elements_raw(), cpairs):
+        cmaps = _conjugations(g.imgs for g in cent.generators)
+        for orbit in _orbits(derived.elements_raw(), cmaps):
             H = Group([a, Permutation(orbit[0])], degree)
             if H.order() == derived.order():
                 H = derived  # H lies in G', so it is G'
@@ -283,15 +281,13 @@ def test_perfect_seed_cuts_are_sound(texts, degree, skipped, stopped):
     # build stops generates D
     G = make(texts, degree)
     D = structure._perfect_residuum(G)
-    orbits = structure._conjugation_orbits
-    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
-    classes = orbits(D.elements_raw(), pairs)
+    classes = _orbits(D.elements_raw(), _conjugations(g.imgs for g in G.generators))
     counts = Counter()
     for i in range(1, len(classes)):
         a = Permutation(classes[i][0])
         cent = structure.centralizer_in(G, a)
-        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
-        for orbit in orbits([x for cls in classes[i:] for x in cls], cpairs):
+        cmaps = _conjugations(g.imgs for g in cent.generators)
+        for orbit in _orbits([x for cls in classes[i:] for x in cls], cmaps):
             b = Permutation(orbit[0])
             if a * b == b * a:
                 continue
@@ -352,16 +348,14 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
             if t not in reached:
                 reached.add(t)
                 queue.append(t)
-    orbits = structure._conjugation_orbits
-    pairs = [(g.imgs, g.inverse().imgs) for g in G.generators]
-    classes = orbits(D.elements_raw(), pairs)
+    classes = _orbits(D.elements_raw(), _conjugations(g.imgs for g in G.generators))
     done = set(built)
     count = 0
     for i in range(1, len(classes)):
         a = Permutation(classes[i][0])
         cent = structure.centralizer_in(G, a)
-        cpairs = [(g.imgs, g.inverse().imgs) for g in cent.generators]
-        for orbit in orbits([x for cls in classes[i:] for x in cls], cpairs):
+        cmaps = _conjugations(g.imgs for g in cent.generators)
+        for orbit in _orbits([x for cls in classes[i:] for x in cls], cmaps):
             b = Permutation(orbit[0])
             if (a * b == b * a or (a.imgs, b.imgs) in done
                     or structure._von_dyck_solvable(a.order(), b.order(), (a * b).order())):
