@@ -35,11 +35,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .perm import Permutation, _identity, _inv, _mul
+from .perm import _TABLE_ID, Permutation, _identity, _inv, _mul
 
 DEFAULT_MAX_POINTS = 100_000
 DEFAULT_ELEMENT_BOUND = 200_000
-_TABLE_ID = bytes(range(256))  # the identity translate table
 
 
 class BoundExceeded(ValueError):
@@ -78,10 +77,16 @@ class _Chain:
     group is the pointwise stabilizer of all points below ``base[i]``, and
     ``base`` is the group's lex base: the points q moved by some element
     fixing every point below q, the same for every generating set.
+
+    ``levels`` pairs each base point with its ``itrans`` dict, the two
+    things a sift reads, so the one sift loop (``_sift_from``) walks a
+    single list.  ``_add`` is the only place a level is inserted, and it
+    inserts into ``levels`` too; the dicts are the same objects as in
+    ``itrans`` and grow in place, so ``levels`` never goes stale.
     """
 
     __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
-                 "base", "gens", "ginvs", "trans", "itrans", "sifted", "cap")
+                 "base", "gens", "ginvs", "trans", "itrans", "sifted", "levels", "cap")
 
     def __init__(self, degree, cap=None):
         self.degree = degree
@@ -100,6 +105,7 @@ class _Chain:
         self.trans = []
         self.itrans = []
         self.sifted = []
+        self.levels = []
 
     def order(self):
         n = 1
@@ -115,13 +121,12 @@ class _Chain:
         return self.ident if residue == self.one else tuple(residue)
 
     def _sift_from(self, start, p):
-        base, itrans, mul = self.base, self.itrans, self.mul
-        for lev in range(start, len(base)):
-            b = base[lev]
+        mul = self.mul
+        for b, itr in (self.levels[start:] if start else self.levels):
             img = p[b]
             if img == b:
                 continue
-            rep_inv = itrans[lev].get(img)
+            rep_inv = itr.get(img)
             if rep_inv is None:
                 return p
             p = mul(p, rep_inv)
@@ -152,6 +157,7 @@ class _Chain:
             self.trans.insert(j, {moved: self.ident})
             self.itrans.insert(j, {moved: self.one + self.tail})
             self.sifted.insert(j, (1, len(gens)))
+            self.levels.insert(j, (moved, self.itrans[j]))
         g += self.tail
         ginv = self.inv(g)
         for k in range(top, j + 1):
@@ -371,9 +377,10 @@ class Group:
     def contains(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):
             raise ValueError("contains takes a Permutation")
-        if g.degree != self._degree:
+        if len(g.imgs) != self._degree:
             raise ValueError("degree mismatch")
-        return self._contains_raw(g.imgs)
+        chain = self._chain
+        return chain.sift(g.imgs) is chain.ident
 
     def _contains_raw(self, p) -> bool:
         # sift hands members ``ident`` itself, so no residue is decoded

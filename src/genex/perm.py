@@ -9,9 +9,10 @@ the right-action convention used for wreath coordinates throughout.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import index, itemgetter
+
+_TABLE_ID = bytes(range(256))  # the identity translate table, shared with group's chains
 
 
 # ---------------------------------------------------------------------------
@@ -19,11 +20,6 @@ from operator import index, itemgetter
 
 def _identity(n):
     return tuple(range(n))
-
-
-@lru_cache(maxsize=16)
-def _point_set(n):
-    return frozenset(range(n))
 
 
 def _mul(p, q):
@@ -135,18 +131,24 @@ class Permutation:
     __slots__ = ("imgs",)
 
     def __init__(self, imgs):
-        """Checked in C: ``bytes`` (up to 256 points) and ``index`` reject a
-        non-integer image, and a set of integers equal to range(n) has n
-        distinct members, so n images form a bijection."""
-        imgs = tuple(imgs)
+        """Checked in C.  ``tuple`` rejects a non-iterable, and ``bytes`` (up
+        to 256 points) or ``index`` a non-integer image.  The n images are a
+        bijection of range(n) iff every point of range(n) is among them
+        (pigeonhole: n images cannot cover n points with a repeat or with an
+        image outside range(n)).  Up to 256 points that is one translate:
+        deleting the images from the first n bytes of the identity table
+        leaves nothing.  Above 256 the images' set must equal range(n)."""
         try:
-            if len(imgs) <= 256:
-                bytes(imgs)
+            imgs = tuple(imgs)
+            n = len(imgs)
+            if n <= 256:
+                ok = not _TABLE_ID[:n].translate(None, bytes(imgs))
             else:
                 imgs = tuple(map(index, imgs))
+                ok = set(imgs) == set(range(n))
         except (TypeError, ValueError):
-            raise ValueError("images are not a bijection of the point set") from None
-        if set(imgs) != _point_set(len(imgs)):
+            ok = False
+        if not ok:
             raise ValueError("images are not a bijection of the point set")
         object.__setattr__(self, "imgs", imgs)
 
@@ -195,9 +197,6 @@ class Permutation:
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
         return Permutation._wrap(_mul(_inv(g.imgs), _mul(self.imgs, g.imgs)))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.imgs))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 1-based points."""

@@ -672,7 +672,7 @@ def test_socle_projection_wreath():
     project = socle_block_projection(W, N)
     swap = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
     assert project(swap) == P("(1,2)", 2)
-    assert project(P("(1,2,3)", 10)).is_identity()
+    assert project(P("(1,2,3)", 10)) == Permutation.identity(2)
 
 
 def test_replacement_search_s5():

@@ -286,7 +286,16 @@ def test_base_is_deterministic():
 
 
 def test_base_is_in_point_order():
-    assert make(["(3,4)", "(1,2)"], 4).base() == (1, 3)
+    g = make(["(3,4)", "(1,2)"], 4)
+    assert g.base() == (1, 3)
+    # (3,4) makes the level of point 2 first, (1,2) inserts point 0 before
+    # it, and the sift loop's levels follow
+    chain = g._chain
+    assert [b for b, _ in chain.levels] == chain.base
+    assert all(itr is chain.itrans[i] for i, (_, itr) in enumerate(chain.levels))
+    elems = oracles.closure([x.imgs for x in g.generators], 4)
+    for p in oracles.closure([P("(1,2,3,4)", 4).imgs, P("(1,2)", 4).imgs], 4):
+        assert g.contains(Permutation(p)) == (p in elems)
 
 
 def test_coset_canonical_is_the_least_coset_member():
@@ -563,6 +572,9 @@ def test_chain_matches_closure(case):
         assert G.contains(Permutation(p)) == (p in elems)
     assert all(G.contains(Permutation(p)) for p in elems)
     chain = G._chain
+    # the sift loop's levels are the base points with their itrans dicts
+    assert [b for b, _ in chain.levels] == chain.base
+    assert all(itr is chain.itrans[i] for i, (_, itr) in enumerate(chain.levels))
     for p in probes:
         # members get the identity itself back, other residues are tuples
         residue = chain.sift(p)
@@ -612,6 +624,24 @@ def test_chain_encodings_agree_across_the_byte_boundary():
                 [small.contains(Permutation(p)) for p in probes]
             assert not big.contains(P(f"(5,{n})", n))
             assert tuple(p[:5] for p in big.elements_raw()) == elements
+
+
+def test_membership_above_the_byte_boundary_matches_closure():
+    # on 300 points the chain sifts tuples; S4 x S4 on points 1-4 and 297-300
+    n = 300
+    g = make(["(1,2,3,4)", "(1,2)", "(297,298,299,300)", "(297,298)"], n)
+    assert isinstance(g._chain.one, tuple)
+    elems = oracles.closure([x.imgs for x in g.generators], n)
+    assert g.order() == len(elems) == 576
+    moved = (0, 1, 2, 3, 296, 297, 298, 299)
+    rng = random.Random(5)
+    for _ in range(200):
+        imgs = list(range(n))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            imgs[a] = b
+        p = tuple(imgs)
+        assert g.contains(Permutation(p)) == (p in elems)
+    assert all(g.contains(Permutation(p)) for p in elems)
 
 
 def test_regular_action_above_the_byte_boundary():

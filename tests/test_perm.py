@@ -21,7 +21,7 @@ def P(text, degree):
 def test_parse_identity():
     p = P("()", 4)
     assert p.images == (1, 2, 3, 4)
-    assert p.is_identity()
+    assert p == Permutation.identity(4)
 
 
 def test_parse_single_cycle():
@@ -90,14 +90,14 @@ def test_mul_composes_left_to_right(pq):
 
 def test_inverse_and_identity():
     p = P("(1,4,2)(3,5)", 5)
-    assert (p * p.inverse()).is_identity()
-    assert (p.inverse() * p).is_identity()
+    assert p * p.inverse() == Permutation.identity(5)
+    assert p.inverse() * p == Permutation.identity(5)
 
 
 def test_power_and_order():
     p = P("(1,2)(3,4,5)", 5)
     assert p.order() == 6
-    assert (p ** 6).is_identity()
+    assert p ** 6 == Permutation.identity(5)
     assert p ** -1 == p.inverse()
     assert p ** 7 == p
 
@@ -130,8 +130,10 @@ def test_bad_images_rejected():
     (0, 2), (-1, 0), (1.0, 0.0, 2.0), (0, "a"), (None, 0), (0.5, 1), "10", [b"\x00"],
     tuple(range(299)) + (299.0,), tuple(range(299)) + ("a",),
     tuple(range(299)) + (298,), tuple(range(299)) + (-1,),
+    5, None, tuple(range(255)) + (254,), (0, 1, 5), (0, 256),
 ], ids=["gap", "negative", "floats", "str", "None", "fraction", "text", "bytes",
-        "large-float", "large-str", "large-repeat", "large-negative"])
+        "large-float", "large-str", "large-repeat", "large-negative",
+        "int", "none-iterable", "256-repeat", "image-past-degree", "image-256"])
 def test_non_integer_or_out_of_range_images_rejected(imgs):
     # each raises ValueError here, not TypeError later in Group, contains or *
     with pytest.raises(ValueError):
@@ -142,7 +144,7 @@ def test_images_accepted_at_any_degree():
     for n in (0, 1, 2, 255, 256, 257, 300):
         imgs = tuple(reversed(range(n)))
         p = Permutation(imgs)
-        assert p.imgs == imgs and (p * p).is_identity()
+        assert p.imgs == imgs and p * p == Permutation.identity(n)
     assert Permutation(range(3)).imgs == (0, 1, 2)
 
 
