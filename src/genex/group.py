@@ -22,8 +22,8 @@ under those generators are its one element index (``Group._element_index``),
 shared by the conjugacy classes and the subgroup lattice.
 
 Every action is walked by one layer: ``_walk`` for one orbit with its action
-table (cosets, id sets of subgroups, socle factors, and ``_stabilizer``'s
-orbit-stabilizer), ``_orbits`` for a partition into orbits (classes,
+table (cosets, id sets of subgroups, socle factors, and the orbit-stabilizer
+of ``_schreier_generators``), ``_orbits`` for a partition into orbits (classes,
 centralizer orbits), and ``_conjugations`` for the maps x -> g^-1 x g by
 which a group acts on its elements.
 """
@@ -561,41 +561,52 @@ def commutator_subgroup(G: Group) -> Group:
     return normal_closure(G, [Permutation._wrap(c) for c in comms])
 
 
-def _stabilizer(degree, order, gens, moves, start):
-    """Stabilizer of ``start`` in K = <gens> of the given order, by orbit-stabilizer.
+def _schreier_generators(degree, gens, moves, start):
+    """The orbit of ``start`` under K = <gens>, as a dict from each point, in
+    discovery order, to its rep, an element of K carrying ``start`` there;
+    and a lazy iterator over the Schreier generators rep(y) g rep(y^g)^-1 of
+    its stabilizer in K.
 
     ``moves[i]`` maps a point to its image under ``gens[i]``.  The orbit is
     walked once (``_walk``), and a point's rep is the rep of the point that
-    found it times the generator that did.  The Schreier generators
-    rep(y) g rep(y^g)^-1 are sifted, in walk order, into a chain until it
-    reaches the order |K| / |orbit|, each rep inverted at most once and the
-    pair that found a point skipped, as its Schreier generator is 1.
-    Returns the stabilizer's generators, that chain, and the orbit as a dict
-    from each point to an element of K carrying ``start`` there.
+    found it times the generator that did.  The Schreier generators come in
+    walk order, each rep inverted at most once, and the pair that found a
+    point is skipped, as its Schreier generator is 1.
     """
     position, rows, found = _walk(start, moves)
     reps = [_identity(degree)]
     for i, k in found[1:]:
         reps.append(_mul(reps[i], gens[k]))
-    target = order // len(reps)
+
+    def schreier():
+        invs = {}  # position -> inverse of its rep
+        for i, row in enumerate(rows):
+            for k, (g, j) in enumerate(zip(gens, row)):
+                if found[j] == (i, k):
+                    continue
+                zinv = invs.get(j)
+                if zinv is None:
+                    zinv = invs[j] = _inv(reps[j])
+                yield _mul(_mul(reps[i], g), zinv)
+
+    return dict(zip(position, reps)), schreier()
+
+
+def _stabilizer(degree, order, gens, moves, start):
+    """Stabilizer of ``start`` in K = <gens> of the given order: the
+    Schreier generators are sifted into a chain until it reaches the order
+    |K| / |orbit|.  Returns the generators that extended it, the chain, and
+    the orbit of ``_schreier_generators``."""
+    orbit, schreier = _schreier_generators(degree, gens, moves, start)
+    target = order // len(orbit)
     chain, stab_gens = _build_chain(degree, [])
-    invs = {}  # position -> inverse of its rep
-    for i, row in enumerate(rows):
-        if chain.order() >= target:
-            break
-        rep = reps[i]
-        for k, (g, j) in enumerate(zip(gens, row)):
-            if found[j] == (i, k):
-                continue
-            zinv = invs.get(j)
-            if zinv is None:
-                zinv = invs[j] = _inv(reps[j])
-            schreier = _mul(_mul(rep, g), zinv)
-            if chain.extend(schreier):
-                stab_gens.append(schreier)
+    if chain.order() < target:
+        for s in schreier:
+            if chain.extend(s):
+                stab_gens.append(s)
                 if chain.order() >= target:
                     break
-    return stab_gens, chain, dict(zip(position, reps))
+    return stab_gens, chain, orbit
 
 
 def centralizer_in(G: Group, x: Permutation) -> Group:

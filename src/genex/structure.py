@@ -15,15 +15,19 @@ pair that the orders of a, b and ab prove solvable (von Dyck), and stops a
 chain as soon as it passes |D| / 5, since a perfect D has no proper
 subgroup of index below 5 (``_perfect_seed_classes`` gives the proofs).
 Classes are deduplicated by full conjugation orbits of element-id sets, so
-the enumeration is exact; each class's orbit and its normalizer come from
-the one orbit-stabilizer routine, ``group._stabilizer``, acting on those id
-sets.  A class keeps the generators of its representative and builds the
-representative's chain only when it is read.
+the enumeration is exact.  A class's orbit comes from the one
+orbit-stabilizer walk, ``group._schreier_generators``, acting on those id
+sets, and its normalizer is grown from the class's subgroup H as element
+ids, by a coset step (``_close_ids``, Dimino's method) for each Schreier
+generator that lies outside it, with no chain; cyclic extension reuses that
+step.  A class keeps the generators of its representative and of its
+normalizer, and builds either group's chain only when it is read.
 
 ``classify_maximal`` reads the minimal normal subgroups on G, not on the
 coset image, whenever the action is faithful: an isomorphism carries the
 minimal normal subgroups of G onto those of its image, so they are found
-once per G and kept there, and only their generators are mapped.
+once per G and kept there, and only their generators are mapped.  When G's
+lattice is built they are its minimal normal classes, with no scan.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .group import (
     _conjugations,
     _orbit_count,
     _orbits,
-    _stabilizer,
+    _schreier_generators,
     centralizer_in,
     commutator_subgroup,
     coset_action,
@@ -60,12 +64,23 @@ def is_perfect(G: Group) -> bool:
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
-    """All minimal normal subgroups: ``minimal_normals_inside(G, G)``, kept
-    on G."""
+    """All minimal normal subgroups, kept on G.
+
+    When G's lattice is already built, they are its minimal nontrivial
+    classes of size 1 (a normal subgroup is its own class); otherwise G is
+    scanned, ``minimal_normals_inside(G, G)``.
+    """
     if G.order() <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     if G._minimal_normals is None:
-        G._minimal_normals = tuple(minimal_normals_inside(G, G))
+        if G._lattice is None:
+            minimal = minimal_normals_inside(G, G)
+        else:
+            normal = [c for c in G._lattice.classes if c.size == 1 and c.order > 1]
+            minimal = sorted((c.rep for c in normal
+                              if not any(m.order < c.order and m.ids < c.ids for m in normal)),
+                             key=_minimal_normal_key)
+        G._minimal_normals = tuple(minimal)
     return list(G._minimal_normals)
 
 
@@ -82,20 +97,13 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     prime-order elements, so one element per G-class of prime-order
     elements of K suffices, and a closure that contains another is not
     minimal.  Only K is scanned: the classes are the conjugation orbits of
-    K's prime-order elements alone.  When K is G and G's element index is
-    already built, as in the lattice query, the classes come from
-    ``conjugacy_classes_raw`` instead, and only their least members are
-    tested for prime order; both ways give the least member of each class,
-    in the same order.  Sorted by ``_minimal_normal_key``.
+    K's prime-order elements alone, each tried from its least member.
+    Sorted by ``_minimal_normal_key``.
     """
-    if K is G and G._index is not None:
-        reps = [cls[0] for cls in G.conjugacy_classes_raw() if is_prime(_order(cls[0]))]
-    else:
-        prime_order = [p for p in K.elements_raw() if is_prime(_order(p))]
-        reps = [orbit[0] for orbit in _orbits(prime_order, _conjugations(G._raw_gens))]
+    prime_order = [p for p in K.elements_raw() if is_prime(_order(p))]
     closures: list[Group] = []
-    for x in reps:
-        n = normal_closure(G, [Permutation._wrap(x)])
+    for orbit in _orbits(prime_order, _conjugations(G._raw_gens)):
+        n = normal_closure(G, [Permutation._wrap(orbit[0])])
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
     minimal = []
@@ -147,15 +155,23 @@ def is_transitive(G: Group) -> bool:
 
 
 def is_primitive(G: Group) -> bool:
-    """Transitive with no nontrivial block system."""
+    """Transitive with no nontrivial block system.
+
+    The finest block through 0 and beta is the same for every beta in one
+    orbit of the point stabilizer G_0, which maps it onto the block through
+    0 and beta^x, so one beta per orbit is tried.  G_0 is level 1 of the
+    chain: a transitive group moves point 0, so its lex base starts there.
+    """
     n = G.degree
     if not is_transitive(G):
         return False
     if n == 1:
         return True
+    chain = G._chain
+    stabilizer = chain.gens[1] if len(chain.base) > 1 else ()
     gens = G._raw_gens
-    for beta in range(1, n):
-        reps = minimal_block(n, gens, 0, beta)
+    for orbit in _orbits(range(1, n), [g.__getitem__ for g in stabilizer]):
+        reps = minimal_block(n, gens, 0, orbit[0])
         if len(set(reps)) != 1:
             return False
     return True
@@ -167,19 +183,23 @@ def is_primitive(G: Group) -> bool:
 @dataclass
 class SubgroupClass:
     """One conjugacy class of subgroups: generators of its representative,
-    ids, normalizer, orbit data.
+    ids, orbit data, and its normalizer as generators and element ids.
 
-    The representative ``rep`` = <gens> is built when first read, since a
-    query reads only a few of them (the maximal classes, Phi(G)); a seed
-    class is registered with the closure the seed search already built.
+    The lattice query reads only ``normalizer_ids``.  The groups ``rep`` =
+    <gens> and ``normalizer`` are built when first read, since a query reads
+    only a few of them (the maximal classes, Phi(G), the minimal normal
+    subgroups); a seed class is registered with the closure the seed search
+    already built.
     """
 
     gens: tuple  # raw tuples
     ids: frozenset
     size: int
     key: tuple
-    normalizer: Group
     orbit: tuple  # frozensets of ids over the whole class
+    degree: int
+    normalizer_gens: tuple  # raw tuples generating N_G(rep)
+    normalizer_ids: frozenset
 
     @property
     def order(self) -> int:
@@ -187,7 +207,11 @@ class SubgroupClass:
 
     @cached_property
     def rep(self) -> Group:
-        return subgroup_closure(self.normalizer.degree, self.gens)
+        return subgroup_closure(self.degree, self.gens)
+
+    @cached_property
+    def normalizer(self) -> Group:
+        return subgroup_closure(self.degree, self.normalizer_gens)
 
 
 class SubgroupLattice:
@@ -371,19 +395,40 @@ def _generators_of_cyclic(x, order: int):
             yield y
 
 
-def _cyclic_extension_ids(h_ids, h_elems, n, p, id_of) -> frozenset:
-    """The ids of J = <H, n> = H u Hn u ... u Hn^(p-1), for n^p in H."""
+def _close_ids(ids: set, members: list, moves, id_of) -> None:
+    """Grow the subgroup L, given by its ids and members, in place to
+    <L, moves> by Dimino's coset step (Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991, ch. 7): for each coset rep r found
+    so far and each move g, an r g outside the union adds the coset L r g.
+    The union of right cosets is then closed under the moves, and under L
+    too (hence a group) when L's generators are among the moves or the
+    moves normalize L, as L r l = r L l = L r.
+    """
+    old = tuple(members)
+    reps = [None]  # None: the coset L itself
+    for r in reps:
+        for g in moves:
+            y = g if r is None else _mul(r, g)
+            if id_of[y] in ids:
+                continue
+            coset = [_mul(x, y) for x in old]
+            ids.update(map(id_of.__getitem__, coset))
+            members += coset
+            reps.append(y)
+
+
+def _cyclic_extension_ids(h_ids, h_elems, n, id_of) -> frozenset:
+    """The ids of J = <H, n> = H u Hn u ... u Hn^(p-1), for n normalizing H
+    with n^p in H: one coset step by n alone."""
     j_ids = set(h_ids)
-    x = n
-    for _ in range(p - 1):
-        j_ids.update(id_of[_mul(h, x)] for h in h_elems)
-        x = _mul(x, n)
+    _close_ids(j_ids, list(h_elems), (n,), id_of)
     return frozenset(j_ids)
 
 
 def _enumerate_classes(G: Group) -> SubgroupLattice:
     elems = G.elements_raw()
     degree = G.degree
+    order = G.order()
     id_of, tables = G._element_index()
     ident_id = id_of[tuple(range(degree))]
     n_gens = G._raw_gens
@@ -395,16 +440,29 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     moves = [lambda s, table=table: frozenset(map(table.__getitem__, s)) for table in tables]
 
     def register(ids: frozenset, gens_raw: tuple, rep: Group | None = None) -> int | None:
-        """Dedup against every known conjugate; take orbit and normalizer."""
+        """Dedup against every known conjugate; take the orbit, and grow the
+        normalizer L from H by the Schreier generators of H's stabilizer
+        under conjugation that lie outside L, one coset step each, until
+        |L| = |G| / |orbit|."""
         if tuple(sorted(ids)) in seen:
             return None
-        norm_gens, chain, orbit = _stabilizer(degree, G.order(), n_gens, moves, ids)
+        orbit, schreier = _schreier_generators(degree, n_gens, moves, ids)
+        target = order // len(orbit)
+        norm_ids, members, norm_gens = set(ids), [elems[i] for i in ids], list(gens_raw)
+        if len(norm_ids) < target:
+            for s in schreier:
+                if id_of[s] in norm_ids:
+                    continue
+                norm_gens.append(s)
+                _close_ids(norm_ids, members, norm_gens, id_of)
+                if len(norm_ids) >= target:
+                    break
         keys = {s: tuple(sorted(s)) for s in orbit}
         seen.update(keys.values())
         cls = SubgroupClass(
             gens=gens_raw, ids=ids, size=len(orbit), key=min(keys.values()),
-            normalizer=subgroup_closure(degree, norm_gens, chain),
-            orbit=tuple(sorted(orbit, key=keys.__getitem__)))
+            orbit=tuple(sorted(orbit, key=keys.__getitem__)), degree=degree,
+            normalizer_gens=tuple(norm_gens), normalizer_ids=frozenset(norm_ids))
         if rep is not None:
             cls.rep = rep
         classes.append(cls)
@@ -431,36 +489,32 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
         if idx is not None:
             work.append(idx)
 
-    # cyclic extension by prime-order cosets of the normalizer.  Each J =
-    # <H, n> is built once: its ids join ``visited``, since every other coset
-    # H n^k (0 < k < p) in J has n^k H of the same order p in N/H, so it
-    # would only build J again
+    # cyclic extension by prime-order cosets of the normalizer, walked in
+    # sorted order by id.  Each J = <H, n> is built once: its ids join
+    # ``visited``, since every other coset H n^k (0 < k < p) in J has n^k H
+    # of the same order p in N/H, so it would only build J again
     while work:
-        idx = work.popleft()
-        cls = classes[idx]
-        norm = cls.normalizer
-        index = norm.order() // cls.order
+        cls = classes[work.popleft()]
+        index = len(cls.normalizer_ids) // cls.order
         if index == 1:
             continue
         h_ids = cls.ids
-        h_elems = [elems[i] for i in sorted(h_ids)]
+        h_elems = [elems[i] for i in h_ids]
         primes = list(prime_factors(index))
         visited = set(h_ids)
-        for n in norm.elements_raw():
-            i = id_of[n]
+        for i in sorted(cls.normalizer_ids):
             if i in visited:
                 continue
             # n is the least member of a fresh coset H*n
-            coset_ids = [id_of[_mul(h, n)] for h in h_elems]
-            visited.update(coset_ids)
-            for p in primes:
-                if id_of[_pow(n, p)] in h_ids:
-                    j_ids = _cyclic_extension_ids(h_ids, h_elems, n, p, id_of)
-                    visited.update(j_ids)
-                    new_idx = register(j_ids, cls.gens + (n,))
-                    if new_idx is not None:
-                        work.append(new_idx)
-                    break
+            n = elems[i]
+            if not any(id_of[_pow(n, p)] in h_ids for p in primes):
+                visited.update(id_of[_mul(h, n)] for h in h_elems)
+                continue
+            j_ids = _cyclic_extension_ids(h_ids, h_elems, n, id_of)
+            visited.update(j_ids)
+            new_idx = register(j_ids, cls.gens + (n,))
+            if new_idx is not None:
+                work.append(new_idx)
 
     classes.sort(key=lambda c: (c.order, c.key))
     return SubgroupLattice(G, elems, classes)
@@ -514,9 +568,10 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     those of the image (Dixon-Mortimer, *Permutation Groups*, 1996,
     sec. 4.3).  So the minimal normal subgroups and the socle's simple
     factors are read on G and on its socle, where they are kept, and carried
-    to the image through ``act``: G's image is never scanned, and G is
-    scanned once however many maximal classes are classified.  A nontrivial
-    core reads them on the image itself.
+    to the image through ``act``: G's image is never scanned, and G's are
+    found once however many maximal classes are classified, off G's lattice
+    when it is built (``minimal_normal_subgroups``).  A nontrivial core
+    reads them on the image itself.
 
     For type 2 the shape of I = soc meet M comes from orbit counts of the
     factors' images.  Point 0 is the coset M, so M's image meets each K
@@ -525,7 +580,10 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     the product of the |F_0| over the simple factors F.  I projects onto F
     iff soc = I * R_F, R_F the product of the other factors, that is iff R_F
     is transitive (Frattini argument); I is diagonal iff that holds for
-    every F.
+    every F.  The socle is T^k with T simple (sec. 4.3), so an order |soc|
+    that is no proper power, the exponents of its prime factorization
+    having gcd 1, proves k = 1: soc is its own one factor, and I is
+    trivial or coordinate with no factor read and no image taken.
     """
     if M.order() >= G.order():
         raise ValueError("M is not maximal in G")
@@ -548,18 +606,22 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     shape = "not-applicable"
     if ptype == 2:
         soc, n = nonab[0], image.degree
-        factors = minimal_normal_subgroups(soc)  # the simple direct factors
-        images = [[act(g) for g in f._raw_gens] for f in factors]
         if soc.order() == n:
             shape = "trivial"
-        elif prod(f.order() * _orbit_count(n, gens) // n
-                  for f, gens in zip(factors, images)) == soc.order() // n:
+        elif gcd(*prime_factors(soc.order()).values()) == 1:
+            # soc = T^k, T simple, and |T|^k is no proper power: k = 1
             shape = "coordinate"
-        elif all(_orbit_count(n, [g for other in images if other is not gens for g in other]) == 1
-                 for gens in images):
-            shape = "diagonal"
         else:
-            raise AssertionError("socle intersection fits no expected shape")
+            factors = minimal_normal_subgroups(soc)  # the simple direct factors
+            images = [[act(g) for g in f._raw_gens] for f in factors]
+            if prod(f.order() * _orbit_count(n, gens) // n
+                    for f, gens in zip(factors, images)) == soc.order() // n:
+                shape = "coordinate"
+            elif all(_orbit_count(n, [g for other in images if other is not gens for g in other]) == 1
+                     for gens in images):
+                shape = "diagonal"
+            else:
+                raise AssertionError("socle intersection fits no expected shape")
     return MaximalSubgroupReport(
         subgroup=M, core=core, quotient_order=image.order(),
         primitive_type=ptype, intersection_shape=shape)

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex import structure
-from genex.group import Group, _conjugations, _orbits, coset_action, direct_product, wreath_product
+from genex.group import (
+    Group,
+    Homomorphism,
+    _conjugations,
+    _orbits,
+    coset_action,
+    direct_product,
+    wreath_product,
+)
 from genex.perm import Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
@@ -85,20 +93,19 @@ def test_minimal_normal_subgroups_orbit_no_classes(monkeypatch):
     assert calls == []
 
 
-def test_minimal_normal_subgroups_read_an_existing_class_table(monkeypatch):
-    # with the element index built, only the least member of each class has
-    # its order computed, and the answer is the scan's
-    orders = []
-    original = structure._order
-    monkeypatch.setattr(structure, "_order", lambda p: orders.append(p) or original(p))
-    for gens, degree in [(["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4)", "(1,2)"], 4)]:
-        scanned = minimal_normal_subgroups(make(gens, degree))
-        g = make(gens, degree)
-        g._element_index()
-        orders.clear()
-        indexed = minimal_normal_subgroups(g)
-        assert orders == [cls[0] for cls in g.conjugacy_classes_raw()]
-        assert [m.generators for m in indexed] == [m.generators for m in scanned]
+@pytest.mark.parametrize("name", MINIMAL_NORMAL_CASES)
+def test_minimal_normal_subgroups_read_off_the_lattice(monkeypatch, name):
+    # with the lattice built, the minimal normal classes are read off it with
+    # no scan, and they are the scan's subgroups
+    g = MINIMAL_NORMAL_CASES[name][0]
+    scanned = [frozenset(m.elements_raw())
+               for m in minimal_normal_subgroups(Group(g.generators, g.degree))]
+    fresh = Group(g.generators, g.degree)
+    all_subgroups(fresh)
+    monkeypatch.setattr(structure, "minimal_normals_inside", lambda *args: pytest.fail("scanned"))
+    read = [frozenset(m.elements_raw()) for m in minimal_normal_subgroups(fresh)]
+    assert len(read) == len(scanned)
+    assert set(read) == set(scanned)
 
 
 def test_minimal_normal_subgroups_kept_on_the_group():
@@ -107,6 +114,41 @@ def test_minimal_normal_subgroups_kept_on_the_group():
     again = minimal_normal_subgroups(g)
     assert again is not first  # a fresh list each call
     assert [id(m) for m in again] == [id(m) for m in first]
+
+
+def _point_stabilizer_is_maximal(H):
+    """Primitivity of a transitive H by definition: H_0, the stabilizer of
+    point 0, is maximal in H.  Small H ask the brute-force lattice; a larger
+    H checks <H_0, x> = H for one x per coset H_0 x != H_0, the cosets being
+    the sets of elements with one image of point 0."""
+    elems, n = H.elements_raw(), H.degree
+    stab = frozenset(x for x in elems if x[0] == 0)
+    if len(elems) <= 24:
+        return stab in oracles.maximal_subgroups(elems, n)
+    gens, span = [], frozenset([tuple(range(n))])
+    for x in sorted(stab):
+        if x not in span:
+            gens.append(x)
+            span = oracles.closure(gens, n)
+    return all(len(oracles.closure(gens + [min(x for x in elems if x[0] == b)], n)) == len(elems)
+               for b in range(1, n))
+
+
+def _transitive_reps(G):
+    return [c.rep for c in all_subgroups(G).classes if is_transitive(c.rep)]
+
+
+@pytest.mark.parametrize("groups, transitive, primitive", [
+    (lambda: _transitive_reps(S4) + [D4, make(["(1,2,3,4)"], 4)], 7, 2),
+    (lambda: _transitive_reps(S5), 5, 5),  # prime degree
+    (lambda: _transitive_reps(make(["(1,2,3,4,5,6)", "(1,2)"], 6)), 16, 4),
+], ids=["S4-D4-C4", "S5", "S6"])
+def test_is_primitive_matches_the_definition(groups, transitive, primitive):
+    # one beta per orbit of the point stabilizer gives the answer of the
+    # definition; S6's primitive classes are PSL(2,5), PGL(2,5), A6 and S6
+    answers = [is_primitive(H) for H in groups()]
+    assert answers == [_point_stabilizer_is_maximal(H) for H in groups()]
+    assert (len(answers), sum(answers)) == (transitive, primitive)
 
 
 def test_blocks_and_primitivity():
@@ -405,6 +447,28 @@ def test_lattice_query_builds_only_the_reps_it_reads():
     assert len(built) == 9 < len(lat.classes)
 
 
+@pytest.mark.parametrize("G", [S4, A5, S5, make(["(1,2,3,4,5)", "(4,5,6)"], 6),
+                               make(["(1,2,3,4,5,6)", "(1,2)"], 6)],
+                         ids=["S4", "A5", "S5", "A6", "S6"])
+def test_normalizer_ids_are_certified(G):
+    # each generator of the normalizer conjugates the class's ids onto
+    # themselves, and orbit-stabilizer fixes its order, so it is N_G(H);
+    # reading rep does not build the normalizer
+    G = Group(G.generators, G.degree)  # a lattice no other test has read
+    id_of = G._element_index()[0]
+    elems = G.elements_raw()
+    for cls in all_subgroups(G).classes:
+        assert "normalizer" not in vars(cls)
+        members = [Permutation._wrap(elems[i]) for i in cls.ids]
+        assert frozenset(id_of[p] for p in cls.rep.elements_raw()) == cls.ids
+        assert "normalizer" not in vars(cls)
+        norm = cls.normalizer
+        for g in norm.generators:
+            assert frozenset(id_of[h.conjugate(g).imgs] for h in members) == cls.ids
+        assert norm.order() * cls.size == G.order()
+        assert frozenset(id_of[p] for p in norm.elements_raw()) == cls.normalizer_ids
+
+
 def test_cyclic_extension_builds_each_extension_once(monkeypatch):
     # the cosets H n^k (0 < k < p) all give J = <H, n>, so each J is built
     # once per H: 135 builds for S6, where 151 rebuilt some J from H n^k
@@ -654,6 +718,47 @@ def test_faithful_classify_reads_minimal_normals_on_the_group(monkeypatch):
     # a nontrivial core still reads the image: S4 over D8 acts as S3
     classify_maximal(S4, make(["(1,2,3,4)", "(1,3)"], 4))
     assert scanned[-1] is images[-1][0]
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "S7"])
+def test_simple_socle_is_never_scanned(monkeypatch, name):
+    # |A5|, |A6|, |A7| are no proper powers, so a type-2 socle there is
+    # simple: its shape is read off |soc| and the degree alone
+    images, scanned = [], []
+    original = structure.minimal_normal_subgroups
+    monkeypatch.setattr(structure, "coset_action",
+                        lambda *args: images.append(coset_action(*args)) or images[-1])
+    monkeypatch.setattr(structure, "minimal_normal_subgroups",
+                        lambda g: scanned.append(g) or original(g))
+    G, maximal = SHAPE_CASES[name]
+    if isinstance(maximal, int):
+        maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
+    types = [classify_maximal(G, M).primitive_type for M in maximal]
+    assert 2 in types
+    assert all(g is G or any(g is image for image, _ in images) for g in scanned)
+
+
+def test_proper_power_socle_is_still_scanned(monkeypatch):
+    # A5 wr C2 over the diagonal A5.2: |soc| = 3600 = 60^2, so the socle's
+    # factors are found and their images taken
+    applied, inside = [], []
+
+    def action(*args):
+        image, hom = coset_action(*args)
+        return image, Homomorphism(hom.source, hom.target,
+                                   lambda p: applied.append(p) or hom._apply(p))
+
+    original = structure.minimal_normals_inside
+    monkeypatch.setattr(structure, "coset_action", action)
+    monkeypatch.setattr(structure, "minimal_normals_inside",
+                        lambda G, K: inside.append(K.order()) or original(G, K))
+    G = Group(A5wrC2.generators, A5wrC2.degree)
+    assert classify_maximal(G, A5wrC2_DIAGONAL).intersection_shape == "diagonal"
+    assert 3600 in inside
+    (soc,) = minimal_normal_subgroups(G)
+    factors = minimal_normal_subgroups(soc)
+    assert [f.order() for f in factors] == [60, 60]
+    assert {g for f in factors for g in f._raw_gens} <= set(applied)
 
 
 def test_classify_type2_with_core():
