@@ -321,7 +321,7 @@ class Group:
             if not gens:
                 raise ValueError("degree required for an empty generating set")
             degree = gens[0].degree
-        if not isinstance(degree, int) or degree < 0:
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
             raise ValueError(f"degree must be an int >= 0, not {degree!r}")
         if degree > DEFAULT_MAX_POINTS:
             raise BoundExceeded(f"degree {degree} exceeds bound {DEFAULT_MAX_POINTS}")

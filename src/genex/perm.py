@@ -228,8 +228,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     Raises ValueError on malformed text, out-of-range points, or a point
     repeated across cycles.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be an int >= 0, not {degree!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty permutation text")

@@ -15,13 +15,22 @@ pair that the orders of a, b and ab prove solvable (von Dyck), and stops a
 chain as soon as it passes |D| / 5, since a perfect D has no proper
 subgroup of index below 5 (``_perfect_seed_classes`` gives the proofs).
 Classes are deduplicated by full conjugation orbits of element-id sets, so
-the enumeration is exact.  A class's orbit comes from the one
-orbit-stabilizer walk, ``group._schreier_generators``, acting on those id
-sets, and its normalizer is grown from the class's subgroup H as element
-ids, by a coset step (``_close_ids``, Dimino's method) for each Schreier
+the enumeration is exact.  Id sets are the lattice's one subgroup form: a
+class holds its subgroup H, each conjugate of H and the normalizer N_G(H) as
+frozensets of ids, positions in G's sorted element list.  A class's orbit
+comes from the one orbit-stabilizer walk, ``group._schreier_generators``,
+acting on those id sets, and its normalizer is grown from H as element ids,
+by a coset step (``_close_ids``, Dimino's method) for each Schreier
 generator that lies outside it, with no chain; cyclic extension reuses that
-step.  A class keeps the generators of its representative and of its
-normalizer, and builds either group's chain only when it is read.
+step.  A class keeps the generators of its representative, and builds its
+chain only when ``rep`` is read.
+
+Maximal subgroups are read off the id sets by one walk
+(``SubgroupLattice.maximal_subgroups_of``): a proper subgroup s of H is
+maximal in H exactly when it lies in no maximal subgroup of H of larger
+order, so the classes are walked by descending order, and s is kept when
+no maximal subgroup found so far contains it.  The maximal classes of G and
+Phi(G) are read from that walk on G's own class.
 
 ``classify_maximal`` reads the minimal normal subgroups on G, not on the
 coset image, whenever the action is faithful: an isomorphism carries the
@@ -182,11 +191,11 @@ def is_primitive(G: Group) -> bool:
 
 @dataclass
 class SubgroupClass:
-    """One conjugacy class of subgroups: generators of its representative,
-    ids, orbit data, and its normalizer as generators and element ids.
+    """One conjugacy class of subgroups, as id sets: its subgroup H
+    (``ids``), every conjugate of H (``orbit``, sorted by key, the least
+    first) and N_G(H) (``normalizer_ids``), plus the generators of H.
 
-    The lattice query reads only ``normalizer_ids``.  The groups ``rep`` =
-    <gens> and ``normalizer`` are built when first read, since a query reads
+    The group ``rep`` = <gens> is built when first read, since a query reads
     only a few of them (the maximal classes, Phi(G), the minimal normal
     subgroups); a seed class is registered with the closure the seed search
     already built.
@@ -198,7 +207,6 @@ class SubgroupClass:
     key: tuple
     orbit: tuple  # frozensets of ids over the whole class
     degree: int
-    normalizer_gens: tuple  # raw tuples generating N_G(rep)
     normalizer_ids: frozenset
 
     @property
@@ -209,58 +217,44 @@ class SubgroupClass:
     def rep(self) -> Group:
         return subgroup_closure(self.degree, self.gens)
 
-    @cached_property
-    def normalizer(self) -> Group:
-        return subgroup_closure(self.degree, self.normalizer_gens)
-
 
 class SubgroupLattice:
-    """Conjugacy classes of subgroups, sorted by (order, canonical key)."""
+    """Conjugacy classes of subgroups, sorted by (order, canonical key); the
+    last class is G itself."""
 
-    def __init__(self, parent, elements, classes):
-        self.parent: Group = parent
+    def __init__(self, elements, classes):
         self.elements = elements  # id -> raw image tuple
         self.classes: list[SubgroupClass] = classes
-        self._flags: list[bool] | None = None
 
-    @property
-    def maximality_flags(self) -> list[bool]:
-        """Per class: no lattice class strictly between it and the parent."""
-        if self._flags is None:
-            self._flags = self._compute_flags()
-        return self._flags
+    def maximal_subgroups_of(self, i: int) -> list[frozenset]:
+        """The maximal subgroups of class i's subgroup H, as id sets.
 
-    def _compute_flags(self):
-        full = self.parent.order()
-        bigger_first = sorted(range(len(self.classes)),
-                              key=lambda i: -self.classes[i].order)
-        flags = []
-        for i, cls in enumerate(self.classes):
-            if cls.order == full:
-                flags.append(False)
+        The classes are walked by descending order, and a proper subgroup
+        s of H is kept exactly when no maximal subgroup found so far
+        contains it.  That is exact: a proper subgroup of H above s has
+        larger order and lies in a maximal subgroup of H, which has larger
+        order too and so was found before s; and a maximal s lies in no
+        other proper subgroup.  When H is normal (class size 1), conjugation
+        by G maps H's subgroups, and its maximal ones, onto themselves, so
+        the members of a class all lie in H and are maximal there exactly
+        when its representative does and is: only that one is tested, and
+        the whole orbit kept.
+        """
+        h = self.classes[i]
+        found: list[frozenset] = []
+        for c in reversed(self.classes):
+            if c.order >= h.order or h.order % c.order:
                 continue
-            maximal = True
-            for j in bigger_first:
-                other = self.classes[j]
-                if other.order >= full or other.order <= cls.order:
-                    continue
-                if other.order % cls.order:
-                    continue
-                if self.contained_up_to_conjugacy(i, j):
-                    maximal = False
-                    break
-            flags.append(maximal)
-        return flags
-
-    def contained_up_to_conjugacy(self, i: int, j: int) -> bool:
-        """Some conjugate of class i's subgroups lies inside class j's rep."""
-        small, big = self.classes[i], self.classes[j]
-        if big.order % small.order:
-            return False
-        return any(s <= big.ids for s in small.orbit)
+            if h.size > 1:
+                found += [s for s in c.orbit if s <= h.ids and not any(s <= m for m in found)]
+            elif c.ids <= h.ids and not any(c.ids <= m for m in found):
+                found += c.orbit
+        return found
 
     def maximal_classes(self) -> list[SubgroupClass]:
-        return [c for c, f in zip(self.classes, self.maximality_flags) if f]
+        """The classes of G's maximal subgroups."""
+        maximal = set(self.maximal_subgroups_of(-1))
+        return [c for c in self.classes if c.ids in maximal]
 
 
 def _perfect_residuum(G: Group) -> Group:
@@ -433,7 +427,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     ident_id = id_of[tuple(range(degree))]
     n_gens = G._raw_gens
 
-    seen: set[tuple] = set()
+    seen: set[frozenset] = set()  # every member of every class
     classes: list[SubgroupClass] = []
 
     # conjugation of id sets by each parent generator
@@ -444,7 +438,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
         normalizer L from H by the Schreier generators of H's stabilizer
         under conjugation that lie outside L, one coset step each, until
         |L| = |G| / |orbit|."""
-        if tuple(sorted(ids)) in seen:
+        if ids in seen:
             return None
         orbit, schreier = _schreier_generators(degree, n_gens, moves, ids)
         target = order // len(orbit)
@@ -457,12 +451,11 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
                 _close_ids(norm_ids, members, norm_gens, id_of)
                 if len(norm_ids) >= target:
                     break
-        keys = {s: tuple(sorted(s)) for s in orbit}
-        seen.update(keys.values())
+        seen.update(orbit)
+        orbit = sorted(orbit, key=sorted)
         cls = SubgroupClass(
-            gens=gens_raw, ids=ids, size=len(orbit), key=min(keys.values()),
-            orbit=tuple(sorted(orbit, key=keys.__getitem__)), degree=degree,
-            normalizer_gens=tuple(norm_gens), normalizer_ids=frozenset(norm_ids))
+            gens=gens_raw, ids=ids, size=len(orbit), key=tuple(sorted(orbit[0])),
+            orbit=tuple(orbit), degree=degree, normalizer_ids=frozenset(norm_ids))
         if rep is not None:
             cls.rep = rep
         classes.append(cls)
@@ -517,7 +510,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
                 work.append(new_idx)
 
     classes.sort(key=lambda c: (c.order, c.key))
-    return SubgroupLattice(G, elems, classes)
+    return SubgroupLattice(elems, classes)
 
 
 def all_subgroups(G: Group) -> SubgroupLattice:
@@ -536,12 +529,11 @@ def all_subgroups(G: Group) -> SubgroupLattice:
 
 
 def frattini(G: Group) -> Group:
-    """Intersection of all maximal subgroups, expanding conjugacy classes;
-    Phi(G) is normal, so it is the lone member of a lattice class."""
+    """Phi(G), the intersection of G's maximal subgroups, read as id sets off
+    the lattice walk on G's own class (the last); Phi(G) is normal, so it is
+    the lone member of a lattice class, whose ``rep`` is returned."""
     lat = all_subgroups(G)
-    ids = frozenset(range(len(lat.elements)))
-    for cls in lat.maximal_classes():
-        ids = ids.intersection(*cls.orbit)
+    ids = frozenset(range(len(lat.elements))).intersection(*lat.maximal_subgroups_of(-1))
     return next(cls.rep for cls in lat.classes if cls.ids == ids)
 
 

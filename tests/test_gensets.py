@@ -450,8 +450,9 @@ def _lattice_digest(G):
     reports = [classify_maximal(G, c.rep) for c in maximal]
     metrics = [d_metric(G, c.rep) for c in maximal]
     d = min_generators(G)
+    maximal_ids = {c.ids for c in maximal}
     return ([(c.order, c.size, c.key, c.orbit) for c in lat.classes],
-            lat.maximality_flags,
+            [c.ids in maximal_ids for c in lat.classes],
             frattini(G).elements_raw(),
             [(r.core.elements_raw(), r.quotient_order, r.primitive_type, r.intersection_shape)
              for r in reports],

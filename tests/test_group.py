@@ -338,6 +338,7 @@ def test_orbit_above_the_element_bound_raises(monkeypatch):
 
 def test_degree_and_membership_inputs_are_checked():
     for bad in (lambda: Group([], -1), lambda: trivial_group(-3), lambda: Group([], 2.5),
+                lambda: Group([], True),
                 lambda: S4.contains((0, 1, 2, 3))):
         with pytest.raises(ValueError):
             bad()

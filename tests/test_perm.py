@@ -47,6 +47,9 @@ def test_parse_errors():
         P("1,2", 3)
     with pytest.raises(ValueError):
         P("", 3)
+    for text, degree in (("()", "5"), ("(1,2)", 2.0), ("()", True)):
+        with pytest.raises(ValueError):
+            P(text, degree)
 
 
 def test_format_roundtrip():

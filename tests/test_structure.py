@@ -217,6 +217,34 @@ def test_lattice_class_count_s5():
     assert sorted(c.order for c in lat.maximal_classes()) == [12, 20, 24, 60]
 
 
+@pytest.mark.parametrize("texts, degree", [
+    (["(1,2,3,4)", "(1,2)"], 4), (["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4,5,6)", "(1,2)"], 6),
+], ids=["S4", "S5", "S6"])
+def test_maximal_subgroups_of_every_class(texts, degree):
+    # the walk on the parent's id sets against the class representative's
+    # own lattice and, up to order 24, the brute-force oracle
+    lat = all_subgroups(make(texts, degree))
+    for i, cls in enumerate(lat.classes):
+        got = {frozenset(lat.elements[k] for k in s) for s in lat.maximal_subgroups_of(i)}
+        own = all_subgroups(cls.rep)
+        assert got == {frozenset(own.elements[k] for k in s)
+                       for c in own.maximal_classes() for s in c.orbit}
+        if cls.order <= 24:
+            assert got == set(oracles.maximal_subgroups(sorted(cls.rep.elements_raw()), degree))
+
+
+def test_s7_lattice_maximal_classes(monkeypatch):
+    # S7 is normal in itself, so the walk tests class representatives only:
+    # 96 classes (OEIS A000638), and the maximal classes 7:6, S4 x S3,
+    # S5 x 2, S6 and A7 (ATLAS)
+    S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
+    monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", S7.order())
+    lat = all_subgroups(S7)
+    assert len(lat.classes) == 96
+    assert sorted(c.order for c in lat.maximal_classes()) == [42, 144, 240, 720, 2520]
+    assert frattini(S7).order() == 1
+
+
 @pytest.mark.parametrize("texts, classes, subgroups", [
     (["(1,2,3,4,5)", "(4,5,6)"], 22, 501),
     (["(1,2,3,4,5,6)", "(1,2)"], 56, 1455),
@@ -437,7 +465,8 @@ def test_lattice_query_builds_only_the_reps_it_reads():
     # the seed classes are registered with their closures
     seeded = {i for i, c in enumerate(lat.classes) if "rep" in vars(c)}
     assert sorted(lat.classes[i].order for i in seeded) == [60, 60, 360]
-    maximal = {i for i, flag in enumerate(lat.maximality_flags) if flag}
+    maximal_ids = {c.ids for c in lat.maximal_classes()}
+    maximal = {i for i, c in enumerate(lat.classes) if c.ids in maximal_ids}
     for i in maximal:
         classify_maximal(G, lat.classes[i].rep)
     phi = frattini(G)
@@ -451,22 +480,20 @@ def test_lattice_query_builds_only_the_reps_it_reads():
                                make(["(1,2,3,4,5,6)", "(1,2)"], 6)],
                          ids=["S4", "A5", "S5", "A6", "S6"])
 def test_normalizer_ids_are_certified(G):
-    # each generator of the normalizer conjugates the class's ids onto
-    # themselves, and orbit-stabilizer fixes its order, so it is N_G(H);
-    # reading rep does not build the normalizer
+    # normalizer_ids is the brute-force normalizer {x in G : x^-1 H x = H},
+    # and orbit-stabilizer fixes its size.  As H = <gens>, x normalizes H
+    # iff it conjugates each generator into H: then x^-1 H x lies in H and
+    # has its order
     G = Group(G.generators, G.degree)  # a lattice no other test has read
     id_of = G._element_index()[0]
     elems = G.elements_raw()
+    inverse = {x: oracles.inv(x) for x in elems}
     for cls in all_subgroups(G).classes:
-        assert "normalizer" not in vars(cls)
-        members = [Permutation._wrap(elems[i]) for i in cls.ids]
         assert frozenset(id_of[p] for p in cls.rep.elements_raw()) == cls.ids
-        assert "normalizer" not in vars(cls)
-        norm = cls.normalizer
-        for g in norm.generators:
-            assert frozenset(id_of[h.conjugate(g).imgs] for h in members) == cls.ids
-        assert norm.order() * cls.size == G.order()
-        assert frozenset(id_of[p] for p in norm.elements_raw()) == cls.normalizer_ids
+        assert len(cls.normalizer_ids) * cls.size == G.order()
+        assert cls.normalizer_ids == {
+            id_of[x] for x in elems
+            if all(id_of[oracles.mul(oracles.mul(inverse[x], g), x)] in cls.ids for g in cls.gens)}
 
 
 def test_cyclic_extension_builds_each_extension_once(monkeypatch):
@@ -524,8 +551,8 @@ def test_lattice_agrees_with_oracle(g):
         got_sizes[(c.order, c.size)] += c.size
         members = frozenset(lat.elements[i] for i in c.ids)
         normalizer = {x for x in elems if conjugate(members, x) == members}
-        assert set(c.normalizer.elements_raw()) == normalizer
-        assert c.size == len(elems) // c.normalizer.order()
+        assert {lat.elements[i] for i in c.normalizer_ids} == normalizer
+        assert c.size == len(elems) // len(c.normalizer_ids)
     assert got_sizes == want_sizes
 
     got_maximal = {frozenset(lat.elements[i] for i in s)
