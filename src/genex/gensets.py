@@ -2,28 +2,26 @@
 
 All searches are exhaustive and run in a fixed canonical order (elements
 ascending by image tuple), so returned witnesses are deterministic.  A pool
-that is ``ALL`` or a subgroup is walked lazily in that order down its chain,
-whose base is in point order (``Group._lex_walk``), so G is never
-enumerated or sorted.  Every generation test goes through ``_generates``,
-which first compares orbit counts: <T> <= G, so each orbit of <T> lies
-inside an orbit of G, and equal groups have equal orbits; a tuple with more
-orbits than G generates a proper subgroup, and only when the counts agree is
-a stabilizer chain built.
+of the tuple search is a subgroup of G, with G itself for every element; it
+is walked lazily in that order down its chain, whose base is in point order
+(``Group._lex_walk``), so G is never enumerated or sorted.  Every generation
+test goes through ``_generates``, which first compares orbit counts:
+<T> <= G, so each orbit of <T> lies inside an orbit of G, and equal groups
+have equal orbits; a tuple with more orbits than G generates a proper
+subgroup, and only when the counts agree is a stabilizer chain built.
 
 The tuple search (``exists_generating_tuple``) makes three cuts, none of
 which changes the order or the first witness, because each drops only
 candidates whose subtrees contain no generating tuple:
 
 * first slot: it is reduced to the first member of each conjugacy class of
-  G that it holds whenever every later pool is closed under conjugation: if
-  (x^c, y_2..y_d) generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)),
-  whose entries lie in the same pools, so a class member after the first
-  has a completion only if the first has one, and the search would already
-  have returned.  A pool is closed iff it is ``ALL``, a subgroup normal in
-  G, or a set closed under conjugation by G's generators (a finite set
-  mapped into itself by each is mapped onto itself).  A class is orbited
-  only once the subtree of its first member has failed, so no class table
-  of G is built;
+  G that it holds whenever every later pool is normal in G (G itself
+  included): if (x^c, y_2..y_d) generates G then so does
+  (x, y_2^(c^-1)..y_d^(c^-1)), whose entries lie in the same pools, so a
+  class member after the first has a completion only if the first has one,
+  and the search would already have returned.  A class is orbited only once
+  the subtree of its first member has failed, so no class table of G is
+  built;
 * cyclic quotient: with one slot left and K = <partial> proper, a
   completion x with <K, x> = G makes G/N cyclic, generated by xN, where N
   is the normal closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005,
@@ -87,8 +85,6 @@ from .structure import (
     minimal_normals_inside,
 )
 
-ALL = "all"  # pool sentinel: every element of the group
-
 DEFAULT_DENSITY_BUDGET = 10 ** 8
 
 
@@ -111,8 +107,12 @@ class DReport:
     subgroup: Group
     value: int
     witness: tuple[Permutation, ...]
-    in_subgroup: tuple[int, ...]  # 0-based witness slots lying in the subgroup
     stats: SearchStats
+
+    @property
+    def in_subgroup(self) -> tuple[int, ...]:
+        """0-based witness slots lying in the subgroup: the first ``value``."""
+        return tuple(range(self.value))
 
 
 @dataclass
@@ -121,31 +121,6 @@ class DensityReport:
     favorable: int
     total: int
     ratio: Fraction
-
-
-def _resolve_pools(G: Group, pools) -> list:
-    """Each pool as a Group, walked lazily in canonical order by
-    ``Group._lex_walk``, or as a sorted list of raw tuples.  A pool is
-    ``ALL`` (G itself), a subgroup of G (checked on its generators), or a
-    nonempty collection of elements of G (each checked); anything else
-    raises ValueError."""
-    out = []
-    for pool in pools:
-        if pool == ALL:
-            out.append(G)
-        elif isinstance(pool, Group):
-            if not pool.is_subgroup_of(G):
-                raise ValueError("pool is not a subgroup of G")
-            out.append(pool)
-        else:
-            raw = sorted(p.imgs if isinstance(p, Permutation) else Permutation(p).imgs
-                         for p in pool)
-            if not raw:
-                raise ValueError("empty pool")
-            if any(len(p) != G.degree or not G._contains_raw(p) for p in raw):
-                raise ValueError("pool element does not lie in G")
-            out.append(raw)
-    return out
 
 
 def _quotient_is_cyclic(G: Group, N: Group) -> bool:
@@ -177,30 +152,27 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
-    Pools are ``ALL``, subgroups of G or sets of elements of G, and
-    ``_resolve_pools`` rejects anything else with ValueError.  The exhaustive
-    search certificate is exact: a None return means no such tuple exists.
-    Returned witnesses are the first found in canonical order; the
-    first-slot reduction, the cyclic-quotient prune and the lex-coset prune
-    (module docstring) drop only candidates that cannot complete a
-    generating tuple, so none changes the witness.  ``ALL`` and subgroup
-    pools are walked lazily in canonical order, and raise ``BoundExceeded``
-    above the element bound as ``Group.elements_raw`` does.
+    Each pool is a subgroup of G, with G itself for every element; a pool
+    that is not G is checked on its generators, and anything else raises
+    ValueError.  The exhaustive search certificate is exact: a None return
+    means no such tuple exists.  Returned witnesses are the first found in
+    canonical order; the first-slot reduction, the cyclic-quotient prune and
+    the lex-coset prune (module docstring) drop only candidates that cannot
+    complete a generating tuple, so none changes the witness.  Pools are
+    walked lazily in canonical order, and raise ``BoundExceeded`` above the
+    element bound as ``Group.elements_raw`` does.
     """
     if stats is None:
         stats = SearchStats()
-    raw_pools = _resolve_pools(G, pools)
-    d = len(raw_pools)
+    pools = list(pools)
+    for pool in pools:
+        if pool is not G and not (isinstance(pool, Group) and pool.is_subgroup_of(G)):
+            raise ValueError("pool is not a subgroup of G")
+    d = len(pools)
     if d == 0:
         return () if G.order() == 1 else None
 
     conjugations = list(_conjugations(G._raw_gens))
-
-    def closed(pool):
-        if isinstance(pool, Group):
-            return pool is G or pool.is_normal_in(G)
-        members = set(pool)
-        return all(conj(x) in members for x in pool for conj in conjugations)
 
     def first_of_each_class(pool):
         # x's class is orbited only once the search asks for the next
@@ -211,7 +183,7 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
                 yield x
                 marked.update(_orbits([x], conjugations)[0])
 
-    reduce_first = all(closed(pool) for pool in raw_pools[1:])
+    reduce_first = all(pool is G or pool.is_normal_in(G) for pool in pools[1:])
 
     orbit = _components(G.degree, G._raw_gens)
     orbit_size = [orbit.count(label) for label in orbit]
@@ -229,10 +201,8 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
         return comp
 
     def candidates(level: int, partial: tuple):
-        pool = raw_pools[level]
-        if not isinstance(pool, Group):
-            cands = pool
-        elif level < d - 1:
+        pool = pools[level]
+        if level < d - 1:
             cands = pool._lex_walk()
         else:
             cands = pool._lex_walk(lex_coset_prune, _components(G.degree, partial))
@@ -292,7 +262,7 @@ def _search_d(G: Group, stats: SearchStats) -> tuple:
     while True:
         if k > max(2, int(log2(n)) + 1):
             raise AssertionError("generating-set search exceeded the log2 bound")
-        witness = exists_generating_tuple(G, [ALL] * k, stats)
+        witness = exists_generating_tuple(G, [G] * k, stats)
         if witness is not None:
             return k, witness
         k += 1
@@ -310,16 +280,16 @@ def d_metric(G: Group, H: Group) -> DReport:
     base = min_generators(G)
     d = base.d
     if H.order() == G.order():
-        return DReport(H, d, base.witness, tuple(range(d)), stats)
+        return DReport(H, d, base.witness, stats)
     for k in range(d - 1, 0, -1):
-        pools = [H] * k + [ALL] * (d - k)
+        pools = [H] * k + [G] * (d - k)
         witness = exists_generating_tuple(G, pools, stats)
         if witness is not None:
-            return DReport(H, k, witness, tuple(range(k)), stats)
+            return DReport(H, k, witness, stats)
     # no witness entry lies in H: with d >= 2 it would make a generating
     # tuple with an entry in H, which the k = 1 search rules out, and with
     # d = 1 the entry generates G, which H is not
-    return DReport(H, 0, base.witness, (), stats)
+    return DReport(H, 0, base.witness, stats)
 
 
 def d_min(G: Group) -> tuple[int, MaximalSubgroupReport | None]:
@@ -528,10 +498,10 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
     return project
 
 
-def replacement_hypothesis(pi_g1: Permutation, pi_g2: Permutation,
-                           g1: Permutation, g2: Permutation,
-                           project) -> str:
-    """Which of the three replacement conditions holds; raises otherwise."""
+def replacement_hypothesis(g1: Permutation, g2: Permutation, project) -> str:
+    """Which of the three replacement conditions holds for the projections
+    of g1 and g2; raises otherwise."""
+    pi_g1, pi_g2 = project(g1), project(g2)
     if pi_g1.has_fixed_point():
         return "g1-fixed-point"
     if pi_g2.has_fixed_point():
@@ -570,7 +540,7 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
         raise ValueError("gens do not generate G modulo N")
     project = socle_block_projection(G, N)
     g1, g2 = gens[0], gens[1]
-    replacement_hypothesis(project(g1), project(g2), g1, g2, project)
+    replacement_hypothesis(g1, g2, project)
 
     rest_raw = [g.imgs for g in gens[2:]]
     for v1 in N._lex_walk():

@@ -391,9 +391,6 @@ class Group:
         element that fixes every point below q."""
         return tuple(b + 1 for b in self._chain.base)
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self._degree)
-
     def __repr__(self) -> str:
         return f"Group(degree={self._degree}, order={self._order}, ngens={len(self._gens)})"
 

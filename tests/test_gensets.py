@@ -9,7 +9,6 @@ from genex import gensets, structure
 from genex import group as group_module
 from genex.group import BoundExceeded, Group, direct_product, trivial_group, wreath_product
 from genex.gensets import (
-    ALL,
     SearchStats,
     HypothesisError,
     check_monolithic_nonabelian,
@@ -112,16 +111,31 @@ def test_d_metric_frozen_witness():
     assert rep.in_subgroup == (0,)
 
 
+def _first_generating_tuple(G, pools):
+    """The first tuple in product order of the pools' elements, each pool
+    closed by the oracle, that generates G; None if there is none."""
+    order = len(oracles.closure([x.imgs for x in G.generators], G.degree))
+    raws = [sorted(oracles.closure([x.imgs for x in pool.generators], G.degree))
+            for pool in pools]
+    first = next((t for t in product(*raws) if oracles.generates(list(t), G.degree, order)),
+                 None)
+    return first if first is None else tuple(Permutation(p) for p in first)
+
+
+V4 = make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)  # normal in S4
+C4 = make(["(1,2,3,4)"], 4)
+
+
 def test_exists_tuple_restricted_pools_frozen():
-    first = [P("(1,2)(3,4)", 4)]
-    got = exists_generating_tuple(S4, [first, ALL, ALL])
-    assert got == (P("(1,2)(3,4)", 4), P("(3,4)", 4), P("(2,3)", 4))
+    pools = [make(["(1,2)(3,4)"], 4), S4, S4]
+    got = exists_generating_tuple(S4, pools)
+    assert got == (Permutation.identity(4), P("(3,4)", 4), P("(1,2,3)", 4))
+    assert got == _first_generating_tuple(S4, pools)
     # <first two slots> <= V4 and S4/V4 = S3 is not cyclic: every second-slot
     # node is pruned by the cyclic quotient, and the certificate stays None
-    doubles = [P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)]
-    four_cycles = [p for p in S4.elements() if p.order() == 4]
     stats = SearchStats()
-    assert exists_generating_tuple(S4, [doubles, doubles, four_cycles], stats) is None
+    assert exists_generating_tuple(S4, [V4, V4, C4], stats) is None
+    assert _first_generating_tuple(S4, [V4, V4, C4]) is None
     assert stats.pruned > 0
 
 
@@ -168,17 +182,19 @@ def test_first_slot_takes_one_member_per_class():
     # the last slot, the lex-coset prune skips 4 cosets holding the first
     # members of 4 classes; the walk then reaches later members of two of
     # them, a 3-cycle and a double transposition, besides the first 4-cycle.
-    # Over [ALL, doubles] the cyclic quotient makes the cuts: it prunes the
+    # Over [S4, V4] the cyclic quotient makes the cuts: it prunes the
     # identity and the double transposition (S4/1 and S4/V4 are not cyclic),
-    # and each of the other 3 class members tries all 3 doubles
-    doubles = [P(t, 4) for t in ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]]
-    for pools, counts in (([ALL], (3, 3, 4)), ([ALL, doubles], (14, 11, 0))):
+    # and each of the other 3 class members tries all 4 elements of V4, none
+    # completing it: 5 + 3 * 4 nodes, 2 + 3 * 4 pruned
+    for pools, counts in (([S4], (3, 3, 4)), ([S4, V4], (17, 14, 0))):
         stats = SearchStats()
         assert exists_generating_tuple(S4, pools, stats) is None
+        assert _first_generating_tuple(S4, pools) is None
         assert (stats.nodes, stats.pruned, stats.skipped) == counts
-    # {(2,3,4)} is not closed, so the conjugate (1,2) after (3,4) is still tried
-    pools = [[P("(1,2)", 4), P("(3,4)", 4)], [P("(2,3,4)", 4)]]
-    assert exists_generating_tuple(S4, pools) == (P("(1,2)", 4), P("(2,3,4)", 4))
+    # <(2,3,4)> is not normal, so the conjugate (1,2) after (3,4) is still tried
+    pools = [make(["(1,2)", "(3,4)"], 4), make(["(2,3,4)"], 4)]
+    got = exists_generating_tuple(S4, pools)
+    assert got == (P("(1,2)", 4), P("(2,3,4)", 4)) == _first_generating_tuple(S4, pools)
 
 
 def test_search_builds_no_class_table(monkeypatch):
@@ -224,6 +240,45 @@ def test_quotient_is_cyclic_matches_oracle(g):
     assert seen == {True, False} or g is C6  # C6 has only cyclic quotients
 
 
+# The exchange property for minimal generating sets of tiny groups with
+# d = 2, decided by the oracle's own closures: for all generating pairs x
+# and y and each slot i, some entry of y in slot i of x generates G.
+EXCHANGE_VERDICTS = {  # name: (G, whether the property holds)
+    "S3": (S3, True),
+    "C2^2": (make(["(1,2)", "(3,4)"], 4), True),
+    "D8": (D8, True),
+    "Q8": (Q8, True),
+    "C3^2": (make(["(1,2,3)", "(4,5,6)"], 6), True),
+    "D10": (make(["(1,2,3,4,5)", "(2,5)(3,4)"], 5), True),
+    "A4": (A4, True),
+    "S4": (S4, False),
+    "C6xC2": (make(["(1,2,3,4,5,6)", "(7,8)"], 8), False),
+    "S3xC2": (make(["(1,2,3)", "(1,2)", "(4,5)"], 5), False),
+    "C5:C4": (make(["(1,2,3,4,5)", "(2,3,5,4)"], 5), False),
+}
+
+
+@pytest.mark.parametrize("name", EXCHANGE_VERDICTS)
+def test_exchange_property_verdicts(name):
+    G, holds = EXCHANGE_VERDICTS[name]
+    elems = oracles.closure([x.imgs for x in G.generators], G.degree)
+    assert min_generators(G).d == 2
+    verdict, counterexample = oracles.mgse_by_definition(elems, G.degree, 2)
+    assert verdict == holds
+    if holds:
+        assert counterexample is None
+        return
+    # the counterexample re-checked by chain orders: x and y generate G, and
+    # no entry of y in slot i of x does
+    x, i, y = counterexample
+
+    def order(tup):
+        return Group([Permutation(p) for p in tup], G.degree).order()
+
+    assert order(x) == order(y) == G.order()
+    assert all(order(x[:i] + (yj,) + x[i + 1:]) < G.order() for yj in y)
+
+
 # random subgroups of S4 and S5, each given by one or two of these generators
 _SEARCH_GENS = [
     (4, ["(1,2,3,4)", "(1,2)", "(1,2)(3,4)", "(1,2,3)", "(1,3)(2,4)"]),
@@ -240,27 +295,26 @@ def _search_cases(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     pools, raws = [], []
     for _ in range(d):
-        kind = draw(st.sampled_from(["all", "subgroup", "subset", "cyclic", "classes"]))
+        kind = draw(st.sampled_from(["all", "subgroup", "cyclic", "normal"]))
         # one pool above order 24 at most keeps the brute force small
         small = len(elems) <= 24 or all(len(raw) <= 24 for raw in raws)
         if kind == "all" and small:
-            pools.append(ALL)
+            pools.append(G)
             raws.append(elems)
             continue
         picked = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=3, unique=True))
-        if kind == "subgroup":  # walked in lex order, like ALL
-            members = sorted(oracles.closure(picked[:2], degree))
-            if small or len(members) <= 24:
-                pools.append(Group([Permutation(p) for p in picked[:2]], degree))
-                raws.append(members)
-                continue
-        if kind == "cyclic":  # a subgroup as a list: often no tuple generates
-            picked = sorted(oracles.closure(picked[:1], degree))
-        elif kind == "classes":  # a union of conjugacy classes: a closed pool
-            picked = sorted({oracles.mul(oracles.mul(oracles.inv(c), x), c)
-                             for x in picked for c in elems})
-        pools.append([Permutation(p) for p in picked])
-        raws.append(sorted(picked))
+        gens = picked[:1]  # cyclic: often no tuple generates
+        if kind == "subgroup":
+            gens = picked[:2]
+        elif kind == "normal":  # the normal closure of the picked elements
+            gens = sorted({oracles.mul(oracles.mul(oracles.inv(c), x), c)
+                           for x in picked for c in elems})
+        members = sorted(oracles.closure(gens, degree))
+        if not small and len(members) > 24:
+            gens = picked[:1]
+            members = sorted(oracles.closure(gens, degree))
+        pools.append(Group([Permutation(p) for p in gens], degree))
+        raws.append(members)
     return G, elems, pools, raws
 
 
@@ -293,58 +347,65 @@ def test_class_index_survives_id_reuse(monkeypatch):
 
 
 def test_exists_tuple_identity_pools():
-    e = Permutation.identity(4)
-    assert exists_generating_tuple(S4, [[e], [e]]) is None
+    pools = [trivial_group(4), trivial_group(4)]
+    assert exists_generating_tuple(S4, pools) is None
+    assert _first_generating_tuple(S4, pools) is None
 
 
 def test_exists_tuple_s4_four_cycles_with_transpositions():
-    four_cycles = [p for p in S4.elements() if p.order() == 4]
-    transpositions = [p for p in S4.elements() if p.order() == 2 and len(p.cycles()) == 1]
-    got = exists_generating_tuple(S4, [four_cycles, transpositions])
-    assert got is not None
-    a, b = got
-    assert a.order() == 4 and b.order() == 2
-    assert Group([a, b], 4).order() == 24
+    pools = [C4, make(["(1,2)"], 4)]
+    got = exists_generating_tuple(S4, pools)
+    assert got == (P("(1,2,3,4)", 4), P("(1,2)", 4)) == _first_generating_tuple(S4, pools)
+    assert Group(got, 4).order() == 24
 
 
 def test_exists_tuple_consistency_with_min_generators():
     rep = min_generators(S4)
-    got = exists_generating_tuple(S4, [ALL] * rep.d)
+    got = exists_generating_tuple(S4, [S4] * rep.d)
     assert got is not None
     assert Group(got, 4).order() == 24
 
 
 def test_exists_tuple_empty_pool():
     with pytest.raises(ValueError):
-        exists_generating_tuple(S4, [[], ALL])
+        exists_generating_tuple(S4, [[], S4])
+
+
+@pytest.mark.parametrize("pool", [[P("(1,2)", 4)], P("(1,2)", 4), "all"],
+                         ids=["list", "Permutation", "string"])
+def test_pools_must_be_groups(pool):
+    with pytest.raises(ValueError, match="not a subgroup"):
+        exists_generating_tuple(S4, [S4, pool])
 
 
 def test_pool_elements_must_lie_in_the_group():
     # (1,2,4) gives <(1,2,4)> the orbit count and order of <(1,2,3)>, so an
     # unchecked pool would pass it off as a generator
     c3 = make(["(1,2,3)"], 4)
-    for pool in ([P("(1,2,4)", 4)], [P("(1,2)", 2)], [(0, 0, 1, 2)]):
+    for pool in (make(["(1,2,4)"], 4), make(["(1,2)"], 2)):
         with pytest.raises(ValueError):
             exists_generating_tuple(c3, [pool])
-    assert exists_generating_tuple(c3, [[P("(1,3,2)", 4)]]) == (P("(1,3,2)", 4),)
+    pools = [make(["(1,3,2)"], 4)]  # c3 itself, as another Group
+    got = exists_generating_tuple(c3, pools)
+    assert got == (P("(1,2,3)", 4),) == _first_generating_tuple(c3, pools)
 
 
 def test_subgroup_pools(monkeypatch):
     s3 = make(["(2,3,4)", "(2,3)"], 4)
-    got = exists_generating_tuple(S4, [s3, ALL])
-    assert got == exists_generating_tuple(S4, [s3.elements(), ALL])
-    assert s3.contains(got[0]) and len(oracles.closure([g.imgs for g in got], 4)) == 24
+    got = exists_generating_tuple(S4, [s3, S4])
+    assert got == (P("(3,4)", 4), P("(1,2,3)", 4)) == _first_generating_tuple(S4, [s3, S4])
+    assert s3.contains(got[0])
     with pytest.raises(ValueError):
-        exists_generating_tuple(s3, [S4, ALL])
+        exists_generating_tuple(s3, [S4, s3])
     with pytest.raises(ValueError):
-        exists_generating_tuple(S4, [S5, ALL])
+        exists_generating_tuple(S4, [S5, S4])
     # d_metric hands the subgroup itself to the search, not its elements
     pools = []
     search = gensets.exists_generating_tuple
     monkeypatch.setattr(gensets, "exists_generating_tuple",
                         lambda G, p, stats=None: pools.append(p) or search(G, p, stats))
     assert d_metric(S4, s3).value == 1
-    assert pools[-1] == [s3, ALL]  # after the min_generators searches
+    assert pools[-1] == [s3, S4]  # after the min_generators searches
 
 
 def test_d_metric_s4_s3():
@@ -418,7 +479,7 @@ def test_d_min_searches_for_d_once(monkeypatch):
     original = gensets.exists_generating_tuple
 
     def counting(G, pools, stats=None):
-        if all(p == ALL for p in pools):
+        if all(p is G for p in pools):
             searches.append(len(pools))
         return original(G, pools, stats)
 
