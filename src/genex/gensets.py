@@ -59,10 +59,8 @@ as the first witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Callable, Sequence
 from math import log2, prod
-from typing import Callable, Sequence
 
 from .group import (
     BoundExceeded,
@@ -88,26 +86,32 @@ from .structure import (
 DEFAULT_DENSITY_BUDGET = 10 ** 8
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0  # candidates visited
-    pruned: int = 0  # visited candidates dropped
-    skipped: int = 0  # last-slot cosets dropped unvisited by the lex-coset prune
+    def __init__(self, nodes: int = 0, pruned: int = 0, skipped: int = 0):
+        self.nodes = nodes  # candidates visited
+        self.pruned = pruned  # visited candidates dropped
+        self.skipped = skipped  # last-slot cosets dropped unvisited by the lex-coset prune
+
+    def __eq__(self, other):
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        return (self.nodes, self.pruned, self.skipped) == (other.nodes, other.pruned, other.skipped)
 
 
-@dataclass
 class GenerationReport:
-    d: int
-    witness: tuple[Permutation, ...]
-    stats: SearchStats
+    def __init__(self, d: int, witness: tuple[Permutation, ...], stats: SearchStats):
+        self.d = d
+        self.witness = witness
+        self.stats = stats
 
 
-@dataclass
 class DReport:
-    subgroup: Group
-    value: int
-    witness: tuple[Permutation, ...]
-    stats: SearchStats
+    def __init__(self, subgroup: Group, value: int, witness: tuple[Permutation, ...],
+                 stats: SearchStats):
+        self.subgroup = subgroup
+        self.value = value
+        self.witness = witness
+        self.stats = stats
 
     @property
     def in_subgroup(self) -> tuple[int, ...]:
@@ -115,12 +119,18 @@ class DReport:
         return tuple(range(self.value))
 
 
-@dataclass
 class DensityReport:
-    lifts: tuple[Permutation, ...]
-    favorable: int
-    total: int
-    ratio: Fraction
+    def __init__(self, lifts: tuple[Permutation, ...], favorable: int, total: int):
+        self.lifts = lifts
+        self.favorable = favorable
+        self.total = total
+
+    @property
+    def ratio(self):
+        """favorable / total as an exact ``fractions.Fraction``, built when
+        read, so a density query never imports ``fractions``."""
+        from fractions import Fraction
+        return Fraction(self.favorable, self.total)
 
 
 def _quotient_is_cyclic(G: Group, N: Group) -> bool:
@@ -152,21 +162,23 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
-    Each pool is a subgroup of G, with G itself for every element; a pool
-    that is not G is checked on its generators, and anything else raises
-    ValueError.  The exhaustive search certificate is exact: a None return
-    means no such tuple exists.  Returned witnesses are the first found in
-    canonical order; the first-slot reduction, the cyclic-quotient prune and
-    the lex-coset prune (module docstring) drop only candidates that cannot
-    complete a generating tuple, so none changes the witness.  Pools are
-    walked lazily in canonical order, and raise ``BoundExceeded`` above the
-    element bound as ``Group.elements_raw`` does.
+    Each pool is a subgroup of G, with G itself for every element; each
+    distinct pool that is not G is checked once, on its generators, and
+    anything else raises ValueError.  The exhaustive search certificate is
+    exact: a None return means no such tuple exists.  Returned witnesses
+    are the first found in canonical order; the first-slot reduction, the
+    cyclic-quotient prune and the lex-coset prune (module docstring) drop
+    only candidates that cannot complete a generating tuple, so none changes
+    the witness.  Pools are walked lazily in canonical order, and raise
+    ``BoundExceeded`` above the element bound as ``Group.elements_raw`` does.
     """
     if stats is None:
         stats = SearchStats()
     pools = list(pools)
-    for pool in pools:
-        if pool is not G and not (isinstance(pool, Group) and pool.is_subgroup_of(G)):
+    # each distinct pool is checked once, however many slots it fills
+    distinct = {id(pool): pool for pool in pools if pool is not G}
+    for pool in distinct.values():
+        if not (isinstance(pool, Group) and pool.is_subgroup_of(G)):
             raise ValueError("pool is not a subgroup of G")
     d = len(pools)
     if d == 0:
@@ -183,7 +195,9 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
                 yield x
                 marked.update(_orbits([x], conjugations)[0])
 
-    reduce_first = all(pool is G or pool.is_normal_in(G) for pool in pools[1:])
+    # the pools are subgroups of G by now, so normality needs no containment
+    later = {id(pool): pool for pool in pools[1:] if pool is not G}
+    reduce_first = all(pool._normalized_by(G) for pool in later.values())
 
     orbit = _components(G.degree, G._raw_gens)
     orbit_size = [orbit.count(label) for label in orbit]
@@ -456,7 +470,7 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
         return count
 
     favorable = completions((), N)
-    return DensityReport(lifts, favorable, total, Fraction(favorable, total))
+    return DensityReport(lifts, favorable, total)
 
 
 # ---------------------------------------------------------------------------

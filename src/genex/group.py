@@ -25,15 +25,15 @@ Every action is walked by one layer: ``_walk`` for one orbit with its action
 table (cosets, id sets of subgroups, socle factors, and the orbit-stabilizer
 of ``_schreier_generators``), ``_orbits`` for a partition into orbits (classes,
 centralizer orbits), and ``_conjugations`` for the maps x -> g^-1 x g by
-which a group acts on its elements.
+which a group acts on its elements, each one product and one prepared gather.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
+from operator import itemgetter
 
 from .perm import _TABLE_ID, Permutation, _identity, _inv, _mul
 
@@ -304,10 +304,20 @@ def _orbits(points, moves) -> list[tuple]:
 
 def _conjugations(raw_gens):
     """The maps x -> g^-1 x g, one per generator g, yielded lazily: a caller
-    that stops early inverts only the generators it reached."""
+    that stops early inverts only the generators it reached.
+
+    g^-1 x g is ``_mul(ginv, _mul(x, g))``, and the outer product gathers
+    x g at the images of g^-1, so ``itemgetter(*ginv)`` is built once per
+    generator and each conjugate costs one ``_mul`` and one gather in C.
+    On at most one point, where ``itemgetter`` takes no single index,
+    both products are ``_mul``.
+    """
     for g in raw_gens:
         ginv = _inv(g)
-        yield lambda x, g=g, ginv=ginv: _mul(ginv, _mul(x, g))
+        if len(g) > 1:
+            yield lambda x, g=g, gather=itemgetter(*ginv): gather(_mul(x, g))
+        else:
+            yield lambda x, g=g, ginv=ginv: _mul(ginv, _mul(x, g))
 
 
 class Group:
@@ -498,8 +508,11 @@ class Group:
         return all(other._contains_raw(g) for g in self._raw_gens)
 
     def is_normal_in(self, other: "Group") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
+        return self.is_subgroup_of(other) and self._normalized_by(other)
+
+    def _normalized_by(self, other: "Group") -> bool:
+        """Whether conjugation by other's generators keeps this group; for a
+        subgroup of other, whether it is normal there."""
         return all(self._contains_raw(conj(h))
                    for conj in _conjugations(other._raw_gens) for h in self._raw_gens)
 
@@ -620,13 +633,13 @@ def centralizer_in(G: Group, x: Permutation) -> Group:
 # ---------------------------------------------------------------------------
 # homomorphisms and coset actions
 
-@dataclass(frozen=True)
 class Homomorphism:
     """Group homomorphism onto ``target``, given by an apply rule on raw tuples."""
 
-    source: Group
-    target: Group
-    _apply: Callable[[tuple], tuple]
+    def __init__(self, source: Group, target: Group, _apply: Callable[[tuple], tuple]):
+        self.source = source
+        self.target = target
+        self._apply = _apply
 
     def kernel(self) -> Group:
         """Kernel as iterated point stabilizers over a base of the image.
@@ -662,7 +675,7 @@ def coset_canonical(H: Group, p):
     """
     chain = H._chain
     for b, t in zip(chain.base, chain.trans):
-        best_pt = min(t, key=lambda y: p[y])
+        best_pt = min(t, key=p.__getitem__)
         p = _mul(t[best_pt], p)
     return p
 

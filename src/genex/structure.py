@@ -13,7 +13,9 @@ power of an earlier first entry, and the second entry a centralizer orbit
 holding such a power of an earlier second entry.  It builds no chain for a
 pair that the orders of a, b and ab prove solvable (von Dyck), and stops a
 chain as soon as it passes |D| / 5, since a perfect D has no proper
-subgroup of index below 5 (``_perfect_seed_classes`` gives the proofs).
+subgroup of index below 5, and it tries no pair when |D| < 300, since a
+proper perfect subgroup of D has order at least 60 and index at least 5
+(``_perfect_seed_classes`` gives the proofs).
 Classes are deduplicated by full conjugation orbits of element-id sets, so
 the enumeration is exact.  Id sets are the lattice's one subgroup form: a
 class holds its subgroup H, each conjugate of H and the normalizer N_G(H) as
@@ -22,8 +24,9 @@ comes from the one orbit-stabilizer walk, ``group._schreier_generators``,
 acting on those id sets, and its normalizer is grown from H as element ids,
 by a coset step (``_close_ids``, Dimino's method) for each Schreier
 generator that lies outside it, with no chain; cyclic extension reuses that
-step.  A class keeps the generators of its representative, and builds its
-chain only when ``rep`` is read.
+step.  A normal H, whose orbit is H alone, takes N_G(H) = G with no step.
+A class keeps the generators of its representative, and builds its chain
+only when ``rep`` is read.
 
 Maximal subgroups are read off the id sets by one walk
 (``SubgroupLattice.maximal_subgroups_of``): a proper subgroup s of H is
@@ -42,9 +45,9 @@ lattice is built they are its minimal normal classes, with no scan.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import itemgetter
 
 from .group import (
     BoundExceeded,
@@ -189,7 +192,6 @@ def is_primitive(G: Group) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
-@dataclass
 class SubgroupClass:
     """One conjugacy class of subgroups, as id sets: its subgroup H
     (``ids``), every conjugate of H (``orbit``, sorted by key, the least
@@ -201,13 +203,15 @@ class SubgroupClass:
     already built.
     """
 
-    gens: tuple  # raw tuples
-    ids: frozenset
-    size: int
-    key: tuple
-    orbit: tuple  # frozensets of ids over the whole class
-    degree: int
-    normalizer_ids: frozenset
+    def __init__(self, gens: tuple, ids: frozenset, size: int, key: tuple, orbit: tuple,
+                 degree: int, normalizer_ids: frozenset):
+        self.gens = gens  # raw tuples
+        self.ids = ids
+        self.size = size
+        self.key = key
+        self.orbit = orbit  # frozensets of ids over the whole class
+        self.degree = degree
+        self.normalizer_ids = normalizer_ids
 
     @property
     def order(self) -> int:
@@ -333,10 +337,17 @@ def _perfect_seed_classes(G: Group):
 
     So each distinct subgroup is tested once, and the first pair that
     reaches it supplies its generators.
+
+    A small residuum closes no pair at all: a proper perfect subgroup of D
+    is nontrivial, so of order at least 60, and has index at least 5, so D
+    has one only when |D| >= 300.  A D of order below 300 is therefore its
+    own only seed, returned as it is.
     """
     D = _perfect_residuum(G)
     if D.order() < 60:
         return []
+    if D.order() < 300:
+        return [D]
     classes = [cls for cls in G.conjugacy_classes_raw() if D._contains_raw(cls[0])]
     class_of = {x: i for i, cls in enumerate(classes) for x in cls}
     cap = D.order() // 5
@@ -425,13 +436,16 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     order = G.order()
     id_of, tables = G._element_index()
     ident_id = id_of[tuple(range(degree))]
+    all_ids = frozenset(range(order))
     n_gens = G._raw_gens
 
     seen: set[frozenset] = set()  # every member of every class
     classes: list[SubgroupClass] = []
 
-    # conjugation of id sets by each parent generator
-    moves = [lambda s, table=table: frozenset(map(table.__getitem__, s)) for table in tables]
+    # conjugation of id sets by each parent generator, gathered in C; a set of
+    # one id is the trivial group, which every conjugation fixes
+    moves = [lambda s, table=table: frozenset(itemgetter(*s)(table)) if len(s) > 1 else s
+             for table in tables]
 
     def register(ids: frozenset, gens_raw: tuple, rep: Group | None = None) -> int | None:
         """Dedup against every known conjugate; take the orbit, and grow the
@@ -442,8 +456,10 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
             return None
         orbit, schreier = _schreier_generators(degree, n_gens, moves, ids)
         target = order // len(orbit)
-        norm_ids, members, norm_gens = set(ids), [elems[i] for i in ids], list(gens_raw)
+        # a normal H, with an orbit of one, has N_G(H) = G and needs no step
+        norm_ids = all_ids if target == order else set(ids)
         if len(norm_ids) < target:
+            members, norm_gens = [elems[i] for i in ids], list(gens_raw)
             for s in schreier:
                 if id_of[s] in norm_ids:
                     continue
@@ -540,13 +556,15 @@ def frattini(G: Group) -> Group:
 # ---------------------------------------------------------------------------
 # maximal subgroup classification
 
-@dataclass
 class MaximalSubgroupReport:
-    subgroup: Group
-    core: Group
-    quotient_order: int
-    primitive_type: int  # 1, 2 or 3
-    intersection_shape: str  # coordinate / diagonal / trivial / not-applicable
+    def __init__(self, subgroup: Group, core: Group, quotient_order: int,
+                 primitive_type: int, intersection_shape: str):
+        self.subgroup = subgroup
+        self.core = core
+        self.quotient_order = quotient_order
+        self.primitive_type = primitive_type  # 1, 2 or 3
+        # coordinate / diagonal / trivial / not-applicable
+        self.intersection_shape = intersection_shape
 
 
 def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:

@@ -433,6 +433,22 @@ def test_d_metric_c2c2():
     assert rep.value == 1
 
 
+def test_d_metric_checks_each_subgroup_pool_once(monkeypatch):
+    # d_metric checks H once itself; the search then checks the one distinct
+    # pool H once, though H fills two slots, and its first-slot normality
+    # test reuses that check
+    G = make(["(1,2)", "(3,4)", "(5,6)"], 6)  # C2^3, fresh so d is searched here
+    H = make(["(1,2)", "(3,4)"], 6)
+    min_generators(G)
+    calls = []
+    check = Group.is_subgroup_of
+    monkeypatch.setattr(Group, "is_subgroup_of",
+                        lambda self, other: calls.append(self) or check(self, other))
+    rep = d_metric(G, H)
+    assert (rep.value, len(rep.witness)) == (2, 3)
+    assert calls == [H, H]
+
+
 def test_d_metric_zero_puts_no_witness_entry_in_the_subgroup():
     # C6 is cyclic, so its d = 1 witness generates it and misses C3; no
     # generating pair of S4 has an entry in the trivial group
@@ -551,6 +567,7 @@ def test_density_s5_basic():
     lifts = (P("(1,2)", 5), Permutation.identity(5))
     rep = generation_density(S5, A5, lifts)
     assert rep.total == 3600
+    assert isinstance(rep.ratio, Fraction)
     assert rep.ratio >= Fraction(53, 90)
     assert rep.ratio == Fraction(rep.favorable, rep.total)
 

@@ -1,0 +1,30 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# stdlib modules genex computes nothing with; each costs import time in the
+# fresh interpreter that answers every query
+UNUSED = ("dataclasses", "inspect", "fractions", "decimal", "typing")
+
+PROBE = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import genex
+from genex import group, gensets, grpfmt, perm, structure
+print(sorted(m for m in {UNUSED!r} if m in sys.modules))
+A5 = group.Group([perm.parse_permutation(t, 5) for t in ("(1,2,3,4,5)", "(3,4,5)")], 5)
+ident = perm.Permutation.identity(5)
+rep = gensets.generation_density(A5, A5, (ident, ident))
+print("fractions" in sys.modules)
+print(type(rep.ratio).__module__, rep.ratio)
+"""
+
+
+def test_import_loads_no_unused_stdlib_module():
+    # -S skips site, so only what genex imports is loaded; the density query
+    # leaves fractions unloaded until its ratio is read
+    out = subprocess.run([sys.executable, "-S", "-c", PROBE], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "False", "fractions 19/30"]

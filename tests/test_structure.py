@@ -450,6 +450,23 @@ def test_solvable_group_makes_no_seed_closure(monkeypatch):
     assert (len(lat.classes), sum(c.size for c in lat.classes)) == (221, 4586)
 
 
+@pytest.mark.parametrize("texts", [["(1,2,3,4,5)", "(3,4,5)"], ["(1,2,3,4,5)", "(1,2)"]],
+                         ids=["A5", "S5"])
+def test_small_perfect_residuum_makes_no_seed_closure(monkeypatch, texts):
+    # |D| = 60 < 300: D has no proper perfect subgroup, so it is the one seed
+    # and no pair is closed; fresh groups, so no kept lattice is reused
+    built = []
+    build = structure._build_chain
+    monkeypatch.setattr(structure, "_build_chain",
+                        lambda *args: built.append(args) or build(*args))
+    G = make(texts, 5)
+    lat = all_subgroups(G)
+    assert not built
+    perfect = [c for c in lat.classes if c.order == 60]
+    assert len(perfect) == 1 and perfect[0].size == 1
+    assert len(lat.classes) == {60: 9, 120: 19}[G.order()]
+
+
 @pytest.mark.parametrize("G", [S5, make(["(1,2,3,4,5,6)", "(1,2)"], 6)], ids=["S5", "S6"])
 def test_class_rep_is_the_closure_of_its_generators(G):
     id_of = G._element_index()[0]
