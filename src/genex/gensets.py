@@ -50,11 +50,12 @@ class whose first member lay in a skipped coset is reached at a later member.
 
 The socle queries (``generation_density``, ``replacement_search``) work in
 proportion to one simple factor of the socle N and to orbits, not to |N|^d.
-Their certificate (``check_monolithic_nonabelian``) scans N's simple
-factors one at a time and keeps them on N for ``socle_block_projection``;
-the density is summed, at every slot, over the orbits of the centralizer in
-N of the partial tuple; the replacement search walks N lazily, only as far
-as the first witness.
+Their certificate (``check_monolithic_nonabelian``) scans one simple factor
+of N, takes the others as its G-conjugates, and keeps them on N for
+``socle_block_projection``; the density is summed, at every slot, over the
+orbits of the centralizer of the partial tuple in K, the subgroup of G
+whose conjugation fixes every lift's coset of N; the replacement search
+walks N lazily, only as far as the first witness.
 """
 
 from __future__ import annotations
@@ -69,9 +70,12 @@ from .group import (
     _conjugations,
     _orbit_count,
     _orbits,
+    _stabilizer,
     _walk,
     centralizer_in,
+    coset_canonical,
     normal_closure,
+    subgroup_closure,
 )
 from .perm import Permutation, _inv, _mul, _order, _pow, prime_factors
 from .structure import (
@@ -375,22 +379,29 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
     sec. 4.3).
 
-    The F_i are found one at a time.  R, the centralizer in N of the
-    factors found so far, starts at N; while R is nontrivial, F is a
+    The F_i are found one G-orbit at a time.  R, the centralizer in N of
+    the factors found so far, starts at N; while R is nontrivial, F is a
     minimal normal subgroup of N inside K = ncl_N(s), s an element of the
     deepest level of R's chain, found by scanning K alone
-    (``structure.minimal_normals_inside``), and R becomes C_R(F).  On
-    disjoint supports that level lies in one factor, so K is one factor.
-    An abelian minimal normal subgroup of N centralizes every other one, so
-    it stays in R until some step meets an abelian F and raises.  When the
-    loop ends at R = 1 and the orders multiply to |N|, the F_i are all of
-    N's minimal normal subgroups (another would lie in Z(N) = 1), each the
-    normal closure of its least prime-order element as in a scan of N, so
+    (``structure.minimal_normals_inside``).  On disjoint supports that
+    level lies in one factor, so K is one factor.  F's G-conjugates are
+    minimal normal subgroups of N, and distinct ones meet trivially, so the
+    walk that conjugates F by G's generators finds a conjugate either in a
+    factor it already holds or in none, and then it is a new factor,
+    generated by the conjugated generators.  When the orders reach |N| the
+    loop stops with no centralizer computed; otherwise R becomes the
+    centralizer of the orbit, and a second orbit fails transitivity once
+    the order test has passed.  An abelian minimal normal subgroup of N
+    centralizes every other one, so it stays in R until some step meets an
+    abelian F and raises.  When the orders multiply to |N|, the F_i are all
+    of N's minimal normal subgroups (another would lie in Z(N) = 1), so
     they are kept on N as ``minimal_normal_subgroups(N)``.
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
+    conjugations = list(_conjugations(G._raw_gens))
     factors = []
+    orbits = 0
     R = N
     while R.order() > 1:
         s = next(rep for rep in R._chain.trans[-1].values() if rep != R._chain.ident)
@@ -398,20 +409,31 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
         F = minimal_normals_inside(N, K)[0]
         if F.is_abelian():
             raise ValueError("socle is abelian")
+        # F's G-orbit: a conjugate of a factor lies in the factor that holds
+        # any one of its nontrivial elements, or else is a new factor
+        first = len(factors)
         factors.append(F)
-        for x in F.generators:
-            R = centralizer_in(R, x)
+
+        def conjugate(i, conj):
+            y = conj(factors[i]._raw_gens[0])
+            for j in range(first, len(factors)):
+                if factors[j]._contains_raw(y):
+                    return j
+            factors.append(subgroup_closure(G.degree, [conj(x) for x in factors[i]._raw_gens]))
+            return len(factors) - 1
+
+        _walk(first, [lambda i, conj=conj: conjugate(i, conj) for conj in conjugations])
+        orbits += 1
+        if prod(f.order() for f in factors) == N.order():
+            break
+        for f in factors[first:]:
+            for x in f.generators:
+                R = centralizer_in(R, x)
     if prod(f.order() for f in factors) != N.order():
         raise ValueError("N is not a direct product of its minimal normal subgroups")
     factors.sort(key=_minimal_normal_key)
     N._minimal_normals = tuple(factors)
-    # the orbit of factor 0: x^g for a generator x of F lies in one factor, F^g
-    def factor_of(y):
-        return next(j for j, f in enumerate(factors) if f._contains_raw(y))
-
-    moves = [lambda i, conj=conj: factor_of(conj(factors[i]._raw_gens[0]))
-             for conj in _conjugations(G._raw_gens)]
-    if len(_walk(0, moves)[0]) != len(factors):
+    if orbits > 1:
         raise ValueError("G does not permute the simple factors of N transitively")
     cent = G
     for x in N.generators:
@@ -421,24 +443,39 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     raise ValueError("group is not monolithic: C_G(N) is not trivial")
 
 
+def _coset_fixer(G: Group, N: Group, lifts: tuple) -> Group:
+    """The subgroup of G whose conjugation maps each coset N l_i onto
+    itself: G itself, with no chain built, when no generator of G moves
+    any coset, and otherwise the stabilizer of the tuple of cosets, each
+    named by its least member."""
+    moves = [lambda t, conj=conj: tuple(coset_canonical(N, conj(x)) for x in t)
+             for conj in _conjugations(G._raw_gens)]
+    start = tuple(coset_canonical(N, l.imgs) for l in lifts)
+    if all(move(start) == start for move in moves):
+        return G
+    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, start)
+    return subgroup_closure(G.degree, gens, chain)
+
+
 def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> DensityReport:
     """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G.
 
-    Conjugation by any c in N maps each coset N l_i onto itself, since
-    c^-1 n l c = (c^-1 n l c l^-1) l with N normal, and it preserves
-    generation, since <x_1^c, .., x_d^c> = G^c = G.  For c in C, the
-    centralizer in N of a partial tuple (x_1..x_(i-1)), it also fixes the
-    partial tuple, so the number of completions is constant on the C-orbits
-    of x_i in N l_i.  So each slot counts, over those orbits, orbit size
-    times the completions of one representative x, whose partial tuple has
-    centralizer C_C(x); slot 1 has C = N, and at the last slot a
-    representative counts 1 if its tuple generates G.  When d >= 3 and the
-    first d - 1 entries already generate G, the whole last coset, |N|
-    entries, completes them with no further test; for d = 2 one entry never
-    generates G, which has the nonabelian minimal normal subgroup N, so that
-    slot is never tested alone.  ``total`` is still
-    |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET`` raises
-    ``BoundExceeded`` before N is checked or enumerated.
+    Conjugation by any c in K = {g in G : g^-1 l_i g in N l_i for every i}
+    maps each coset N l_i onto itself, since c^-1 n l c = (c^-1 n c)
+    (c^-1 l c) with N normal, and it preserves generation, since
+    <x_1^c, .., x_d^c> = G^c = G.  K contains N, and is G when G/N is
+    abelian.  For c in C, the centralizer in K of a partial tuple
+    (x_1..x_(i-1)), it also fixes the partial tuple, so the number of
+    completions is constant on the C-orbits of x_i in N l_i.  So each slot
+    counts, over those orbits, orbit size times the completions of one
+    representative x, whose partial tuple has centralizer C_C(x); slot 1
+    has C = K, and at the last slot a representative counts 1 if its tuple
+    generates G.  When d >= 3 and the first d - 1 entries already generate
+    G, the whole last coset, |N| entries, completes them with no further
+    test; for d = 2 one entry never generates G, which has the nonabelian
+    minimal normal subgroup N, so that slot is never tested alone.
+    ``total`` is still |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET``
+    raises ``BoundExceeded`` before N is checked or enumerated.
     """
     lifts = tuple(lifts)
     d = len(lifts)
@@ -469,7 +506,7 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
                 count += len(orbit) * completions(tup, centralizer_in(C, Permutation._wrap(orbit[0])))
         return count
 
-    favorable = completions((), N)
+    favorable = completions((), _coset_fixer(G, N, lifts))
     return DensityReport(lifts, favorable, total)
 
 

@@ -616,12 +616,74 @@ def test_density_counts_per_centralizer_orbit(monkeypatch):
     assert len(calls) <= 78
 
 
+def _counted_density(monkeypatch, G, N, lifts):
+    """(favorable, total, generation tests) of one density query."""
+    calls = []
+    original = gensets._generates
+    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    rep = generation_density(G, N, lifts)
+    return rep.favorable, rep.total, len(calls)
+
+
 @pytest.mark.parametrize("lifts", [("(1,2)", "(1,2,3,4)"), ("(1,2)", "()"), ("()", "(1,3)")],
                          ids=["odd-odd", "odd-even", "even-odd"])
-def test_density_s5_independent_of_lifts(lifts):
-    # Gaschuetz: the count does not depend on the lifts chosen
-    rep = generation_density(S5, A5, [P(t, 5) for t in lifts])
-    assert (rep.favorable, rep.total) == (PHI2_A5, 3600)
+def test_density_s5_independent_of_lifts(monkeypatch, lifts):
+    # Gaschuetz: the count does not depend on the lifts chosen; S5/A5 is
+    # abelian, so slot 1 counts per class of S5, not of A5
+    favorable, total, calls = _counted_density(monkeypatch, S5, A5, [P(t, 5) for t in lifts])
+    assert (favorable, total) == (PHI2_A5, 3600)
+    assert calls <= 40
+
+
+SWAP = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
+
+
+@pytest.mark.parametrize("second", [Permutation.identity(10), SWAP], ids=["swap-1", "swap-swap"])
+def test_density_wreath_a5_c2(monkeypatch, second):
+    # Gaschuetz: the same count for both lift pairs, which the count over
+    # orbits of C_N alone also gives; G/N = C2, so slot 1 counts per class of G
+    W, N = _wreath_a5_c2()
+    favorable, total, calls = _counted_density(monkeypatch, W, N, (SWAP, second))
+    assert (favorable, total) == (11736000, 60 ** 4)
+    assert calls <= 1877
+
+
+def _s5_wreath_c2():
+    W = wreath_product(S5, make(["(1,2)"], 2))
+    return W, _wreath_a5_c2()[1]
+
+
+def test_coset_fixer_is_the_preimage_of_the_centre():
+    # G/N = C2 wr C2 = D8, and lifts generating it mod N are fixed by
+    # conjugation exactly by the preimage of Z(D8): N < K < G
+    W, N = _s5_wreath_c2()
+    lifts = (SWAP, P("(1,2)", 10))
+    K = gensets._coset_fixer(W, N, lifts)
+    assert (W.order(), K.order()) == (28800, 7200)
+    assert N.is_subgroup_of(K)
+    top = [Permutation.identity(10), P("(1,2)", 10), P("(6,7)", 10), P("(1,2)(6,7)", 10)]
+    reps = [t * s for t in top for s in (Permutation.identity(10), SWAP)]
+    assert len({group_module.coset_canonical(N, r.imgs) for r in reps}) == 8
+    for r in reps:
+        fixes = all(N.contains(r.inverse() * l * r * l.inverse()) for l in lifts)
+        assert K.contains(r) == fixes
+    assert sum(K.contains(r) for r in reps) == 2
+
+
+def test_coset_fixer_is_the_group_over_an_abelian_quotient(monkeypatch):
+    built = []
+    monkeypatch.setattr(gensets, "_stabilizer", lambda *args: built.append(args))
+    assert gensets._coset_fixer(S5, A5, (P("(1,2)", 5), P("(1,2,3)", 5))) is S5
+    assert built == []
+
+
+@pytest.mark.parametrize("lifts", [(SWAP, P("(1,2)", 10)), (P("(1,2)", 10) * SWAP, P("(6,7)", 10))],
+                         ids=["swap-(1,2)", "(1,2)swap-(6,7)"])
+def test_density_wreath_s5_c2(lifts):
+    # the two lift pairs lie in different cosets of N; Gaschuetz gives one count
+    W, N = _s5_wreath_c2()
+    rep = generation_density(W, N, lifts)
+    assert (rep.favorable, rep.total) == (12009600, 60 ** 4)
 
 
 def test_density_s5_matches_oracle():
@@ -723,10 +785,41 @@ def test_monolithic_check_never_enumerates_the_group(monkeypatch):
     monkeypatch.setattr(Group, "elements_raw", spy)
     monkeypatch.setattr(Group, "_lex_walk", spy)
     check_monolithic_nonabelian(W, N)
-    # the certificate scans one simple factor at a time, never W or N = A5 x A5
-    assert enumerated
-    assert not any(g is W or g is N for g in enumerated)
-    assert {g.order() for g in enumerated} == {60}
+    # the certificate scans one simple factor, never W or N = A5 x A5, and
+    # takes the other as its conjugate
+    assert len(enumerated) == 1
+    assert enumerated[0] is not N and enumerated[0].order() == 60
+
+
+@pytest.mark.parametrize("name", ["S5/A5", "S6/A6", "A6/A6", "A5wrC2/A5xA5"])
+def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
+    # the conjugates of the scanned factor reach |N|, so no centralizer in N
+    # of a factor is taken: the centralizer_in calls cut C_G(N) down from G,
+    # one generator of N at a time, each on the one before's result
+    G, N, _ = MONOLITHIC_CASES[name]
+    N = Group(N.generators, N.degree)
+    calls = []
+    original = gensets.centralizer_in
+
+    def spy(H, x):
+        calls.append((H, x, original(H, x)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(gensets, "centralizer_in", spy)
+    check_monolithic_nonabelian(G, N)
+    assert [H for H, _, _ in calls] == [G] + [C for _, _, C in calls[:-1]]
+    assert [x.imgs for _, x, _ in calls] == [g.imgs for g in N.generators[:len(calls)]]
+
+
+@pytest.mark.parametrize("name", ["S6/A6", "A5wrC2/A5xA5"])
+def test_monolithic_check_keeps_the_minimal_normal_subgroups(name):
+    G, N, _ = MONOLITHIC_CASES[name]
+    N = Group(N.generators, N.degree)
+    check_monolithic_nonabelian(G, N)
+    kept = minimal_normal_subgroups(N)
+    assert kept == sorted(kept, key=structure._minimal_normal_key)
+    scanned = structure.minimal_normals_inside(N, N)
+    assert [set(f.elements_raw()) for f in kept] == [set(f.elements_raw()) for f in scanned]
 
 
 # -- replacement --------------------------------------------------------------
