@@ -22,10 +22,12 @@ candidates whose subtrees contain no generating tuple:
   and the search would already have returned.  A class is orbited only once
   the subtree of its first member has failed, so no class table of G is
   built;
-* cyclic quotient: with one slot left and K = <partial> proper, a
-  completion x with <K, x> = G makes G/N cyclic, generated by xN, where N
-  is the normal closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005,
-  sec. 4.4); so when G/N is not cyclic no element of any pool completes K.
+* cyclic quotient: with one slot left and K = <partial>, a completion x
+  with <K, x> = G makes G/N cyclic, generated by xN, where N is the normal
+  closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so
+  when G/N is not cyclic no element of any pool completes K.  No separate
+  test that K = G comes first: the closure of such a K stops at G as soon
+  as its chain is built, and G/G is cyclic.
   G/N is cyclic iff the commutators of G's generators lie in N and
   |G : <N, g_1^p, .., g_k^p>| = p for every prime p with p^2 | |G:N|,
   since then every Sylow subgroup of the abelian G/N is cyclic (proof in
@@ -235,7 +237,7 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
                     return tup
                 stats.pruned += 1
                 continue
-            if level == d - 2 and not _generates(G, tup):
+            if level == d - 2:
                 closure = normal_closure(G, [Permutation._wrap(p) for p in tup])
                 if not _quotient_is_cyclic(G, closure):
                     stats.pruned += 1

@@ -309,15 +309,12 @@ def _conjugations(raw_gens):
     g^-1 x g is ``_mul(ginv, _mul(x, g))``, and the outer product gathers
     x g at the images of g^-1, so ``itemgetter(*ginv)`` is built once per
     generator and each conjugate costs one ``_mul`` and one gather in C.
-    On at most one point, where ``itemgetter`` takes no single index,
-    both products are ``_mul``.
+    The generators are a group's ``_raw_gens``, which never hold the
+    identity, so each moves at least two points and ``itemgetter`` always
+    gets two or more indices.
     """
     for g in raw_gens:
-        ginv = _inv(g)
-        if len(g) > 1:
-            yield lambda x, g=g, gather=itemgetter(*ginv): gather(_mul(x, g))
-        else:
-            yield lambda x, g=g, ginv=ginv: _mul(ginv, _mul(x, g))
+        yield lambda x, g=g, gather=itemgetter(*_inv(g)): gather(_mul(x, g))
 
 
 class Group:

@@ -1,11 +1,12 @@
 """The ".grp" group text format.
 
 A file is a `degree: <n>` line followed by one `gen: <cycles>` line per
-generator.  Lines starting with `#` and blank lines are ignored.  Round
-trips are bit-exact on the parsed generators: parse -> serialize -> parse
-yields identical generator permutations in identical order.  A degree
-above ``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any point list
-is built.
+generator; the degree and the points are ASCII decimal numerals.  Lines
+starting with `#` and blank lines are ignored.  Round trips are bit-exact
+on the parsed generators: parse -> serialize -> parse yields identical
+generator permutations in identical order.  A degree above
+``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any point list is
+built.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ def parse_group_text(text: str) -> Group:
         if line.startswith("degree:"):
             if degree is not None:
                 raise ValueError(f"line {lineno}: duplicate degree line")
-            try:
-                degree = int(line[len("degree:"):].strip())
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad degree") from None
+            value = line[len("degree:"):].strip()
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"line {lineno}: bad degree")
+            degree = int(value)
             if degree < 1:
                 raise ValueError(f"line {lineno}: degree must be positive")
             if degree > DEFAULT_MAX_POINTS:

@@ -9,7 +9,7 @@ the right-action convention used for wreath coordinates throughout.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import index, itemgetter
 
 _TABLE_ID = bytes(range(256))  # the identity translate table, shared with group's chains
@@ -53,9 +53,10 @@ def _pow(p, n):
     return q
 
 
-def _cycle_lengths(p):
+def _order(p):
+    """The lcm of the cycle lengths."""
     seen = [False] * len(p)
-    out = []
+    o = 1
     for i in range(len(p)):
         if seen[i]:
             continue
@@ -65,14 +66,7 @@ def _cycle_lengths(p):
             seen[j] = True
             j = p[j]
             length += 1
-        out.append(length)
-    return out
-
-
-def _order(p):
-    o = 1
-    for length in _cycle_lengths(p):
-        o = o * length // gcd(o, length)
+        o = lcm(o, length)
     return o
 
 
@@ -224,9 +218,10 @@ class Permutation:
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse a product of disjoint cycles over {1..degree}.
 
-    "()" denotes the identity.  Points may be separated by commas or spaces.
-    Raises ValueError on malformed text, out-of-range points, or a point
-    repeated across cycles.
+    "()" denotes the identity.  Points are ASCII decimal numerals, separated
+    by commas or spaces; ``int`` alone would also take "+3", "1_0" and
+    non-ASCII digits.  Raises ValueError on malformed text, out-of-range
+    points, or a point repeated across cycles.
     """
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"degree must be an int >= 0, not {degree!r}")
@@ -236,7 +231,6 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     imgs = list(range(degree))
     seen: set[int] = set()
     pos = 0
-    found = False
     while pos < len(s):
         if s[pos].isspace():
             pos += 1
@@ -248,13 +242,11 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             raise ValueError(f"unbalanced parenthesis in {text!r}")
         body = s[pos + 1:end].replace(",", " ").split()
         pos = end + 1
-        found = True
         if not body:
             continue
-        try:
-            points = [int(tok) for tok in body]
-        except ValueError:
-            raise ValueError(f"non-integer point in {text!r}") from None
+        if not all(tok.isascii() and tok.isdigit() for tok in body):
+            raise ValueError(f"point not in ASCII decimal digits in {text!r}")
+        points = [int(tok) for tok in body]
         for pt in points:
             if not 1 <= pt <= degree:
                 raise ValueError(f"point {pt} out of range 1..{degree}")
@@ -265,8 +257,6 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             for a, b in zip(points, points[1:]):
                 imgs[a - 1] = b - 1
             imgs[points[-1] - 1] = points[0] - 1
-    if not found:
-        raise ValueError(f"malformed cycle text {text!r}")
     return Permutation._wrap(imgs)
 
 

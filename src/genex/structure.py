@@ -129,39 +129,6 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
 # ---------------------------------------------------------------------------
 # blocks and primitivity
 
-def minimal_block(degree: int, raw_gens, alpha: int, beta: int) -> list[int]:
-    """Class representatives of the finest G-congruence merging alpha and beta."""
-    parent = list(range(degree))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return ry
-
-    union(alpha, beta)
-    queue = deque([beta])
-    while queue:
-        gamma = queue.popleft()
-        delta = find(gamma)
-        for g in raw_gens:
-            lost = union(g[gamma], g[delta])
-            if lost is not None:
-                queue.append(lost)
-    return [find(i) for i in range(degree)]
-
-
 def is_transitive(G: Group) -> bool:
     return G._orbits <= 1
 
@@ -169,10 +136,16 @@ def is_transitive(G: Group) -> bool:
 def is_primitive(G: Group) -> bool:
     """Transitive with no nontrivial block system.
 
-    The finest block through 0 and beta is the same for every beta in one
-    orbit of the point stabilizer G_0, which maps it onto the block through
-    0 and beta^x, so one beta per orbit is tried.  G_0 is level 1 of the
-    chain: a transitive group moves point 0, so its lex base starts there.
+    The blocks of a transitive G through point 0 are the orbits of 0 under
+    the subgroups that contain G_0 (Dixon-Mortimer, *Permutation Groups*,
+    1996, Thm 1.5A), so the least block through 0 and beta is the orbit of
+    0 under <G_0, t>, t any element carrying 0 to beta, and that block is
+    all the points exactly when <G_0, t> is transitive.  G_0 maps a block
+    through 0 and beta onto one through 0 and beta^x, so one beta per orbit
+    of G_0 is tried.  G_0 is level 1 of the chain: a transitive group moves
+    point 0, so its lex base starts there, and ``trans[0][beta]`` carries 0
+    to beta.  Level 1's strong generators are cut to n points, as chains
+    on at most 256 points store them as 256-byte tables.
     """
     n = G.degree
     if not is_transitive(G):
@@ -180,11 +153,9 @@ def is_primitive(G: Group) -> bool:
     if n == 1:
         return True
     chain = G._chain
-    stabilizer = chain.gens[1] if len(chain.base) > 1 else ()
-    gens = G._raw_gens
+    stabilizer = [g[:n] for g in chain.gens[1]] if len(chain.base) > 1 else []
     for orbit in _orbits(range(1, n), [g.__getitem__ for g in stabilizer]):
-        reps = minimal_block(n, gens, 0, orbit[0])
-        if len(set(reps)) != 1:
+        if _orbit_count(n, stabilizer + [chain.trans[0][orbit[0]]]) != 1:
             return False
     return True
 

@@ -17,6 +17,7 @@ from genex.gensets import (
     exists_generating_tuple,
     generation_density,
     min_generators,
+    replacement_hypothesis,
     replacement_search,
     socle_block_projection,
 )
@@ -366,6 +367,12 @@ def test_exists_tuple_consistency_with_min_generators():
     assert Group(got, 4).order() == 24
 
 
+def test_exists_tuple_with_no_slots():
+    # the empty tuple generates exactly the trivial group
+    assert exists_generating_tuple(trivial_group(3), []) == ()
+    assert exists_generating_tuple(S4, []) is None
+
+
 def test_exists_tuple_empty_pool():
     with pytest.raises(ValueError):
         exists_generating_tuple(S4, [[], S4])
@@ -710,6 +717,14 @@ def test_density_rejects_lifts_outside_the_group(degree):
         generation_density(S5, A5, (P("(1,2)", degree), P("(1,2,3)", degree)))
 
 
+def test_density_rejects_malformed_lifts():
+    with pytest.raises(ValueError, match="at least two lifts"):
+        generation_density(S5, A5, (P("(1,2)", 5),))
+    W, N = _wreath_a5_c2()
+    with pytest.raises(ValueError, match="lift does not lie in G"):
+        generation_density(W, N, (P("(1,2)", 10), SWAP))
+
+
 def test_density_requires_socle():
     with pytest.raises(ValueError):
         generation_density(S5, make(["(1,2,3,4,5)"], 5), (P("(1,2)", 5), P("(1,2)", 5)))
@@ -847,6 +862,25 @@ def test_socle_projection_wreath():
     assert project(P("(1,2,3)", 10)) == Permutation.identity(2)
 
 
+def test_socle_projection_rejects_an_element_splitting_a_factor():
+    project = socle_block_projection(*_wreath_a5_c2())
+    with pytest.raises(ValueError, match="does not permute the socle factors"):
+        project(P("(1,6)", 10))
+
+
+def test_replacement_hypothesis_branches():
+    def same(g):
+        return g
+
+    assert replacement_hypothesis(P("(1,2)", 2), Permutation.identity(2), same) == "g2-fixed-point"
+    assert replacement_hypothesis(P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4), same) \
+        == "difference-fixed-point-free"
+    c = P("(1,2,3,4)", 4)
+    # c^-1 c^2 = c and c^-1 c^4 = c^3 are fixed-point-free, but (c^2)^-1 c^2 = 1
+    with pytest.raises(HypothesisError, match=r"g2\^-1 g1\^2"):
+        replacement_hypothesis(c, c ** 2, same)
+
+
 def test_replacement_search_s5():
     # H = S4 inside Aut(A5) = S5; gens chosen in H with <gens> A5 = S5
     h = make(["(2,3,4,5)", "(2,3)"], 5)
@@ -869,6 +903,25 @@ def test_replacement_trivial_when_already_generating():
     assert Group(gens, 5).order() != 120  # inside S4, not generating alone
     got = replacement_search(S5, A5, gens, h.contains)
     assert got is not None
+
+
+def test_replacement_search_skips_rejected_v1_and_exhausts():
+    gens = (P("(2,3,4,5)", 5), P("(2,3)", 5))
+    # the identity is N's first element, so v1 = 1 is rejected
+    v1, v2 = replacement_search(S5, A5, gens, lambda g: g != gens[0])
+    assert v1 != Permutation.identity(5)
+    assert Group([v1 * gens[0], v2 * gens[1]], 5).order() == 120
+    assert replacement_search(S5, A5, gens, lambda g: False) is None
+
+
+def test_replacement_search_rejects_malformed_generators():
+    with pytest.raises(ValueError, match="at least two generators"):
+        replacement_search(S5, A5, (P("(1,2)", 5),), lambda g: True)
+    W, N = _wreath_a5_c2()
+    with pytest.raises(ValueError, match="does not lie in G"):
+        replacement_search(W, N, (P("(1,2)", 10), SWAP), lambda g: True)
+    with pytest.raises(ValueError, match="modulo N"):
+        replacement_search(S5, A5, (P("(1,2,3)", 5), P("(3,4,5)", 5)), lambda g: True)
 
 
 @pytest.mark.parametrize("degree", [4, 6])

@@ -50,6 +50,12 @@ def test_comments_and_blank_lines_are_ignored():
     "degree: 0\n",
     "degree: five\n",
     "# no degree\n",
+    "degree: 1_0\n",                          # int() would read 10
+    "degree: +5\n",
+    "degree: \uff15\n",                       # full-width 5
+    "degree: 10\ngen: (1_0,2)\n",             # int() would read (2,10)
+    "degree: 5\ngen: (+3,1)\n",
+    "degree: 5\ngen: (\uff13,1)\n",           # full-width 3
 ])
 def test_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):

@@ -47,6 +47,10 @@ def test_parse_errors():
         P("1,2", 3)
     with pytest.raises(ValueError):
         P("", 3)
+    # only ASCII decimal numerals are points: int() would take all of these
+    for text in ("(1_0,2)", "(+3,1)", "(\uff13,1)", "(\u00b3,1)", "(-1,2)", "(1,2 )(0x3,4)"):
+        with pytest.raises(ValueError):
+            P(text, 10)
     for text, degree in (("()", "5"), ("(1,2)", 2.0), ("()", True)):
         with pytest.raises(ValueError):
             P(text, degree)

@@ -23,7 +23,6 @@ from genex.structure import (
     frattini,
     is_primitive,
     is_transitive,
-    minimal_block,
     minimal_normal_subgroups,
 )
 
@@ -158,8 +157,30 @@ def test_blocks_and_primitivity():
     assert not is_primitive(D4)  # opposite corners form blocks
     c4 = make(["(1,2,3,4)"], 4)
     assert not is_primitive(c4)
-    reps = minimal_block(4, [g.imgs for g in D4.generators], 0, 2)
-    assert len(set(reps)) == 2
+    assert not is_transitive(make(["(1,2)"], 3))
+    assert not is_primitive(make(["(1,2)"], 3))  # intransitive
+    assert is_primitive(Group([], 1))  # one point: transitive, no blocks
+
+
+@pytest.mark.parametrize("G, images, primitive, large", [
+    (S5, 18, 4, 0),
+    (make(["(1,2,3,4,5,6)", "(1,2)"], 6), 55, 6, 4),
+    (make(["(1,2,3,4,5)", "(4,5,6)"], 6), 21, 5, 1),
+], ids=["S5", "S6", "A6"])
+def test_is_primitive_on_coset_actions_matches_lattice_maximality(G, images, primitive, large):
+    # G acts primitively on the cosets of a proper subgroup exactly when it
+    # is maximal, which the lattice decides by id-set containment alone;
+    # images above 256 points run on chains of tuples, not byte tables
+    lat = all_subgroups(G)
+    maximal = set(lat.maximal_subgroups_of(-1))
+    answers, degrees = [], []
+    for c in lat.classes:
+        if c.order < G.order():
+            image = coset_action(G, c.rep)[0]
+            answers.append(is_primitive(image))
+            degrees.append(image.degree)
+            assert answers[-1] == (c.ids in maximal)
+    assert (len(answers), sum(answers), sum(n > 256 for n in degrees)) == (images, primitive, large)
 
 
 # -- lattice -----------------------------------------------------------------
