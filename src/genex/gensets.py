@@ -53,10 +53,13 @@ class whose first member lay in a skipped coset is reached at a later member.
 The socle queries (``generation_density``, ``replacement_search``) work in
 proportion to one simple factor of the socle N and to orbits, not to |N|^d.
 Their certificate (``check_monolithic_nonabelian``) scans one simple factor
-of N, takes the others as its G-conjugates, and keeps them on N for
-``socle_block_projection``; the density is summed, at every slot, over the
-orbits of the centralizer of the partial tuple in K, the subgroup of G
-whose conjugation fixes every lift's coset of N; the replacement search
+of N, which the class sizes of its prime-order elements usually prove
+minimal by Lagrange's theorem with no normal closure, takes the others as
+its G-conjugates, keeps them on N for ``socle_block_projection``, and stops
+cutting C_G(N) down as soon as it lies in N; the density is summed, at
+every slot, over the orbits of the centralizer of the partial tuple in K,
+the subgroup of G whose conjugation fixes every lift's coset of N, and an
+orbit takes the count of the orbit of its inverses; the replacement search
 walks N lazily, only as far as the first witness.
 """
 
@@ -398,6 +401,10 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     abelian F and raises.  When the orders multiply to |N|, the F_i are all
     of N's minimal normal subgroups (another would lie in Z(N) = 1), so
     they are kept on N as ``minimal_normal_subgroups(N)``.
+
+    C_G(N) is cut down from G by one generator of N at a time, and the cut
+    stops as soon as the result lies in N: it contains C_G(N), which then
+    lies in Z(N) = 1.  So N = G takes no centralizer at all.
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
@@ -438,11 +445,12 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     if orbits > 1:
         raise ValueError("G does not permute the simple factors of N transitively")
     cent = G
-    for x in N.generators:
+    gens = iter(N.generators)
+    while not cent.is_subgroup_of(N):
+        x = next(gens, None)
+        if x is None:
+            raise ValueError("group is not monolithic: C_G(N) is not trivial")
         cent = centralizer_in(cent, x)
-        if cent.order() == 1:
-            return
-    raise ValueError("group is not monolithic: C_G(N) is not trivial")
 
 
 def _coset_fixer(G: Group, N: Group, lifts: tuple) -> Group:
@@ -475,7 +483,11 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     generates G.  When d >= 3 and the first d - 1 entries already generate
     G, the whole last coset, |N| entries, completes them with no further
     test; for d = 2 one entry never generates G, which has the nonabelian
-    minimal normal subgroup N, so that slot is never tested alone.
+    minimal normal subgroup N, so that slot is never tested alone.  An entry
+    x and its inverse generate the same cyclic subgroup, so they have the
+    same completions; conjugation commutes with inversion, so the inverses
+    of an orbit form an orbit of the same size, which takes the count of the
+    first of the two reached whenever it lies in the same coset.
     ``total`` is still |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET``
     raises ``BoundExceeded`` before N is checked or enumerated.
     """
@@ -499,13 +511,22 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     def completions(partial: tuple, C: Group) -> int:
         if len(partial) == d - 1 >= 2 and _generates(G, partial):
             return N.order()  # every entry of the last coset completes it
+        orbits = _orbits(cosets[len(partial)], _conjugations(C._raw_gens))
+        orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+        each = [None] * len(orbits)  # the completions of any one member
         count = 0
-        for orbit in _orbits(cosets[len(partial)], _conjugations(C._raw_gens)):
-            tup = partial + (orbit[0],)
-            if len(tup) == d:
-                count += len(orbit) if _generates(G, tup) else 0
-            else:
-                count += len(orbit) * completions(tup, centralizer_in(C, Permutation._wrap(orbit[0])))
+        for i, orbit in enumerate(orbits):
+            if each[i] is None:
+                x = orbit[0]
+                tup = partial + (x,)
+                if len(tup) == d:
+                    each[i] = 1 if _generates(G, tup) else 0
+                else:
+                    each[i] = completions(tup, centralizer_in(C, Permutation._wrap(x)))
+                j = orbit_of.get(_inv(x))
+                if j is not None:
+                    each[j] = each[i]
+            count += len(orbit) * each[i]
         return count
 
     favorable = completions((), _coset_fixer(G, N, lifts))

@@ -111,10 +111,22 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     minimal.  Only K is scanned: the classes are the conjugation orbits of
     K's prime-order elements alone, each tried from its least member.
     Sorted by ``_minimal_normal_key``.
+
+    Before any closure, Lagrange's theorem may prove K minimal.  A normal
+    subgroup M of G with 1 < M < K is a union of G-classes: the identity,
+    at least one class of prime-order elements (Cauchy) and at most r of
+    K's r elements of composite order.  So when no nonempty subset sum s of
+    the class sizes has 1 + s + c, for some 0 <= c <= r, a proper divisor
+    of |K|, no such M exists, and K alone is returned.
     """
-    prime_order = [p for p in K.elements_raw() if is_prime(_order(p))]
+    elements = K.elements_raw()
+    prime_order = [p for p in elements if is_prime(_order(p))]
+    orbits = _orbits(prime_order, _conjugations(G._raw_gens))
+    if _no_proper_normal_order(K.order(), [len(o) for o in orbits],
+                               len(elements) - 1 - len(prime_order)):
+        return [K]
     closures: list[Group] = []
-    for orbit in _orbits(prime_order, _conjugations(G._raw_gens)):
+    for orbit in orbits:
         n = normal_closure(G, [Permutation._wrap(orbit[0])])
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
@@ -124,6 +136,24 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
             minimal.append(n)
     minimal.sort(key=_minimal_normal_key)
     return minimal
+
+
+def _no_proper_normal_order(order: int, class_sizes: list, composite: int) -> bool:
+    """Whether no 1 + s + c is a proper divisor of ``order`` above 1, for s
+    a nonempty subset sum of ``class_sizes`` and 0 <= c <= ``composite``.
+
+    Bit s of ``sums`` is set when some subset of the classes has s
+    elements; bit 0, the empty subset alone, is cleared."""
+    sums = 1
+    for size in class_sizes:
+        sums |= sums << size
+    sums &= ~1
+    for m in range(2, order // 2 + 1):
+        if order % m == 0:
+            low = max(m - 1 - composite, 0)
+            if sums >> low & ((1 << (m - low)) - 1):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

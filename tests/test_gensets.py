@@ -600,27 +600,30 @@ def test_density_a5_triples_match_hall():
 
 
 def test_density_counts_whole_cosets_after_a_generating_prefix(monkeypatch):
-    # a pair that generates A5 completes with all 60 last entries, untested:
-    # one test per slot-2 orbit (77), then one per slot-3 orbit of the 39
-    # pairs that do not generate, besides the lifts' test
+    # a pair that generates A5 completes with all 60 last entries, untested,
+    # and an orbit takes the count of the orbit of its members' inverses: one
+    # test per slot-2 orbit not so counted (56, 25 of them generating), then
+    # 744 over the slot-3 orbits of the 31 pairs that do not generate, besides
+    # the lifts' test: 1 + 56 + 744
     calls = []
     original = gensets._generates
     monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
     ident = Permutation.identity(5)
     rep = generation_density(A5, A5, (ident, ident, ident))
     assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
-    assert len(calls) <= 1473
+    assert len(calls) <= 801
 
 
 def test_density_counts_per_centralizer_orbit(monkeypatch):
     # one generation test for the lifts, then one per orbit of C_A5(x) on A5
-    # for each class representative x: 1 + 5 + 18 + 22 + 16 + 16
+    # for each class representative x, less the orbits that take the count of
+    # their inverses' orbit: 1 + 5 + 17 + 14 + 10 + 10 (from 18, 22, 16, 16)
     calls = []
     original = gensets._generates
     monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
     ident = Permutation.identity(5)
     assert generation_density(A5, A5, (ident, ident)).favorable == PHI2_A5
-    assert len(calls) <= 78
+    assert len(calls) <= 57
 
 
 def _counted_density(monkeypatch, G, N, lifts):
@@ -639,7 +642,7 @@ def test_density_s5_independent_of_lifts(monkeypatch, lifts):
     # abelian, so slot 1 counts per class of S5, not of A5
     favorable, total, calls = _counted_density(monkeypatch, S5, A5, [P(t, 5) for t in lifts])
     assert (favorable, total) == (PHI2_A5, 3600)
-    assert calls <= 40
+    assert calls <= 32
 
 
 SWAP = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
@@ -652,7 +655,7 @@ def test_density_wreath_a5_c2(monkeypatch, second):
     W, N = _wreath_a5_c2()
     favorable, total, calls = _counted_density(monkeypatch, W, N, (SWAP, second))
     assert (favorable, total) == (11736000, 60 ** 4)
-    assert calls <= 1877
+    assert calls <= 1087
 
 
 def _s5_wreath_c2():
@@ -810,7 +813,9 @@ def test_monolithic_check_never_enumerates_the_group(monkeypatch):
 def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
     # the conjugates of the scanned factor reach |N|, so no centralizer in N
     # of a factor is taken: the centralizer_in calls cut C_G(N) down from G,
-    # one generator of N at a time, each on the one before's result
+    # one generator of N at a time, each on the one before's result, and
+    # stop once the result lies in N, whose centre is trivial: at once for
+    # N = G, and after C_G(x_1) = <x_1> x A5 for A5 wr C2
     G, N, _ = MONOLITHIC_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
@@ -822,8 +827,22 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
 
     monkeypatch.setattr(gensets, "centralizer_in", spy)
     check_monolithic_nonabelian(G, N)
-    assert [H for H, _, _ in calls] == [G] + [C for _, _, C in calls[:-1]]
+    assert len(calls) == {"S5/A5": 1, "S6/A6": 3, "A6/A6": 0, "A5wrC2/A5xA5": 1}[name]
+    assert [H for H, _, _ in calls] == ([G] + [C for _, _, C in calls[:-1]])[:len(calls)]
     assert [x.imgs for _, x, _ in calls] == [g.imgs for g in N.generators[:len(calls)]]
+
+
+def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
+    # the scanned factor's classes in A5 x A5 have 15, 20, 12 and 12 elements,
+    # so Lagrange proves it minimal with no closure inside the scan
+    W, N = _wreath_a5_c2()
+    calls = []
+    original = structure.normal_closure
+    monkeypatch.setattr(structure, "normal_closure",
+                        lambda G, gens: calls.append(G) or original(G, gens))
+    check_monolithic_nonabelian(W, N)
+    assert calls == []
+    assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
 
 
 @pytest.mark.parametrize("name", ["S6/A6", "A5wrC2/A5xA5"])

@@ -107,6 +107,57 @@ def test_minimal_normal_subgroups_read_off_the_lattice(monkeypatch, name):
     assert set(read) == set(scanned)
 
 
+C2 = make(["(1,2)"], 2)
+INSIDE_CASES = dict(
+    {name: g for name, (g, _) in MINIMAL_NORMAL_CASES.items()},
+    **{"S4xC2": direct_product(S4, C2), "A4xC3": direct_product(A4, make(["(1,2,3)"], 3)),
+       "S3wrC2": wreath_product(S3, C2), "C3wrC2": wreath_product(make(["(1,2,3)"], 3), C2)})
+
+
+@pytest.mark.parametrize("name", INSIDE_CASES)
+def test_minimal_normals_inside_every_normal_subgroup_match_oracle(name):
+    # whether the class sizes prove K minimal or the closures are scanned,
+    # the result is G's minimal normal subgroups that lie in K
+    G = Group(INSIDE_CASES[name].generators, INSIDE_CASES[name].degree)
+    oracle = oracles.minimal_normal_subgroups([x.imgs for x in G.generators], G.degree)
+    normal = [c.rep for c in all_subgroups(G).classes if c.size == 1 and c.order > 1]
+    for K in normal:
+        inside = set(K.elements_raw())
+        got = [frozenset(m.elements_raw()) for m in structure.minimal_normals_inside(G, K)]
+        assert len(got) == len(set(got))
+        assert set(got) == {m for m in oracle if m <= inside}
+
+
+def _closures_in_scan(monkeypatch):
+    calls = []
+    original = structure.normal_closure
+    monkeypatch.setattr(structure, "normal_closure",
+                        lambda G, gens: calls.append(G) or original(G, gens))
+    return calls
+
+
+def test_class_sizes_prove_a_simple_factor_minimal(monkeypatch):
+    # A5 in S5 has classes of 15, 20 and 24 prime-order elements and none of
+    # composite order: 1 + a subset sum is never a proper divisor of 60
+    calls = _closures_in_scan(monkeypatch)
+    assert structure.minimal_normals_inside(S5, A5) == [A5]
+    assert calls == []
+
+
+@pytest.mark.parametrize("G, found",
+                         [(S4, 4), (S5, 60), (make(["(1,2,3,4,5)", "(4,5,6)"], 6), 360)],
+                         ids=["S4", "S5", "A6"])
+def test_class_sizes_leave_a_proper_normal_order_to_the_scan(monkeypatch, G, found):
+    # S4: 1 + 3 = 4 divides 24, and V4 is found; S5 has 50 elements of
+    # composite order, so 1 + 15 + 4 = 20 is possible, and A5 is found; A6
+    # is simple, but its 90 elements of order 4 leave 1 + 40 + 19 = 60
+    # possible, so it is still scanned
+    calls = _closures_in_scan(monkeypatch)
+    K = Group(G.generators, G.degree)
+    assert [m.order() for m in structure.minimal_normals_inside(K, K)] == [found]
+    assert calls
+
+
 def test_minimal_normal_subgroups_kept_on_the_group():
     g = make(["(1,2,3,4)", "(1,2)"], 4)
     first = minimal_normal_subgroups(g)
