@@ -11,11 +11,14 @@ the first entry's.  It works per cyclic subgroup, as <a^k, b^l> = <a, b>
 for k, l prime to the orders: the first entry skips a class holding such a
 power of an earlier first entry, and the second entry a centralizer orbit
 holding such a power of an earlier second entry.  It builds no chain for a
-pair that the orders of a, b and ab prove solvable (von Dyck), and stops a
-chain as soon as it passes |D| / 5, since a perfect D has no proper
-subgroup of index below 5, and it tries no pair when |D| < 300, since a
-proper perfect subgroup of D has order at least 60 and index at least 5
-(``_perfect_seed_classes`` gives the proofs).
+pair that the orders of a, b and ab prove solvable (von Dyck), and builds
+a pair with orders 2, 3, 5 at once, as it generates exactly A5.  Its cut
+comes from the cap lemma: a proper perfect subgroup of the perfect D has
+index at least 5, so order at most cap = |D| / 5, and order 60 or at least
+120, when it is A5.  So a chain stops as soon as it passes the cap; when
+cap < 60 (|D| < 300) D is the only seed, and when cap < 120 (|D| < 600)
+only pairs of an involution and an element of order 3 with product of
+order 5 are tried (``_perfect_seed_classes`` gives the proofs).
 Classes are deduplicated by full conjugation orbits of element-id sets, so
 the enumeration is exact.  Id sets are the lattice's one subgroup form: a
 class holds its subgroup H, each conjugate of H and the normalizer N_G(H) as
@@ -284,16 +287,17 @@ def _von_dyck_solvable(l: int, m: int, n: int) -> bool:
     solvable for the Euclidean triples (2, 3, 6), (2, 4, 4), (3, 3, 3)
     (Coxeter-Moser, *Generators and Relations for Discrete Groups*, 1957,
     ch. 4).  So the pair generates a solvable group unless the triple is
-    (2, 3, 5) up to order or the sum is below 1.
+    (2, 3, 5) up to order or the sum is below 1.  A (2, 3, 5) pair
+    generates exactly A5: D(2, 3, 5) = A5 is simple, so its only quotient
+    in which the image of x is not 1 is A5 itself.
     """
     return m * n + l * n + l * m >= l * m * n and sorted((l, m, n)) != [2, 3, 5]
 
 
 def _perfect_seed_classes(G: Group):
-    """Candidate perfect subgroups: <a, b> with both in D, the perfect
-    residuum of G, a over class representatives, one per rational class,
-    and b over centralizer orbits of the classes from a's on, one per
-    cyclic subgroup.
+    """Candidate perfect subgroups: D, the perfect residuum of G, and <a, b>
+    with both in D, a over class representatives, one per rational class,
+    and b over centralizer orbits, one per cyclic subgroup.
 
     Every perfect group at desk-scale orders is 2-generated, so this layer
     together with cyclic extension is exhaustive here.  A perfect subgroup P
@@ -306,7 +310,30 @@ def _perfect_seed_classes(G: Group):
     with x in class i, y in class j and i <= j, conjugating x to the
     representative a of class i and then y by C_G(a) to its orbit
     representative b gives a conjugate <a, b> with b still in class j.  So
-    b is drawn only from classes j >= i, and C_G(a) orbits only those.
+    b is drawn only from classes j >= i, and C_G(a) orbits only those,
+    except in the A5-only case below.
+
+    The cap lemma.  A proper subgroup of D of index k < 5 would map D onto
+    a nontrivial transitive subgroup of the solvable S_k by its coset
+    action, impossible for a perfect D, so a proper perfect subgroup P of D
+    has |P| <= cap = |D| / 5.  A nontrivial P has a maximal normal subgroup
+    K, and P/K is simple and perfect, so nonabelian: |P/K| >= 60.  So
+    |P| >= 60, and |P| < 120 forces K = 1 and P = P/K simple of order
+    below 120, which is A5, the only nonabelian simple group of order below
+    168.  Hence:
+
+    * cap < 60 (|D| < 300): D has no proper perfect subgroup, and is its
+      own only seed; no pair is tried;
+    * cap < 120 (|D| < 600): every proper perfect subgroup is an A5.  For
+      each involution a of an A5 there is b in it with b, ab of orders 3
+      and 5, as A5's involutions form one class and (1,2)(3,4) (1,3,5) has
+      order 5; and <a, b> = A5, as below.  So a runs over the involution
+      classes only, b over the C_G(a)-orbits of all elements of order 3,
+      with no order on the classes, and only pairs with ab of order 5 are
+      kept;
+    * any D: a pair with a, b, ab of orders 2, 3, 5 in some order generates
+      exactly A5 (``_von_dyck_solvable``), so it is kept with no capped
+      build and no perfectness test.
 
     A subgroup depends only on the cyclic subgroups of its generators:
     <a^k, y> = <a, y> and <x, b^l> = <x, b> for k, l prime to the orders of
@@ -327,42 +354,45 @@ def _perfect_seed_classes(G: Group):
     * a commuting pair generates an abelian group, and a pair whose orders
       of a, b, ab pass ``_von_dyck_solvable`` a solvable one; neither is
       ever perfect, so the pair is skipped;
-    * index 5: a proper subgroup of D of index k < 5 would map D onto a
-      nontrivial transitive subgroup of the solvable S_k by its coset
-      action, impossible for a perfect D.  So once the chain of <a, b>
-      under construction, whose order is a lower bound on |<a, b>|, passes
-      |D| / 5, <a, b> = D and the build stops; D itself is the seed;
+    * once the chain of <a, b> under construction, whose order is a lower
+      bound on |<a, b>|, passes the cap, <a, b> = D, already a seed, and
+      the build stops;
     * many pairs still generate the same subgroup: <a, b> is skipped when a
       subgroup T tried earlier has its order and contains a and b, since
-      then <a, b> = T.
+      then <a, b> = T.  A (2, 3, 5) pair has order 60 before any build, so
+      its test comes first and a repeat builds nothing.
 
     So each distinct subgroup is tested once, and the first pair that
     reaches it supplies its generators.
-
-    A small residuum closes no pair at all: a proper perfect subgroup of D
-    is nontrivial, so of order at least 60, and has index at least 5, so D
-    has one only when |D| >= 300.  A D of order below 300 is therefore its
-    own only seed, returned as it is.
     """
     D = _perfect_residuum(G)
     if D.order() < 60:
         return []
-    if D.order() < 300:
-        return [D]
-    classes = [cls for cls in G.conjugacy_classes_raw() if D._contains_raw(cls[0])]
-    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
     cap = D.order() // 5
-    out = []
+    if cap < 60:
+        return [D]
+    a5_only = cap < 120
+    classes = [cls for cls in G.conjugacy_classes_raw() if D._contains_raw(cls[0])]
+    orders = [_order(cls[0]) for cls in classes]
+    threes = [j for j, o in enumerate(orders) if o == 3]
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    out = [D]
     tried: list[Group] = []
+
+    def known(order, a, b):
+        return any(T.order() == order and T._contains_raw(a) and T._contains_raw(b)
+                   for T in tried)
+
     done_classes = set()
     for i in range(1, len(classes)):  # class 0 is the identity
-        if i in done_classes:
+        if i in done_classes or (a5_only and orders[i] != 2):
             continue
         a = classes[i][0]
-        order_a = _order(a)
+        order_a = orders[i]
         done_classes.update(class_of[x] for x in _generators_of_cyclic(a, order_a))
         cent = centralizer_in(G, Permutation._wrap(a))
-        orbits = _orbits([x for cls in classes[i:] for x in cls], _conjugations(cent._raw_gens))
+        partners = threes if a5_only else range(i, len(classes))
+        orbits = _orbits([x for j in partners for x in classes[j]], _conjugations(cent._raw_gens))
         orbit_of = {x: k for k, orbit in enumerate(orbits) for x in orbit}
         done_orbits = set()
         for k, orbit in enumerate(orbits):
@@ -370,20 +400,23 @@ def _perfect_seed_classes(G: Group):
                 continue
             b = orbit[0]
             order_b = _order(b)
-            # a power of b in a class before i lies in no orbit here
+            # a power of b outside the partner classes lies in no orbit here
             done_orbits.update(orbit_of.get(x) for x in _generators_of_cyclic(b, order_b))
             ab = _mul(a, b)
-            if ab == _mul(b, a) or _von_dyck_solvable(order_a, order_b, _order(ab)):
+            order_ab = _order(ab)
+            if sorted((order_a, order_b, order_ab)) == [2, 3, 5]:
+                if not known(60, a, b):
+                    H = subgroup_closure(G.degree, (a, b))
+                    tried.append(H)
+                    out.append(H)
+                continue
+            if a5_only or ab == _mul(b, a) or _von_dyck_solvable(order_a, order_b, order_ab):
                 continue
             chain, used = _build_chain(G.degree, (a, b), cap)
             if chain is None:
-                if D not in out:
-                    out.append(D)
                 continue
             H = subgroup_closure(G.degree, used, chain)
-            if H.order() < 60 or any(
-                    T.order() == H.order() and T._contains_raw(a) and T._contains_raw(b)
-                    for T in tried):
+            if H.order() < 60 or known(H.order(), a, b):
                 continue
             tried.append(H)
             if is_perfect(H):

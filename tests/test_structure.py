@@ -353,7 +353,7 @@ def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
     monkeypatch.setattr(Group, "elements_raw", counted)
     a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
     seeds = structure._perfect_seed_classes(a6)
-    assert [H.order() for H in seeds] == [60, 360, 60, 60, 60]
+    assert [H.order() for H in seeds] == [360, 60, 60, 60]
     assert calls and all(g is a6 for g in calls)
 
 
@@ -371,12 +371,22 @@ def _conjugacy_closure(G, subgroups):
     return seen
 
 
-@pytest.mark.parametrize("texts, degree", [
-    (["(1,2,3,4,5)", "(3,4,5)"], 5), (["(1,2,3,4,5)", "(1,2)"], 5),
-    (["(1,2,3,4,5)", "(4,5,6)"], 6), (["(1,2,3,4,5,6)", "(1,2)"], 6),
-    (["(1,2,3,4,5,6,7)", "(1,2)"], 7),
-], ids=["A5", "S5", "A6", "S6", "S7"])
-def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree):
+# PSL(2,8) on the 9 points of the projective line over F_8 = F_2[x]/(x^3 + x + 1),
+# by z -> z + 1, z -> xz and z -> 1/z; point 9 is infinity
+PSL28_TEXTS = ["(1,2)(3,4)(5,6)(7,8)", "(2,3,5,4,7,8,6)", "(1,9)(3,6)(4,7)(5,8)"]
+
+
+@pytest.mark.parametrize("texts, degree, lattice", [
+    (["(1,2,3,4,5)", "(3,4,5)"], 5, None), (["(1,2,3,4,5)", "(1,2)"], 5, None),
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, None), (["(1,2,3,4,5,6)", "(1,2)"], 6, None),
+    # S7: 96 classes (OEIS A000638), 11300 subgroups (OEIS A005432), and the
+    # perfect ones A5 on 5 points, PSL(2,5) on 6 points, PSL(3,2) on 7 points, A6, A7
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, (96, 11300, [60, 60, 168, 360, 2520])),
+    # |D| = 504 < 600 and no element has order 5, so D is the only seed
+    (PSL28_TEXTS, 9, (12, 386, [504])),
+    (["(1,2,3,4,5)", "(4,5,6)", "(7,8)"], 8, (58, 1523, [60, 60, 360])),
+], ids=["A5", "S5", "A6", "S6", "S7", "PSL(2,8)", "A6xC2"])
+def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree, lattice):
     # the unrestricted loop: a over the class reps of G in G', b over every
     # C_G(a)-orbit of G', commuting pairs included
     G = make(texts, degree)
@@ -395,13 +405,11 @@ def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree):
                 want.add(frozenset(H.elements_raw()))
     got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G)}
     assert _conjugacy_closure(G, got) == _conjugacy_closure(G, want)
-    if G.order() > structure.DEFAULT_LATTICE_BOUND:
+    if lattice is not None:
         monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", G.order())
         lat = all_subgroups(G)
-        assert len(lat.classes) == 96  # OEIS A000638
         perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
-        # A5 on 5 points, PSL(2,5) on 6 points, PSL(3,2) on 7 points, A6, A7
-        assert perfect == [60, 60, 168, 360, 2520]
+        assert (len(lat.classes), sum(c.size for c in lat.classes), perfect) == lattice
 
 
 def _is_solvable(H):
@@ -413,18 +421,24 @@ def _is_solvable(H):
     return True
 
 
-@pytest.mark.parametrize("texts, degree, skipped, stopped", [
-    (["(1,2,3,4,5)", "(4,5,6)"], 6, 32, 122), (["(1,2,3,4,5,6)", "(1,2)"], 6, 26, 66),
-    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 42, 547),
+@pytest.mark.parametrize("texts, degree, counts", [
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, (32, 122, 12, 32)),
+    (["(1,2,3,4,5,6)", "(1,2)"], 6, (26, 66, 6, 18)),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, (42, 547, 6, 154)),
 ], ids=["A6", "S6", "S7"])
-def test_perfect_seed_cuts_are_sound(texts, degree, skipped, stopped):
+def test_perfect_seed_cuts_are_sound(texts, degree, counts):
     # every noncommuting pair of the seed loop, closed in full: a pair the von
-    # Dyck test skips generates a solvable group, and a pair whose capped
-    # build stops generates D
+    # Dyck test skips generates a solvable group, a pair whose capped build
+    # stops generates D, and a (2, 3, 5) pair generates an A5.  Below the
+    # cap of 120 (A6, S6) the seed loop skips every other pair: each
+    # generates D, a group that is not perfect, or an A5, which also has
+    # (2, 3, 5) generating pairs (``test_perfect_seeds_cover_every_perfect_class``
+    # checks that the seeds reach it)
     G = make(texts, degree)
     D = structure._perfect_residuum(G)
+    cap = D.order() // 5
     classes = _orbits(D.elements_raw(), _conjugations(g.imgs for g in G.generators))
-    counts = Counter()
+    seen = Counter()
     for i in range(1, len(classes)):
         a = Permutation(classes[i][0])
         cent = structure.centralizer_in(G, a)
@@ -436,13 +450,19 @@ def test_perfect_seed_cuts_are_sound(texts, degree, skipped, stopped):
             H = Group([a, b], degree)
             if structure._von_dyck_solvable(a.order(), b.order(), (a * b).order()):
                 assert _is_solvable(H)
-                counts["skipped"] += 1
-            elif structure._build_chain(degree, (a.imgs, b.imgs), D.order() // 5)[0] is None:
+                seen["skipped"] += 1
+            elif structure._build_chain(degree, (a.imgs, b.imgs), cap)[0] is None:
                 assert H.order() == D.order()
-                counts["stopped"] += 1
+                seen["stopped"] += 1
+            elif sorted((a.order(), b.order(), (a * b).order())) == [2, 3, 5]:
+                assert H.order() == 60 and structure.is_perfect(H)
+                seen["a5"] += 1
             else:
-                assert H.order() <= D.order() // 5
-    assert (counts["skipped"], counts["stopped"]) == (skipped, stopped)
+                assert H.order() <= cap
+                if structure.is_perfect(H):
+                    assert cap >= 120 or H.order() == 60
+                    seen["other perfect"] += 1
+    assert tuple(seen[k] for k in ("skipped", "stopped", "a5", "other perfect")) == counts
 
 
 @pytest.mark.parametrize("text", ["()", "(1,2)", "(1,2,3,4)", "(1,2,3,4,5,6)",
@@ -456,29 +476,41 @@ def test_generators_of_cyclic_are_its_elements_of_full_order(text):
     assert sorted(got) == want and len(set(got)) == len(got)
 
 
-@pytest.mark.parametrize("texts, degree, closed, skipped", [
-    (["(1,2,3,4,5)", "(4,5,6)"], 6, 62, 116), (["(1,2,3,4,5,6)", "(1,2)"], 6, 46, 52),
-    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 293, 475),
+@pytest.mark.parametrize("texts, degree, built_count, a5_count, skipped", [
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, 0, 3, 176), (["(1,2,3,4,5,6)", "(1,2)"], 6, 0, 2, 97),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 288, 1, 479),
 ], ids=["A6", "S6", "S7"])
 def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, degree,
-                                                          closed, skipped):
+                                                          built_count, a5_count, skipped):
     # every pair that the seed loop without the power cuts would close, but
     # the seed search skips, generates D or a G-conjugate of a subgroup
-    # generated by a pair the seed search closes
+    # generated by a pair the seed search closes; below the cap of 120
+    # (A6, S6) it may also generate a group that is not perfect.  A (2, 3, 5)
+    # pair is closed with no capped build, and its closure has order 60
     G = make(texts, degree)
     D = structure._perfect_residuum(G)
-    built = []
-    build = structure._build_chain
+    built, a5 = [], []
+    build, closure = structure._build_chain, structure.subgroup_closure
     monkeypatch.setattr(structure, "_build_chain",
                         lambda *args: built.append(args[1]) or build(*args))
+
+    def recorded(*args):
+        H = closure(*args)
+        if len(args) == 2:  # no chain given: a (2, 3, 5) pair closed at once
+            a5.append((args[1], H))
+        return H
+
+    monkeypatch.setattr(structure, "subgroup_closure", recorded)
     structure._perfect_seed_classes(G)
+    assert all(H.order() == 60 for _, H in a5)
+    closed = built + [pair for pair, _ in a5]
     id_of, tables = G._element_index()
 
     def ids(H):
         return frozenset(id_of[p] for p in H.elements_raw())
 
     reached = set()
-    for a, b in built:
+    for a, b in closed:
         H = Group([Permutation(a), Permutation(b)], degree)
         if H.order() < D.order():
             reached.add(ids(H))
@@ -491,7 +523,7 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
                 reached.add(t)
                 queue.append(t)
     classes = _orbits(D.elements_raw(), _conjugations(g.imgs for g in G.generators))
-    done = set(built)
+    done = set(closed)
     count = 0
     for i in range(1, len(classes)):
         a = Permutation(classes[i][0])
@@ -504,8 +536,9 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
                 continue
             count += 1
             H = Group([a, b], degree)
-            assert H.order() == D.order() or ids(H) in reached
-    assert (len(built), count) == (closed, skipped)
+            assert (H.order() == D.order() or ids(H) in reached
+                    or D.order() // 5 < 120 and not structure.is_perfect(H))
+    assert (len(built), len(a5), count) == (built_count, a5_count, skipped)
 
 
 def test_solvable_group_makes_no_seed_closure(monkeypatch):
