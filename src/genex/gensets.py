@@ -25,9 +25,10 @@ candidates whose subtrees contain no generating tuple:
 * cyclic quotient: with one slot left and K = <partial>, a completion x
   with <K, x> = G makes G/N cyclic, generated by xN, where N is the normal
   closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so
-  when G/N is not cyclic no element of any pool completes K.  No separate
-  test that K = G comes first: the closure of such a K stops at G as soon
-  as its chain is built, and G/G is cyclic.
+  when G/N is not cyclic no element of any pool completes K.  The closure
+  stops as soon as its chain's index in G is 1 or a prime, since |G : N|
+  divides it and a group of order 1 or a prime is cyclic; so K = G needs
+  no separate test, and only a composite index builds all of N.
   G/N is cyclic iff the commutators of G's generators lie in N and
   |G : <N, g_1^p, .., g_k^p>| = p for every prime p with p^2 | |G:N|,
   since then every Sylow subgroup of the abelian G/N is cyclic (proof in
@@ -41,6 +42,17 @@ candidates whose subtrees contain no generating tuple:
   <partial, y>.  If Z is smaller than the G-orbit containing it, no y in C
   completes the tuple, and C is skipped unvisited.  Only the points in Z
   must lie below j: a point at or above j has an unknown image under y.
+
+The paper conjectures that every maximal M has a minimal generating set
+with d(G) - 1 entries in M.  For d(G) = 2 that witness is a generating
+tuple over the pools [M, G], so ``d_metric`` runs this conjecture-shaped
+search first when d(G) is not yet known, H is proper and G is nonabelian:
+a witness proves d(G) = 2, since a nonabelian group is not cyclic, and
+D_H(G) = 1, since two entries of a proper H generate at most H; it is the
+witness, with the stats, of the k = 1 search that would follow
+``min_generators``, which then never runs.  An abelian G is left out, since
+it may be cyclic: C6 has a generating pair with an entry in C3, yet d = 1.
+A failed search falls back to ``min_generators``, and counts in the stats.
 
 ``SearchStats.nodes`` counts the candidates the tuple search visits and, in
 ``min_generators``, the elements its d = 1 step tries; that step runs only
@@ -73,6 +85,7 @@ from .group import (
     Group,
     _build_chain,
     _conjugations,
+    _normal_closure_chain,
     _orbit_count,
     _orbits,
     _stabilizer,
@@ -168,6 +181,23 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
     return True
 
 
+def _closure_quotient_is_cyclic(G: Group, raw_gens) -> bool:
+    """Whether G/N is cyclic, N the normal closure in G of raw tuples lying
+    in G.
+
+    The closure stops as soon as its chain K has index 1 or a prime in G:
+    K <= N <= G, so |G : N| divides |G : K|, and a group of order 1 or a
+    prime is cyclic.  Only a composite index builds all of N and asks
+    ``_quotient_is_cyclic``.
+    """
+    n = G.order()
+    stops = {n} | {n // p for p in prime_factors(n)}
+    chain, gens = _normal_closure_chain(G, raw_gens, stops)
+    if chain.order() in stops:
+        return True
+    return _quotient_is_cyclic(G, subgroup_closure(G.degree, gens, chain))
+
+
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
@@ -240,11 +270,9 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
                     return tup
                 stats.pruned += 1
                 continue
-            if level == d - 2:
-                closure = normal_closure(G, [Permutation._wrap(p) for p in tup])
-                if not _quotient_is_cyclic(G, closure):
-                    stats.pruned += 1
-                    continue
+            if level == d - 2 and not _closure_quotient_is_cyclic(G, tup):
+                stats.pruned += 1
+                continue
             got = rec(level + 1, tup)
             if got is not None:
                 return got
@@ -260,9 +288,8 @@ def min_generators(G: Group) -> GenerationReport:
     """Exact d(G) with a witness; non-existence of shorter tuples is certified
     by exhausted search.
 
-    d and the witness are kept on G, so ``d_metric`` and ``d_min`` search
-    once per group.  The stats are this call's: a later call on the same G
-    searches nothing and reports empty stats.
+    d and the witness are kept on G.  The stats are this call's: a later
+    call on the same G searches nothing and reports empty stats.
     """
     stats = SearchStats()
     if G._generation is None:
@@ -296,14 +323,26 @@ def d_metric(G: Group, H: Group) -> DReport:
 
     Searched by descending count k; a k = d(G) tuple inside a proper H cannot
     generate, so that case is settled structurally rather than by search.
+    When d(G) is not yet known, H is proper and G is nonabelian, the
+    conjecture-shaped search over [H, G] runs first (module docstring); a
+    witness settles d(G) = 2 and D_H(G) = 1 with no search over G alone,
+    and otherwise ``min_generators`` decides d(G).
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     stats = SearchStats()
+    shortcut = H.order() < G.order() and G._generation is None and not G.is_abelian()
+    if shortcut:
+        witness = exists_generating_tuple(G, [H, G], stats)
+        if witness is not None:
+            return DReport(H, 1, witness, stats)
     base = min_generators(G)
     d = base.d
     if H.order() == G.order():
         return DReport(H, d, base.witness, stats)
+    if shortcut and d == 2:
+        # the failed search over [H, G] was the k = 1 search
+        return DReport(H, 0, base.witness, stats)
     for k in range(d - 1, 0, -1):
         pools = [H] * k + [G] * (d - k)
         witness = exists_generating_tuple(G, pools, stats)
@@ -389,7 +428,11 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     minimal normal subgroup of N inside K = ncl_N(s), s an element of the
     deepest level of R's chain, found by scanning K alone
     (``structure.minimal_normals_inside``).  On disjoint supports that
-    level lies in one factor, so K is one factor.  F's G-conjugates are
+    level lies in one factor, so K is one factor.  When K is too large to
+    scan, ncl_K(s) is built instead: if N is a direct product of nonabelian
+    simple groups, K is the product of the factors on which s projects
+    nontrivially, so ncl_K(s) = K; a smaller ncl_K(s) therefore raises
+    ValueError, and an equal one lets the scan's ``BoundExceeded`` stand.  F's G-conjugates are
     minimal normal subgroups of N, and distinct ones meet trivially, so the
     walk that conjugates F by G's generators finds a conjugate either in a
     factor it already holds or in none, and then it is a new factor,
@@ -414,8 +457,14 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     R = N
     while R.order() > 1:
         s = next(rep for rep in R._chain.trans[-1].values() if rep != R._chain.ident)
-        K = normal_closure(N, [Permutation._wrap(s)])
-        F = minimal_normals_inside(N, K)[0]
+        seed = [Permutation._wrap(s)]
+        K = normal_closure(N, seed)
+        try:
+            F = minimal_normals_inside(N, K)[0]
+        except BoundExceeded:
+            if normal_closure(K, seed).order() != K.order():
+                raise ValueError("N is not a direct product of its minimal normal subgroups")
+            raise
         if F.is_abelian():
             raise ValueError("socle is abelian")
         # F's G-orbit: a conjugate of a factor lies in the factor that holds

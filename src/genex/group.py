@@ -542,19 +542,29 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     seeds = list(seeds)
     if not all(G.contains(s) for s in seeds):
         raise ValueError("seed does not lie in G")
-    chain, gens = _build_chain(G.degree, [s.imgs for s in seeds])
+    chain, gens = _normal_closure_chain(G, [s.imgs for s in seeds], {G.order()})
+    return subgroup_closure(G.degree, gens, chain)
+
+
+def _normal_closure_chain(G: Group, raw_seeds, stops) -> tuple:
+    """(chain, gens) of the normal closure in G of raw tuples lying in G,
+    built by conjugating the generators that extended it by G's, or of the
+    subgroup reached first whose order lies in ``stops``: the loop stops as
+    soon as the chain's order is one of them.  ``normal_closure`` stops at
+    |G|, where nothing can extend it."""
+    chain, gens = _build_chain(G.degree, raw_seeds)
     queue = deque(gens)
     ambient = list(_conjugations(G._raw_gens))
-    while queue and chain.order() < G.order():
+    while queue and chain.order() not in stops:
         x = queue.popleft()
         for conj in ambient:
             y = conj(x)
             if chain.extend(y):
                 gens.append(y)
                 queue.append(y)
-                if chain.order() == G.order():
+                if chain.order() in stops:
                     break
-    return subgroup_closure(G.degree, gens, chain)
+    return chain, gens
 
 
 def commutator_subgroup(G: Group) -> Group:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genex import gensets, structure
 from genex import group as group_module
-from genex.group import BoundExceeded, Group, direct_product, trivial_group, wreath_product
+from genex.group import (BoundExceeded, Group, direct_product, normal_closure, trivial_group,
+                         wreath_product)
 from genex.gensets import (
     SearchStats,
     HypothesisError,
@@ -239,6 +240,38 @@ def test_quotient_is_cyclic_matches_oracle(g):
         assert gensets._quotient_is_cyclic(g, N) == want
         seen.add(want)
     assert seen == {True, False} or g is C6  # C6 has only cyclic quotients
+
+
+@pytest.mark.parametrize("g", [S4, S5, A4, D8, Q8, C4C2],
+                         ids=["S4", "S5", "A4", "D8", "Q8", "C4xC2"])
+def test_prime_index_stop_keeps_the_prune_verdict(g):
+    # the prune stops the closure at index 1 or a prime; its verdict is the
+    # full closure's for every single element
+    for x in g.elements_raw():
+        closure = normal_closure(g, [Permutation._wrap(x)])
+        assert gensets._closure_quotient_is_cyclic(g, [x]) == \
+            gensets._quotient_is_cyclic(g, closure)
+
+
+def test_prime_index_stop_skips_the_quotient_test(monkeypatch):
+    # an even x of S5 has closure A5, of index 2: the chain stops on reaching
+    # order 60, its last extension being the one that grew it there, and
+    # G/N is not tested; S4/V4 = S3 has composite index 6 and is tested
+    grew, tested = [], []
+    extend = group_module._Chain.extend
+    monkeypatch.setattr(group_module._Chain, "extend",
+                        lambda self, p: grew.append(extend(self, p)) or grew[-1])
+    quotient = gensets._quotient_is_cyclic
+    monkeypatch.setattr(gensets, "_quotient_is_cyclic",
+                        lambda G, N: tested.append(N.order()) or quotient(G, N))
+    for x in S5.elements_raw():
+        if x != tuple(range(5)) and A5._contains_raw(x):
+            grew.clear()
+            assert gensets._closure_quotient_is_cyclic(S5, [x])
+            assert grew[-1]
+    assert tested == []
+    assert not gensets._closure_quotient_is_cyclic(S4, [P("(1,2)(3,4)", 4).imgs])
+    assert tested == [4]
 
 
 # The exchange property for minimal generating sets of tiny groups with
@@ -495,21 +528,83 @@ def test_d_min_a5():
     assert value == 1
 
 
-def test_d_min_searches_for_d_once(monkeypatch):
-    # d(S5) is searched once, not once per maximal class (A5, S4, F20, S3 x S2)
-    G = make(["(1,2,3,4,5)", "(1,2)"], 5)
+def _recorded_searches(monkeypatch):
     searches = []
     original = gensets.exists_generating_tuple
+    monkeypatch.setattr(gensets, "exists_generating_tuple",
+                        lambda G, pools, stats=None:
+                        searches.append(list(pools)) or original(G, pools, stats))
+    return searches
 
-    def counting(G, pools, stats=None):
-        if all(p is G for p in pools):
-            searches.append(len(pools))
-        return original(G, pools, stats)
 
-    monkeypatch.setattr(gensets, "exists_generating_tuple", counting)
+def test_d_min_searches_for_d_once(monkeypatch):
+    # every maximal class of S5 (A5, S4, F20, S3 x S2) has a generating pair
+    # with one entry in it, which settles d(S5) = 2, so G alone is never searched
+    G = make(["(1,2,3,4,5)", "(1,2)"], 5)
+    searches = _recorded_searches(monkeypatch)
     value, report = d_min(G)
     assert value == 1 and report is not None
-    assert searches == [2]
+    assert [pools for pools in searches if all(p is G for p in pools)] == []
+
+
+def test_d_metric_abelian_guard(monkeypatch):
+    # C6 has a generating pair with an entry in C3, but d(C6) = 1, so no
+    # pair search runs on an abelian group
+    G = Group(C6.generators, 6)
+    H = make(["(1,3,5)(2,4,6)"], 6)
+    searches = _recorded_searches(monkeypatch)
+    rep = d_metric(G, H)
+    assert (rep.value, rep.in_subgroup) == (0, ())
+    assert searches == []
+    assert G._generation[0] == 1
+
+
+def test_d_metric_failed_pair_search_is_not_repeated(monkeypatch):
+    # no generating pair of S4 has an entry in the trivial group: the pair
+    # search fails, min_generators finds d = 2 by a search over [G, G], and
+    # the k = 1 search, the same pair search, is not run again
+    G = Group(S4.generators, 4)
+    H = trivial_group(4)
+    searches = _recorded_searches(monkeypatch)
+    rep = d_metric(G, H)
+    assert (rep.value, rep.witness) == (0, min_generators(G).witness)
+    assert searches == [[H, G], [G, G]]
+
+
+S3_CUBED = direct_product(direct_product(S3, S3), S3)
+
+
+def test_d_metric_falls_back_for_d_three():
+    # S3^3 / S3^3' = C2^3, so d = 3 and the pair search over the order-72
+    # maximal <(2,3)> x S3 x S3 fails; the answer is the one found after
+    # min_generators, and the stats add the failed pair search's 18 nodes
+    H = make(["(2,3)", "(4,5,6)", "(4,5)", "(7,8,9)", "(7,8)"], 9)
+    old = Group(S3_CUBED.generators, 9)
+    assert min_generators(old).d == 3
+    before = d_metric(old, H)
+    G = Group(S3_CUBED.generators, 9)
+    rep = d_metric(G, H)
+    assert (rep.value, rep.witness, rep.in_subgroup) == \
+        (before.value, before.witness, before.in_subgroup)
+    assert (rep.value, rep.in_subgroup) == (2, (0, 1))
+    assert (before.stats.nodes, rep.stats.nodes) == (122, 140)
+    assert (before.stats.pruned, rep.stats.pruned) == (118, 136)
+    assert G._generation[0] == 3
+
+
+@pytest.mark.parametrize("name", SEARCH_PINS)
+def test_d_metric_shortcut_leaves_d_unsearched(name):
+    G, M, (d_witness, d_nodes, d_pruned), (value, witness, in_subgroup, nodes, pruned) = \
+        SEARCH_PINS[name]
+    G = Group(G.generators, G.degree)
+    dm = d_metric(G, M)
+    assert (dm.value, dm.in_subgroup) == (value, in_subgroup)
+    assert dm.witness == tuple(P(t, G.degree) for t in witness)
+    assert (dm.stats.nodes, dm.stats.pruned) == (nodes, pruned)
+    assert G._generation is None
+    rep = min_generators(G)
+    assert rep.witness == tuple(P(t, G.degree) for t in d_witness)
+    assert (rep.d, rep.stats.nodes, rep.stats.pruned) == (2, d_nodes, d_pruned)
 
 
 def test_min_generators_kept_on_the_group_with_fresh_stats():
@@ -843,6 +938,30 @@ def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
     check_monolithic_nonabelian(W, N)
     assert calls == []
     assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
+
+
+def test_monolithic_check_rejects_a_closure_too_large_to_scan():
+    # in A5 wr C3 the closure of an element of the chain's last level is the
+    # base group A5^3, of order 216000, above the element bound; a direct
+    # product of simple groups would have ncl_K(s) = K, but here it is one A5
+    W = wreath_product(A5, make(["(1,2,3)"], 3))
+    assert W.order() == 648000
+    with pytest.raises(ValueError, match="direct product") as caught:
+        check_monolithic_nonabelian(W, W)
+    assert not isinstance(caught.value, BoundExceeded)
+
+
+@pytest.mark.parametrize("name", ["S5/A5", "A5wrC2/A5xA5"])
+def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, name):
+    # K = ncl_N(s) is one A5, small enough to scan, so no ncl_K(s) is built
+    G, N, _ = MONOLITHIC_CASES[name]
+    N = Group(N.generators, N.degree)
+    calls = []
+    original = gensets.normal_closure
+    monkeypatch.setattr(gensets, "normal_closure",
+                        lambda G, gens: calls.append(G) or original(G, gens))
+    check_monolithic_nonabelian(G, N)
+    assert calls == [N]
 
 
 @pytest.mark.parametrize("name", ["S6/A6", "A5wrC2/A5xA5"])
