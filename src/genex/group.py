@@ -5,7 +5,12 @@ read-only, so Group objects can be shared freely between workers.  Chains are
 built deterministically by incremental Schreier-Sims: the base is kept in
 point order, each level's orbit grows in place in discovery order as the
 level gains generators, and each (orbit point, generator) Schreier pair is
-sifted once.  Orders, transversals and everything derived from them are
+sifted once.  A group building its own chain first asks whether its
+generators are Alt or Sym of the points they move, by Jordan's theorem on a
+fixed sequence of product-replacement draws; if so the chain is written
+down in closed form (``_giant_chain``), with the base, orbits and acting
+generators Schreier-Sims would give, and only its representatives differ.
+Orders, transversals and everything derived from them are
 reproducible run to run.  Level i of a chain is the pointwise stabilizer of
 every point below its base point, so the base is the group's lex base,
 whatever its generators, and searches walk a group's elements in sorted
@@ -35,7 +40,7 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from operator import itemgetter
 
-from .perm import _TABLE_ID, Permutation, _identity, _inv, _mul
+from .perm import _TABLE_ID, Permutation, _cycles, _identity, _inv, _mul, is_prime
 
 DEFAULT_MAX_POINTS = 100_000
 DEFAULT_ELEMENT_BOUND = 200_000
@@ -46,7 +51,8 @@ class BoundExceeded(ValueError):
 
 
 class _Chain:
-    """Mutable stabilizer chain used during construction (Schreier-Sims).
+    """Mutable stabilizer chain used during construction (Schreier-Sims),
+    or written down whole for Alt and Sym (``_giant_chain``).
 
     Level i holds the i-th stabilizer group: ``gens[i]`` are the strong
     generators fixing ``base[:i]`` and ``trans[i]`` maps each point of the
@@ -80,9 +86,12 @@ class _Chain:
 
     ``levels`` pairs each base point with its ``itrans`` dict, the two
     things a sift reads, so the one sift loop (``_sift_from``) walks a
-    single list.  ``_add`` is the only place a level is inserted, and it
-    inserts into ``levels`` too; the dicts are the same objects as in
-    ``itrans`` and grow in place, so ``levels`` never goes stale.
+    single list.  ``_add`` is the only place a level is inserted into a
+    chain, and it inserts into ``levels`` too; the dicts are the same
+    objects as in ``itrans`` and grow in place, so ``levels`` never goes
+    stale.  ``_giant_chain`` appends whole levels to a new chain, each with
+    every Schreier pair marked done, and a later ``extend`` runs on it as on
+    any other chain.
     """
 
     __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
@@ -211,7 +220,7 @@ class _CapPassed(Exception):
     """A capped build's order passed its cap (``_build_chain``)."""
 
 
-def _build_chain(degree, raw_gens, cap=None):
+def _build_chain(degree, raw_gens, cap=None, giants=False):
     """The chain of <raw_gens>, extended by each generator in order, and the
     generators that extended it, in that order; the others lie in the group
     the earlier ones generate.
@@ -222,12 +231,187 @@ def _build_chain(degree, raw_gens, cap=None):
     A chain under construction has order at most the group's, since its
     level-i reps fix every point below ``base[i]`` and send it to distinct
     points, so distinct products of one rep per level are distinct elements.
+
+    With ``giants``, the first prefix of two or more generators that is
+    transitive on at least 8 points it moves is offered to ``_giant_chain``
+    when its last generator is reached, the earlier ones having extended
+    the chain as usual.  If that certifies the prefix's group as Alt or Sym
+    of those points, the chain written down there replaces the one built
+    so far, the last generator counts as extending it, since the group
+    grew, and the later generators extend it as before: a non-member, one
+    moving a new point or an odd one over Alt, grows it by Schreier-Sims.
+    Otherwise nothing changes.  Either way the group, its lex base, every
+    level's orbit and the generators that extended the chain are those
+    Schreier-Sims gives.
     """
     chain = _Chain(degree, cap)
+    prefix = _transitive_prefix(degree, raw_gens) if giants else None
+    used = []
     try:
-        return chain, [g for g in raw_gens if chain.extend(g)]
+        for k, g in enumerate(raw_gens, 1):
+            if prefix is not None and k == prefix[0]:
+                giant = _giant_chain(degree, raw_gens[:k], prefix[1])
+                if giant is not None:
+                    # g grew the group: raw_gens[:k - 1] moves fewer points,
+                    # is intransitive on them (or it would have been found),
+                    # or is one generator, whose group is cyclic
+                    chain = giant
+                    used.append(g)
+                    continue
+            if chain.extend(g):
+                used.append(g)
     except _CapPassed:
         return None, None
+    return chain, used
+
+
+def _transitive_prefix(degree, raw_gens):
+    """``(k, omega)`` for the least k >= 2 such that <raw_gens[:k]> is
+    transitive on the points omega it moves, at least 8 of them (ascending),
+    or None; by union-find over the moved points."""
+    if degree < 8:
+        return None
+    root = list(range(degree))
+    seen = bytearray(degree)
+    parts = 0  # orbits of the prefix on the points it moves
+    for k, g in enumerate(raw_gens, 1):
+        for a, b in enumerate(g):
+            if a == b:
+                continue
+            if not seen[a]:
+                seen[a] = 1
+                parts += 1
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                parts -= 1
+        if k >= 2 and parts == 1 and seen.count(1) >= 8:
+            return k, [a for a in range(degree) if seen[a]]
+    return None
+
+
+_GIANT_DRAWS = 20  # product-replacement steps of _giant_chain, two elements tried each
+
+
+def _giant_chain(degree, prefix, omega):
+    """The chain of G = <prefix>, written down, if a random search proves
+    G = Alt(omega) or Sym(omega), where omega is the set of points the
+    prefix moves and G is transitive on it; otherwise None.
+
+    The proof (Jordan's theorem; Dixon-Mortimer, *Permutation Groups*,
+    1996, Thm 3.3E).  Let n = |omega| and let x in G have a cycle of prime
+    length p with n/2 < p <= n - 3.  Every other cycle of x has length at
+    most n - p < p, so prime to p, and x^m, m the lcm of those lengths, is
+    a p-cycle c.  G is primitive: if c moves a block of a block system,
+    that block's c-orbit has p > n/2 blocks, so blocks are points;
+    otherwise c fixes every block, and a block holding a point c moves
+    holds its whole cycle, so it has more than n/2 points and, its size
+    dividing n, is omega.  A primitive group holding a p-cycle with
+    p <= n - 3 contains Alt(omega), and G is Sym(omega) iff some generator
+    is odd.  Such a prime exists for every n >= 8.  The elements x are
+    drawn by product replacement (Celler et al., *Comm. Algebra* 23, 1995)
+    steered by a fixed integer sequence, at most ``_GIANT_DRAWS`` steps,
+    and composed in the chain's encoding; a draw only picks which path
+    runs, since the chain is the same whichever draw certifies.
+
+    The chain (Seress, *Permutation Group Algorithms*, 2003, sec. 10.2).
+    With omega = w_0 < w_1 < ... < w_(n-1), level i has base point w_i and
+    orbit {w_i, ..., w_(n-1)}.  For Sym, w_i is carried to w by the
+    transposition (w_i w), and the level's strong generators are
+    (w_j w_(j+1)) for j >= i; n - 1 levels.  For Alt, w_i goes to w by the
+    3-cycle (w_i w x), x the last point of omega other than w, and the
+    generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
+    i's group is then the pointwise stabilizer of every point below w_i,
+    so every Schreier pair is done, as ``sifted`` records.
+    """
+    n = len(omega)
+    half = n // 2
+    chain = _Chain(degree)
+    enc, mul, tail, ident = chain.enc, chain.mul, chain.tail, chain.ident
+
+    def long_prime_cycle(x):
+        seen = bytearray(degree)
+        left = n
+        for a in omega:
+            if seen[a]:
+                continue
+            seen[a] = 1
+            length = 1
+            b = x[a]
+            while b != a:
+                seen[b] = 1
+                b = x[b]
+                length += 1
+            if half < length <= n - 3 and is_prime(length):
+                return True
+            left -= length
+            if left <= half:
+                return False
+        return False
+
+    # product replacement over the prefix, with an accumulator; the slot
+    # and the accumulator are both tried at each step
+    slots = [enc(g) + tail for g in prefix]
+    acc = chain.one + tail
+    r = len(slots)
+    state = 1
+    for _ in range(_GIANT_DRAWS):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        i = state % r
+        j = (i + 1 + (state >> 16) % (r - 1)) % r
+        slots[i] = mul(slots[i], slots[j])
+        acc = mul(acc, slots[i])
+        if long_prime_cycle(acc) or long_prime_cycle(slots[i]):
+            break
+    else:
+        return None
+
+    # m = 2 for Sym, whose levels use transpositions, and 3 for Alt
+    m = 2 if any(sum(len(c) - 1 for c in _cycles(g)) % 2 for g in prefix) else 3
+    row = list(ident)  # images of the permutation being written, then undone
+
+    def cycle(points):
+        # the cycle (points[0] points[1] ...) as a table, and its inverse
+        images = points[1:] + points[:1]
+        for a, b in zip(points, images):
+            row[a] = b
+        p = enc(row) + tail
+        for a, b in zip(points, images):
+            row[b] = a
+        q = enc(row) + tail
+        for a in points:
+            row[a] = a
+        return p, q
+
+    strong, strong_inv = zip(*(cycle(omega[j:j + m]) for j in range(n - m + 1)))
+    last = omega[-1]
+    for i, b in enumerate(omega[:n - m + 1]):
+        tr = {b: ident}
+        itr = {b: chain.one + tail}
+        for w in omega[i + 1:]:
+            if m == 2:
+                row[b], row[w] = w, b
+                tr[w] = rep = tuple(row)
+                itr[w] = enc(rep) + tail
+            else:
+                x = last if w != last else omega[-2]
+                row[b], row[w], row[x] = w, x, b
+                tr[w] = tuple(row)
+                row[b], row[w], row[x] = x, b, w
+                itr[w] = enc(row) + tail
+                row[x] = x
+            row[b], row[w] = b, w
+        chain.base.append(b)
+        chain.gens.append(list(strong[i:]))
+        chain.ginvs.append(list(strong_inv[i:]))
+        chain.trans.append(tr)
+        chain.itrans.append(itr)
+        chain.sifted.append((len(tr), len(strong) - i))
+        chain.levels.append((b, itr))
+    return chain
 
 
 def _orbit_count(degree, raw_gens) -> int:
@@ -349,13 +533,22 @@ class Group:
         that already extended a chain by ``raw_gens`` in order passes it as
         ``chain`` (extending again would rebuild it), and the group then
         acts by all of ``raw_gens``.
+
+        A chain built here skips Schreier-Sims for a prefix of generators
+        that a Jordan certificate proves to generate Alt or Sym of the
+        n >= 8 points it moves (an element with a cycle of prime length p,
+        n/2 < p <= n - 3; ``_giant_chain`` has the proof), and the chain is
+        written down instead.  Base, orbits, order and ``_raw_gens`` are
+        those of Schreier-Sims either way.  Chains built for a moment
+        elsewhere (``_generates``, closures, stabilizers) stay on
+        Schreier-Sims.
         """
         self._degree = degree
         ident = _identity(degree)
         raw_gens = tuple(p for p in raw_gens if p != ident)
         self._gens = tuple(Permutation._wrap(p) for p in raw_gens)
         if chain is None:
-            chain, used = _build_chain(degree, raw_gens)
+            chain, used = _build_chain(degree, raw_gens, giants=True)
             raw_gens = tuple(used)
         self._raw_gens = raw_gens
         self._chain = chain

@@ -116,17 +116,20 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     Sorted by ``_minimal_normal_key``.
 
     Before any closure, Lagrange's theorem may prove K minimal.  A normal
-    subgroup M of G with 1 < M < K is a union of G-classes: the identity,
-    at least one class of prime-order elements (Cauchy) and at most r of
-    K's r elements of composite order.  So when no nonempty subset sum s of
-    the class sizes has 1 + s + c, for some 0 <= c <= r, a proper divisor
-    of |K|, no such M exists, and K alone is returned.
+    subgroup M of G with 1 < M < K is a union of G-classes of K: the
+    identity, at least one class of prime-order elements (Cauchy) and some
+    classes of composite-order elements.  So when no 1 + s + c is a proper
+    divisor of |K|, for s a nonempty subset sum of the prime-order class
+    sizes and c a subset sum of the composite-order ones, no such M exists,
+    and K alone is returned.
     """
-    elements = K.elements_raw()
-    prime_order = [p for p in elements if is_prime(_order(p))]
-    orbits = _orbits(prime_order, _conjugations(G._raw_gens))
+    conjugations = list(_conjugations(G._raw_gens))
+    prime_order, composite = [], []
+    for p in K.elements_raw()[1:]:  # the identity is the least element
+        (prime_order if is_prime(_order(p)) else composite).append(p)
+    orbits = _orbits(prime_order, conjugations)
     if _no_proper_normal_order(K.order(), [len(o) for o in orbits],
-                               len(elements) - 1 - len(prime_order)):
+                               [len(o) for o in _orbits(composite, conjugations)]):
         return [K]
     closures: list[Group] = []
     for orbit in orbits:
@@ -141,22 +144,22 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     return minimal
 
 
-def _no_proper_normal_order(order: int, class_sizes: list, composite: int) -> bool:
+def _no_proper_normal_order(order: int, class_sizes: list, composite_sizes: list) -> bool:
     """Whether no 1 + s + c is a proper divisor of ``order`` above 1, for s
-    a nonempty subset sum of ``class_sizes`` and 0 <= c <= ``composite``.
+    a nonempty subset sum of ``class_sizes`` and c a subset sum of
+    ``composite_sizes``.
 
-    Bit s of ``sums`` is set when some subset of the classes has s
-    elements; bit 0, the empty subset alone, is cleared."""
+    Bit t of ``sums`` is set when some s + c equals t; bit 0, the empty
+    subset of ``class_sizes`` alone, is cleared before the composite
+    classes are added."""
     sums = 1
     for size in class_sizes:
         sums |= sums << size
     sums &= ~1
-    for m in range(2, order // 2 + 1):
-        if order % m == 0:
-            low = max(m - 1 - composite, 0)
-            if sums >> low & ((1 << (m - low)) - 1):
-                return False
-    return True
+    for size in composite_sizes:
+        sums |= sums << size
+    return not any(sums >> (m - 1) & 1
+                   for m in range(2, order // 2 + 1) if order % m == 0)
 
 
 # ---------------------------------------------------------------------------

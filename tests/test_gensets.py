@@ -940,6 +940,21 @@ def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
     assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
 
 
+@pytest.mark.parametrize("name", ["S6/A6", "A6/A6"])
+def test_monolithic_check_closes_no_class_of_a6(monkeypatch, name):
+    # A6's elements of order 4 form one class of 90, so no 1 + s + c divides
+    # 360 and the scan proves A6 minimal with none of its 5 class closures
+    G, N, _ = MONOLITHIC_CASES[name]
+    N = Group(N.generators, N.degree)
+    calls = []
+    original = structure.normal_closure
+    monkeypatch.setattr(structure, "normal_closure",
+                        lambda G, gens: calls.append(G) or original(G, gens))
+    check_monolithic_nonabelian(G, N)
+    assert calls == []
+    assert [f.order() for f in minimal_normal_subgroups(N)] == [360]
+
+
 def test_monolithic_check_rejects_a_closure_too_large_to_scan():
     # in A5 wr C3 the closure of an element of the chain's last level is the
     # base group A5^3, of order 216000, above the element bound; a direct

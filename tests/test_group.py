@@ -562,24 +562,10 @@ def _generating_sets(draw):
     return n, draw(gens), draw(st.lists(perm, min_size=1, max_size=8))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_generating_sets())
-def test_chain_matches_closure(case):
-    n, gens, probes = case
-    G = Group([Permutation(g) for g in gens], n)
-    elems = oracles.closure(gens, n)
-    assert G.order() == len(elems)
-    for p in probes:
-        assert G.contains(Permutation(p)) == (p in elems)
-    assert all(G.contains(Permutation(p)) for p in elems)
-    chain = G._chain
+def _check_chain_invariants(chain, n):
     # the sift loop's levels are the base points with their itrans dicts
     assert [b for b, _ in chain.levels] == chain.base
     assert all(itr is chain.itrans[i] for i, (_, itr) in enumerate(chain.levels))
-    for p in probes:
-        # members get the identity itself back, other residues are tuples
-        residue = chain.sift(p)
-        assert type(residue) is tuple and (residue is chain.ident) == (p in elems)
     for trans, itrans in zip(chain.trans, chain.itrans):
         assert trans.keys() == itrans.keys()
         for pt, rep in trans.items():
@@ -596,6 +582,24 @@ def test_chain_matches_closure(case):
         assert all(g[q] == q for g in strong for q in range(chain.base[i]))
         # every Schreier pair of the final orbit and generators was handled
         assert chain.sifted[i] == (len(trans), len(strong))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generating_sets())
+def test_chain_matches_closure(case):
+    n, gens, probes = case
+    G = Group([Permutation(g) for g in gens], n)
+    elems = oracles.closure(gens, n)
+    assert G.order() == len(elems)
+    for p in probes:
+        assert G.contains(Permutation(p)) == (p in elems)
+    assert all(G.contains(Permutation(p)) for p in elems)
+    chain = G._chain
+    for p in probes:
+        # members get the identity itself back, other residues are tuples
+        residue = chain.sift(p)
+        assert type(residue) is tuple and (residue is chain.ident) == (p in elems)
+    _check_chain_invariants(chain, n)
     # the base is the lex base: the points q that some element fixing every
     # point below q moves
     assert chain.base == [q for q in range(n)
@@ -664,3 +668,170 @@ def test_literature_orders():
     # A_n for even n: <(1,2,3), (2,3,...,n)>
     long_cycle = "(" + ",".join(map(str, range(2, 31))) + ")"
     assert make(["(1,2,3)", long_cycle], 30).order() == math.factorial(30) // 2
+
+
+# -- giants: Alt and Sym written down after a Jordan certificate --------------
+
+def _odd(p):
+    seen, odd = set(), 0
+    for a in range(len(p)):
+        b = p[a]
+        seen.add(a)
+        while b not in seen:
+            seen.add(b)
+            b = p[b]
+            odd ^= 1
+    return odd
+
+
+def _spy_giants(monkeypatch):
+    # the result of every _giant_chain call, None where it certified nothing
+    results = []
+    original = group_module._giant_chain
+    monkeypatch.setattr(group_module, "_giant_chain",
+                        lambda *args: results.append(original(*args)) or results[-1])
+    return results
+
+
+def _schreier_sims_summary(G):
+    # order, base, orbit sets and acting generators of G against those of
+    # a plain Schreier-Sims build from G's given generators
+    chain, used = group_module._build_chain(G.degree, [g.imgs for g in G.generators])
+    ours = (G.order(), G._chain.base, [set(t) for t in G._chain.trans], G._raw_gens)
+    return ours, (chain.order(), chain.base, [set(t) for t in chain.trans], tuple(used)), chain
+
+
+def _on_support(rng, degree, support, odd=None):
+    imgs = list(range(degree))
+    for a, b in zip(support, rng.sample(support, len(support))):
+        imgs[a] = b
+    if odd is not None and _odd(imgs) != odd:
+        imgs[support[0]], imgs[support[1]] = imgs[support[1]], imgs[support[0]]
+    return tuple(imgs)
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+@pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
+def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt):
+    # a random generating pair of Sym or Alt on n points placed at random
+    # in a larger degree, away from point 1, plus two redundant words
+    rng = random.Random(100 * n + alt)
+    degree = n + 7
+    support = sorted(rng.sample(range(2, degree), n))
+    target = math.factorial(n) // (2 if alt else 1)
+    while True:
+        pair = [_on_support(rng, degree, support, 0 if alt else None) for _ in range(2)]
+        if group_module._build_chain(degree, pair)[0].order() == target:
+            break
+    words = [_mul(pair[0], pair[1]), _mul(_mul(pair[1], pair[0]), pair[1])]
+    results = _spy_giants(monkeypatch)
+    G = Group([Permutation(g) for g in pair + words], degree)
+    assert [r is not None for r in results] == [True]
+    ours, theirs, chain = _schreier_sims_summary(G)
+    assert ours == theirs
+    assert G.order() == target and G._raw_gens == tuple(pair)
+    assert G._chain.base == support[:n - 2 if alt else n - 1]
+    _check_chain_invariants(G._chain, degree)
+    members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
+    members += [_on_support(rng, degree, support, 0) for _ in range(20)]
+    others = [_on_support(rng, degree, support, 1) for _ in range(20)]
+    others += [_on_support(rng, degree, [0, 1] + support[:3]) for _ in range(20)]
+    for p in members + others:
+        inside = all(p[q] == q for q in range(degree) if q not in support) and \
+            not (alt and _odd(p))
+        assert G.contains(Permutation(p)) == inside
+        assert (chain.sift(p) is chain.ident) == inside
+
+
+@pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
+def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
+    # after the certified prefix, a generator outside the giant (an odd one
+    # over Alt, one moving a new point over Sym) extends it by Schreier-Sims
+    n, degree = 10, 13
+    cycle = P("(2,3,4,5,6,7,8,9,10,11)" if not alt else "(3,4,5,6,7,8,9,10,11)", degree)
+    second = P("(2,3)" if not alt else "(2,3,4)", degree)
+    later = P("(11,12)" if not alt else "(5,6)", degree)
+    results = _spy_giants(monkeypatch)
+    G = Group([cycle, second, later], degree)
+    assert [r is not None for r in results] == [True]
+    ours, theirs, _ = _schreier_sims_summary(G)
+    assert ours == theirs
+    assert G.order() == math.factorial(n + (not alt))
+    _check_chain_invariants(G._chain, degree)
+
+
+def _psl2(q):
+    # PSL(2, q) on the projective line over F_q, q prime: x -> x + 1 and
+    # x -> -1/x, with point q standing for infinity
+    t = tuple((x + 1) % q for x in range(q)) + (q,)
+    s = tuple((-pow(x, -1, q)) % q if x else q for x in range(q)) + (0,)
+    return Group([Permutation(t), Permutation(s)], q + 1)
+
+
+def _psl2_11_on_11_points():
+    # PSL(2, 11) on the cosets of an A5, generated by a (2, 3, 5) pair
+    G = _psl2(11)
+    elems = G.elements_raw()
+    a = next(x for x in elems if oracles.element_order(x) == 2)
+    b = next(y for y in elems
+             if oracles.element_order(y) == 3 and oracles.element_order(_mul(a, y)) == 5)
+    return coset_action(G, Group([Permutation(a), Permutation(b)], 12))[0]
+
+
+NON_GIANTS = {  # name: (group, order), built when the test runs
+    "M11": lambda: (make(["(2,10)(4,11)(5,7)(8,9)", "(1,4,3,8)(2,5,6,9)"], 11), 7920),
+    "M12": lambda: (make(["(1,4)(3,10)(5,11)(6,12)", "(1,8,9)(2,3,4)(5,12,11)(6,10,7)"], 12),
+                    95040),
+    "M24": lambda: (make(["(1,4)(2,7)(3,17)(5,13)(6,9)(8,15)(10,19)(11,18)(12,21)(14,16)(20,24)"
+                          "(22,23)", "(1,4,6)(2,21,14)(3,9,15)(5,18,10)(13,17,16)(19,24,23)"], 24),
+                    244823040),
+    "PSL(2,7) on 8": lambda: (_psl2(7), 168),
+    "PSL(2,11) on 12": lambda: (_psl2(11), 660),
+    "PSL(2,11) on 11": lambda: (_psl2_11_on_11_points(), 660),
+    "A5wrC2": lambda: (wreath_product(A5, make(["(1,2)"], 2)), 7200),
+    "S4wrS2": lambda: (wreath_product(S4, make(["(1,2)"], 2)), 1152),
+    "A6 regular": lambda: (coset_action(make(["(1,2,3)", "(2,3,4,5,6)"], 6),
+                                        trivial_group(6))[0], 360),
+}
+
+
+@pytest.mark.parametrize("name", NON_GIANTS)
+def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
+    # none of these has an element with a cycle of prime length p, n/2 < p
+    # <= n - 3, so each is tried, never certified, and built by Schreier-Sims
+    given, order = NON_GIANTS[name]()
+    results = _spy_giants(monkeypatch)
+    G = Group(given.generators, given.degree)
+    assert results and all(r is None for r in results)
+    ours, theirs, _ = _schreier_sims_summary(G)
+    assert ours == theirs
+    assert G.order() == order
+
+
+@pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
+def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
+    # Sym or Alt of 40 points inside 260 takes the tuple encoding; a full
+    # Sym(260) would hold 33670 representatives of 260 entries each
+    degree, n = 260, 40
+    rng = random.Random(260 + alt)
+    support = sorted(rng.sample(range(degree), n))
+    long_cycle = list(range(degree))
+    cyc = support[1:] if alt else support  # a 39-cycle is even
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        long_cycle[a] = b
+    short = list(range(degree))
+    short_cycle = support[:3] if alt else support[:2]
+    for a, b in zip(short_cycle, short_cycle[1:] + short_cycle[:1]):
+        short[a] = b
+    results = _spy_giants(monkeypatch)
+    G = Group([Permutation(long_cycle), Permutation(short)], degree)
+    assert [r is not None for r in results] == [True]
+    assert isinstance(G._chain.one, tuple)
+    assert G.order() == math.factorial(n) // (2 if alt else 1)
+    assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
+    _check_chain_invariants(G._chain, degree)
+    for odd in (0, 1) * 10:
+        p = _on_support(rng, degree, support, odd)
+        assert G.contains(Permutation(p)) == (not (alt and odd))
+    outside = _on_support(rng, degree, support[:5] + [q for q in range(degree) if q not in support][:2])
+    assert not G.contains(Permutation(outside))

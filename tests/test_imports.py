@@ -6,7 +6,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # stdlib modules genex computes nothing with; each costs import time in the
 # fresh interpreter that answers every query
-UNUSED = ("dataclasses", "inspect", "fractions", "decimal", "typing")
+UNUSED = ("dataclasses", "inspect", "fractions", "decimal", "typing", "random")
 
 PROBE = f"""
 import sys

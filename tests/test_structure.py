@@ -144,18 +144,58 @@ def test_class_sizes_prove_a_simple_factor_minimal(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("G, found",
-                         [(S4, 4), (S5, 60), (make(["(1,2,3,4,5)", "(4,5,6)"], 6), 360)],
-                         ids=["S4", "S5", "A6"])
+@pytest.mark.parametrize("G, found", [(S4, 4), (S5, 60)], ids=["S4", "S5"])
 def test_class_sizes_leave_a_proper_normal_order_to_the_scan(monkeypatch, G, found):
-    # S4: 1 + 3 = 4 divides 24, and V4 is found; S5 has 50 elements of
-    # composite order, so 1 + 15 + 4 = 20 is possible, and A5 is found; A6
-    # is simple, but its 90 elements of order 4 leave 1 + 40 + 19 = 60
-    # possible, so it is still scanned
+    # S4: 1 + 3 = 4 divides 24, and V4 is found; S5: 1 + 15 + 24 + 20 = 60,
+    # with the 20 elements of order 6, divides 120, and A5 is found
     calls = _closures_in_scan(monkeypatch)
     K = Group(G.generators, G.degree)
     assert [m.order() for m in structure.minimal_normals_inside(K, K)] == [found]
     assert calls
+
+
+A6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
+S6 = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+
+
+@pytest.mark.parametrize("G", [A6, S6], ids=["A6", "S6"])
+def test_composite_classes_prove_a6_minimal(monkeypatch, G):
+    # A6's 90 elements of order 4 form one class, under A6 and under S6, so
+    # c is 0 or 90, not any count up to 90; with the prime-order classes
+    # (45, 40, 40, 72, 72 under A6; 45, 40, 40, 144 under S6) no 1 + s + c
+    # divides 360, and A6 is proved minimal with no closure
+    calls = _closures_in_scan(monkeypatch)
+    K = Group(A6.generators, 6)
+    assert structure.minimal_normals_inside(Group(G.generators, 6), K) == [K]
+    assert calls == []
+
+
+# PGL(2, 7) on the projective line: x -> x + 1, -1/x and 3x; its normal
+# PSL(2, 7) is 1 + 21 + 56 + 48 + 42 elements, the 42 of order 4, and no sum
+# of prime-order classes alone reaches a proper divisor of 336
+SOUNDNESS_CASES = dict(INSIDE_CASES, **{"PGL(2,7)": make(
+    ["(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", "(2,4,3,7,5,6)"], 8)})
+
+
+@pytest.mark.parametrize("name", SOUNDNESS_CASES)
+def test_class_size_bound_is_sound_against_brute_force(name):
+    # whenever the bound proves K minimal, brute force finds no normal M of
+    # G with 1 < M < K; the bound is read from G-classes counted by brute
+    # force, not from minimal_normals_inside's orbits
+    G = Group(SOUNDNESS_CASES[name].generators, SOUNDNESS_CASES[name].degree)
+    elements = G.elements_raw()
+    normal = [set(c.rep.elements_raw()) for c in all_subgroups(G).classes
+              if c.size == 1 and c.order > 1]
+    classes = [set(c) for c in G.conjugacy_classes_raw()]
+    for K in normal:
+        inside = [c for c in classes if c <= K and elements[0] not in c]
+        prime = [len(c) for c in inside if _is_prime(oracles.element_order(next(iter(c))))]
+        composite = [len(c) for c in inside if not _is_prime(oracles.element_order(next(iter(c))))]
+        proved = structure._no_proper_normal_order(len(K), prime, composite)
+        smaller = [M for M in normal if 1 < len(M) < len(K) and M < K]
+        assert not (proved and smaller)
+        # the old bound, c any count up to the composite total, proves less
+        assert proved or not structure._no_proper_normal_order(len(K), prime, [1] * sum(composite))
 
 
 def test_minimal_normal_subgroups_kept_on_the_group():
