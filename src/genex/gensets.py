@@ -95,7 +95,7 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _inv, _mul, _order, _pow, prime_factors
+from .perm import Permutation, _check_bound, _inv, _mul, _order, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
     _minimal_normal_key,
@@ -104,8 +104,6 @@ from .structure import (
     minimal_normal_subgroups,
     minimal_normals_inside,
 )
-
-DEFAULT_DENSITY_BUDGET = 10 ** 8
 
 
 class SearchStats:
@@ -361,18 +359,13 @@ def d_min(G: Group) -> tuple[int, MaximalSubgroupReport | None]:
     attaining it; the trivial group has no maximal subgroup, and gives
     (d(G), None).
     """
-    lat = all_subgroups(G)
-    best_value = None
-    best_report = None
-    for cls in lat.maximal_classes():
-        rep = d_metric(G, cls.rep)
-        if best_value is None or rep.value < best_value:
-            best_value = rep.value
-            best_report = classify_maximal(G, cls.rep)
-    if best_value is None:
+    maximals = [cls.rep for cls in all_subgroups(G).maximal_classes()]
+    if not maximals:
         # no maximal subgroups: the trivial group
         return min_generators(G).d, None
-    return best_value, best_report
+    values = [d_metric(G, M).value for M in maximals]
+    best = min(values)
+    return best, classify_maximal(G, maximals[values.index(best)])
 
 
 def _join(comp: list, p: int, q: int) -> list:
@@ -537,7 +530,7 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     same completions; conjugation commutes with inversion, so the inverses
     of an orbit form an orbit of the same size, which takes the count of the
     first of the two reached whenever it lies in the same coset.
-    ``total`` is still |N|^d, and a total above ``DEFAULT_DENSITY_BUDGET``
+    ``total`` is still |N|^d, and a total above ``BOUNDS["density"]``
     raises ``BoundExceeded`` before N is checked or enumerated.
     """
     lifts = tuple(lifts)
@@ -545,9 +538,7 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     if d < 2:
         raise ValueError("at least two lifts required")
     total = N.order() ** d
-    if total > DEFAULT_DENSITY_BUDGET:
-        raise BoundExceeded(
-            f"|N|^d = {total} exceeds the enumeration budget {DEFAULT_DENSITY_BUDGET}")
+    _check_bound("density", total, "|N|^d =")
     check_monolithic_nonabelian(G, N)
     if not all(G.contains(l) for l in lifts):
         raise ValueError("lift does not lie in G")

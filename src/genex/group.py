@@ -40,14 +40,8 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from operator import itemgetter
 
-from .perm import _TABLE_ID, Permutation, _cycles, _identity, _inv, _mul, is_prime
-
-DEFAULT_MAX_POINTS = 100_000
-DEFAULT_ELEMENT_BOUND = 200_000
-
-
-class BoundExceeded(ValueError):
-    """A configured degree/order/enumeration bound would be exceeded."""
+from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
+                   _cycles, _identity, _inv, _mul, is_prime)
 
 
 class _Chain:
@@ -438,9 +432,10 @@ def _walk(start, moves):
     position of point i's image under ``moves[k]``, and ``found[i]`` is the
     (position, k) pair that first reached point i, None for ``start``.  Each
     point is moved once by each map.  An orbit that would pass
-    ``DEFAULT_ELEMENT_BOUND`` points raises ``BoundExceeded``.
+    ``BOUNDS["elements"]`` points raises ``BoundExceeded``.
     """
     moves = tuple(moves)
+    bound = BOUNDS["elements"]
     position = {start: 0}
     points = [start]  # discovery order; grows while it is walked
     rows = []
@@ -451,7 +446,7 @@ def _walk(start, moves):
             z = move(y)
             j = position.get(z)
             if j is None:
-                if len(points) >= DEFAULT_ELEMENT_BOUND:
+                if len(points) >= bound:
                     raise BoundExceeded("orbit too large")
                 j = position[z] = len(points)
                 points.append(z)
@@ -512,10 +507,7 @@ class Group:
             if not gens:
                 raise ValueError("degree required for an empty generating set")
             degree = gens[0].degree
-        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-            raise ValueError(f"degree must be an int >= 0, not {degree!r}")
-        if degree > DEFAULT_MAX_POINTS:
-            raise BoundExceeded(f"degree {degree} exceeds bound {DEFAULT_MAX_POINTS}")
+        _check_degree(degree)
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generators of mixed degrees")
@@ -596,11 +588,6 @@ class Group:
 
     # -- element enumeration -------------------------------------------------
 
-    def _check_enumerable(self) -> None:
-        if self._order > DEFAULT_ELEMENT_BOUND:
-            raise BoundExceeded(f"group order {self._order} exceeds element "
-                                f"enumeration bound {DEFAULT_ELEMENT_BOUND}")
-
     def elements_raw(self) -> tuple:
         """All elements as raw image tuples, sorted.
 
@@ -608,7 +595,7 @@ class Group:
         is faster than ``_lex_walk``; searches that may stop early walk.
         """
         if self._elements is None:
-            self._check_enumerable()
+            _check_bound("elements", self._order, "group order")
             out = [_identity(self._degree)]
             for t in reversed(self._chain.trans):
                 reps = [t[pt] for pt in sorted(t)]
@@ -635,7 +622,7 @@ class Group:
         parent's on those below ``lo``; it returns None to skip the node's
         elements, and otherwise the state handed on to its children.
         """
-        self._check_enumerable()
+        _check_bound("elements", self._order, "group order")
         levels = tuple(zip(self._chain.base, self._chain.trans))
         last = len(levels) - 1
 
@@ -888,14 +875,13 @@ def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
     labelled in discovery order, and its rows, transposed, are the images of
     G's generators, so no coset is moved twice; ``act`` returns them for
     those generators, as ``kernel`` asks first.  An index
-    above ``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any coset
+    above ``BOUNDS["points"]`` raises ``BoundExceeded`` before any coset
     is enumerated.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order() // H.order()
-    if index > DEFAULT_MAX_POINTS:
-        raise BoundExceeded(f"index {index} exceeds the {DEFAULT_MAX_POINTS}-point bound")
+    _check_bound("points", index, "index")
 
     moves = [lambda rep, g=g: coset_canonical(H, _mul(rep, g)) for g in G._raw_gens]
     labels, rows, _ = _walk(coset_canonical(H, _identity(G.degree)), moves)
@@ -951,13 +937,12 @@ def wreath_product(inner: Group, top: Group) -> Group:
     """Imprimitive wreath product inner wr top on n * m points.
 
     The group has order |inner|^n * |top|, with n = top.degree and
-    m = inner.degree; a degree n * m above ``DEFAULT_MAX_POINTS`` raises
+    m = inner.degree; a degree n * m above ``BOUNDS["points"]`` raises
     ``BoundExceeded`` before any generator is built.
     """
     n = top.degree
     m = inner.degree
-    if n * m > DEFAULT_MAX_POINTS:
-        raise BoundExceeded(f"wreath degree {n * m} exceeds bound {DEFAULT_MAX_POINTS}")
+    _check_bound("points", n * m, "wreath degree")
     ident_inner = Permutation.identity(m)
     ident_top = Permutation.identity(n)
     gens = []

@@ -5,13 +5,13 @@ generator; the degree and the points are ASCII decimal numerals.  Lines
 starting with `#` and blank lines are ignored.  Round trips are bit-exact
 on the parsed generators: parse -> serialize -> parse yields identical
 generator permutations in identical order.  A degree above
-``DEFAULT_MAX_POINTS`` raises ``BoundExceeded`` before any point list is
-built.
+``BOUNDS["points"]`` raises ``BoundExceeded`` before any point list is
+built, in ``parse_permutation`` or ``Group()``.
 """
 
 from __future__ import annotations
 
-from .group import DEFAULT_MAX_POINTS, BoundExceeded, Group
+from .group import Group
 from .perm import Permutation, format_cycles, parse_permutation
 
 
@@ -31,9 +31,6 @@ def parse_group_text(text: str) -> Group:
             degree = int(value)
             if degree < 1:
                 raise ValueError(f"line {lineno}: degree must be positive")
-            if degree > DEFAULT_MAX_POINTS:
-                raise BoundExceeded(
-                    f"line {lineno}: degree {degree} exceeds the {DEFAULT_MAX_POINTS}-point bound")
         elif line.startswith("gen:"):
             if degree is None:
                 raise ValueError(f"line {lineno}: gen before degree")

@@ -5,6 +5,10 @@ Internally a permutation is a tuple ``imgs`` of 0-based images: point ``i``
 these raw tuples; the :class:`Permutation` class is the user-facing value
 object.  Products compose left to right: ``(p * q)(i) == q(p(i))``, matching
 the right-action convention used for wreath coordinates throughout.
+
+Every other module imports this one, so it also holds the engine's limits:
+one table, ``BOUNDS``, checked by ``_check_bound`` before the allocation
+each limit guards.
 """
 
 from __future__ import annotations
@@ -13,6 +17,30 @@ from math import isqrt, lcm
 from operator import index, itemgetter
 
 _TABLE_ID = bytes(range(256))  # the identity translate table, shared with group's chains
+
+
+class BoundExceeded(ValueError):
+    """A configured degree/order/enumeration bound would be exceeded."""
+
+
+# The engine's limits, read at each check: the degree of a permutation or
+# group (and a coset action's index), the elements of an enumerated group or
+# orbit, the order of a group whose lattice is built, and the tuples a
+# generation density counts.
+BOUNDS = {"points": 100_000, "elements": 200_000, "lattice": 2000, "density": 10 ** 8}
+
+
+def _check_bound(name, value, what):
+    if value > BOUNDS[name]:
+        raise BoundExceeded(f"{what} {value} exceeds the {name} bound {BOUNDS[name]}")
+
+
+def _check_degree(degree):
+    """A degree given from outside: an int that is not a bool, >= 0 and
+    within ``BOUNDS["points"]``, checked before any point list is built."""
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be an int >= 0, not {degree!r}")
+    _check_bound("points", degree, "degree")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +186,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
+        _check_degree(degree)
         return Permutation._wrap(range(degree))
 
     @property
@@ -221,10 +250,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     "()" denotes the identity.  Points are ASCII decimal numerals, separated
     by commas or spaces; ``int`` alone would also take "+3", "1_0" and
     non-ASCII digits.  Raises ValueError on malformed text, out-of-range
-    points, or a point repeated across cycles.
+    points, or a point repeated across cycles, and BoundExceeded on a degree
+    above ``BOUNDS["points"]``.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be an int >= 0, not {degree!r}")
+    _check_degree(degree)
     s = text.strip()
     if not s:
         raise ValueError("empty permutation text")

@@ -53,7 +53,6 @@ from math import gcd, prod
 from operator import itemgetter
 
 from .group import (
-    BoundExceeded,
     Group,
     _build_chain,
     _conjugations,
@@ -66,9 +65,7 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _mul, _order, _pow, is_prime, prime_factors
-
-DEFAULT_LATTICE_BOUND = 2000
+from .perm import Permutation, _check_bound, _mul, _order, _pow, is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +567,10 @@ def all_subgroups(G: Group) -> SubgroupLattice:
     """Full subgroup lattice, one representative per conjugacy class.
 
     Built once per group and kept on it, so later calls return the same
-    object.  A group above ``DEFAULT_LATTICE_BOUND`` raises
+    object.  A group above ``BOUNDS["lattice"]`` raises
     ``BoundExceeded`` before any element is indexed.
     """
-    if G.order() > DEFAULT_LATTICE_BOUND:
-        raise BoundExceeded(
-            f"group order {G.order()} exceeds the lattice bound {DEFAULT_LATTICE_BOUND}")
+    _check_bound("lattice", G.order(), "group order")
     if G._lattice is None:
         G._lattice = _enumerate_classes(G)
     return G._lattice

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genex import gensets, structure
 from genex import group as group_module
-from genex.group import (BoundExceeded, Group, direct_product, normal_closure, trivial_group,
-                         wreath_product)
+from genex.group import (BoundExceeded, Group, centralizer_in, coset_action, direct_product,
+                         normal_closure, trivial_group, wreath_product)
 from genex.gensets import (
     SearchStats,
     HypothesisError,
@@ -22,7 +22,8 @@ from genex.gensets import (
     replacement_search,
     socle_block_projection,
 )
-from genex.perm import Permutation, parse_permutation
+from genex.grpfmt import parse_group_text
+from genex.perm import BOUNDS, Permutation, parse_permutation
 from genex.structure import all_subgroups, classify_maximal, frattini, minimal_normal_subgroups
 
 
@@ -528,6 +529,18 @@ def test_d_min_a5():
     assert value == 1
 
 
+@pytest.mark.parametrize("G", [S4, S5, A6], ids=["S4", "S5", "A6"])
+def test_d_min_classifies_one_maximal_class(monkeypatch, G):
+    # every D_M is computed first; only the first class attaining the least is classified
+    classified = []
+    monkeypatch.setattr(gensets, "classify_maximal",
+                        lambda H, M: classified.append(M) or classify_maximal(H, M))
+    value, report = d_min(G)
+    first = next(c.rep for c in all_subgroups(G).maximal_classes()
+                 if d_metric(G, c.rep).value == value)
+    assert classified == [report.subgroup] == [first]
+
+
 def _recorded_searches(monkeypatch):
     searches = []
     original = gensets.exists_generating_tuple
@@ -645,7 +658,7 @@ def _lattice_digest(G):
 def test_group_acts_by_the_generators_that_built_its_chain(monkeypatch, texts, degree):
     plain = make(texts, degree) if texts else _wreath_a5_c2()[0]
     # |A5 wr C2| = 7200 is above the default lattice bound of 2000
-    monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", plain.order())
+    monkeypatch.setitem(BOUNDS, "lattice", plain.order())
     padded = _with_two_words(plain)
     given = padded.generators
     assert len(given) == len(plain.generators) + 2
@@ -839,6 +852,46 @@ def test_density_budget(monkeypatch):
     with pytest.raises(BoundExceeded):
         generation_density(S5, A5, (P("(1,2)", 5),) + (Permutation.identity(5),) * 4)
     assert calls == []
+
+
+def _s4():
+    return make(["(1,2,3,4)", "(1,2)"], 4)
+
+
+# site: (its key in BOUNDS, the value it checks, the function, its fresh arguments,
+# and the group-module step that must not run once the value is above the bound)
+BOUND_SITES = {
+    "Group": ("points", 6, Group, lambda: ([], 6), None),
+    "trivial_group": ("points", 6, trivial_group, lambda: (6,), None),
+    "parse_permutation": ("points", 6, parse_permutation, lambda: ("(1,2)", 6), None),
+    "Permutation.identity": ("points", 6, Permutation.identity, lambda: (6,), None),
+    "parse_group_text": ("points", 6, parse_group_text, lambda: ("degree: 6\ngen: (1,2)\n",), None),
+    "coset_action": ("points", 12, coset_action, lambda: (_s4(), make(["(1,2)"], 4)), "_walk"),
+    "wreath_product": ("points", 6, wreath_product,
+                       lambda: (make(["(1,2,3)", "(1,2)"], 3), make(["(1,2)"], 2)), "wreath_flat"),
+    "elements_raw": ("elements", 24, Group.elements_raw, lambda: (_s4(),), None),
+    "_lex_walk": ("elements", 24, min_generators, lambda: (_s4(),), None),
+    "_walk": ("elements", 24, centralizer_in,
+              lambda: (make(["(1,2,3,4,5)", "(1,2)"], 5), P("(1,2,3,4,5)", 5)), None),
+    "all_subgroups": ("lattice", 24, all_subgroups, lambda: (_s4(),), None),
+    "frattini": ("lattice", 24, frattini, lambda: (_s4(),), None),
+    "d_min": ("lattice", 24, d_min, lambda: (_s4(),), None),
+    "generation_density": ("density", 60 ** 2, generation_density,
+                           lambda: (S5, A5, (P("(1,2)", 5), Permutation.identity(5))), None),
+}
+
+
+@pytest.mark.parametrize("key, value, site, args, guarded", list(BOUND_SITES.values()),
+                         ids=list(BOUND_SITES))
+def test_every_bound_site_reads_the_table(monkeypatch, key, value, site, args, guarded):
+    monkeypatch.setitem(BOUNDS, key, value)
+    site(*args())
+    monkeypatch.setitem(BOUNDS, key, value - 1)
+    inputs = args()
+    if guarded:
+        monkeypatch.setattr(group_module, guarded, lambda *a: pytest.fail(f"{guarded} ran"))
+    with pytest.raises(BoundExceeded):
+        site(*inputs)
 
 
 @pytest.mark.parametrize("query", [all_subgroups, frattini, d_min],

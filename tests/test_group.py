@@ -23,7 +23,7 @@ from genex.group import (
     _stabilizer,
 )
 from genex.gensets import min_generators
-from genex.perm import Permutation, _inv, _mul, parse_permutation
+from genex.perm import BOUNDS, Permutation, _inv, _mul, parse_permutation
 from genex.structure import all_subgroups
 
 
@@ -132,7 +132,7 @@ def test_lex_walk_yields_the_sorted_elements():
 
 
 def test_enumeration_above_the_element_bound_raises():
-    S9 = make(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9)  # 362880 > DEFAULT_ELEMENT_BOUND
+    S9 = make(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9)  # 362880 > BOUNDS["elements"]
     assert S9.order() == 362880
     for query in (S9.elements_raw, S9.conjugacy_classes_raw, lambda: min_generators(S9)):
         with pytest.raises(BoundExceeded):
@@ -319,7 +319,7 @@ def test_coset_canonical_is_the_least_coset_member():
 
 
 def test_degree_above_the_point_bound_raises():
-    bound = group_module.DEFAULT_MAX_POINTS
+    bound = BOUNDS["points"]
     assert Group([], bound).degree == trivial_group(bound).degree == bound
     for build in (lambda: Group([], bound + 1), lambda: trivial_group(bound + 1),
                   lambda: direct_product(trivial_group(bound), trivial_group(1))):
@@ -331,7 +331,7 @@ def test_orbit_above_the_element_bound_raises(monkeypatch):
     # the class of a 5-cycle in S5 has 24 members; the bound is read at call time
     x = P("(1,2,3,4,5)", 5)
     assert centralizer_in(S5, x).order() == 5
-    monkeypatch.setattr(group_module, "DEFAULT_ELEMENT_BOUND", 10)
+    monkeypatch.setitem(BOUNDS, "elements", 10)
     with pytest.raises(BoundExceeded, match="orbit too large"):
         centralizer_in(S5, x)
 

@@ -1,7 +1,7 @@
 import pytest
 
-from genex.group import DEFAULT_MAX_POINTS, BoundExceeded
 from genex.grpfmt import parse_group_text, serialize_group
+from genex.perm import BOUNDS, BoundExceeded
 
 S5_TEXT = """\
 # S5, symmetric group of degree 5
@@ -63,6 +63,6 @@ def test_malformed_text_raises_value_error(text):
 
 
 def test_degree_above_point_bound_raises():
-    assert parse_group_text(f"degree: {DEFAULT_MAX_POINTS}\n").degree == DEFAULT_MAX_POINTS
+    assert parse_group_text(f"degree: {BOUNDS['points']}\n").degree == BOUNDS["points"]
     with pytest.raises(BoundExceeded):
-        parse_group_text(f"degree: {DEFAULT_MAX_POINTS + 1}\n")
+        parse_group_text(f"degree: {BOUNDS['points'] + 1}\n")

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genex.group import Group
 from genex.perm import (
+    BOUNDS,
+    BoundExceeded,
     Permutation,
     _identity,
     _inv,
@@ -158,3 +162,21 @@ def test_images_accepted_at_any_degree():
 def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+
+
+@pytest.mark.parametrize("build", [lambda n: parse_permutation("(1,2)", n), Permutation.identity,
+                                   lambda n: Group([], n)],
+                         ids=["parse_permutation", "identity", "Group"])
+def test_degree_is_checked_before_any_point_list(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded):
+            build(BOUNDS["points"] + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for bad in (-1, True, 2.5):
+        with pytest.raises(ValueError) as caught:
+            build(bad)
+        assert not isinstance(caught.value, BoundExceeded)

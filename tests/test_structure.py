@@ -15,7 +15,7 @@ from genex.group import (
     direct_product,
     wreath_product,
 )
-from genex.perm import Permutation, parse_permutation
+from genex.perm import BOUNDS, Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -350,7 +350,7 @@ def test_s7_lattice_maximal_classes(monkeypatch):
     # 96 classes (OEIS A000638), and the maximal classes 7:6, S4 x S3,
     # S5 x 2, S6 and A7 (ATLAS)
     S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
-    monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", S7.order())
+    monkeypatch.setitem(BOUNDS, "lattice", S7.order())
     lat = all_subgroups(S7)
     assert len(lat.classes) == 96
     assert sorted(c.order for c in lat.maximal_classes()) == [42, 144, 240, 720, 2520]
@@ -446,7 +446,7 @@ def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree, lat
     got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G)}
     assert _conjugacy_closure(G, got) == _conjugacy_closure(G, want)
     if lattice is not None:
-        monkeypatch.setattr(structure, "DEFAULT_LATTICE_BOUND", G.order())
+        monkeypatch.setitem(BOUNDS, "lattice", G.order())
         lat = all_subgroups(G)
         perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
         assert (len(lat.classes), sum(c.size for c in lat.classes), perfect) == lattice
