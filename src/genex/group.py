@@ -38,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterable
+from functools import partial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
@@ -48,23 +49,24 @@ class _Chain:
     """Mutable stabilizer chain used during construction (Schreier-Sims),
     or written down whole for Alt and Sym (``_giant_chain``).
 
-    Level i holds the i-th stabilizer group: ``gens[i]`` are the strong
-    generators fixing ``base[:i]`` and ``trans[i]`` maps each point of the
-    basepoint's orbit to a representative carrying the basepoint there.
-    ``ginvs[i]`` holds the inverses of ``gens[i]`` and ``itrans[i]`` the
-    inverse of every representative, built alongside ``trans[i]`` as
-    g^-1 * rep^-1, so sifting and Schreier generators never invert a
-    permutation (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+    Level i holds the i-th stabilizer group.  ``levels[i]`` pairs its base
+    point with a dict from each orbit point to the inverse of its
+    representative: all a sift reads, so ``_sift_from`` walks one list, and
+    ``base`` is read off it.  ``gens[i]`` are the strong generators fixing
+    ``base[:i]``, and ``trans[i]`` maps each orbit point to a representative
+    carrying the base point there.  A new inverse representative is the
+    inverse of ``rep * g``, the product that found its point (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).
 
     Elements are encoded once, by degree.  Up to 256 points a working
     element (a residue, a representative being extended) is ``bytes`` of
-    length ``degree``, and the right-hand factors ``gens``, ``ginvs`` and
-    ``itrans`` are stored as 256-byte translate tables: the images, then
-    the fixed points degree..255.  The product p*q is then
+    length ``degree``, and the right-hand factors, ``gens`` and the inverse
+    representatives, are stored as 256-byte translate tables: the images,
+    then the fixed points degree..255 (``tail``).  The product p*q is then
     ``p.translate(table_q)``, composed in C without building a getter per
     product, and the inverse of a table is ``bytes.maketrans(table,
     identity)``.  Above 256 points the same code runs on tuples, with
-    ``_mul`` and ``_inv``.  Either way ``p[b]`` reads an image, and
+    ``_mul`` and ``_tuple_inv``.  Either way ``p[b]`` reads an image, and
     ``trans`` keeps tuple representatives for the readers outside the chain.
 
     Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
@@ -77,38 +79,32 @@ class _Chain:
     group is the pointwise stabilizer of all points below ``base[i]``, and
     ``base`` is the group's lex base: the points q moved by some element
     fixing every point below q, the same for every generating set.
-
-    ``levels`` pairs each base point with its ``itrans`` dict, the two
-    things a sift reads, so the one sift loop (``_sift_from``) walks a
-    single list.  ``_add`` is the only place a level is inserted into a
-    chain, and it inserts into ``levels`` too; the dicts are the same
-    objects as in ``itrans`` and grow in place, so ``levels`` never goes
-    stale.  ``_giant_chain`` appends whole levels to a new chain, each with
-    every Schreier pair marked done, and a later ``extend`` runs on it as on
-    any other chain.
+    ``_giant_chain`` appends whole levels to a new chain, each with every
+    Schreier pair marked done, and a later ``extend`` runs on it as on any
+    other chain.
     """
 
-    __slots__ = ("degree", "ident", "one", "tail", "enc", "mul", "inv",
-                 "base", "gens", "ginvs", "trans", "itrans", "sifted", "levels", "cap")
+    __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
+                 "gens", "trans", "sifted", "levels", "cap")
 
     def __init__(self, degree, cap=None):
-        self.degree = degree
         self.cap = cap  # see _build_chain
         self.ident = _identity(degree)
         if degree <= 256:
             self.enc, self.mul, self.inv = bytes, bytes.translate, _table_inv
             self.tail = _TABLE_ID[degree:]
         else:
-            self.enc, self.mul, self.inv = tuple, _mul, _inv
+            self.enc, self.mul, self.inv = tuple, _mul, partial(_tuple_inv, self.ident)
             self.tail = ()
         self.one = self.enc(self.ident)  # the identity as a working element
-        self.base = []
         self.gens = []
-        self.ginvs = []
         self.trans = []
-        self.itrans = []
         self.sifted = []
-        self.levels = []
+        self.levels = []  # (base point, {point: inverse representative})
+
+    @property
+    def base(self):
+        return [b for b, _ in self.levels]
 
     def order(self):
         n = 1
@@ -151,21 +147,17 @@ class _Chain:
         # Register g at levels top..j, then restore the stabilizer invariant
         # from the bottom up
         moved = next(a for a, b in enumerate(g) if a != b)
-        j = bisect_left(self.base, moved)
-        if self.base[j:j + 1] != [moved]:
-            gens, ginvs = (self.gens[j], self.ginvs[j]) if j < len(self.base) else ([], [])
-            self.base.insert(j, moved)
+        levels = self.levels
+        j = bisect_left(levels, moved, key=itemgetter(0))
+        if j == len(levels) or levels[j][0] != moved:
+            gens = self.gens[j] if j < len(levels) else []
             self.gens.insert(j, gens[:])
-            self.ginvs.insert(j, ginvs[:])
             self.trans.insert(j, {moved: self.ident})
-            self.itrans.insert(j, {moved: self.one + self.tail})
             self.sifted.insert(j, (1, len(gens)))
-            self.levels.insert(j, (moved, self.itrans[j]))
+            levels.insert(j, (moved, {moved: self.one + self.tail}))
         g += self.tail
-        ginv = self.inv(g)
         for k in range(top, j + 1):
             self.gens[k].append(g)
-            self.ginvs[k].append(ginv)
         for k in range(j, top - 1, -1):
             self._schreier_sims(k)
 
@@ -177,23 +169,23 @@ class _Chain:
         # found since meets all of them.  A pair that finds a new point gives
         # a trivial Schreier generator; any other is sifted once, as a known
         # point's representative never changes.  A residue is added at deeper
-        # levels only, so this level's generators stay fixed during the scan.
+        # levels only, so ``gens[i]`` stays fixed during the scan.
         tr = self.trans[i]
-        itr = self.itrans[i]
-        enc, mul, one, cap = self.enc, self.mul, self.one, self.cap
-        gens = list(zip(self.gens[i], self.ginvs[i]))
+        itr = self.levels[i][1]
+        enc, mul, inv, one, tail, cap = self.enc, self.mul, self.inv, self.one, self.tail, self.cap
+        gens = self.gens[i]
         npts, ngens = self.sifted[i]
         orbit = list(tr)
         pos = 0
         while pos < len(orbit):
             pt = orbit[pos]
             rep = enc(tr[pt])
-            for g, ginv in (gens[ngens:] if pos < npts else gens):
+            for g in (gens[ngens:] if pos < npts else gens):
                 img = g[pt]
                 rep_g = mul(rep, g)
                 if img not in tr:
                     tr[img] = tuple(rep_g)
-                    itr[img] = mul(ginv, itr[pt])
+                    itr[img] = inv(rep_g + tail)
                     orbit.append(img)
                     if cap is not None and self.order() > cap:
                         raise _CapPassed
@@ -208,6 +200,15 @@ class _Chain:
 def _table_inv(t):
     """Inverse of a 256-byte translate table."""
     return bytes.maketrans(t, _TABLE_ID)
+
+
+def _tuple_inv(ident, p):
+    """Inverse of the tuple p in ``ident``'s own ints: above 256, where
+    Python shares no ints, fresh ones would double a chain's size."""
+    inv = list(ident)
+    for i, j in zip(ident, p):
+        inv[j] = i
+    return tuple(inv)
 
 
 class _CapPassed(Exception):
@@ -226,17 +227,13 @@ def _build_chain(degree, raw_gens, cap=None, giants=False):
     level-i reps fix every point below ``base[i]`` and send it to distinct
     points, so distinct products of one rep per level are distinct elements.
 
-    With ``giants``, the first prefix of two or more generators that is
-    transitive on at least 8 points it moves is offered to ``_giant_chain``
-    when its last generator is reached, the earlier ones having extended
-    the chain as usual.  If that certifies the prefix's group as Alt or Sym
-    of those points, the chain written down there replaces the one built
-    so far, the last generator counts as extending it, since the group
-    grew, and the later generators extend it as before: a non-member, one
-    moving a new point or an odd one over Alt, grows it by Schreier-Sims.
-    Otherwise nothing changes.  Either way the group, its lex base, every
-    level's orbit and the generators that extended the chain are those
-    Schreier-Sims gives.
+    With ``giants``, the first prefix of two or more generators transitive
+    on the 8 or more points it moves is offered to ``_giant_chain`` when its
+    last generator is reached.  If that certifies Alt or Sym of those
+    points, its chain replaces the one built so far, the last generator
+    counts as extending it, and later generators extend it as before.
+    Either way the group, its lex base, every level's orbit and the
+    generators that extended the chain are those Schreier-Sims gives.
     """
     chain = _Chain(degree, cap)
     prefix = _transitive_prefix(degree, raw_gens) if giants else None
@@ -368,19 +365,15 @@ def _giant_chain(degree, prefix, omega):
     row = list(ident)  # images of the permutation being written, then undone
 
     def cycle(points):
-        # the cycle (points[0] points[1] ...) as a table, and its inverse
-        images = points[1:] + points[:1]
-        for a, b in zip(points, images):
+        # the cycle (points[0] points[1] ...) as a table
+        for a, b in zip(points, points[1:] + points[:1]):
             row[a] = b
         p = enc(row) + tail
-        for a, b in zip(points, images):
-            row[b] = a
-        q = enc(row) + tail
         for a in points:
             row[a] = a
-        return p, q
+        return p
 
-    strong, strong_inv = zip(*(cycle(omega[j:j + m]) for j in range(n - m + 1)))
+    strong = [cycle(omega[j:j + m]) for j in range(n - m + 1)]
     last = omega[-1]
     for i, b in enumerate(omega[:n - m + 1]):
         tr = {b: ident}
@@ -398,11 +391,8 @@ def _giant_chain(degree, prefix, omega):
                 itr[w] = enc(row) + tail
                 row[x] = x
             row[b], row[w] = b, w
-        chain.base.append(b)
-        chain.gens.append(list(strong[i:]))
-        chain.ginvs.append(list(strong_inv[i:]))
+        chain.gens.append(strong[i:])
         chain.trans.append(tr)
-        chain.itrans.append(itr)
         chain.sifted.append((len(tr), len(strong) - i))
         chain.levels.append((b, itr))
     return chain
@@ -526,14 +516,11 @@ class Group:
         ``chain`` (extending again would rebuild it), and the group then
         acts by all of ``raw_gens``.
 
-        A chain built here skips Schreier-Sims for a prefix of generators
-        that a Jordan certificate proves to generate Alt or Sym of the
-        n >= 8 points it moves (an element with a cycle of prime length p,
-        n/2 < p <= n - 3; ``_giant_chain`` has the proof), and the chain is
-        written down instead.  Base, orbits, order and ``_raw_gens`` are
-        those of Schreier-Sims either way.  Chains built for a moment
-        elsewhere (``_generates``, closures, stabilizers) stay on
-        Schreier-Sims.
+        A chain built here is written down for a prefix of generators that
+        ``_giant_chain`` certifies as Alt or Sym of the points it moves,
+        with the base, orbits, order and ``_raw_gens`` of Schreier-Sims.
+        Chains built for a moment elsewhere (``_generates``, closures,
+        stabilizers) stay on Schreier-Sims.
         """
         self._degree = degree
         ident = _identity(degree)
@@ -750,12 +737,14 @@ def _normal_closure_chain(G: Group, raw_seeds, stops) -> tuple:
 def commutator_subgroup(G: Group) -> Group:
     """Derived subgroup: normal closure of the commutators [a, b] of
     generators with a before b; [a, a] = 1 and [b, a] = [a, b]^-1 add
-    nothing."""
+    nothing.  They lie in G, so unlike ``normal_closure`` seeds they are
+    not sifted through it."""
     gens = G._raw_gens
     invs = [_inv(g) for g in gens]
     comms = [_mul(_mul(invs[i], invs[j]), _mul(gens[i], gens[j]))
              for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    return normal_closure(G, [Permutation._wrap(c) for c in comms])
+    chain, closure_gens = _normal_closure_chain(G, comms, {G.order()})
+    return subgroup_closure(G.degree, closure_gens, chain)
 
 
 def _schreier_generators(degree, gens, moves, start):
@@ -860,8 +849,7 @@ def coset_canonical(H: Group, p):
     Greedily minimizes the images of H's base points, which are in point
     order, so the representative is the coset's least member.
     """
-    chain = H._chain
-    for b, t in zip(chain.base, chain.trans):
+    for t in H._chain.trans:
         best_pt = min(t, key=p.__getitem__)
         p = _mul(t[best_pt], p)
     return p
@@ -906,8 +894,10 @@ def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
 # products
 
 def direct_product(A: Group, B: Group) -> Group:
-    """A x B acting on the disjoint union of the two point sets."""
+    """A x B acting on the disjoint union of the two point sets; a degree
+    above ``BOUNDS["points"]`` raises before any generator is built."""
     da, db = A.degree, B.degree
+    _check_bound("points", da + db, "degree")
     gens = []
     for g in A.generators:
         gens.append(Permutation._wrap(g.imgs + tuple(range(da, da + db))))

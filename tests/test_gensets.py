@@ -867,6 +867,8 @@ BOUND_SITES = {
     "Permutation.identity": ("points", 6, Permutation.identity, lambda: (6,), None),
     "parse_group_text": ("points", 6, parse_group_text, lambda: ("degree: 6\ngen: (1,2)\n",), None),
     "coset_action": ("points", 12, coset_action, lambda: (_s4(), make(["(1,2)"], 4)), "_walk"),
+    "direct_product": ("points", 5, direct_product,
+                       lambda: (make(["(1,2,3)"], 3), make(["(1,2)"], 2)), "Group"),
     "wreath_product": ("points", 6, wreath_product,
                        lambda: (make(["(1,2,3)", "(1,2)"], 3), make(["(1,2)"], 2)), "wreath_flat"),
     "elements_raw": ("elements", 24, Group.elements_raw, lambda: (_s4(),), None),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,9 +248,10 @@ def test_normal_closure_rejects_seeds_outside_the_group():
 
 def test_commutator_subgroup_matches_oracle(monkeypatch):
     seeded = []
-    closure = group_module.normal_closure
-    monkeypatch.setattr(group_module, "normal_closure",
-                        lambda G, seeds: seeded.append(len(seeds)) or closure(G, seeds))
+    closure = group_module._normal_closure_chain
+    monkeypatch.setattr(group_module, "_normal_closure_chain",
+                        lambda G, seeds, stops:
+                        seeded.append(len(seeds)) or closure(G, seeds, stops))
     for g in [S4, A4, Q8, C6, make(["(1,2)", "(2,3)", "(3,4)", "(4,5)"], 5)]:
         elems = oracles.closure([x.imgs for x in g.generators], g.degree)
         expect = oracles.commutator_closure(elems, g.degree)
@@ -290,9 +292,7 @@ def test_base_is_in_point_order():
     assert g.base() == (1, 3)
     # (3,4) makes the level of point 2 first, (1,2) inserts point 0 before
     # it, and the sift loop's levels follow
-    chain = g._chain
-    assert [b for b, _ in chain.levels] == chain.base
-    assert all(itr is chain.itrans[i] for i, (_, itr) in enumerate(chain.levels))
+    assert g._chain.base == [0, 2]
     elems = oracles.closure([x.imgs for x in g.generators], 4)
     for p in oracles.closure([P("(1,2,3,4)", 4).imgs, P("(1,2)", 4).imgs], 4):
         assert g.contains(Permutation(p)) == (p in elems)
@@ -537,6 +537,22 @@ def test_wreath_c2_c2_is_d4():
     assert any(e.order() == 4 for e in w.elements())
 
 
+def test_direct_product_degree_is_checked_before_any_generator():
+    # the two halves are built first; their product's degree is one above
+    # the bound, and no (da + db)-point generator may be built on the way
+    half = BOUNDS["points"] // 2
+    A = make(["(1,2)"], half)
+    B = make(["(1,2)"], BOUNDS["points"] + 1 - half)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded):
+            direct_product(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_wreath_degree_bound():
     # degree 2 * 50001 = 100002 is above the default bound of 100000 points
     with pytest.raises(BoundExceeded):
@@ -563,19 +579,18 @@ def _generating_sets(draw):
 
 
 def _check_chain_invariants(chain, n):
-    # the sift loop's levels are the base points with their itrans dicts
-    assert [b for b, _ in chain.levels] == chain.base
-    assert all(itr is chain.itrans[i] for i, (_, itr) in enumerate(chain.levels))
-    for trans, itrans in zip(chain.trans, chain.itrans):
+    # the sift loop's levels hold the base points, strictly ascending, each
+    # with the inverse of every representative of its level
+    base = [b for b, _ in chain.levels]
+    assert base == chain.base and all(a < b for a, b in zip(base, base[1:]))
+    assert len(chain.levels) == len(chain.trans) == len(chain.gens) == len(chain.sifted)
+    for (_, itrans), trans in zip(chain.levels, chain.trans):
         assert trans.keys() == itrans.keys()
         for pt, rep in trans.items():
-            assert _mul(rep, itrans[pt]) == chain.ident
             # each stored table decodes to the inverse of its tuple rep
             assert itrans[pt][n:] == chain.tail and tuple(itrans[pt][:n]) == _inv(rep)
-    for strong, invs in zip(chain.gens, chain.ginvs):
-        for g, ginv in zip(strong, invs):
-            assert g[n:] == ginv[n:] == chain.tail
-            assert tuple(ginv[:n]) == _inv(tuple(g[:n]))
+    for strong in chain.gens:
+        assert all(g[n:] == chain.tail for g in strong)
     for i, (strong, trans) in enumerate(zip(chain.gens, chain.trans)):
         assert all(g[b] == b for g in strong for b in chain.base[:i])
         # level i's generators fix every point below its base point
@@ -647,6 +662,12 @@ def test_membership_above_the_byte_boundary_matches_closure():
         p = tuple(imgs)
         assert g.contains(Permutation(p)) == (p in elems)
     assert all(g.contains(Permutation(p)) for p in elems)
+    chain = g._chain
+    _check_chain_invariants(chain, n)
+    # inverse representatives hold ident's own ints: above 256 points fresh
+    # ones would double the chain's size
+    assert all(x is chain.ident[x] for _, itrans in chain.levels
+               for inv in itrans.values() for x in inv)
 
 
 def test_regular_action_above_the_byte_boundary():
@@ -654,6 +675,7 @@ def test_regular_action_above_the_byte_boundary():
     image, hom = coset_action(A6, trivial_group(6))
     assert image.degree == 360 and isinstance(image._chain.one, tuple)
     assert image.order() == 360
+    _check_chain_invariants(image._chain, 360)
     assert hom.kernel().order() == 1
 
 
