@@ -10,6 +10,11 @@ generators are Alt or Sym of the points they move, by Jordan's theorem on a
 fixed sequence of product-replacement draws; if so the chain is written
 down in closed form (``_giant_chain``), with the base, orbits and acting
 generators Schreier-Sims would give, and only its representatives differ.
+Such a chain also answers membership in closed form: p lies in Sym(omega)
+iff it fixes every point outside omega, and in Alt(omega) iff it also is
+even (Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.
+A later generator that grows the chain drops that record, and membership
+sifts again.
 Orders, transversals and everything derived from them are
 reproducible run to run.  Level i of a chain is the pointwise stabilizer of
 every point below its base point, so the base is the group's lex base,
@@ -42,7 +47,7 @@ from functools import partial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
-                   _cycles, _identity, _inv, _mul, is_prime)
+                   _identity, _inv, _mul, _odd, is_prime)
 
 
 class _Chain:
@@ -69,6 +74,11 @@ class _Chain:
     ``_mul`` and ``_tuple_inv``.  Either way ``p[b]`` reads an image, and
     ``trans`` keeps tuple representatives for the readers outside the chain.
 
+    While ``giant`` is set, to ``(outside, alt)``, the chain is certified as
+    Alt or Sym of the points not in ``outside`` (``_giant_chain``), and
+    ``sift`` answers by support and parity without reading a level; ``_add``
+    clears it, as a chain it grows is no longer that giant.
+
     Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
     and a point keeps its representative once found.  ``sifted[i]`` is the
     (points, generators) prefix whose Schreier pairs are done (sifted, or
@@ -85,10 +95,11 @@ class _Chain:
     """
 
     __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
-                 "gens", "trans", "sifted", "levels", "cap")
+                 "gens", "trans", "sifted", "levels", "cap", "giant")
 
     def __init__(self, degree, cap=None):
         self.cap = cap  # see _build_chain
+        self.giant = None  # (points outside omega, is Alt) while certified
         self.ident = _identity(degree)
         if degree <= 256:
             self.enc, self.mul, self.inv = bytes, bytes.translate, _table_inv
@@ -113,11 +124,16 @@ class _Chain:
         return n
 
     def sift(self, p):
-        """Reduce the tuple p through the chain; the residue is returned as a
-        tuple, and members, whose residue is the identity, get ``ident``
-        itself without decoding."""
-        residue = self._sift_from(0, self.enc(p))
-        return self.ident if residue == self.one else tuple(residue)
+        """Whether the tuple p lies in the group: in closed form for a
+        certified giant (``giant``), by sifting down the levels otherwise."""
+        giant = self.giant
+        if giant is None:
+            return self._sift_from(0, self.enc(p)) == self.one
+        outside, alt = giant
+        for a in outside:
+            if p[a] != a:
+                return False
+        return not (alt and _odd(p))
 
     def _sift_from(self, start, p):
         mul = self.mul
@@ -145,7 +161,8 @@ class _Chain:
         # point yet; that level starts with the next level's generators,
         # which fix the point, so their Schreier pairs there are done.
         # Register g at levels top..j, then restore the stabilizer invariant
-        # from the bottom up
+        # from the bottom up.  A certified giant is one no longer
+        self.giant = None
         moved = next(a for a, b in enumerate(g) if a != b)
         levels = self.levels
         j = bisect_left(levels, moved, key=itemgetter(0))
@@ -316,7 +333,10 @@ def _giant_chain(degree, prefix, omega):
     3-cycle (w_i w x), x the last point of omega other than w, and the
     generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
     i's group is then the pointwise stabilizer of every point below w_i,
-    so every Schreier pair is done, as ``sifted`` records.
+    so every Schreier pair is done, as ``sifted`` records.  The chain's
+    ``giant`` records the points outside omega and whether G is Alt, for
+    ``_Chain.sift``'s closed form (Seress, 2003, sec. 10.2), until a later
+    generator grows the chain.
     """
     n = len(omega)
     half = n // 2
@@ -361,7 +381,7 @@ def _giant_chain(degree, prefix, omega):
         return None
 
     # m = 2 for Sym, whose levels use transpositions, and 3 for Alt
-    m = 2 if any(sum(len(c) - 1 for c in _cycles(g)) % 2 for g in prefix) else 3
+    m = 2 if any(_odd(g) for g in prefix) else 3
     row = list(ident)  # images of the permutation being written, then undone
 
     def cycle(points):
@@ -395,6 +415,8 @@ def _giant_chain(degree, prefix, omega):
         chain.trans.append(tr)
         chain.sifted.append((len(tr), len(strong) - i))
         chain.levels.append((b, itr))
+    inside = set(omega)
+    chain.giant = (tuple(a for a in range(degree) if a not in inside), m == 3)
     return chain
 
 
@@ -558,12 +580,10 @@ class Group:
             raise ValueError("contains takes a Permutation")
         if len(g.imgs) != self._degree:
             raise ValueError("degree mismatch")
-        chain = self._chain
-        return chain.sift(g.imgs) is chain.ident
+        return self._chain.sift(g.imgs)
 
     def _contains_raw(self, p) -> bool:
-        # sift hands members ``ident`` itself, so no residue is decoded
-        return self._chain.sift(p) is self._chain.ident
+        return self._chain.sift(p)
 
     def base(self) -> tuple[int, ...]:
         """Chain base points (1-based), ascending: the points q moved by some

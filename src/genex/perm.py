@@ -117,6 +117,21 @@ def _cycles(p):
     return out
 
 
+def _odd(p):
+    """Whether p is an odd permutation: its degree less its number of cycles
+    (fixed points included) is odd."""
+    left = set(range(len(p)))
+    odd = len(p)
+    while left:
+        a = left.pop()
+        odd -= 1
+        b = p[a]
+        while b != a:
+            left.remove(b)
+            b = p[b]
+    return odd % 2 == 1
+
+
 # ---------------------------------------------------------------------------
 # small arithmetic helpers shared by the order/r-part machinery
 

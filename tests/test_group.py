@@ -611,9 +611,7 @@ def test_chain_matches_closure(case):
     assert all(G.contains(Permutation(p)) for p in elems)
     chain = G._chain
     for p in probes:
-        # members get the identity itself back, other residues are tuples
-        residue = chain.sift(p)
-        assert type(residue) is tuple and (residue is chain.ident) == (p in elems)
+        assert chain.sift(p) == (p in elems)
     _check_chain_invariants(chain, n)
     # the base is the lex base: the points q that some element fixing every
     # point below q moves
@@ -732,14 +730,17 @@ def _on_support(rng, degree, support, odd=None):
     return tuple(imgs)
 
 
-@pytest.mark.parametrize("n", range(8, 15))
+@pytest.mark.parametrize(("n", "spare"), [(n, 7) for n in range(8, 15)] + [(n, 0) for n in range(8, 15)],
+                         ids=[str(n) for n in range(8, 15)] + [f"{n} on every point" for n in range(8, 15)])
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
-def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt):
+def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     # a random generating pair of Sym or Alt on n points placed at random
-    # in a larger degree, away from point 1, plus two redundant words
-    rng = random.Random(100 * n + alt)
-    degree = n + 7
-    support = sorted(rng.sample(range(2, degree), n))
+    # in a larger degree, away from point 1, or on every point, plus two
+    # redundant words
+    rng = random.Random(100 * n + alt if spare else 1000 * n + alt)
+    degree = n + spare
+    support = sorted(rng.sample(range(2, degree), n)) if spare else list(range(n))
+    outside = [q for q in range(degree) if q not in support]
     target = math.factorial(n) // (2 if alt else 1)
     while True:
         pair = [_on_support(rng, degree, support, 0 if alt else None) for _ in range(2)]
@@ -754,15 +755,17 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt):
     assert G.order() == target and G._raw_gens == tuple(pair)
     assert G._chain.base == support[:n - 2 if alt else n - 1]
     _check_chain_invariants(G._chain, degree)
+    # the certified chain answers by support and parity, as its levels do
+    assert G._chain.giant == (tuple(outside), alt)
     members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
     members += [_on_support(rng, degree, support, 0) for _ in range(20)]
     others = [_on_support(rng, degree, support, 1) for _ in range(20)]
-    others += [_on_support(rng, degree, [0, 1] + support[:3]) for _ in range(20)]
+    others += [_on_support(rng, degree, outside[:2] + support[:3]) for _ in range(20)]
     for p in members + others:
-        inside = all(p[q] == q for q in range(degree) if q not in support) and \
-            not (alt and _odd(p))
+        inside = all(p[q] == q for q in outside) and not (alt and _odd(p))
         assert G.contains(Permutation(p)) == inside
-        assert (chain.sift(p) is chain.ident) == inside
+        assert chain.sift(p) == inside
+        assert G._chain.sift(p) == (G._chain._sift_from(0, G._chain.enc(p)) == G._chain.one)
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
@@ -773,13 +776,22 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
     cycle = P("(2,3,4,5,6,7,8,9,10,11)" if not alt else "(3,4,5,6,7,8,9,10,11)", degree)
     second = P("(2,3)" if not alt else "(2,3,4)", degree)
     later = P("(11,12)" if not alt else "(5,6)", degree)
+    assert Group([cycle, second], degree)._chain.giant is not None
     results = _spy_giants(monkeypatch)
     G = Group([cycle, second, later], degree)
     assert [r is not None for r in results] == [True]
-    ours, theirs, _ = _schreier_sims_summary(G)
+    # the later generator grew the certified chain, so membership sifts again
+    assert G._chain is results[0] and G._chain.giant is None
+    ours, theirs, chain = _schreier_sims_summary(G)
     assert ours == theirs
     assert G.order() == math.factorial(n + (not alt))
     _check_chain_invariants(G._chain, degree)
+    rng = random.Random(11 + alt)
+    support = list(range(1, n + 1 + (not alt)))
+    probes = [_on_support(rng, degree, support) for _ in range(50)]
+    probes += [_on_support(rng, degree, [0] + support) for _ in range(50)]
+    inside = [G.contains(Permutation(p)) for p in probes]
+    assert inside == [chain.sift(p) for p in probes] and True in inside and False in inside
 
 
 def _psl2(q):
