@@ -62,17 +62,29 @@ counts the cosets the lex-coset prune drops, whose members are not visited.
 The first-slot reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
 
-The socle queries (``generation_density``, ``replacement_search``) work in
-proportion to one simple factor of the socle N and to orbits, not to |N|^d.
-Their certificate (``check_monolithic_nonabelian``) scans one simple factor
-of N, which the class sizes of its prime-order elements usually prove
-minimal by Lagrange's theorem with no normal closure, takes the others as
-its G-conjugates, keeps them on N for ``socle_block_projection``, and stops
-cutting C_G(N) down as soon as it lies in N; the density is summed, at
-every slot, over the orbits of the centralizer of the partial tuple in K,
-the subgroup of G whose conjugation fixes every lift's coset of N, and an
-orbit takes the count of the orbit of its inverses; the replacement search
-walks N lazily, only as far as the first witness.
+The socle queries (``generation_density``, ``replacement_search``) check
+one precondition (``_check_lifts``), whose certificate of the socle N
+(``check_monolithic_nonabelian``) scans one simple factor, and run one
+walk (``_lift_walk``) over the tuples (x_1..x_d), x_i = v_i l_i in N l_i,
+in lex order of the v_i, each tested with any fixed trailing entries.  By
+Gaschuetz's lemma (*Math. Nachr.* 14, 1955) the number that generate G
+depends only on the cosets.  A prefix of k >= 2 entries that generates G
+stands for its |N|^(d-k) completions, unwalked; one entry never generates
+G, whose minimal normal N is nonabelian.  A count is reduced: conjugation
+by c in K = {g in G : g^-1 l_i g in N l_i for every i} maps each coset
+onto itself, since c^-1 n l c = (c^-1 n c)(c^-1 l c), and keeps
+generation, since <x_1^c, ..> = G^c = G; K contains N, and is G when G/N
+is abelian.  So a partial tuple's completions are constant on the orbits
+of its centralizer C in K on the next coset, and that slot tries only the
+least member of each orbit, scanned once from ``N.elements_raw()``.  The
+inverses of an orbit form an orbit of the same size with the same
+completions, which takes the count of the first of the two.  A filtered
+slot and every later one, any slot beside fixed entries, and a
+first-witness walk go unreduced, lazily down ``N._lex_walk()`` with v_i
+carried beside x_i: Htilde, the replacement search's filter, is not
+K-invariant, K need not fix a fixed entry, and a search that stops at its
+first witness would pay for a centralizer per candidate.  Unreduced, that
+witness is the lex-first, and N is walked only as far as it.
 """
 
 from __future__ import annotations
@@ -509,68 +521,72 @@ def _coset_fixer(G: Group, N: Group, lifts: tuple) -> Group:
     return subgroup_closure(G.degree, gens, chain)
 
 
-def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> DensityReport:
-    """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G.
-
-    Conjugation by any c in K = {g in G : g^-1 l_i g in N l_i for every i}
-    maps each coset N l_i onto itself, since c^-1 n l c = (c^-1 n c)
-    (c^-1 l c) with N normal, and it preserves generation, since
-    <x_1^c, .., x_d^c> = G^c = G.  K contains N, and is G when G/N is
-    abelian.  For c in C, the centralizer in K of a partial tuple
-    (x_1..x_(i-1)), it also fixes the partial tuple, so the number of
-    completions is constant on the C-orbits of x_i in N l_i.  So each slot
-    counts, over those orbits, orbit size times the completions of one
-    representative x, whose partial tuple has centralizer C_C(x); slot 1
-    has C = K, and at the last slot a representative counts 1 if its tuple
-    generates G.  When d >= 3 and the first d - 1 entries already generate
-    G, the whole last coset, |N| entries, completes them with no further
-    test; for d = 2 one entry never generates G, which has the nonabelian
-    minimal normal subgroup N, so that slot is never tested alone.  An entry
-    x and its inverse generate the same cyclic subgroup, so they have the
-    same completions; conjugation commutes with inversion, so the inverses
-    of an orbit form an orbit of the same size, which takes the count of the
-    first of the two reached whenever it lies in the same coset.
-    ``total`` is still |N|^d, and a total above ``BOUNDS["density"]``
-    raises ``BoundExceeded`` before N is checked or enumerated.
-    """
-    lifts = tuple(lifts)
-    d = len(lifts)
-    if d < 2:
-        raise ValueError("at least two lifts required")
-    total = N.order() ** d
-    _check_bound("density", total, "|N|^d =")
-    check_monolithic_nonabelian(G, N)
+def _check_lifts(G: Group, N: Group, lifts: tuple) -> None:
+    """Raise ValueError unless the lifts lie in G and generate it modulo N,
+    and N is the nonabelian socle of a monolithic G."""
     if not all(G.contains(l) for l in lifts):
         raise ValueError("lift does not lie in G")
-    n_gens = [g.imgs for g in N.generators]
-    if not _generates(G, [l.imgs for l in lifts] + n_gens):
+    check_monolithic_nonabelian(G, N)
+    if not _generates(G, [l.imgs for l in lifts] + [g.imgs for g in N.generators]):
         raise ValueError("lifts do not generate G modulo N")
-    n_elems = N.elements_raw()
-    cosets = [[_mul(n, l.imgs) for n in n_elems] for l in lifts]
 
-    def completions(partial: tuple, C: Group) -> int:
-        if len(partial) == d - 1 >= 2 and _generates(G, partial):
-            return N.order()  # every entry of the last coset completes it
-        orbits = _orbits(cosets[len(partial)], _conjugations(C._raw_gens))
+
+def _lift_walk(G: Group, N: Group, lifts: tuple, keep=None, fixed: tuple = (),
+               first: bool = False):
+    """The socle walk (module docstring) over the tuples (x_1..x_d), d >= 2,
+    x_i = v_i l_i in N l_i with x_1 passing ``keep``, that generate G with
+    the trailing ``fixed``: their number, or, with ``first``, the raw v_i
+    of the first in lex order of the v_i, None if there is none."""
+    d, fixed = len(lifts), tuple(g.imgs for g in fixed)
+    reduced = keep is None and not fixed and not first
+    if reduced:
+        cosets = [[_mul(v, l.imgs) for v in N.elements_raw()] for l in lifts]
+
+    def members(slot, C):
+        # (v, x, the number of entries with x's completions) per entry walked
+        if not reduced:
+            for v in N._lex_walk():
+                x = _mul(v, lifts[slot].imgs)
+                if slot or keep is None or keep(Permutation._wrap(x)):
+                    yield v, x, 1
+            return
+        orbits = _orbits(cosets[slot], _conjugations(C._raw_gens))
         orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
-        each = [None] * len(orbits)  # the completions of any one member
-        count = 0
+        counted = set()
         for i, orbit in enumerate(orbits):
-            if each[i] is None:
+            if i not in counted:
                 x = orbit[0]
-                tup = partial + (x,)
-                if len(tup) == d:
-                    each[i] = 1 if _generates(G, tup) else 0
-                else:
-                    each[i] = completions(tup, centralizer_in(C, Permutation._wrap(x)))
-                j = orbit_of.get(_inv(x))
-                if j is not None:
-                    each[j] = each[i]
-            count += len(orbit) * each[i]
-        return count
+                j = orbit_of.get(_inv(x), i)  # the inverses' orbit, if in this coset
+                counted.add(j)
+                yield None, x, len(orbit) + (len(orbits[j]) if j != i else 0)
 
-    favorable = completions((), _coset_fixer(G, N, lifts))
-    return DensityReport(lifts, favorable, total)
+    def walk(vs, xs, C, weight):
+        # (weight, vs) per generating tuple or prefix reached
+        slot = len(xs)
+        if slot >= 2 and _generates(G, xs + fixed):
+            yield weight * N.order() ** (d - slot), vs + (N._chain.ident,) * (d - slot)
+        elif slot < d:
+            if reduced and slot:
+                C = centralizer_in(C, Permutation._wrap(xs[-1]))
+            for v, x, w in members(slot, C):
+                yield from walk(vs + (v,), xs + (x,), C, weight * w)
+
+    found = walk((), (), _coset_fixer(G, N, lifts) if reduced else None, 1)
+    return next(found, (0, None))[1] if first else sum(weight for weight, _ in found)
+
+
+def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> DensityReport:
+    """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G,
+    by the socle walk (``_lift_walk``).  ``total`` is |N|^d, and a total
+    above ``BOUNDS["density"]`` raises ``BoundExceeded`` before N is checked.
+    """
+    lifts = tuple(lifts)
+    if len(lifts) < 2:
+        raise ValueError("at least two lifts required")
+    total = N.order() ** len(lifts)
+    _check_bound("density", total, "|N|^d =")
+    _check_lifts(G, N, lifts)
+    return DensityReport(lifts, _lift_walk(G, N, lifts), total)
 
 
 # ---------------------------------------------------------------------------
@@ -636,32 +652,14 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
                        htilde: Callable[[Permutation], bool]):
     """Search v1, v2 in N with <v1 g1, v2 g2, g3, ..> = G and v1 g1 in Htilde.
 
-    v1 ranges over the coset-compatible subset {v in N : v g1 in Htilde},
-    tested as each v1 is reached; enumeration order is canonical.  Both
-    entries walk N lazily down its chain (``Group._lex_walk``), so N is
-    enumerated, and its elements wrapped, only as far as the first witness.
-    Returns None only after exhausting all of N^2 for the restricted v1
-    range.
+    The socle walk (``_lift_walk``) with ``htilde`` on slot 1 and g3, ..
+    fixed returns the lex-first such (v1, v2), or None: ``htilde`` is asked
+    of v1 g1 as each v1 is reached, and N is walked only that far.
     """
     gens = tuple(gens)
     if len(gens) < 2:
         raise ValueError("need at least two generators")
-    if not all(G.contains(g) for g in gens):
-        raise ValueError("generator does not lie in G")
-    check_monolithic_nonabelian(G, N)
-    n_raw = [g.imgs for g in N.generators]
-    if not _generates(G, [g.imgs for g in gens] + n_raw):
-        raise ValueError("gens do not generate G modulo N")
-    project = socle_block_projection(G, N)
-    g1, g2 = gens[0], gens[1]
-    replacement_hypothesis(g1, g2, project)
-
-    rest_raw = [g.imgs for g in gens[2:]]
-    for v1 in N._lex_walk():
-        a = _mul(v1, g1.imgs)
-        if not htilde(Permutation._wrap(a)):
-            continue
-        for v2 in N._lex_walk():
-            if _generates(G, [a, _mul(v2, g2.imgs)] + rest_raw):
-                return Permutation._wrap(v1), Permutation._wrap(v2)
-    return None
+    _check_lifts(G, N, gens)
+    replacement_hypothesis(gens[0], gens[1], socle_block_projection(G, N))
+    found = _lift_walk(G, N, gens[:2], htilde, gens[2:], first=True)
+    return None if found is None else tuple(Permutation._wrap(v) for v in found)

@@ -707,6 +707,17 @@ def test_density_a5_triples_match_hall():
     assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
 
 
+PHI4_A5 = 60 ** 4 - 5 * 12 ** 4 - 6 * 10 ** 4 - 10 * 6 ** 4 + 20 * 3 ** 4 + 60 * 2 ** 4 - 60
+
+
+def test_density_a5_quadruples_match_hall(monkeypatch):
+    # Hall's Moebius sum over the subgroups of A5 gives phi_4(A5) = 12785880;
+    # a generating pair or triple completes with every later entry, untested
+    favorable, total, calls = _counted_density(monkeypatch, A5, A5, (Permutation.identity(5),) * 4)
+    assert (favorable, total) == (PHI4_A5, 60 ** 4) == (12785880, 12960000)
+    assert calls <= 7183
+
+
 def test_density_counts_whole_cosets_after_a_generating_prefix(monkeypatch):
     # a pair that generates A5 completes with all 60 last entries, untested,
     # and an orbit takes the count of the orbit of its members' inverses: one
@@ -756,12 +767,15 @@ def test_density_s5_independent_of_lifts(monkeypatch, lifts):
 SWAP = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
 
 
-@pytest.mark.parametrize("second", [Permutation.identity(10), SWAP], ids=["swap-1", "swap-swap"])
-def test_density_wreath_a5_c2(monkeypatch, second):
-    # Gaschuetz: the same count for both lift pairs, which the count over
-    # orbits of C_N alone also gives; G/N = C2, so slot 1 counts per class of G
+@pytest.mark.parametrize("lifts", [(SWAP, Permutation.identity(10)), (SWAP, SWAP),
+                                   (Permutation.identity(10), SWAP)],
+                         ids=["swap-1", "swap-swap", "1-swap"])
+def test_density_wreath_a5_c2(monkeypatch, lifts):
+    # Gaschuetz: the same count for all three generating coset pairs, which
+    # the count over orbits of C_N alone also gives; G/N = C2, so slot 1
+    # counts per class of G
     W, N = _wreath_a5_c2()
-    favorable, total, calls = _counted_density(monkeypatch, W, N, (SWAP, second))
+    favorable, total, calls = _counted_density(monkeypatch, W, N, lifts)
     assert (favorable, total) == (11736000, 60 ** 4)
     assert calls <= 1087
 
@@ -1098,11 +1112,39 @@ def test_replacement_search_s5():
 
     gens = (P("(2,3,4,5)", 5), P("(2,3)", 5))
     got = replacement_search(S5, A5, gens, htilde)
-    assert got is not None
+    assert got == (Permutation.identity(5), P("(1,2)(4,5)", 5))
     v1, v2 = got
     assert A5.contains(v1) and A5.contains(v2)
     assert htilde(v1 * gens[0])
     assert Group([v1 * gens[0], v2 * gens[1]], 5).order() == 120
+
+
+S4_FIX1 = make(["(2,3,4,5)", "(2,3)"], 5)
+
+
+def _first_replacement(gens, keep):
+    """The lex-first (v1, v2) in A5 x A5 with keep(v1 g1) and
+    <v1 g1, v2 g2, g3, ..> = S5, by brute force over sorted elements."""
+    elems = sorted(oracles.closure([g.imgs for g in A5.generators], 5))
+    g1, g2, rest = gens[0].imgs, gens[1].imgs, [g.imgs for g in gens[2:]]
+    for v1 in elems:
+        if keep(Permutation(oracles.mul(v1, g1))):
+            for v2 in elems:
+                if oracles.generates([oracles.mul(v1, g1), oracles.mul(v2, g2)] + rest, 5, 120):
+                    return Permutation(v1), Permutation(v2)
+    return None
+
+
+@pytest.mark.parametrize("texts", [("(2,3,4,5)", "(2,3)"), ("(1,2)", "()"),
+                                   ("(2,3)", "(2,3)", "(4,5)"),
+                                   ("(2,3,4,5)", "(2,3)", "(1,2)(3,4)")])
+@pytest.mark.parametrize("filter_name", ["S4_fix1", "always", "reject-g1"])
+def test_replacement_search_returns_the_lex_first_witness(texts, filter_name):
+    # with three generators the third is a fixed entry of every tested tuple
+    gens = tuple(P(t, 5) for t in texts)
+    keep = {"S4_fix1": S4_FIX1.contains, "always": lambda g: True,
+            "reject-g1": lambda g: g != gens[0]}[filter_name]
+    assert replacement_search(S5, A5, gens, keep) == _first_replacement(gens, keep)
 
 
 def test_replacement_trivial_when_already_generating():
