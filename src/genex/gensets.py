@@ -428,27 +428,23 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
     sec. 4.3).
 
-    The F_i are found one G-orbit at a time.  R, the centralizer in N of
-    the factors found so far, starts at N; while R is nontrivial, F is a
-    minimal normal subgroup of N inside K = ncl_N(s), s an element of the
-    deepest level of R's chain, found by scanning K alone
+    F_1 is a minimal normal subgroup of N inside K = ncl_N(s), s an element
+    of the deepest level of N's chain, found by scanning K alone
     (``structure.minimal_normals_inside``).  On disjoint supports that
     level lies in one factor, so K is one factor.  When K is too large to
     scan, ncl_K(s) is built instead: if N is a direct product of nonabelian
     simple groups, K is the product of the factors on which s projects
     nontrivially, so ncl_K(s) = K; a smaller ncl_K(s) therefore raises
-    ValueError, and an equal one lets the scan's ``BoundExceeded`` stand.  F's G-conjugates are
-    minimal normal subgroups of N, and distinct ones meet trivially, so the
-    walk that conjugates F by G's generators finds a conjugate either in a
-    factor it already holds or in none, and then it is a new factor,
-    generated by the conjugated generators.  When the orders reach |N| the
-    loop stops with no centralizer computed; otherwise R becomes the
-    centralizer of the orbit, and a second orbit fails transitivity once
-    the order test has passed.  An abelian minimal normal subgroup of N
-    centralizes every other one, so it stays in R until some step meets an
-    abelian F and raises.  When the orders multiply to |N|, the F_i are all
-    of N's minimal normal subgroups (another would lie in Z(N) = 1), so
-    they are kept on N as ``minimal_normal_subgroups(N)``.
+    ValueError, and an equal one lets the scan's ``BoundExceeded`` stand.
+    F_1's G-conjugates are minimal normal subgroups of N, and distinct ones
+    meet trivially, so the walk that conjugates F_1 by G's generators finds
+    a conjugate either in a factor it already holds or in none, and then it
+    is a new factor, generated by the conjugated generators.  A nonabelian
+    minimal normal N is the product of one such orbit, so N passes exactly
+    when the orbit's orders multiply to |N|; G permutes the orbit
+    transitively by construction.  The F_i are then all of N's minimal
+    normal subgroups (another would lie in Z(N) = 1), so they are kept on N
+    as ``minimal_normal_subgroups(N)``.
 
     C_G(N) is cut down from G by one generator of N at a time, and the cut
     stops as soon as the result lies in N: it contains C_G(N), which then
@@ -456,48 +452,35 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
-    conjugations = list(_conjugations(G._raw_gens))
-    factors = []
-    orbits = 0
-    R = N
-    while R.order() > 1:
-        s = next(rep for rep in R._chain.trans[-1].values() if rep != R._chain.ident)
-        seed = [Permutation._wrap(s)]
-        K = normal_closure(N, seed)
-        try:
-            F = minimal_normals_inside(N, K)[0]
-        except BoundExceeded:
-            if normal_closure(K, seed).order() != K.order():
-                raise ValueError("N is not a direct product of its minimal normal subgroups")
-            raise
-        if F.is_abelian():
-            raise ValueError("socle is abelian")
-        # F's G-orbit: a conjugate of a factor lies in the factor that holds
-        # any one of its nontrivial elements, or else is a new factor
-        first = len(factors)
-        factors.append(F)
+    s = next(rep for rep in N._chain.trans[-1].values() if rep != N._chain.ident)
+    seed = [Permutation._wrap(s)]
+    K = normal_closure(N, seed)
+    try:
+        F = minimal_normals_inside(N, K)[0]
+    except BoundExceeded:
+        if normal_closure(K, seed).order() != K.order():
+            raise ValueError("N is not a direct product of its minimal normal subgroups")
+        raise
+    if F.is_abelian():
+        raise ValueError("socle is abelian")
+    # F's G-orbit: a conjugate of a factor lies in the factor that holds any
+    # one of its nontrivial elements, or else is a new factor
+    factors = [F]
 
-        def conjugate(i, conj):
-            y = conj(factors[i]._raw_gens[0])
-            for j in range(first, len(factors)):
-                if factors[j]._contains_raw(y):
-                    return j
-            factors.append(subgroup_closure(G.degree, [conj(x) for x in factors[i]._raw_gens]))
-            return len(factors) - 1
+    def conjugate(i, conj):
+        y = conj(factors[i]._raw_gens[0])
+        for j, f in enumerate(factors):
+            if f._contains_raw(y):
+                return j
+        factors.append(subgroup_closure(G.degree, [conj(x) for x in factors[i]._raw_gens]))
+        return len(factors) - 1
 
-        _walk(first, [lambda i, conj=conj: conjugate(i, conj) for conj in conjugations])
-        orbits += 1
-        if prod(f.order() for f in factors) == N.order():
-            break
-        for f in factors[first:]:
-            for x in f.generators:
-                R = centralizer_in(R, x)
+    _walk(0, [lambda i, conj=conj: conjugate(i, conj) for conj in _conjugations(G._raw_gens)])
     if prod(f.order() for f in factors) != N.order():
-        raise ValueError("N is not a direct product of its minimal normal subgroups")
+        raise ValueError("N is not a direct product of simple factors"
+                         " that G permutes transitively")
     factors.sort(key=_minimal_normal_key)
     N._minimal_normals = tuple(factors)
-    if orbits > 1:
-        raise ValueError("G does not permute the simple factors of N transitively")
     cent = G
     gens = iter(N.generators)
     while not cent.is_subgroup_of(N):

@@ -5,10 +5,10 @@ read-only, so Group objects can be shared freely between workers.  Chains are
 built deterministically by incremental Schreier-Sims: the base is kept in
 point order, each level's orbit grows in place in discovery order as the
 level gains generators, and each (orbit point, generator) Schreier pair is
-sifted once.  A group building its own chain first asks whether its
-generators are Alt or Sym of the points they move, by Jordan's theorem on a
-fixed sequence of product-replacement draws; if so the chain is written
-down in closed form (``_giant_chain``), with the base, orbits and acting
+sifted once.  Every build first asks whether a prefix of its generators
+is Alt or Sym of the points it moves, by Jordan's theorem on a fixed
+sequence of product-replacement draws; if so the chain is written down in
+closed form (``_giant_chain``), with the base, orbits and acting
 generators Schreier-Sims would give, and only its representatives differ.
 Such a chain also answers membership in closed form: p lies in Sym(omega)
 iff it fixes every point outside omega, and in Alt(omega) iff it also is
@@ -95,10 +95,9 @@ class _Chain:
     """
 
     __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
-                 "gens", "trans", "sifted", "levels", "cap", "giant")
+                 "gens", "trans", "sifted", "levels", "giant")
 
-    def __init__(self, degree, cap=None):
-        self.cap = cap  # see _build_chain
+    def __init__(self, degree):
         self.giant = None  # (points outside omega, is Alt) while certified
         self.ident = _identity(degree)
         if degree <= 256:
@@ -189,7 +188,7 @@ class _Chain:
         # levels only, so ``gens[i]`` stays fixed during the scan.
         tr = self.trans[i]
         itr = self.levels[i][1]
-        enc, mul, inv, one, tail, cap = self.enc, self.mul, self.inv, self.one, self.tail, self.cap
+        enc, mul, inv, one, tail = self.enc, self.mul, self.inv, self.one, self.tail
         gens = self.gens[i]
         npts, ngens = self.sifted[i]
         orbit = list(tr)
@@ -204,8 +203,6 @@ class _Chain:
                     tr[img] = tuple(rep_g)
                     itr[img] = inv(rep_g + tail)
                     orbit.append(img)
-                    if cap is not None and self.order() > cap:
-                        raise _CapPassed
                     continue
                 residue = self._sift_from(i + 1, mul(rep_g, itr[img]))
                 if residue != one:
@@ -228,48 +225,34 @@ def _tuple_inv(ident, p):
     return tuple(inv)
 
 
-class _CapPassed(Exception):
-    """A capped build's order passed its cap (``_build_chain``)."""
-
-
-def _build_chain(degree, raw_gens, cap=None, giants=False):
+def _build_chain(degree, raw_gens):
     """The chain of <raw_gens>, extended by each generator in order, and the
     generators that extended it, in that order; the others lie in the group
     the earlier ones generate.
 
-    With a ``cap`` >= 1, the build stops as soon as the chain's order
-    passes it and returns ``(None, None)``: <raw_gens> then has order above
-    ``cap``.  The order is checked only when an orbit grows.
-    A chain under construction has order at most the group's, since its
-    level-i reps fix every point below ``base[i]`` and send it to distinct
-    points, so distinct products of one rep per level are distinct elements.
-
-    With ``giants``, the first prefix of two or more generators transitive
-    on the 8 or more points it moves is offered to ``_giant_chain`` when its
-    last generator is reached.  If that certifies Alt or Sym of those
-    points, its chain replaces the one built so far, the last generator
-    counts as extending it, and later generators extend it as before.
-    Either way the group, its lex base, every level's orbit and the
-    generators that extended the chain are those Schreier-Sims gives.
+    The first prefix of two or more generators transitive on the 8 or more
+    points it moves is offered to ``_giant_chain`` when its last generator
+    is reached.  If that certifies Alt or Sym of those points, its chain
+    replaces the one built so far, the last generator counts as extending
+    it, and later generators extend it as before.  Either way the group,
+    its lex base, every level's orbit and the generators that extended the
+    chain are those Schreier-Sims gives.
     """
-    chain = _Chain(degree, cap)
-    prefix = _transitive_prefix(degree, raw_gens) if giants else None
+    chain = _Chain(degree)
+    prefix = _transitive_prefix(degree, raw_gens)
     used = []
-    try:
-        for k, g in enumerate(raw_gens, 1):
-            if prefix is not None and k == prefix[0]:
-                giant = _giant_chain(degree, raw_gens[:k], prefix[1])
-                if giant is not None:
-                    # g grew the group: raw_gens[:k - 1] moves fewer points,
-                    # is intransitive on them (or it would have been found),
-                    # or is one generator, whose group is cyclic
-                    chain = giant
-                    used.append(g)
-                    continue
-            if chain.extend(g):
+    for k, g in enumerate(raw_gens, 1):
+        if prefix is not None and k == prefix[0]:
+            giant = _giant_chain(degree, raw_gens[:k], prefix[1])
+            if giant is not None:
+                # g grew the group: raw_gens[:k - 1] moves fewer points, is
+                # intransitive on them (or it would have been found), or is
+                # one generator, whose group is cyclic
+                chain = giant
                 used.append(g)
-    except _CapPassed:
-        return None, None
+                continue
+        if chain.extend(g):
+            used.append(g)
     return chain, used
 
 
@@ -541,15 +524,13 @@ class Group:
         A chain built here is written down for a prefix of generators that
         ``_giant_chain`` certifies as Alt or Sym of the points it moves,
         with the base, orbits, order and ``_raw_gens`` of Schreier-Sims.
-        Chains built for a moment elsewhere (``_generates``, closures,
-        stabilizers) stay on Schreier-Sims.
         """
         self._degree = degree
         ident = _identity(degree)
         raw_gens = tuple(p for p in raw_gens if p != ident)
         self._gens = tuple(Permutation._wrap(p) for p in raw_gens)
         if chain is None:
-            chain, used = _build_chain(degree, raw_gens, giants=True)
+            chain, used = _build_chain(degree, raw_gens)
             raw_gens = tuple(used)
         self._raw_gens = raw_gens
         self._chain = chain
@@ -842,21 +823,20 @@ class Homomorphism:
 
         k is in the kernel iff its image fixes the base; each step acts through
         the images of the current stabilizer's generators only (Seress, 2003,
-        ch. 5), and stops once the known order |source|/|target| is reached.
-        When |target| = |source| the map is injective, since |source| =
-        |kernel| * |image| (first isomorphism theorem), and the trivial group
-        is returned with no stabilizer step.
+        ch. 5).  No step before the last reaches the kernel's order
+        |source|/|target|: every level of the image's lex base moves its base
+        point, so each step divides the order by an orbit of two or more
+        points.  When |target| = |source| the map is injective, since
+        |source| = |kernel| * |image| (first isomorphism theorem), and the
+        trivial group is returned with no stabilizer step.
         """
         degree = self.source.degree
         gens = self.source._raw_gens
         order = self.source.order()
-        want = order // self.target.order()
-        if want == 1:
+        if order == self.target.order():
             return subgroup_closure(degree, ())
         chain = None
         for b in self.target._chain.base:
-            if order == want:
-                break
             moves = [self._apply(g).__getitem__ for g in gens]
             gens, chain, _ = _stabilizer(degree, order, gens, moves, b)
             order = chain.order()

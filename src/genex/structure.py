@@ -15,7 +15,7 @@ pair that the orders of a, b and ab prove solvable (von Dyck), and builds
 a pair with orders 2, 3, 5 at once, as it generates exactly A5.  Its cut
 comes from the cap lemma: a proper perfect subgroup of the perfect D has
 index at least 5, so order at most cap = |D| / 5, and order 60 or at least
-120, when it is A5.  So a chain stops as soon as it passes the cap; when
+120, when it is A5.  So a pair whose group passes the cap is skipped; when
 cap < 60 (|D| < 300) D is the only seed, and when cap < 120 (|D| < 600)
 only pairs of an involution and an element of order 3 with product of
 order 5 are tried (``_perfect_seed_classes`` gives the proofs).
@@ -332,8 +332,8 @@ def _perfect_seed_classes(G: Group):
       with no order on the classes, and only pairs with ab of order 5 are
       kept;
     * any D: a pair with a, b, ab of orders 2, 3, 5 in some order generates
-      exactly A5 (``_von_dyck_solvable``), so it is kept with no capped
-      build and no perfectness test.
+      exactly A5 (``_von_dyck_solvable``), so it is kept with no chain
+      built beforehand and no perfectness test.
 
     A subgroup depends only on the cyclic subgroups of its generators:
     <a^k, y> = <a, y> and <x, b^l> = <x, b> for k, l prime to the orders of
@@ -349,14 +349,13 @@ def _perfect_seed_classes(G: Group):
       representative is c^-1 b^l c for some c in C_G(a), and
       <a, c^-1 b^l c> = c^-1 <a, b> c.
 
-    Three more cuts skip a pair's closure or stop it early:
+    Three more cuts skip a pair's closure or its perfectness test:
 
     * a commuting pair generates an abelian group, and a pair whose orders
       of a, b, ab pass ``_von_dyck_solvable`` a solvable one; neither is
       ever perfect, so the pair is skipped;
-    * once the chain of <a, b> under construction, whose order is a lower
-      bound on |<a, b>|, passes the cap, <a, b> = D, already a seed, and
-      the build stops;
+    * a pair with |<a, b>| above the cap has <a, b> = D, already a seed,
+      and is skipped once its chain is built;
     * many pairs still generate the same subgroup: <a, b> is skipped when a
       subgroup T tried earlier has its order and contains a and b, since
       then <a, b> = T.  A (2, 3, 5) pair has order 60 before any build, so
@@ -412,8 +411,8 @@ def _perfect_seed_classes(G: Group):
                 continue
             if a5_only or ab == _mul(b, a) or _von_dyck_solvable(order_a, order_b, order_ab):
                 continue
-            chain, used = _build_chain(G.degree, (a, b), cap)
-            if chain is None:
+            chain, used = _build_chain(G.degree, (a, b))
+            if chain.order() > cap:
                 continue
             H = subgroup_closure(G.degree, used, chain)
             if H.order() < 60 or known(H.order(), a, b):

@@ -23,7 +23,7 @@ from genex.group import (
     _orbits,
     _stabilizer,
 )
-from genex.gensets import min_generators
+from genex.gensets import _generates, min_generators
 from genex.perm import BOUNDS, Permutation, _inv, _mul, parse_permutation
 from genex.structure import all_subgroups
 
@@ -452,21 +452,6 @@ def test_normal_closure_acts_by_the_seeds_that_extend():
     assert orders == [288, 144, 16, 1]
 
 
-def test_capped_build_stops_once_the_order_passes_the_cap():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(2, 7)
-        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
-        chain, used = group_module._build_chain(n, gens)
-        order = chain.order()
-        if order == 1:
-            continue
-        assert group_module._build_chain(n, gens, order - 1) == (None, None)
-        capped, capped_used = group_module._build_chain(n, gens, order)
-        assert capped_used == used
-        assert (capped.base, capped.trans) == (chain.base, chain.trans)
-
-
 def test_coset_action_returns_the_recorded_generator_images(monkeypatch):
     G = make(["(1,2,3,4,5)", "(1,2)"], 5)
     H = make(["(1,2,3,4)", "(1,3)"], 5)
@@ -713,12 +698,23 @@ def _spy_giants(monkeypatch):
     return results
 
 
+def _plain_schreier_sims(degree, raw_gens):
+    # a chain extended by one generator at a time, with no giant certificate,
+    # and the generators that extended it
+    chain = _Chain(degree)
+    return chain, [g for g in raw_gens if chain.extend(g)]
+
+
+def _summary(chain, used):
+    return chain.order(), chain.base, [set(t) for t in chain.trans], tuple(used)
+
+
 def _schreier_sims_summary(G):
     # order, base, orbit sets and acting generators of G against those of
     # a plain Schreier-Sims build from G's given generators
-    chain, used = group_module._build_chain(G.degree, [g.imgs for g in G.generators])
-    ours = (G.order(), G._chain.base, [set(t) for t in G._chain.trans], G._raw_gens)
-    return ours, (chain.order(), chain.base, [set(t) for t in chain.trans], tuple(used)), chain
+    chain, used = _plain_schreier_sims(G.degree, [g.imgs for g in G.generators])
+    assert chain.giant is None
+    return _summary(G._chain, G._raw_gens), _summary(chain, used), chain
 
 
 def _on_support(rng, degree, support, odd=None):
@@ -736,7 +732,8 @@ def _on_support(rng, degree, support, odd=None):
 def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     # a random generating pair of Sym or Alt on n points placed at random
     # in a larger degree, away from point 1, or on every point, plus two
-    # redundant words
+    # redundant words; the pair alone is also certified as a chain built for
+    # a moment (``_generates``, closures)
     rng = random.Random(100 * n + alt if spare else 1000 * n + alt)
     degree = n + spare
     support = sorted(rng.sample(range(2, degree), n)) if spare else list(range(n))
@@ -744,14 +741,15 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     target = math.factorial(n) // (2 if alt else 1)
     while True:
         pair = [_on_support(rng, degree, support, 0 if alt else None) for _ in range(2)]
-        if group_module._build_chain(degree, pair)[0].order() == target:
+        if _plain_schreier_sims(degree, pair)[0].order() == target:
             break
     words = [_mul(pair[0], pair[1]), _mul(_mul(pair[1], pair[0]), pair[1])]
     results = _spy_giants(monkeypatch)
     G = Group([Permutation(g) for g in pair + words], degree)
-    assert [r is not None for r in results] == [True]
+    transient = group_module._build_chain(degree, pair)
+    assert [r is not None for r in results] == [True, True] and transient[0] is results[1]
     ours, theirs, chain = _schreier_sims_summary(G)
-    assert ours == theirs
+    assert ours == theirs == _summary(*transient)
     assert G.order() == target and G._raw_gens == tuple(pair)
     assert G._chain.base == support[:n - 2 if alt else n - 1]
     _check_chain_invariants(G._chain, degree)
@@ -832,14 +830,30 @@ NON_GIANTS = {  # name: (group, order), built when the test runs
 @pytest.mark.parametrize("name", NON_GIANTS)
 def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
     # none of these has an element with a cycle of prime length p, n/2 < p
-    # <= n - 3, so each is tried, never certified, and built by Schreier-Sims
+    # <= n - 3, so each is tried, never certified, and built by Schreier-Sims,
+    # as a group and as a chain built for a moment (``_generates``, closures)
     given, order = NON_GIANTS[name]()
     results = _spy_giants(monkeypatch)
     G = Group(given.generators, given.degree)
-    assert results and all(r is None for r in results)
+    transient = group_module._build_chain(G.degree, [g.imgs for g in given.generators])
+    assert len(results) >= 2 and all(r is None for r in results)
     ours, theirs, _ = _schreier_sims_summary(G)
-    assert ours == theirs
+    assert ours == theirs == _summary(*transient)
     assert G.order() == order
+
+
+def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
+    # a 30-cycle and a transposition of adjacent points, relabelled at random
+    n = 30
+    G = make(["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"], n)
+    relabel = tuple(random.Random(30).sample(range(n), n))
+    back = _inv(relabel)
+    cycle = tuple((a + 1) % n for a in range(n))
+    swap = (1, 0) + tuple(range(2, n))
+    pair = [tuple(relabel[p[back[x]]] for x in range(n)) for p in (cycle, swap)]
+    results = _spy_giants(monkeypatch)
+    assert _generates(G, pair)
+    assert [r is not None for r in results] == [True]
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])

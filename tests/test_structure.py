@@ -468,8 +468,8 @@ def _is_solvable(H):
 ], ids=["A6", "S6", "S7"])
 def test_perfect_seed_cuts_are_sound(texts, degree, counts):
     # every noncommuting pair of the seed loop, closed in full: a pair the von
-    # Dyck test skips generates a solvable group, a pair whose capped build
-    # stops generates D, and a (2, 3, 5) pair generates an A5.  Below the
+    # Dyck test skips generates a solvable group, a pair whose group passes
+    # the cap generates D, and a (2, 3, 5) pair generates an A5.  Below the
     # cap of 120 (A6, S6) the seed loop skips every other pair: each
     # generates D, a group that is not perfect, or an A5, which also has
     # (2, 3, 5) generating pairs (``test_perfect_seeds_cover_every_perfect_class``
@@ -491,7 +491,7 @@ def test_perfect_seed_cuts_are_sound(texts, degree, counts):
             if structure._von_dyck_solvable(a.order(), b.order(), (a * b).order()):
                 assert _is_solvable(H)
                 seen["skipped"] += 1
-            elif structure._build_chain(degree, (a.imgs, b.imgs), cap)[0] is None:
+            elif H.order() > cap:
                 assert H.order() == D.order()
                 seen["stopped"] += 1
             elif sorted((a.order(), b.order(), (a * b).order())) == [2, 3, 5]:
@@ -526,7 +526,7 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
     # the seed search skips, generates D or a G-conjugate of a subgroup
     # generated by a pair the seed search closes; below the cap of 120
     # (A6, S6) it may also generate a group that is not perfect.  A (2, 3, 5)
-    # pair is closed with no capped build, and its closure has order 60
+    # pair is closed with no chain built first, and its closure has order 60
     G = make(texts, degree)
     D = structure._perfect_residuum(G)
     built, a5 = [], []
