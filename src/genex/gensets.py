@@ -492,16 +492,12 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
 
 def _coset_fixer(G: Group, N: Group, lifts: tuple) -> Group:
     """The subgroup of G whose conjugation maps each coset N l_i onto
-    itself: G itself, with no chain built, when no generator of G moves
-    any coset, and otherwise the stabilizer of the tuple of cosets, each
-    named by its least member."""
+    itself: the stabilizer of the tuple of cosets, each named by its least
+    member, which is G itself, with no chain built, when no generator of G
+    moves any coset."""
     moves = [lambda t, conj=conj: tuple(coset_canonical(N, conj(x)) for x in t)
              for conj in _conjugations(G._raw_gens)]
-    start = tuple(coset_canonical(N, l.imgs) for l in lifts)
-    if all(move(start) == start for move in moves):
-        return G
-    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens, moves, start)
-    return subgroup_closure(G.degree, gens, chain)
+    return _stabilizer(G, moves, tuple(coset_canonical(N, l.imgs) for l in lifts))
 
 
 def _check_lifts(G: Group, N: Group, lifts: tuple) -> None:

@@ -5,7 +5,7 @@ read-only, so Group objects can be shared freely between workers.  Chains are
 built deterministically by incremental Schreier-Sims: the base is kept in
 point order, each level's orbit grows in place in discovery order as the
 level gains generators, and each (orbit point, generator) Schreier pair is
-sifted once.  Every build first asks whether a prefix of its generators
+handled once.  Every build first asks whether a prefix of its generators
 is Alt or Sym of the points it moves, by Jordan's theorem on a fixed
 sequence of product-replacement draws; if so the chain is written down in
 closed form (``_giant_chain``), with the base, orbits and acting
@@ -36,6 +36,7 @@ table (cosets, id sets of subgroups, socle factors, and the orbit-stabilizer
 of ``_schreier_generators``), ``_orbits`` for a partition into orbits (classes,
 centralizer orbits), and ``_conjugations`` for the maps x -> g^-1 x g by
 which a group acts on its elements, each one product and one prepared gather.
+``_stabilizer`` turns an orbit of a group into its stabilizer, again a group.
 """
 
 from __future__ import annotations
@@ -80,22 +81,22 @@ class _Chain:
     clears it, as a chain it grows is no longer that giant.
 
     Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
-    and a point keeps its representative once found.  ``sifted[i]`` is the
-    (points, generators) prefix whose Schreier pairs are done (sifted, or
-    trivial because the pair found its point), so each pair is handled once
-    however often the level gains generators.
+    and a point keeps its representative once found.  A scan of a level
+    starts with the Schreier pairs of every point and every generator but
+    the last done (``_schreier_sims``), so each pair is handled once however
+    often the level gains generators.
     The base is kept in ascending point order, and every strong generator at
     level i fixes every point below ``base[i]`` (``_add``).  So level i's
     group is the pointwise stabilizer of all points below ``base[i]``, and
     ``base`` is the group's lex base: the points q moved by some element
     fixing every point below q, the same for every generating set.
     ``_giant_chain`` appends whole levels to a new chain, each with every
-    Schreier pair marked done, and a later ``extend`` runs on it as on any
-    other chain.
+    Schreier pair done, and a later ``extend`` runs on it as on any other
+    chain.
     """
 
     __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
-                 "gens", "trans", "sifted", "levels", "giant")
+                 "gens", "trans", "levels", "giant")
 
     def __init__(self, degree):
         self.giant = None  # (points outside omega, is Alt) while certified
@@ -109,7 +110,6 @@ class _Chain:
         self.one = self.enc(self.ident)  # the identity as a working element
         self.gens = []
         self.trans = []
-        self.sifted = []
         self.levels = []  # (base point, {point: inverse representative})
 
     @property
@@ -169,7 +169,6 @@ class _Chain:
             gens = self.gens[j] if j < len(levels) else []
             self.gens.insert(j, gens[:])
             self.trans.insert(j, {moved: self.ident})
-            self.sifted.insert(j, (1, len(gens)))
             levels.insert(j, (moved, {moved: self.one + self.tail}))
         g += self.tail
         for k in range(top, j + 1):
@@ -179,18 +178,22 @@ class _Chain:
 
     def _schreier_sims(self, i):
         # establish H^(i)_{base[i]} = H^(i+1), assuming it holds at deeper
-        # levels.  The orbit grows in place: the first ``npts`` points are
-        # closed under the first ``ngens`` generators and their pairs are
-        # done, so they meet only the newer generators, and every point
-        # found since meets all of them.  A pair that finds a new point gives
-        # a trivial Schreier generator; any other is sifted once, as a known
-        # point's representative never changes.  A residue is added at deeper
-        # levels only, so ``gens[i]`` stays fixed during the scan.
+        # levels.  The points held at the start are closed under every
+        # generator but the last, with their pairs done, so they meet only
+        # the last; every point found since meets all of them.  Only
+        # ``_add`` scans a level, just after appending one generator to it,
+        # and a scan adds residues and inserts levels only deeper (at larger
+        # indices), so nothing else touches a level or shifts its index
+        # between its scans; a new level's copied generators fix its point,
+        # and ``_giant_chain`` writes levels with every pair done.  A pair
+        # that finds a new point gives a trivial Schreier generator; any
+        # other meets one sift, as a known point's representative never
+        # changes, and ``gens[i]`` stays fixed during the scan.
         tr = self.trans[i]
         itr = self.levels[i][1]
         enc, mul, inv, one, tail = self.enc, self.mul, self.inv, self.one, self.tail
         gens = self.gens[i]
-        npts, ngens = self.sifted[i]
+        npts, ngens = len(tr), len(gens) - 1
         orbit = list(tr)
         pos = 0
         while pos < len(orbit):
@@ -208,7 +211,6 @@ class _Chain:
                 if residue != one:
                     self._add(residue, i + 1)
             pos += 1
-        self.sifted[i] = (len(orbit), len(gens))
 
 
 def _table_inv(t):
@@ -316,10 +318,9 @@ def _giant_chain(degree, prefix, omega):
     3-cycle (w_i w x), x the last point of omega other than w, and the
     generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
     i's group is then the pointwise stabilizer of every point below w_i,
-    so every Schreier pair is done, as ``sifted`` records.  The chain's
-    ``giant`` records the points outside omega and whether G is Alt, for
-    ``_Chain.sift``'s closed form (Seress, 2003, sec. 10.2), until a later
-    generator grows the chain.
+    so every Schreier pair is done.  The chain's ``giant`` records the
+    points outside omega and whether G is Alt, for ``_Chain.sift``'s closed
+    form (Seress, 2003, sec. 10.2), until a later generator grows the chain.
     """
     n = len(omega)
     half = n // 2
@@ -396,7 +397,6 @@ def _giant_chain(degree, prefix, omega):
             row[b], row[w] = b, w
         chain.gens.append(strong[i:])
         chain.trans.append(tr)
-        chain.sifted.append((len(tr), len(strong) - i))
         chain.levels.append((b, itr))
     inside = set(omega)
     chain.giant = (tuple(a for a in range(degree) if a not in inside), m == 3)
@@ -586,8 +586,7 @@ class Group:
             _check_bound("elements", self._order, "group order")
             out = [_identity(self._degree)]
             for t in reversed(self._chain.trans):
-                reps = [t[pt] for pt in sorted(t)]
-                out = [_mul(x, rep) for rep in reps for x in out]
+                out = [_mul(x, rep) for rep in t.values() for x in out]
             out.sort()
             self._elements = tuple(out)
         return self._elements
@@ -738,8 +737,8 @@ def _normal_closure_chain(G: Group, raw_seeds, stops) -> tuple:
 def commutator_subgroup(G: Group) -> Group:
     """Derived subgroup: normal closure of the commutators [a, b] of
     generators with a before b; [a, a] = 1 and [b, a] = [a, b]^-1 add
-    nothing.  They lie in G, so unlike ``normal_closure`` seeds they are
-    not sifted through it."""
+    nothing.  They lie in G, so unlike ``normal_closure`` seeds no sift
+    through it checks them."""
     gens = G._raw_gens
     invs = [_inv(g) for g in gens]
     comms = [_mul(_mul(invs[i], invs[j]), _mul(gens[i], gens[j]))
@@ -749,10 +748,10 @@ def commutator_subgroup(G: Group) -> Group:
 
 
 def _schreier_generators(degree, gens, moves, start):
-    """The orbit of ``start`` under K = <gens>, as a dict from each point, in
-    discovery order, to its rep, an element of K carrying ``start`` there;
-    and a lazy iterator over the Schreier generators rep(y) g rep(y^g)^-1 of
-    its stabilizer in K.
+    """The orbit of ``start`` under K = <gens>, as a dict from each point to
+    its place in discovery order, and a lazy iterator over the Schreier
+    generators rep(y) g rep(y^g)^-1 of its stabilizer in K, where rep(y) is
+    an element of K carrying ``start`` to y.
 
     ``moves[i]`` maps a point to its image under ``gens[i]``.  The orbit is
     walked once (``_walk``), and a point's rep is the rep of the point that
@@ -776,35 +775,35 @@ def _schreier_generators(degree, gens, moves, start):
                     zinv = invs[j] = _inv(reps[j])
                 yield _mul(_mul(reps[i], g), zinv)
 
-    return dict(zip(position, reps)), schreier()
+    return position, schreier()
 
 
-def _stabilizer(degree, order, gens, moves, start):
-    """Stabilizer of ``start`` in K = <gens> of the given order: the
-    Schreier generators are sifted into a chain until it reaches the order
-    |K| / |orbit|.  Returns the generators that extended it, the chain, and
-    the orbit of ``_schreier_generators``."""
-    orbit, schreier = _schreier_generators(degree, gens, moves, start)
-    target = order // len(orbit)
-    chain, stab_gens = _build_chain(degree, [])
-    if chain.order() < target:
+def _stabilizer(K: Group, moves, start) -> Group:
+    """Stabilizer of ``start`` in K, ``moves[i]`` the action of
+    ``K._raw_gens[i]``: K itself, with no chain built, if ``start`` is its
+    own orbit, else the Schreier generators that extend a chain until it
+    reaches |K| / |orbit|, none when that is 1 (a regular action)."""
+    orbit, schreier = _schreier_generators(K.degree, K._raw_gens, moves, start)
+    if len(orbit) == 1:
+        return K
+    target = K.order() // len(orbit)
+    chain, gens = _build_chain(K.degree, [])
+    if target > 1:
         for s in schreier:
             if chain.extend(s):
-                stab_gens.append(s)
+                gens.append(s)
                 if chain.order() >= target:
                     break
-    return stab_gens, chain, orbit
+    return subgroup_closure(K.degree, gens, chain)
 
 
 def centralizer_in(G: Group, x: Permutation) -> Group:
-    """Centralizer of x in G: the stabilizer of x under conjugation.  x may
-    lie outside G, as when C_G(N) is cut down one generator of N at a time,
-    but an x of another degree raises ValueError."""
+    """Centralizer of x in G: the stabilizer of x under conjugation
+    (``_stabilizer``).  x may lie outside G, as when C_G(N) is cut down one
+    generator of N at a time, but an x of another degree raises ValueError."""
     if x.degree != G.degree:
         raise ValueError("degree mismatch")
-    gens, chain, _ = _stabilizer(G.degree, G.order(), G._raw_gens,
-                                 _conjugations(G._raw_gens), x.imgs)
-    return subgroup_closure(G.degree, gens, chain)
+    return _stabilizer(G, _conjugations(G._raw_gens), x.imgs)
 
 
 # ---------------------------------------------------------------------------
@@ -821,26 +820,21 @@ class Homomorphism:
     def kernel(self) -> Group:
         """Kernel as iterated point stabilizers over a base of the image.
 
-        k is in the kernel iff its image fixes the base; each step acts through
-        the images of the current stabilizer's generators only (Seress, 2003,
-        ch. 5).  No step before the last reaches the kernel's order
-        |source|/|target|: every level of the image's lex base moves its base
-        point, so each step divides the order by an orbit of two or more
-        points.  When |target| = |source| the map is injective, since
-        |source| = |kernel| * |image| (first isomorphism theorem), and the
-        trivial group is returned with no stabilizer step.
+        k is in the kernel iff its image fixes the base; each step
+        (``_stabilizer``) acts through the images of the current stabilizer
+        K's generators only (Seress, 2003, ch. 5).  No step before the last
+        reaches the kernel's order |source|/|target|: every level of the
+        image's lex base moves its base point, so each step divides |K| by
+        an orbit of two or more points.  When |target| = |source| the map
+        is injective, since |source| = |kernel| * |image| (first isomorphism
+        theorem), and the trivial group is returned with no stabilizer step.
         """
-        degree = self.source.degree
-        gens = self.source._raw_gens
-        order = self.source.order()
-        if order == self.target.order():
-            return subgroup_closure(degree, ())
-        chain = None
+        K = self.source
+        if K.order() == self.target.order():
+            return subgroup_closure(K.degree, ())
         for b in self.target._chain.base:
-            moves = [self._apply(g).__getitem__ for g in gens]
-            gens, chain, _ = _stabilizer(degree, order, gens, moves, b)
-            order = chain.order()
-        return subgroup_closure(degree, gens, chain)
+            K = _stabilizer(K, [self._apply(g).__getitem__ for g in K._raw_gens], b)
+        return K
 
 
 def coset_canonical(H: Group, p):

@@ -804,7 +804,7 @@ def test_coset_fixer_is_the_preimage_of_the_centre():
 
 def test_coset_fixer_is_the_group_over_an_abelian_quotient(monkeypatch):
     built = []
-    monkeypatch.setattr(gensets, "_stabilizer", lambda *args: built.append(args))
+    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
     assert gensets._coset_fixer(S5, A5, (P("(1,2)", 5), P("(1,2,3)", 5))) is S5
     assert built == []
 

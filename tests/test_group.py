@@ -156,10 +156,13 @@ def test_conjugacy_classes_from_the_element_index(monkeypatch, texts, degree):
 
 
 def test_stabilizer_moves_each_orbit_point_once():
-    # S5 on points and on 2-sets of points, given by three generators
-    gens = [P(t, 5).imgs for t in ("(1,2,3,4,5)", "(1,2)", "(1,3)(2,4)")]
+    # S5 on points and on 2-sets of points, given by three generators; it
+    # acts only by the two that extend its chain
+    K = make(["(1,2,3,4,5)", "(1,2)", "(1,3)(2,4)"], 5)
+    gens = K._raw_gens
+    assert len(gens) == 2
     actions = [lambda y, g: g[y], lambda y, g: frozenset(g[i] for i in y)]
-    for act, start in zip(actions, (0, frozenset({0, 1}))):
+    for act, start, orbit in zip(actions, (0, frozenset({0, 1})), (5, 10)):
         calls = [0] * len(gens)
 
         def counted(k):
@@ -168,11 +171,22 @@ def test_stabilizer_moves_each_orbit_point_once():
                 return act(y, gens[k])
             return move
 
-        stab, chain, orbit = _stabilizer(5, 120, gens, [counted(k) for k in range(3)], start)
-        assert calls == [len(orbit)] * 3
-        assert chain.order() * len(orbit) == 120
-        assert all(act(start, g) == start for g in stab)
-        assert all(act(start, rep) == y for y, rep in orbit.items())
+        stab = _stabilizer(K, [counted(k) for k in range(len(gens))], start)
+        assert calls == [orbit] * len(gens)
+        assert stab.order() * orbit == K.order()
+        assert all(act(start, g) == start for g in stab._raw_gens)
+
+
+@pytest.mark.parametrize(("G", "x"), [(S4, "()"), (make(["(1,2,3,4)", "(1,3)"], 4), "(1,3)(2,4)"),
+                                      (Q8, "(1,2)(3,4)(5,6)(7,8)")],
+                         ids=["identity in S4", "centre of D8", "centre of Q8"])
+def test_stabilizer_of_a_fixed_point_is_the_group(monkeypatch, G, x):
+    # an x that every generator fixes under conjugation has the whole group
+    # as centralizer, returned as is, with no chain built
+    built = []
+    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
+    assert centralizer_in(G, P(x, G.degree)) is G
+    assert built == []
 
 
 def test_generators_must_be_permutations():
@@ -568,7 +582,7 @@ def _check_chain_invariants(chain, n):
     # with the inverse of every representative of its level
     base = [b for b, _ in chain.levels]
     assert base == chain.base and all(a < b for a, b in zip(base, base[1:]))
-    assert len(chain.levels) == len(chain.trans) == len(chain.gens) == len(chain.sifted)
+    assert len(chain.levels) == len(chain.trans) == len(chain.gens)
     for (_, itrans), trans in zip(chain.levels, chain.trans):
         assert trans.keys() == itrans.keys()
         for pt, rep in trans.items():
@@ -580,8 +594,13 @@ def _check_chain_invariants(chain, n):
         assert all(g[b] == b for g in strong for b in chain.base[:i])
         # level i's generators fix every point below its base point
         assert all(g[q] == q for g in strong for q in range(chain.base[i]))
-        # every Schreier pair of the final orbit and generators was handled
-        assert chain.sifted[i] == (len(trans), len(strong))
+        # every Schreier generator rep * g * rep(img)^-1 of the final orbit
+        # and generators sifts to the identity through the deeper levels
+        itrans = chain.levels[i][1]
+        for pt, rep in trans.items():
+            for g in strong:
+                schreier = chain.mul(chain.mul(chain.enc(rep), g), itrans[g[pt]])
+                assert chain._sift_from(i + 1, schreier) == chain.one
 
 
 @settings(max_examples=80, deadline=None)
