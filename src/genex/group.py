@@ -800,7 +800,10 @@ def _stabilizer(K: Group, moves, start) -> Group:
 def centralizer_in(G: Group, x: Permutation) -> Group:
     """Centralizer of x in G: the stabilizer of x under conjugation
     (``_stabilizer``).  x may lie outside G, as when C_G(N) is cut down one
-    generator of N at a time, but an x of another degree raises ValueError."""
+    generator of N at a time, but an x that is no ``Permutation`` or has
+    another degree raises ValueError."""
+    if not isinstance(x, Permutation):
+        raise ValueError("centralizer_in takes a Permutation")
     if x.degree != G.degree:
         raise ValueError("degree mismatch")
     return _stabilizer(G, _conjugations(G._raw_gens), x.imgs)

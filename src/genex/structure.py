@@ -35,14 +35,21 @@ Maximal subgroups are read off the id sets by one walk
 (``SubgroupLattice.maximal_subgroups_of``): a proper subgroup s of H is
 maximal in H exactly when it lies in no maximal subgroup of H of larger
 order, so the classes are walked by descending order, and s is kept when
-no maximal subgroup found so far contains it.  The maximal classes of G and
-Phi(G) are read from that walk on G's own class.
+no maximal subgroup found so far contains it.  The walk on G's own class
+runs once per lattice (``SubgroupLattice.maximal``), and the maximal
+classes of G, Phi(G) and ``classify_maximal`` read it.
 
-``classify_maximal`` reads the minimal normal subgroups on G, not on the
-coset image, whenever the action is faithful: an isomorphism carries the
+``classify_maximal`` reads its report off G's lattice when it is built,
+by id sets alone: M is the maximal subgroup of its order holding its
+generators (M lies in it with equal order), the core is the meet of that
+class's orbit, the minimal normal subgroups of G/core are the
+inclusion-minimal normal classes above the core, and such an N/core, being
+T^k with T simple, is abelian exactly when its order is a prime power.
+With no lattice, and for a type-2 socle of proper-power order, G acts on
+the cosets of M, and the minimal normal subgroups are read on G, not on
+the image, whenever the action is faithful: an isomorphism carries the
 minimal normal subgroups of G onto those of its image, so they are found
-once per G and kept there, and only their generators are mapped.  When G's
-lattice is built they are its minimal normal classes, with no scan.
+once per G and kept there, and only their generators are mapped.
 """
 
 from __future__ import annotations
@@ -259,10 +266,23 @@ class SubgroupLattice:
                 found += c.orbit
         return found
 
+    @cached_property
+    def maximal(self) -> dict[frozenset, SubgroupClass]:
+        """G's maximal subgroups, each id set mapped to its class: the walk
+        ``maximal_subgroups_of(-1)``, run once per lattice and read by
+        ``maximal_classes``, ``frattini`` and ``classify_maximal``.  G is
+        normal, so the walk keeps whole class orbits."""
+        found = set(self.maximal_subgroups_of(-1))
+        return {s: c for c in self.classes if c.ids in found for s in c.orbit}
+
     def maximal_classes(self) -> list[SubgroupClass]:
         """The classes of G's maximal subgroups."""
-        maximal = set(self.maximal_subgroups_of(-1))
-        return [c for c in self.classes if c.ids in maximal]
+        return [c for c in self.classes if c.ids in self.maximal]
+
+    def normal_rep(self, ids: frozenset) -> Group:
+        """The normal subgroup of G with these ids: the ``rep`` of its
+        one-member class."""
+        return next(c.rep for c in self.classes if c.ids == ids)
 
 
 def _perfect_residuum(G: Group) -> Group:
@@ -580,8 +600,7 @@ def frattini(G: Group) -> Group:
     the lattice walk on G's own class (the last); Phi(G) is normal, so it is
     the lone member of a lattice class, whose ``rep`` is returned."""
     lat = all_subgroups(G)
-    ids = frozenset(range(len(lat.elements))).intersection(*lat.maximal_subgroups_of(-1))
-    return next(cls.rep for cls in lat.classes if cls.ids == ids)
+    return lat.normal_rep(frozenset(range(len(lat.elements))).intersection(*lat.maximal))
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +620,97 @@ class MaximalSubgroupReport:
 def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
-    Raises ValueError when M is not maximal (the coset action is the
-    maximality certificate: it must be primitive).
+    Raises ValueError when M is not a subgroup of G or is not maximal in G.
+
+    When G's lattice is built (``all_subgroups``) the report is read off
+    its id sets, with no coset action, image chain or kernel
+    (``_classify_on_lattice``):
+
+    * M is maximal exactly when a maximal subgroup S of G
+      (``SubgroupLattice.maximal``) has |S| = |M| and holds M's generators:
+      then M <= S with equal orders, so M = S; and a maximal M is such an S.
+    * core_G(M) is the meet of M's conjugates, the orbit of S's class.  It
+      is normal, so it is the one member of its class, whose ``rep`` is
+      returned.
+    * The minimal normal subgroups of G/core are the N/core for N
+      inclusion-minimal among the normal subgroups of G strictly above the
+      core (correspondence theorem).
+    * A minimal normal subgroup is T^k with T simple (Dixon-Mortimer,
+      *Permutation Groups*, 1996, sec. 4.3).  It is abelian exactly when T
+      has prime order, that is when its order is a prime power, as a
+      nonabelian simple T has at least three prime divisors (Burnside's
+      p^a q^b theorem); no commutator is taken.
+    * M/core is the point stabilizer of G/core on the cosets of M, so for
+      type 2 the socle N/core meets it in (N meet M)/core.
+
+    The coset path (``_classify_by_cosets``) runs when G has no lattice,
+    and for a type-2 socle of proper-power order, whose simple factors
+    decide the shape; such a socle is at least 60^2, so |G| >= 3600 lies
+    above the default ``BOUNDS["lattice"]``.
+    """
+    if M.order() >= G.order():
+        raise ValueError("M is not maximal in G")
+    if G._lattice is not None:
+        if not M.is_subgroup_of(G):
+            raise ValueError("H is not a subgroup of G")
+        report = _classify_on_lattice(G, M)
+        if report is not None:
+            return report
+    return _classify_by_cosets(G, M)
+
+
+def _primitive_type(mins: int, nonabelian: int) -> int:
+    """The type of a primitive group from its numbers of minimal normal
+    subgroups and of nonabelian ones: 1 with an abelian one (affine), 3
+    with two nonabelian ones, 2 with one."""
+    if mins != nonabelian:
+        return 1
+    if nonabelian > 2:
+        raise AssertionError("primitive group with more than two minimal normals")
+    return 3 if nonabelian == 2 else 2
+
+
+def _simple_socle_shape(soc_order: int, stabilizer_order: int) -> str | None:
+    """The shape of I = soc meet M for a type-2 socle soc = T^k, T simple,
+    of the given order, whose point stabilizer I has the given order:
+    trivial when I is, else coordinate when |soc| is no proper power (the
+    exponents of its prime factorization having gcd 1), since that proves
+    k = 1; None when |soc| is a proper power, and the factors decide."""
+    if stabilizer_order == 1:
+        return "trivial"
+    if gcd(*prime_factors(soc_order).values()) == 1:
+        return "coordinate"
+    return None
+
+
+def _classify_on_lattice(G: Group, M: Group) -> MaximalSubgroupReport | None:
+    """The report read off G's lattice (proofs in ``classify_maximal``),
+    for M a subgroup of G; None for a type-2 socle of proper-power order."""
+    lat = G._lattice
+    id_of = G._element_index()[0]
+    gens = {id_of[g] for g in M._raw_gens}
+    S = next((s for s in lat.maximal if len(s) == M.order() and gens <= s), None)
+    if S is None:
+        raise ValueError("M is not maximal in G")
+    core = frozenset.intersection(*lat.maximal[S].orbit)
+    k = len(core)
+    above = [c.ids for c in lat.classes if c.size == 1 and core < c.ids]
+    mins = [n for n in above if not any(m < n for m in above)]
+    nonab = [n for n in mins if len(prime_factors(len(n) // k)) > 1]
+    ptype = _primitive_type(len(mins), len(nonab))
+    shape = "not-applicable"
+    if ptype == 2:
+        shape = _simple_socle_shape(len(nonab[0]) // k, len(nonab[0] & S) // k)
+        if shape is None:
+            return None
+    return MaximalSubgroupReport(
+        subgroup=M, core=lat.normal_rep(core), quotient_order=G.order() // k,
+        primitive_type=ptype, intersection_shape=shape)
+
+
+def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
+    """The report read off G's action on the cosets of M; the action is the
+    maximality certificate: it must be primitive.
 
     When the core is trivial the coset action is an isomorphism onto the
     image, and an isomorphism maps the minimal normal subgroups of G onto
@@ -621,13 +729,10 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     the product of the |F_0| over the simple factors F.  I projects onto F
     iff soc = I * R_F, R_F the product of the other factors, that is iff R_F
     is transitive (Frattini argument); I is diagonal iff that holds for
-    every F.  The socle is T^k with T simple (sec. 4.3), so an order |soc|
-    that is no proper power, the exponents of its prime factorization
-    having gcd 1, proves k = 1: soc is its own one factor, and I is
-    trivial or coordinate with no factor read and no image taken.
+    every F.  A socle of no proper-power order is simple
+    (``_simple_socle_shape``): I is trivial or coordinate with no factor
+    read and no image taken.
     """
-    if M.order() >= G.order():
-        raise ValueError("M is not maximal in G")
     image, hom = coset_action(G, M)
     if not is_primitive(image):
         raise ValueError("M is not maximal in G")
@@ -635,24 +740,13 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     source, act = (G, hom._apply) if core.order() == 1 else (image, lambda p: p)
     mins = minimal_normal_subgroups(source)
     nonab = [m for m in mins if not m.is_abelian()]
-    if len(mins) != len(nonab):
-        ptype = 1
-    elif len(nonab) >= 2:
-        ptype = 3
-    else:
-        ptype = 2
-    if ptype == 3 and len(nonab) != 2:
-        raise AssertionError("primitive group with more than two minimal normals")
+    ptype = _primitive_type(len(mins), len(nonab))
 
     shape = "not-applicable"
     if ptype == 2:
         soc, n = nonab[0], image.degree
-        if soc.order() == n:
-            shape = "trivial"
-        elif gcd(*prime_factors(soc.order()).values()) == 1:
-            # soc = T^k, T simple, and |T|^k is no proper power: k = 1
-            shape = "coordinate"
-        else:
+        shape = _simple_socle_shape(soc.order(), soc.order() // n)
+        if shape is None:
             factors = minimal_normal_subgroups(soc)  # the simple direct factors
             images = [[act(g) for g in f._raw_gens] for f in factors]
             if prod(f.order() * _orbit_count(n, gens) // n

@@ -287,7 +287,7 @@ def test_centralizer():
 
 
 def test_centralizer_rejects_wrong_degree():
-    for bad in (P("(1,2)", 4), P("(1,2)", 6)):
+    for bad in (P("(1,2)", 4), P("(1,2)", 6), (1, 0, 2, 3, 4)):
         with pytest.raises(ValueError):
             centralizer_in(S5, bad)
     # an element outside G is fine: C_A5((1,2)) = <(3,4,5), (1,2)(3,4)>

@@ -871,22 +871,25 @@ SHAPE_CASES = {  # group, and its maximal subgroups or the number of its maximal
 }
 
 
+def _report_fields(rep):
+    return (rep.primitive_type, rep.intersection_shape, rep.quotient_order,
+            sorted(rep.core.elements_raw()))
+
+
 @pytest.mark.parametrize("name", SHAPE_CASES)
-def test_classify_shape_matches_element_set_reference(monkeypatch, name):
-    # minimal normal subgroups carried over a faithful action must give the
-    # report that scanning the image gives
-    actions = []  # the reference reuses classify_maximal's coset action
-    monkeypatch.setattr(structure, "coset_action",
-                        lambda *args: actions.append(coset_action(*args)) or actions[-1])
+def test_classify_shape_matches_element_set_reference(name):
+    # the report, read off G's lattice where it is built and carried over a
+    # faithful coset action otherwise, must give what scanning the image gives
     G, maximal = SHAPE_CASES[name]
+    groups = [G]
     if isinstance(maximal, int):
         count, maximal = maximal, [c.rep for c in all_subgroups(G).maximal_classes()]
         assert len(maximal) == count
-    for M in maximal:
-        rep = classify_maximal(G, M)
-        got = (rep.primitive_type, rep.intersection_shape, rep.quotient_order,
-               sorted(rep.core.elements_raw()))
-        assert got == _image_reference(*actions[-1], M)
+        groups.append(Group(G.generators, G.degree))  # the same group with no lattice
+    for H in groups:
+        for M in maximal:
+            assert _report_fields(classify_maximal(H, M)) == \
+                _image_reference(*coset_action(H, M), M)
 
 
 def test_faithful_classify_reads_minimal_normals_on_the_group(monkeypatch):
@@ -900,12 +903,13 @@ def test_faithful_classify_reads_minimal_normals_on_the_group(monkeypatch):
     monkeypatch.setattr(structure, "coset_action", action)
     monkeypatch.setattr(structure, "minimal_normal_subgroups",
                         lambda g: scanned.append(g) or original(g))
+    # fresh groups: a lattice another test built would skip the coset action
     for G, M in [(S4, make(["(2,3,4)", "(2,3)"], 4)), (S5, make(["(2,3,4,5)", "(2,3)"], 5)),
                  (A5xA5, A5xA5_DIAGONAL), (A5wrC2, A5wrC2_DIAGONAL)]:
-        assert classify_maximal(G, M).core.order() == 1
+        assert classify_maximal(Group(G.generators, G.degree), M).core.order() == 1
     assert scanned and not any(g is image for g in scanned for image, _ in images)
     # a nontrivial core still reads the image: S4 over D8 acts as S3
-    classify_maximal(S4, make(["(1,2,3,4)", "(1,3)"], 4))
+    classify_maximal(Group(S4.generators, 4), make(["(1,2,3,4)", "(1,3)"], 4))
     assert scanned[-1] is images[-1][0]
 
 
@@ -922,8 +926,9 @@ def test_simple_socle_is_never_scanned(monkeypatch, name):
     G, maximal = SHAPE_CASES[name]
     if isinstance(maximal, int):
         maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
+    G = Group(G.generators, G.degree)  # no lattice: the coset path runs
     types = [classify_maximal(G, M).primitive_type for M in maximal]
-    assert 2 in types
+    assert 2 in types and images
     assert all(g is G or any(g is image for image, _ in images) for g in scanned)
 
 
@@ -957,3 +962,44 @@ def test_classify_type2_with_core():
     assert rep.core.order() == 4
     assert rep.quotient_order == 6
     assert rep.primitive_type == 1
+
+
+C3 = make(["(1,2,3)"], 3)
+CROSS_PATH_CASES = {  # S5xC2 and A5xC3 have type-2 classes with cores of order 2 and 3
+    "S4": S4, "A5": A5, "S5": S5, "A6": A6, "S6": S6,
+    "S5xC2": direct_product(S5, C2), "A5xC3": direct_product(A5, C3),
+    "S4xS3": direct_product(S4, S3), "C2xS4xC2": direct_product(direct_product(C2, S4), C2),
+    "A4xA4": direct_product(A4, A4), "S3wrC2": wreath_product(S3, C2),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_PATH_CASES)
+def test_lattice_classify_matches_the_coset_path(monkeypatch, name):
+    # a group with no lattice classifies through the coset action; once the
+    # lattice is built, the same report comes off its id sets, with no coset
+    # action, primitivity test or kernel
+    G = CROSS_PATH_CASES[name]
+    maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
+    H = Group(G.generators, G.degree)  # no lattice
+    want = [_report_fields(classify_maximal(H, M)) for M in maximal]
+
+    def forbidden(*args):
+        raise AssertionError("the lattice path acted on cosets")
+
+    monkeypatch.setattr(structure, "coset_action", forbidden)
+    monkeypatch.setattr(structure, "is_primitive", forbidden)
+    monkeypatch.setattr(Homomorphism, "kernel", forbidden)
+    assert [_report_fields(classify_maximal(G, M)) for M in maximal] == want
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["cosets", "lattice"])
+def test_classify_errors_match_on_both_paths(lattice):
+    G, A = Group(S4.generators, 4), Group(A5.generators, 5)
+    if lattice:
+        all_subgroups(G)
+        all_subgroups(A)
+    for M in [make(["(1,2)"], 4), make(["(1,2)(3,4)", "(1,3)(2,4)"], 4)]:  # C2, V4 < A4 < S4
+        with pytest.raises(ValueError, match="^M is not maximal in G$"):
+            classify_maximal(G, M)
+    with pytest.raises(ValueError, match="^H is not a subgroup of G$"):
+        classify_maximal(A, make(["(1,2)"], 5))
