@@ -755,14 +755,25 @@ def _schreier_generators(degree, gens, moves, start):
 
     ``moves[i]`` maps a point to its image under ``gens[i]``.  The orbit is
     walked once (``_walk``), and a point's rep is the rep of the point that
-    found it times the generator that did.  The Schreier generators come in
-    walk order, each rep inverted at most once, and the pair that found a
-    point is skipped, as its Schreier generator is 1.
+    found it times the generator that did.  A rep is built when a drawn
+    Schreier generator first reads it: up the ``found`` tree to the nearest
+    rep built, then down again one product per point, with no recursion, so
+    a caller that stops early pays only for the reps it read.  The Schreier
+    generators come in walk order, each rep inverted at most once, and the
+    pair that found a point is skipped, as its Schreier generator is 1.
     """
     position, rows, found = _walk(start, moves)
-    reps = [_identity(degree)]
-    for i, k in found[1:]:
-        reps.append(_mul(reps[i], gens[k]))
+    reps = [_identity(degree)] + [None] * (len(found) - 1)
+
+    def rep(j):
+        path = []
+        while reps[j] is None:
+            path.append(j)
+            j = found[j][0]
+        r = reps[j]
+        for j in reversed(path):
+            r = reps[j] = _mul(r, gens[found[j][1]])
+        return r
 
     def schreier():
         invs = {}  # position -> inverse of its rep
@@ -772,8 +783,8 @@ def _schreier_generators(degree, gens, moves, start):
                     continue
                 zinv = invs.get(j)
                 if zinv is None:
-                    zinv = invs[j] = _inv(reps[j])
-                yield _mul(_mul(reps[i], g), zinv)
+                    zinv = invs[j] = _inv(rep(j))
+                yield _mul(_mul(rep(i), g), zinv)
 
     return position, schreier()
 

@@ -20,14 +20,16 @@ cap < 60 (|D| < 300) D is the only seed, and when cap < 120 (|D| < 600)
 only pairs of an involution and an element of order 3 with product of
 order 5 are tried (``_perfect_seed_classes`` gives the proofs).
 Classes are deduplicated by full conjugation orbits of element-id sets, so
-the enumeration is exact.  Id sets are the lattice's one subgroup form: a
-class holds its subgroup H, each conjugate of H and the normalizer N_G(H) as
-frozensets of ids, positions in G's sorted element list.  A class's orbit
-comes from the one orbit-stabilizer walk, ``group._schreier_generators``,
-acting on those id sets, and its normalizer is grown from H as element ids,
-by a coset step (``_close_ids``, Dimino's method) for each Schreier
-generator that lies outside it, with no chain; cyclic extension reuses that
-step.  A normal H, whose orbit is H alone, takes N_G(H) = G with no step.
+the enumeration is exact.  Ids, positions in G's sorted element list, are
+the lattice's one subgroup form: a class holds its subgroup H and the
+normalizer N_G(H) as frozensets of ids, the form queries test, and each
+conjugate of H as a sorted tuple of ids.  A class's orbit comes from the
+one orbit-stabilizer walk, ``group._schreier_generators``, acting on those
+tuples: a conjugation is one gather and one sort, both in C, with no hash
+set built per conjugate, and the least tuple is the class's key.  Its
+normalizer is grown from H as element ids, by a coset step (``_close_ids``,
+Dimino's method) for each Schreier generator that lies outside it, with no
+chain; cyclic extension reuses that step.  A normal H, whose orbit is H alone, takes N_G(H) = G with no step.
 A class keeps the generators of its representative, and builds its chain
 only when ``rep`` is read.
 
@@ -204,9 +206,11 @@ def is_primitive(G: Group) -> bool:
 # subgroup lattice
 
 class SubgroupClass:
-    """One conjugacy class of subgroups, as id sets: its subgroup H
-    (``ids``), every conjugate of H (``orbit``, sorted by key, the least
-    first) and N_G(H) (``normalizer_ids``), plus the generators of H.
+    """One conjugacy class of subgroups: its subgroup H and N_G(H) as
+    frozensets of ids (``ids``, ``normalizer_ids``), every conjugate of H as
+    a sorted tuple of ids (``orbit``, in ascending order), plus the
+    generators of H.  The class's ``key`` is its least conjugate,
+    ``orbit[0]``.
 
     The group ``rep`` = <gens> is built when first read, since a query reads
     only a few of them (the maximal classes, Phi(G), the minimal normal
@@ -214,19 +218,22 @@ class SubgroupClass:
     already built.
     """
 
-    def __init__(self, gens: tuple, ids: frozenset, size: int, key: tuple, orbit: tuple,
+    def __init__(self, gens: tuple, ids: frozenset, size: int, orbit: tuple,
                  degree: int, normalizer_ids: frozenset):
         self.gens = gens  # raw tuples
         self.ids = ids
         self.size = size
-        self.key = key
-        self.orbit = orbit  # frozensets of ids over the whole class
+        self.orbit = orbit  # sorted id tuples over the whole class
         self.degree = degree
         self.normalizer_ids = normalizer_ids
 
     @property
     def order(self) -> int:
         return len(self.ids)
+
+    @property
+    def key(self) -> tuple:
+        return self.orbit[0]
 
     @cached_property
     def rep(self) -> Group:
@@ -261,9 +268,10 @@ class SubgroupLattice:
             if c.order >= h.order or h.order % c.order:
                 continue
             if h.size > 1:
-                found += [s for s in c.orbit if s <= h.ids and not any(s <= m for m in found)]
+                found += [frozenset(s) for s in c.orbit
+                          if h.ids.issuperset(s) and not any(m.issuperset(s) for m in found)]
             elif c.ids <= h.ids and not any(c.ids <= m for m in found):
-                found += c.orbit
+                found += map(frozenset, c.orbit)
         return found
 
     @cached_property
@@ -273,7 +281,7 @@ class SubgroupLattice:
         ``maximal_classes``, ``frattini`` and ``classify_maximal``.  G is
         normal, so the walk keeps whole class orbits."""
         found = set(self.maximal_subgroups_of(-1))
-        return {s: c for c in self.classes if c.ids in found for s in c.orbit}
+        return {frozenset(s): c for c in self.classes if c.ids in found for s in c.orbit}
 
     def maximal_classes(self) -> list[SubgroupClass]:
         """The classes of G's maximal subgroups."""
@@ -492,12 +500,13 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
     all_ids = frozenset(range(order))
     n_gens = G._raw_gens
 
-    seen: set[frozenset] = set()  # every member of every class
+    seen: set[tuple] = set()  # every member of every class
     classes: list[SubgroupClass] = []
 
-    # conjugation of id sets by each parent generator, gathered in C; a set of
-    # one id is the trivial group, which every conjugation fixes
-    moves = [lambda s, table=table: frozenset(itemgetter(*s)(table)) if len(s) > 1 else s
+    # conjugation of sorted id tuples by each parent generator, gathered and
+    # sorted in C; a tuple of one id is the trivial group, which every
+    # conjugation fixes
+    moves = [lambda s, table=table: tuple(sorted(itemgetter(*s)(table))) if len(s) > 1 else s
              for table in tables]
 
     def register(ids: frozenset, gens_raw: tuple, rep: Group | None = None) -> int | None:
@@ -505,9 +514,10 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
         normalizer L from H by the Schreier generators of H's stabilizer
         under conjugation that lie outside L, one coset step each, until
         |L| = |G| / |orbit|."""
-        if ids in seen:
+        start = tuple(sorted(ids))
+        if start in seen:
             return None
-        orbit, schreier = _schreier_generators(degree, n_gens, moves, ids)
+        orbit, schreier = _schreier_generators(degree, n_gens, moves, start)
         target = order // len(orbit)
         # a normal H, with an orbit of one, has N_G(H) = G and needs no step
         norm_ids = all_ids if target == order else set(ids)
@@ -521,10 +531,9 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
                 if len(norm_ids) >= target:
                     break
         seen.update(orbit)
-        orbit = sorted(orbit, key=sorted)
         cls = SubgroupClass(
-            gens=gens_raw, ids=ids, size=len(orbit), key=tuple(sorted(orbit[0])),
-            orbit=tuple(orbit), degree=degree, normalizer_ids=frozenset(norm_ids))
+            gens=gens_raw, ids=ids, size=len(orbit), orbit=tuple(sorted(orbit)),
+            degree=degree, normalizer_ids=frozenset(norm_ids))
         if rep is not None:
             cls.rep = rep
         classes.append(cls)
@@ -692,7 +701,7 @@ def _classify_on_lattice(G: Group, M: Group) -> MaximalSubgroupReport | None:
     S = next((s for s in lat.maximal if len(s) == M.order() and gens <= s), None)
     if S is None:
         raise ValueError("M is not maximal in G")
-    core = frozenset.intersection(*lat.maximal[S].orbit)
+    core = S.intersection(*lat.maximal[S].orbit)
     k = len(core)
     above = [c.ids for c in lat.classes if c.size == 1 and core < c.ids]
     mins = [n for n in above if not any(m < n for m in above)]

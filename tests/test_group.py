@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,12 @@ from genex.group import (
     wreath_product,
     _conjugations,
     _orbits,
+    _schreier_generators,
     _stabilizer,
+    _walk,
 )
 from genex.gensets import _generates, min_generators
-from genex.perm import BOUNDS, Permutation, _inv, _mul, parse_permutation
+from genex.perm import BOUNDS, Permutation, _identity, _inv, _mul, parse_permutation
 from genex.structure import all_subgroups
 
 
@@ -187,6 +191,41 @@ def test_stabilizer_of_a_fixed_point_is_the_group(monkeypatch, G, x):
     monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
     assert centralizer_in(G, P(x, G.degree)) is G
     assert built == []
+
+
+def _eager_schreier(degree, gens, moves, start):
+    # every rep built up front, then rep(i) g rep(j)^-1 for each pair of the
+    # walk that did not find its point
+    _, rows, found = _walk(start, moves)
+    reps = [_identity(degree)]
+    for i, k in found[1:]:
+        reps.append(_mul(reps[i], gens[k]))
+    return [_mul(_mul(reps[i], g), _inv(reps[j]))
+            for i, row in enumerate(rows) for k, (g, j) in enumerate(zip(gens, row))
+            if found[j] != (i, k)]
+
+
+def test_lazy_schreier_reps_match_the_eager_formula():
+    # S6 on the sorted id tuples of its subgroups by conjugation, as the
+    # lattice acts, then a 500-point cycle on its points, whose walk tree is
+    # a path far deeper than the recursion limit
+    G = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+    moves = [lambda s, t=t: tuple(sorted(itemgetter(*s)(t))) if len(s) > 1 else s
+             for t in G._element_index()[1]]
+    for c in all_subgroups(G).classes:
+        orbit, schreier = _schreier_generators(6, G._raw_gens, moves, c.key)
+        assert set(orbit) == set(c.orbit)
+        assert list(schreier) == _eager_schreier(6, G._raw_gens, moves, c.key)
+    cycle = (tuple(range(1, 500)) + (0,),)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        orbit, schreier = _schreier_generators(500, cycle, [cycle[0].__getitem__], 0)
+        got = list(schreier)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(orbit) == 500
+    assert got == _eager_schreier(500, cycle, [cycle[0].__getitem__], 0) == [_identity(500)]
 
 
 def test_generators_must_be_permutations():

@@ -708,6 +708,7 @@ def test_lattice_agrees_with_oracle(g):
     oracle_subs, maximal = _oracle_lattice(elems, degree)
     want_sizes = Counter((len(s), len({conjugate(s, x) for x in elems})) for s in oracle_subs)
     lat = all_subgroups(g)
+    id_of = {x: i for i, x in enumerate(lat.elements)}
     got_sizes = Counter()
     for c in lat.classes:
         got_sizes[(c.order, c.size)] += c.size
@@ -715,7 +716,16 @@ def test_lattice_agrees_with_oracle(g):
         normalizer = {x for x in elems if conjugate(members, x) == members}
         assert {lat.elements[i] for i in c.normalizer_ids} == normalizer
         assert c.size == len(elems) // len(c.normalizer_ids)
+        # the orbit is every conjugate as a sorted id tuple, in ascending
+        # order, and the least is the key
+        assert set(c.orbit) == {tuple(sorted(id_of[h] for h in conjugate(members, x)))
+                                for x in elems}
+        assert list(c.orbit) == sorted(c.orbit) and c.key == c.orbit[0]
     assert got_sizes == want_sizes
+    # the maximal walk and its map still hand back frozensets
+    assert all(type(s) is frozenset
+               for i in range(len(lat.classes)) for s in lat.maximal_subgroups_of(i))
+    assert all(type(s) is frozenset for s in lat.maximal)
 
     got_maximal = {frozenset(lat.elements[i] for i in s)
                    for c in lat.maximal_classes() for s in c.orbit}
