@@ -431,7 +431,9 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     F_1 is a minimal normal subgroup of N inside K = ncl_N(s), s an element
     of the deepest level of N's chain, found by scanning K alone
     (``structure.minimal_normals_inside``).  On disjoint supports that
-    level lies in one factor, so K is one factor.  When K is too large to
+    level lies in one factor, so K is one factor.  F_1 is T^k, T simple,
+    so it is abelian exactly when |F_1| is a prime power (proof in
+    ``structure.classify_maximal``).  When K is too large to
     scan, ncl_K(s) is built instead: if N is a direct product of nonabelian
     simple groups, K is the product of the factors on which s projects
     nontrivially, so ncl_K(s) = K; a smaller ncl_K(s) therefore raises
@@ -461,7 +463,7 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
         if normal_closure(K, seed).order() != K.order():
             raise ValueError("N is not a direct product of its minimal normal subgroups")
         raise
-    if F.is_abelian():
+    if len(prime_factors(F.order())) == 1:
         raise ValueError("socle is abelian")
     # F's G-orbit: a conjugate of a factor lies in the factor that holds any
     # one of its nontrivial elements, or else is a new factor

@@ -219,6 +219,8 @@ class Permutation:
         return self.imgs[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if len(self.imgs) != len(other.imgs):
             raise ValueError("degree mismatch")
         return Permutation._wrap(_mul(self.imgs, other.imgs))
@@ -234,6 +236,8 @@ class Permutation:
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
+        if not isinstance(g, Permutation) or len(g.imgs) != len(self.imgs):
+            raise ValueError("conjugate takes a Permutation of the same degree")
         return Permutation._wrap(_mul(_inv(g.imgs), _mul(self.imgs, g.imgs)))
 
     def cycles(self) -> list[tuple[int, ...]]:
@@ -247,6 +251,9 @@ class Permutation:
         return isinstance(other, Permutation) and self.imgs == other.imgs
 
     def __lt__(self, other: "Permutation") -> bool:
+        """Orders by degree, then by images."""
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return (len(self.imgs), self.imgs) < (len(other.imgs), other.imgs)
 
     def __hash__(self) -> int:
@@ -264,11 +271,13 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 
     "()" denotes the identity.  Points are ASCII decimal numerals, separated
     by commas or spaces; ``int`` alone would also take "+3", "1_0" and
-    non-ASCII digits.  Raises ValueError on malformed text, out-of-range
-    points, or a point repeated across cycles, and BoundExceeded on a degree
-    above ``BOUNDS["points"]``.
+    non-ASCII digits.  Raises ValueError on text that is not a str or is
+    malformed, out-of-range points, or a point repeated across cycles, and
+    BoundExceeded on a degree above ``BOUNDS["points"]``.
     """
     _check_degree(degree)
+    if not isinstance(text, str):
+        raise ValueError(f"permutation text must be a str, not {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty permutation text")

@@ -41,17 +41,10 @@ no maximal subgroup found so far contains it.  The walk on G's own class
 runs once per lattice (``SubgroupLattice.maximal``), and the maximal
 classes of G, Phi(G) and ``classify_maximal`` read it.
 
-``classify_maximal`` reads its report off G's lattice when it is built,
-by id sets alone: M is the maximal subgroup of its order holding its
-generators (M lies in it with equal order), the core is the meet of that
-class's orbit, the minimal normal subgroups of G/core are the
-inclusion-minimal normal classes above the core, and such an N/core, being
-T^k with T simple, is abelian exactly when its order is a prime power.
-With no lattice, and for a type-2 socle of proper-power order, G acts on
-the cosets of M, and the minimal normal subgroups are read on G, not on
-the image, whenever the action is faithful: an isomorphism carries the
-minimal normal subgroups of G onto those of its image, so they are found
-once per G and kept there, and only their generators are mapped.
+``classify_maximal`` reads its report off G's lattice by id sets when it
+is built, and otherwise off G's action on the cosets of M.  On both paths
+a minimal normal subgroup, being T^k with T simple, is nonabelian exactly
+when its order is no prime power (proofs in ``classify_maximal``).
 """
 
 from __future__ import annotations
@@ -85,23 +78,12 @@ def is_perfect(G: Group) -> bool:
 
 
 def minimal_normal_subgroups(G: Group) -> list[Group]:
-    """All minimal normal subgroups, kept on G.
-
-    When G's lattice is already built, they are its minimal nontrivial
-    classes of size 1 (a normal subgroup is its own class); otherwise G is
-    scanned, ``minimal_normals_inside(G, G)``.
-    """
+    """All minimal normal subgroups, ``minimal_normals_inside(G, G)``, kept
+    on G."""
     if G.order() <= 1:
         raise ValueError("the trivial group has no minimal normal subgroups")
     if G._minimal_normals is None:
-        if G._lattice is None:
-            minimal = minimal_normals_inside(G, G)
-        else:
-            normal = [c for c in G._lattice.classes if c.size == 1 and c.order > 1]
-            minimal = sorted((c.rep for c in normal
-                              if not any(m.order < c.order and m.ids < c.ids for m in normal)),
-                             key=_minimal_normal_key)
-        G._minimal_normals = tuple(minimal)
+        G._minimal_normals = tuple(minimal_normals_inside(G, G))
     return list(G._minimal_normals)
 
 
@@ -210,7 +192,7 @@ class SubgroupClass:
     frozensets of ids (``ids``, ``normalizer_ids``), every conjugate of H as
     a sorted tuple of ids (``orbit``, in ascending order), plus the
     generators of H.  The class's ``key`` is its least conjugate,
-    ``orbit[0]``.
+    ``orbit[0]``, and its ``size`` the number of conjugates.
 
     The group ``rep`` = <gens> is built when first read, since a query reads
     only a few of them (the maximal classes, Phi(G), the minimal normal
@@ -218,11 +200,10 @@ class SubgroupClass:
     already built.
     """
 
-    def __init__(self, gens: tuple, ids: frozenset, size: int, orbit: tuple,
+    def __init__(self, gens: tuple, ids: frozenset, orbit: tuple,
                  degree: int, normalizer_ids: frozenset):
         self.gens = gens  # raw tuples
         self.ids = ids
-        self.size = size
         self.orbit = orbit  # sorted id tuples over the whole class
         self.degree = degree
         self.normalizer_ids = normalizer_ids
@@ -230,6 +211,10 @@ class SubgroupClass:
     @property
     def order(self) -> int:
         return len(self.ids)
+
+    @property
+    def size(self) -> int:
+        return len(self.orbit)
 
     @property
     def key(self) -> tuple:
@@ -532,7 +517,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
                     break
         seen.update(orbit)
         cls = SubgroupClass(
-            gens=gens_raw, ids=ids, size=len(orbit), orbit=tuple(sorted(orbit)),
+            gens=gens_raw, ids=ids, orbit=tuple(sorted(orbit)),
             degree=degree, normalizer_ids=frozenset(norm_ids))
         if rep is not None:
             cls.rep = rep
@@ -630,6 +615,12 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
     """Core, primitive type of G/core, and the socle-intersection shape.
 
     Raises ValueError when M is not a subgroup of G or is not maximal in G.
+    Both paths below call a minimal normal subgroup nonabelian by its order
+    alone, with no commutator taken: it is T^k with T simple
+    (Dixon-Mortimer, *Permutation Groups*, 1996, sec. 4.3), so it is
+    abelian exactly when T has prime order, that is when its order is a
+    prime power, as a nonabelian simple T has at least three prime divisors
+    (Burnside's p^a q^b theorem).
 
     When G's lattice is built (``all_subgroups``) the report is read off
     its id sets, with no coset action, image chain or kernel
@@ -643,12 +634,8 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
       returned.
     * The minimal normal subgroups of G/core are the N/core for N
       inclusion-minimal among the normal subgroups of G strictly above the
-      core (correspondence theorem).
-    * A minimal normal subgroup is T^k with T simple (Dixon-Mortimer,
-      *Permutation Groups*, 1996, sec. 4.3).  It is abelian exactly when T
-      has prime order, that is when its order is a prime power, as a
-      nonabelian simple T has at least three prime divisors (Burnside's
-      p^a q^b theorem); no commutator is taken.
+      core (correspondence theorem), and N/core is nonabelian when
+      |N|/|core| is no prime power.
     * M/core is the point stabilizer of G/core on the cosets of M, so for
       type 2 the socle N/core meets it in (N meet M)/core.
 
@@ -727,9 +714,9 @@ def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
     sec. 4.3).  So the minimal normal subgroups and the socle's simple
     factors are read on G and on its socle, where they are kept, and carried
     to the image through ``act``: G's image is never scanned, and G's are
-    found once however many maximal classes are classified, off G's lattice
-    when it is built (``minimal_normal_subgroups``).  A nontrivial core
-    reads them on the image itself.
+    found once however many maximal classes are classified
+    (``minimal_normal_subgroups``).  A nontrivial core reads them on the
+    image itself.  One is nonabelian when its order is no prime power.
 
     For type 2 the shape of I = soc meet M comes from orbit counts of the
     factors' images.  Point 0 is the coset M, so M's image meets each K
@@ -748,7 +735,7 @@ def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
     core = hom.kernel()
     source, act = (G, hom._apply) if core.order() == 1 else (image, lambda p: p)
     mins = minimal_normal_subgroups(source)
-    nonab = [m for m in mins if not m.is_abelian()]
+    nonab = [m for m in mins if len(prime_factors(m.order())) > 1]
     ptype = _primitive_type(len(mins), len(nonab))
 
     shape = "not-applicable"

@@ -627,6 +627,7 @@ def test_min_generators_kept_on_the_group_with_fresh_stats():
     again = min_generators(G)
     assert (again.d, again.witness) == (first.d, first.witness)
     assert again.stats == SearchStats()  # this call searched nothing
+    assert not again.stats == 0  # stats equal only stats
 
 
 def _with_two_words(G):

@@ -61,6 +61,7 @@ def test_orders_against_closure_oracle():
 
 def test_s5_order():
     assert S5.order() == 120
+    assert repr(S5) == "Group(degree=5, order=120, ngens=2)"
 
 
 def test_a5_order():
@@ -391,7 +392,7 @@ def test_orbit_above_the_element_bound_raises(monkeypatch):
 
 def test_degree_and_membership_inputs_are_checked():
     for bad in (lambda: Group([], -1), lambda: trivial_group(-3), lambda: Group([], 2.5),
-                lambda: Group([], True),
+                lambda: Group([], True), lambda: Group([]),
                 lambda: S4.contains((0, 1, 2, 3))):
         with pytest.raises(ValueError):
             bad()

@@ -38,6 +38,7 @@ def test_parse_disjoint_cycles():
 
 def test_parse_space_separated():
     assert P("(1 2 3)", 3).images == (2, 3, 1)
+    assert P(" (1,2) (3,4)\t", 4) == P("(1,2)(3,4)", 4)
 
 
 def test_parse_errors():
@@ -64,6 +65,8 @@ def test_format_roundtrip():
     for text, deg in [("(1,2,3)", 5), ("(1,2)(3,4)", 4), ("()", 4), ("(2,4)(3,5,6)", 6)]:
         p = P(text, deg)
         assert parse_permutation(format_cycles(p), deg) == p
+        assert parse_permutation(str(p), deg) == p
+        assert repr(p) == f"Permutation({str(p)!r}, degree={deg})"
 
 
 def test_product_left_to_right():
@@ -71,6 +74,15 @@ def test_product_left_to_right():
     p = P("(1,2)", 3)
     q = P("(2,3)", 3)
     assert (p * q)(1) == 3
+    with pytest.raises(ValueError, match="degree mismatch"):
+        p * P("(1,2)", 4)
+
+
+def test_order_is_by_degree_then_images():
+    # a permutation of lower degree sorts first, whatever its images
+    perms = [P("(1,2)", 3), P("()", 3), P("(1,2)", 2), P("()", 4), P("()", 2)]
+    assert sorted(perms) == [P("()", 2), P("(1,2)", 2), P("()", 3), P("(1,2)", 3), P("()", 4)]
+    assert not P("()", 3) < P("()", 3)
 
 
 def test_mul_degree_zero_and_one():
@@ -116,6 +128,9 @@ def test_power_and_order():
 def test_call_and_fixed_points():
     p = P("(1,2,3)", 5)
     assert p(3) == 1
+    for point in (0, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            p(point)
     assert p.has_fixed_point()
     assert not P("(1,2)(3,4)", 4).has_fixed_point()
 
@@ -135,6 +150,29 @@ def test_cycles_canonical():
 def test_bad_images_rejected():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_permutation_is_immutable():
+    p = P("(1,2)", 3)
+    with pytest.raises(AttributeError, match="immutable"):
+        p.imgs = (0, 1, 2)
+    assert p.imgs == (1, 0, 2)
+
+
+_P3 = P("(1,2,3)", 3)
+
+
+@pytest.mark.parametrize("misuse, error", [
+    (lambda: _P3 * 5, TypeError),
+    (lambda: 5 * _P3, TypeError),
+    (lambda: _P3 < 5, TypeError),
+    (lambda: _P3.conjugate(5), ValueError),
+    (lambda: _P3.conjugate(P("(1,2)", 4)), ValueError),
+    (lambda: parse_permutation(5, 3), ValueError),
+], ids=["mul-int", "int-mul", "lt-int", "conjugate-int", "conjugate-degree", "parse-int"])
+def test_misuse_raises_the_documented_error(misuse, error):
+    with pytest.raises(error):
+        misuse()
 
 
 @pytest.mark.parametrize("imgs", [
