@@ -454,8 +454,8 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
-    s = next(rep for rep in N._chain.trans[-1].values() if rep != N._chain.ident)
-    seed = [Permutation._wrap(s)]
+    b, itr = N._chain.levels[-1]
+    seed = [Permutation._wrap(next(t for pt, t in itr.items() if pt != b)[:N.degree])]
     K = normal_closure(N, seed)
     try:
         F = minimal_normals_inside(N, K)[0]

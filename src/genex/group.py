@@ -9,7 +9,7 @@ handled once.  Every build first asks whether a prefix of its generators
 is Alt or Sym of the points it moves, by Jordan's theorem on a fixed
 sequence of product-replacement draws; if so the chain is written down in
 closed form (``_giant_chain``), with the base, orbits and acting
-generators Schreier-Sims would give, and only its representatives differ.
+generators Schreier-Sims would give, and only its transversal tables differ.
 Such a chain also answers membership in closed form: p lies in Sym(omega)
 iff it fixes every point outside omega, and in Alt(omega) iff it also is
 even (Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.
@@ -56,13 +56,12 @@ class _Chain:
     or written down whole for Alt and Sym (``_giant_chain``).
 
     Level i holds the i-th stabilizer group.  ``levels[i]`` pairs its base
-    point with a dict from each orbit point to the inverse of its
-    representative: all a sift reads, so ``_sift_from`` walks one list, and
-    ``base`` is read off it.  ``gens[i]`` are the strong generators fixing
-    ``base[:i]``, and ``trans[i]`` maps each orbit point to a representative
-    carrying the base point there.  A new inverse representative is the
-    inverse of ``rep * g``, the product that found its point (Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4).
+    point with its one transversal, a dict from each orbit point to the
+    inverse of a representative carrying the base point there: all a sift
+    reads, and every other reader inverts the tables it applies.
+    ``gens[i]`` are the strong generators fixing ``base[:i]``.  A new
+    inverse representative is the inverse of ``rep * g``, the product that
+    found its point (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
     Elements are encoded once, by degree.  Up to 256 points a working
     element (a residue, a representative being extended) is ``bytes`` of
@@ -73,15 +72,15 @@ class _Chain:
     product, and the inverse of a table is ``bytes.maketrans(table,
     identity)``.  Above 256 points the same code runs on tuples, with
     ``_mul`` and ``_tuple_inv``.  Either way ``p[b]`` reads an image, and
-    ``trans`` keeps tuple representatives for the readers outside the chain.
+    a table cut to ``degree`` is a working element.
 
     While ``giant`` is set, to ``(outside, alt)``, the chain is certified as
     Alt or Sym of the points not in ``outside`` (``_giant_chain``), and
     ``sift`` answers by support and parity without reading a level; ``_add``
     clears it, as a chain it grows is no longer that giant.
 
-    Orbits grow in place: ``trans[i]`` keeps its points in discovery order,
-    and a point keeps its representative once found.  A scan of a level
+    Orbits grow in place: ``levels[i]`` keeps its points in discovery
+    order, and a point keeps its representative once found.  A scan of a level
     starts with the Schreier pairs of every point and every generator but
     the last done (``_schreier_sims``), so each pair is handled once however
     often the level gains generators.
@@ -96,7 +95,7 @@ class _Chain:
     """
 
     __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
-                 "gens", "trans", "levels", "giant")
+                 "gens", "levels", "giant")
 
     def __init__(self, degree):
         self.giant = None  # (points outside omega, is Alt) while certified
@@ -109,7 +108,6 @@ class _Chain:
             self.tail = ()
         self.one = self.enc(self.ident)  # the identity as a working element
         self.gens = []
-        self.trans = []
         self.levels = []  # (base point, {point: inverse representative})
 
     @property
@@ -118,8 +116,8 @@ class _Chain:
 
     def order(self):
         n = 1
-        for t in self.trans:
-            n *= len(t)
+        for _, itr in self.levels:
+            n *= len(itr)
         return n
 
     def sift(self, p):
@@ -168,7 +166,6 @@ class _Chain:
         if j == len(levels) or levels[j][0] != moved:
             gens = self.gens[j] if j < len(levels) else []
             self.gens.insert(j, gens[:])
-            self.trans.insert(j, {moved: self.ident})
             levels.insert(j, (moved, {moved: self.one + self.tail}))
         g += self.tail
         for k in range(top, j + 1):
@@ -189,21 +186,20 @@ class _Chain:
         # that finds a new point gives a trivial Schreier generator; any
         # other meets one sift, as a known point's representative never
         # changes, and ``gens[i]`` stays fixed during the scan.
-        tr = self.trans[i]
         itr = self.levels[i][1]
-        enc, mul, inv, one, tail = self.enc, self.mul, self.inv, self.one, self.tail
+        mul, inv, one, tail = self.mul, self.inv, self.one, self.tail
+        degree = len(one)
         gens = self.gens[i]
-        npts, ngens = len(tr), len(gens) - 1
-        orbit = list(tr)
+        npts, ngens = len(itr), len(gens) - 1
+        orbit = list(itr)
         pos = 0
         while pos < len(orbit):
             pt = orbit[pos]
-            rep = enc(tr[pt])
+            rep = inv(itr[pt])[:degree]
             for g in (gens[ngens:] if pos < npts else gens):
                 img = g[pt]
                 rep_g = mul(rep, g)
-                if img not in tr:
-                    tr[img] = tuple(rep_g)
+                if img not in itr:
                     itr[img] = inv(rep_g + tail)
                     orbit.append(img)
                     continue
@@ -380,23 +376,19 @@ def _giant_chain(degree, prefix, omega):
     strong = [cycle(omega[j:j + m]) for j in range(n - m + 1)]
     last = omega[-1]
     for i, b in enumerate(omega[:n - m + 1]):
-        tr = {b: ident}
         itr = {b: chain.one + tail}
         for w in omega[i + 1:]:
+            # the inverse of (b w), or of (b w x)
             if m == 2:
                 row[b], row[w] = w, b
-                tr[w] = rep = tuple(row)
-                itr[w] = enc(rep) + tail
+                itr[w] = enc(row) + tail
             else:
                 x = last if w != last else omega[-2]
-                row[b], row[w], row[x] = w, x, b
-                tr[w] = tuple(row)
                 row[b], row[w], row[x] = x, b, w
                 itr[w] = enc(row) + tail
                 row[x] = x
             row[b], row[w] = b, w
         chain.gens.append(strong[i:])
-        chain.trans.append(tr)
         chain.levels.append((b, itr))
     inside = set(omega)
     chain.giant = (tuple(a for a in range(degree) if a not in inside), m == 3)
@@ -579,14 +571,17 @@ class Group:
     def elements_raw(self) -> tuple:
         """All elements as raw image tuples, sorted.
 
-        A full scan multiplies out the chain's transversals and sorts, which
-        is faster than ``_lex_walk``; searches that may stop early walk.
+        A full scan multiplies out the chain's transversals, each table
+        inverted once, and sorts, which is faster than ``_lex_walk``;
+        searches that may stop early walk.
         """
         if self._elements is None:
             _check_bound("elements", self._order, "group order")
-            out = [_identity(self._degree)]
-            for t in reversed(self._chain.trans):
-                out = [_mul(x, rep) for rep in t.values() for x in out]
+            inv, n = self._chain.inv, self._degree
+            out = [_identity(n)]
+            for _, itr in reversed(self._chain.levels):
+                reps = [tuple(inv(t)[:n]) for t in itr.values()]
+                out = [_mul(x, rep) for rep in reps for x in out]
             out.sort()
             self._elements = tuple(out)
         return self._elements
@@ -610,13 +605,13 @@ class Group:
         elements, and otherwise the state handed on to its children.
         """
         _check_bound("elements", self._order, "group order")
-        levels = tuple(zip(self._chain.base, self._chain.trans))
+        n, inv, levels = self._degree, self._chain.inv, self._chain.levels
         last = len(levels) - 1
 
         def walk(i, c, state):
-            b, reps = levels[i]
-            for o in sorted(reps, key=c.__getitem__):
-                y = _mul(reps[o], c)
+            b, itr = levels[i]
+            for o in sorted(itr, key=c.__getitem__):
+                y = _mul(inv(itr[o])[:n], c)
                 if i == last:
                     yield y
                     continue
@@ -628,9 +623,9 @@ class Group:
                 yield from walk(i + 1, y, child)
 
         if not levels:
-            yield _identity(self._degree)
+            yield _identity(n)
             return
-        yield from walk(0, _identity(self._degree), state)
+        yield from walk(0, _identity(n), state)
 
     def _element_index(self) -> tuple:
         """The group's one element index: ``(id_of, tables)``.
@@ -857,9 +852,9 @@ def coset_canonical(H: Group, p):
     Greedily minimizes the images of H's base points, which are in point
     order, so the representative is the coset's least member.
     """
-    for t in H._chain.trans:
-        best_pt = min(t, key=p.__getitem__)
-        p = _mul(t[best_pt], p)
+    for _, itr in H._chain.levels:
+        best_pt = min(itr, key=p.__getitem__)
+        p = _mul(H._chain.inv(itr[best_pt])[:H.degree], p)
     return p
 
 

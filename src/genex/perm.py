@@ -13,6 +13,7 @@ each limit guards.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import isqrt, lcm
 from operator import index, itemgetter
 
@@ -162,6 +163,7 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+@total_ordering
 class Permutation:
     """A bijection of {1..degree} stored in image form."""
 
@@ -214,8 +216,9 @@ class Permutation:
         return tuple(j + 1 for j in self.imgs)
 
     def __call__(self, point: int) -> int:
-        if not 1 <= point <= len(self.imgs):
-            raise ValueError(f"point {point} out of range 1..{len(self.imgs)}")
+        n = len(self.imgs)
+        if isinstance(point, bool) or not isinstance(point, int) or not 1 <= point <= n:
+            raise ValueError(f"point {point!r} out of range: not an int in 1..{n}")
         return self.imgs[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -226,6 +229,8 @@ class Permutation:
         return Permutation._wrap(_mul(self.imgs, other.imgs))
 
     def __pow__(self, n: int) -> "Permutation":
+        if isinstance(n, bool) or not isinstance(n, int):
+            return NotImplemented
         return Permutation._wrap(_pow(self.imgs, n))
 
     def inverse(self) -> "Permutation":
@@ -251,7 +256,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.imgs == other.imgs
 
     def __lt__(self, other: "Permutation") -> bool:
-        """Orders by degree, then by images."""
+        """Orders by degree, then by images; <=, > and >= follow."""
         if not isinstance(other, Permutation):
             return NotImplemented
         return (len(self.imgs), self.imgs) < (len(other.imgs), other.imgs)

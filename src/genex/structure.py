@@ -167,9 +167,9 @@ def is_primitive(G: Group) -> bool:
     all the points exactly when <G_0, t> is transitive.  G_0 maps a block
     through 0 and beta onto one through 0 and beta^x, so one beta per orbit
     of G_0 is tried.  G_0 is level 1 of the chain: a transitive group moves
-    point 0, so its lex base starts there, and ``trans[0][beta]`` carries 0
-    to beta.  Level 1's strong generators are cut to n points, as chains
-    on at most 256 points store them as 256-byte tables.
+    point 0, so its lex base starts there, and level 0's table at beta is
+    t^-1 for a t carrying 0 to beta, with <G_0, t^-1> = <G_0, t>.  Tables
+    are cut to n points, as chains on at most 256 points store 256 bytes.
     """
     n = G.degree
     if not is_transitive(G):
@@ -179,7 +179,7 @@ def is_primitive(G: Group) -> bool:
     chain = G._chain
     stabilizer = [g[:n] for g in chain.gens[1]] if len(chain.base) > 1 else []
     for orbit in _orbits(range(1, n), [g.__getitem__ for g in stabilizer]):
-        if _orbit_count(n, stabilizer + [chain.trans[0][orbit[0]]]) != 1:
+        if _orbit_count(n, stabilizer + [chain.levels[0][1][orbit[0]][:n]]) != 1:
             return False
     return True
 

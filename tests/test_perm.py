@@ -83,6 +83,11 @@ def test_order_is_by_degree_then_images():
     perms = [P("(1,2)", 3), P("()", 3), P("(1,2)", 2), P("()", 4), P("()", 2)]
     assert sorted(perms) == [P("()", 2), P("(1,2)", 2), P("()", 3), P("(1,2)", 3), P("()", 4)]
     assert not P("()", 3) < P("()", 3)
+    # <= and >= follow the same order, equality included
+    assert P("()", 3) <= P("()", 3) and P("()", 3) >= P("()", 3)
+    assert P("(1,2)", 2) <= P("()", 3) and not P("(1,2)", 2) >= P("()", 3)
+    assert P("(1,2)", 3) >= P("()", 3) and not P("(1,2)", 3) <= P("()", 3)
+    assert P("(1,2)", 3) > P("()", 3)
 
 
 def test_mul_degree_zero_and_one():
@@ -166,10 +171,17 @@ _P3 = P("(1,2,3)", 3)
     (lambda: _P3 * 5, TypeError),
     (lambda: 5 * _P3, TypeError),
     (lambda: _P3 < 5, TypeError),
+    (lambda: _P3 <= 5, TypeError),
+    (lambda: _P3 >= 5, TypeError),
+    (lambda: _P3(1.5), ValueError),
+    (lambda: _P3(True), ValueError),
+    (lambda: _P3 ** 1.5, TypeError),
+    (lambda: _P3 ** True, TypeError),
     (lambda: _P3.conjugate(5), ValueError),
     (lambda: _P3.conjugate(P("(1,2)", 4)), ValueError),
     (lambda: parse_permutation(5, 3), ValueError),
-], ids=["mul-int", "int-mul", "lt-int", "conjugate-int", "conjugate-degree", "parse-int"])
+], ids=["mul-int", "int-mul", "lt-int", "le-int", "ge-int", "call-float", "call-bool",
+        "pow-float", "pow-bool", "conjugate-int", "conjugate-degree", "parse-int"])
 def test_misuse_raises_the_documented_error(misuse, error):
     with pytest.raises(error):
         misuse()
