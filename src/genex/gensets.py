@@ -54,11 +54,9 @@ witness, with the stats, of the k = 1 search that would follow
 it may be cyclic: C6 has a generating pair with an entry in C3, yet d = 1.
 A failed search falls back to ``min_generators``, and counts in the stats.
 
-``SearchStats.nodes`` counts the candidates the tuple search visits and, in
-``min_generators``, the elements its d = 1 step tries; that step runs only
-for an abelian G, since a nonabelian group is not cyclic, so no class
-representatives of a nonabelian G are counted.  ``SearchStats.skipped``
-counts the cosets the lex-coset prune drops, whose members are not visited.
+``SearchStats.nodes`` counts the candidates the tuple search visits, and
+``SearchStats.skipped`` the cosets the lex-coset prune drops, whose members
+are not visited.
 The first-slot reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
 
@@ -101,13 +99,12 @@ from .group import (
     _orbit_count,
     _orbits,
     _stabilizer,
-    _walk,
     centralizer_in,
     coset_canonical,
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _check_bound, _inv, _mul, _order, _pow, prime_factors
+from .perm import Permutation, _check_bound, _inv, _mul, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
     _minimal_normal_key,
@@ -312,13 +309,7 @@ def _search_d(G: Group, stats: SearchStats) -> tuple:
     n = G.order()
     if n == 1:
         return 0, ()
-    # d = 1: only an abelian group can be cyclic, and its classes are singletons
-    if G.is_abelian():
-        for p in G._lex_walk():
-            stats.nodes += 1
-            if _order(p) == n:
-                return 1, (Permutation._wrap(p),)
-    k = 2
+    k = 1 if G.is_abelian() else 2  # a nonabelian group is not cyclic
     while True:
         if k > max(2, int(log2(n)) + 1):
             raise AssertionError("generating-set search exceeded the log2 bound")
@@ -468,16 +459,12 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     # F's G-orbit: a conjugate of a factor lies in the factor that holds any
     # one of its nontrivial elements, or else is a new factor
     factors = [F]
-
-    def conjugate(i, conj):
-        y = conj(factors[i]._raw_gens[0])
-        for j, f in enumerate(factors):
-            if f._contains_raw(y):
-                return j
-        factors.append(subgroup_closure(G.degree, [conj(x) for x in factors[i]._raw_gens]))
-        return len(factors) - 1
-
-    _walk(0, [lambda i, conj=conj: conjugate(i, conj) for conj in _conjugations(G._raw_gens)])
+    conjugations = list(_conjugations(G._raw_gens))
+    for f in factors:  # grows while it is walked
+        for conj in conjugations:
+            y = conj(f._raw_gens[0])
+            if not any(e._contains_raw(y) for e in factors):
+                factors.append(subgroup_closure(G.degree, [conj(x) for x in f._raw_gens]))
     if prod(f.order() for f in factors) != N.order():
         raise ValueError("N is not a direct product of simple factors"
                          " that G permutes transitively")

@@ -23,7 +23,7 @@ order down the chain itself without enumerating them (``Group._lex_walk``).
 On at most 256 points a chain composes bytes with ``bytes.translate`` over
 256-byte tables, in C and without building a getter per product; above 256
 points it composes tuples with ``perm._mul``.  Both run the same loops and
-give the same chain (see ``_Chain``).
+give the same chain (see ``_Chain``); its readers compose the same way.
 
 A group acts only by the given generators that extended its chain, since
 the others would multiply the work of every orbit, Schreier, coset and
@@ -58,7 +58,7 @@ class _Chain:
     Level i holds the i-th stabilizer group.  ``levels[i]`` pairs its base
     point with its one transversal, a dict from each orbit point to the
     inverse of a representative carrying the base point there: all a sift
-    reads, and every other reader inverts the tables it applies.
+    reads; every other reader applies them inverted, by ``inv`` and ``mul``.
     ``gens[i]`` are the strong generators fixing ``base[:i]``.  A new
     inverse representative is the inverse of ``rep * g``, the product that
     found its point (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
@@ -572,18 +572,20 @@ class Group:
         """All elements as raw image tuples, sorted.
 
         A full scan multiplies out the chain's transversals, each table
-        inverted once, and sorts, which is faster than ``_lex_walk``;
-        searches that may stop early walk.
+        inverted once, in the chain's encoding, sorts (bytes sort as their
+        tuples do) and makes each a tuple once, which is faster than
+        ``_lex_walk``; searches that may stop early walk.
         """
         if self._elements is None:
             _check_bound("elements", self._order, "group order")
-            inv, n = self._chain.inv, self._degree
-            out = [_identity(n)]
-            for _, itr in reversed(self._chain.levels):
-                reps = [tuple(inv(t)[:n]) for t in itr.values()]
-                out = [_mul(x, rep) for rep in reps for x in out]
+            chain = self._chain
+            mul, inv = chain.mul, chain.inv
+            out = [chain.one]
+            for _, itr in reversed(chain.levels):
+                reps = [inv(t) for t in itr.values()]
+                out = [mul(x, rep) for rep in reps for x in out]
             out.sort()
-            self._elements = tuple(out)
+            self._elements = tuple(map(tuple, out))
         return self._elements
 
     def elements(self) -> list[Permutation]:
@@ -598,22 +600,24 @@ class Group:
         children are the cosets H_(i+1) (u c) for the reps u of level i, and
         y[b_i] = c[u[b_i]] on the child of u, so visiting the children by
         ascending c[u[b_i]] yields the elements sorted by image tuple without
-        building or sorting G.  ``prune(state, c, lo, hi)`` is called on
-        entering each node strictly between the root and the elements, where
-        the node's members agree with c on the points below ``hi`` and its
+        building or sorting G.  c is a table of the chain (``_Chain``), made
+        a tuple at a leaf.  ``prune(state, c, lo, hi)`` is called on entering
+        each node strictly between the root and the elements, where the
+        node's members agree with c on the points below ``hi`` and its
         parent's on those below ``lo``; it returns None to skip the node's
         elements, and otherwise the state handed on to its children.
         """
         _check_bound("elements", self._order, "group order")
-        n, inv, levels = self._degree, self._chain.inv, self._chain.levels
+        chain, n = self._chain, self._degree
+        mul, inv, levels = chain.mul, chain.inv, chain.levels
         last = len(levels) - 1
 
         def walk(i, c, state):
             b, itr = levels[i]
             for o in sorted(itr, key=c.__getitem__):
-                y = _mul(inv(itr[o])[:n], c)
+                y = mul(inv(itr[o]), c)
                 if i == last:
-                    yield y
+                    yield tuple(y[:n])
                     continue
                 child = state
                 if prune is not None:
@@ -625,7 +629,7 @@ class Group:
         if not levels:
             yield _identity(n)
             return
-        yield from walk(0, _identity(n), state)
+        yield from walk(0, chain.one + chain.tail, state)
 
     def _element_index(self) -> tuple:
         """The group's one element index: ``(id_of, tables)``.
@@ -850,12 +854,16 @@ def coset_canonical(H: Group, p):
     """Canonical representative of the right coset H*p (raw tuples).
 
     Greedily minimizes the images of H's base points, which are in point
-    order, so the representative is the coset's least member.
+    order, so the representative is the coset's least member; p is
+    composed as a table of H's chain (``_Chain``).
     """
-    for _, itr in H._chain.levels:
-        best_pt = min(itr, key=p.__getitem__)
-        p = _mul(H._chain.inv(itr[best_pt])[:H.degree], p)
-    return p
+    chain = H._chain
+    mul, inv = chain.mul, chain.inv
+    p = chain.enc(p) + chain.tail
+    for _, itr in chain.levels:
+        best = min(itr, key=p.__getitem__)
+        p = mul(inv(itr[best]), p)
+    return tuple(p[:H.degree])
 
 
 def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:

@@ -562,13 +562,13 @@ def test_d_min_searches_for_d_once(monkeypatch):
 
 def test_d_metric_abelian_guard(monkeypatch):
     # C6 has a generating pair with an entry in C3, but d(C6) = 1, so no
-    # pair search runs on an abelian group
+    # pair search runs on an abelian group: only min_generators' k = 1 search
     G = Group(C6.generators, 6)
     H = make(["(1,3,5)(2,4,6)"], 6)
     searches = _recorded_searches(monkeypatch)
     rep = d_metric(G, H)
     assert (rep.value, rep.in_subgroup) == (0, ())
-    assert searches == []
+    assert searches == [[G]]
     assert G._generation[0] == 1
 
 

@@ -701,6 +701,27 @@ def test_chain_encodings_agree_across_the_byte_boundary():
                 [c + pad for c in cosets]
 
 
+@pytest.mark.parametrize("G, H", [
+    (make(["(1,2,3,4,5,6)", "(1,2)"], 6), make(["(1,2,3)", "(1,2)(4,5)"], 6)),
+    (wreath_product(A5, make(["(1,2)"], 2)), make(["(1,2,3,4,5)", "(3,4,5)"], 10)),
+], ids=["S6", "A5wrC2"])
+def test_chain_readers_compose_in_the_chains_encoding(monkeypatch, G, H):
+    # on at most 256 points the readers of a chain's tables compose bytes
+    # with the chain's mul, so they make no perm._mul call, and still return
+    # plain tuples of ints
+    G, H = Group(G.generators, G.degree), Group(H.generators, H.degree)
+    elements = sorted(oracles.closure([g.imgs for g in G.generators], G.degree))
+    probes = random.Random(3).sample(elements, 30)
+    least = [min(_mul(h, p) for h in oracles.closure([g.imgs for g in H.generators], H.degree))
+             for p in probes]
+    calls = []
+    monkeypatch.setattr(group_module, "_mul", lambda p, q: calls.append(1) or _mul(p, q))
+    got = (list(G.elements_raw()), list(G._lex_walk()), [coset_canonical(H, p) for p in probes])
+    assert calls == []
+    assert got == (elements, elements, least)
+    assert all(type(p) is tuple and all(type(x) is int for x in p) for part in got for p in part)
+
+
 def test_membership_above_the_byte_boundary_matches_closure():
     # on 300 points the chain sifts tuples; S4 x S4 on points 1-4 and 297-300
     n = 300
