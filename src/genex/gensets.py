@@ -88,6 +88,7 @@ witness is the lex-first, and N is walked only as far as it.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import islice
 from math import log2, prod
 
 from .group import (
@@ -95,6 +96,7 @@ from .group import (
     Group,
     _build_chain,
     _conjugations,
+    _descend,
     _normal_closure_chain,
     _orbit_count,
     _orbits,
@@ -104,7 +106,7 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _check_bound, _inv, _mul, _pow, prime_factors
+from .perm import Permutation, _check_bound, _identity, _inv, _mul, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
     _minimal_normal_key,
@@ -419,11 +421,14 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
     sec. 4.3).
 
-    F_1 is a minimal normal subgroup of N inside K = ncl_N(s), s an element
-    of the deepest level of N's chain, found by scanning K alone
-    (``structure.minimal_normals_inside``).  On disjoint supports that
-    level lies in one factor, so K is one factor.  F_1 is T^k, T simple,
-    so it is abelian exactly when |F_1| is a prime power (proof in
+    F_1 is a minimal normal subgroup of N inside K = ncl_N(s), found by
+    scanning K alone (``structure.minimal_normals_inside``), where s, the
+    second member ``_descend`` yields, is N's least non-identity element.  s
+    lies in the deepest level of N's chain: an element x with least moved
+    point q has x[q] > q, so one whose least moved point is larger is
+    smaller, and the largest is the last point of N's lex base.  On disjoint
+    supports that level lies in one factor, so K is one factor.  F_1 is T^k,
+    T simple, so it is abelian exactly when |F_1| is a prime power (proof in
     ``structure.classify_maximal``).  When K is too large to
     scan, ncl_K(s) is built instead: if N is a direct product of nonabelian
     simple groups, K is the product of the factors on which s projects
@@ -445,8 +450,7 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
-    b, itr = N._chain.levels[-1]
-    seed = [Permutation._wrap(next(t for pt, t in itr.items() if pt != b)[:N.degree])]
+    seed = [Permutation._wrap(s) for s in islice(_descend(N), 1, 2)]
     K = normal_closure(N, seed)
     try:
         F = minimal_normals_inside(N, K)[0]
@@ -532,7 +536,7 @@ def _lift_walk(G: Group, N: Group, lifts: tuple, keep=None, fixed: tuple = (),
         # (weight, vs) per generating tuple or prefix reached
         slot = len(xs)
         if slot >= 2 and _generates(G, xs + fixed):
-            yield weight * N.order() ** (d - slot), vs + (N._chain.ident,) * (d - slot)
+            yield weight * N.order() ** (d - slot), vs + (_identity(N.degree),) * (d - slot)
         elif slot < d:
             if reduced and slot:
                 C = centralizer_in(C, Permutation._wrap(xs[-1]))

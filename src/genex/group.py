@@ -14,12 +14,15 @@ Such a chain also answers membership in closed form: p lies in Sym(omega)
 iff it fixes every point outside omega, and in Alt(omega) iff it also is
 even (Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.
 A later generator that grows the chain drops that record, and membership
-sifts again.
-Orders, transversals and everything derived from them are
+sifts again.  Orders, transversals and everything derived from them are
 reproducible run to run.  Level i of a chain is the pointwise stabilizer of
 every point below its base point, so the base is the group's lex base,
-whatever its generators, and searches walk a group's elements in sorted
-order down the chain itself without enumerating them (``Group._lex_walk``).
+whatever its generators.  Every sorted walk down a chain is ``_descend``:
+a group's elements (``Group._lex_walk``) and the least non-identity one
+(``gensets.check_monolithic_nonabelian``).  A coset's least member, the
+first leaf of such a walk, is taken greedily (``coset_canonical``).  Only
+this module reads a chain's levels, generators or tables, so
+``is_transitive`` and ``is_primitive`` live here.
 On at most 256 points a chain composes bytes with ``bytes.translate`` over
 256-byte tables, in C and without building a getter per product; above 256
 points it composes tuples with ``perm._mul``.  Both run the same loops and
@@ -221,6 +224,44 @@ def _tuple_inv(ident, p):
     for i, j in zip(ident, p):
         inv[j] = i
     return tuple(inv)
+
+
+def _descend(G, prune=None, state=None):
+    """G's elements sorted by image tuple, lazily, with no element bound.
+
+    A depth-i node is a coset H_i y = {x in G : x[p] = y[p] for p < b_i},
+    with b_i and H_i those of level i of G's chain (the root is G, with y
+    the identity).  Its children are H_(i+1) (u y) for the reps u of level
+    i, on which x[b_i] = y[u[b_i]], so visiting them by ascending y[u[b_i]]
+    yields the elements sorted, G never built.  y is a table of the chain
+    (``_Chain``), made a tuple at a leaf.
+    ``prune(state, y, lo, hi)`` is called on entering each node strictly
+    between the root and the elements, which agree with y below ``hi`` and
+    with the parent's y below ``lo``; None skips the node, and anything else
+    is the state handed on to its children.
+    """
+    chain, n = G._chain, G._degree
+    mul, inv, levels = chain.mul, chain.inv, chain.levels
+    last = len(levels) - 1
+
+    def walk(i, c, state):
+        b, itr = levels[i]
+        for o in sorted(itr, key=c.__getitem__):
+            y = mul(inv(itr[o]), c)
+            if i == last:
+                yield tuple(y[:n])
+                continue
+            child = state
+            if prune is not None:
+                child = prune(state, y, b, levels[i + 1][0])
+                if child is None:
+                    continue
+            yield from walk(i + 1, y, child)
+
+    if not levels:
+        yield chain.ident
+        return
+    yield from walk(0, chain.one + chain.tail, state)
 
 
 def _build_chain(degree, raw_gens):
@@ -592,44 +633,9 @@ class Group:
         return [Permutation._wrap(p) for p in self.elements_raw()]
 
     def _lex_walk(self, prune=None, state=None):
-        """The elements in ``elements_raw()`` order, generated lazily.
-
-        A depth-i node of the walk is a coset H_i c = {y : y[p] = c[p] for
-        every p < b_i}, with b_i and H_i those of level i of the chain, whose
-        base is in point order (the root is G, with c the identity).  Its
-        children are the cosets H_(i+1) (u c) for the reps u of level i, and
-        y[b_i] = c[u[b_i]] on the child of u, so visiting the children by
-        ascending c[u[b_i]] yields the elements sorted by image tuple without
-        building or sorting G.  c is a table of the chain (``_Chain``), made
-        a tuple at a leaf.  ``prune(state, c, lo, hi)`` is called on entering
-        each node strictly between the root and the elements, where the
-        node's members agree with c on the points below ``hi`` and its
-        parent's on those below ``lo``; it returns None to skip the node's
-        elements, and otherwise the state handed on to its children.
-        """
+        """The elements in ``elements_raw()`` order, lazily, by ``_descend``."""
         _check_bound("elements", self._order, "group order")
-        chain, n = self._chain, self._degree
-        mul, inv, levels = chain.mul, chain.inv, chain.levels
-        last = len(levels) - 1
-
-        def walk(i, c, state):
-            b, itr = levels[i]
-            for o in sorted(itr, key=c.__getitem__):
-                y = mul(inv(itr[o]), c)
-                if i == last:
-                    yield tuple(y[:n])
-                    continue
-                child = state
-                if prune is not None:
-                    child = prune(state, y, b, levels[i + 1][0])
-                    if child is None:
-                        continue
-                yield from walk(i + 1, y, child)
-
-        if not levels:
-            yield _identity(n)
-            return
-        yield from walk(0, chain.one + chain.tail, state)
+        return _descend(self, prune, state)
 
     def _element_index(self) -> tuple:
         """The group's one element index: ``(id_of, tables)``.
@@ -682,6 +688,37 @@ class Group:
 
 def trivial_group(degree: int) -> Group:
     return Group([], degree)
+
+
+def is_transitive(G: Group) -> bool:
+    return G._orbits <= 1
+
+
+def is_primitive(G: Group) -> bool:
+    """Transitive with no nontrivial block system.
+
+    The blocks of a transitive G through point 0 are the orbits of 0 under
+    the subgroups that contain G_0 (Dixon-Mortimer, *Permutation Groups*,
+    1996, Thm 1.5A), so the least block through 0 and beta is the orbit of
+    0 under <G_0, t>, t any element carrying 0 to beta, and that block is
+    all the points exactly when <G_0, t> is transitive.  G_0 maps a block
+    through 0 and beta onto one through 0 and beta^x, so one beta per orbit
+    of G_0 is tried.  G_0 is level 1 of the chain: a transitive group moves
+    point 0, so its lex base starts there, and level 0's table at beta is
+    t^-1 for a t carrying 0 to beta, with <G_0, t^-1> = <G_0, t>.  Tables
+    are cut to n points, as chains on at most 256 points store 256 bytes.
+    """
+    n = G.degree
+    if not is_transitive(G):
+        return False
+    if n == 1:
+        return True
+    chain = G._chain
+    stabilizer = [g[:n] for g in chain.gens[1]] if len(chain.base) > 1 else []
+    for orbit in _orbits(range(1, n), [g.__getitem__ for g in stabilizer]):
+        if _orbit_count(n, stabilizer + [chain.levels[0][1][orbit[0]][:n]]) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

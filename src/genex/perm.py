@@ -71,14 +71,16 @@ def _inv(p):
 
 
 def _pow(p, n):
+    """p^n by binary powering from p, high bit first, with no identity factor."""
     if n < 0:
         return _pow(_inv(p), -n)
-    q = _identity(len(p))
-    while n:
-        if n & 1:
+    if n == 0:
+        return _identity(len(p))
+    q = p
+    for bit in bin(n)[3:]:
+        q = _mul(q, q)
+        if bit == "1":
             q = _mul(q, p)
-        p = _mul(p, p)
-        n >>= 1
     return q
 
 

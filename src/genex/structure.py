@@ -44,7 +44,9 @@ classes of G, Phi(G) and ``classify_maximal`` read it.
 ``classify_maximal`` reads its report off G's lattice by id sets when it
 is built, and otherwise off G's action on the cosets of M.  On both paths
 a minimal normal subgroup, being T^k with T simple, is nonabelian exactly
-when its order is no prime power (proofs in ``classify_maximal``).
+when its order is no prime power (proofs in ``classify_maximal``).  The
+coset action's image is tested by ``group.is_primitive``, beside the chain
+it reads; this module reads no chain's levels, generators or tables.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ from .group import (
     centralizer_in,
     commutator_subgroup,
     coset_action,
+    is_primitive,
+    is_transitive,
     normal_closure,
     subgroup_closure,
 )
@@ -148,40 +152,6 @@ def _no_proper_normal_order(order: int, class_sizes: list, composite_sizes: list
         sums |= sums << size
     return not any(sums >> (m - 1) & 1
                    for m in range(2, order // 2 + 1) if order % m == 0)
-
-
-# ---------------------------------------------------------------------------
-# blocks and primitivity
-
-def is_transitive(G: Group) -> bool:
-    return G._orbits <= 1
-
-
-def is_primitive(G: Group) -> bool:
-    """Transitive with no nontrivial block system.
-
-    The blocks of a transitive G through point 0 are the orbits of 0 under
-    the subgroups that contain G_0 (Dixon-Mortimer, *Permutation Groups*,
-    1996, Thm 1.5A), so the least block through 0 and beta is the orbit of
-    0 under <G_0, t>, t any element carrying 0 to beta, and that block is
-    all the points exactly when <G_0, t> is transitive.  G_0 maps a block
-    through 0 and beta onto one through 0 and beta^x, so one beta per orbit
-    of G_0 is tried.  G_0 is level 1 of the chain: a transitive group moves
-    point 0, so its lex base starts there, and level 0's table at beta is
-    t^-1 for a t carrying 0 to beta, with <G_0, t^-1> = <G_0, t>.  Tables
-    are cut to n points, as chains on at most 256 points store 256 bytes.
-    """
-    n = G.degree
-    if not is_transitive(G):
-        return False
-    if n == 1:
-        return True
-    chain = G._chain
-    stabilizer = [g[:n] for g in chain.gens[1]] if len(chain.base) > 1 else []
-    for orbit in _orbits(range(1, n), [g.__getitem__ for g in stabilizer]):
-        if _orbit_count(n, stabilizer + [chain.levels[0][1][orbit[0]][:n]]) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

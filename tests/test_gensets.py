@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1034,6 +1034,33 @@ def test_monolithic_check_rejects_a_closure_too_large_to_scan():
     with pytest.raises(ValueError, match="direct product") as caught:
         check_monolithic_nonabelian(W, W)
     assert not isinstance(caught.value, BoundExceeded)
+
+
+@pytest.mark.parametrize("N", [
+    A5, direct_product(A5, A5), A6,
+    make(["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)", "(11,12,13,14,15)", "(13,14,15)"], 15),
+], ids=["A5", "A5xA5", "A6", "A5^3"])
+def test_monolithic_seed_lies_in_the_deepest_level(N):
+    # the certificate's seed, the second member of the descent, is N's least
+    # non-identity element, so it fixes every base point but the last
+    seed = list(islice(group_module._descend(N), 2))[1]
+    base = N._chain.base
+    assert seed[base[-1]] != base[-1]
+    assert all(seed[b] == b for b in base[:-1])
+    if N.order() <= BOUNDS["elements"]:
+        assert seed == N.elements_raw()[1]
+    else:
+        assert N.order() == 216000  # A5^3, the base group of A5 wr C3
+
+
+def test_monolithic_check_lets_a_scan_bound_stand_for_a_simple_socle():
+    # K = ncl_N(s) is all of A10, too large to scan, and ncl_K(s) = K, as
+    # for a direct product of simple groups: the bound is reported
+    S10 = make(["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"], 10)
+    A10 = make(["(1,2,3,4,5,6,7,8,9)", "(8,9,10)"], 10)
+    assert A10.order() == 1814400 and A10.is_normal_in(S10)
+    with pytest.raises(BoundExceeded):
+        check_monolithic_nonabelian(S10, A10)
 
 
 @pytest.mark.parametrize("name", ["S5/A5", "A5wrC2/A5xA5"])

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,17 @@ def test_import_loads_no_unused_stdlib_module():
     out = subprocess.run([sys.executable, "-S", "-c", PROBE], capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out == ["[]", "False", "fractions 19/30"]
+
+
+# a group's chain and the fields of group._Chain: its levels, tables and
+# their encoding
+CHAIN_FIELDS = {"_chain", "levels", "tail", "enc", "ident", "one", "mul", "inv", "giant"}
+
+
+def test_only_group_reads_a_chain():
+    # structure and gensets name no group's chain and read no chain field
+    for name in ("structure", "gensets"):
+        tree = ast.parse((SRC / "genex" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in CHAIN_FIELDS, (name, node.lineno, node.attr)

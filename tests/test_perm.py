@@ -11,6 +11,7 @@ from genex.perm import (
     _identity,
     _inv,
     _mul,
+    _pow,
     format_cycles,
     is_prime,
     parse_permutation,
@@ -128,6 +129,20 @@ def test_power_and_order():
     assert p ** 6 == Permutation.identity(5)
     assert p ** -1 == p.inverse()
     assert p ** 7 == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.permutations(range(n)).map(tuple)),
+       st.integers(-7, 39))
+def test_pow_matches_repeated_products(p, n):
+    base = p if n >= 0 else _inv(p)
+    expected = _identity(len(p))
+    for _ in range(abs(n)):
+        expected = _mul(expected, base)
+    assert _pow(p, n) == expected
+    # a large exponent reduces modulo the order, here 6
+    q = P("(1,2)(3,4,5)", 5).imgs
+    assert _pow(q, 6 * 10 ** 30 + n) == _pow(q, n % 6)
 
 
 def test_call_and_fixed_points():
