@@ -5,7 +5,7 @@ ascending by image tuple), so returned witnesses are deterministic.  A pool
 of the tuple search is a subgroup of G, with G itself for every element; it
 is walked lazily in that order down its chain, whose base is in point order
 (``Group._lex_walk``), so G is never enumerated or sorted.  Every generation
-test goes through ``_generates``, which first compares orbit counts:
+test goes through ``group._generates``, which first compares orbit counts:
 <T> <= G, so each orbit of <T> lies inside an orbit of G, and equal groups
 have equal orbits; a tuple with more orbits than G generates a proper
 subgroup, and only when the counts agree is a stabilizer chain built.
@@ -26,9 +26,9 @@ candidates whose subtrees contain no generating tuple:
   with <K, x> = G makes G/N cyclic, generated by xN, where N is the normal
   closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so
   when G/N is not cyclic no element of any pool completes K.  The closure
-  stops as soon as its chain's index in G is 1 or a prime, since |G : N|
-  divides it and a group of order 1 or a prime is cyclic; so K = G needs
-  no separate test, and only a composite index builds all of N.
+  stops as soon as the subgroup it has grown has index 1 or a prime in G,
+  since |G : N| divides it and a group of order 1 or a prime is cyclic; so
+  K = G needs no separate test, and only a composite index builds all of N.
   G/N is cyclic iff the commutators of G's generators lie in N and
   |G : <N, g_1^p, .., g_k^p>| = p for every prime p with p^2 | |G:N|,
   since then every Sylow subgroup of the abelian G/N is cyclic (proof in
@@ -94,11 +94,10 @@ from math import log2, prod
 from .group import (
     BoundExceeded,
     Group,
-    _build_chain,
     _conjugations,
     _descend,
-    _normal_closure_chain,
-    _orbit_count,
+    _generates,
+    _normal_closure,
     _orbits,
     _stabilizer,
     centralizer_in,
@@ -174,7 +173,7 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
     The p-th power map of an abelian group is a homomorphism, so A^p is
     generated by the p-th powers of the images of G's generators, and its
     preimage in G is <N, g_1^p, .., g_k^p>.  A Sylow subgroup of prime order
-    is cyclic, so only the primes p with p^2 | m need that chain.
+    is cyclic, so only the primes p with p^2 | m need that closure.
     """
     gens = G._raw_gens
     for i, a in enumerate(gens):
@@ -185,7 +184,7 @@ def _quotient_is_cyclic(G: Group, N: Group) -> bool:
     for p, e in prime_factors(m).items():
         if e > 1:
             powers = [_pow(g, p) for g in gens]
-            if _build_chain(G.degree, list(N._raw_gens) + powers)[0].order() * p != G.order():
+            if subgroup_closure(G.degree, list(N._raw_gens) + powers).order() * p != G.order():
                 return False
     return True
 
@@ -194,17 +193,15 @@ def _closure_quotient_is_cyclic(G: Group, raw_gens) -> bool:
     """Whether G/N is cyclic, N the normal closure in G of raw tuples lying
     in G.
 
-    The closure stops as soon as its chain K has index 1 or a prime in G:
-    K <= N <= G, so |G : N| divides |G : K|, and a group of order 1 or a
-    prime is cyclic.  Only a composite index builds all of N and asks
+    The closure stops as soon as the subgroup K it has grown has index 1 or
+    a prime in G: K <= N <= G, so |G : N| divides |G : K|, and a group of
+    order 1 or a prime is cyclic.  Only a composite index builds all of N and asks
     ``_quotient_is_cyclic``.
     """
     n = G.order()
     stops = {n} | {n // p for p in prime_factors(n)}
-    chain, gens = _normal_closure_chain(G, raw_gens, stops)
-    if chain.order() in stops:
-        return True
-    return _quotient_is_cyclic(G, subgroup_closure(G.degree, gens, chain))
+    N = _normal_closure(G, raw_gens, stops)
+    return N.order() in stops or _quotient_is_cyclic(G, N)
 
 
 def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
@@ -362,15 +359,22 @@ def d_min(G: Group) -> tuple[int, MaximalSubgroupReport | None]:
 
     Returns the value with the classification of the first maximal subgroup
     attaining it; the trivial group has no maximal subgroup, and gives
-    (d(G), None).
+    (d(G), None).  A value below d(G) - 2 contradicts the paper's theorem
+    and raises AssertionError, with no search run: d(G) is read off G, and
+    if no search set it, every value is a shortcut witness's, and d(G) = 2.
     """
-    maximals = [cls.rep for cls in all_subgroups(G).maximal_classes()]
-    if not maximals:
+    classes = all_subgroups(G).maximal_classes()
+    if not classes:
         # no maximal subgroups: the trivial group
         return min_generators(G).d, None
-    values = [d_metric(G, M).value for M in maximals]
+    values = [d_metric(G, cls.rep).value for cls in classes]
+    d = G._generation[0] if G._generation else 2
+    for cls, value in zip(classes, values):
+        if value < d - 2:
+            raise AssertionError(f"D_M(G) = {value} < d(G) - 2 = {d - 2} for the maximal"
+                                 f" class of order {cls.order} and key {cls.key}")
     best = min(values)
-    return best, classify_maximal(G, maximals[values.index(best)])
+    return best, classify_maximal(G, classes[values.index(best)].rep)
 
 
 def _join(comp: list, p: int, q: int) -> list:
@@ -390,15 +394,6 @@ def _components(degree: int, raw_gens) -> list:
         for p, q in enumerate(g):
             comp = _join(comp, p, q)
     return comp
-
-
-def _generates(G: Group, raw_gens) -> bool:
-    """Whether raw tuples lying in G generate G; a proper <T> with more
-    orbits than G is rejected without a chain."""
-    raw_gens = list(raw_gens)
-    if _orbit_count(G.degree, raw_gens) != G._orbits:
-        return False
-    return _build_chain(G.degree, raw_gens)[0].order() == G.order()
 
 
 def check_monolithic_nonabelian(G: Group, N: Group) -> None:

@@ -21,8 +21,10 @@ whatever its generators.  Every sorted walk down a chain is ``_descend``:
 a group's elements (``Group._lex_walk``) and the least non-identity one
 (``gensets.check_monolithic_nonabelian``).  A coset's least member, the
 first leaf of such a walk, is taken greedily (``coset_canonical``).  Only
-this module reads a chain's levels, generators or tables, so
-``is_transitive`` and ``is_primitive`` live here.
+this module builds, holds or reads a chain, so ``is_transitive``,
+``is_primitive`` and the generation test ``_generates`` live here.  One loop,
+``_grown``, extends a chain by a stream until its order hits a stop: kept
+generators' conjugates (``_normal_closure``) or Schreier generators.
 On at most 256 points a chain composes bytes with ``bytes.translate`` over
 256-byte tables, in C and without building a getter per product; above 256
 points it composes tuples with ``perm._mul``.  Both run the same loops and
@@ -45,7 +47,6 @@ which a group acts on its elements, each one product and one prepared gather.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Callable, Iterable
 from functools import partial
 from operator import itemgetter
@@ -452,6 +453,15 @@ def _orbit_count(degree, raw_gens) -> int:
     return count
 
 
+def _generates(G: Group, raw_gens) -> bool:
+    """Whether raw tuples lying in G generate G; a proper <T> with more
+    orbits than G is rejected without a chain."""
+    raw_gens = list(raw_gens)
+    if _orbit_count(G.degree, raw_gens) != G._orbits:
+        return False
+    return _build_chain(G.degree, raw_gens)[0].order() == G.order()
+
+
 def _walk(start, moves):
     """The orbit of ``start`` under the maps ``moves``, walked breadth-first.
 
@@ -542,17 +552,18 @@ class Group:
         self._setup(degree, tuple(g.imgs for g in gens))
 
     def _setup(self, degree, raw_gens, chain=None):
-        """Set every field, caches included; ``subgroup_closure`` calls it
-        directly to skip the degree checks on trusted raw tuples.
+        """Set every field, caches included, and return the group;
+        ``subgroup_closure`` and ``_grown`` call it directly to skip the
+        degree checks on trusted raw tuples.
 
         ``generators`` keeps every given non-identity generator.  When the
         chain is built here, the group acts (``_raw_gens``) only by the
         given generators that extended it, in order: any other lies in the
         group the earlier ones generate, so it adds no orbit point, Schreier
-        generator or coset, and acting by it only repeats work.  A caller
-        that already extended a chain by ``raw_gens`` in order passes it as
-        ``chain`` (extending again would rebuild it), and the group then
-        acts by all of ``raw_gens``.
+        generator or coset, and acting by it only repeats work.  ``_grown``,
+        the one caller that has already extended a chain by ``raw_gens`` in
+        order, passes it as ``chain`` (extending again would rebuild it),
+        and the group then acts by all of ``raw_gens``.
 
         A chain built here is written down for a prefix of generators that
         ``_giant_chain`` certifies as Alt or Sym of the points it moves,
@@ -575,6 +586,7 @@ class Group:
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
         self._generation = None  # (d, witness), set by gensets.min_generators
         self._minimal_normals = None  # set by structure.minimal_normal_subgroups
+        return self
 
     # -- basic queries ------------------------------------------------------
 
@@ -724,18 +736,31 @@ def is_primitive(G: Group) -> bool:
 # ---------------------------------------------------------------------------
 # closures built inside an ambient group
 
-def subgroup_closure(ambient_degree: int, raw_gens, chain=None) -> Group:
-    """Subgroup generated by trusted raw tuples; ``chain``, if given, is the
-    chain already built by extending with ``raw_gens`` in order."""
-    g = Group.__new__(Group)
-    g._setup(ambient_degree, raw_gens, chain)
-    return g
+def subgroup_closure(ambient_degree: int, raw_gens) -> Group:
+    """Subgroup generated by trusted raw tuples, acting by those that
+    extended its chain (``Group._setup``)."""
+    return Group.__new__(Group)._setup(ambient_degree, raw_gens)
+
+
+def _grown(degree, raw_gens, more, stops) -> Group:
+    """The group of the chain of <raw_gens> extended by each candidate of
+    ``more(gens)`` until its order lies in ``stops``, none drawn after;
+    ``gens``, the generators that extended it, grows while the stream runs,
+    and the group acts by it."""
+    chain, gens = _build_chain(degree, raw_gens)
+    if chain.order() not in stops:
+        for y in more(gens):
+            if chain.extend(y):
+                gens.append(y)
+                if chain.order() in stops:
+                    break
+    return Group.__new__(Group)._setup(degree, gens, chain)
 
 
 def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
-    """Smallest normal subgroup of G containing the seed elements; the
-    closure lies in G, so it is G as soon as its chain reaches |G|.  A seed
-    outside G or of another degree raises ValueError.
+    """Smallest normal subgroup of G containing the seed elements
+    (``_normal_closure``, stopped at |G|, where nothing can extend it).  A
+    seed outside G or of another degree raises ValueError.
 
     Only the seeds that extended the chain, which generate the seeds'
     subgroup, are conjugated and kept, so the closure acts by them and by
@@ -745,29 +770,17 @@ def normal_closure(G: Group, seeds: Iterable[Permutation]) -> Group:
     seeds = list(seeds)
     if not all(G.contains(s) for s in seeds):
         raise ValueError("seed does not lie in G")
-    chain, gens = _normal_closure_chain(G, [s.imgs for s in seeds], {G.order()})
-    return subgroup_closure(G.degree, gens, chain)
+    return _normal_closure(G, [s.imgs for s in seeds], {G.order()})
 
 
-def _normal_closure_chain(G: Group, raw_seeds, stops) -> tuple:
-    """(chain, gens) of the normal closure in G of raw tuples lying in G,
-    built by conjugating the generators that extended it by G's, or of the
-    subgroup reached first whose order lies in ``stops``: the loop stops as
-    soon as the chain's order is one of them.  ``normal_closure`` stops at
-    |G|, where nothing can extend it."""
-    chain, gens = _build_chain(G.degree, raw_seeds)
-    queue = deque(gens)
+def _normal_closure(G: Group, raw_seeds, stops) -> Group:
+    """The normal closure in G of raw tuples lying in G, or the first
+    subgroup reached whose order lies in ``stops``: ``_grown`` over each
+    kept generator's conjugates by G's (Seress, 2003, ch. 5)."""
     ambient = list(_conjugations(G._raw_gens))
-    while queue and chain.order() not in stops:
-        x = queue.popleft()
-        for conj in ambient:
-            y = conj(x)
-            if chain.extend(y):
-                gens.append(y)
-                queue.append(y)
-                if chain.order() in stops:
-                    break
-    return chain, gens
+    # gens grows while the stream walks it, a queue of the generators kept
+    return _grown(G.degree, raw_seeds, lambda gens: (conj(x) for x in gens for conj in ambient),
+                  stops)
 
 
 def commutator_subgroup(G: Group) -> Group:
@@ -779,8 +792,7 @@ def commutator_subgroup(G: Group) -> Group:
     invs = [_inv(g) for g in gens]
     comms = [_mul(_mul(invs[i], invs[j]), _mul(gens[i], gens[j]))
              for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    chain, closure_gens = _normal_closure_chain(G, comms, {G.order()})
-    return subgroup_closure(G.degree, closure_gens, chain)
+    return _normal_closure(G, comms, {G.order()})
 
 
 def _schreier_generators(degree, gens, moves, start):
@@ -828,20 +840,13 @@ def _schreier_generators(degree, gens, moves, start):
 def _stabilizer(K: Group, moves, start) -> Group:
     """Stabilizer of ``start`` in K, ``moves[i]`` the action of
     ``K._raw_gens[i]``: K itself, with no chain built, if ``start`` is its
-    own orbit, else the Schreier generators that extend a chain until it
-    reaches |K| / |orbit|, none when that is 1 (a regular action)."""
+    own orbit, else ``_grown`` from no generator over the Schreier
+    generators, stopped at |K| / |orbit|, so none is drawn when that is 1
+    (a regular action)."""
     orbit, schreier = _schreier_generators(K.degree, K._raw_gens, moves, start)
     if len(orbit) == 1:
         return K
-    target = K.order() // len(orbit)
-    chain, gens = _build_chain(K.degree, [])
-    if target > 1:
-        for s in schreier:
-            if chain.extend(s):
-                gens.append(s)
-                if chain.order() >= target:
-                    break
-    return subgroup_closure(K.degree, gens, chain)
+    return _grown(K.degree, [], lambda gens: schreier, {K.order() // len(orbit)})
 
 
 def centralizer_in(G: Group, x: Permutation) -> Group:

@@ -46,7 +46,8 @@ is built, and otherwise off G's action on the cosets of M.  On both paths
 a minimal normal subgroup, being T^k with T simple, is nonabelian exactly
 when its order is no prime power (proofs in ``classify_maximal``).  The
 coset action's image is tested by ``group.is_primitive``, beside the chain
-it reads; this module reads no chain's levels, generators or tables.
+it reads; this module builds no chain and reads none, only groups and
+their orders.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from operator import itemgetter
 
 from .group import (
     Group,
-    _build_chain,
     _conjugations,
     _orbit_count,
     _orbits,
@@ -338,7 +338,7 @@ def _perfect_seed_classes(G: Group):
       of a, b, ab pass ``_von_dyck_solvable`` a solvable one; neither is
       ever perfect, so the pair is skipped;
     * a pair with |<a, b>| above the cap has <a, b> = D, already a seed,
-      and is skipped once its chain is built;
+      and is skipped once its closure is built;
     * many pairs still generate the same subgroup: <a, b> is skipped when a
       subgroup T tried earlier has its order and contains a and b, since
       then <a, b> = T.  A (2, 3, 5) pair has order 60 before any build, so
@@ -394,10 +394,9 @@ def _perfect_seed_classes(G: Group):
                 continue
             if a5_only or ab == _mul(b, a) or _von_dyck_solvable(order_a, order_b, order_ab):
                 continue
-            chain, used = _build_chain(G.degree, (a, b))
-            if chain.order() > cap:
+            H = subgroup_closure(G.degree, (a, b))
+            if H.order() > cap:
                 continue
-            H = subgroup_closure(G.degree, used, chain)
             if H.order() < 60 or known(H.order(), a, b):
                 continue
             tried.append(H)

@@ -207,10 +207,9 @@ def test_search_builds_no_class_table(monkeypatch):
     G = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
     M = make(["(1,2,3,4,5,6)", "(1,2)"], 7)
     builds = []
-    for mod in (group_module, gensets):
-        original = mod._build_chain
-        monkeypatch.setattr(mod, "_build_chain",
-                            lambda *a, f=original: builds.append(1) or f(*a))
+    original = group_module._build_chain  # the one builder, generation test included
+    monkeypatch.setattr(group_module, "_build_chain",
+                        lambda *a: builds.append(1) or original(*a))
 
     def no_classes(self, *args, **kwargs):
         raise AssertionError("conjugacy class table built")
@@ -558,6 +557,26 @@ def test_d_min_searches_for_d_once(monkeypatch):
     value, report = d_min(G)
     assert value == 1 and report is not None
     assert [pools for pools in searches if all(p is G for p in pools)] == []
+
+
+def test_d_min_raises_below_the_theorem_bound(monkeypatch):
+    # d(C2^3) = 3, so D_M >= 1 for every maximal M by the paper's theorem; a
+    # D_M of 0 for one class is an engine fault, named by its class
+    G = Group(V8.generators, 6)
+    assert d_min(G)[0] == 2
+    G = Group(V8.generators, 6)
+    first = all_subgroups(G).maximal_classes()[0].rep
+    real = gensets.d_metric
+
+    def stub(G, M):
+        report = real(G, M)
+        if M is first:
+            report.value = 0
+        return report
+
+    monkeypatch.setattr(gensets, "d_metric", stub)
+    with pytest.raises(AssertionError, match="maximal class of order 4"):
+        d_min(G)
 
 
 def test_d_metric_abelian_guard(monkeypatch):

@@ -302,8 +302,8 @@ def test_normal_closure_rejects_seeds_outside_the_group():
 
 def test_commutator_subgroup_matches_oracle(monkeypatch):
     seeded = []
-    closure = group_module._normal_closure_chain
-    monkeypatch.setattr(group_module, "_normal_closure_chain",
+    closure = group_module._normal_closure
+    monkeypatch.setattr(group_module, "_normal_closure",
                         lambda G, seeds, stops:
                         seeded.append(len(seeds)) or closure(G, seeds, stops))
     for g in [S4, A4, Q8, C6, make(["(1,2)", "(2,3)", "(3,4)", "(4,5)"], 5)]:

@@ -43,3 +43,25 @@ def test_only_group_reads_a_chain():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in CHAIN_FIELDS, (name, node.lineno, node.attr)
+
+
+# what builds, extends or hands over a chain: the builder, the chain class
+# and the closure loop, whose groups structure and gensets read instead
+CHAIN_BUILDERS = {"_build_chain", "_Chain", "_grown", "_normal_closure_chain"}
+
+
+def test_only_group_builds_a_chain():
+    # structure and gensets import no chain builder and pass no chain to
+    # subgroup_closure, which takes none
+    for name in ("structure", "gensets"):
+        tree = ast.parse((SRC / "genex" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not names & CHAIN_BUILDERS, (name, node.lineno, names & CHAIN_BUILDERS)
+            elif isinstance(node, ast.Name):
+                assert node.id not in CHAIN_BUILDERS, (name, node.lineno, node.id)
+            elif isinstance(node, ast.Call):
+                assert all(kw.arg != "chain" for kw in node.keywords), (name, node.lineno)
+                if getattr(node.func, "id", None) == "subgroup_closure":
+                    assert len(node.args) == 2 and not node.keywords, (name, node.lineno)

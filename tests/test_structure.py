@@ -526,18 +526,20 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
     # the seed search skips, generates D or a G-conjugate of a subgroup
     # generated by a pair the seed search closes; below the cap of 120
     # (A6, S6) it may also generate a group that is not perfect.  A (2, 3, 5)
-    # pair is closed with no chain built first, and its closure has order 60
+    # pair is closed with no perfectness test, and its closure has order 60
     G = make(texts, degree)
     D = structure._perfect_residuum(G)
     built, a5 = [], []
-    build, closure = structure._build_chain, structure.subgroup_closure
-    monkeypatch.setattr(structure, "_build_chain",
-                        lambda *args: built.append(args[1]) or build(*args))
+    closure = structure.subgroup_closure
 
-    def recorded(*args):
-        H = closure(*args)
-        if len(args) == 2:  # no chain given: a (2, 3, 5) pair closed at once
-            a5.append((args[1], H))
+    def recorded(degree, pair):
+        # told apart by the orders of a, b and ab, as the seed search does
+        H = closure(degree, pair)
+        a, b = map(Permutation, pair)
+        if sorted((a.order(), b.order(), (a * b).order())) == [2, 3, 5]:
+            a5.append((pair, H))
+        else:
+            built.append(pair)
         return H
 
     monkeypatch.setattr(structure, "subgroup_closure", recorded)
@@ -583,11 +585,11 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
 
 def test_solvable_group_makes_no_seed_closure(monkeypatch):
     # S4 wr C2 is solvable: its perfect residuum is trivial, so the seed
-    # search builds no chain, though |G'| = 288
+    # search closes no pair, though |G'| = 288
     built = []
-    build = structure._build_chain
-    monkeypatch.setattr(structure, "_build_chain",
-                        lambda *args: built.append(args) or build(*args))
+    closure = structure.subgroup_closure
+    monkeypatch.setattr(structure, "subgroup_closure",
+                        lambda *args: built.append(args) or closure(*args))
     G = wreath_product(S4, make(["(1,2)"], 2))
     assert structure.commutator_subgroup(G).order() == 288
     lat = all_subgroups(G)
@@ -601,9 +603,9 @@ def test_small_perfect_residuum_makes_no_seed_closure(monkeypatch, texts):
     # |D| = 60 < 300: D has no proper perfect subgroup, so it is the one seed
     # and no pair is closed; fresh groups, so no kept lattice is reused
     built = []
-    build = structure._build_chain
-    monkeypatch.setattr(structure, "_build_chain",
-                        lambda *args: built.append(args) or build(*args))
+    closure = structure.subgroup_closure
+    monkeypatch.setattr(structure, "subgroup_closure",
+                        lambda *args: built.append(args) or closure(*args))
     G = make(texts, 5)
     lat = all_subgroups(G)
     assert not built
