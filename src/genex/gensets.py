@@ -1,47 +1,77 @@
 """Generating tuples: d(G), pooled searches, D-metrics, densities, replacements.
 
 All searches are exhaustive and run in a fixed canonical order (elements
-ascending by image tuple), so returned witnesses are deterministic.  A pool
-of the tuple search is a subgroup of G, with G itself for every element; it
-is walked lazily in that order down its chain, whose base is in point order
-(``Group._lex_walk``), so G is never enumerated or sorted.  Every generation
-test goes through ``group._generates``, which first compares orbit counts:
-<T> <= G, so each orbit of <T> lies inside an orbit of G, and equal groups
-have equal orbits; a tuple with more orbits than G generates a proper
-subgroup, and only when the counts agree is a stabilizer chain built.
+ascending by image tuple), so returned witnesses are deterministic.  Every
+generation test goes through ``group._generates``, which first compares
+orbit counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and
+equal groups have equal orbits; a tuple with more orbits than G generates a
+proper subgroup, and only when the counts agree is a stabilizer chain built.
 
-The tuple search (``exists_generating_tuple``) makes three cuts, none of
-which changes the order or the first witness, because each drops only
-candidates whose subtrees contain no generating tuple:
+Every search is one walk (``_tuple_walk``) over the tuples (x_1..x_d) with
+x_i = v_i l_i for v_i in a pool P_i, one slot (P_i, l_i) per entry, each
+tuple tested with any fixed trailing entries.  A subgroup pool of G (G
+itself for every element) has l_i None, so x_i = v_i and no product is
+taken; a socle slot is a coset N l_i of the nonabelian socle N.  Each pool
+is walked lazily in lex order down its chain, whose base is in point order
+(``Group._lex_walk``), so no pool is enumerated or sorted, and the tuples
+come in lex order of the v_i.  The walk returns the v_i of the first tuple
+that generates G, or, counting, the number that do.  ``exists_generating_tuple``
+(d(G), D_M(G)) walks subgroup pools, and ``replacement_search`` and
+``generation_density`` socle slots.  Its cuts change neither the first
+witness nor a count, because each drops only candidates whose subtrees hold
+no generating tuple, or counts them whole:
 
-* first slot: it is reduced to the first member of each conjugacy class of
-  G that it holds whenever every later pool is normal in G (G itself
-  included): if (x^c, y_2..y_d) generates G then so does
-  (x, y_2^(c^-1)..y_d^(c^-1)), whose entries lie in the same pools, so a
-  class member after the first has a completion only if the first has one,
-  and the search would already have returned.  A class is orbited only once
-  the subtree of its first member has failed, so no class table of G is
-  built;
-* cyclic quotient: with one slot left and K = <partial>, a completion x
-  with <K, x> = G makes G/N cyclic, generated by xN, where N is the normal
-  closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005, sec. 4.4); so
-  when G/N is not cyclic no element of any pool completes K.  The closure
-  stops as soon as the subgroup it has grown has index 1 or a prime in G,
-  since |G : N| divides it and a group of order 1 or a prime is cyclic; so
-  K = G needs no separate test, and only a composite index builds all of N.
-  G/N is cyclic iff the commutators of G's generators lie in N and
-  |G : <N, g_1^p, .., g_k^p>| = p for every prime p with p^2 | |G:N|,
-  since then every Sylow subgroup of the abelian G/N is cyclic (proof in
-  ``_quotient_is_cyclic``);
-* lex coset: the last slot, when walked, visits cosets C = {y : y[p] = c[p]
-  for all p < j} of the pool's chain (Seress, *Permutation Group Algorithms*,
-  2003, ch. 4).  Join p and x(p) for each entry x of the partial tuple and
-  each point p, and p and c(p) for each p < j.  A component Z of this graph
-  with every point below j is mapped into itself by each x and, since
-  y(p) = c(p) for p < j, by every y in C; so Z is a union of orbits of
-  <partial, y>.  If Z is smaller than the G-orbit containing it, no y in C
-  completes the tuple, and C is skipped unvisited.  Only the points in Z
-  must lie below j: a point at or above j has an unknown image under y.
+* slot-0 class reduction (first witness, every pool a subgroup, every later
+  pool normal in G, no filter and no fixed entry): slot 0 takes the first
+  member of each conjugacy class of G that it holds.  If (x^c, y_2..y_d)
+  generates G then so does (x, y_2^(c^-1)..y_d^(c^-1)), whose entries lie
+  in the same pools, so a class member after the first has a completion
+  only if the first has one, and the walk would already have returned.  A
+  class is orbited only once the subtree of its first member has failed, so
+  no class table of G is built;
+* cyclic quotient (slot d-1 of d, subgroup pools only): a completion x
+  with <K, x> = G, K = <partial>, makes G/N cyclic, generated by xN, where
+  N is the normal closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005,
+  sec. 4.4); so when G/N is not cyclic no element of any pool completes K.
+  The closure stops as soon as the subgroup it has grown has index 1 or a
+  prime in G, since |G : N| divides it and a group of order 1 or a prime is
+  cyclic, and only a composite index builds all of N (proof of the test in
+  ``_quotient_is_cyclic``).  On socle slots the cut is not run, as it
+  would build a closure per candidate to drop one partial tuple at most:
+  an entry x_i = v_i l_i != 1 or a fixed entry != 1 puts N, the unique
+  minimal normal subgroup, in the normal closure of the partial tuple and
+  the fixed entries, which then holds every l_i = v_i^-1 x_i of the
+  partial tuple and every fixed entry; the lifts generate G modulo N, so
+  G over that closure is generated by the image of l_d, and is cyclic;
+* lex coset (the last slot of a first-witness walk): the last pool is
+  walked by cosets C = {v : v[p] = c[p] for all p < j} of its chain
+  (Seress, *Permutation Group Algorithms*, 2003, ch. 4), so x = v l has
+  x(p) = l(c(p)) for p < j, with l the identity on a subgroup pool.  Join p
+  and y(p) for each entry y of the partial tuple, each fixed entry and each
+  point p, and p and l(c(p)) for each p < j.  A component Z of this graph
+  with every point below j is mapped into itself by every entry and every
+  x, so Z is a union of orbits of the tuple.  If Z is smaller than the
+  G-orbit containing it, no v in C completes the tuple, and C is skipped
+  unvisited.  Only the points in Z must lie below j: a point at or above j
+  has an unknown image under x;
+* generating prefix (counting): by Gaschuetz's lemma (*Math. Nachr.* 14,
+  1955) the number of generating tuples depends only on the cosets, and a
+  prefix of k >= 2 entries that generates G stands for its |N|^(d-k)
+  completions, unwalked; one entry never generates G, whose minimal normal
+  N is nonabelian;
+* orbit reduction (counting): conjugation by c in K = {g in G : g^-1 l_i g
+  in N l_i for every i} (``_coset_fixer``) maps each coset onto itself,
+  since c^-1 n l c = (c^-1 n c)(c^-1 l c), and keeps generation, since
+  <x_1^c, ..> = G^c = G; K contains N, and is G when G/N is abelian.  So a
+  partial tuple's completions are constant on the orbits of its centralizer
+  in K on the next coset, and that slot tries only the least member of each
+  orbit, each coset scanned once from ``N.elements_raw()``.  The inverses
+  of an orbit form an orbit of the same size with the same completions,
+  which takes the count of the first of the two.  A first-witness walk is
+  not reduced: Htilde, the replacement search's filter, is not K-invariant,
+  K need not fix a fixed entry, and a walk that stops at its first witness
+  would pay for a centralizer per candidate.  Unreduced, the witness is the
+  lex-first, and N is walked only as far as it.
 
 The paper conjectures that every maximal M has a minimal generating set
 with d(G) - 1 entries in M.  For d(G) = 2 that witness is a generating
@@ -54,35 +84,15 @@ witness, with the stats, of the k = 1 search that would follow
 it may be cyclic: C6 has a generating pair with an entry in C3, yet d = 1.
 A failed search falls back to ``min_generators``, and counts in the stats.
 
-``SearchStats.nodes`` counts the candidates the tuple search visits, and
+``SearchStats.nodes`` counts the candidates the walk visits, and
 ``SearchStats.skipped`` the cosets the lex-coset prune drops, whose members
 are not visited.
-The first-slot reduction marks a class only among visited candidates, so a
+The class reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
 
-The socle queries (``generation_density``, ``replacement_search``) check
-one precondition (``_check_lifts``), whose certificate of the socle N
-(``check_monolithic_nonabelian``) scans one simple factor, and run one
-walk (``_lift_walk``) over the tuples (x_1..x_d), x_i = v_i l_i in N l_i,
-in lex order of the v_i, each tested with any fixed trailing entries.  By
-Gaschuetz's lemma (*Math. Nachr.* 14, 1955) the number that generate G
-depends only on the cosets.  A prefix of k >= 2 entries that generates G
-stands for its |N|^(d-k) completions, unwalked; one entry never generates
-G, whose minimal normal N is nonabelian.  A count is reduced: conjugation
-by c in K = {g in G : g^-1 l_i g in N l_i for every i} maps each coset
-onto itself, since c^-1 n l c = (c^-1 n c)(c^-1 l c), and keeps
-generation, since <x_1^c, ..> = G^c = G; K contains N, and is G when G/N
-is abelian.  So a partial tuple's completions are constant on the orbits
-of its centralizer C in K on the next coset, and that slot tries only the
-least member of each orbit, scanned once from ``N.elements_raw()``.  The
-inverses of an orbit form an orbit of the same size with the same
-completions, which takes the count of the first of the two.  A filtered
-slot and every later one, any slot beside fixed entries, and a
-first-witness walk go unreduced, lazily down ``N._lex_walk()`` with v_i
-carried beside x_i: Htilde, the replacement search's filter, is not
-K-invariant, K need not fix a fixed entry, and a search that stops at its
-first witness would pay for a centralizer per candidate.  Unreduced, that
-witness is the lex-first, and N is walked only as far as it.
+The socle queries check one precondition (``_check_lifts``), whose
+certificate of the socle N (``check_monolithic_nonabelian``) scans one
+simple factor.
 """
 
 from __future__ import annotations
@@ -105,7 +115,7 @@ from .group import (
     normal_closure,
     subgroup_closure,
 )
-from .perm import Permutation, _check_bound, _identity, _inv, _mul, _pow, prime_factors
+from .perm import Permutation, _check_bound, _inv, _mul, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
     _minimal_normal_key,
@@ -211,47 +221,48 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
     distinct pool that is not G is checked once, on its generators, and
     anything else raises ValueError.  The exhaustive search certificate is
     exact: a None return means no such tuple exists.  Returned witnesses
-    are the first found in canonical order; the first-slot reduction, the
-    cyclic-quotient prune and the lex-coset prune (module docstring) drop
-    only candidates that cannot complete a generating tuple, so none changes
-    the witness.  Pools are walked lazily in canonical order, and raise
-    ``BoundExceeded`` above the element bound as ``Group.elements_raw`` does.
+    are the first found in canonical order, by the tuple walk over the
+    pools (module docstring), whose cuts never change the witness.  Pools
+    are walked lazily in canonical order, and raise ``BoundExceeded`` above
+    the element bound as ``Group.elements_raw`` does.
     """
-    if stats is None:
-        stats = SearchStats()
     pools = list(pools)
     # each distinct pool is checked once, however many slots it fills
     distinct = {id(pool): pool for pool in pools if pool is not G}
     for pool in distinct.values():
         if not (isinstance(pool, Group) and pool.is_subgroup_of(G)):
             raise ValueError("pool is not a subgroup of G")
-    d = len(pools)
-    if d == 0:
+    if not pools:
         return () if G.order() == 1 else None
+    found = _tuple_walk(G, [(pool, None) for pool in pools], stats=stats)
+    return None if found is None else tuple(Permutation._wrap(p) for p in found)
 
-    conjugations = list(_conjugations(G._raw_gens))
 
-    def first_of_each_class(pool):
-        # x's class is orbited only once the search asks for the next
-        # candidate, so a witness's first entry is never orbited
-        marked: set = set()
-        for x in pool:
-            if x not in marked:
-                yield x
-                marked.update(_orbits([x], conjugations)[0])
-
+def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: bool = False,
+                stats: SearchStats | None = None):
+    """The tuple walk (module docstring) over (x_1..x_d), x_i = v_i l_i for
+    v_i in P_i, d >= 1, one slot (P_i, l_i) per entry, with x_1 passing
+    ``keep`` and the raw ``fixed`` trailing: the raw v_i of the first tuple
+    that generates G, in lex order of the v_i, None if there is none, or,
+    with ``count``, the number that generate, the slots then being cosets
+    N l_i, d >= 2, with no ``keep`` and nothing fixed."""
+    d, P, l_last = len(slots), slots[0][0], slots[-1][1]
+    stats = SearchStats() if stats is None else stats
+    socle = l_last is not None
     # the pools are subgroups of G by now, so normality needs no containment
-    later = {id(pool): pool for pool in pools[1:] if pool is not G}
-    reduce_first = all(pool._normalized_by(G) for pool in later.values())
-
-    orbit = _components(G.degree, G._raw_gens)
-    orbit_size = [orbit.count(label) for label in orbit]
+    later = {id(Q): Q for Q, _ in slots[1:] if Q is not G}
+    reduce_first = not (count or socle or fixed) and keep is None and all(
+        Q._normalized_by(G) for Q in later.values())
+    labels = _components(G.degree, G._raw_gens)
+    orbit_size = [labels.count(label) for label in labels]
+    image = range(G.degree) if l_last is None else l_last  # p -> l(p) on the last slot
 
     def lex_coset_prune(comp, c, lo, hi):
-        # comp labels the components of the graph with edges p - x(p) for the
-        # partial tuple's entries x and p - c(p) for p < lo; add p < hi
+        # comp labels the components of the graph with edges p - y(p) for the
+        # partial tuple's and the fixed entries y and p - l(c(p)) for p < lo;
+        # add p < hi
         for p in range(lo, hi):
-            comp = _join(comp, p, c[p])
+            comp = _join(comp, p, image[c[p]])
         for p in range(lo, hi):
             members = [q for q, label in enumerate(comp) if label == comp[p]]
             if members[-1] < hi and len(members) < orbit_size[p]:
@@ -259,35 +270,61 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
                 return None
         return comp
 
-    def candidates(level: int, partial: tuple):
-        pool = pools[level]
+    def first_of_each_class(vs):
+        # v's class is orbited only once the walk asks for the next
+        # candidate, so a witness's first entry is never orbited
+        conjugations, marked = list(_conjugations(G._raw_gens)), set()
+        for v in vs:
+            if v not in marked:
+                yield v
+                marked.update(_orbits([v], conjugations)[0])
+
+    if count:
+        cosets = [[_mul(v, l) for v in P.elements_raw()] for _, l in slots]
+        fixer = _coset_fixer(G, P, [Permutation._wrap(l) for _, l in slots])
+
+    def members(level, xs, C):
+        # (v, x, the number of entries with x's completions) per entry walked
+        if count:
+            orbits = _orbits(cosets[level], _conjugations(C._raw_gens))
+            orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+            counted = set()
+            for i, orbit in enumerate(orbits):
+                if i not in counted:
+                    x = orbit[0]
+                    j = orbit_of.get(_inv(x), i)  # the inverses' orbit, if in this coset
+                    counted.add(j)
+                    yield None, x, len(orbit) + (len(orbits[j]) if j != i else 0)
+            return
+        Q, l = slots[level]
         if level < d - 1:
-            cands = pool._lex_walk()
+            vs = Q._lex_walk()
         else:
-            cands = pool._lex_walk(lex_coset_prune, _components(G.degree, partial))
-        return first_of_each_class(cands) if level == 0 and reduce_first else cands
+            vs = Q._lex_walk(lex_coset_prune, _components(G.degree, xs + fixed))
+        if level == 0 and reduce_first:
+            vs = first_of_each_class(vs)
+        for v in vs:
+            x = v if l is None else _mul(v, l)
+            if level or keep is None or keep(Permutation._wrap(x)):
+                yield v, x, 1
 
-    def rec(level: int, partial: tuple):
-        for g in candidates(level, partial):
+    def walk(vs, xs, C, weight):
+        # (weight, vs) per generating tuple, or generating prefix when counting
+        level = len(xs)
+        for v, x, w in members(level, xs, C):
             stats.nodes += 1
-            tup = partial + (g,)
-            if level == d - 1:
-                if _generates(G, tup):
-                    return tup
+            tup = xs + (x,)
+            if (level == d - 1 or count and level) and _generates(G, tup + fixed):
+                yield weight * w * P.order() ** (d - 1 - level), vs + (v,)
+            elif level == d - 1 or (level == d - 2 and not socle
+                                    and not _closure_quotient_is_cyclic(G, tup)):
                 stats.pruned += 1
-                continue
-            if level == d - 2 and not _closure_quotient_is_cyclic(G, tup):
-                stats.pruned += 1
-                continue
-            got = rec(level + 1, tup)
-            if got is not None:
-                return got
-        return None
+            else:
+                C_next = centralizer_in(C, Permutation._wrap(x)) if count else None
+                yield from walk(vs + (v,), tup, C_next, weight * w)
 
-    found = rec(0, ())
-    if found is None:
-        return None
-    return tuple(Permutation._wrap(p) for p in found)
+    found = walk((), (), fixer if count else None, 1)
+    return sum(w for w, _ in found) if count else next(found, (0, None))[1]
 
 
 def min_generators(G: Group) -> GenerationReport:
@@ -498,54 +535,11 @@ def _check_lifts(G: Group, N: Group, lifts: tuple) -> None:
         raise ValueError("lifts do not generate G modulo N")
 
 
-def _lift_walk(G: Group, N: Group, lifts: tuple, keep=None, fixed: tuple = (),
-               first: bool = False):
-    """The socle walk (module docstring) over the tuples (x_1..x_d), d >= 2,
-    x_i = v_i l_i in N l_i with x_1 passing ``keep``, that generate G with
-    the trailing ``fixed``: their number, or, with ``first``, the raw v_i
-    of the first in lex order of the v_i, None if there is none."""
-    d, fixed = len(lifts), tuple(g.imgs for g in fixed)
-    reduced = keep is None and not fixed and not first
-    if reduced:
-        cosets = [[_mul(v, l.imgs) for v in N.elements_raw()] for l in lifts]
-
-    def members(slot, C):
-        # (v, x, the number of entries with x's completions) per entry walked
-        if not reduced:
-            for v in N._lex_walk():
-                x = _mul(v, lifts[slot].imgs)
-                if slot or keep is None or keep(Permutation._wrap(x)):
-                    yield v, x, 1
-            return
-        orbits = _orbits(cosets[slot], _conjugations(C._raw_gens))
-        orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
-        counted = set()
-        for i, orbit in enumerate(orbits):
-            if i not in counted:
-                x = orbit[0]
-                j = orbit_of.get(_inv(x), i)  # the inverses' orbit, if in this coset
-                counted.add(j)
-                yield None, x, len(orbit) + (len(orbits[j]) if j != i else 0)
-
-    def walk(vs, xs, C, weight):
-        # (weight, vs) per generating tuple or prefix reached
-        slot = len(xs)
-        if slot >= 2 and _generates(G, xs + fixed):
-            yield weight * N.order() ** (d - slot), vs + (_identity(N.degree),) * (d - slot)
-        elif slot < d:
-            if reduced and slot:
-                C = centralizer_in(C, Permutation._wrap(xs[-1]))
-            for v, x, w in members(slot, C):
-                yield from walk(vs + (v,), xs + (x,), C, weight * w)
-
-    found = walk((), (), _coset_fixer(G, N, lifts) if reduced else None, 1)
-    return next(found, (0, None))[1] if first else sum(weight for weight, _ in found)
-
-
 def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> DensityReport:
     """Exact count of (n_1..n_d) in N^d with <n_1 l_1, .., n_d l_d> = G,
-    by the socle walk (``_lift_walk``).  ``total`` is |N|^d, and a total
-    above ``BOUNDS["density"]`` raises ``BoundExceeded`` before N is checked.
+    by the tuple walk over the cosets N l_i, counting (module docstring).
+    ``total`` is |N|^d, and a total above ``BOUNDS["density"]`` raises
+    ``BoundExceeded`` before N is checked.
     """
     lifts = tuple(lifts)
     if len(lifts) < 2:
@@ -553,7 +547,7 @@ def generation_density(G: Group, N: Group, lifts: Sequence[Permutation]) -> Dens
     total = N.order() ** len(lifts)
     _check_bound("density", total, "|N|^d =")
     _check_lifts(G, N, lifts)
-    return DensityReport(lifts, _lift_walk(G, N, lifts), total)
+    return DensityReport(lifts, _tuple_walk(G, [(N, l.imgs) for l in lifts], count=True), total)
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +613,18 @@ def replacement_search(G: Group, N: Group, gens: Sequence[Permutation],
                        htilde: Callable[[Permutation], bool]):
     """Search v1, v2 in N with <v1 g1, v2 g2, g3, ..> = G and v1 g1 in Htilde.
 
-    The socle walk (``_lift_walk``) with ``htilde`` on slot 1 and g3, ..
-    fixed returns the lex-first such (v1, v2), or None: ``htilde`` is asked
-    of v1 g1 as each v1 is reached, and N is walked only that far.
+    The tuple walk over the cosets N g1, N g2 (module docstring), with
+    ``htilde`` on slot 1 and g3, .. fixed, returns the lex-first such
+    (v1, v2), or None: ``htilde`` is asked of v1 g1 as each v1 is reached,
+    and N is walked only that far.  An ``htilde`` that is not callable
+    raises TypeError.
     """
+    if not callable(htilde):
+        raise TypeError("htilde must be a callable filter on G")
     gens = tuple(gens)
     if len(gens) < 2:
         raise ValueError("need at least two generators")
     _check_lifts(G, N, gens)
     replacement_hypothesis(gens[0], gens[1], socle_block_projection(G, N))
-    found = _lift_walk(G, N, gens[:2], htilde, gens[2:], first=True)
+    found = _tuple_walk(G, [(N, g.imgs) for g in gens[:2]], tuple(g.imgs for g in gens[2:]), htilde)
     return None if found is None else tuple(Permutation._wrap(v) for v in found)

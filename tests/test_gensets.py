@@ -744,9 +744,7 @@ def test_density_counts_whole_cosets_after_a_generating_prefix(monkeypatch):
     # test per slot-2 orbit not so counted (56, 25 of them generating), then
     # 744 over the slot-3 orbits of the 31 pairs that do not generate, besides
     # the lifts' test: 1 + 56 + 744
-    calls = []
-    original = gensets._generates
-    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    calls = _spy_generates(monkeypatch)
     ident = Permutation.identity(5)
     rep = generation_density(A5, A5, (ident, ident, ident))
     assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
@@ -757,19 +755,23 @@ def test_density_counts_per_centralizer_orbit(monkeypatch):
     # one generation test for the lifts, then one per orbit of C_A5(x) on A5
     # for each class representative x, less the orbits that take the count of
     # their inverses' orbit: 1 + 5 + 17 + 14 + 10 + 10 (from 18, 22, 16, 16)
-    calls = []
-    original = gensets._generates
-    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    calls = _spy_generates(monkeypatch)
     ident = Permutation.identity(5)
     assert generation_density(A5, A5, (ident, ident)).favorable == PHI2_A5
     assert len(calls) <= 57
 
 
-def _counted_density(monkeypatch, G, N, lifts):
-    """(favorable, total, generation tests) of one density query."""
+def _spy_generates(monkeypatch) -> list:
+    """A list that gains one entry per ``gensets._generates`` call."""
     calls = []
     original = gensets._generates
     monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
+    return calls
+
+
+def _counted_density(monkeypatch, G, N, lifts):
+    """(favorable, total, generation tests) of one density query."""
+    calls = _spy_generates(monkeypatch)
     rep = generation_density(G, N, lifts)
     return rep.favorable, rep.total, len(calls)
 
@@ -1194,6 +1196,50 @@ def test_replacement_search_returns_the_lex_first_witness(texts, filter_name):
     assert replacement_search(S5, A5, gens, keep) == _first_replacement(gens, keep)
 
 
+@pytest.mark.parametrize("texts, filter_name, bound", [
+    (("(2,3,4,5)", "(2,3)"), "S4_fix1", 2), (("(2,3,4,5)", "(2,3)"), "always", 2),
+    (("(1,2)", "()"), "always", 12), (("(2,3)", "(2,3)", "(4,5)"), "always", 3),
+    (("(2,3,4,5)", "(2,3)", "(1,2)(3,4)"), "always", 2)])
+def test_replacement_walk_skips_lex_cosets_that_cannot_complete(monkeypatch, texts, filter_name,
+                                                                  bound):
+    # the lex-coset prune joins p and g2(c(p)) for the points c(p) fixed on a
+    # coset of A5's chain, beside v1 g1 and the fixed entries, and skips the
+    # coset when a closed component is smaller than S5's one orbit; one test
+    # is the lifts' check, and the witness is still the lex-first
+    gens = tuple(P(t, 5) for t in texts)
+    keep = {"S4_fix1": S4_FIX1.contains, "always": lambda g: True}[filter_name]
+    expected = _first_replacement(gens, keep)
+    calls = _spy_generates(monkeypatch)
+    assert replacement_search(S5, A5, gens, keep) == expected
+    assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("htilde", [None, S4_FIX1], ids=["None", "a-group"])
+def test_replacement_search_requires_a_callable_htilde(htilde):
+    # None must not read as "no filter", which would return an unfiltered witness
+    with pytest.raises(TypeError, match="callable"):
+        replacement_search(S5, A5, (P("(2,3,4,5)", 5), P("(2,3)", 5)), htilde)
+
+
+def test_every_search_is_the_one_tuple_walk(monkeypatch):
+    calls = []
+    walk = gensets._tuple_walk
+    monkeypatch.setattr(gensets, "_tuple_walk", lambda *a, **k: calls.append(1) or walk(*a, **k))
+    gens = (P("(2,3,4,5)", 5), P("(2,3)", 5))
+    lifts = (P("(1,2)", 5), Permutation.identity(5))
+    queries = {  # fresh groups, since d(G) is kept on G
+        "min_generators": lambda: min_generators(_s4()),
+        "d_metric": lambda: d_metric(_s4(), make(["(1,2,3)", "(1,2)"], 4)),
+        "generation_density": lambda: generation_density(S5, A5, lifts),
+        "replacement_search": lambda: replacement_search(S5, A5, gens, S4_FIX1.contains),
+    }
+    for name, query in queries.items():
+        calls.clear()
+        query()
+        assert calls, name
+    assert not hasattr(gensets, "_lift_walk")
+
+
 def test_replacement_trivial_when_already_generating():
     h = make(["(2,3,4,5)", "(2,3)"], 5)
     gens = (P("(2,3)", 5), P("(2,3,4,5)", 5))
@@ -1276,7 +1322,9 @@ def test_replacement_search_walks_the_socle_lazily(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Group, "elements_raw", spy)
+    calls = _spy_generates(monkeypatch)
     gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
     got = replacement_search(W, N, gens, htilde)
     assert got == (Permutation.identity(10), P("(8,9,10)", 10))
     assert {g.order() for g in enumerated} == {60}  # the certificate's factors only
+    assert len(calls) <= 3  # the lifts' check included
