@@ -90,39 +90,33 @@ are not visited.
 The class reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
 
-The socle queries check one precondition (``_check_lifts``), whose
-certificate of the socle N (``check_monolithic_nonabelian``) scans one
-simple factor.
+The socle queries' one precondition (``_check_lifts``) certifies the socle
+N by ``structure.check_monolithic_nonabelian``, which keeps N's factors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import islice
-from math import log2, prod
+from math import log2
 
 from .group import (
-    BoundExceeded,
     Group,
     _conjugations,
-    _descend,
     _generates,
     _normal_closure,
     _orbits,
     _stabilizer,
     centralizer_in,
     coset_canonical,
-    normal_closure,
     subgroup_closure,
 )
 from .perm import Permutation, _check_bound, _inv, _mul, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
-    _minimal_normal_key,
     all_subgroups,
+    check_monolithic_nonabelian,
     classify_maximal,
-    minimal_normal_subgroups,
-    minimal_normals_inside,
+    simple_factors,
 )
 
 
@@ -433,88 +427,6 @@ def _components(degree: int, raw_gens) -> list:
     return comp
 
 
-def check_monolithic_nonabelian(G: Group, N: Group) -> None:
-    """Raise ValueError unless N is nonabelian and the only minimal normal
-    subgroup of G; G is never enumerated, and N only through normal
-    closures of one element, each a single simple factor when the factors
-    have disjoint supports.
-
-    The certificate: N is a nontrivial normal subgroup; it has nonabelian
-    minimal normal subgroups F_1..F_k with |F_1|..|F_k| = |N|; G permutes
-    them transitively; and C_G(N) = 1.  Distinct F_i commute and meet
-    trivially, and F_i inside the join of the others would centralize
-    itself, so the order condition makes N = F_1 x .. x F_k with each F_i
-    simple.  A normal subgroup of G inside N is then a product of factors
-    that G leaves invariant, so transitivity makes N minimal normal.
-    Another minimal normal M meets N trivially, so [M, N] = 1 and
-    M <= C_G(N) = 1.  Conversely, if N is the unique minimal normal
-    subgroup and nonabelian, all four conditions hold: C_G(N) is normal and
-    meets N in Z(N) = 1, so a nontrivial C_G(N) would contain a second
-    minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
-    sec. 4.3).
-
-    F_1 is a minimal normal subgroup of N inside K = ncl_N(s), found by
-    scanning K alone (``structure.minimal_normals_inside``), where s, the
-    second member ``_descend`` yields, is N's least non-identity element.  s
-    lies in the deepest level of N's chain: an element x with least moved
-    point q has x[q] > q, so one whose least moved point is larger is
-    smaller, and the largest is the last point of N's lex base.  On disjoint
-    supports that level lies in one factor, so K is one factor.  F_1 is T^k,
-    T simple, so it is abelian exactly when |F_1| is a prime power (proof in
-    ``structure.classify_maximal``).  When K is too large to
-    scan, ncl_K(s) is built instead: if N is a direct product of nonabelian
-    simple groups, K is the product of the factors on which s projects
-    nontrivially, so ncl_K(s) = K; a smaller ncl_K(s) therefore raises
-    ValueError, and an equal one lets the scan's ``BoundExceeded`` stand.
-    F_1's G-conjugates are minimal normal subgroups of N, and distinct ones
-    meet trivially, so the walk that conjugates F_1 by G's generators finds
-    a conjugate either in a factor it already holds or in none, and then it
-    is a new factor, generated by the conjugated generators.  A nonabelian
-    minimal normal N is the product of one such orbit, so N passes exactly
-    when the orbit's orders multiply to |N|; G permutes the orbit
-    transitively by construction.  The F_i are then all of N's minimal
-    normal subgroups (another would lie in Z(N) = 1), so they are kept on N
-    as ``minimal_normal_subgroups(N)``.
-
-    C_G(N) is cut down from G by one generator of N at a time, and the cut
-    stops as soon as the result lies in N: it contains C_G(N), which then
-    lies in Z(N) = 1.  So N = G takes no centralizer at all.
-    """
-    if N.order() == 1 or not N.is_normal_in(G):
-        raise ValueError("N is not a nontrivial normal subgroup")
-    seed = [Permutation._wrap(s) for s in islice(_descend(N), 1, 2)]
-    K = normal_closure(N, seed)
-    try:
-        F = minimal_normals_inside(N, K)[0]
-    except BoundExceeded:
-        if normal_closure(K, seed).order() != K.order():
-            raise ValueError("N is not a direct product of its minimal normal subgroups")
-        raise
-    if len(prime_factors(F.order())) == 1:
-        raise ValueError("socle is abelian")
-    # F's G-orbit: a conjugate of a factor lies in the factor that holds any
-    # one of its nontrivial elements, or else is a new factor
-    factors = [F]
-    conjugations = list(_conjugations(G._raw_gens))
-    for f in factors:  # grows while it is walked
-        for conj in conjugations:
-            y = conj(f._raw_gens[0])
-            if not any(e._contains_raw(y) for e in factors):
-                factors.append(subgroup_closure(G.degree, [conj(x) for x in f._raw_gens]))
-    if prod(f.order() for f in factors) != N.order():
-        raise ValueError("N is not a direct product of simple factors"
-                         " that G permutes transitively")
-    factors.sort(key=_minimal_normal_key)
-    N._minimal_normals = tuple(factors)
-    cent = G
-    gens = iter(N.generators)
-    while not cent.is_subgroup_of(N):
-        x = next(gens, None)
-        if x is None:
-            raise ValueError("group is not monolithic: C_G(N) is not trivial")
-        cent = centralizer_in(cent, x)
-
-
 def _coset_fixer(G: Group, N: Group, lifts: tuple) -> Group:
     """The subgroup of G whose conjugation maps each coset N l_i onto
     itself: the stabilizer of the tuple of cosets, each named by its least
@@ -563,27 +475,21 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
     The simple factors of N = S^n have disjoint supports forming a block
     system for G; the projection maps g to the induced block permutation.
     For n = 1 every element projects to the identity on one point.  An
-    argument of another degree than G raises ValueError.  The factors are
-    N's minimal normal subgroups, which ``check_monolithic_nonabelian``
-    keeps on N, so after the certificate N is not scanned again.
+    argument of another degree than G raises ValueError.  The factors come
+    from ``structure.simple_factors``, which the certificate keeps on N.
     """
-    factors = minimal_normal_subgroups(N)
+    factors = simple_factors(G, N)
     supports = sorted((frozenset(i for g in f._raw_gens for i, j in enumerate(g) if i != j)
                        for f in factors), key=min)
-    block_of = {}
-    for bi, sup in enumerate(supports):
-        for pt in sup:
-            block_of[pt] = bi
+    block_of = {pt: bi for bi, sup in enumerate(supports) for pt in sup}
 
     def project(g: Permutation) -> Permutation:
         if g.degree != G.degree:
             raise ValueError("degree mismatch")
-        imgs = [0] * len(supports)
-        for bi, sup in enumerate(supports):
-            tgt = block_of.get(g.imgs[min(sup)])
-            if tgt is None or any(block_of.get(g.imgs[pt]) != tgt for pt in sup):
-                raise ValueError("element does not permute the socle factors")
-            imgs[bi] = tgt
+        imgs = [block_of.get(g.imgs[min(sup)]) for sup in supports]
+        if None in imgs or any(block_of.get(g.imgs[pt]) != tgt
+                               for tgt, sup in zip(imgs, supports) for pt in sup):
+            raise ValueError("element does not permute the socle factors")
         return Permutation(imgs)
 
     return project
@@ -598,14 +504,11 @@ def replacement_hypothesis(g1: Permutation, g2: Permutation, project) -> str:
     if pi_g2.has_fixed_point():
         return "g2-fixed-point"
     # powers exhaust the distinct projections of g2^i and g1^i
-    for i in range(1, pi_g2.order() + 1):
-        if project(g1.inverse() * g2 ** i).has_fixed_point():
-            raise HypothesisError(
-                f"(g1^-1 g2^{i}) projects with a fixed point; no condition holds")
-    for i in range(1, pi_g1.order() + 1):
-        if project(g2.inverse() * g1 ** i).has_fixed_point():
-            raise HypothesisError(
-                f"(g2^-1 g1^{i}) projects with a fixed point; no condition holds")
+    for a, b, pi_b, word in ((g1, g2, pi_g2, "g1^-1 g2"), (g2, g1, pi_g1, "g2^-1 g1")):
+        for i in range(1, pi_b.order() + 1):
+            if project(a.inverse() * b ** i).has_fixed_point():
+                raise HypothesisError(
+                    f"({word}^{i}) projects with a fixed point; no condition holds")
     return "difference-fixed-point-free"
 
 

@@ -19,8 +19,8 @@ reproducible run to run.  Level i of a chain is the pointwise stabilizer of
 every point below its base point, so the base is the group's lex base,
 whatever its generators.  Every sorted walk down a chain is ``_descend``:
 a group's elements (``Group._lex_walk``) and the least non-identity one
-(``gensets.check_monolithic_nonabelian``).  A coset's least member, the
-first leaf of such a walk, is taken greedily (``coset_canonical``).  Only
+(``structure.simple_factors``).  A coset's least member, the first leaf
+of such a walk, is taken greedily (``coset_canonical``).  Only
 this module builds, holds or reads a chain, so ``is_transitive``,
 ``is_primitive`` and the generation test ``_generates`` live here.  One loop,
 ``_grown``, extends a chain by a stream until its order hits a stop: kept
@@ -585,7 +585,7 @@ class Group:
         self._classes: tuple | None = None
         self._lattice = None  # structure.SubgroupLattice, set by all_subgroups
         self._generation = None  # (d, witness), set by gensets.min_generators
-        self._minimal_normals = None  # set by structure.minimal_normal_subgroups
+        self._minimal_normals = None  # set by structure: minimal_normal_subgroups, simple_factors
         return self
 
     # -- basic queries ------------------------------------------------------

@@ -16,6 +16,8 @@ from .perm import Permutation, format_cycles, parse_permutation
 
 
 def parse_group_text(text: str) -> Group:
+    if not isinstance(text, str):
+        raise ValueError(f"group text must be a str, not {text!r}")
     degree = None
     gens: list[Permutation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

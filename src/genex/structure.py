@@ -44,22 +44,29 @@ classes of G, Phi(G) and ``classify_maximal`` read it.
 ``classify_maximal`` reads its report off G's lattice by id sets when it
 is built, and otherwise off G's action on the cosets of M.  On both paths
 a minimal normal subgroup, being T^k with T simple, is nonabelian exactly
-when its order is no prime power (proofs in ``classify_maximal``).  The
-coset action's image is tested by ``group.is_primitive``, beside the chain
-it reads; this module builds no chain and reads none, only groups and
-their orders.
+when its order is no prime power (``_nonabelian_order``, proof in
+``classify_maximal``).  The coset action's image is tested by
+``group.is_primitive``, beside the chain it reads; this module builds no
+chain and reads none, only groups and their orders.
+
+The socle certificate, the coset path and ``gensets.socle_block_projection``
+find the simple factors of a nonabelian minimal normal N of G by one walk
+(``simple_factors``), which scans one factor and conjugates it by G.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import islice
 from math import gcd, prod
 from operator import itemgetter
 
 from .group import (
+    BoundExceeded,
     Group,
     _conjugations,
+    _descend,
     _orbit_count,
     _orbits,
     _schreier_generators,
@@ -128,12 +135,9 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
         n = normal_closure(G, [Permutation._wrap(orbit[0])])
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
-    minimal = []
-    for n in closures:
-        if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures):
-            minimal.append(n)
-    minimal.sort(key=_minimal_normal_key)
-    return minimal
+    return sorted((n for n in closures
+                   if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures)),
+                  key=_minimal_normal_key)
 
 
 def _no_proper_normal_order(order: int, class_sizes: list, composite_sizes: list) -> bool:
@@ -152,6 +156,97 @@ def _no_proper_normal_order(order: int, class_sizes: list, composite_sizes: list
         sums |= sums << size
     return not any(sums >> (m - 1) & 1
                    for m in range(2, order // 2 + 1) if order % m == 0)
+
+
+def _nonabelian_order(order: int) -> bool:
+    """Whether a T^k, T simple, of this order is nonabelian: exactly when
+    the order is no prime power (proof in ``classify_maximal``)."""
+    return len(prime_factors(order)) > 1
+
+
+def simple_factors(G: Group, N: Group) -> tuple[Group, ...]:
+    """The simple direct factors of N, a nonabelian minimal normal subgroup
+    of G, kept on N as its minimal normal subgroups.  Unless kept, they are
+    walked as the G-orbit of a minimal normal F_1 of N; ValueError when F_1
+    is abelian or the orbit's orders do not multiply to |N|.
+
+    F_1 lies in K = ncl_N(s), and only K is scanned
+    (``minimal_normals_inside``), s being N's least non-identity element,
+    the second member ``_descend`` yields.  s lies in the deepest level of
+    N's chain (x[q] > q for q the least point x moves, so a larger q makes
+    a smaller x), which on disjoint supports lies in one factor, so K is one
+    factor.  When K is too large to scan, ncl_K(s) is built: in a product
+    of nonabelian simple groups K is the product of the factors on which s
+    projects nontrivially, so ncl_K(s) = K; a smaller one raises ValueError,
+    an equal one lets the scan's ``BoundExceeded`` stand.  Distinct
+    G-conjugates of F_1 meet trivially, so a conjugate lies in a factor the
+    walk holds or is a new one, generated by the conjugated generators.
+    """
+    if N._minimal_normals is not None:
+        return N._minimal_normals
+    seed = [Permutation._wrap(s) for s in islice(_descend(N), 1, 2)]
+    K = normal_closure(N, seed)
+    try:
+        F = minimal_normals_inside(N, K)[0]
+    except BoundExceeded:
+        if normal_closure(K, seed).order() != K.order():
+            raise ValueError("N is not a direct product of its minimal normal subgroups")
+        raise
+    if not _nonabelian_order(F.order()):
+        raise ValueError("socle is abelian")
+    factors = [F]
+    conjugations = list(_conjugations(G._raw_gens))
+    for f in factors:  # grows while it is walked
+        for conj in conjugations:
+            y = conj(f._raw_gens[0])
+            if not any(e._contains_raw(y) for e in factors):
+                factors.append(subgroup_closure(G.degree, [conj(x) for x in f._raw_gens]))
+    if prod(f.order() for f in factors) != N.order():
+        raise ValueError("N is not a direct product of simple factors"
+                         " that G permutes transitively")
+    N._minimal_normals = tuple(sorted(factors, key=_minimal_normal_key))
+    return N._minimal_normals
+
+
+def check_monolithic_nonabelian(G: Group, N: Group) -> None:
+    """Raise ValueError unless N is nonabelian and the only minimal normal
+    subgroup of G; G is never enumerated.
+
+    The certificate: N is a nontrivial normal subgroup; it has nonabelian
+    minimal normal subgroups F_1..F_k with |F_1|..|F_k| = |N|; G permutes
+    them transitively; and C_G(N) = 1.  Distinct F_i commute and meet
+    trivially, and F_i inside the join of the others would centralize
+    itself, so the order condition makes N = F_1 x .. x F_k with each F_i
+    simple.  A normal subgroup of G inside N is then a product of factors
+    that G leaves invariant, so transitivity makes N minimal normal.
+    Another minimal normal M meets N trivially, so [M, N] = 1 and
+    M <= C_G(N) = 1.  Conversely, if N is the unique minimal normal
+    subgroup and nonabelian, all four conditions hold: C_G(N) is normal and
+    meets N in Z(N) = 1, so a nontrivial C_G(N) would contain a second
+    minimal normal subgroup (Dixon-Mortimer, *Permutation Groups*, 1996,
+    sec. 4.3).
+
+    The F_i are the factor walk's (``simple_factors``), run afresh, as kept
+    factors say nothing of G's action.  A nonabelian minimal normal N is the
+    product of F_1's G-orbit, which G permutes transitively by construction;
+    the orbit is then all of N's minimal normal subgroups (another would lie
+    in Z(N) = 1), and is kept on N.
+
+    C_G(N) is cut down from G by one generator of N at a time, and the cut
+    stops as soon as the result lies in N: it contains C_G(N), which then
+    lies in Z(N) = 1.  So N = G takes no centralizer at all.
+    """
+    if N.order() == 1 or not N.is_normal_in(G):
+        raise ValueError("N is not a nontrivial normal subgroup")
+    N._minimal_normals = None  # walked afresh
+    simple_factors(G, N)
+    cent = G
+    gens = iter(N.generators)
+    while not cent.is_subgroup_of(N):
+        x = next(gens, None)
+        if x is None:
+            raise ValueError("group is not monolithic: C_G(N) is not trivial")
+        cent = centralizer_in(cent, x)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +756,7 @@ def _classify_on_lattice(G: Group, M: Group) -> MaximalSubgroupReport | None:
     k = len(core)
     above = [c.ids for c in lat.classes if c.size == 1 and core < c.ids]
     mins = [n for n in above if not any(m < n for m in above)]
-    nonab = [n for n in mins if len(prime_factors(len(n) // k)) > 1]
+    nonab = [n for n in mins if _nonabelian_order(len(n) // k)]
     ptype = _primitive_type(len(mins), len(nonab))
     shape = "not-applicable"
     if ptype == 2:
@@ -680,12 +775,11 @@ def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
     When the core is trivial the coset action is an isomorphism onto the
     image, and an isomorphism maps the minimal normal subgroups of G onto
     those of the image (Dixon-Mortimer, *Permutation Groups*, 1996,
-    sec. 4.3).  So the minimal normal subgroups and the socle's simple
-    factors are read on G and on its socle, where they are kept, and carried
-    to the image through ``act``: G's image is never scanned, and G's are
-    found once however many maximal classes are classified
-    (``minimal_normal_subgroups``).  A nontrivial core reads them on the
-    image itself.  One is nonabelian when its order is no prime power.
+    sec. 4.3).  So the minimal normal subgroups (``minimal_normal_subgroups``)
+    and the socle's simple factors (``simple_factors``) are read on G, kept,
+    found once however many maximal classes are classified, and carried to
+    the image through ``act``: the image is never scanned.  A nontrivial
+    core reads them on the image itself.
 
     For type 2 the shape of I = soc meet M comes from orbit counts of the
     factors' images.  Point 0 is the coset M, so M's image meets each K
@@ -704,7 +798,7 @@ def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
     core = hom.kernel()
     source, act = (G, hom._apply) if core.order() == 1 else (image, lambda p: p)
     mins = minimal_normal_subgroups(source)
-    nonab = [m for m in mins if len(prime_factors(m.order())) > 1]
+    nonab = [m for m in mins if _nonabelian_order(m.order())]
     ptype = _primitive_type(len(mins), len(nonab))
 
     shape = "not-applicable"
@@ -712,7 +806,7 @@ def _classify_by_cosets(G: Group, M: Group) -> MaximalSubgroupReport:
         soc, n = nonab[0], image.degree
         shape = _simple_socle_shape(soc.order(), soc.order() // n)
         if shape is None:
-            factors = minimal_normal_subgroups(soc)  # the simple direct factors
+            factors = simple_factors(source, soc)
             images = [[act(g) for g in f._raw_gens] for f in factors]
             if prod(f.order() * _orbit_count(n, gens) // n
                     for f, gens in zip(factors, images)) == soc.order() // n:

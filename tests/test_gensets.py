@@ -1005,13 +1005,13 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
     G, N, _ = MONOLITHIC_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
-    original = gensets.centralizer_in
+    original = structure.centralizer_in
 
     def spy(H, x):
         calls.append((H, x, original(H, x)))
         return calls[-1][2]
 
-    monkeypatch.setattr(gensets, "centralizer_in", spy)
+    monkeypatch.setattr(structure, "centralizer_in", spy)
     check_monolithic_nonabelian(G, N)
     assert len(calls) == {"S5/A5": 1, "S6/A6": 3, "A6/A6": 0, "A5wrC2/A5xA5": 1}[name]
     assert [H for H, _, _ in calls] == ([G] + [C for _, _, C in calls[:-1]])[:len(calls)]
@@ -1020,21 +1020,23 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
 
 def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
     # the scanned factor's classes in A5 x A5 have 15, 20, 12 and 12 elements,
-    # so Lagrange proves it minimal with no closure inside the scan
+    # so Lagrange proves it minimal with no closure inside the scan: the one
+    # closure is the seed's K = ncl_N(s)
     W, N = _wreath_a5_c2()
     calls = []
     original = structure.normal_closure
     monkeypatch.setattr(structure, "normal_closure",
                         lambda G, gens: calls.append(G) or original(G, gens))
     check_monolithic_nonabelian(W, N)
-    assert calls == []
+    assert calls == [N]
     assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
 
 
 @pytest.mark.parametrize("name", ["S6/A6", "A6/A6"])
 def test_monolithic_check_closes_no_class_of_a6(monkeypatch, name):
     # A6's elements of order 4 form one class of 90, so no 1 + s + c divides
-    # 360 and the scan proves A6 minimal with none of its 5 class closures
+    # 360 and the scan proves A6 minimal with none of its 5 class closures:
+    # the one closure is the seed's K = ncl_N(s)
     G, N, _ = MONOLITHIC_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
@@ -1042,7 +1044,7 @@ def test_monolithic_check_closes_no_class_of_a6(monkeypatch, name):
     monkeypatch.setattr(structure, "normal_closure",
                         lambda G, gens: calls.append(G) or original(G, gens))
     check_monolithic_nonabelian(G, N)
-    assert calls == []
+    assert calls == [N]
     assert [f.order() for f in minimal_normal_subgroups(N)] == [360]
 
 
@@ -1090,8 +1092,8 @@ def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, na
     G, N, _ = MONOLITHIC_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
-    original = gensets.normal_closure
-    monkeypatch.setattr(gensets, "normal_closure",
+    original = structure.normal_closure
+    monkeypatch.setattr(structure, "normal_closure",
                         lambda G, gens: calls.append(G) or original(G, gens))
     check_monolithic_nonabelian(G, N)
     assert calls == [N]

@@ -56,6 +56,9 @@ def test_comments_and_blank_lines_are_ignored():
     "degree: 10\ngen: (1_0,2)\n",             # int() would read (2,10)
     "degree: 5\ngen: (+3,1)\n",
     "degree: 5\ngen: (\uff13,1)\n",           # full-width 3
+    None,                                     # not a str
+    5,
+    b"degree: 3\n",
 ])
 def test_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):

@@ -65,3 +65,31 @@ def test_only_group_builds_a_chain():
                 assert all(kw.arg != "chain" for kw in node.keywords), (name, node.lineno)
                 if getattr(node.func, "id", None) == "subgroup_closure":
                     assert len(node.args) == 2 and not node.keywords, (name, node.lineno)
+
+
+# what a group keeps of its answers, and the one module that writes each;
+# Group._setup initialises them all
+KEPT_BY = {"_minimal_normals": "structure", "_lattice": "structure", "_generation": "gensets"}
+
+
+def test_only_the_owner_writes_a_kept_answer():
+    for path in sorted((SRC / "genex").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        setup = {id(n) for f in ast.walk(tree)
+                 if path.stem == "group" and isinstance(f, ast.FunctionDef) and f.name == "_setup"
+                 for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr in KEPT_BY and id(node) not in setup):
+                assert KEPT_BY[node.attr] == path.stem, (path.stem, node.lineno, node.attr)
+
+
+def test_gensets_imports_no_private_name_of_structure():
+    # gensets reads structure only through its public functions
+    tree = ast.parse((SRC / "genex" / "gensets.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "structure":
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, (node.lineno, private)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "structure":
+            assert not node.attr.startswith("_"), (node.lineno, node.attr)
