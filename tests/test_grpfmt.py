@@ -1,5 +1,6 @@
 import pytest
 
+from genex.group import Group
 from genex.grpfmt import parse_group_text, serialize_group
 from genex.perm import BOUNDS, BoundExceeded
 
@@ -63,6 +64,15 @@ def test_comments_and_blank_lines_are_ignored():
 def test_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):
         parse_group_text(text)
+
+
+def test_serialize_writes_only_text_that_parses():
+    # degree 0 has no text ("degree: 0" is malformed above); degree 1 round trips
+    with pytest.raises(ValueError):
+        serialize_group(Group([], 0))
+    out = serialize_group(Group([], 1))
+    assert out == "degree: 1\n"
+    assert serialize_group(parse_group_text(out)) == out
 
 
 def test_degree_above_point_bound_raises():

@@ -3,7 +3,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genex.group import Group
+import oracles
+from genex.group import Group, wreath_product
 from genex.perm import (
     BOUNDS,
     BoundExceeded,
@@ -11,6 +12,7 @@ from genex.perm import (
     _identity,
     _inv,
     _mul,
+    _order,
     _pow,
     format_cycles,
     is_prime,
@@ -129,6 +131,11 @@ def test_power_and_order():
     assert p ** 6 == Permutation.identity(5)
     assert p ** -1 == p.inverse()
     assert p ** 7 == p
+    # every element of S6 and of A5 wr C2 (fixed points, orders up to 15)
+    S6 = Group([P("(1,2,3,4,5,6)", 6), P("(1,2)", 6)])
+    A5 = Group([P("(1,2,3,4,5)", 5), P("(3,4,5)", 5)])
+    for G in (S6, wreath_product(A5, Group([P("(1,2)", 2)]))):
+        assert all(_order(x) == oracles.element_order(x) for x in G.elements_raw())
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,7 +232,11 @@ def test_images_accepted_at_any_degree():
 
 
 def test_prime_helpers():
-    assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    sieve = [False, False] + [True] * 498
+    for p in range(2, 23):
+        sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [p for p in range(500) if is_prime(p)] == [p for p in range(500) if sieve[p]]
+    assert not is_prime(-7)
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
 
 

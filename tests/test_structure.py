@@ -170,6 +170,24 @@ def test_composite_classes_prove_a6_minimal(monkeypatch, G):
     assert calls == []
 
 
+def test_scan_orders_one_element_per_class(monkeypatch):
+    # conjugation keeps orders, so the scan orders each non-identity G-class
+    # of K by its least member alone: 19 classes of a fresh A5 wr C2 (7199
+    # elements), and 4 of A5 in the socle certificate of S5 over A5 (59)
+    calls = []
+    original = structure._order
+    monkeypatch.setattr(structure, "_order", lambda p: calls.append(p) or original(p))
+    W = wreath_product(A5, C2)
+    G = Group(W.generators, W.degree)
+    assert [m.order() for m in minimal_normal_subgroups(G)] == [3600]
+    assert calls == [cls[0] for cls in G.conjugacy_classes_raw()[1:]]
+    assert len(calls) == 19
+    calls.clear()
+    structure.check_monolithic_nonabelian(Group(S5.generators, 5), Group(A5.generators, 5))
+    assert calls == [cls[0] for cls in A5.conjugacy_classes_raw()[1:]]
+    assert len(calls) == 4
+
+
 # PGL(2, 7) on the projective line: x -> x + 1, -1/x and 3x; its normal
 # PSL(2, 7) is 1 + 21 + 56 + 48 + 42 elements, the 42 of order 4, and no sum
 # of prime-order classes alone reaches a proper divisor of 336
