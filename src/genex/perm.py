@@ -26,9 +26,9 @@ class BoundExceeded(ValueError):
 
 # The engine's limits, read at each check: the degree of a permutation or
 # group (and a coset action's index), the elements of an enumerated group or
-# orbit, the order of a group whose lattice is built, and the tuples a
-# generation density counts.
-BOUNDS = {"points": 100_000, "elements": 200_000, "lattice": 2000, "density": 10 ** 8}
+# orbit, the conjugacy classes of subgroups a lattice registers, and the
+# tuples a generation density counts.
+BOUNDS = {"points": 100_000, "elements": 200_000, "lattice": 5000, "density": 10 ** 8}
 
 
 def _check_bound(name, value, what):

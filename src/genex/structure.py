@@ -567,6 +567,7 @@ def _enumerate_classes(G: Group) -> SubgroupLattice:
         start = tuple(sorted(ids))
         if start in seen:
             return None
+        _check_bound("lattice", len(classes) + 1, "subgroup classes")
         orbit, schreier = _schreier_generators(degree, n_gens, moves, start)
         target = order // len(orbit)
         # a normal H, with an orbit of one, has N_G(H) = G and needs no step
@@ -645,10 +646,10 @@ def all_subgroups(G: Group) -> SubgroupLattice:
     """Full subgroup lattice, one representative per conjugacy class.
 
     Built once per group and kept on it, so later calls return the same
-    object.  A group above ``BOUNDS["lattice"]`` raises
-    ``BoundExceeded`` before any element is indexed.
+    object.  ``BoundExceeded`` is raised, leaving nothing kept on G, by a
+    new class past ``BOUNDS["lattice"]`` classes, before its orbit is
+    walked, and by |G| past ``BOUNDS["elements"]``, before any indexing.
     """
-    _check_bound("lattice", G.order(), "group order")
     if G._lattice is None:
         G._lattice = _enumerate_classes(G)
     return G._lattice
@@ -705,9 +706,8 @@ def classify_maximal(G: Group, M: Group) -> MaximalSubgroupReport:
       type 2 the socle N/core meets it in (N meet M)/core.
 
     The coset path (``_classify_by_cosets``) runs when G has no lattice,
-    and for a type-2 socle of proper-power order, whose simple factors
-    decide the shape; such a socle is at least 60^2, so |G| >= 3600 lies
-    above the default ``BOUNDS["lattice"]``.
+    and on a built one for a type-2 socle of proper-power order (A5^2 in
+    A5 wr C2 over its diagonal), whose simple factors decide the shape.
     """
     if M.order() >= G.order():
         raise ValueError("M is not maximal in G")

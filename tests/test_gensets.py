@@ -528,6 +528,23 @@ def test_d_min_a5():
     assert value == 1
 
 
+@pytest.mark.parametrize("build, classes, report", [
+    (lambda: S7, 5, (2, "coordinate")),
+    (lambda: direct_product(A5, A5), 8, (3, "not-applicable")),
+    (lambda: _wreath_a5_c2()[0], 6, (2, "coordinate")),
+], ids=["S7", "A5xA5", "A5wrC2"])
+def test_d_min_reaches_type_2_and_3_classes_at_the_default_bound(build, classes, report):
+    # the paper's conjecture D_M(G) = d(G) - 1, and with it the d - 2
+    # theorem, on every maximal class, type-3 and diagonal ones included
+    G = build()
+    G = Group(G.generators, G.degree)
+    value, worst = d_min(G)
+    assert (value, worst.primitive_type, worst.intersection_shape) == (1,) + report
+    maximal = all_subgroups(G).maximal_classes()
+    assert len(maximal) == classes
+    assert all(d_metric(G, c.rep).value == min_generators(G).d - 1 == 1 for c in maximal)
+
+
 @pytest.mark.parametrize("G", [S4, S5, A6], ids=["S4", "S5", "A6"])
 def test_d_min_classifies_one_maximal_class(monkeypatch, G):
     # every D_M is computed first; only the first class attaining the least is classified
@@ -675,10 +692,8 @@ def _lattice_digest(G):
 @pytest.mark.parametrize("texts, degree", [
     (["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4,5,6)", "(1,2)"], 6), (None, 10),
 ], ids=["S5", "S6", "A5wrC2"])
-def test_group_acts_by_the_generators_that_built_its_chain(monkeypatch, texts, degree):
+def test_group_acts_by_the_generators_that_built_its_chain(texts, degree):
     plain = make(texts, degree) if texts else _wreath_a5_c2()[0]
-    # |A5 wr C2| = 7200 is above the default lattice bound of 2000
-    monkeypatch.setitem(BOUNDS, "lattice", plain.order())
     padded = _with_two_words(plain)
     given = padded.generators
     assert len(given) == len(plain.generators) + 2
@@ -895,7 +910,8 @@ def _s4():
 
 
 # site: (its key in BOUNDS, the value it checks, the function, its fresh arguments,
-# and the group-module step that must not run once the value is above the bound)
+# and the group-module step that must not run once the value is above the bound);
+# the lattice sites check the subgroup classes they register, 11 on S4
 BOUND_SITES = {
     "Group": ("points", 6, Group, lambda: ([], 6), None),
     "trivial_group": ("points", 6, trivial_group, lambda: (6,), None),
@@ -911,9 +927,9 @@ BOUND_SITES = {
     "_lex_walk": ("elements", 24, min_generators, lambda: (_s4(),), None),
     "_walk": ("elements", 24, centralizer_in,
               lambda: (make(["(1,2,3,4,5)", "(1,2)"], 5), P("(1,2,3,4,5)", 5)), None),
-    "all_subgroups": ("lattice", 24, all_subgroups, lambda: (_s4(),), None),
-    "frattini": ("lattice", 24, frattini, lambda: (_s4(),), None),
-    "d_min": ("lattice", 24, d_min, lambda: (_s4(),), None),
+    "all_subgroups": ("lattice", 11, all_subgroups, lambda: (_s4(),), None),
+    "frattini": ("lattice", 11, frattini, lambda: (_s4(),), None),
+    "d_min": ("lattice", 11, d_min, lambda: (_s4(),), None),
     "generation_density": ("density", 60 ** 2, generation_density,
                            lambda: (S5, A5, (P("(1,2)", 5), Permutation.identity(5))), None),
 }
@@ -934,14 +950,28 @@ def test_every_bound_site_reads_the_table(monkeypatch, key, value, site, args, g
 
 @pytest.mark.parametrize("query", [all_subgroups, frattini, d_min],
                          ids=["all_subgroups", "frattini", "d_min"])
-def test_lattice_bound_raises_before_the_element_index(monkeypatch, query):
-    # |S7| = 5040 is above the default lattice bound of 2000
+def test_lattice_queries_refuse_c2_7_by_classes_and_s9_by_elements(monkeypatch, query):
+    # C2^7 has 29212 subgroup classes, above the default lattice bound of
+    # 5000: the class that would pass it raises before its orbit is walked,
+    # and no lattice is kept
+    walked = []
+    schreier = structure._schreier_generators
+    monkeypatch.setattr(structure, "_schreier_generators",
+                        lambda *args: walked.append(1) or schreier(*args))
+    G = make([f"({i},{i + 1})" for i in range(1, 14, 2)], 14)
+    with pytest.raises(BoundExceeded, match="subgroup classes"):
+        query(G)
+    assert len(walked) == BOUNDS["lattice"]
+    assert G._lattice is None
+
+    # |S9| = 362880 is above the default elements bound of 200000, which
+    # raises before any element is indexed
     def no_index(self):
         raise AssertionError("element index built")
 
     monkeypatch.setattr(Group, "_element_index", no_index)
-    with pytest.raises(BoundExceeded):
-        query(make(["(1,2,3,4,5,6,7)", "(1,2)"], 7))
+    with pytest.raises(BoundExceeded, match="group order"):
+        query(make(["(1,2,3,4,5,6,7,8,9)", "(1,2)"], 9))
 
 
 # -- monolithic check ---------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from genex import structure
+from genex.gensets import min_generators
 from genex.group import (
     Group,
     Homomorphism,
@@ -15,7 +16,7 @@ from genex.group import (
     direct_product,
     wreath_product,
 )
-from genex.perm import BOUNDS, Permutation, parse_permutation
+from genex.perm import Permutation, parse_permutation
 from genex.structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -363,16 +364,66 @@ def test_maximal_subgroups_of_every_class(texts, degree):
             assert got == set(oracles.maximal_subgroups(sorted(cls.rep.elements_raw()), degree))
 
 
-def test_s7_lattice_maximal_classes(monkeypatch):
+def test_s7_lattice_maximal_classes():
     # S7 is normal in itself, so the walk tests class representatives only:
-    # 96 classes (OEIS A000638), and the maximal classes 7:6, S4 x S3,
-    # S5 x 2, S6 and A7 (ATLAS)
+    # 96 classes (OEIS A000638), 11300 subgroups (OEIS A005432), and the
+    # maximal classes 7:6, S4 x S3, S5 x 2, S6 and A7 (ATLAS)
     S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
-    monkeypatch.setitem(BOUNDS, "lattice", S7.order())
     lat = all_subgroups(S7)
-    assert len(lat.classes) == 96
+    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (96, 11300)
     assert sorted(c.order for c in lat.maximal_classes()) == [42, 144, 240, 720, 2520]
     assert frattini(S7).order() == 1
+
+
+def test_s8_lattice_counts():
+    # 296 classes (OEIS A000638) and 151221 subgroups (OEIS A005432), at the
+    # default bound; the maximal classes are PGL(2,7), S2 wr S4, S5 x S3,
+    # S4 wr S2, S6 x S2, S7 and A8 (ATLAS)
+    S8 = make(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
+    lat = all_subgroups(S8)
+    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (296, 151221)
+    assert sorted(c.order for c in lat.maximal_classes()) == [336, 384, 720, 1152, 1440,
+                                                             5040, 20160]
+    assert frattini(S8).order() == 1
+
+
+def eulerian(lat, k):
+    """Hall's Eulerian function phi_k(G) = sum of mu(H) |H|^k over the
+    subgroups H of G, the number of generating k-tuples of G (Hall, "The
+    Eulerian functions of a group", 1936), read off G's lattice: mu(G) = 1
+    and mu(H) = -(sum of mu(K) over the subgroups K > H), walking the
+    classes by descending order.  mu is constant on a class, and the K of
+    a class above H are counted among its conjugates (``orbit``)."""
+    conjugates = [[frozenset(s) for s in c.orbit] for c in lat.classes]
+    mu = {len(lat.classes) - 1: 1}
+    for i in range(len(lat.classes) - 2, -1, -1):
+        h = lat.classes[i]
+        mu[i] = -sum(m * sum(h.ids <= s for s in conjugates[j]) for j, m in mu.items()
+                     if m and lat.classes[j].order > h.order)
+    return sum(mu[i] * c.size * c.order ** k for i, c in enumerate(lat.classes))
+
+
+@pytest.mark.parametrize("texts, degree, phi2", [
+    (["(1,2,3,4)", "(1,2)"], 4, 216),  # 576 * 3/8
+    (["(1,2,3,4,5)", "(3,4,5)"], 5, 2280),  # 3600 * 19/30
+    (["(1,2,3,4,5)", "(1,2)"], 5, 6840),
+    (["(1,2,3,4,5)", "(4,5,6)"], 6, 76320),
+    (["(1,2,3,4,5,6)", "(1,2)"], 6, 228960),
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, 15573600),
+], ids=["S4", "A5", "S5", "A6", "S6", "S7"])
+def test_eulerian_phi2_counts_generating_pairs(texts, degree, phi2):
+    assert eulerian(all_subgroups(make(texts, degree)), 2) == phi2
+
+
+@pytest.mark.parametrize("texts, degree", [
+    (["(1,2,3,4,5)", "(1,2)"], 5), (["(1,2,3,4,5)", "(4,5,6)"], 6), (["(1,2,3,4,5,6)", "(1,2)"], 6),
+], ids=["S5", "A6", "S6"])
+def test_eulerian_least_k_is_d_on_every_class(texts, degree):
+    # d(H) is the least k with a generating k-tuple, that is with phi_k(H) > 0;
+    # the Moebius sum and the generating-tuple search share no code
+    for c in all_subgroups(make(texts, degree)).classes:
+        own = all_subgroups(c.rep)
+        assert next(k for k in range(4) if eulerian(own, k) > 0) == min_generators(c.rep).d
 
 
 @pytest.mark.parametrize("texts, classes, subgroups", [
@@ -444,7 +495,7 @@ PSL28_TEXTS = ["(1,2)(3,4)(5,6)(7,8)", "(2,3,5,4,7,8,6)", "(1,9)(3,6)(4,7)(5,8)"
     (PSL28_TEXTS, 9, (12, 386, [504])),
     (["(1,2,3,4,5)", "(4,5,6)", "(7,8)"], 8, (58, 1523, [60, 60, 360])),
 ], ids=["A5", "S5", "A6", "S6", "S7", "PSL(2,8)", "A6xC2"])
-def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree, lattice):
+def test_perfect_seeds_cover_every_perfect_class(texts, degree, lattice):
     # the unrestricted loop: a over the class reps of G in G', b over every
     # C_G(a)-orbit of G', commuting pairs included
     G = make(texts, degree)
@@ -464,7 +515,6 @@ def test_perfect_seeds_cover_every_perfect_class(monkeypatch, texts, degree, lat
     got = {frozenset(H.elements_raw()) for H in structure._perfect_seed_classes(G)}
     assert _conjugacy_closure(G, got) == _conjugacy_closure(G, want)
     if lattice is not None:
-        monkeypatch.setitem(BOUNDS, "lattice", G.order())
         lat = all_subgroups(G)
         perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
         assert (len(lat.classes), sum(c.size for c in lat.classes), perfect) == lattice
@@ -1001,6 +1051,7 @@ CROSS_PATH_CASES = {  # S5xC2 and A5xC3 have type-2 classes with cores of order 
     "S5xC2": direct_product(S5, C2), "A5xC3": direct_product(A5, C3),
     "S4xS3": direct_product(S4, S3), "C2xS4xC2": direct_product(direct_product(C2, S4), C2),
     "A4xA4": direct_product(A4, A4), "S3wrC2": wreath_product(S3, C2),
+    "A5xA5": direct_product(A5, A5),  # two type-3 classes and six of type 2 with cores A5
 }
 
 
@@ -1021,6 +1072,28 @@ def test_lattice_classify_matches_the_coset_path(monkeypatch, name):
     monkeypatch.setattr(structure, "is_primitive", forbidden)
     monkeypatch.setattr(Homomorphism, "kernel", forbidden)
     assert [_report_fields(classify_maximal(G, M)) for M in maximal] == want
+
+
+def test_lattice_classify_falls_back_to_cosets_on_a_proper_power_socle(monkeypatch):
+    # A5 wr C2: five of its six maximal classes have trivial core and the
+    # type-2 socle A5 x A5, of order 3600 = 60^2, whose simple factors decide
+    # the shape, so with the lattice built those five still act on cosets;
+    # the reports equal the coset path's on all six
+    G = Group(A5wrC2.generators, A5wrC2.degree)
+    maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
+    H = Group(G.generators, G.degree)  # no lattice
+    want = [_report_fields(classify_maximal(H, M)) for M in maximal]
+    acted = []
+    action = structure.coset_action
+    monkeypatch.setattr(structure, "coset_action",
+                        lambda *args: acted.append(args[1]) or action(*args))
+    got = [classify_maximal(G, M) for M in maximal]
+    assert [_report_fields(r) for r in got] == want
+    assert len(maximal) == 6 and len(acted) == 5
+    on_cosets = [r for r in got if r.subgroup in acted]
+    assert all(r.primitive_type == 2 and r.quotient_order == 7200 for r in on_cosets)
+    assert sorted(r.intersection_shape for r in on_cosets) == [
+        "coordinate", "coordinate", "coordinate", "diagonal", "diagonal"]
 
 
 @pytest.mark.parametrize("lattice", [False, True], ids=["cosets", "lattice"])
