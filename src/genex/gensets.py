@@ -5,7 +5,10 @@ ascending by image tuple), so returned witnesses are deterministic.  Every
 generation test goes through ``group._generates``, which first compares
 orbit counts: <T> <= G, so each orbit of <T> lies inside an orbit of G, and
 equal groups have equal orbits; a tuple with more orbits than G generates a
-proper subgroup, and only when the counts agree is a stabilizer chain built.
+proper subgroup.  When the counts agree and G is Alt or Sym of the 5 or
+more points it moves, as S5 over A5 is, an all-even tuple in Sym is
+rejected and one that Jordan's theorem certifies is accepted, with no
+chain; only the tuples left build a stabilizer chain.
 
 Every search is one walk (``_tuple_walk``) over the tuples (x_1..x_d) with
 x_i = v_i l_i for v_i in a pool P_i, one slot (P_i, l_i) per entry, each
@@ -106,6 +109,7 @@ from .group import (
     _normal_closure,
     _orbits,
     _stabilizer,
+    _support,
     centralizer_in,
     coset_canonical,
     subgroup_closure,
@@ -478,9 +482,7 @@ def socle_block_projection(G: Group, N: Group) -> Callable[[Permutation], Permut
     argument of another degree than G raises ValueError.  The factors come
     from ``structure.simple_factors``, which the certificate keeps on N.
     """
-    factors = simple_factors(G, N)
-    supports = sorted((frozenset(i for g in f._raw_gens for i, j in enumerate(g) if i != j)
-                       for f in factors), key=min)
+    supports = sorted(map(_support, simple_factors(G, N)), key=min)
     block_of = {pt: bi for bi, sup in enumerate(supports) for pt in sup}
 
     def project(g: Permutation) -> Permutation:

@@ -5,16 +5,7 @@ read-only, so Group objects can be shared freely between workers.  Chains are
 built deterministically by incremental Schreier-Sims: the base is kept in
 point order, each level's orbit grows in place in discovery order as the
 level gains generators, and each (orbit point, generator) Schreier pair is
-handled once.  Every build first asks whether a prefix of its generators
-is Alt or Sym of the points it moves, by Jordan's theorem on a fixed
-sequence of product-replacement draws; if so the chain is written down in
-closed form (``_giant_chain``), with the base, orbits and acting
-generators Schreier-Sims would give, and only its transversal tables differ.
-Such a chain also answers membership in closed form: p lies in Sym(omega)
-iff it fixes every point outside omega, and in Alt(omega) iff it also is
-even (Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.
-A later generator that grows the chain drops that record, and membership
-sifts again.  Orders, transversals and everything derived from them are
+handled once.  Orders, transversals and everything derived from them are
 reproducible run to run.  Level i of a chain is the pointwise stabilizer of
 every point below its base point, so the base is the group's lex base,
 whatever its generators.  Every sorted walk down a chain is ``_descend``:
@@ -29,6 +20,24 @@ On at most 256 points a chain composes bytes with ``bytes.translate`` over
 256-byte tables, in C and without building a getter per product; above 256
 points it composes tuples with ``perm._mul``.  Both run the same loops and
 give the same chain (see ``_Chain``); its readers compose the same way.
+
+One certificate, ``_jordan``, proves that generators transitive on the 5
+or more points omega they move generate Alt(omega) or more, by Jordan's
+theorem on two witnesses found in a fixed sequence of product-replacement
+draws: a prime cycle longer than |omega|/2 (primitivity) and a power that
+is a short prime cycle.  Two readers use it.  A chain build on 8 or more
+points offers it the first transitive prefix of its generators, and if it
+holds writes the chain down in closed form (``_giant_chain``), with the
+base, orbits and acting generators Schreier-Sims would give; only its
+transversal tables differ.  The generation test ``_generates``, when G is
+Alt or Sym of its 5 or more points (``Group._alt_or_sym``, read off |G|), asks it
+of the tuple itself and writes no chain.  Below 8 points a chain build
+never asks: writing the chain costs more there than Schreier-Sims.  A giant
+chain also answers membership in closed form: p lies in Sym(omega) iff it
+fixes every point outside omega, and in Alt(omega) iff it also is even
+(Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.  A later
+generator that grows the chain drops that record, and membership sifts
+again.
 
 A group acts only by the given generators that extended its chain, since
 the others would multiply the work of every orbit, Schreier, coset and
@@ -51,7 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
@@ -107,12 +116,7 @@ class _Chain:
     def __init__(self, degree):
         self.giant = None  # (points outside omega, is Alt) while certified
         self.ident = _identity(degree)
-        if degree <= 256:
-            self.enc, self.mul, self.inv = bytes, bytes.translate, _table_inv
-            self.tail = _TABLE_ID[degree:]
-        else:
-            self.enc, self.mul, self.inv = tuple, _mul, partial(_tuple_inv, self.ident)
-            self.tail = ()
+        self.enc, self.mul, self.inv, self.tail = _codec(self.ident)
         self.one = self.enc(self.ident)  # the identity as a working element
         self.gens = []
         self.levels = []  # (base point, {point: inverse representative})
@@ -216,6 +220,15 @@ class _Chain:
             pos += 1
 
 
+def _codec(ident):
+    """``(enc, mul, inv, tail)`` of the encoding of a chain on len(ident)
+    points (``_Chain``): bytes and 256-byte translate tables up to 256
+    points, tuples in ``ident``'s own ints above."""
+    if len(ident) <= 256:
+        return bytes, bytes.translate, _table_inv, _TABLE_ID[len(ident):]
+    return tuple, _mul, partial(_tuple_inv, ident), ()
+
+
 def _table_inv(t):
     """Inverse of a 256-byte translate table."""
     return bytes.maketrans(t, _TABLE_ID)
@@ -315,33 +328,102 @@ def _transitive_prefix(degree, raw_gens):
     return None
 
 
-_GIANT_DRAWS = 20  # product-replacement steps of _giant_chain, two elements tried each
+_GIANT_DRAWS = 20  # product-replacement steps of _jordan, two elements tried each
+
+
+def _jordan(degree, gens, omega) -> bool:
+    """Whether a random search proves <gens> >= Alt(omega), where omega,
+    ascending, is the set of points the generators move, n = |omega| >= 5,
+    and <gens> is transitive on omega; False proves nothing.
+
+    The proof (Jordan's theorem; Dixon-Mortimer, *Permutation Groups*,
+    1996, Thm 3.3A and 3.3E) takes two witnesses, which may be two
+    elements.  An element x with a cycle of prime length p > n/2 proves
+    <gens> primitive: every other cycle of x has length at most n - p < p,
+    so prime to p, and x^m, m the lcm of those lengths, is a p-cycle c.  If
+    c moves a block of a block system, that block's c-orbit has p > n/2
+    blocks, so blocks are points; otherwise c fixes every block, and a
+    block holding a point c moves holds its whole cycle, so it has more
+    than n/2 points and, its size dividing n, is omega.  An element with
+    exactly one cycle of prime length q, its other cycle lengths prime to
+    q, has a q-cycle as a power, and a primitive group holding a q-cycle
+    contains Alt(omega) when q <= 3 (Thm 3.3A) or q <= n - 3 (Thm 3.3E).
+    One element with a prime cycle n/2 < p <= n - 3 is both witnesses.
+
+    The elements are drawn by product replacement (Celler et al., *Comm.
+    Algebra* 23, 1995) over the generators and an accumulator, steered by
+    a fixed integer sequence, at most ``_GIANT_DRAWS`` steps, and composed
+    in the chain encoding (``_codec``), so no ``perm._mul`` runs up to 256
+    points.  Two generators a, b get a third slot holding ba (b, then a):
+    on two slots every step makes (ab, b) or (a, ba).  Over 300 seeded
+    generating pairs of S_n and A_n for each n = 5..14, 16, 20, 24 and 28,
+    the third slot left 3 of the 4200 uncertified, where two slots left 92,
+    80 of them at n = 6.  One generator, whose group is cyclic, certifies
+    nothing.
+
+    The cycle scan is its own loop, not ``perm._cycles``: it walks only
+    omega, on the chain's 256-byte tables as well as tuples.
+    """
+    if len(gens) < 2:
+        return False
+    n = len(omega)
+    long_primes, short_primes = _witness_primes(n)
+
+    def witnesses(x, primitive, short_cycle):
+        # the two flags, each set if it was or x is its witness; once only
+        # primitivity is wanted, the scan stops when the points left cannot
+        # hold a cycle longer than n/2
+        left = set(omega)
+        lengths = []
+        while left and not (short_cycle and 2 * len(left) <= n):
+            a = left.pop()
+            length, b = 1, x[a]
+            while b != a:
+                left.remove(b)
+                b = x[b]
+                length += 1
+            lengths.append(length)
+        return (primitive or not long_primes.isdisjoint(lengths),
+                short_cycle or any(lengths.count(q) == 1 and all(c % q for c in lengths if c != q)
+                                   for q in short_primes.intersection(lengths)))
+
+    ident = _identity(degree)
+    enc, mul, _, tail = _codec(ident)
+    slots = [enc(g) + tail for g in gens]
+    if len(slots) == 2:
+        slots.append(mul(slots[1], slots[0]))
+    acc = enc(ident) + tail
+    r = len(slots)
+    primitive = short_cycle = False
+    state = 1
+    for _ in range(_GIANT_DRAWS):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        i = state % r
+        j = (i + 1 + (state >> 16) % (r - 1)) % r
+        slots[i] = mul(slots[i], slots[j])
+        acc = mul(acc, slots[i])
+        # the first step makes acc the slot, which is then scanned once
+        for x in (acc, slots[i]) if acc != slots[i] else (acc,):
+            primitive, short_cycle = witnesses(x, primitive, short_cycle)
+            if primitive and short_cycle:
+                return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _witness_primes(n):
+    """The primes p > n/2 and the primes q <= 3 or q <= n - 3, up to n, of
+    ``_jordan``'s two witnesses on n points."""
+    primes = [q for q in range(2, n + 1) if is_prime(q)]
+    return frozenset(p for p in primes if 2 * p > n), frozenset(q for q in primes if q <= 3 or q <= n - 3)
 
 
 def _giant_chain(degree, prefix, omega):
-    """The chain of G = <prefix>, written down, if a random search proves
+    """The chain of G = <prefix>, written down, if ``_jordan`` proves
     G = Alt(omega) or Sym(omega), where omega is the set of points the
-    prefix moves and G is transitive on it; otherwise None.
-
-    The proof (Jordan's theorem; Dixon-Mortimer, *Permutation Groups*,
-    1996, Thm 3.3E).  Let n = |omega| and let x in G have a cycle of prime
-    length p with n/2 < p <= n - 3.  Every other cycle of x has length at
-    most n - p < p, so prime to p, and x^m, m the lcm of those lengths, is
-    a p-cycle c.  G is primitive: if c moves a block of a block system,
-    that block's c-orbit has p > n/2 blocks, so blocks are points;
-    otherwise c fixes every block, and a block holding a point c moves
-    holds its whole cycle, so it has more than n/2 points and, its size
-    dividing n, is omega.  A primitive group holding a p-cycle with
-    p <= n - 3 contains Alt(omega), and G is Sym(omega) iff some generator
-    is odd.  Such a prime exists for every n >= 8.  The elements x are
-    drawn by product replacement (Celler et al., *Comm. Algebra* 23, 1995)
-    steered by a fixed integer sequence, at most ``_GIANT_DRAWS`` steps,
-    and composed in the chain's encoding; a draw only picks which path
+    prefix moves and G is transitive on it; otherwise None.  G is
+    Sym(omega) iff some generator is odd.  A draw only picks which path
     runs, since the chain is the same whichever draw certifies.
-
-    The cycle scan is its own loop, not ``perm._cycles``: it walks only
-    omega, on the chain's 256-byte tables as well as tuples, and stops at
-    the first long prime cycle or once the points left cannot hold one.
 
     The chain (Seress, *Permutation Group Algorithms*, 2003, sec. 10.2).
     With omega = w_0 < w_1 < ... < w_(n-1), level i has base point w_i and
@@ -355,47 +437,11 @@ def _giant_chain(degree, prefix, omega):
     points outside omega and whether G is Alt, for ``_Chain.sift``'s closed
     form (Seress, 2003, sec. 10.2), until a later generator grows the chain.
     """
-    n = len(omega)
-    half = n // 2
-    chain = _Chain(degree)
-    enc, mul, tail, ident = chain.enc, chain.mul, chain.tail, chain.ident
-
-    def long_prime_cycle(x):
-        seen = bytearray(degree)
-        left = n
-        for a in omega:
-            if seen[a]:
-                continue
-            seen[a] = 1
-            length = 1
-            b = x[a]
-            while b != a:
-                seen[b] = 1
-                b = x[b]
-                length += 1
-            if half < length <= n - 3 and is_prime(length):
-                return True
-            left -= length
-            if left <= half:
-                return False
-        return False
-
-    # product replacement over the prefix, with an accumulator; the slot
-    # and the accumulator are both tried at each step
-    slots = [enc(g) + tail for g in prefix]
-    acc = chain.one + tail
-    r = len(slots)
-    state = 1
-    for _ in range(_GIANT_DRAWS):
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        i = state % r
-        j = (i + 1 + (state >> 16) % (r - 1)) % r
-        slots[i] = mul(slots[i], slots[j])
-        acc = mul(acc, slots[i])
-        if long_prime_cycle(acc) or long_prime_cycle(slots[i]):
-            break
-    else:
+    if not _jordan(degree, prefix, omega):
         return None
+    n = len(omega)
+    chain = _Chain(degree)
+    enc, tail, ident = chain.enc, chain.tail, chain.ident
 
     # m = 2 for Sym, whose levels use transpositions, and 3 for Alt
     m = 2 if any(_odd(g) for g in prefix) else 3
@@ -448,12 +494,30 @@ def _orbit_count(degree, raw_gens) -> int:
     return count
 
 
+def _support(H: Group) -> frozenset:
+    """The points H moves: those some generator of H moves."""
+    return frozenset(a for g in H._raw_gens for a, b in enumerate(g) if a != b)
+
+
 def _generates(G: Group, raw_gens) -> bool:
-    """Whether raw tuples lying in G generate G; a proper <T> with more
-    orbits than G is rejected without a chain."""
+    """Whether raw tuples lying in G generate G.
+
+    A proper <T> with more orbits than G is rejected without a chain.  When
+    G is Alt or Sym of omega (``Group._alt_or_sym``), T, with G's orbits, is
+    transitive on omega: an all-even T in Sym(omega) lies in Alt(omega) and
+    is rejected, and one that ``_jordan`` certifies contains Alt(omega), so
+    generates G, with no chain either way.  Any other T builds its chain.
+    """
     raw_gens = list(raw_gens)
     if _orbit_count(G.degree, raw_gens) != G._orbits:
         return False
+    giant = G._alt_or_sym
+    if giant is not None:
+        omega, alt = giant
+        if not (alt or any(_odd(g) for g in raw_gens)):
+            return False
+        if _jordan(G.degree, raw_gens, omega):
+            return True
     return _build_chain(G.degree, raw_gens)[0].order() == G.order()
 
 
@@ -595,6 +659,31 @@ class Group:
 
     def order(self) -> int:
         return self._order
+
+    @cached_property
+    def _alt_or_sym(self):
+        """``(omega, is_alt)`` when the group is Alt(omega) or Sym(omega),
+        omega the ascending list of the points it moves, at least 5 of them;
+        else None.
+
+        A group is transitive on omega when its orbits are its fixed points
+        and one more, and then order |omega|! makes it Sym(omega), and
+        |omega|!/2 the one subgroup of index 2, Alt(omega), which is simple
+        for |omega| >= 5.  The order is tested first, by a product that
+        stops once it passes twice the order, before the points are listed.
+        """
+        k = self._degree - self._orbits + 1  # |omega|, if one orbit moves
+        if k < 5:
+            return None
+        full = 1
+        for i in range(2, k + 1):
+            full *= i
+            if full > 2 * self._order:
+                return None
+        if full not in (self._order, 2 * self._order):
+            return None
+        omega = sorted(_support(self))
+        return (omega, full != self._order) if len(omega) == k else None
 
     def contains(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):

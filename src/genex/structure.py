@@ -51,7 +51,12 @@ chain and reads none, only groups and their orders.
 
 The socle certificate, the coset path and ``gensets.socle_block_projection``
 find the simple factors of a nonabelian minimal normal N of G by one walk
-(``simple_factors``), which scans one factor and conjugates it by G.
+(``simple_factors``), which scans one factor and conjugates it by G.  A
+factor that is Alt of the 5 or more points it moves (``Group._alt_or_sym``,
+read off its order) is simple with no scan, and when every factor is one
+and together they move every point G moves, C_G(N) = 1 with no centralizer
+cut (``check_monolithic_nonabelian``): S5 over A5 and A5 wr C2 over A5 x A5
+are certified with no element listed.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .group import (
     _orbit_count,
     _orbits,
     _schreier_generators,
+    _support,
     centralizer_in,
     commutator_subgroup,
     coset_action,
@@ -165,30 +171,43 @@ def _nonabelian_order(order: int) -> bool:
     return len(prime_factors(order)) > 1
 
 
+def _is_alt(H: Group) -> bool:
+    """Whether H is Alt of the 5 or more points it moves, so simple."""
+    giant = H._alt_or_sym
+    return giant is not None and giant[1]
+
+
 def simple_factors(G: Group, N: Group) -> tuple[Group, ...]:
     """The simple direct factors of N, a nonabelian minimal normal subgroup
     of G, kept on N as its minimal normal subgroups.  Unless kept, they are
     walked as the G-orbit of a minimal normal F_1 of N; ValueError when F_1
     is abelian or the orbit's orders do not multiply to |N|.
 
-    F_1 lies in K = ncl_N(s), and only K is scanned
-    (``minimal_normals_inside``), s being N's least non-identity element,
-    the second member ``_descend`` yields.  s lies in the deepest level of
-    N's chain (x[q] > q for q the least point x moves, so a larger q makes
-    a smaller x), which on disjoint supports lies in one factor, so K is one
-    factor.  When K is too large to scan, ncl_K(s) is built: in a product
-    of nonabelian simple groups K is the product of the factors on which s
-    projects nontrivially, so ncl_K(s) = K; a smaller one raises ValueError,
-    an equal one lets the scan's ``BoundExceeded`` stand.  Distinct
-    G-conjugates of F_1 meet trivially, so a conjugate lies in a factor the
-    walk holds or is a new one, generated by the conjugated generators.
+    N that is Alt of the 5 or more points it moves (``_is_alt``) is simple,
+    so it is its own one factor, with no closure and no scan.  Otherwise
+    F_1 lies in K = ncl_N(s), s being N's least non-identity element, the
+    second member ``_descend`` yields.  s lies in the deepest level of N's
+    chain (x[q] > q for q the least point x moves, so a larger q makes a
+    smaller x), which on disjoint supports lies in one factor, so K is one
+    factor.  K is F_1 with no scan when it is Alt of its points: a normal
+    subgroup of N inside K is normal in K, which is simple.  Otherwise only
+    K is scanned (``minimal_normals_inside``).  When K is too large to
+    scan, ncl_K(s) is built: in a product of nonabelian simple groups K is
+    the product of the factors on which s projects nontrivially, so
+    ncl_K(s) = K; a smaller one raises ValueError, an equal one lets the
+    scan's ``BoundExceeded`` stand.  Distinct G-conjugates of F_1 meet
+    trivially, so a conjugate lies in a factor the walk holds or is a new
+    one, generated by the conjugated generators.
     """
     if N._minimal_normals is not None:
+        return N._minimal_normals
+    if _is_alt(N):
+        N._minimal_normals = (N,)
         return N._minimal_normals
     seed = [Permutation._wrap(s) for s in islice(_descend(N), 1, 2)]
     K = normal_closure(N, seed)
     try:
-        F = minimal_normals_inside(N, K)[0]
+        F = K if _is_alt(K) else minimal_normals_inside(N, K)[0]
     except BoundExceeded:
         if normal_closure(K, seed).order() != K.order():
             raise ValueError("N is not a direct product of its minimal normal subgroups")
@@ -233,14 +252,23 @@ def check_monolithic_nonabelian(G: Group, N: Group) -> None:
     the orbit is then all of N's minimal normal subgroups (another would lie
     in Z(N) = 1), and is kept on N.
 
-    C_G(N) is cut down from G by one generator of N at a time, and the cut
-    stops as soon as the result lies in N: it contains C_G(N), which then
-    lies in Z(N) = 1.  So N = G takes no centralizer at all.
+    C_G(N) = 1 holds with no cut when every F_i is Alt of the 5 or more
+    points Omega_i it moves and the Omega_i together hold every point G
+    moves.  An element c of C_G(N) maps F_i onto F_i^c = F_i, so it maps
+    Omega_i, the support of F_i, onto the support of F_i^c, which is
+    Omega_i again; on Omega_i it then centralizes Alt(Omega_i), whose
+    centralizer in Sym(Omega_i) is trivial, so c fixes every point of every
+    Omega_i, and every point G moves, and c = 1.  Otherwise C_G(N) is cut
+    down from G by one generator of N at a time, and the cut stops as soon
+    as the result lies in N: it contains C_G(N), which then lies in
+    Z(N) = 1.  So N = G takes no centralizer at all.
     """
     if N.order() == 1 or not N.is_normal_in(G):
         raise ValueError("N is not a nontrivial normal subgroup")
     N._minimal_normals = None  # walked afresh
-    simple_factors(G, N)
+    factors = simple_factors(G, N)
+    if all(_is_alt(f) for f in factors) and frozenset().union(*map(_support, factors)) >= _support(G):
+        return
     cent = G
     gens = iter(N.generators)
     while not cent.is_subgroup_of(N):

@@ -217,8 +217,10 @@ def test_search_builds_no_class_table(monkeypatch):
     monkeypatch.setattr(Group, "conjugacy_classes_raw", no_classes)
     min_generators(G)
     d_metric(G, M)
-    # d(G) is kept on G, so d_metric does not search for it again
-    assert len(builds) == 6
+    # d(G) is kept on G, so d_metric does not search for it again; of the
+    # tuples with one orbit, those that Jordan's theorem certifies as
+    # generating S7 build no chain either (group._generates)
+    assert len(builds) == 4
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
@@ -990,6 +992,24 @@ MONOLITHIC_CASES = {  # G, N, message of the failing branch (None: passes)
 }
 
 
+# The passing cases as the same abstract groups acting where no factor of N
+# is Alt of the points it moves, so the certificate scans a factor and cuts
+# C_G(N), as for any socle that is no giant: S5/A5 as PGL(2,5)/PSL(2,5) on
+# the projective line over F_5 (x -> x + 1, -1/x, 2x; point 6 is infinity),
+# S6/A6 on the 10 cosets of S3 wr C2, and A5 wr C2 as PSL(2,5) wr C2 on 12
+# points.
+PSL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)"], 6)
+S6_ON_10, _S6_HOM = coset_action(S6, make(["(1,2,3)", "(1,2)", "(1,4)(2,5)(3,6)"], 6))
+A6_ON_10 = Group([Permutation(_S6_HOM._apply(g.imgs)) for g in A6.generators], 10)
+SCANNED_CASES = {
+    "S5/A5": (make(["(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)"], 6), PSL25),
+    "S6/A6": (S6_ON_10, A6_ON_10),
+    "A6/A6": (A6_ON_10, A6_ON_10),
+    "A5wrC2/A5xA5": (wreath_product(PSL25, make(["(1,2)"], 2)),
+                     make(["(1,2,3,4,5)", "(1,6)(2,5)", "(7,8,9,10,11)", "(7,12)(8,11)"], 12)),
+}
+
+
 def _monolithic_by_definition(G, N):
     mins = minimal_normal_subgroups(G)
     return (len(mins) == 1 and mins[0].order() == N.order() and N.is_subgroup_of(G)
@@ -1008,7 +1028,7 @@ def test_monolithic_check_agrees_with_definition(name):
 
 
 def test_monolithic_check_never_enumerates_the_group(monkeypatch):
-    W, N = _wreath_a5_c2()
+    W, N = SCANNED_CASES["A5wrC2/A5xA5"]
     enumerated = []
     original = Group.elements_raw
 
@@ -1019,8 +1039,8 @@ def test_monolithic_check_never_enumerates_the_group(monkeypatch):
     monkeypatch.setattr(Group, "elements_raw", spy)
     monkeypatch.setattr(Group, "_lex_walk", spy)
     check_monolithic_nonabelian(W, N)
-    # the certificate scans one simple factor, never W or N = A5 x A5, and
-    # takes the other as its conjugate
+    # the certificate scans one simple factor, never W or N = PSL(2,5)^2,
+    # and takes the other as its conjugate
     assert len(enumerated) == 1
     assert enumerated[0] is not N and enumerated[0].order() == 60
 
@@ -1031,8 +1051,9 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
     # of a factor is taken: the centralizer_in calls cut C_G(N) down from G,
     # one generator of N at a time, each on the one before's result, and
     # stop once the result lies in N, whose centre is trivial: at once for
-    # N = G, and after C_G(x_1) = <x_1> x A5 for A5 wr C2
-    G, N, _ = MONOLITHIC_CASES[name]
+    # N = G, and after C_G(x_1) = <x_1> x A5 for A5 wr C2 (on SCANNED_CASES,
+    # whose factors are not Alt of their supports)
+    G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
     original = structure.centralizer_in
@@ -1051,8 +1072,9 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
 def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
     # the scanned factor's classes in A5 x A5 have 15, 20, 12 and 12 elements,
     # so Lagrange proves it minimal with no closure inside the scan: the one
-    # closure is the seed's K = ncl_N(s)
-    W, N = _wreath_a5_c2()
+    # closure is the seed's K = ncl_N(s) (as PSL(2,5)^2, whose factor is
+    # scanned, being no Alt of its support)
+    W, N = SCANNED_CASES["A5wrC2/A5xA5"]
     calls = []
     original = structure.normal_closure
     monkeypatch.setattr(structure, "normal_closure",
@@ -1066,8 +1088,9 @@ def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
 def test_monolithic_check_closes_no_class_of_a6(monkeypatch, name):
     # A6's elements of order 4 form one class of 90, so no 1 + s + c divides
     # 360 and the scan proves A6 minimal with none of its 5 class closures:
-    # the one closure is the seed's K = ncl_N(s)
-    G, N, _ = MONOLITHIC_CASES[name]
+    # the one closure is the seed's K = ncl_N(s); A6 acts on 10 points, where
+    # it is no Alt of its support, so its factor is scanned
+    G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
     original = structure.normal_closure
@@ -1107,19 +1130,43 @@ def test_monolithic_seed_lies_in_the_deepest_level(N):
 
 
 def test_monolithic_check_lets_a_scan_bound_stand_for_a_simple_socle():
-    # K = ncl_N(s) is all of A10, too large to scan, and ncl_K(s) = K, as
-    # for a direct product of simple groups: the bound is reported
-    S10 = make(["(1,2,3,4,5,6,7,8,9,10)", "(1,2)"], 10)
-    A10 = make(["(1,2,3,4,5,6,7,8,9)", "(8,9,10)"], 10)
-    assert A10.order() == 1814400 and A10.is_normal_in(S10)
+    # K = ncl_N(s) is all of M24, too large to scan and no Alt of its
+    # support, and ncl_K(s) = K, as for a direct product of simple groups:
+    # the bound is reported
+    M24 = make(["(1,4)(2,7)(3,17)(5,13)(6,9)(8,15)(10,19)(11,18)(12,21)(14,16)(20,24)(22,23)",
+                "(1,4,6)(2,21,14)(3,9,15)(5,18,10)(13,17,16)(19,24,23)"], 24)
+    assert M24.order() == 244823040
     with pytest.raises(BoundExceeded):
-        check_monolithic_nonabelian(S10, A10)
+        check_monolithic_nonabelian(M24, M24)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_monolithic_check_reads_an_alt_socle_off_its_order(monkeypatch, n):
+    # A_n is Alt of the n points it moves, so it is its own simple factor,
+    # and covers every point S_n moves, so C_G(N) = 1 with no cut: nothing
+    # is enumerated, walked or centralized, though |A_n| is far above the
+    # element bound
+    cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    odd_cycle = "(" + ",".join(map(str, range(1, n))) + ")" if n % 2 == 0 else cycle
+    G = make([cycle, "(1,2)"], n)
+    N = make([odd_cycle, f"({n - 2},{n - 1},{n})"], n)
+    assert G.order() == 2 * N.order() and N.order() > BOUNDS["elements"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated, walked or centralized")
+
+    for name in ("elements_raw", "_lex_walk"):
+        monkeypatch.setattr(Group, name, forbidden)
+    monkeypatch.setattr(structure, "centralizer_in", forbidden)
+    check_monolithic_nonabelian(G, N)
+    assert minimal_normal_subgroups(N) == [N]
 
 
 @pytest.mark.parametrize("name", ["S5/A5", "A5wrC2/A5xA5"])
 def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, name):
     # K = ncl_N(s) is one A5, small enough to scan, so no ncl_K(s) is built
-    G, N, _ = MONOLITHIC_CASES[name]
+    # (on SCANNED_CASES, where K is no Alt of its support and is scanned)
+    G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
     original = structure.normal_closure
@@ -1358,5 +1405,17 @@ def test_replacement_search_walks_the_socle_lazily(monkeypatch):
     gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
     got = replacement_search(W, N, gens, htilde)
     assert got == (Permutation.identity(10), P("(8,9,10)", 10))
-    assert {g.order() for g in enumerated} == {60}  # the certificate's factors only
+    # the certificate reads both factors as Alt of their supports
+    assert enumerated == []
     assert len(calls) <= 3  # the lifts' check included
+    # PSL(2,5) wr C2 on 12 points, over Htilde = A4 wr C2, with the lex-first
+    # pair found by a brute-force walk of N x N
+    W, N = SCANNED_CASES["A5wrC2/A5xA5"]
+    A4 = make(["(1,5,6)(2,3,4)", "(3,5)(4,6)"], 6)
+    htilde = wreath_product(A4, make(["(1,2)"], 2)).contains
+    calls.clear()
+    gens = (P("(1,5,6)(2,3,4)(7,11,12)(8,9,10)", 12), P("(1,7)(2,8)(3,9)(4,10)(5,11)(6,12)", 12))
+    got = replacement_search(W, N, gens, htilde)
+    assert got == (Permutation.identity(12), P("(8,9,12,10,11)", 12))
+    assert {g.order() for g in enumerated} == {60}  # the certificate's factors only
+    assert len(calls) == 5  # the lifts' check and four pairs (1, v2)

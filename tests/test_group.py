@@ -943,9 +943,9 @@ NON_GIANTS = {  # name: (group, order), built when the test runs
 
 @pytest.mark.parametrize("name", NON_GIANTS)
 def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
-    # none of these has an element with a cycle of prime length p, n/2 < p
-    # <= n - 3, so each is tried, never certified, and built by Schreier-Sims,
-    # as a group and as a chain built for a moment (``_generates``, closures)
+    # none of these contains Alt of its points, so Jordan's theorem certifies
+    # none: each is tried, never certified, and built by Schreier-Sims, as a
+    # group and as a chain built for a moment (closures)
     given, order = NON_GIANTS[name]()
     results = _spy_giants(monkeypatch)
     G = Group(given.generators, given.degree)
@@ -1010,7 +1010,9 @@ def test_transitive_prefix_matches_breadth_first_orbits():
 
 
 def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
-    # a 30-cycle and a transposition of adjacent points, relabelled at random
+    # a 30-cycle and a transposition of adjacent points, relabelled at random:
+    # S30 is Sym of its points, so Jordan's theorem certifies the pair with
+    # no chain built, and an all-even pair is rejected with none either
     n = 30
     G = make(["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"], n)
     relabel = tuple(random.Random(30).sample(range(n), n))
@@ -1018,9 +1020,88 @@ def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
     cycle = tuple((a + 1) % n for a in range(n))
     swap = (1, 0) + tuple(range(2, n))
     pair = [tuple(relabel[p[back[x]]] for x in range(n)) for p in (cycle, swap)]
-    results = _spy_giants(monkeypatch)
+    built, certified = [], []
+    original, jordan = group_module._build_chain, group_module._jordan
+    monkeypatch.setattr(group_module, "_build_chain",
+                        lambda *args: built.append(1) or original(*args))
+    monkeypatch.setattr(group_module, "_jordan",
+                        lambda *args: certified.append(jordan(*args)) or certified[-1])
     assert _generates(G, pair)
-    assert [r is not None for r in results] == [True]
+    assert built == [] and certified == [True]
+    assert not _generates(G, [_mul(p, p) for p in pair] + [_mul(pair[1], pair[0])])
+    assert built == [] and certified == [True]
+
+
+def _generating_tuples(rng, H, size, count):
+    # seeded tuples of elements of H that generate it, by a plain chain
+    elements = H.elements_raw()
+    while count:
+        gens = [rng.choice(elements) for _ in range(size)]
+        if _plain_schreier_sims(H.degree, gens)[0].order() == H.order():
+            count -= 1
+            yield gens
+
+
+@pytest.mark.parametrize("alt", [False, True], ids=["S8", "A8"])
+def test_every_generating_pair_certifies(alt):
+    # with a third slot holding the product of two generators, product
+    # replacement reaches both of Jordan's witnesses for every seeded
+    # generating pair of S8 and A8 within the draw budget; on two slots
+    # alone, every step makes (ab, b) or (a, ba)
+    n = 8
+    rng = random.Random(800 + alt)
+    support = list(range(n))
+    target = math.factorial(n) // (2 if alt else 1)
+    pairs = 0
+    while pairs < 100:
+        pair = [_on_support(rng, n, support, 0 if alt else None) for _ in range(2)]
+        if _plain_schreier_sims(n, pair)[0].order() == target:
+            pairs += 1
+            assert group_module._jordan(n, pair, support)
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "S7"])
+def test_jordan_certifies_exactly_the_giants(name):
+    # every class of subgroups transitive on the 5 or more points it moves:
+    # on its generators and on 3 seeded generating pairs, a certificate
+    # holds exactly when the class is Alt or Sym of those points, and
+    # Group._alt_or_sym reads that off its order
+    n = int(name[1])
+    G = make(["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"], n)
+    rng = random.Random(n)
+    giants = 0
+    for cls in all_subgroups(G).classes:
+        H = cls.rep
+        omega = sorted({a for g in H.generators for a, b in enumerate(g.imgs) if a != b})
+        if len(omega) < 5 or H._orbits != n - len(omega) + 1:
+            continue
+        giant = H.order() in (math.factorial(len(omega)), math.factorial(len(omega)) // 2)
+        giants += giant
+        assert (H._alt_or_sym is not None) == giant
+        tuples = [[g.imgs for g in H.generators]] + list(_generating_tuples(rng, H, 2, 3))
+        for gens in tuples:
+            assert group_module._jordan(n, gens, omega) == giant
+    # one class each of Alt and Sym of 5 points, of 6 points in S6 and S7,
+    # and of 7 points in S7
+    assert giants == {"S5": 2, "S6": 4, "S7": 6}[name]
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "S6", "A6", "S7"])
+def test_generates_agrees_with_a_plain_chain(name):
+    # 200 seeded tuples of 1 to 3 elements: _generates, with its orbit,
+    # parity and Jordan shortcuts, against the order of a plain chain
+    n = int(name[1])
+    cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    G = make([cycle, "(1,2)"] if name[0] == "S" else ["(1,2,3)", cycle if n % 2 else "(2,3,4,5,6)"], n)
+    assert G.order() == math.factorial(n) // (1 if name[0] == "S" else 2)
+    elements = G.elements_raw()
+    rng = random.Random(name)
+    answers = []
+    for _ in range(200):
+        gens = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
+        answers.append(_generates(G, gens))
+        assert answers[-1] == (_plain_schreier_sims(n, gens)[0].order() == G.order())
+    assert True in answers and False in answers
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])

@@ -171,10 +171,18 @@ def test_composite_classes_prove_a6_minimal(monkeypatch, G):
     assert calls == []
 
 
+# PSL(2, 5) ~ A5 and PGL(2, 5) ~ S5 on the projective line over F_5: x -> x + 1,
+# -1/x and 2x, with point 6 for infinity; PSL(2, 5) is no Alt of its points,
+# so the socle certificate scans it
+PSL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)"], 6)
+PGL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)"], 6)
+
+
 def test_scan_orders_one_element_per_class(monkeypatch):
     # conjugation keeps orders, so the scan orders each non-identity G-class
     # of K by its least member alone: 19 classes of a fresh A5 wr C2 (7199
-    # elements), and 4 of A5 in the socle certificate of S5 over A5 (59)
+    # elements), and 4 of A5 in the socle certificate of S5 over A5 (59), as
+    # PGL(2, 5) over PSL(2, 5)
     calls = []
     original = structure._order
     monkeypatch.setattr(structure, "_order", lambda p: calls.append(p) or original(p))
@@ -184,8 +192,8 @@ def test_scan_orders_one_element_per_class(monkeypatch):
     assert calls == [cls[0] for cls in G.conjugacy_classes_raw()[1:]]
     assert len(calls) == 19
     calls.clear()
-    structure.check_monolithic_nonabelian(Group(S5.generators, 5), Group(A5.generators, 5))
-    assert calls == [cls[0] for cls in A5.conjugacy_classes_raw()[1:]]
+    structure.check_monolithic_nonabelian(Group(PGL25.generators, 6), Group(PSL25.generators, 6))
+    assert calls == [cls[0] for cls in PSL25.conjugacy_classes_raw()[1:]]
     assert len(calls) == 4
 
 
@@ -1013,9 +1021,10 @@ def test_simple_socle_is_never_scanned(monkeypatch, name):
 
 
 def test_proper_power_socle_scans_one_factor(monkeypatch):
-    # A5 wr C2 over the diagonal A5.2: |soc| = 3600 = 60^2, so the socle's
-    # factors are found and their images taken; the factor walk scans one
-    # A5 and conjugates it, so the socle itself is never scanned
+    # A5 wr C2 over the diagonal A5.2, as PSL(2, 5) wr C2 on 12 points:
+    # |soc| = 3600 = 60^2, so the socle's factors are found and their images
+    # taken; the factor walk scans one PSL(2, 5), no Alt of its points, and
+    # conjugates it, so the socle itself is never scanned
     applied, inside = [], []
 
     def action(*args):
@@ -1027,8 +1036,11 @@ def test_proper_power_socle_scans_one_factor(monkeypatch):
     monkeypatch.setattr(structure, "coset_action", action)
     monkeypatch.setattr(structure, "minimal_normals_inside",
                         lambda G, K: inside.append(K.order()) or original(G, K))
-    G = Group(A5wrC2.generators, A5wrC2.degree)
-    assert classify_maximal(G, A5wrC2_DIAGONAL).intersection_shape == "diagonal"
+    W = wreath_product(PSL25, C2)
+    G = Group(W.generators, W.degree)
+    diagonal = make(["(1,2,3,4,5)(7,8,9,10,11)", "(1,6)(2,5)(7,12)(8,11)",
+                     "(1,7)(2,8)(3,9)(4,10)(5,11)(6,12)"], 12)
+    assert classify_maximal(G, diagonal).intersection_shape == "diagonal"
     assert 3600 not in inside and 60 in inside
     (soc,) = minimal_normal_subgroups(G)
     factors = minimal_normal_subgroups(soc)
