@@ -32,12 +32,11 @@ base, orbits and acting generators Schreier-Sims would give; only its
 transversal tables differ.  The generation test ``_generates``, when G is
 Alt or Sym of its 5 or more points (``Group._alt_or_sym``, read off |G|), asks it
 of the tuple itself and writes no chain.  Below 8 points a chain build
-never asks: writing the chain costs more there than Schreier-Sims.  A giant
-chain also answers membership in closed form: p lies in Sym(omega) iff it
-fixes every point outside omega, and in Alt(omega) iff it also is even
-(Dixon-Mortimer, 1996, Thm 3.3E), so ``contains`` sifts no level.  A later
-generator that grows the chain drops that record, and membership sifts
-again.
+never asks: writing the chain costs more there than Schreier-Sims.  That
+record of the group, not its chain, answers membership in closed form:
+p lies in Sym(omega) iff it fixes every point outside omega, and in
+Alt(omega) iff it also is even (Dixon-Mortimer, 1996, Thm 3.3E), so
+``contains`` sifts no level of any Alt or Sym, however its chain was built.
 
 A group acts only by the given generators that extended its chain, since
 the others would multiply the work of every orbit, Schreier, coset and
@@ -60,7 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
@@ -90,11 +89,6 @@ class _Chain:
     ``_mul`` and ``_tuple_inv``.  Either way ``p[b]`` reads an image, and
     a table cut to ``degree`` is a working element.
 
-    While ``giant`` is set, to ``(outside, alt)``, the chain is certified as
-    Alt or Sym of the points not in ``outside`` (``_giant_chain``), and
-    ``sift`` answers by support and parity without reading a level; ``_add``
-    clears it, as a chain it grows is no longer that giant.
-
     Orbits grow in place: ``levels[i]`` keeps its points in discovery
     order, and a point keeps its representative once found.  A scan of a level
     starts with the Schreier pairs of every point and every generator but
@@ -110,11 +104,9 @@ class _Chain:
     chain.
     """
 
-    __slots__ = ("ident", "one", "tail", "enc", "mul", "inv",
-                 "gens", "levels", "giant")
+    __slots__ = ("ident", "one", "tail", "enc", "mul", "inv", "gens", "levels")
 
     def __init__(self, degree):
-        self.giant = None  # (points outside omega, is Alt) while certified
         self.ident = _identity(degree)
         self.enc, self.mul, self.inv, self.tail = _codec(self.ident)
         self.one = self.enc(self.ident)  # the identity as a working element
@@ -132,16 +124,8 @@ class _Chain:
         return n
 
     def sift(self, p):
-        """Whether the tuple p lies in the group: in closed form for a
-        certified giant (``giant``), by sifting down the levels otherwise."""
-        giant = self.giant
-        if giant is None:
-            return self._sift_from(0, self.enc(p)) == self.one
-        outside, alt = giant
-        for a in outside:
-            if p[a] != a:
-                return False
-        return not (alt and _odd(p))
+        """Whether the tuple p lies in the group, by sifting down the levels."""
+        return self._sift_from(0, self.enc(p)) == self.one
 
     def _sift_from(self, start, p):
         mul = self.mul
@@ -169,8 +153,7 @@ class _Chain:
         # point yet; that level starts with the next level's generators,
         # which fix the point, so their Schreier pairs there are done.
         # Register g at levels top..j, then restore the stabilizer invariant
-        # from the bottom up.  A certified giant is one no longer
-        self.giant = None
+        # from the bottom up.
         moved = next(a for a, b in enumerate(g) if a != b)
         levels = self.levels
         j = bisect_left(levels, moved, key=itemgetter(0))
@@ -433,9 +416,10 @@ def _giant_chain(degree, prefix, omega):
     3-cycle (w_i w x), x the last point of omega other than w, and the
     generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
     i's group is then the pointwise stabilizer of every point below w_i,
-    so every Schreier pair is done.  The chain's ``giant`` records the
-    points outside omega and whether G is Alt, for ``_Chain.sift``'s closed
-    form (Seress, 2003, sec. 10.2), until a later generator grows the chain.
+    so every Schreier pair is done.  The chain records nothing of the
+    certificate: a group reads that it is Alt or Sym off its order
+    (``Group._alt_or_sym``), and a later generator extends the chain as any
+    other.
     """
     if not _jordan(degree, prefix, omega):
         return None
@@ -473,8 +457,6 @@ def _giant_chain(degree, prefix, omega):
             row[b], row[w] = b, w
         chain.gens.append(strong[i:])
         chain.levels.append((b, itr))
-    inside = set(omega)
-    chain.giant = (tuple(a for a in range(degree) if a not in inside), m == 3)
     return chain
 
 
@@ -492,6 +474,36 @@ def _orbit_count(degree, raw_gens) -> int:
                 root[a] = b
                 count -= 1
     return count
+
+
+def _alt_or_sym_of(G: Group):
+    """``(omega, outside, is_alt)`` when G is Alt(omega) or Sym(omega), omega
+    the ascending list of the points it moves, at least 5 of them, and
+    ``outside`` the tuple of the others; else None.  ``Group._setup`` keeps
+    it as ``G._alt_or_sym``, the one record of the fact: membership, the
+    generation test and ``structure`` read it, and no chain keeps it.
+
+    G is transitive on omega when its orbits are its fixed points and one
+    more, the orbit of its least moved point, level 0 of its chain; then
+    order |omega|! makes it Sym(omega), and |omega|!/2 the one subgroup of
+    index 2, Alt(omega), which is simple for |omega| >= 5.  The order is
+    tested first, by a product that stops once it passes twice the order,
+    before the points are listed.
+    """
+    k = G._degree - G._orbits + 1  # |omega|, if one orbit moves
+    if k < 5:
+        return None
+    full = 1
+    for i in range(2, k + 1):
+        full *= i
+        if full > 2 * G._order:
+            return None
+    if full not in (G._order, 2 * G._order):
+        return None
+    orbit = G._chain.levels[0][1]
+    if len(orbit) != k:
+        return None
+    return sorted(orbit), tuple(a for a in range(G._degree) if a not in orbit), full != G._order
 
 
 def _support(H: Group) -> frozenset:
@@ -513,7 +525,7 @@ def _generates(G: Group, raw_gens) -> bool:
         return False
     giant = G._alt_or_sym
     if giant is not None:
-        omega, alt = giant
+        omega, _, alt = giant
         if not (alt or any(_odd(g) for g in raw_gens)):
             return False
         if _jordan(G.degree, raw_gens, omega):
@@ -639,6 +651,7 @@ class Group:
         self._chain = chain
         self._order = chain.order()
         self._orbits = _orbit_count(degree, raw_gens)
+        self._alt_or_sym = _alt_or_sym_of(self)
         self._elements: tuple | None = None
         self._index: tuple | None = None  # see _element_index
         self._classes: tuple | None = None
@@ -660,40 +673,25 @@ class Group:
     def order(self) -> int:
         return self._order
 
-    @cached_property
-    def _alt_or_sym(self):
-        """``(omega, is_alt)`` when the group is Alt(omega) or Sym(omega),
-        omega the ascending list of the points it moves, at least 5 of them;
-        else None.
-
-        A group is transitive on omega when its orbits are its fixed points
-        and one more, and then order |omega|! makes it Sym(omega), and
-        |omega|!/2 the one subgroup of index 2, Alt(omega), which is simple
-        for |omega| >= 5.  The order is tested first, by a product that
-        stops once it passes twice the order, before the points are listed.
-        """
-        k = self._degree - self._orbits + 1  # |omega|, if one orbit moves
-        if k < 5:
-            return None
-        full = 1
-        for i in range(2, k + 1):
-            full *= i
-            if full > 2 * self._order:
-                return None
-        if full not in (self._order, 2 * self._order):
-            return None
-        omega = sorted(_support(self))
-        return (omega, full != self._order) if len(omega) == k else None
-
     def contains(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):
             raise ValueError("contains takes a Permutation")
         if len(g.imgs) != self._degree:
             raise ValueError("degree mismatch")
-        return self._chain.sift(g.imgs)
+        return self._contains_raw(g.imgs)
 
     def _contains_raw(self, p) -> bool:
-        return self._chain.sift(p)
+        """Whether the raw tuple p lies in the group: for Alt or Sym of
+        omega (``_alt_or_sym``), iff p fixes every point outside omega and,
+        for Alt, is even; otherwise by a sift down the chain."""
+        giant = self._alt_or_sym
+        if giant is None:
+            return self._chain.sift(p)
+        _, outside, alt = giant
+        for a in outside:
+            if p[a] != a:
+                return False
+        return not (alt and _odd(p))
 
     def base(self) -> tuple[int, ...]:
         """Chain base points (1-based), ascending: the points q moved by some

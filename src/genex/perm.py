@@ -113,10 +113,10 @@ def _odd(p):
     """Whether p is an odd permutation: its degree less its number of cycles
     (fixed points included) is odd.
 
-    Its own walk, not ``_cycles``: it is the Alt membership test of a
-    certified giant chain (``group._Chain.sift``), called once per sift,
-    and a parity read off ``_cycles``, which builds each cycle's tuple,
-    took 1.5-1.9 times as long per call on random permutations of 12 to 28
+    Its own walk, not ``_cycles``: it is the closed-form membership test of
+    every Alt (``group.Group._contains_raw``), called once per query, and a
+    parity read off ``_cycles``, which builds each cycle's tuple, took
+    1.5-1.9 times as long per call on random permutations of 12 to 28
     points."""
     left = set(range(len(p)))
     odd = len(p)

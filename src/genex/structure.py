@@ -80,7 +80,6 @@ from .group import (
     commutator_subgroup,
     coset_action,
     is_primitive,
-    is_transitive,
     normal_closure,
     subgroup_closure,
 )
@@ -174,7 +173,7 @@ def _nonabelian_order(order: int) -> bool:
 def _is_alt(H: Group) -> bool:
     """Whether H is Alt of the 5 or more points it moves, so simple."""
     giant = H._alt_or_sym
-    return giant is not None and giant[1]
+    return giant is not None and giant[2]
 
 
 def simple_factors(G: Group, N: Group) -> tuple[Group, ...]:

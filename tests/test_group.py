@@ -772,7 +772,8 @@ def test_chain_holds_one_transversal():
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert G.order() == order and (G._chain.giant is not None) == (n == 200)
+        assert G.order() == order
+        assert G._alt_or_sym == ((list(range(n)), (), False) if n == 200 else None)
         assert held < limit << 20
 
 
@@ -812,6 +813,15 @@ def _spy_giants(monkeypatch):
     return results
 
 
+def _moving(rng, degree, support, point):
+    # a random permutation of support with point's image swapped with
+    # another's, so it moves point whenever point lies outside support
+    p = list(_on_support(rng, degree, support))
+    other = rng.choice([a for a in range(degree) if a != point])
+    p[point], p[other] = p[other], p[point]
+    return tuple(p)
+
+
 def _plain_schreier_sims(degree, raw_gens):
     # a chain extended by one generator at a time, with no giant certificate,
     # and the generators that extended it
@@ -827,7 +837,6 @@ def _schreier_sims_summary(G):
     # order, base, orbit sets and acting generators of G against those of
     # a plain Schreier-Sims build from G's given generators
     chain, used = _plain_schreier_sims(G.degree, [g.imgs for g in G.generators])
-    assert chain.giant is None
     return _summary(G._chain, G._raw_gens), _summary(chain, used), chain
 
 
@@ -867,8 +876,9 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     assert G.order() == target and G._raw_gens == tuple(pair)
     assert G._chain.base == support[:n - 2 if alt else n - 1]
     _check_chain_invariants(G._chain, degree)
-    # the certified chain answers by support and parity, as its levels do
-    assert G._chain.giant == (tuple(outside), alt)
+    # the group answers by support and parity, as the written levels and a
+    # plain chain's do
+    assert G._alt_or_sym == (support, tuple(outside), alt)
     members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
     members += [_on_support(rng, degree, support, 0) for _ in range(20)]
     others = [_on_support(rng, degree, support, 1) for _ in range(20)]
@@ -877,7 +887,23 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
         inside = all(p[q] == q for q in outside) and not (alt and _odd(p))
         assert G.contains(Permutation(p)) == inside
         assert chain.sift(p) == inside
-        assert G._chain.sift(p) == (G._chain._sift_from(0, G._chain.enc(p)) == G._chain.one)
+        assert G._chain.sift(p) == inside
+
+
+def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
+    # G's record names omega and Alt or Sym, and on even and odd elements of
+    # Sym(omega), on elements moving point 12 (which the growth added to
+    # omega, or left outside it) and on ones moving point 1 (outside omega),
+    # G's membership equals a sift of a plain chain and of G's own chain,
+    # whoever built it
+    degree = G.degree
+    assert G._alt_or_sym == (omega, tuple(q for q in range(degree) if q not in omega), alt)
+    probes = [_on_support(rng, degree, omega, odd) for odd in (0, 1) * 15]
+    probes += [_on_support(rng, degree, [11] + rng.sample([q for q in omega if q != 11], 4)) for _ in range(20)]
+    probes += [_on_support(rng, degree, [0] + omega) for _ in range(20)]
+    inside = [G.contains(Permutation(p)) for p in probes]
+    assert inside == [chain.sift(p) for p in probes] == [G._chain.sift(p) for p in probes]
+    assert True in inside and False in inside
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
@@ -888,22 +914,35 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
     cycle = P("(2,3,4,5,6,7,8,9,10,11)" if not alt else "(3,4,5,6,7,8,9,10,11)", degree)
     second = P("(2,3)" if not alt else "(2,3,4)", degree)
     later = P("(11,12)" if not alt else "(5,6)", degree)
-    assert Group([cycle, second], degree)._chain.giant is not None
+    assert Group([cycle, second], degree)._alt_or_sym == (list(range(1, 11)), (0, 11, 12), alt)
     results = _spy_giants(monkeypatch)
     G = Group([cycle, second, later], degree)
     assert [r is not None for r in results] == [True]
-    # the later generator grew the certified chain, so membership sifts again
-    assert G._chain is results[0] and G._chain.giant is None
+    # the later generator grew the certified chain into Sym of a larger
+    # omega, or of the same omega over Alt
+    assert G._chain is results[0]
     ours, theirs, chain = _schreier_sims_summary(G)
     assert ours == theirs
     assert G.order() == math.factorial(n + (not alt))
     _check_chain_invariants(G._chain, degree)
-    rng = random.Random(11 + alt)
-    support = list(range(1, n + 1 + (not alt)))
-    probes = [_on_support(rng, degree, support) for _ in range(50)]
-    probes += [_on_support(rng, degree, [0] + support) for _ in range(50)]
-    inside = [G.contains(Permutation(p)) for p in probes]
-    assert inside == [chain.sift(p) for p in probes] and True in inside and False in inside
+    omega = list(range(1, n + 1 + (not alt)))
+    _grown_giant_answers_as_a_plain_chain(G, chain, omega, False, random.Random(11 + alt))
+
+
+def test_giant_reached_by_a_normal_closure(monkeypatch):
+    # the normal closure in Sym(2..12) of a certified pair generating
+    # Alt(2..11) grows the written chain by conjugates (``_grown``) into
+    # Alt(2..12), which answers membership as a plain chain does
+    degree = 13
+    G = make(["(2,3,4,5,6,7,8,9,10,11,12)", "(2,3)"], degree)
+    seeds = [P("(3,4,5,6,7,8,9,10,11)", degree), P("(2,3,4)", degree)]
+    results = _spy_giants(monkeypatch)
+    N = normal_closure(G, seeds)
+    assert [r is not None for r in results] == [True] and N._chain is results[0]
+    assert N.order() == math.factorial(11) // 2
+    _check_chain_invariants(N._chain, degree)
+    chain = _plain_schreier_sims(degree, [g.imgs for g in N.generators])[0]
+    _grown_giant_answers_as_a_plain_chain(N, chain, list(range(1, 12)), True, random.Random(12))
 
 
 def _psl2(q):
@@ -953,7 +992,7 @@ def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
     assert len(results) >= 2 and all(r is None for r in results)
     ours, theirs, _ = _schreier_sims_summary(G)
     assert ours == theirs == _summary(*transient)
-    assert G.order() == order
+    assert G.order() == order and G._alt_or_sym is None
 
 
 def _bfs_transitive_prefix(degree, raw_gens):
@@ -1104,6 +1143,53 @@ def test_generates_agrees_with_a_plain_chain(name):
     assert True in answers and False in answers
 
 
+@st.composite
+def _membership_cases(draw):
+    # a subgroup of S7 on 1 to 3 random elements, or Alt or Sym of 5 to 8
+    # random points inside degree 9 on a random generating pair, and the
+    # generator of its probes
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return 7, [tuple(rng.sample(range(7), 7)) for _ in range(rng.randint(1, 3))], rng
+    n, k, alt = 9, draw(st.integers(5, 8)), draw(st.booleans())
+    support = sorted(rng.sample(range(n), k))
+    target = math.factorial(k) // (2 if alt else 1)
+    while True:
+        pair = [_on_support(rng, n, support, 0 if alt else None) for _ in range(2)]
+        if _plain_schreier_sims(n, pair)[0].order() == target:
+            return n, pair, rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_membership_cases())
+def test_membership_and_alt_or_sym_match_the_closure(case):
+    # on members, odd elements and elements moving a point outside omega,
+    # contains equals membership in the closure; the record of Alt or Sym
+    # holds exactly when the closure is |omega|! or |omega|!/2 on one orbit
+    # of the 5 or more moved points; and _generates equals the order test
+    n, gens, rng = case
+    G = Group([Permutation(g) for g in gens], n)
+    elems = oracles.closure(gens, n)
+    members = sorted(elems)
+    omega = [a for a in range(n) if any(g[a] != a for g in gens)]
+    outside = [a for a in range(n) if a not in omega]
+    full = math.factorial(len(omega))
+    one_orbit = bool(omega) and {x[omega[0]] for x in elems} == set(omega)
+    if len(omega) >= 5 and one_orbit and len(elems) in (full, full // 2):
+        assert G._alt_or_sym == (omega, tuple(outside), len(elems) != full)
+    else:
+        assert G._alt_or_sym is None
+    probes = [rng.choice(members) for _ in range(7)]
+    probes += [_on_support(rng, n, omega if len(omega) >= 2 else list(range(n)), 1) for _ in range(7)]
+    probes += [_moving(rng, n, omega, rng.choice(outside) if outside else rng.randrange(n))
+               for _ in range(6)]
+    for p in probes:
+        assert G.contains(Permutation(p)) == (p in elems) == G._chain.sift(p)
+    for _ in range(5):
+        tup = [rng.choice(members) for _ in range(rng.randint(1, 3))]
+        assert _generates(G, tup) == oracles.generates(tup, n, len(elems))
+
+
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
 def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     # Sym or Alt of 40 points inside 260 takes the tuple encoding; a full
@@ -1126,8 +1212,12 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     assert G.order() == math.factorial(n) // (2 if alt else 1)
     assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
     _check_chain_invariants(G._chain, degree)
+    # a plain chain of the same generators is the reference
+    chain = _plain_schreier_sims(degree, [long_cycle, short])[0]
+    outside = [q for q in range(degree) if q not in support]
     for odd in (0, 1) * 10:
         p = _on_support(rng, degree, support, odd)
-        assert G.contains(Permutation(p)) == (not (alt and odd))
-    outside = _on_support(rng, degree, support[:5] + [q for q in range(degree) if q not in support][:2])
-    assert not G.contains(Permutation(outside))
+        assert G.contains(Permutation(p)) == (not (alt and odd)) == chain.sift(p)
+    for _ in range(5):
+        p = _moving(rng, degree, support, rng.choice(outside))
+        assert not G.contains(Permutation(p)) and not chain.sift(p)

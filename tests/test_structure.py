@@ -14,6 +14,7 @@ from genex.group import (
     _orbits,
     coset_action,
     direct_product,
+    is_transitive,
     wreath_product,
 )
 from genex.perm import Permutation, parse_permutation
@@ -23,7 +24,6 @@ from genex.structure import (
     classify_maximal,
     frattini,
     is_primitive,
-    is_transitive,
     minimal_normal_subgroups,
 )
 
