@@ -36,7 +36,10 @@ no generating tuple, or counts them whole:
   with <K, x> = G, K = <partial>, makes G/N cyclic, generated by xN, where
   N is the normal closure of K (Holt-Eick-O'Brien, *Handbook of CGT*, 2005,
   sec. 4.4); so when G/N is not cyclic no element of any pool completes K.
-  The closure stops as soon as the subgroup it has grown has index 1 or a
+  When G is Alt or Sym of the 5 or more points it moves, the answer needs
+  no closure: N >= Alt(omega) unless K = 1, so G/N has order at most 2,
+  and G/1 = G is not cyclic (``_closure_quotient_is_cyclic``).  Otherwise
+  the closure stops as soon as the subgroup it has grown has index 1 or a
   prime in G, since |G : N| divides it and a group of order 1 or a prime is
   cyclic, and only a composite index builds all of N (proof of the test in
   ``_quotient_is_cyclic``).  On socle slots the cut is not run, as it
@@ -114,7 +117,7 @@ from .group import (
     coset_canonical,
     subgroup_closure,
 )
-from .perm import Permutation, _check_bound, _inv, _mul, _pow, prime_factors
+from .perm import Permutation, _check_bound, _identity, _inv, _mul, _pow, prime_factors
 from .structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -201,11 +204,22 @@ def _closure_quotient_is_cyclic(G: Group, raw_gens) -> bool:
     """Whether G/N is cyclic, N the normal closure in G of raw tuples lying
     in G.
 
-    The closure stops as soon as the subgroup K it has grown has index 1 or
-    a prime in G: K <= N <= G, so |G : N| divides |G : K|, and a group of
-    order 1 or a prime is cyclic.  Only a composite index builds all of N and asks
-    ``_quotient_is_cyclic``.
+    When G is Alt or Sym of the 5 or more points omega it moves
+    (``Group._alt_or_sym``), no closure is built.  Every nontrivial normal
+    subgroup of G contains Alt(omega), which is simple, and Sym(omega) has
+    no other normal subgroup but 1 (Dixon-Mortimer, *Permutation Groups*,
+    1996, ch. 3).  So a tuple with an entry other than the identity has
+    |G : N| <= 2, and G/N is cyclic; an all-identity one has N = 1, and
+    G/N = G is not even abelian.
+
+    Otherwise the closure stops as soon as the subgroup K it has grown has
+    index 1 or a prime in G: K <= N <= G, so |G : N| divides |G : K|, and a
+    group of order 1 or a prime is cyclic.  Only a composite index builds
+    all of N and asks ``_quotient_is_cyclic``.
     """
+    if G._alt_or_sym is not None:
+        ident = _identity(G.degree)
+        return any(x != ident for x in raw_gens)
     n = G.order()
     stops = {n} | {n // p for p in prime_factors(n)}
     N = _normal_closure(G, raw_gens, stops)

@@ -29,10 +29,15 @@ is a short prime cycle.  Two readers use it.  A chain build on 8 or more
 points offers it the first transitive prefix of its generators, and if it
 holds writes the chain down in closed form (``_giant_chain``), with the
 base, orbits and acting generators Schreier-Sims would give; only its
-transversal tables differ.  The generation test ``_generates``, when G is
-Alt or Sym of its 5 or more points (``Group._alt_or_sym``, read off |G|), asks it
-of the tuple itself and writes no chain.  Below 8 points a chain build
-never asks: writing the chain costs more there than Schreier-Sims.  That
+transversal tables differ.  No offer is made that cannot hold: not of a
+prefix whose last generator permutes the earlier generators' orbits, which
+are then blocks (``_transitive_prefix``), as they are for every wreath
+product's generators, nor, inside a group of known order, of a prefix on
+omega when |omega|!/2 does not divide that order (``_build_chain``).  The
+generation test ``_generates``, when G is Alt or Sym of its 5 or more
+points (``Group._alt_or_sym``, read off |G|), asks it of the tuple itself
+and writes no chain.  Below 8 points a chain build never asks: writing
+the chain costs more there than Schreier-Sims.  That
 record of the group, not its chain, answers membership in closed form:
 p lies in Sym(omega) iff it fixes every point outside omega, and in
 Alt(omega) iff it also is even (Dixon-Mortimer, 1996, Thm 3.3E), so
@@ -60,6 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from functools import lru_cache, partial
+from math import factorial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
@@ -264,21 +270,27 @@ def _descend(G, prune=None, state=None):
     yield from walk(0, chain.one + chain.tail, state)
 
 
-def _build_chain(degree, raw_gens):
+def _build_chain(degree, raw_gens, ambient_order=None):
     """The chain of <raw_gens>, extended by each generator in order, and the
     generators that extended it, in that order; the others lie in the group
     the earlier ones generate.
 
     The first prefix of two or more generators transitive on the 8 or more
-    points it moves is offered to ``_giant_chain`` when its last generator
-    is reached.  If that certifies Alt or Sym of those points, its chain
-    replaces the one built so far, the last generator counts as extending
-    it, and later generators extend it as before.  Either way the group,
-    its lex base, every level's orbit and the generators that extended the
-    chain are those Schreier-Sims gives.
+    points omega it moves, if it shows no blocks (``_transitive_prefix``),
+    is offered to ``_giant_chain`` when its last generator is reached.
+    ``ambient_order``, when given, is the order of a group known to contain
+    the generators, and the prefix is then offered only when |omega|!/2
+    divides it: Alt(omega) inside that group would divide it (Lagrange).
+    If the offer certifies Alt or Sym of omega, its chain replaces the one
+    built so far, the last generator counts as extending it, and later
+    generators extend it as before.  Either way the group, its lex base,
+    every level's orbit and the generators that extended the chain are
+    those Schreier-Sims gives.
     """
     chain = _Chain(degree)
     prefix = _transitive_prefix(degree, raw_gens)
+    if prefix and ambient_order and ambient_order % (factorial(len(prefix[1])) // 2):
+        prefix = None
     used = []
     for k, g in enumerate(raw_gens, 1):
         if prefix is not None and k == prefix[0]:
@@ -298,15 +310,47 @@ def _build_chain(degree, raw_gens):
 def _transitive_prefix(degree, raw_gens):
     """``(k, omega)`` for the least k >= 2 such that <raw_gens[:k]> is
     transitive on the points omega it moves, at least 8 of them (ascending),
-    or None.  A prefix is transitive on the points it moves exactly when its
-    orbits (``_orbit_count``) are its fixed points and one more."""
+    or None, also when that prefix shows blocks, and so is no Alt or Sym.
+
+    One union-find takes the generators in order, copied before each to
+    keep the earlier generators' orbits.  A prefix is transitive
+    on the points it moves exactly when its orbits are its fixed points and
+    one more.  Its last generator g shows blocks when the earlier
+    generators have two or more orbits on omega and g maps each into one of
+    them.  The relation of sharing an earlier orbit is then kept by every
+    generator of the prefix (by g^-1 too, a power of g), so the earlier
+    orbits are blocks: the prefix is imprimitive on omega, or, if every
+    block is a point, the earlier generators are the identity and the
+    prefix is cyclic.  Alt(omega) and Sym(omega) on 8 or more points are
+    neither.
+    """
     if degree < 8:
         return None
+
+    def find(root, a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    root = list(range(degree))
     moved = set()
+    orbits = degree  # of the generators taken so far
     for k, g in enumerate(raw_gens, 1):
-        moved.update(a for a, b in enumerate(g) if a != b)
-        fixed = degree - len(moved)
-        if k >= 2 and len(moved) >= 8 and _orbit_count(degree, raw_gens[:k]) == fixed + 1:
+        support = [a for a, b in enumerate(g) if a != b]
+        moved.update(support)
+        # the earlier generators' orbits, and how many of them lie in omega
+        earlier, parts = root[:], orbits - (degree - len(moved))
+        for a in support:
+            r, s = find(root, a), find(root, g[a])
+            if r != s:
+                root[r] = s
+                orbits -= 1
+        if k >= 2 and len(moved) >= 8 and orbits == degree - len(moved) + 1:
+            if parts > 1:
+                label = {a: find(earlier, a) for a in moved}
+                image = {}
+                if all(image.setdefault(label[a], label[g[a]]) == label[g[a]] for a in moved):
+                    return None
             return k, sorted(moved)
     return None
 
@@ -481,7 +525,8 @@ def _alt_or_sym_of(G: Group):
     the ascending list of the points it moves, at least 5 of them, and
     ``outside`` the tuple of the others; else None.  ``Group._setup`` keeps
     it as ``G._alt_or_sym``, the one record of the fact: membership, the
-    generation test and ``structure`` read it, and no chain keeps it.
+    generation test, the search's cyclic-quotient cut and ``structure``
+    read it, and no chain keeps it.
 
     G is transitive on omega when its orbits are its fixed points and one
     more, the orbit of its least moved point, level 0 of its chain; then
@@ -518,7 +563,9 @@ def _generates(G: Group, raw_gens) -> bool:
     G is Alt or Sym of omega (``Group._alt_or_sym``), T, with G's orbits, is
     transitive on omega: an all-even T in Sym(omega) lies in Alt(omega) and
     is rejected, and one that ``_jordan`` certifies contains Alt(omega), so
-    generates G, with no chain either way.  Any other T builds its chain.
+    generates G, with no chain either way.  Any other T builds its chain,
+    told |G|, so no prefix of T is offered to ``_giant_chain`` when G
+    cannot hold Alt of the prefix's points, as A5 wr C2 holds no Alt(10).
     """
     raw_gens = list(raw_gens)
     if _orbit_count(G.degree, raw_gens) != G._orbits:
@@ -530,7 +577,7 @@ def _generates(G: Group, raw_gens) -> bool:
             return False
         if _jordan(G.degree, raw_gens, omega):
             return True
-    return _build_chain(G.degree, raw_gens)[0].order() == G.order()
+    return _build_chain(G.degree, raw_gens, G.order())[0].order() == G.order()
 
 
 def _walk(start, moves):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice, product
 
@@ -219,8 +220,9 @@ def test_search_builds_no_class_table(monkeypatch):
     d_metric(G, M)
     # d(G) is kept on G, so d_metric does not search for it again; of the
     # tuples with one orbit, those that Jordan's theorem certifies as
-    # generating S7 build no chain either (group._generates)
-    assert len(builds) == 4
+    # generating S7 build no chain (group._generates), and S7 is Sym of its
+    # points, so the cyclic-quotient cut builds no closure either
+    assert builds == []
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
@@ -255,10 +257,23 @@ def test_prime_index_stop_keeps_the_prune_verdict(g):
             gensets._quotient_is_cyclic(g, closure)
 
 
+def _pgl2_5():
+    # PGL(2, 5), a copy of S5, on the projective line over F_5, point 5
+    # standing for infinity, with PSL(2, 5), a copy of A5: x -> x + 1 and
+    # x -> -1/x generate PSL, and x -> 2x, a square times a non-square, adds
+    # the rest; neither is Alt or Sym of its 6 points
+    t = tuple((x + 1) % 5 for x in range(5)) + (5,)
+    s = tuple((-pow(x, -1, 5)) % 5 if x else 5 for x in range(5)) + (0,)
+    m = tuple(2 * x % 5 for x in range(5)) + (5,)
+    t, s, m = map(Permutation, (t, s, m))
+    return Group([t, s, m], 6), Group([t, s], 6)
+
+
 def test_prime_index_stop_skips_the_quotient_test(monkeypatch):
-    # an even x of S5 has closure A5, of index 2: the chain stops on reaching
-    # order 60, its last extension being the one that grew it there, and
-    # G/N is not tested; S4/V4 = S3 has composite index 6 and is tested
+    # an element of PSL(2, 5) in PGL(2, 5) has closure PSL(2, 5), of index 2:
+    # the chain stops on reaching order 60, its last extension being the one
+    # that grew it there, and G/N is not tested; S4/V4 = S3 has composite
+    # index 6 and is tested; S5, Sym of its points, extends no chain at all
     grew, tested = [], []
     extend = group_module._Chain.extend
     monkeypatch.setattr(group_module._Chain, "extend",
@@ -266,14 +281,83 @@ def test_prime_index_stop_skips_the_quotient_test(monkeypatch):
     quotient = gensets._quotient_is_cyclic
     monkeypatch.setattr(gensets, "_quotient_is_cyclic",
                         lambda G, N: tested.append(N.order()) or quotient(G, N))
-    for x in S5.elements_raw():
-        if x != tuple(range(5)) and A5._contains_raw(x):
+    pgl, psl = _pgl2_5()
+    assert (pgl.order(), psl.order()) == (120, 60)
+    assert pgl._alt_or_sym is None and S5._alt_or_sym is not None
+    for x in pgl.elements_raw():
+        if x != tuple(range(6)) and psl._contains_raw(x):
             grew.clear()
-            assert gensets._closure_quotient_is_cyclic(S5, [x])
+            assert gensets._closure_quotient_is_cyclic(pgl, [x])
             assert grew[-1]
     assert tested == []
     assert not gensets._closure_quotient_is_cyclic(S4, [P("(1,2)(3,4)", 4).imgs])
     assert tested == [4]
+    grew.clear()
+    for x in S5.elements_raw():
+        assert gensets._closure_quotient_is_cyclic(S5, [x]) == (x != tuple(range(5)))
+    assert grew == [] and tested == [4]
+
+
+CUT_GROUPS = {  # Alt and Sym of 5 and 6 points, alone and inside degree 8
+    "S5": S5, "A5": A5, "S6": S6, "A6": A6,
+    "Sym5 in 8": make(["(2,4,5,7,8)", "(2,4)"], 8),
+    "Alt5 in 8": make(["(2,4,5,7,8)", "(5,7,8)"], 8),
+    "Sym6 in 8": make(["(1,3,4,5,6,8)", "(1,3)"], 8),
+    "Alt6 in 8": make(["(1,3,4)", "(3,4,5,6,8)"], 8),
+}
+
+
+@pytest.mark.parametrize("name", CUT_GROUPS)
+def test_cut_on_alt_and_sym_builds_no_closure(monkeypatch, name):
+    # every nontrivial normal subgroup of Alt or Sym of 5 or more points
+    # holds the Alt, so the cut reads whether the entry is the identity off
+    # the group's record, builds nothing, and agrees with the quotient by
+    # the full normal closure
+    G = CUT_GROUPS[name]
+    assert G._alt_or_sym is not None
+    elems = G.elements_raw()
+    builds = []
+    original = group_module._build_chain
+    monkeypatch.setattr(group_module, "_build_chain", lambda *a: builds.append(1) or original(*a))
+    verdicts = [gensets._closure_quotient_is_cyclic(G, [x]) for x in elems]
+    assert builds == []
+    assert verdicts == [x != tuple(range(G.degree)) for x in elems]
+    for x, verdict in zip(elems, verdicts):
+        assert verdict == gensets._quotient_is_cyclic(G, normal_closure(G, [Permutation._wrap(x)]))
+
+
+def test_no_certificate_is_tried_inside_a5_wr_c2(monkeypatch):
+    # |A5 wr C2| = 7200, which 10!/2 does not divide, so no tuple of a search
+    # over a relabelled A5 wr C2 and its diagonal A5.2, nor of the
+    # replacement search over A5 x A5, offers a prefix to Jordan's
+    # certificate, which could only fail; nor does the generation test
+    W, N = _wreath_a5_c2()
+    diagonal = SEARCH_PINS["A5wrC2"][1]
+    rng = random.Random(55)
+    sigma = tuple(rng.sample(range(10), 10))
+    back = tuple(sorted(range(10), key=sigma.__getitem__))
+
+    def relabelled(H):
+        return Group([Permutation(tuple(sigma[g.imgs[back[a]]] for a in range(10)))
+                      for g in H.generators], 10)
+
+    G, D = relabelled(W), relabelled(diagonal)
+    calls = []
+    jordan = group_module._jordan
+    monkeypatch.setattr(group_module, "_jordan", lambda *a: calls.append(1) or jordan(*a))
+    assert min_generators(G).d == 2
+    assert d_metric(G, D).value == 1
+    gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
+    htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), make(["(1,2)"], 2)).contains
+    assert replacement_search(W, N, gens, htilde) is not None
+    elements = W.elements_raw()
+    answers = []
+    for _ in range(50):
+        tup = [rng.choice(elements) for _ in range(rng.randint(2, 3))]
+        answers.append(group_module._generates(W, tup))
+        assert answers[-1] == (len(oracles.closure(tup, 10)) == W.order())
+    assert True in answers and False in answers
+    assert calls == []
 
 
 # The exchange property for minimal generating sets of tiny groups with

@@ -980,16 +980,23 @@ NON_GIANTS = {  # name: (group, order), built when the test runs
 }
 
 
+SHOWS_BLOCKS = {"A5wrC2", "S4wrS2"}  # the last generator of the prefix swaps the blocks
+
+
 @pytest.mark.parametrize("name", NON_GIANTS)
 def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
     # none of these contains Alt of its points, so Jordan's theorem certifies
-    # none: each is tried, never certified, and built by Schreier-Sims, as a
-    # group and as a chain built for a moment (closures)
+    # none: each primitive one is tried, never certified, and built by
+    # Schreier-Sims, as a group and as a chain built for a moment (closures);
+    # the wreath products' prefixes show blocks, so theirs are never tried
     given, order = NON_GIANTS[name]()
     results = _spy_giants(monkeypatch)
     G = Group(given.generators, given.degree)
     transient = group_module._build_chain(G.degree, [g.imgs for g in given.generators])
-    assert len(results) >= 2 and all(r is None for r in results)
+    if name in SHOWS_BLOCKS:
+        assert results == []
+    else:
+        assert len(results) >= 2 and all(r is None for r in results)
     ours, theirs, _ = _schreier_sims_summary(G)
     assert ours == theirs == _summary(*transient)
     assert G.order() == order and G._alt_or_sym is None
@@ -1012,6 +1019,28 @@ def _bfs_transitive_prefix(degree, raw_gens):
         if len(orbit) == len(omega):
             return k, omega
     return None
+
+
+def _bfs_shows_blocks(degree, raw_gens, k):
+    # whether the earlier generators of the prefix raw_gens[:k] have two or
+    # more orbits on the points the prefix moves, and raw_gens[k - 1] maps
+    # each of them into one, the orbits walked breadth-first
+    prefix = raw_gens[:k]
+    omega = [a for a in range(degree) if any(g[a] != a for g in prefix)]
+    orbit_of = {}
+    for a in omega:
+        if a not in orbit_of:
+            orbit, queue = {a}, [a]
+            for b in queue:  # grows while it is walked
+                for g in prefix[:-1]:
+                    if g[b] not in orbit:
+                        orbit.add(g[b])
+                        queue.append(g[b])
+            orbit_of.update((b, a) for b in orbit)
+    last = prefix[-1]
+    images = [{orbit_of[last[b]] for b in omega if orbit_of[b] == a}
+              for a in set(orbit_of.values())]
+    return len(images) > 1 and all(len(image) == 1 for image in images)
 
 
 def _random_generator_lists(count):
@@ -1042,10 +1071,89 @@ def test_transitive_prefix_matches_breadth_first_orbits():
     found = []
     for degree, gens in inputs:
         want = _bfs_transitive_prefix(degree, gens)
-        assert group_module._transitive_prefix(degree, gens) == want
-        found.append(want and want[0])
-    # the random lists reach each outcome: none, k = 2 and a later k
-    assert None in found and 2 in found and any(k and k > 2 for k in found)
+        if want is not None and _bfs_shows_blocks(degree, gens, want[0]):
+            want = "blocks"
+        assert group_module._transitive_prefix(degree, gens) == (None if want == "blocks" else want)
+        found.append(want if want in (None, "blocks") else want[0])
+    # the random lists reach each outcome: none, k = 2, a later k, and a
+    # transitive prefix that shows blocks, so is not offered
+    assert {None, "blocks", 2} <= set(found) and any(k not in (None, "blocks", 2) for k in found)
+
+
+@st.composite
+def _giant_generating_sets(draw):
+    # a generating set of S_n or A_n, n = 8..16, relabelled at random: the
+    # n-cycle and a transposition, (1,2,3) and an n- or (n-1)-cycle, or a
+    # random generating pair; then 0 to 2 random words in it, as the
+    # benchmark's worker appends them
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, alt, kind = draw(st.integers(8, 16)), draw(st.booleans()), draw(st.integers(0, 2))
+    if kind == 2:
+        target = math.factorial(n) // (2 if alt else 1)
+        while True:
+            gens = [_on_support(rng, n, list(range(n)), 0 if alt else None) for _ in range(2)]
+            if _plain_schreier_sims(n, gens)[0].order() == target:
+                break
+    else:
+        cycle = list(range(1 if alt and n % 2 == 0 else 0, n))
+        long_cycle = list(range(n))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            long_cycle[a] = b
+        short = (1, 0) if not alt else (1, 2, 0)
+        gens = [tuple(long_cycle), short + tuple(range(len(short), n))]
+        if alt and kind:
+            gens.reverse()
+        sigma = tuple(rng.sample(range(n), n))
+        back = _inv(sigma)
+        gens = [tuple(sigma[g[back[a]]] for a in range(n)) for g in gens]
+    for _ in range(draw(st.integers(0, 2))):
+        word = _identity(n)
+        for _ in range(rng.randint(2, 5)):
+            word = _mul(word, rng.choice(gens[:2]))
+        gens.append(word)
+    return n, alt, gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_giant_generating_sets())
+def test_generating_sets_of_giants_show_no_blocks(case):
+    # S_n and A_n are primitive, so no generating set of theirs shows blocks:
+    # the first transitive prefix, the generating pair, is offered, and
+    # Jordan's theorem certifies it
+    n, alt, gens = case
+    assert group_module._transitive_prefix(n, gens) == (2, list(range(n)))
+    G = Group([Permutation(g) for g in gens], n)
+    assert G._alt_or_sym == (list(range(n)), (), alt)
+    assert G.order() == math.factorial(n) // (2 if alt else 1)
+
+
+WREATHS = {  # name: (inner generators and degree, top generators and degree)
+    "A5wrC2": ((["(1,2,3,4,5)", "(3,4,5)"], 5), (["(1,2)"], 2)),
+    "S4wrS2": ((["(1,2,3,4)", "(1,2)"], 4), (["(1,2)"], 2)),
+    "A5wrC3": ((["(1,2,3,4,5)", "(3,4,5)"], 5), (["(1,2,3)"], 3)),
+    "S4wrS4": ((["(1,2,3,4)", "(1,2)"], 4), (["(1,2,3,4)", "(1,2)"], 4)),
+    "S3wrS3": ((["(1,2,3)", "(1,2)"], 3), (["(1,2,3)", "(1,2)"], 3)),
+}
+
+
+@pytest.mark.parametrize("name", WREATHS)
+def test_wreath_products_show_blocks(monkeypatch, name):
+    # the generators of inner wr top list each block's inner generators,
+    # then top's: the first transitive prefix ends with a generator of top,
+    # which permutes the blocks, the orbits of the generators before it, so
+    # it is offered to no certificate, and the chain is Schreier-Sims's
+    (inner, m), (top, k) = WREATHS[name]
+    A, B = make(inner, m), make(top, k)
+    results = _spy_giants(monkeypatch)
+    W = wreath_product(A, B)
+    gens = [g.imgs for g in W.generators]
+    prefix = _bfs_transitive_prefix(W.degree, gens)
+    assert prefix is not None and _bfs_shows_blocks(W.degree, gens, prefix[0])
+    assert group_module._transitive_prefix(W.degree, gens) is None
+    assert results == []
+    assert W.order() == A.order() ** k * B.order()
+    ours, theirs, _ = _schreier_sims_summary(W)
+    assert ours == theirs
 
 
 def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
