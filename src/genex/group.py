@@ -25,29 +25,28 @@ One certificate, ``_jordan``, proves that generators transitive on the 5
 or more points omega they move generate Alt(omega) or more, by Jordan's
 theorem on two witnesses found in a fixed sequence of product-replacement
 draws: a prime cycle longer than |omega|/2 (primitivity) and a power that
-is a short prime cycle.  Two readers use it.  A chain build on 8 or more
-points offers it the first transitive prefix of its generators, and if it
-holds writes the chain down in closed form (``_giant_chain``), with the
-base, orbits and acting generators Schreier-Sims would give; only its
-transversal tables differ.  No offer is made that cannot hold: not of a
-prefix whose last generator permutes the earlier generators' orbits, which
-are then blocks (``_transitive_prefix``), as they are for every wreath
-product's generators, nor, inside a group of known order, of a prefix on
-omega when |omega|!/2 does not divide that order (``_build_chain``).  The
+is a short prime cycle.  Two readers use it.  A new group on 8 or more
+points (``Group._setup``) offers it the first transitive prefix of its
+generators that shows no blocks (``_transitive_prefix``; every wreath
+product's generators show them), when every later generator lies in the
+prefix's group by the closed form below.  A certified group acts by the
+prefix, has order |omega|! or |omega|!/2, and keeps no chain until one is
+read; that chain is written down (``_giant_chain``) with the base and
+orbits Schreier-Sims would give.  Below 8 points no offer is made.  The
 generation test ``_generates``, when G is Alt or Sym of its 5 or more
 points (``Group._alt_or_sym``, read off |G|), asks it of the tuple itself
-and writes no chain.  Below 8 points a chain build never asks: writing
-the chain costs more there than Schreier-Sims.  That
-record of the group, not its chain, answers membership in closed form:
-p lies in Sym(omega) iff it fixes every point outside omega, and in
-Alt(omega) iff it also is even (Dixon-Mortimer, 1996, Thm 3.3E), so
-``contains`` sifts no level of any Alt or Sym, however its chain was built.
+and builds no chain.  Chain builds (``_build_chain``) are plain
+Schreier-Sims.  The record of the group, not a chain, answers membership
+in closed form: p lies in Sym(omega) iff it fixes every point outside
+omega, and in Alt(omega) iff it also is even (Dixon-Mortimer, 1996, Thm
+3.3E), so ``contains`` sifts no level of any Alt or Sym.
 
-A group acts only by the given generators that extended its chain, since
-the others would multiply the work of every orbit, Schreier, coset and
-closure loop and add nothing (``Group._setup``).  Its conjugation tables
-under those generators are its one element index (``Group._element_index``),
-shared by the conjugacy classes and the subgroup lattice.
+A group acts only by the given generators that extended its chain, or by
+a certified prefix, since the others would multiply the work of every
+orbit, Schreier, coset and closure loop and add nothing (``Group._setup``).
+Its conjugation tables under those generators are its one element index
+(``Group._element_index``), shared by the conjugacy classes and the
+subgroup lattice.
 
 Every action is walked by one layer: ``_walk`` for one orbit with its action
 table (cosets, id sets of subgroups, and the orbit-stabilizer of
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import itemgetter
 
@@ -74,7 +73,8 @@ from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, 
 
 class _Chain:
     """Mutable stabilizer chain used during construction (Schreier-Sims),
-    or written down whole for Alt and Sym (``_giant_chain``).
+    or written down whole for a certified Alt or Sym (``_giant_chain``),
+    which nothing extends.
 
     Level i holds the i-th stabilizer group.  ``levels[i]`` pairs its base
     point with its one transversal, a dict from each orbit point to the
@@ -105,9 +105,6 @@ class _Chain:
     group is the pointwise stabilizer of all points below ``base[i]``, and
     ``base`` is the group's lex base: the points q moved by some element
     fixing every point below q, the same for every generating set.
-    ``_giant_chain`` appends whole levels to a new chain, each with every
-    Schreier pair done, and a later ``extend`` runs on it as on any other
-    chain.
     """
 
     __slots__ = ("ident", "one", "tail", "enc", "mul", "inv", "gens", "levels")
@@ -182,10 +179,10 @@ class _Chain:
         # and a scan adds residues and inserts levels only deeper (at larger
         # indices), so nothing else touches a level or shifts its index
         # between its scans; a new level's copied generators fix its point,
-        # and ``_giant_chain`` writes levels with every pair done.  A pair
-        # that finds a new point gives a trivial Schreier generator; any
-        # other meets one sift, as a known point's representative never
-        # changes, and ``gens[i]`` stays fixed during the scan.
+        # so their pairs there are done.  A pair that finds a new point
+        # gives a trivial Schreier generator; any other meets one sift, as a
+        # known point's representative never changes, and ``gens[i]`` stays
+        # fixed during the scan.
         itr = self.levels[i][1]
         mul, inv, one, tail = self.mul, self.inv, self.one, self.tail
         degree = len(one)
@@ -270,41 +267,35 @@ def _descend(G, prune=None, state=None):
     yield from walk(0, chain.one + chain.tail, state)
 
 
-def _build_chain(degree, raw_gens, ambient_order=None):
-    """The chain of <raw_gens>, extended by each generator in order, and the
-    generators that extended it, in that order; the others lie in the group
-    the earlier ones generate.
-
-    The first prefix of two or more generators transitive on the 8 or more
-    points omega it moves, if it shows no blocks (``_transitive_prefix``),
-    is offered to ``_giant_chain`` when its last generator is reached.
-    ``ambient_order``, when given, is the order of a group known to contain
-    the generators, and the prefix is then offered only when |omega|!/2
-    divides it: Alt(omega) inside that group would divide it (Lagrange).
-    If the offer certifies Alt or Sym of omega, its chain replaces the one
-    built so far, the last generator counts as extending it, and later
-    generators extend it as before.  Either way the group, its lex base,
-    every level's orbit and the generators that extended the chain are
-    those Schreier-Sims gives.
-    """
+def _build_chain(degree, raw_gens):
+    """The chain of <raw_gens> by Schreier-Sims, extended by each generator
+    in order, and the generators that extended it, in that order; the others
+    lie in the group the earlier ones generate."""
     chain = _Chain(degree)
-    prefix = _transitive_prefix(degree, raw_gens)
-    if prefix and ambient_order and ambient_order % (factorial(len(prefix[1])) // 2):
-        prefix = None
-    used = []
-    for k, g in enumerate(raw_gens, 1):
-        if prefix is not None and k == prefix[0]:
-            giant = _giant_chain(degree, raw_gens[:k], prefix[1])
-            if giant is not None:
-                # g grew the group: raw_gens[:k - 1] moves fewer points, is
-                # intransitive on them (or it would have been found), or is
-                # one generator, whose group is cyclic
-                chain = giant
-                used.append(g)
-                continue
-        if chain.extend(g):
-            used.append(g)
-    return chain, used
+    return chain, [g for g in raw_gens if chain.extend(g)]
+
+
+def _certified_giant(degree, raw_gens):
+    """``(prefix, order)`` when ``_jordan`` proves the first transitive
+    prefix of the tuple raw_gens that shows no blocks (``_transitive_prefix``)
+    to generate Alt or Sym of the points omega it moves, Alt iff all of it
+    is even, and every later generator lies in that group: it fixes every
+    point outside omega and, for Alt, is even.  Else None; the later
+    generators are checked first."""
+    found = _transitive_prefix(degree, raw_gens)
+    if found is None:
+        return None
+    k, omega = found
+    prefix = raw_gens[:k]
+    alt = not any(_odd(g) for g in prefix)
+    inside = set(omega)
+    outside = [a for a in range(degree) if a not in inside]
+    for g in raw_gens[k:]:
+        if any(g[a] != a for a in outside) or (alt and _odd(g)):
+            return None
+    if not _jordan(degree, prefix, omega):
+        return None
+    return prefix, factorial(len(omega)) // (2 if alt else 1)
 
 
 def _transitive_prefix(degree, raw_gens):
@@ -445,12 +436,10 @@ def _witness_primes(n):
     return frozenset(p for p in primes if 2 * p > n), frozenset(q for q in primes if q <= 3 or q <= n - 3)
 
 
-def _giant_chain(degree, prefix, omega):
-    """The chain of G = <prefix>, written down, if ``_jordan`` proves
-    G = Alt(omega) or Sym(omega), where omega is the set of points the
-    prefix moves and G is transitive on it; otherwise None.  G is
-    Sym(omega) iff some generator is odd.  A draw only picks which path
-    runs, since the chain is the same whichever draw certifies.
+def _giant_chain(degree, omega, alt):
+    """The chain of Alt(omega), if ``alt``, or else of Sym(omega), omega an
+    ascending list of points, written down: ``Group._chain`` of a group
+    ``_certified_giant`` proved Alt or Sym, on its first read.
 
     The chain (Seress, *Permutation Group Algorithms*, 2003, sec. 10.2).
     With omega = w_0 < w_1 < ... < w_(n-1), level i has base point w_i and
@@ -460,19 +449,14 @@ def _giant_chain(degree, prefix, omega):
     3-cycle (w_i w x), x the last point of omega other than w, and the
     generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
     i's group is then the pointwise stabilizer of every point below w_i,
-    so every Schreier pair is done.  The chain records nothing of the
-    certificate: a group reads that it is Alt or Sym off its order
-    (``Group._alt_or_sym``), and a later generator extends the chain as any
-    other.
+    so the base and orbits are those Schreier-Sims gives.
     """
-    if not _jordan(degree, prefix, omega):
-        return None
     n = len(omega)
     chain = _Chain(degree)
     enc, tail, ident = chain.enc, chain.tail, chain.ident
 
     # m = 2 for Sym, whose levels use transpositions, and 3 for Alt
-    m = 2 if any(_odd(g) for g in prefix) else 3
+    m = 3 if alt else 2
     row = list(ident)  # images of the permutation being written, then undone
 
     def cycle(points):
@@ -525,15 +509,15 @@ def _alt_or_sym_of(G: Group):
     the ascending list of the points it moves, at least 5 of them, and
     ``outside`` the tuple of the others; else None.  ``Group._setup`` keeps
     it as ``G._alt_or_sym``, the one record of the fact: membership, the
-    generation test, the search's cyclic-quotient cut and ``structure``
-    read it, and no chain keeps it.
+    generation test, the search's cyclic-quotient cut, ``structure`` and a
+    certified group's chain (``Group._chain``) read it; no chain keeps it.
 
-    G is transitive on omega when its orbits are its fixed points and one
-    more, the orbit of its least moved point, level 0 of its chain; then
-    order |omega|! makes it Sym(omega), and |omega|!/2 the one subgroup of
-    index 2, Alt(omega), which is simple for |omega| >= 5.  The order is
-    tested first, by a product that stops once it passes twice the order,
-    before the points are listed.
+    G is transitive on omega, the points its generators move
+    (``_support``), when its orbits are its fixed points and one more;
+    then order |omega|! makes it Sym(omega), and |omega|!/2 the one
+    subgroup of index 2, Alt(omega), which is simple for |omega| >= 5.
+    The order is tested first, by a product that stops once it passes
+    twice the order, before the points are listed.
     """
     k = G._degree - G._orbits + 1  # |omega|, if one orbit moves
     if k < 5:
@@ -545,10 +529,10 @@ def _alt_or_sym_of(G: Group):
             return None
     if full not in (G._order, 2 * G._order):
         return None
-    orbit = G._chain.levels[0][1]
-    if len(orbit) != k:
+    omega = _support(G)
+    if len(omega) != k:
         return None
-    return sorted(orbit), tuple(a for a in range(G._degree) if a not in orbit), full != G._order
+    return sorted(omega), tuple(a for a in range(G._degree) if a not in omega), full != G._order
 
 
 def _support(H: Group) -> frozenset:
@@ -563,9 +547,8 @@ def _generates(G: Group, raw_gens) -> bool:
     G is Alt or Sym of omega (``Group._alt_or_sym``), T, with G's orbits, is
     transitive on omega: an all-even T in Sym(omega) lies in Alt(omega) and
     is rejected, and one that ``_jordan`` certifies contains Alt(omega), so
-    generates G, with no chain either way.  Any other T builds its chain,
-    told |G|, so no prefix of T is offered to ``_giant_chain`` when G
-    cannot hold Alt of the prefix's points, as A5 wr C2 holds no Alt(10).
+    generates G, with no chain either way.  Any other T builds its chain by
+    Schreier-Sims, which offers no certificate.
     """
     raw_gens = list(raw_gens)
     if _orbit_count(G.degree, raw_gens) != G._orbits:
@@ -577,7 +560,7 @@ def _generates(G: Group, raw_gens) -> bool:
             return False
         if _jordan(G.degree, raw_gens, omega):
             return True
-    return _build_chain(G.degree, raw_gens, G.order())[0].order() == G.order()
+    return _build_chain(G.degree, raw_gens)[0].order() == G.order()
 
 
 def _walk(start, moves):
@@ -683,20 +666,24 @@ class Group:
         order, passes it as ``chain`` (extending again would rebuild it),
         and the group then acts by all of ``raw_gens``.
 
-        A chain built here is written down for a prefix of generators that
-        ``_giant_chain`` certifies as Alt or Sym of the points it moves,
-        with the base, orbits, order and ``_raw_gens`` of Schreier-Sims.
+        Handed no chain, it first tries ``_certified_giant``: a group it
+        proves Alt or Sym acts by the certified prefix, takes its order in
+        closed form and builds no chain here (see ``_chain``).
         """
         self._degree = degree
         ident = _identity(degree)
         raw_gens = tuple(p for p in raw_gens if p != ident)
         self._gens = tuple(Permutation._wrap(p) for p in raw_gens)
-        if chain is None:
-            chain, used = _build_chain(degree, raw_gens)
-            raw_gens = tuple(used)
+        giant = None if chain is not None else _certified_giant(degree, raw_gens)
+        if giant is not None:
+            raw_gens, self._order = giant
+        else:
+            if chain is None:
+                chain, used = _build_chain(degree, raw_gens)
+                raw_gens = tuple(used)
+            self._chain = chain
+            self._order = chain.order()
         self._raw_gens = raw_gens
-        self._chain = chain
-        self._order = chain.order()
         self._orbits = _orbit_count(degree, raw_gens)
         self._alt_or_sym = _alt_or_sym_of(self)
         self._elements: tuple | None = None
@@ -719,6 +706,14 @@ class Group:
 
     def order(self) -> int:
         return self._order
+
+    @cached_property
+    def _chain(self) -> _Chain:
+        """The group's chain, set by ``_setup`` unless ``_certified_giant``
+        proved the group Alt or Sym: that chain is written down here, on the
+        first read, from the group's record."""
+        omega, _, alt = self._alt_or_sym
+        return _giant_chain(self._degree, omega, alt)
 
     def contains(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):

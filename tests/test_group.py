@@ -40,6 +40,10 @@ def make(texts, degree):
     return Group([P(t, degree) for t in texts], degree)
 
 
+def _cycle_text(first, last):
+    return "(" + ",".join(map(str, range(first, last + 1))) + ")"
+
+
 S4 = make(["(1,2,3,4)", "(1,2)"], 4)
 A4 = make(["(1,2,3)", "(1,2)(3,4)"], 4)
 S5 = make(["(1,2,3,4,5)", "(1,2)"], 5)
@@ -757,14 +761,11 @@ def test_regular_action_above_the_byte_boundary():
 
 def test_chain_holds_one_transversal():
     # each level keeps its representatives once, as inverse tables: Group()
-    # of S200 (a giant, written down) and of the 1000-point cycle
-    # (Schreier-Sims on tuples) hold 6.5 and 7.8 MiB, where a second store
-    # of the representatives as tuples held 38.4 and 15.5 MiB
-    def cycle(n):
-        return "(" + ",".join(map(str, range(1, n + 1))) + ")"
-
-    for texts, n, order, limit in (([cycle(200), "(1,2)"], 200, math.factorial(200), 12),
-                                   ([cycle(1000)], 1000, 1000, 10)):
+    # of the 1000-point cycle (Schreier-Sims on tuples) holds 7.8 MiB, where
+    # a second store of the representatives as tuples held 15.5 MiB; S200,
+    # certified, keeps no chain (its written one held 6.5 MiB)
+    for texts, n, order, limit in (([_cycle_text(1, 200), "(1,2)"], 200, math.factorial(200), 1),
+                                   ([_cycle_text(1, 1000)], 1000, 1000, 10)):
         gens = [P(t, n) for t in texts]
         tracemalloc.start()
         try:
@@ -790,7 +791,7 @@ def test_literature_orders():
     assert make(["(1,2,3)", long_cycle], 30).order() == math.factorial(30) // 2
 
 
-# -- giants: Alt and Sym written down after a Jordan certificate --------------
+# -- giants: Alt and Sym certified by Jordan, their chains written on read ----
 
 def _odd(p):
     seen, odd = set(), 0
@@ -804,13 +805,18 @@ def _odd(p):
     return odd
 
 
-def _spy_giants(monkeypatch):
-    # the result of every _giant_chain call, None where it certified nothing
+def _spy(monkeypatch, name):
+    # the result of every call of group_module's function ``name``
     results = []
-    original = group_module._giant_chain
-    monkeypatch.setattr(group_module, "_giant_chain",
+    original = getattr(group_module, name)
+    monkeypatch.setattr(group_module, name,
                         lambda *args: results.append(original(*args)) or results[-1])
     return results
+
+
+def _spies(monkeypatch):
+    # chain builds, written giant chains and Jordan certificates
+    return [_spy(monkeypatch, name) for name in ("_build_chain", "_giant_chain", "_jordan")]
 
 
 def _moving(rng, degree, support, point):
@@ -855,8 +861,8 @@ def _on_support(rng, degree, support, odd=None):
 def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     # a random generating pair of Sym or Alt on n points placed at random
     # in a larger degree, away from point 1, or on every point, plus two
-    # redundant words; the pair alone is also certified as a chain built for
-    # a moment (``_generates``, closures)
+    # redundant words: the group is certified, acts by the pair and builds
+    # no chain; its first chain read writes one, that of Schreier-Sims
     rng = random.Random(100 * n + alt if spare else 1000 * n + alt)
     degree = n + spare
     support = sorted(rng.sample(range(2, degree), n)) if spare else list(range(n))
@@ -867,35 +873,39 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
         if _plain_schreier_sims(degree, pair)[0].order() == target:
             break
     words = [_mul(pair[0], pair[1]), _mul(_mul(pair[1], pair[0]), pair[1])]
-    results = _spy_giants(monkeypatch)
+    built, written, certified = _spies(monkeypatch)
     G = Group([Permutation(g) for g in pair + words], degree)
-    transient = group_module._build_chain(degree, pair)
-    assert [r is not None for r in results] == [True, True] and transient[0] is results[1]
-    ours, theirs, chain = _schreier_sims_summary(G)
-    assert ours == theirs == _summary(*transient)
+    assert built == written == [] and certified == [True]
     assert G.order() == target and G._raw_gens == tuple(pair)
-    assert G._chain.base == support[:n - 2 if alt else n - 1]
-    _check_chain_invariants(G._chain, degree)
-    # the group answers by support and parity, as the written levels and a
-    # plain chain's do
+    # the group answers by support and parity, with no chain, as a plain
+    # chain and the written one do
     assert G._alt_or_sym == (support, tuple(outside), alt)
     members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
     members += [_on_support(rng, degree, support, 0) for _ in range(20)]
     others = [_on_support(rng, degree, support, 1) for _ in range(20)]
     others += [_on_support(rng, degree, outside[:2] + support[:3]) for _ in range(20)]
-    for p in members + others:
-        inside = all(p[q] == q for q in outside) and not (alt and _odd(p))
-        assert G.contains(Permutation(p)) == inside
-        assert chain.sift(p) == inside
-        assert G._chain.sift(p) == inside
+    inside = [all(p[q] == q for q in outside) and not (alt and _odd(p)) for p in members + others]
+    assert [G.contains(Permutation(p)) for p in members + others] == inside
+    assert written == []
+    chain = G._chain
+    assert written == [chain] and G._chain is chain
+    ours, theirs, plain = _schreier_sims_summary(G)
+    assert ours == theirs
+    assert chain.base == support[:n - 2 if alt else n - 1]
+    _check_chain_invariants(chain, degree)
+    assert [plain.sift(p) for p in members + others] == inside
+    assert [chain.sift(p) for p in members + others] == inside
+    # a chain built for a moment (``_generates``, closures) is Schreier-Sims's
+    # and offers no certificate
+    transient = group_module._build_chain(degree, pair)
+    assert _summary(*transient) == theirs and len(built) == 1 and certified == [True]
 
 
 def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
     # G's record names omega and Alt or Sym, and on even and odd elements of
     # Sym(omega), on elements moving point 12 (which the growth added to
     # omega, or left outside it) and on ones moving point 1 (outside omega),
-    # G's membership equals a sift of a plain chain and of G's own chain,
-    # whoever built it
+    # G's membership equals a sift of a plain chain and of G's own chain
     degree = G.degree
     assert G._alt_or_sym == (omega, tuple(q for q in range(degree) if q not in omega), alt)
     probes = [_on_support(rng, degree, omega, odd) for odd in (0, 1) * 15]
@@ -908,19 +918,19 @@ def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
 def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
-    # after the certified prefix, a generator outside the giant (an odd one
-    # over Alt, one moving a new point over Sym) extends it by Schreier-Sims
+    # after a prefix that alone is certified, a generator outside its giant
+    # (an odd one over Alt, one moving a new point over Sym) leaves the
+    # group to a plain chain, with no certificate tried; it is Sym of a
+    # larger omega, or of the same omega over Alt
     n, degree = 10, 13
     cycle = P("(2,3,4,5,6,7,8,9,10,11)" if not alt else "(3,4,5,6,7,8,9,10,11)", degree)
     second = P("(2,3)" if not alt else "(2,3,4)", degree)
     later = P("(11,12)" if not alt else "(5,6)", degree)
     assert Group([cycle, second], degree)._alt_or_sym == (list(range(1, 11)), (0, 11, 12), alt)
-    results = _spy_giants(monkeypatch)
+    built, written, certified = _spies(monkeypatch)
     G = Group([cycle, second, later], degree)
-    assert [r is not None for r in results] == [True]
-    # the later generator grew the certified chain into Sym of a larger
-    # omega, or of the same omega over Alt
-    assert G._chain is results[0]
+    assert len(built) == 1 and written == certified == []
+    assert G._chain is built[0][0]
     ours, theirs, chain = _schreier_sims_summary(G)
     assert ours == theirs
     assert G.order() == math.factorial(n + (not alt))
@@ -930,15 +940,16 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
 
 
 def test_giant_reached_by_a_normal_closure(monkeypatch):
-    # the normal closure in Sym(2..12) of a certified pair generating
-    # Alt(2..11) grows the written chain by conjugates (``_grown``) into
-    # Alt(2..12), which answers membership as a plain chain does
+    # the normal closure in Sym(2..12) of a pair generating Alt(2..11) grows
+    # a plain chain by conjugates (``_grown``), with no certificate tried,
+    # into Alt(2..12), which answers membership as a plain chain does
     degree = 13
     G = make(["(2,3,4,5,6,7,8,9,10,11,12)", "(2,3)"], degree)
     seeds = [P("(3,4,5,6,7,8,9,10,11)", degree), P("(2,3,4)", degree)]
-    results = _spy_giants(monkeypatch)
+    built, written, certified = _spies(monkeypatch)
     N = normal_closure(G, seeds)
-    assert [r is not None for r in results] == [True] and N._chain is results[0]
+    assert len(built) == 1 and written == certified == []
+    assert N._chain is built[0][0]
     assert N.order() == math.factorial(11) // 2
     _check_chain_invariants(N._chain, degree)
     chain = _plain_schreier_sims(degree, [g.imgs for g in N.generators])[0]
@@ -986,17 +997,17 @@ SHOWS_BLOCKS = {"A5wrC2", "S4wrS2"}  # the last generator of the prefix swaps th
 @pytest.mark.parametrize("name", NON_GIANTS)
 def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
     # none of these contains Alt of its points, so Jordan's theorem certifies
-    # none: each primitive one is tried, never certified, and built by
-    # Schreier-Sims, as a group and as a chain built for a moment (closures);
-    # the wreath products' prefixes show blocks, so theirs are never tried
+    # none: each group's prefix that shows no blocks is tried once, fails,
+    # and the group is built by Schreier-Sims; the wreath products' prefixes
+    # show blocks, so theirs are never tried, and a chain built for a moment
+    # (closures) tries none
     given, order = NON_GIANTS[name]()
-    results = _spy_giants(monkeypatch)
+    certified = _spy(monkeypatch, "_jordan")
     G = Group(given.generators, given.degree)
+    tried = [] if name in SHOWS_BLOCKS else [False]
+    assert certified == tried
     transient = group_module._build_chain(G.degree, [g.imgs for g in given.generators])
-    if name in SHOWS_BLOCKS:
-        assert results == []
-    else:
-        assert len(results) >= 2 and all(r is None for r in results)
+    assert certified == tried
     ours, theirs, _ = _schreier_sims_summary(G)
     assert ours == theirs == _summary(*transient)
     assert G.order() == order and G._alt_or_sym is None
@@ -1144,7 +1155,7 @@ def test_wreath_products_show_blocks(monkeypatch, name):
     # it is offered to no certificate, and the chain is Schreier-Sims's
     (inner, m), (top, k) = WREATHS[name]
     A, B = make(inner, m), make(top, k)
-    results = _spy_giants(monkeypatch)
+    results = _spy(monkeypatch, "_jordan")
     W = wreath_product(A, B)
     gens = [g.imgs for g in W.generators]
     prefix = _bfs_transitive_prefix(W.degree, gens)
@@ -1177,6 +1188,25 @@ def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
     assert built == [] and certified == [True]
     assert not _generates(G, [_mul(p, p) for p in pair] + [_mul(pair[1], pair[0])])
     assert built == [] and certified == [True]
+
+
+def test_generates_tries_one_certificate_on_a_proper_transitive_pair(monkeypatch):
+    # PGL(2,7) on the projective line over F_7 (point 7 standing for
+    # infinity) is transitive on 8 points and holds odd elements, but no
+    # Alt(8): on seeded pairs generating it, S8's generation test tries
+    # Jordan's certificate once, then a plain chain answers False
+    t = tuple((x + 1) % 7 for x in range(7)) + (7,)
+    m = tuple(3 * x % 7 for x in range(7)) + (7,)
+    s = tuple((-pow(x, -1, 7)) % 7 if x else 7 for x in range(7)) + (0,)
+    PGL = Group([Permutation(g) for g in (t, m, s)], 8)
+    assert PGL.order() == 336
+    S8 = make(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
+    certified = _spy(monkeypatch, "_jordan")
+    for pair in _generating_tuples(random.Random(113), PGL, 2, 5):
+        assert any(_odd(g) for g in pair)
+        before = len(certified)
+        assert not _generates(S8, pair)
+        assert certified[before:] == [False]
 
 
 def _generating_tuples(rng, H, size, count):
@@ -1300,8 +1330,9 @@ def test_membership_and_alt_or_sym_match_the_closure(case):
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
 def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
-    # Sym or Alt of 40 points inside 260 takes the tuple encoding; a full
-    # Sym(260) would hold 33670 representatives of 260 entries each
+    # Sym or Alt of 40 points inside 260 keeps no chain until one is read,
+    # which then takes the tuple encoding; a full Sym(260) would hold 33670
+    # representatives of 260 entries each
     degree, n = 260, 40
     rng = random.Random(260 + alt)
     support = sorted(rng.sample(range(degree), n))
@@ -1313,11 +1344,11 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     short_cycle = support[:3] if alt else support[:2]
     for a, b in zip(short_cycle, short_cycle[1:] + short_cycle[:1]):
         short[a] = b
-    results = _spy_giants(monkeypatch)
+    built, written, certified = _spies(monkeypatch)
     G = Group([Permutation(long_cycle), Permutation(short)], degree)
-    assert [r is not None for r in results] == [True]
-    assert isinstance(G._chain.one, tuple)
+    assert built == written == [] and certified == [True]
     assert G.order() == math.factorial(n) // (2 if alt else 1)
+    assert isinstance(G._chain.one, tuple) and written == [G._chain]
     assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
     _check_chain_invariants(G._chain, degree)
     # a plain chain of the same generators is the reference
@@ -1329,3 +1360,42 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     for _ in range(5):
         p = _moving(rng, degree, support, rng.choice(outside))
         assert not G.contains(Permutation(p)) and not chain.sift(p)
+
+
+@pytest.mark.parametrize("alt", [False, True], ids=["S1000", "A1000"])
+def test_giant_of_1000_points_keeps_no_chain(monkeypatch, alt):
+    # Sym or Alt of points 2..1001 inside 1002: certified with no chain
+    # built or written, in well under 1 MiB, where the written chain of
+    # S1000 held 3.86 GB; order, record and membership need no chain
+    degree = 1002
+    omega = list(range(1, 1001))
+    texts = ["(2,3,4)", _cycle_text(3, 1001)] if alt else [_cycle_text(2, 1001), "(2,3)"]
+    gens = [P(text, degree) for text in texts]
+    built, written, certified = _spies(monkeypatch)
+    tracemalloc.start()
+    try:
+        G = Group(gens, degree)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built == written == [] and certified == [True]
+    assert held < 1 << 20
+    assert G.order() == math.factorial(1000) // (2 if alt else 1)
+    assert G._alt_or_sym == (omega, (0, 1001), alt)
+    rng = random.Random(1000 + alt)
+    probes = [_on_support(rng, degree, omega, odd) for odd in (0, 1) * 5]
+    probes += [_moving(rng, degree, omega, rng.choice((0, 1001))) for _ in range(10)]
+    assert ([G.contains(Permutation(p)) for p in probes]
+            == [not (alt and odd) for odd in (0, 1) * 5] + [False] * 10)
+    assert written == []
+
+
+def test_first_base_read_writes_the_giant_chain_once(monkeypatch):
+    # S200 writes its chain on the first read of its base, and keeps it
+    built, written, _ = _spies(monkeypatch)
+    G = make([_cycle_text(1, 200), "(1,2)"], 200)
+    assert built == written == []
+    assert G.base() == tuple(range(1, 200))
+    assert len(written) == 1 and G._chain is written[0]
+    assert G.base() == tuple(range(1, 200)) and G._chain is written[0]
+    assert len(written) == 1 and built == []

@@ -93,3 +93,21 @@ def test_gensets_imports_no_private_name_of_structure():
             assert not private, (node.lineno, private)
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "structure":
             assert not node.attr.startswith("_"), (node.lineno, node.attr)
+
+
+def test_only_a_chain_read_writes_a_giant_chain():
+    # a certified Alt or Sym writes its chain only when Group._chain is
+    # first read, and every other chain is built by plain Schreier-Sims:
+    # _giant_chain is named nowhere else, and _build_chain takes a degree
+    # and generators, nothing more
+    for path in sorted((SRC / "genex").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reader = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Group"
+                  for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "_chain"
+                  for n in ast.walk(f)}
+        assert path.stem != "group" or reader
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_giant_chain":
+                assert id(node) in reader, (path.stem, node.lineno)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_build_chain":
+                assert len(node.args) <= 2 and not node.keywords, (path.stem, node.lineno)
