@@ -38,7 +38,8 @@ no generating tuple, or counts them whole:
   sec. 4.4); so when G/N is not cyclic no element of any pool completes K.
   When G is Alt or Sym of the 5 or more points it moves, the answer needs
   no closure: N >= Alt(omega) unless K = 1, so G/N has order at most 2,
-  and G/1 = G is not cyclic (``_closure_quotient_is_cyclic``).  Otherwise
+  and G/1 = G is not cyclic (``_closure_quotient_is_cyclic``); nor is it
+  for any nonabelian G, so an all-identity K builds no closure.  Otherwise
   the closure stops as soon as the subgroup it has grown has index 1 or a
   prime in G, since |G : N| divides it and a group of order 1 or a prime is
   cyclic, and only a composite index builds all of N (proof of the test in
@@ -210,16 +211,21 @@ def _closure_quotient_is_cyclic(G: Group, raw_gens) -> bool:
     no other normal subgroup but 1 (Dixon-Mortimer, *Permutation Groups*,
     1996, ch. 3).  So a tuple with an entry other than the identity has
     |G : N| <= 2, and G/N is cyclic; an all-identity one has N = 1, and
-    G/N = G is not even abelian.
+    G/N = G is not even abelian.  On any other G an all-identity tuple
+    builds no closure either when G is nonabelian, as G/1 = G is then not
+    cyclic.
 
     Otherwise the closure stops as soon as the subgroup K it has grown has
     index 1 or a prime in G: K <= N <= G, so |G : N| divides |G : K|, and a
     group of order 1 or a prime is cyclic.  Only a composite index builds
     all of N and asks ``_quotient_is_cyclic``.
     """
+    ident = _identity(G.degree)
+    trivial = all(x == ident for x in raw_gens)
     if G._alt_or_sym is not None:
-        ident = _identity(G.degree)
-        return any(x != ident for x in raw_gens)
+        return not trivial
+    if trivial and not G.is_abelian():
+        return False
     n = G.order()
     stops = {n} | {n // p for p in prime_factors(n)}
     N = _normal_closure(G, raw_gens, stops)

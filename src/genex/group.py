@@ -281,12 +281,13 @@ def _certified_giant(degree, raw_gens):
     to generate Alt or Sym of the points omega it moves, Alt iff all of it
     is even, and every later generator lies in that group: it fixes every
     point outside omega and, for Alt, is even.  Else None; the later
-    generators are checked first."""
+    generators are checked first.  The prefix keeps the first of each
+    repeated generator, as the group acts by it."""
     found = _transitive_prefix(degree, raw_gens)
     if found is None:
         return None
     k, omega = found
-    prefix = raw_gens[:k]
+    prefix = tuple(dict.fromkeys(raw_gens[:k]))
     alt = not any(_odd(g) for g in prefix)
     inside = set(omega)
     outside = [a for a in range(degree) if a not in inside]
@@ -512,12 +513,17 @@ def _alt_or_sym_of(G: Group):
     generation test, the search's cyclic-quotient cut, ``structure`` and a
     certified group's chain (``Group._chain``) read it; no chain keeps it.
 
-    G is transitive on omega, the points its generators move
-    (``_support``), when its orbits are its fixed points and one more;
-    then order |omega|! makes it Sym(omega), and |omega|!/2 the one
-    subgroup of index 2, Alt(omega), which is simple for |omega| >= 5.
-    The order is tested first, by a product that stops once it passes
-    twice the order, before the points are listed.
+    With r nontrivial orbits of a_1, .., a_r points, k = 1 + sum(a_i - 1)
+    and |G| <= a_1! .. a_r!.  The only test is k! <= 2|G|, by a product
+    that stops once it passes twice the order, and it suffices for k >= 5.
+    For r >= 2, merge the orbits one at a time into the first: a merge of a
+    and b >= 2 points into one of m = a + b - 1 multiplies the bound by
+    (a + b - 1)!/(a! b!) = C(a + b, b)/(a + b) >= C(a + b, 2)/(a + b) = m/2,
+    which is at least 3/2, and the last merge, m = k, by at least 5/2.  So
+    k! > 2|G|, and the test fails.  For r = 1 the one orbit is omega, the
+    points the generators move (``_support``), of k points; |G| divides
+    k!, so k! <= 2|G| leaves order k!, which makes G Sym(omega), or k!/2,
+    the one subgroup of index 2, Alt(omega), simple for k >= 5.
     """
     k = G._degree - G._orbits + 1  # |omega|, if one orbit moves
     if k < 5:
@@ -527,11 +533,7 @@ def _alt_or_sym_of(G: Group):
         full *= i
         if full > 2 * G._order:
             return None
-    if full not in (G._order, 2 * G._order):
-        return None
     omega = _support(G)
-    if len(omega) != k:
-        return None
     return sorted(omega), tuple(a for a in range(G._degree) if a not in omega), full != G._order
 
 

@@ -118,50 +118,23 @@ def minimal_normals_inside(G: Group, K: Group) -> list[Group]:
     minimal.  Only K is scanned: its non-identity elements are partitioned
     once into G-classes (``_orbits``, by least member), and each class
     takes the order of its least member, as conjugation keeps orders.  Each
-    prime-order class is tried from its least member.  Sorted by
-    ``_minimal_normal_key``.
-
-    Before any closure, Lagrange's theorem may prove K minimal.  A normal
-    subgroup M of G with 1 < M < K is a union of G-classes of K: the
-    identity, at least one class of prime-order elements (Cauchy) and some
-    classes of composite-order elements.  So when no 1 + s + c is a proper
-    divisor of |K|, for s a nonempty subset sum of the prime-order class
-    sizes and c a subset sum of the composite-order ones, no such M exists,
-    and K alone is returned.
+    prime-order class is closed from its least member, and a closure of
+    order |K| is K itself, so a minimal K is returned as the given group.
+    Sorted by ``_minimal_normal_key``.
     """
-    prime_order, composite = [], []
+    closures: list[Group] = []
     # the identity is the least element
     for cls in _orbits(K.elements_raw()[1:], _conjugations(G._raw_gens)):
-        (prime_order if is_prime(_order(cls[0])) else composite).append(cls)
-    if _no_proper_normal_order(K.order(), [len(c) for c in prime_order],
-                               [len(c) for c in composite]):
-        return [K]
-    closures: list[Group] = []
-    for cls in prime_order:
+        if not is_prime(_order(cls[0])):
+            continue
         n = normal_closure(G, [Permutation._wrap(cls[0])])
+        if n.order() == K.order():
+            n = K
         if not any(n.order() == m.order() and n.is_subgroup_of(m) for m in closures):
             closures.append(n)
     return sorted((n for n in closures
                    if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures)),
                   key=_minimal_normal_key)
-
-
-def _no_proper_normal_order(order: int, class_sizes: list, composite_sizes: list) -> bool:
-    """Whether no 1 + s + c is a proper divisor of ``order`` above 1, for s
-    a nonempty subset sum of ``class_sizes`` and c a subset sum of
-    ``composite_sizes``.
-
-    Bit t of ``sums`` is set when some s + c equals t; bit 0, the empty
-    subset of ``class_sizes`` alone, is cleared before the composite
-    classes are added."""
-    sums = 1
-    for size in class_sizes:
-        sums |= sums << size
-    sums &= ~1
-    for size in composite_sizes:
-        sums |= sums << size
-    return not any(sums >> (m - 1) & 1
-                   for m in range(2, order // 2 + 1) if order % m == 0)
 
 
 def _nonabelian_order(order: int) -> bool:

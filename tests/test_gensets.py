@@ -24,7 +24,7 @@ from genex.gensets import (
     socle_block_projection,
 )
 from genex.grpfmt import parse_group_text
-from genex.perm import BOUNDS, Permutation, parse_permutation
+from genex.perm import BOUNDS, Permutation, _order, is_prime, parse_permutation
 from genex.structure import all_subgroups, classify_maximal, frattini, minimal_normal_subgroups
 
 
@@ -324,6 +324,41 @@ def test_cut_on_alt_and_sym_builds_no_closure(monkeypatch, name):
     assert verdicts == [x != tuple(range(G.degree)) for x in elems]
     for x, verdict in zip(elems, verdicts):
         assert verdict == gensets._quotient_is_cyclic(G, normal_closure(G, [Permutation._wrap(x)]))
+
+
+CUT_SEARCHES = {  # group, and the subgroup whose D_M is searched too
+    "A5wrC2": (_wreath_a5_c2()[0], SEARCH_PINS["A5wrC2"][1]),
+    "C2xS4xC2": (direct_product(direct_product(make(["(1,2)"], 2), S4), make(["(1,2)"], 2)), None),
+    "C2^3": (V8, None),
+}
+
+
+@pytest.mark.parametrize("name", CUT_SEARCHES)
+def test_cut_on_the_identity_builds_no_closure_on_a_nonabelian_group(monkeypatch, name):
+    # on every partial tuple the searches cut, the verdict is the quotient's
+    # by the full normal closure; an all-identity tuple on a nonabelian
+    # group leaves G/1 = G, not cyclic, and builds no chain (C2^3, abelian,
+    # takes the closure)
+    G, M = CUT_SEARCHES[name]
+    G = Group(G.generators, G.degree)
+    calls = []
+    cut = gensets._closure_quotient_is_cyclic
+    monkeypatch.setattr(gensets, "_closure_quotient_is_cyclic",
+                        lambda G, tup: calls.append((G, tup, cut(G, tup))) or calls[-1][2])
+    min_generators(G)
+    if M is not None:
+        d_metric(G, Group(M.generators, M.degree))
+    ident = tuple(range(G.degree))
+    assert any(all(x == ident for x in tup) for _, tup, _ in calls)
+    for H, tup, verdict in calls:
+        assert H is G
+        assert verdict == gensets._quotient_is_cyclic(G, normal_closure(G, [Permutation._wrap(x) for x in tup]))
+    if not G.is_abelian():
+        builds = []
+        original = group_module._build_chain
+        monkeypatch.setattr(group_module, "_build_chain", lambda *a: builds.append(1) or original(*a))
+        assert not cut(G, (ident,) * len(calls[0][1]))
+        assert builds == []
 
 
 def test_no_certificate_is_tried_inside_a5_wr_c2(monkeypatch):
@@ -1154,35 +1189,25 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
 
 
 def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
-    # the scanned factor's classes in A5 x A5 have 15, 20, 12 and 12 elements,
-    # so Lagrange proves it minimal with no closure inside the scan: the one
-    # closure is the seed's K = ncl_N(s) (as PSL(2,5)^2, whose factor is
-    # scanned, being no Alt of its support)
+    # no closure is taken inside a simple factor of A5 x A5: the seed and
+    # each of the 4 prime-order classes of the scanned factor K are closed
+    # in N, and, K being simple, every class closes to all of K (the
+    # scan's order |K| = 60), so no ncl_K(s) is ever built
     W, N = SCANNED_CASES["A5wrC2/A5xA5"]
-    calls = []
-    original = structure.normal_closure
-    monkeypatch.setattr(structure, "normal_closure",
-                        lambda G, gens: calls.append(G) or original(G, gens))
-    check_monolithic_nonabelian(W, N)
-    assert calls == [N]
-    assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
-
-
-@pytest.mark.parametrize("name", ["S6/A6", "A6/A6"])
-def test_monolithic_check_closes_no_class_of_a6(monkeypatch, name):
-    # A6's elements of order 4 form one class of 90, so no 1 + s + c divides
-    # 360 and the scan proves A6 minimal with none of its 5 class closures:
-    # the one closure is the seed's K = ncl_N(s); A6 acts on 10 points, where
-    # it is no Alt of its support, so its factor is scanned
-    G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
     original = structure.normal_closure
-    monkeypatch.setattr(structure, "normal_closure",
-                        lambda G, gens: calls.append(G) or original(G, gens))
-    check_monolithic_nonabelian(G, N)
-    assert calls == [N]
-    assert [f.order() for f in minimal_normal_subgroups(N)] == [360]
+
+    def record(G, gens):
+        closure = original(G, gens)
+        calls.append((G, closure.order()))
+        return closure
+
+    monkeypatch.setattr(structure, "normal_closure", record)
+    check_monolithic_nonabelian(W, N)
+    assert [G for G, _ in calls] == [N] * 5
+    assert [order for _, order in calls] == [60] * 5
+    assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
 
 
 def test_monolithic_check_rejects_a_closure_too_large_to_scan():
@@ -1246,18 +1271,24 @@ def test_monolithic_check_reads_an_alt_socle_off_its_order(monkeypatch, n):
     assert minimal_normal_subgroups(N) == [N]
 
 
-@pytest.mark.parametrize("name", ["S5/A5", "A5wrC2/A5xA5"])
+@pytest.mark.parametrize("name", SCANNED_CASES)
 def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, name):
-    # K = ncl_N(s) is one A5, small enough to scan, so no ncl_K(s) is built
-    # (on SCANNED_CASES, where K is no Alt of its support and is scanned)
+    # K = ncl_N(s) is one simple factor, small enough to scan, so the seed
+    # is closed once and no ncl_K(s) is built (on SCANNED_CASES, where K is
+    # no Alt of its support and is scanned); the scan then closes the least
+    # member of each N-class of prime-order elements of K: 4 for PSL(2,5)
+    # (orders 2, 3, 5, 5) and 5 for A6 (orders 2, 3, 3, 5, 5)
     G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
     calls = []
     original = structure.normal_closure
     monkeypatch.setattr(structure, "normal_closure",
-                        lambda G, gens: calls.append(G) or original(G, gens))
+                        lambda G, gens: calls.append((G, gens[0].imgs)) or original(G, gens))
     check_monolithic_nonabelian(G, N)
-    assert calls == [N]
+    factors = {"S5/A5": [60], "S6/A6": [360], "A6/A6": [360], "A5wrC2/A5xA5": [60, 60]}[name]
+    assert [H for H, _ in calls] == [N] * (1 + {60: 4, 360: 5}[factors[0]])
+    assert all(is_prime(_order(x)) for _, x in calls[1:])
+    assert [f.order() for f in minimal_normal_subgroups(N)] == factors
 
 
 @pytest.mark.parametrize("name", ["S6/A6", "A5wrC2/A5xA5"])

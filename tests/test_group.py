@@ -28,6 +28,7 @@ from genex.group import (
     _walk,
 )
 from genex.gensets import _generates, min_generators
+from genex.grpfmt import parse_group_text, serialize_group
 from genex.perm import BOUNDS, Permutation, _identity, _inv, _mul, parse_permutation
 from genex.structure import all_subgroups
 
@@ -914,6 +915,48 @@ def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
     inside = [G.contains(Permutation(p)) for p in probes]
     assert inside == [chain.sift(p) for p in probes] == [G._chain.sift(p) for p in probes]
     assert True in inside and False in inside
+
+
+def test_certified_prefix_acts_by_a_repeated_generator_once(monkeypatch):
+    # the first transitive prefix of a, a, b is all three, and a repeat adds
+    # nothing to the group: S8 on 9 points acts by a and b, keeps all three
+    # as given (so the .grp text does not change), and answers membership
+    # as S8 on the pair
+    a, b = P("(1,2,3,4,5,6,7)", 9), P("(7,8)", 9)
+    built, written, certified = _spies(monkeypatch)
+    G = Group([a, a, b], 9)
+    assert built == [] and certified == [True]
+    assert G._raw_gens == (a.imgs, b.imgs) and G.generators == (a, a, b)
+    assert G.order() == math.factorial(8)
+    assert parse_group_text(serialize_group(G)).generators == (a, a, b)
+    pair = Group([a, b], 9)
+    rng = random.Random(9)
+    probes = [tuple(rng.sample(range(9), 9)) for _ in range(40)]
+    inside = [G.contains(Permutation(p)) for p in probes]
+    assert inside == [pair.contains(Permutation(p)) for p in probes] == [p[8] == 8 for p in probes]
+    assert True in inside and False in inside
+
+
+@pytest.mark.parametrize("name", ["S7", "S5xS3"])
+def test_alt_or_sym_record_matches_brute_force_on_a_lattice(name):
+    # the record tests only k! <= 2|H|, k = degree - orbits + 1; on every
+    # subgroup class of S7, and of S5 x S3 with its two orbits, it holds
+    # exactly when H is transitive on the 5 or more points it moves, with
+    # order |omega|! or |omega|!/2, counted by brute force
+    G = {"S7": lambda: make(["(1,2,3,4,5,6,7)", "(1,2)"], 7),
+         "S5xS3": lambda: make(["(1,2,3,4,5)", "(1,2)", "(6,7,8)", "(6,7)"], 8)}[name]()
+    several = 0  # classes with k >= 5 and two or more nontrivial orbits
+    for H in (c.rep for c in all_subgroups(G).classes):
+        elems = H.elements_raw()
+        omega = [q for q in range(G.degree) if any(x[q] != q for x in elems)]
+        orbits = len({frozenset(x[q] for x in elems) for q in range(G.degree)})
+        full = math.factorial(len(omega))
+        giant = (len(omega) >= 5 and {x[omega[0]] for x in elems} == set(omega)
+                 and len(elems) in (full, full // 2))
+        outside = tuple(q for q in range(G.degree) if q not in omega)
+        assert H._alt_or_sym == ((omega, outside, len(elems) != full) if giant else None)
+        several += G.degree - orbits + 1 >= 5 and orbits > G.degree - len(omega) + 1
+    assert several > 0
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])

@@ -109,24 +109,40 @@ def test_minimal_normal_subgroups_read_off_the_lattice(name):
 
 
 C2 = make(["(1,2)"], 2)
+A6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
+S6 = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
+# PSL(2, 5) ~ A5 and PGL(2, 5) ~ S5 on the projective line over F_5: x -> x + 1,
+# -1/x and 2x, with point 6 for infinity; PSL(2, 5) is no Alt of its points,
+# so the socle certificate scans it
+PSL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)"], 6)
+PGL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)"], 6)
+# PGL(2, 7) on the projective line: x -> x + 1, -1/x and 3x, with normal
+# PSL(2, 7); and A6 on the 10 cosets of its meet with S3 wr C2, where it is
+# no Alt of its points
+PGL27 = make(["(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", "(2,4,3,7,5,6)"], 8)
+A6_ON_10 = coset_action(A6, make(["(1,2,3)", "(1,2)(4,5)", "(1,4,2,5)(3,6)"], 6))[0]
 INSIDE_CASES = dict(
     {name: g for name, (g, _) in MINIMAL_NORMAL_CASES.items()},
     **{"S4xC2": direct_product(S4, C2), "A4xC3": direct_product(A4, make(["(1,2,3)"], 3)),
-       "S3wrC2": wreath_product(S3, C2), "C3wrC2": wreath_product(make(["(1,2,3)"], 3), C2)})
+       "S3wrC2": wreath_product(S3, C2), "C3wrC2": wreath_product(make(["(1,2,3)"], 3), C2),
+       "PSL(2,5)": PSL25, "PGL(2,5)": PGL25, "A6on10": A6_ON_10, "PGL(2,7)": PGL27})
 
 
 @pytest.mark.parametrize("name", INSIDE_CASES)
 def test_minimal_normals_inside_every_normal_subgroup_match_oracle(name):
-    # whether the class sizes prove K minimal or the closures are scanned,
-    # the result is G's minimal normal subgroups that lie in K
+    # the result is G's minimal normal subgroups that lie in K, and a K that
+    # is one of them comes back as the given group
     G = Group(INSIDE_CASES[name].generators, INSIDE_CASES[name].degree)
     oracle = oracles.minimal_normal_subgroups([x.imgs for x in G.generators], G.degree)
     normal = [c.rep for c in all_subgroups(G).classes if c.size == 1 and c.order > 1]
     for K in normal:
         inside = set(K.elements_raw())
-        got = [frozenset(m.elements_raw()) for m in structure.minimal_normals_inside(G, K)]
+        found = structure.minimal_normals_inside(G, K)
+        got = [frozenset(m.elements_raw()) for m in found]
         assert len(got) == len(set(got))
         assert set(got) == {m for m in oracle if m <= inside}
+        if inside in oracle:
+            assert found == [K] and found[0] is K
 
 
 def _closures_in_scan(monkeypatch):
@@ -137,45 +153,13 @@ def _closures_in_scan(monkeypatch):
     return calls
 
 
-def test_class_sizes_prove_a_simple_factor_minimal(monkeypatch):
-    # A5 in S5 has classes of 15, 20 and 24 prime-order elements and none of
-    # composite order: 1 + a subset sum is never a proper divisor of 60
-    calls = _closures_in_scan(monkeypatch)
-    assert structure.minimal_normals_inside(S5, A5) == [A5]
-    assert calls == []
-
-
 @pytest.mark.parametrize("G, found", [(S4, 4), (S5, 60)], ids=["S4", "S5"])
 def test_class_sizes_leave_a_proper_normal_order_to_the_scan(monkeypatch, G, found):
-    # S4: 1 + 3 = 4 divides 24, and V4 is found; S5: 1 + 15 + 24 + 20 = 60,
-    # with the 20 elements of order 6, divides 120, and A5 is found
+    # K = G is not minimal, and its closures find S4's V4 and S5's A5
     calls = _closures_in_scan(monkeypatch)
     K = Group(G.generators, G.degree)
     assert [m.order() for m in structure.minimal_normals_inside(K, K)] == [found]
     assert calls
-
-
-A6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
-S6 = make(["(1,2,3,4,5,6)", "(1,2)"], 6)
-
-
-@pytest.mark.parametrize("G", [A6, S6], ids=["A6", "S6"])
-def test_composite_classes_prove_a6_minimal(monkeypatch, G):
-    # A6's 90 elements of order 4 form one class, under A6 and under S6, so
-    # c is 0 or 90, not any count up to 90; with the prime-order classes
-    # (45, 40, 40, 72, 72 under A6; 45, 40, 40, 144 under S6) no 1 + s + c
-    # divides 360, and A6 is proved minimal with no closure
-    calls = _closures_in_scan(monkeypatch)
-    K = Group(A6.generators, 6)
-    assert structure.minimal_normals_inside(Group(G.generators, 6), K) == [K]
-    assert calls == []
-
-
-# PSL(2, 5) ~ A5 and PGL(2, 5) ~ S5 on the projective line over F_5: x -> x + 1,
-# -1/x and 2x, with point 6 for infinity; PSL(2, 5) is no Alt of its points,
-# so the socle certificate scans it
-PSL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)"], 6)
-PGL25 = make(["(1,2,3,4,5)", "(1,6)(2,5)", "(2,3,5,4)"], 6)
 
 
 def test_scan_orders_one_element_per_class(monkeypatch):
@@ -195,34 +179,6 @@ def test_scan_orders_one_element_per_class(monkeypatch):
     structure.check_monolithic_nonabelian(Group(PGL25.generators, 6), Group(PSL25.generators, 6))
     assert calls == [cls[0] for cls in PSL25.conjugacy_classes_raw()[1:]]
     assert len(calls) == 4
-
-
-# PGL(2, 7) on the projective line: x -> x + 1, -1/x and 3x; its normal
-# PSL(2, 7) is 1 + 21 + 56 + 48 + 42 elements, the 42 of order 4, and no sum
-# of prime-order classes alone reaches a proper divisor of 336
-SOUNDNESS_CASES = dict(INSIDE_CASES, **{"PGL(2,7)": make(
-    ["(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", "(2,4,3,7,5,6)"], 8)})
-
-
-@pytest.mark.parametrize("name", SOUNDNESS_CASES)
-def test_class_size_bound_is_sound_against_brute_force(name):
-    # whenever the bound proves K minimal, brute force finds no normal M of
-    # G with 1 < M < K; the bound is read from G-classes counted by brute
-    # force, not from minimal_normals_inside's orbits
-    G = Group(SOUNDNESS_CASES[name].generators, SOUNDNESS_CASES[name].degree)
-    elements = G.elements_raw()
-    normal = [set(c.rep.elements_raw()) for c in all_subgroups(G).classes
-              if c.size == 1 and c.order > 1]
-    classes = [set(c) for c in G.conjugacy_classes_raw()]
-    for K in normal:
-        inside = [c for c in classes if c <= K and elements[0] not in c]
-        prime = [len(c) for c in inside if _is_prime(oracles.element_order(next(iter(c))))]
-        composite = [len(c) for c in inside if not _is_prime(oracles.element_order(next(iter(c))))]
-        proved = structure._no_proper_normal_order(len(K), prime, composite)
-        smaller = [M for M in normal if 1 < len(M) < len(K) and M < K]
-        assert not (proved and smaller)
-        # the old bound, c any count up to the composite total, proves less
-        assert proved or not structure._no_proper_normal_order(len(K), prime, [1] * sum(composite))
 
 
 def test_minimal_normal_subgroups_kept_on_the_group():
