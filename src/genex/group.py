@@ -13,7 +13,8 @@ a group's elements (``Group._lex_walk``) and the least non-identity one
 (``structure.simple_factors``).  A coset's least member, the first leaf
 of such a walk, is taken greedily (``coset_canonical``).  Only
 this module builds, holds or reads a chain, so ``is_transitive``,
-``is_primitive`` and the generation test ``_generates`` live here.  One loop,
+``is_primitive`` and the generation test ``_generates`` live here.  Every
+chain is built by one builder, ``_build_chain``.  One loop,
 ``_grown``, extends a chain by a stream until its order hits a stop: kept
 generators' conjugates (``_normal_closure``) or Schreier generators.
 On at most 256 points a chain composes bytes with ``bytes.translate`` over
@@ -30,16 +31,18 @@ points (``Group._setup``) offers it the first transitive prefix of its
 generators that shows no blocks (``_transitive_prefix``; every wreath
 product's generators show them), when every later generator lies in the
 prefix's group by the closed form below.  A certified group acts by the
-prefix, has order |omega|! or |omega|!/2, and keeps no chain until one is
-read; that chain is written down (``_giant_chain``) with the base and
-orbits Schreier-Sims would give.  Below 8 points no offer is made.  The
-generation test ``_generates``, when G is Alt or Sym of its 5 or more
-points (``Group._alt_or_sym``, read off |G|), asks it of the tuple itself
-and builds no chain.  Chain builds (``_build_chain``) are plain
-Schreier-Sims.  The record of the group, not a chain, answers membership
-in closed form: p lies in Sym(omega) iff it fixes every point outside
-omega, and in Alt(omega) iff it also is even (Dixon-Mortimer, 1996, Thm
-3.3E), so ``contains`` sifts no level of any Alt or Sym.
+prefix, has order |omega|! or |omega|!/2, and keeps no chain until a walk
+of its elements reads one, which ``_build_chain`` then builds from the
+prefix.  Below 8 points no offer is made.  The generation test
+``_generates``, when G is Alt or Sym of its 5 or more points
+(``Group._alt_or_sym``, read off |G|), asks it of the tuple itself and
+builds no chain.  The record of the group, not a chain, answers every
+other chain question on Alt or Sym of omega in closed form (Dixon-Mortimer,
+*Permutation Groups*, 1996, sec. 3.3; Seress, 2003, sec. 10.2):
+membership (``contains``: p fixes every point outside omega and, for Alt,
+is even, Thm 3.3E), the lex base (``base``), a coset's least member
+(``coset_canonical``) and primitivity (``is_primitive``), so none of them
+reads a chain of any Alt or Sym.
 
 A group acts only by the given generators that extended its chain, or by
 a certified prefix, since the others would multiply the work of every
@@ -72,9 +75,7 @@ from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, 
 
 
 class _Chain:
-    """Mutable stabilizer chain used during construction (Schreier-Sims),
-    or written down whole for a certified Alt or Sym (``_giant_chain``),
-    which nothing extends.
+    """Mutable stabilizer chain used during construction (Schreier-Sims).
 
     Level i holds the i-th stabilizer group.  ``levels[i]`` pairs its base
     point with its one transversal, a dict from each orbit point to the
@@ -437,58 +438,6 @@ def _witness_primes(n):
     return frozenset(p for p in primes if 2 * p > n), frozenset(q for q in primes if q <= 3 or q <= n - 3)
 
 
-def _giant_chain(degree, omega, alt):
-    """The chain of Alt(omega), if ``alt``, or else of Sym(omega), omega an
-    ascending list of points, written down: ``Group._chain`` of a group
-    ``_certified_giant`` proved Alt or Sym, on its first read.
-
-    The chain (Seress, *Permutation Group Algorithms*, 2003, sec. 10.2).
-    With omega = w_0 < w_1 < ... < w_(n-1), level i has base point w_i and
-    orbit {w_i, ..., w_(n-1)}.  For Sym, w_i is carried to w by the
-    transposition (w_i w), and the level's strong generators are
-    (w_j w_(j+1)) for j >= i; n - 1 levels.  For Alt, w_i goes to w by the
-    3-cycle (w_i w x), x the last point of omega other than w, and the
-    generators are (w_j w_(j+1) w_(j+2)) for j >= i; n - 2 levels.  Level
-    i's group is then the pointwise stabilizer of every point below w_i,
-    so the base and orbits are those Schreier-Sims gives.
-    """
-    n = len(omega)
-    chain = _Chain(degree)
-    enc, tail, ident = chain.enc, chain.tail, chain.ident
-
-    # m = 2 for Sym, whose levels use transpositions, and 3 for Alt
-    m = 3 if alt else 2
-    row = list(ident)  # images of the permutation being written, then undone
-
-    def cycle(points):
-        # the cycle (points[0] points[1] ...) as a table
-        for a, b in zip(points, points[1:] + points[:1]):
-            row[a] = b
-        p = enc(row) + tail
-        for a in points:
-            row[a] = a
-        return p
-
-    strong = [cycle(omega[j:j + m]) for j in range(n - m + 1)]
-    last = omega[-1]
-    for i, b in enumerate(omega[:n - m + 1]):
-        itr = {b: chain.one + tail}
-        for w in omega[i + 1:]:
-            # the inverse of (b w), or of (b w x)
-            if m == 2:
-                row[b], row[w] = w, b
-                itr[w] = enc(row) + tail
-            else:
-                x = last if w != last else omega[-2]
-                row[b], row[w], row[x] = x, b, w
-                itr[w] = enc(row) + tail
-                row[x] = x
-            row[b], row[w] = b, w
-        chain.gens.append(strong[i:])
-        chain.levels.append((b, itr))
-    return chain
-
-
 def _orbit_count(degree, raw_gens) -> int:
     """Number of orbits of <raw_gens> on range(degree), by union-find."""
     root = list(range(degree))
@@ -712,10 +661,10 @@ class Group:
     @cached_property
     def _chain(self) -> _Chain:
         """The group's chain, set by ``_setup`` unless ``_certified_giant``
-        proved the group Alt or Sym: that chain is written down here, on the
-        first read, from the group's record."""
-        omega, _, alt = self._alt_or_sym
-        return _giant_chain(self._degree, omega, alt)
+        proved the group Alt or Sym: that one is built here by
+        ``_build_chain`` on the first read, which only a walk of the
+        elements makes, as the record answers every other chain question."""
+        return _build_chain(self._degree, self._raw_gens)[0]
 
     def contains(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):
@@ -739,8 +688,16 @@ class Group:
 
     def base(self) -> tuple[int, ...]:
         """Chain base points (1-based), ascending: the points q moved by some
-        element that fixes every point below q."""
-        return tuple(b + 1 for b in self._chain.base)
+        element that fixes every point below q.  For Alt or Sym of omega
+        (``_alt_or_sym``) that is omega but its last two points or its last
+        point, read off the record: the stabilizer of every point below q is
+        Alt or Sym of the points from q on, which moves q exactly when it
+        holds three points, or two, respectively."""
+        giant = self._alt_or_sym
+        if giant is None:
+            return tuple(b + 1 for b in self._chain.base)
+        omega, _, alt = giant
+        return tuple(b + 1 for b in omega[:-2 if alt else -1])
 
     def __repr__(self) -> str:
         return f"Group(degree={self._degree}, order={self._order}, ngens={len(self._gens)})"
@@ -845,11 +802,15 @@ def is_primitive(G: Group) -> bool:
     point 0, so its lex base starts there, and level 0's table at beta is
     t^-1 for a t carrying 0 to beta, with <G_0, t^-1> = <G_0, t>.  Tables
     are cut to n points, as chains on at most 256 points store 256 bytes.
+    A transitive Alt or Sym (``Group._alt_or_sym``) of n >= 5 points is
+    primitive with no chain read: G_0, Alt or Sym of the other n - 1
+    points, is transitive on them, so a block through 0 and beta holds
+    every image of beta under G_0, which is every point.
     """
     n = G.degree
     if not is_transitive(G):
         return False
-    if n == 1:
+    if n == 1 or G._alt_or_sym is not None:
         return True
     chain = G._chain
     stabilizer = [g[:n] for g in chain.gens[1]] if len(chain.base) > 1 else []
@@ -1001,7 +962,9 @@ class Homomorphism:
     def kernel(self) -> Group:
         """Kernel as iterated point stabilizers over a base of the image.
 
-        k is in the kernel iff its image fixes the base; each step
+        k is in the kernel iff its image fixes the base, ``target.base()``,
+        read off the record with no chain when the image is Alt or Sym
+        (``Group._alt_or_sym``), as a coset action's often is; each step
         (``_stabilizer``) acts through the images of the current stabilizer
         K's generators only (Seress, 2003, ch. 5).  No step before the last
         reaches the kernel's order |source|/|target|: every level of the
@@ -1013,18 +976,32 @@ class Homomorphism:
         K = self.source
         if K.order() == self.target.order():
             return subgroup_closure(K.degree, ())
-        for b in self.target._chain.base:
-            K = _stabilizer(K, [self._apply(g).__getitem__ for g in K._raw_gens], b)
+        for b in self.target.base():
+            K = _stabilizer(K, [self._apply(g).__getitem__ for g in K._raw_gens], b - 1)
         return K
 
 
 def coset_canonical(H: Group, p):
-    """Canonical representative of the right coset H*p (raw tuples).
+    """Canonical representative of the right coset H*p (raw tuples): its
+    least member.
 
-    Greedily minimizes the images of H's base points, which are in point
-    order, so the representative is the coset's least member; p is
-    composed as a table of H's chain (``_Chain``).
+    For Alt or Sym of omega (``Group._alt_or_sym``), hp agrees with p
+    outside omega and puts the images p[omega] on omega in any order, for
+    Alt any with the parity of p.  The least member writes them onto omega
+    in ascending order; for Alt, if that is of the other parity, the images
+    of omega's last two points are swapped, the next least order.  Any
+    other H greedily minimizes the images of its base points, which are in
+    point order; p is composed as a table of H's chain (``_Chain``).
     """
+    giant = H._alt_or_sym
+    if giant is not None:
+        omega, _, alt = giant
+        q = list(p)
+        for a, b in zip(omega, sorted(p[a] for a in omega)):
+            q[a] = b
+        if alt and _odd(q) != _odd(p):
+            q[omega[-2]], q[omega[-1]] = q[omega[-1]], q[omega[-2]]
+        return tuple(q)
     chain = H._chain
     mul, inv = chain.mul, chain.inv
     p = chain.enc(p) + chain.tail

@@ -46,8 +46,8 @@ is built, and otherwise off G's action on the cosets of M.  On both paths
 a minimal normal subgroup, being T^k with T simple, is nonabelian exactly
 when its order is no prime power (``_nonabelian_order``, proof in
 ``classify_maximal``).  The coset action's image is tested by
-``group.is_primitive``, beside the chain it reads; this module builds no
-chain and reads none, only groups and their orders.
+``group.is_primitive``, beside the chain or Alt/Sym record it reads; this
+module builds no chain and reads none, only groups and their orders.
 
 The socle certificate, the coset path and ``gensets.socle_block_projection``
 find the simple factors of a nonabelian minimal normal N of G by one walk
@@ -149,31 +149,40 @@ def _is_alt(H: Group) -> bool:
     return giant is not None and giant[2]
 
 
+_NOT_A_PRODUCT = "N is not a direct product of simple factors that G permutes transitively"
+
+
 def simple_factors(G: Group, N: Group) -> tuple[Group, ...]:
     """The simple direct factors of N, a nonabelian minimal normal subgroup
     of G, kept on N as its minimal normal subgroups.  Unless kept, they are
     walked as the G-orbit of a minimal normal F_1 of N; ValueError when F_1
     is abelian or the orbit's orders do not multiply to |N|.
 
-    N that is Alt of the 5 or more points it moves (``_is_alt``) is simple,
-    so it is its own one factor, with no closure and no scan.  Otherwise
-    F_1 lies in K = ncl_N(s), s being N's least non-identity element, the
-    second member ``_descend`` yields.  s lies in the deepest level of N's
-    chain (x[q] > q for q the least point x moves, so a larger q makes a
-    smaller x), which on disjoint supports lies in one factor, so K is one
-    factor.  K is F_1 with no scan when it is Alt of its points: a normal
-    subgroup of N inside K is normal in K, which is simple.  Otherwise only
-    K is scanned (``minimal_normals_inside``).  When K is too large to
-    scan, ncl_K(s) is built: in a product of nonabelian simple groups K is
-    the product of the factors on which s projects nontrivially, so
-    ncl_K(s) = K; a smaller one raises ValueError, an equal one lets the
-    scan's ``BoundExceeded`` stand.  Distinct G-conjugates of F_1 meet
-    trivially, so a conjugate lies in a factor the walk holds or is a new
-    one, generated by the conjugated generators.
+    N's record (``Group._alt_or_sym``) is read first, with no closure,
+    scan or chain: N that is Alt of the 5 or more points it moves is
+    simple, so it is its own one factor.  N that is Sym of them raises
+    ValueError: its normal subgroups are 1, Alt and N, so it is neither
+    simple nor a product of two or more factors, each of which would be
+    normal.  Otherwise F_1 lies in K = ncl_N(s), s being N's least
+    non-identity element, the second member ``_descend`` yields.  s lies
+    in the deepest level of N's chain (x[q] > q for q the least point x
+    moves, so a larger q makes a smaller x), which on disjoint supports
+    lies in one factor, so K is one factor.  K is F_1 with no scan when it
+    is Alt of its points: a normal subgroup of N inside K is normal in K,
+    which is simple.  Otherwise only K is scanned
+    (``minimal_normals_inside``).  When K is too large to scan, ncl_K(s) is
+    built: in a product of nonabelian simple groups K is the product of the
+    factors on which s projects nontrivially, so ncl_K(s) = K; a smaller
+    one raises ValueError, an equal one lets the scan's ``BoundExceeded``
+    stand.  Distinct G-conjugates of F_1 meet trivially, so a conjugate
+    lies in a factor the walk holds or is a new one, generated by the
+    conjugated generators.
     """
     if N._minimal_normals is not None:
         return N._minimal_normals
-    if _is_alt(N):
+    if N._alt_or_sym is not None:
+        if not _is_alt(N):
+            raise ValueError(_NOT_A_PRODUCT)
         N._minimal_normals = (N,)
         return N._minimal_normals
     seed = [Permutation._wrap(s) for s in islice(_descend(N), 1, 2)]
@@ -194,8 +203,7 @@ def simple_factors(G: Group, N: Group) -> tuple[Group, ...]:
             if not any(e._contains_raw(y) for e in factors):
                 factors.append(subgroup_closure(G.degree, [conj(x) for x in f._raw_gens]))
     if prod(f.order() for f in factors) != N.order():
-        raise ValueError("N is not a direct product of simple factors"
-                         " that G permutes transitively")
+        raise ValueError(_NOT_A_PRODUCT)
     N._minimal_normals = tuple(sorted(factors, key=_minimal_normal_key))
     return N._minimal_normals
 

@@ -1271,6 +1271,22 @@ def test_monolithic_check_reads_an_alt_socle_off_its_order(monkeypatch, n):
     assert minimal_normal_subgroups(N) == [N]
 
 
+@pytest.mark.parametrize("n", [5, 8, 9, 60])
+def test_monolithic_check_rejects_a_sym_socle_off_its_record(monkeypatch, n):
+    # S_n, n >= 5, is no product of simple factors, as its record shows: the
+    # check raises ValueError at once, with no closure, walk or chain, where
+    # it once scanned S8's 40320 elements and raised the element bound
+    # from n = 9 on
+    G = make(["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"], n)
+    built = []
+    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="^N is not a direct product of simple factors"
+                                         " that G permutes transitively$") as caught:
+        check_monolithic_nonabelian(G, G)
+    assert not isinstance(caught.value, BoundExceeded)
+    assert built == []
+
+
 @pytest.mark.parametrize("name", SCANNED_CASES)
 def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, name):
     # K = ncl_N(s) is one simple factor, small enough to scan, so the seed

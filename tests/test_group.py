@@ -18,6 +18,7 @@ from genex.group import (
     coset_action,
     coset_canonical,
     direct_product,
+    is_primitive,
     normal_closure,
     trivial_group,
     wreath_product,
@@ -792,7 +793,7 @@ def test_literature_orders():
     assert make(["(1,2,3)", long_cycle], 30).order() == math.factorial(30) // 2
 
 
-# -- giants: Alt and Sym certified by Jordan, their chains written on read ----
+# -- giants: Alt and Sym certified by Jordan, answered by their record ------
 
 def _odd(p):
     seen, odd = set(), 0
@@ -816,8 +817,8 @@ def _spy(monkeypatch, name):
 
 
 def _spies(monkeypatch):
-    # chain builds, written giant chains and Jordan certificates
-    return [_spy(monkeypatch, name) for name in ("_build_chain", "_giant_chain", "_jordan")]
+    # chain builds and Jordan certificates
+    return [_spy(monkeypatch, name) for name in ("_build_chain", "_jordan")]
 
 
 def _moving(rng, degree, support, point):
@@ -838,6 +839,14 @@ def _plain_schreier_sims(degree, raw_gens):
 
 def _summary(chain, used):
     return chain.order(), chain.base, [set(itrans) for _, itrans in chain.levels], tuple(used)
+
+
+def _read_by_chain(degree, chain, raw_gens):
+    # a group on this chain with no Alt or Sym record, so its base,
+    # coset_canonical and is_primitive take their chain paths
+    H = Group.__new__(Group)._setup(degree, raw_gens, chain)
+    H._alt_or_sym = None
+    return H
 
 
 def _schreier_sims_summary(G):
@@ -863,7 +872,9 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     # a random generating pair of Sym or Alt on n points placed at random
     # in a larger degree, away from point 1, or on every point, plus two
     # redundant words: the group is certified, acts by the pair and builds
-    # no chain; its first chain read writes one, that of Schreier-Sims
+    # no chain; its record answers membership, base, coset_canonical and
+    # is_primitive, and its first chain read is one plain Schreier-Sims
+    # build, whose answers equal the record's
     rng = random.Random(100 * n + alt if spare else 1000 * n + alt)
     degree = n + spare
     support = sorted(rng.sample(range(2, degree), n)) if spare else list(range(n))
@@ -874,12 +885,10 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
         if _plain_schreier_sims(degree, pair)[0].order() == target:
             break
     words = [_mul(pair[0], pair[1]), _mul(_mul(pair[1], pair[0]), pair[1])]
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     G = Group([Permutation(g) for g in pair + words], degree)
-    assert built == written == [] and certified == [True]
+    assert built == [] and certified == [True]
     assert G.order() == target and G._raw_gens == tuple(pair)
-    # the group answers by support and parity, with no chain, as a plain
-    # chain and the written one do
     assert G._alt_or_sym == (support, tuple(outside), alt)
     members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
     members += [_on_support(rng, degree, support, 0) for _ in range(20)]
@@ -887,19 +896,21 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
     others += [_on_support(rng, degree, outside[:2] + support[:3]) for _ in range(20)]
     inside = [all(p[q] == q for q in outside) and not (alt and _odd(p)) for p in members + others]
     assert [G.contains(Permutation(p)) for p in members + others] == inside
-    assert written == []
+    base, primitive = G.base(), is_primitive(G)
+    cosets = [coset_canonical(G, p) for p in members + others]
+    assert built == []
     chain = G._chain
-    assert written == [chain] and G._chain is chain
-    ours, theirs, plain = _schreier_sims_summary(G)
+    assert len(built) == 1 and built[0][0] is chain and G._chain is chain
+    ours, theirs, _ = _schreier_sims_summary(G)
     assert ours == theirs
-    assert chain.base == support[:n - 2 if alt else n - 1]
     _check_chain_invariants(chain, degree)
-    assert [plain.sift(p) for p in members + others] == inside
     assert [chain.sift(p) for p in members + others] == inside
-    # a chain built for a moment (``_generates``, closures) is Schreier-Sims's
-    # and offers no certificate
-    transient = group_module._build_chain(degree, pair)
-    assert _summary(*transient) == theirs and len(built) == 1 and certified == [True]
+    assert base == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
+    assert primitive == (spare == 0)
+    by_chain = _read_by_chain(degree, chain, G._raw_gens)
+    assert base == by_chain.base() and primitive == is_primitive(by_chain)
+    assert cosets == [coset_canonical(by_chain, p) for p in members + others]
+    assert len(built) == 1 and certified == [True]
 
 
 def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
@@ -923,7 +934,7 @@ def test_certified_prefix_acts_by_a_repeated_generator_once(monkeypatch):
     # as given (so the .grp text does not change), and answers membership
     # as S8 on the pair
     a, b = P("(1,2,3,4,5,6,7)", 9), P("(7,8)", 9)
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     G = Group([a, a, b], 9)
     assert built == [] and certified == [True]
     assert G._raw_gens == (a.imgs, b.imgs) and G.generators == (a, a, b)
@@ -970,9 +981,9 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
     second = P("(2,3)" if not alt else "(2,3,4)", degree)
     later = P("(11,12)" if not alt else "(5,6)", degree)
     assert Group([cycle, second], degree)._alt_or_sym == (list(range(1, 11)), (0, 11, 12), alt)
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     G = Group([cycle, second, later], degree)
-    assert len(built) == 1 and written == certified == []
+    assert len(built) == 1 and certified == []
     assert G._chain is built[0][0]
     ours, theirs, chain = _schreier_sims_summary(G)
     assert ours == theirs
@@ -989,9 +1000,9 @@ def test_giant_reached_by_a_normal_closure(monkeypatch):
     degree = 13
     G = make(["(2,3,4,5,6,7,8,9,10,11,12)", "(2,3)"], degree)
     seeds = [P("(3,4,5,6,7,8,9,10,11)", degree), P("(2,3,4)", degree)]
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     N = normal_closure(G, seeds)
-    assert len(built) == 1 and written == certified == []
+    assert len(built) == 1 and certified == []
     assert N._chain is built[0][0]
     assert N.order() == math.factorial(11) // 2
     _check_chain_invariants(N._chain, degree)
@@ -1373,9 +1384,10 @@ def test_membership_and_alt_or_sym_match_the_closure(case):
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
 def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
-    # Sym or Alt of 40 points inside 260 keeps no chain until one is read,
-    # which then takes the tuple encoding; a full Sym(260) would hold 33670
-    # representatives of 260 entries each
+    # Sym or Alt of 40 points inside 260 answers base, is_primitive and
+    # coset_canonical from its record with no chain; a chain read then
+    # builds the plain chain in the tuple encoding, whose answers are the
+    # record's
     degree, n = 260, 40
     rng = random.Random(260 + alt)
     support = sorted(rng.sample(range(degree), n))
@@ -1387,15 +1399,22 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     short_cycle = support[:3] if alt else support[:2]
     for a, b in zip(short_cycle, short_cycle[1:] + short_cycle[:1]):
         short[a] = b
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     G = Group([Permutation(long_cycle), Permutation(short)], degree)
-    assert built == written == [] and certified == [True]
+    assert built == [] and certified == [True]
     assert G.order() == math.factorial(n) // (2 if alt else 1)
-    assert isinstance(G._chain.one, tuple) and written == [G._chain]
     assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
-    _check_chain_invariants(G._chain, degree)
-    # a plain chain of the same generators is the reference
-    chain = _plain_schreier_sims(degree, [long_cycle, short])[0]
+    assert not is_primitive(G)
+    probes = [tuple(rng.sample(range(degree), degree)) for _ in range(5)]
+    probes += [_on_support(rng, degree, support, odd) for odd in (0, 1) * 3]
+    cosets = [coset_canonical(G, p) for p in probes]
+    assert built == []
+    chain = G._chain
+    assert len(built) == 1 and built[0][0] is chain and isinstance(chain.one, tuple)
+    _check_chain_invariants(chain, degree)
+    by_chain = _read_by_chain(degree, chain, G._raw_gens)
+    assert G.base() == by_chain.base() and not is_primitive(by_chain)
+    assert cosets == [coset_canonical(by_chain, p) for p in probes]
     outside = [q for q in range(degree) if q not in support]
     for odd in (0, 1) * 10:
         p = _on_support(rng, degree, support, odd)
@@ -1403,25 +1422,73 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     for _ in range(5):
         p = _moving(rng, degree, support, rng.choice(outside))
         assert not G.contains(Permutation(p)) and not chain.sift(p)
+    assert len(built) == 1
+
+
+def _least_by_sorting(p, omega, alt):
+    # the least member of Sym(omega) p, or of Alt(omega) p, by sorting the
+    # images on omega and, for Alt, trying the two orders of the last two:
+    # the reference where a chain is too large to build
+    q = list(p)
+    for a, b in zip(omega, sorted(p[a] for a in omega)):
+        q[a] = b
+    swapped = q[:]
+    swapped[omega[-2]], swapped[omega[-1]] = q[omega[-1]], q[omega[-2]]
+    return tuple(q) if not alt or _odd(q) == _odd(p) else tuple(swapped)
+
+
+@pytest.mark.parametrize("spare", [0, 3])
+@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
+def test_alt_and_sym_closed_forms_match_a_chain(monkeypatch, alt, n, spare):
+    # on Alt and Sym of n points, placed at random among n + spare, the
+    # record's base, is_primitive and coset_canonical equal a plain
+    # Schreier-Sims chain's, with no chain built for them; below 8 points
+    # the group itself is built by Schreier-Sims and the record read off
+    # its order.  Up to 7 points each least member is checked against the
+    # whole coset
+    rng = random.Random(13 * n + 2 * spare + alt)
+    degree = n + spare
+    omega = sorted(rng.sample(range(degree), n))
+    target = math.factorial(n) // (2 if alt else 1)
+    while True:
+        pair = [_on_support(rng, degree, omega, 0 if alt else None) for _ in range(2)]
+        chain, used = _plain_schreier_sims(degree, pair)
+        if chain.order() == target:
+            break
+    G = Group([Permutation(g) for g in pair], degree)
+    assert G._alt_or_sym == (omega, tuple(q for q in range(degree) if q not in omega), alt)
+    by_chain = _read_by_chain(degree, chain, used)
+    probes = [tuple(rng.sample(range(degree), degree)) for _ in range(50)]
+    built = _spy(monkeypatch, "_build_chain")
+    cosets = [coset_canonical(G, p) for p in probes]
+    assert G.base() == by_chain.base() == tuple(q + 1 for q in chain.base)
+    assert is_primitive(G) == is_primitive(by_chain) == (spare == 0)
+    assert built == []
+    assert cosets == [coset_canonical(by_chain, p) for p in probes]
+    if n <= 7:
+        elems = G.elements_raw()
+        assert cosets == [min(_mul(h, p) for h in elems) for p in probes]
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["S1000", "A1000"])
 def test_giant_of_1000_points_keeps_no_chain(monkeypatch, alt):
     # Sym or Alt of points 2..1001 inside 1002: certified with no chain
-    # built or written, in well under 1 MiB, where the written chain of
-    # S1000 held 3.86 GB; order, record and membership need no chain
+    # built, in well under 1 MiB, where a chain of S1000 held 3.86 GB;
+    # order, record, membership, base, coset_canonical and is_primitive
+    # need no chain, on 1002 points and on the 1000 points of omega alone
     degree = 1002
     omega = list(range(1, 1001))
     texts = ["(2,3,4)", _cycle_text(3, 1001)] if alt else [_cycle_text(2, 1001), "(2,3)"]
     gens = [P(text, degree) for text in texts]
-    built, written, certified = _spies(monkeypatch)
+    built, certified = _spies(monkeypatch)
     tracemalloc.start()
     try:
         G = Group(gens, degree)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert built == written == [] and certified == [True]
+    assert built == [] and certified == [True]
     assert held < 1 << 20
     assert G.order() == math.factorial(1000) // (2 if alt else 1)
     assert G._alt_or_sym == (omega, (0, 1001), alt)
@@ -1430,15 +1497,46 @@ def test_giant_of_1000_points_keeps_no_chain(monkeypatch, alt):
     probes += [_moving(rng, degree, omega, rng.choice((0, 1001))) for _ in range(10)]
     assert ([G.contains(Permutation(p)) for p in probes]
             == [not (alt and odd) for odd in (0, 1) * 5] + [False] * 10)
-    assert written == []
+    assert G.base() == tuple(range(2, 1000 if alt else 1001))
+    assert [coset_canonical(G, p) for p in probes] == [_least_by_sorting(p, omega, alt) for p in probes]
+    assert not is_primitive(G)
+    alone = make(["(1,2,3)", _cycle_text(2, 1000)] if alt else [_cycle_text(1, 1000), "(1,2)"], 1000)
+    assert alone._alt_or_sym == (list(range(1000)), (), alt) and is_primitive(alone)
+    assert built == [] and "_chain" not in vars(G) and "_chain" not in vars(alone)
 
 
-def test_first_base_read_writes_the_giant_chain_once(monkeypatch):
-    # S200 writes its chain on the first read of its base, and keeps it
-    built, written, _ = _spies(monkeypatch)
+def test_first_base_read_builds_no_chain(monkeypatch):
+    # S200's base is read off its record, as often as it is asked
+    built, _ = _spies(monkeypatch)
     G = make([_cycle_text(1, 200), "(1,2)"], 200)
-    assert built == written == []
-    assert G.base() == tuple(range(1, 200))
-    assert len(written) == 1 and G._chain is written[0]
-    assert G.base() == tuple(range(1, 200)) and G._chain is written[0]
-    assert len(written) == 1 and built == []
+    assert G.base() == tuple(range(1, 200)) == G.base()
+    assert built == [] and "_chain" not in vars(G)
+
+
+def test_coset_action_of_s200_on_s199_builds_no_chain(monkeypatch):
+    # S200 on the cosets of the stabilizer of point 200: the cosets are
+    # walked by the record's least members, and the image, S200 again, is
+    # certified and primitive, with no chain built; the kernel is the
+    # trivial group, whose chain has no level
+    built, certified = _spies(monkeypatch)
+    G = make([_cycle_text(1, 200), "(1,2)"], 200)
+    H = make([_cycle_text(1, 199), "(1,2)"], 200)
+    image, hom = coset_action(G, H)
+    assert image.order() == math.factorial(200) and image._alt_or_sym == (list(range(200)), (), False)
+    assert is_primitive(image)
+    assert built == [] and certified == [True] * 3
+    assert hom.kernel().order() == 1
+    assert len(built) == 1 and built[0][0].levels == []
+
+
+def test_kernel_onto_a_certified_image_walks_its_record_base(monkeypatch):
+    # S10 x C2 on the cosets of S9 x C2 maps onto a certified S10, whose
+    # base the kernel's stabilizer steps walk with no chain of the image:
+    # the kernel is the C2
+    G = make([_cycle_text(1, 10), "(1,2)", "(11,12)"], 12)
+    H = make([_cycle_text(1, 9), "(1,2)", "(11,12)"], 12)
+    image, hom = coset_action(G, H)
+    assert image.order() == math.factorial(10) and image._alt_or_sym is not None
+    K = hom.kernel()
+    assert K.order() == 2 and K.contains(P("(11,12)", 12))
+    assert "_chain" not in vars(image)
