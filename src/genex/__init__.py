@@ -1,6 +1,6 @@
 """Finite permutation-group engine and verification workbench."""
 
-from .perm import Permutation, format_cycles, parse_permutation
+from .perm import Permutation, format_cycles, parse_permutation, trace
 from .group import (
     BoundExceeded,
     Group,
@@ -22,4 +22,5 @@ __all__ = [
     "coset_action",
     "direct_product",
     "wreath_product",
+    "trace",
 ]

@@ -91,9 +91,8 @@ witness, with the stats, of the k = 1 search that would follow
 it may be cyclic: C6 has a generating pair with an entry in C3, yet d = 1.
 A failed search falls back to ``min_generators``, and counts in the stats.
 
-``SearchStats.nodes`` counts the candidates the walk visits, and
-``SearchStats.skipped`` the cosets the lex-coset prune drops, whose members
-are not visited.
+The walk counts candidates visited (``nodes``) and dropped (``pruned``), and
+cosets the lex-coset prune drops unvisited (``skipped``), in ``perm.Trace``.
 The class reduction marks a class only among visited candidates, so a
 class whose first member lay in a skipped coset is reached at a later member.
 
@@ -118,7 +117,8 @@ from .group import (
     coset_canonical,
     subgroup_closure,
 )
-from .perm import Permutation, _check_bound, _identity, _inv, _mul, _pow, prime_factors
+from .perm import (Permutation, Trace, _check_bound, _count, _identity, _inv, _mul, _pow,
+                   prime_factors, trace)
 from .structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -128,28 +128,15 @@ from .structure import (
 )
 
 
-class SearchStats:
-    def __init__(self, nodes: int = 0, pruned: int = 0, skipped: int = 0):
-        self.nodes = nodes  # candidates visited
-        self.pruned = pruned  # visited candidates dropped
-        self.skipped = skipped  # last-slot cosets dropped unvisited by the lex-coset prune
-
-    def __eq__(self, other):
-        if not isinstance(other, SearchStats):
-            return NotImplemented
-        return (self.nodes, self.pruned, self.skipped) == (other.nodes, other.pruned, other.skipped)
-
-
 class GenerationReport:
-    def __init__(self, d: int, witness: tuple[Permutation, ...], stats: SearchStats):
+    def __init__(self, d: int, witness: tuple[Permutation, ...], stats: Trace):
         self.d = d
         self.witness = witness
         self.stats = stats
 
 
 class DReport:
-    def __init__(self, subgroup: Group, value: int, witness: tuple[Permutation, ...],
-                 stats: SearchStats):
+    def __init__(self, subgroup: Group, value: int, witness: tuple[Permutation, ...], stats: Trace):
         self.subgroup = subgroup
         self.value = value
         self.witness = witness
@@ -232,7 +219,7 @@ def _closure_quotient_is_cyclic(G: Group, raw_gens) -> bool:
     return N.order() in stops or _quotient_is_cyclic(G, N)
 
 
-def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None = None):
+def exists_generating_tuple(G: Group, pools: Sequence):
     """Tuple with entry i drawn from pool i generating G, or None if none exists.
 
     Each pool is a subgroup of G, with G itself for every element; each
@@ -252,12 +239,11 @@ def exists_generating_tuple(G: Group, pools: Sequence, stats: SearchStats | None
             raise ValueError("pool is not a subgroup of G")
     if not pools:
         return () if G.order() == 1 else None
-    found = _tuple_walk(G, [(pool, None) for pool in pools], stats=stats)
+    found = _tuple_walk(G, [(pool, None) for pool in pools])
     return None if found is None else tuple(Permutation._wrap(p) for p in found)
 
 
-def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: bool = False,
-                stats: SearchStats | None = None):
+def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: bool = False):
     """The tuple walk (module docstring) over (x_1..x_d), x_i = v_i l_i for
     v_i in P_i, d >= 1, one slot (P_i, l_i) per entry, with x_1 passing
     ``keep`` and the raw ``fixed`` trailing: the raw v_i of the first tuple
@@ -265,7 +251,6 @@ def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: 
     with ``count``, the number that generate, the slots then being cosets
     N l_i, d >= 2, with no ``keep`` and nothing fixed."""
     d, P, l_last = len(slots), slots[0][0], slots[-1][1]
-    stats = SearchStats() if stats is None else stats
     socle = l_last is not None
     # the pools are subgroups of G by now, so normality needs no containment
     later = {id(Q): Q for Q, _ in slots[1:] if Q is not G}
@@ -284,7 +269,7 @@ def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: 
         for p in range(lo, hi):
             members = [q for q, label in enumerate(comp) if label == comp[p]]
             if members[-1] < hi and len(members) < orbit_size[p]:
-                stats.skipped += 1
+                _count("skipped")
                 return None
         return comp
 
@@ -330,13 +315,13 @@ def _tuple_walk(G: Group, slots: Sequence, fixed: tuple = (), keep=None, count: 
         # (weight, vs) per generating tuple, or generating prefix when counting
         level = len(xs)
         for v, x, w in members(level, xs, C):
-            stats.nodes += 1
+            _count("nodes")
             tup = xs + (x,)
             if (level == d - 1 or count and level) and _generates(G, tup + fixed):
                 yield weight * w * P.order() ** (d - 1 - level), vs + (v,)
             elif level == d - 1 or (level == d - 2 and not socle
                                     and not _closure_quotient_is_cyclic(G, tup)):
-                stats.pruned += 1
+                _count("pruned")
             else:
                 C_next = centralizer_in(C, Permutation._wrap(x)) if count else None
                 yield from walk(vs + (v,), tup, C_next, weight * w)
@@ -349,17 +334,17 @@ def min_generators(G: Group) -> GenerationReport:
     """Exact d(G) with a witness; non-existence of shorter tuples is certified
     by exhausted search.
 
-    d and the witness are kept on G.  The stats are this call's: a later
-    call on the same G searches nothing and reports empty stats.
+    d and the witness are kept on G.  The stats are this call's ``Trace``: a
+    later call on the same G searches nothing and counts nothing.
     """
-    stats = SearchStats()
-    if G._generation is None:
-        G._generation = _search_d(G, stats)
+    with trace() as stats:
+        if G._generation is None:
+            G._generation = _search_d(G)
     return GenerationReport(*G._generation, stats)
 
 
-def _search_d(G: Group, stats: SearchStats) -> tuple:
-    """(d(G), witness) by the exhaustive search, counted into ``stats``."""
+def _search_d(G: Group) -> tuple:
+    """(d(G), witness) by the exhaustive search."""
     n = G.order()
     if n == 1:
         return 0, ()
@@ -367,7 +352,7 @@ def _search_d(G: Group, stats: SearchStats) -> tuple:
     while True:
         if k > max(2, int(log2(n)) + 1):
             raise AssertionError("generating-set search exceeded the log2 bound")
-        witness = exists_generating_tuple(G, [G] * k, stats)
+        witness = exists_generating_tuple(G, [G] * k)
         if witness is not None:
             return k, witness
         k += 1
@@ -381,14 +366,16 @@ def d_metric(G: Group, H: Group) -> DReport:
     When d(G) is not yet known, H is proper and G is nonabelian, the
     conjecture-shaped search over [H, G] runs first (module docstring); a
     witness settles d(G) = 2 and D_H(G) = 1 with no search over G alone,
-    and otherwise ``min_generators`` decides d(G).
+    and otherwise ``min_generators`` decides d(G).  The stats are one
+    ``Trace`` of these searches, not of ``min_generators`` between them.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    stats = SearchStats()
+    stats = Trace()
     shortcut = H.order() < G.order() and G._generation is None and not G.is_abelian()
     if shortcut:
-        witness = exists_generating_tuple(G, [H, G], stats)
+        with trace(stats):
+            witness = exists_generating_tuple(G, [H, G])
         if witness is not None:
             return DReport(H, 1, witness, stats)
     base = min_generators(G)
@@ -398,11 +385,11 @@ def d_metric(G: Group, H: Group) -> DReport:
     if shortcut and d == 2:
         # the failed search over [H, G] was the k = 1 search
         return DReport(H, 0, base.witness, stats)
-    for k in range(d - 1, 0, -1):
-        pools = [H] * k + [G] * (d - k)
-        witness = exists_generating_tuple(G, pools, stats)
-        if witness is not None:
-            return DReport(H, k, witness, stats)
+    with trace(stats):
+        for k in range(d - 1, 0, -1):
+            witness = exists_generating_tuple(G, [H] * k + [G] * (d - k))
+            if witness is not None:
+                return DReport(H, k, witness, stats)
     # no witness entry lies in H: with d >= 2 it would make a generating
     # tuple with an entry in H, which the k = 1 search rules out, and with
     # d = 1 the entry generates G, which H is not

@@ -71,7 +71,7 @@ from math import factorial
 from operator import itemgetter
 
 from .perm import (_TABLE_ID, BOUNDS, BoundExceeded, Permutation, _check_bound, _check_degree,
-                   _identity, _inv, _mul, _odd, is_prime)
+                   _count, _identity, _inv, _mul, _odd, is_prime)
 
 
 class _Chain:
@@ -272,6 +272,7 @@ def _build_chain(degree, raw_gens):
     """The chain of <raw_gens> by Schreier-Sims, extended by each generator
     in order, and the generators that extended it, in that order; the others
     lie in the group the earlier ones generate."""
+    _count("chain_builds")
     chain = _Chain(degree)
     return chain, [g for g in raw_gens if chain.extend(g)]
 
@@ -384,6 +385,7 @@ def _jordan(degree, gens, omega) -> bool:
     The cycle scan is its own loop, not ``perm._cycles``: it walks only
     omega, on the chain's 256-byte tables as well as tuples.
     """
+    _count("jordan_tests")
     if len(gens) < 2:
         return False
     n = len(omega)
@@ -426,6 +428,7 @@ def _jordan(degree, gens, omega) -> bool:
         for x in (acc, slots[i]) if acc != slots[i] else (acc,):
             primitive, short_cycle = witnesses(x, primitive, short_cycle)
             if primitive and short_cycle:
+                _count("jordan_certified")
                 return True
     return False
 
@@ -501,6 +504,7 @@ def _generates(G: Group, raw_gens) -> bool:
     generates G, with no chain either way.  Any other T builds its chain by
     Schreier-Sims, which offers no certificate.
     """
+    _count("generation_tests")
     raw_gens = list(raw_gens)
     if _orbit_count(G.degree, raw_gens) != G._orbits:
         return False
@@ -753,6 +757,7 @@ class Group:
         member; orbits on ids through ``_element_index``, which lists the
         elements sorted, so an orbit's ids sorted give its members sorted."""
         if self._classes is None:
+            _count("class_tables")
             elems = self.elements_raw()
             moves = [table.__getitem__ for table in self._element_index()[1]]
             self._classes = tuple(tuple(elems[j] for j in orbit)
@@ -1022,6 +1027,7 @@ def coset_action(G: Group, H: Group) -> tuple[Group, Homomorphism]:
     above ``BOUNDS["points"]`` raises ``BoundExceeded`` before any coset
     is enumerated.
     """
+    _count("coset_actions")
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order() // H.order()

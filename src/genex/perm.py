@@ -8,16 +8,18 @@ the right-action convention used for wreath coordinates throughout.
 
 Every other module imports this one, so it also holds the engine's limits:
 one table, ``BOUNDS``, checked by ``_check_bound`` before the allocation
-each limit guards.
+each limit guards; and its event counters, ``Trace``.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import total_ordering
 from math import lcm
 from operator import index, itemgetter
 
 _TABLE_ID = bytes(range(256))  # the identity translate table, shared with group's chains
+_TRACES = ContextVar("genex_traces", default=())  # the open traces (Trace), innermost last
 
 
 class BoundExceeded(ValueError):
@@ -42,6 +44,35 @@ def _check_degree(degree):
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"degree must be an int >= 0, not {degree!r}")
     _check_bound("points", degree, "degree")
+
+
+class Trace:
+    """One int per event of a query; a misspelt counter raises AttributeError."""
+
+    __slots__ = ("nodes", "pruned", "skipped", "generation_tests", "chain_builds", "jordan_tests",
+                 "jordan_certified", "class_tables", "coset_actions")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def __enter__(self) -> Trace:
+        _TRACES.set(_TRACES.get() + (self,))
+        return self
+
+    def __exit__(self, *exc):
+        _TRACES.set(_TRACES.get()[:-1])
+
+
+def trace(t: Trace | None = None) -> Trace:
+    """``with trace() as t:`` counts the block's events into a fresh Trace, or t,
+    which so resumes, and every trace open around it, until the block ends."""
+    return Trace() if t is None else t
+
+
+def _count(name):
+    for t in _TRACES.get():
+        setattr(t, name, getattr(t, name) + 1)
 
 
 # ---------------------------------------------------------------------------

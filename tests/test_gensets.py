@@ -11,7 +11,6 @@ from genex import group as group_module
 from genex.group import (BoundExceeded, Group, centralizer_in, coset_action, direct_product,
                          normal_closure, trivial_group, wreath_product)
 from genex.gensets import (
-    SearchStats,
     HypothesisError,
     check_monolithic_nonabelian,
     d_metric,
@@ -24,7 +23,7 @@ from genex.gensets import (
     socle_block_projection,
 )
 from genex.grpfmt import parse_group_text
-from genex.perm import BOUNDS, Permutation, _order, is_prime, parse_permutation
+from genex.perm import BOUNDS, Permutation, Trace, _order, is_prime, parse_permutation, trace
 from genex.structure import all_subgroups, classify_maximal, frattini, minimal_normal_subgroups
 
 
@@ -137,47 +136,51 @@ def test_exists_tuple_restricted_pools_frozen():
     assert got == _first_generating_tuple(S4, pools)
     # <first two slots> <= V4 and S4/V4 = S3 is not cyclic: every second-slot
     # node is pruned by the cyclic quotient, and the certificate stays None
-    stats = SearchStats()
-    assert exists_generating_tuple(S4, [V4, V4, C4], stats) is None
+    with trace() as t:
+        assert exists_generating_tuple(S4, [V4, V4, C4]) is None
     assert _first_generating_tuple(S4, [V4, V4, C4]) is None
-    assert stats.pruned > 0
+    assert t.pruned > 0
 
 
 # d(G) and D_M(G) with witnesses, frozen from the search that built a chain
 # at every node and reduced the first slot through a conjugacy-class table;
-# every prune is exact, so none may change them.  The (nodes, pruned) counts
-# are those of the lex-coset prune, which skips last-slot cosets unvisited.
-SEARCH_PINS = {  # G, M, (d witness, nodes, pruned), (D, witness, in_subgroup, nodes, pruned)
+# every prune is exact, so none may change them.  The (nodes, pruned,
+# skipped) counts are those of the lex-coset prune, which skips last-slot
+# cosets unvisited.
+SEARCH_PINS = {  # G, M, (d witness, counts), (D, witness, in_subgroup, counts)
     "S6": (S6, make(["(1,2,3,4,5)", "(1,2)"], 6),
-           (["(5,6)", "(1,2,3,4,5)"], 3, 1),
-           (1, ["(4,5)", "(1,2,3,4,5,6)"], (0,), 6, 4)),
+           (["(5,6)", "(1,2,3,4,5)"], (3, 1, 4)),
+           (1, ["(4,5)", "(1,2,3,4,5,6)"], (0,), (6, 4, 3))),
     "A6": (A6, make(["(1,2,3,4,5)", "(3,4,5)"], 6),
-           (["(4,5,6)", "(1,2,3,4)(5,6)"], 3, 1),
-           (1, ["(3,4,5)", "(1,2,3)(4,5,6)"], (0,), 4, 2)),
+           (["(4,5,6)", "(1,2,3,4)(5,6)"], (3, 1, 3)),
+           (1, ["(3,4,5)", "(1,2,3)(4,5,6)"], (0,), (4, 2, 2))),
     "S7": (S7, make(["(1,2,3,4,5,6)", "(1,2)"], 7),
-           (["(6,7)", "(1,2,3,4,5,6)"], 3, 1),
-           (1, ["(5,6)", "(1,2,3,4,5)(6,7)"], (0,), 4, 2)),
+           (["(6,7)", "(1,2,3,4,5,6)"], (3, 1, 5)),
+           (1, ["(5,6)", "(1,2,3,4,5)(6,7)"], (0,), (4, 2, 4))),
     "A5wrC2": (_wreath_a5_c2()[0],
                make(["(1,2,3,4,5)(6,7,8,9,10)", "(3,4,5)(8,9,10)",
                      "(1,6)(2,7)(3,8)(4,9)(5,10)"], 10),  # diagonal A5.2
-               (["(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], 3, 1),
-               (1, ["(3,4,5)(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (0,), 3, 1)),
+               (["(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (3, 1, 43)),
+               (1, ["(3,4,5)(8,9,10)", "(1,6,2,7,3,8)(4,9)(5,10)"], (0,), (3, 1, 43))),
 }
+
+
+def _search_counts(stats):
+    return stats.nodes, stats.pruned, stats.skipped
 
 
 @pytest.mark.parametrize("name", SEARCH_PINS)
 def test_search_pins(name):
-    G, M, (d_witness, d_nodes, d_pruned), (value, witness, in_subgroup, nodes, pruned) = \
-        SEARCH_PINS[name]
+    G, M, (d_witness, d_counts), (value, witness, in_subgroup, counts) = SEARCH_PINS[name]
     rep = min_generators(G)
     assert rep.d == 2
     assert rep.witness == tuple(P(t, G.degree) for t in d_witness)
-    assert (rep.stats.nodes, rep.stats.pruned) == (d_nodes, d_pruned)
+    assert _search_counts(rep.stats) == d_counts
     dm = d_metric(G, M)
     assert dm.value == value
     assert dm.witness == tuple(P(t, G.degree) for t in witness)
     assert dm.in_subgroup == in_subgroup
-    assert (dm.stats.nodes, dm.stats.pruned) == (nodes, pruned)
+    assert _search_counts(dm.stats) == counts
 
 
 def test_first_slot_takes_one_member_per_class():
@@ -191,38 +194,30 @@ def test_first_slot_takes_one_member_per_class():
     # and each of the other 3 class members tries all 4 elements of V4, none
     # completing it: 5 + 3 * 4 nodes, 2 + 3 * 4 pruned
     for pools, counts in (([S4], (3, 3, 4)), ([S4, V4], (17, 14, 0))):
-        stats = SearchStats()
-        assert exists_generating_tuple(S4, pools, stats) is None
+        with trace() as t:
+            assert exists_generating_tuple(S4, pools) is None
         assert _first_generating_tuple(S4, pools) is None
-        assert (stats.nodes, stats.pruned, stats.skipped) == counts
+        assert _search_counts(t) == counts
     # <(2,3,4)> is not normal, so the conjugate (1,2) after (3,4) is still tried
     pools = [make(["(1,2)", "(3,4)"], 4), make(["(2,3,4)"], 4)]
     got = exists_generating_tuple(S4, pools)
     assert got == (P("(1,2)", 4), P("(2,3,4)", 4)) == _first_generating_tuple(S4, pools)
 
 
-def test_search_builds_no_class_table(monkeypatch):
+def test_search_builds_no_class_table():
     # classes are orbited one at a time as the first slot reaches them, and a
     # chain is built only where a tuple has as few orbits as G; fresh groups,
     # so no d or orbit count cached by an earlier test is reused
     G = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
     M = make(["(1,2,3,4,5,6)", "(1,2)"], 7)
-    builds = []
-    original = group_module._build_chain  # the one builder, generation test included
-    monkeypatch.setattr(group_module, "_build_chain",
-                        lambda *a: builds.append(1) or original(*a))
-
-    def no_classes(self, *args, **kwargs):
-        raise AssertionError("conjugacy class table built")
-
-    monkeypatch.setattr(Group, "conjugacy_classes_raw", no_classes)
-    min_generators(G)
-    d_metric(G, M)
+    with trace() as t:
+        min_generators(G)
+        d_metric(G, M)
     # d(G) is kept on G, so d_metric does not search for it again; of the
     # tuples with one orbit, those that Jordan's theorem certifies as
     # generating S7 build no chain (group._generates), and S7 is Sym of its
     # points, so the cyclic-quotient cut builds no closure either
-    assert builds == []
+    assert (t.chain_builds, t.class_tables) == (0, 0)
 
 
 Q8 = make(["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], 8)  # regular action
@@ -269,18 +264,12 @@ def _pgl2_5():
     return Group([t, s, m], 6), Group([t, s], 6)
 
 
-def test_prime_index_stop_skips_the_quotient_test(monkeypatch):
+def test_prime_index_stop_skips_the_quotient_test(record):
     # an element of PSL(2, 5) in PGL(2, 5) has closure PSL(2, 5), of index 2:
     # the chain stops on reaching order 60, its last extension being the one
     # that grew it there, and G/N is not tested; S4/V4 = S3 has composite
     # index 6 and is tested; S5, Sym of its points, extends no chain at all
-    grew, tested = [], []
-    extend = group_module._Chain.extend
-    monkeypatch.setattr(group_module._Chain, "extend",
-                        lambda self, p: grew.append(extend(self, p)) or grew[-1])
-    quotient = gensets._quotient_is_cyclic
-    monkeypatch.setattr(gensets, "_quotient_is_cyclic",
-                        lambda G, N: tested.append(N.order()) or quotient(G, N))
+    grew, tested = record(group_module._Chain, "extend"), record(gensets, "_quotient_is_cyclic")
     pgl, psl = _pgl2_5()
     assert (pgl.order(), psl.order()) == (120, 60)
     assert pgl._alt_or_sym is None and S5._alt_or_sym is not None
@@ -288,14 +277,15 @@ def test_prime_index_stop_skips_the_quotient_test(monkeypatch):
         if x != tuple(range(6)) and psl._contains_raw(x):
             grew.clear()
             assert gensets._closure_quotient_is_cyclic(pgl, [x])
-            assert grew[-1]
+            _, grown = grew[-1]
+            assert grown
     assert tested == []
     assert not gensets._closure_quotient_is_cyclic(S4, [P("(1,2)(3,4)", 4).imgs])
-    assert tested == [4]
+    assert [N.order() for (_, N), _ in tested] == [4]
     grew.clear()
     for x in S5.elements_raw():
         assert gensets._closure_quotient_is_cyclic(S5, [x]) == (x != tuple(range(5)))
-    assert grew == [] and tested == [4]
+    assert grew == [] and len(tested) == 1
 
 
 CUT_GROUPS = {  # Alt and Sym of 5 and 6 points, alone and inside degree 8
@@ -308,7 +298,7 @@ CUT_GROUPS = {  # Alt and Sym of 5 and 6 points, alone and inside degree 8
 
 
 @pytest.mark.parametrize("name", CUT_GROUPS)
-def test_cut_on_alt_and_sym_builds_no_closure(monkeypatch, name):
+def test_cut_on_alt_and_sym_builds_no_closure(name):
     # every nontrivial normal subgroup of Alt or Sym of 5 or more points
     # holds the Alt, so the cut reads whether the entry is the identity off
     # the group's record, builds nothing, and agrees with the quotient by
@@ -316,11 +306,9 @@ def test_cut_on_alt_and_sym_builds_no_closure(monkeypatch, name):
     G = CUT_GROUPS[name]
     assert G._alt_or_sym is not None
     elems = G.elements_raw()
-    builds = []
-    original = group_module._build_chain
-    monkeypatch.setattr(group_module, "_build_chain", lambda *a: builds.append(1) or original(*a))
-    verdicts = [gensets._closure_quotient_is_cyclic(G, [x]) for x in elems]
-    assert builds == []
+    with trace() as t:
+        verdicts = [gensets._closure_quotient_is_cyclic(G, [x]) for x in elems]
+    assert t.chain_builds == 0
     assert verdicts == [x != tuple(range(G.degree)) for x in elems]
     for x, verdict in zip(elems, verdicts):
         assert verdict == gensets._quotient_is_cyclic(G, normal_closure(G, [Permutation._wrap(x)]))
@@ -334,34 +322,31 @@ CUT_SEARCHES = {  # group, and the subgroup whose D_M is searched too
 
 
 @pytest.mark.parametrize("name", CUT_SEARCHES)
-def test_cut_on_the_identity_builds_no_closure_on_a_nonabelian_group(monkeypatch, name):
+def test_cut_on_the_identity_builds_no_closure_on_a_nonabelian_group(record, name):
     # on every partial tuple the searches cut, the verdict is the quotient's
     # by the full normal closure; an all-identity tuple on a nonabelian
     # group leaves G/1 = G, not cyclic, and builds no chain (C2^3, abelian,
     # takes the closure)
     G, M = CUT_SEARCHES[name]
     G = Group(G.generators, G.degree)
-    calls = []
     cut = gensets._closure_quotient_is_cyclic
-    monkeypatch.setattr(gensets, "_closure_quotient_is_cyclic",
-                        lambda G, tup: calls.append((G, tup, cut(G, tup))) or calls[-1][2])
+    calls = record(gensets, "_closure_quotient_is_cyclic")
     min_generators(G)
     if M is not None:
         d_metric(G, Group(M.generators, M.degree))
     ident = tuple(range(G.degree))
-    assert any(all(x == ident for x in tup) for _, tup, _ in calls)
-    for H, tup, verdict in calls:
+    assert any(all(x == ident for x in tup) for (_, tup), _ in calls)
+    for (H, tup), verdict in calls:
         assert H is G
         assert verdict == gensets._quotient_is_cyclic(G, normal_closure(G, [Permutation._wrap(x) for x in tup]))
     if not G.is_abelian():
-        builds = []
-        original = group_module._build_chain
-        monkeypatch.setattr(group_module, "_build_chain", lambda *a: builds.append(1) or original(*a))
-        assert not cut(G, (ident,) * len(calls[0][1]))
-        assert builds == []
+        (_, tup), _ = calls[0]
+        with trace() as t:
+            assert not cut(G, (ident,) * len(tup))
+        assert t.chain_builds == 0
 
 
-def test_no_certificate_is_tried_inside_a5_wr_c2(monkeypatch):
+def test_no_certificate_is_tried_inside_a5_wr_c2():
     # |A5 wr C2| = 7200, which 10!/2 does not divide, so no tuple of a search
     # over a relabelled A5 wr C2 and its diagonal A5.2, nor of the
     # replacement search over A5 x A5, offers a prefix to Jordan's
@@ -377,22 +362,20 @@ def test_no_certificate_is_tried_inside_a5_wr_c2(monkeypatch):
                       for g in H.generators], 10)
 
     G, D = relabelled(W), relabelled(diagonal)
-    calls = []
-    jordan = group_module._jordan
-    monkeypatch.setattr(group_module, "_jordan", lambda *a: calls.append(1) or jordan(*a))
-    assert min_generators(G).d == 2
-    assert d_metric(G, D).value == 1
-    gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
-    htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), make(["(1,2)"], 2)).contains
-    assert replacement_search(W, N, gens, htilde) is not None
-    elements = W.elements_raw()
-    answers = []
-    for _ in range(50):
-        tup = [rng.choice(elements) for _ in range(rng.randint(2, 3))]
-        answers.append(group_module._generates(W, tup))
-        assert answers[-1] == (len(oracles.closure(tup, 10)) == W.order())
+    with trace() as t:
+        assert min_generators(G).d == 2
+        assert d_metric(G, D).value == 1
+        gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
+        htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), make(["(1,2)"], 2)).contains
+        assert replacement_search(W, N, gens, htilde) is not None
+        elements = W.elements_raw()
+        answers = []
+        for _ in range(50):
+            tup = [rng.choice(elements) for _ in range(rng.randint(2, 3))]
+            answers.append(group_module._generates(W, tup))
+            assert answers[-1] == (len(oracles.closure(tup, 10)) == W.order())
     assert True in answers and False in answers
-    assert calls == []
+    assert t.jordan_tests == 0
 
 
 # The exchange property for minimal generating sets of tiny groups with
@@ -551,7 +534,7 @@ def test_pool_elements_must_lie_in_the_group():
     assert got == (P("(1,2,3)", 4),) == _first_generating_tuple(c3, pools)
 
 
-def test_subgroup_pools(monkeypatch):
+def test_subgroup_pools(record):
     s3 = make(["(2,3,4)", "(2,3)"], 4)
     got = exists_generating_tuple(S4, [s3, S4])
     assert got == (P("(3,4)", 4), P("(1,2,3)", 4)) == _first_generating_tuple(S4, [s3, S4])
@@ -561,12 +544,10 @@ def test_subgroup_pools(monkeypatch):
     with pytest.raises(ValueError):
         exists_generating_tuple(S4, [S5, S4])
     # d_metric hands the subgroup itself to the search, not its elements
-    pools = []
-    search = gensets.exists_generating_tuple
-    monkeypatch.setattr(gensets, "exists_generating_tuple",
-                        lambda G, p, stats=None: pools.append(p) or search(G, p, stats))
+    searches = record(gensets, "exists_generating_tuple")
     assert d_metric(S4, s3).value == 1
-    assert pools[-1] == [s3, S4]  # after the min_generators searches
+    (_, pools), _ = searches[-1]
+    assert pools == [s3, S4]  # after the min_generators searches
 
 
 def test_d_metric_s4_s3():
@@ -594,20 +575,17 @@ def test_d_metric_c2c2():
     assert rep.value == 1
 
 
-def test_d_metric_checks_each_subgroup_pool_once(monkeypatch):
+def test_d_metric_checks_each_subgroup_pool_once(record):
     # d_metric checks H once itself; the search then checks the one distinct
     # pool H once, though H fills two slots, and its first-slot normality
     # test reuses that check
     G = make(["(1,2)", "(3,4)", "(5,6)"], 6)  # C2^3, fresh so d is searched here
     H = make(["(1,2)", "(3,4)"], 6)
     min_generators(G)
-    calls = []
-    check = Group.is_subgroup_of
-    monkeypatch.setattr(Group, "is_subgroup_of",
-                        lambda self, other: calls.append(self) or check(self, other))
+    calls = record(Group, "is_subgroup_of")
     rep = d_metric(G, H)
     assert (rep.value, len(rep.witness)) == (2, 3)
-    assert calls == [H, H]
+    assert [self for (self, _), _ in calls] == [H, H]
 
 
 def test_d_metric_zero_puts_no_witness_entry_in_the_subgroup():
@@ -667,34 +645,23 @@ def test_d_min_reaches_type_2_and_3_classes_at_the_default_bound(build, classes,
 
 
 @pytest.mark.parametrize("G", [S4, S5, A6], ids=["S4", "S5", "A6"])
-def test_d_min_classifies_one_maximal_class(monkeypatch, G):
+def test_d_min_classifies_one_maximal_class(record, G):
     # every D_M is computed first; only the first class attaining the least is classified
-    classified = []
-    monkeypatch.setattr(gensets, "classify_maximal",
-                        lambda H, M: classified.append(M) or classify_maximal(H, M))
+    calls = record(gensets, "classify_maximal")
     value, report = d_min(G)
     first = next(c.rep for c in all_subgroups(G).maximal_classes()
                  if d_metric(G, c.rep).value == value)
-    assert classified == [report.subgroup] == [first]
+    assert [M for (_, M), _ in calls] == [report.subgroup] == [first]
 
 
-def _recorded_searches(monkeypatch):
-    searches = []
-    original = gensets.exists_generating_tuple
-    monkeypatch.setattr(gensets, "exists_generating_tuple",
-                        lambda G, pools, stats=None:
-                        searches.append(list(pools)) or original(G, pools, stats))
-    return searches
-
-
-def test_d_min_searches_for_d_once(monkeypatch):
+def test_d_min_searches_for_d_once(record):
     # every maximal class of S5 (A5, S4, F20, S3 x S2) has a generating pair
     # with one entry in it, which settles d(S5) = 2, so G alone is never searched
     G = make(["(1,2,3,4,5)", "(1,2)"], 5)
-    searches = _recorded_searches(monkeypatch)
+    searches = record(gensets, "exists_generating_tuple")
     value, report = d_min(G)
     assert value == 1 and report is not None
-    assert [pools for pools in searches if all(p is G for p in pools)] == []
+    assert [pools for (_, pools), _ in searches if all(p is G for p in pools)] == []
 
 
 def test_d_min_raises_below_the_theorem_bound(monkeypatch):
@@ -717,28 +684,28 @@ def test_d_min_raises_below_the_theorem_bound(monkeypatch):
         d_min(G)
 
 
-def test_d_metric_abelian_guard(monkeypatch):
+def test_d_metric_abelian_guard(record):
     # C6 has a generating pair with an entry in C3, but d(C6) = 1, so no
     # pair search runs on an abelian group: only min_generators' k = 1 search
     G = Group(C6.generators, 6)
     H = make(["(1,3,5)(2,4,6)"], 6)
-    searches = _recorded_searches(monkeypatch)
+    searches = record(gensets, "exists_generating_tuple")
     rep = d_metric(G, H)
     assert (rep.value, rep.in_subgroup) == (0, ())
-    assert searches == [[G]]
+    assert [pools for (_, pools), _ in searches] == [[G]]
     assert G._generation[0] == 1
 
 
-def test_d_metric_failed_pair_search_is_not_repeated(monkeypatch):
+def test_d_metric_failed_pair_search_is_not_repeated(record):
     # no generating pair of S4 has an entry in the trivial group: the pair
     # search fails, min_generators finds d = 2 by a search over [G, G], and
     # the k = 1 search, the same pair search, is not run again
     G = Group(S4.generators, 4)
     H = trivial_group(4)
-    searches = _recorded_searches(monkeypatch)
+    searches = record(gensets, "exists_generating_tuple")
     rep = d_metric(G, H)
     assert (rep.value, rep.witness) == (0, min_generators(G).witness)
-    assert searches == [[H, G], [G, G]]
+    assert [pools for (_, pools), _ in searches] == [[H, G], [G, G]]
 
 
 S3_CUBED = direct_product(direct_product(S3, S3), S3)
@@ -764,17 +731,16 @@ def test_d_metric_falls_back_for_d_three():
 
 @pytest.mark.parametrize("name", SEARCH_PINS)
 def test_d_metric_shortcut_leaves_d_unsearched(name):
-    G, M, (d_witness, d_nodes, d_pruned), (value, witness, in_subgroup, nodes, pruned) = \
-        SEARCH_PINS[name]
+    G, M, (d_witness, d_counts), (value, witness, in_subgroup, counts) = SEARCH_PINS[name]
     G = Group(G.generators, G.degree)
     dm = d_metric(G, M)
     assert (dm.value, dm.in_subgroup) == (value, in_subgroup)
     assert dm.witness == tuple(P(t, G.degree) for t in witness)
-    assert (dm.stats.nodes, dm.stats.pruned) == (nodes, pruned)
+    assert _search_counts(dm.stats) == counts
     assert G._generation is None
     rep = min_generators(G)
     assert rep.witness == tuple(P(t, G.degree) for t in d_witness)
-    assert (rep.d, rep.stats.nodes, rep.stats.pruned) == (2, d_nodes, d_pruned)
+    assert (rep.d, _search_counts(rep.stats)) == (2, d_counts)
 
 
 def test_min_generators_kept_on_the_group_with_fresh_stats():
@@ -783,8 +749,8 @@ def test_min_generators_kept_on_the_group_with_fresh_stats():
     assert first.stats.nodes > 0
     again = min_generators(G)
     assert (again.d, again.witness) == (first.d, first.witness)
-    assert again.stats == SearchStats()  # this call searched nothing
-    assert not again.stats == 0  # stats equal only stats
+    # this call searched nothing
+    assert [getattr(again.stats, name) for name in Trace.__slots__] == [0] * len(Trace.__slots__)
 
 
 def _with_two_words(G):
@@ -866,58 +832,49 @@ def test_density_a5_triples_match_hall():
 PHI4_A5 = 60 ** 4 - 5 * 12 ** 4 - 6 * 10 ** 4 - 10 * 6 ** 4 + 20 * 3 ** 4 + 60 * 2 ** 4 - 60
 
 
-def test_density_a5_quadruples_match_hall(monkeypatch):
+def test_density_a5_quadruples_match_hall():
     # Hall's Moebius sum over the subgroups of A5 gives phi_4(A5) = 12785880;
     # a generating pair or triple completes with every later entry, untested
-    favorable, total, calls = _counted_density(monkeypatch, A5, A5, (Permutation.identity(5),) * 4)
+    favorable, total, calls = _counted_density(A5, A5, (Permutation.identity(5),) * 4)
     assert (favorable, total) == (PHI4_A5, 60 ** 4) == (12785880, 12960000)
     assert calls <= 7183
 
 
-def test_density_counts_whole_cosets_after_a_generating_prefix(monkeypatch):
+def test_density_counts_whole_cosets_after_a_generating_prefix():
     # a pair that generates A5 completes with all 60 last entries, untested,
     # and an orbit takes the count of the orbit of its members' inverses: one
     # test per slot-2 orbit not so counted (56, 25 of them generating), then
     # 744 over the slot-3 orbits of the 31 pairs that do not generate, besides
     # the lifts' test: 1 + 56 + 744
-    calls = _spy_generates(monkeypatch)
     ident = Permutation.identity(5)
-    rep = generation_density(A5, A5, (ident, ident, ident))
-    assert (rep.favorable, rep.total) == (PHI3_A5, 60 ** 3)
-    assert len(calls) <= 801
+    favorable, total, calls = _counted_density(A5, A5, (ident, ident, ident))
+    assert (favorable, total) == (PHI3_A5, 60 ** 3)
+    assert calls <= 801
 
 
-def test_density_counts_per_centralizer_orbit(monkeypatch):
+def test_density_counts_per_centralizer_orbit():
     # one generation test for the lifts, then one per orbit of C_A5(x) on A5
     # for each class representative x, less the orbits that take the count of
     # their inverses' orbit: 1 + 5 + 17 + 14 + 10 + 10 (from 18, 22, 16, 16)
-    calls = _spy_generates(monkeypatch)
     ident = Permutation.identity(5)
-    assert generation_density(A5, A5, (ident, ident)).favorable == PHI2_A5
-    assert len(calls) <= 57
+    favorable, _, calls = _counted_density(A5, A5, (ident, ident))
+    assert favorable == PHI2_A5
+    assert calls <= 57
 
 
-def _spy_generates(monkeypatch) -> list:
-    """A list that gains one entry per ``gensets._generates`` call."""
-    calls = []
-    original = gensets._generates
-    monkeypatch.setattr(gensets, "_generates", lambda G, gens: calls.append(1) or original(G, gens))
-    return calls
-
-
-def _counted_density(monkeypatch, G, N, lifts):
+def _counted_density(G, N, lifts):
     """(favorable, total, generation tests) of one density query."""
-    calls = _spy_generates(monkeypatch)
-    rep = generation_density(G, N, lifts)
-    return rep.favorable, rep.total, len(calls)
+    with trace() as t:
+        rep = generation_density(G, N, lifts)
+    return rep.favorable, rep.total, t.generation_tests
 
 
 @pytest.mark.parametrize("lifts", [("(1,2)", "(1,2,3,4)"), ("(1,2)", "()"), ("()", "(1,3)")],
                          ids=["odd-odd", "odd-even", "even-odd"])
-def test_density_s5_independent_of_lifts(monkeypatch, lifts):
+def test_density_s5_independent_of_lifts(lifts):
     # Gaschuetz: the count does not depend on the lifts chosen; S5/A5 is
     # abelian, so slot 1 counts per class of S5, not of A5
-    favorable, total, calls = _counted_density(monkeypatch, S5, A5, [P(t, 5) for t in lifts])
+    favorable, total, calls = _counted_density(S5, A5, [P(t, 5) for t in lifts])
     assert (favorable, total) == (PHI2_A5, 3600)
     assert calls <= 32
 
@@ -928,12 +885,12 @@ SWAP = P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
 @pytest.mark.parametrize("lifts", [(SWAP, Permutation.identity(10)), (SWAP, SWAP),
                                    (Permutation.identity(10), SWAP)],
                          ids=["swap-1", "swap-swap", "1-swap"])
-def test_density_wreath_a5_c2(monkeypatch, lifts):
+def test_density_wreath_a5_c2(lifts):
     # Gaschuetz: the same count for all three generating coset pairs, which
     # the count over orbits of C_N alone also gives; G/N = C2, so slot 1
     # counts per class of G
     W, N = _wreath_a5_c2()
-    favorable, total, calls = _counted_density(monkeypatch, W, N, lifts)
+    favorable, total, calls = _counted_density(W, N, lifts)
     assert (favorable, total) == (11736000, 60 ** 4)
     assert calls <= 1087
 
@@ -960,11 +917,10 @@ def test_coset_fixer_is_the_preimage_of_the_centre():
     assert sum(K.contains(r) for r in reps) == 2
 
 
-def test_coset_fixer_is_the_group_over_an_abelian_quotient(monkeypatch):
-    built = []
-    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
-    assert gensets._coset_fixer(S5, A5, (P("(1,2)", 5), P("(1,2,3)", 5))) is S5
-    assert built == []
+def test_coset_fixer_is_the_group_over_an_abelian_quotient():
+    with trace() as t:
+        assert gensets._coset_fixer(S5, A5, (P("(1,2)", 5), P("(1,2,3)", 5))) is S5
+    assert t.chain_builds == 0
 
 
 @pytest.mark.parametrize("lifts", [(SWAP, P("(1,2)", 10)), (P("(1,2)", 10) * SWAP, P("(6,7)", 10))],
@@ -1071,14 +1027,11 @@ def test_every_bound_site_reads_the_table(monkeypatch, key, value, site, args, g
 
 @pytest.mark.parametrize("query", [all_subgroups, frattini, d_min],
                          ids=["all_subgroups", "frattini", "d_min"])
-def test_lattice_queries_refuse_c2_7_by_classes_and_s9_by_elements(monkeypatch, query):
+def test_lattice_queries_refuse_c2_7_by_classes_and_s9_by_elements(monkeypatch, record, query):
     # C2^7 has 29212 subgroup classes, above the default lattice bound of
     # 5000: the class that would pass it raises before its orbit is walked,
     # and no lattice is kept
-    walked = []
-    schreier = structure._schreier_generators
-    monkeypatch.setattr(structure, "_schreier_generators",
-                        lambda *args: walked.append(1) or schreier(*args))
+    walked = record(structure, "_schreier_generators")
     G = make([f"({i},{i + 1})" for i in range(1, 14, 2)], 14)
     with pytest.raises(BoundExceeded, match="subgroup classes"):
         query(G)
@@ -1146,26 +1099,19 @@ def test_monolithic_check_agrees_with_definition(name):
             check_monolithic_nonabelian(G, N)
 
 
-def test_monolithic_check_never_enumerates_the_group(monkeypatch):
+def test_monolithic_check_never_enumerates_the_group(record):
     W, N = SCANNED_CASES["A5wrC2/A5xA5"]
-    enumerated = []
-    original = Group.elements_raw
-
-    def spy(self, *args, **kwargs):
-        enumerated.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Group, "elements_raw", spy)
-    monkeypatch.setattr(Group, "_lex_walk", spy)
+    enumerated, walked = record(Group, "elements_raw"), record(Group, "_lex_walk")
     check_monolithic_nonabelian(W, N)
     # the certificate scans one simple factor, never W or N = PSL(2,5)^2,
     # and takes the other as its conjugate
-    assert len(enumerated) == 1
-    assert enumerated[0] is not N and enumerated[0].order() == 60
+    groups = [args[0] for args, _ in enumerated + walked]
+    assert len(groups) == 1
+    assert groups[0] is not N and groups[0].order() == 60
 
 
 @pytest.mark.parametrize("name", ["S5/A5", "S6/A6", "A6/A6", "A5wrC2/A5xA5"])
-def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
+def test_monolithic_check_centralizes_only_for_c_g(record, name):
     # the conjugates of the scanned factor reach |N|, so no centralizer in N
     # of a factor is taken: the centralizer_in calls cut C_G(N) down from G,
     # one generator of N at a time, each on the one before's result, and
@@ -1174,39 +1120,24 @@ def test_monolithic_check_centralizes_only_for_c_g(monkeypatch, name):
     # whose factors are not Alt of their supports)
     G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
-    calls = []
-    original = structure.centralizer_in
-
-    def spy(H, x):
-        calls.append((H, x, original(H, x)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(structure, "centralizer_in", spy)
+    calls = record(structure, "centralizer_in")
     check_monolithic_nonabelian(G, N)
     assert len(calls) == {"S5/A5": 1, "S6/A6": 3, "A6/A6": 0, "A5wrC2/A5xA5": 1}[name]
-    assert [H for H, _, _ in calls] == ([G] + [C for _, _, C in calls[:-1]])[:len(calls)]
-    assert [x.imgs for _, x, _ in calls] == [g.imgs for g in N.generators[:len(calls)]]
+    assert [H for (H, _), _ in calls] == ([G] + [C for _, C in calls[:-1]])[:len(calls)]
+    assert [x.imgs for (_, x), _ in calls] == [g.imgs for g in N.generators[:len(calls)]]
 
 
-def test_monolithic_check_closes_no_class_of_a_simple_factor(monkeypatch):
+def test_monolithic_check_closes_no_class_of_a_simple_factor(record):
     # no closure is taken inside a simple factor of A5 x A5: the seed and
     # each of the 4 prime-order classes of the scanned factor K are closed
     # in N, and, K being simple, every class closes to all of K (the
     # scan's order |K| = 60), so no ncl_K(s) is ever built
     W, N = SCANNED_CASES["A5wrC2/A5xA5"]
     N = Group(N.generators, N.degree)
-    calls = []
-    original = structure.normal_closure
-
-    def record(G, gens):
-        closure = original(G, gens)
-        calls.append((G, closure.order()))
-        return closure
-
-    monkeypatch.setattr(structure, "normal_closure", record)
+    calls = record(structure, "normal_closure")
     check_monolithic_nonabelian(W, N)
-    assert [G for G, _ in calls] == [N] * 5
-    assert [order for _, order in calls] == [60] * 5
+    assert [G for (G, _), _ in calls] == [N] * 5
+    assert [closure.order() for _, closure in calls] == [60] * 5
     assert [f.order() for f in minimal_normal_subgroups(N)] == [60, 60]
 
 
@@ -1272,23 +1203,21 @@ def test_monolithic_check_reads_an_alt_socle_off_its_order(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [5, 8, 9, 60])
-def test_monolithic_check_rejects_a_sym_socle_off_its_record(monkeypatch, n):
+def test_monolithic_check_rejects_a_sym_socle_off_its_record(n):
     # S_n, n >= 5, is no product of simple factors, as its record shows: the
     # check raises ValueError at once, with no closure, walk or chain, where
     # it once scanned S8's 40320 elements and raised the element bound
     # from n = 9 on
     G = make(["(" + ",".join(map(str, range(1, n + 1))) + ")", "(1,2)"], n)
-    built = []
-    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
-    with pytest.raises(ValueError, match="^N is not a direct product of simple factors"
-                                         " that G permutes transitively$") as caught:
+    with trace() as t, pytest.raises(ValueError, match="^N is not a direct product of simple"
+                                                   " factors that G permutes transitively$") as caught:
         check_monolithic_nonabelian(G, G)
     assert not isinstance(caught.value, BoundExceeded)
-    assert built == []
+    assert t.chain_builds == 0
 
 
 @pytest.mark.parametrize("name", SCANNED_CASES)
-def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, name):
+def test_monolithic_check_closes_once_when_the_factor_is_scanned(record, name):
     # K = ncl_N(s) is one simple factor, small enough to scan, so the seed
     # is closed once and no ncl_K(s) is built (on SCANNED_CASES, where K is
     # no Alt of its support and is scanned); the scan then closes the least
@@ -1296,14 +1225,11 @@ def test_monolithic_check_closes_once_when_the_factor_is_scanned(monkeypatch, na
     # (orders 2, 3, 5, 5) and 5 for A6 (orders 2, 3, 3, 5, 5)
     G, N = SCANNED_CASES[name]
     N = Group(N.generators, N.degree)
-    calls = []
-    original = structure.normal_closure
-    monkeypatch.setattr(structure, "normal_closure",
-                        lambda G, gens: calls.append((G, gens[0].imgs)) or original(G, gens))
+    calls = record(structure, "normal_closure")
     check_monolithic_nonabelian(G, N)
     factors = {"S5/A5": [60], "S6/A6": [360], "A6/A6": [360], "A5wrC2/A5xA5": [60, 60]}[name]
-    assert [H for H, _ in calls] == [N] * (1 + {60: 4, 360: 5}[factors[0]])
-    assert all(is_prime(_order(x)) for _, x in calls[1:])
+    assert [H for (H, _), _ in calls] == [N] * (1 + {60: 4, 360: 5}[factors[0]])
+    assert all(is_prime(_order(gens[0].imgs)) for (_, gens), _ in calls[1:])
     assert [f.order() for f in minimal_normal_subgroups(N)] == factors
 
 
@@ -1410,8 +1336,7 @@ def test_replacement_search_returns_the_lex_first_witness(texts, filter_name):
     (("(2,3,4,5)", "(2,3)"), "S4_fix1", 2), (("(2,3,4,5)", "(2,3)"), "always", 2),
     (("(1,2)", "()"), "always", 12), (("(2,3)", "(2,3)", "(4,5)"), "always", 3),
     (("(2,3,4,5)", "(2,3)", "(1,2)(3,4)"), "always", 2)])
-def test_replacement_walk_skips_lex_cosets_that_cannot_complete(monkeypatch, texts, filter_name,
-                                                                  bound):
+def test_replacement_walk_skips_lex_cosets_that_cannot_complete(texts, filter_name, bound):
     # the lex-coset prune joins p and g2(c(p)) for the points c(p) fixed on a
     # coset of A5's chain, beside v1 g1 and the fixed entries, and skips the
     # coset when a closed component is smaller than S5's one orbit; one test
@@ -1419,9 +1344,9 @@ def test_replacement_walk_skips_lex_cosets_that_cannot_complete(monkeypatch, tex
     gens = tuple(P(t, 5) for t in texts)
     keep = {"S4_fix1": S4_FIX1.contains, "always": lambda g: True}[filter_name]
     expected = _first_replacement(gens, keep)
-    calls = _spy_generates(monkeypatch)
-    assert replacement_search(S5, A5, gens, keep) == expected
-    assert len(calls) <= bound
+    with trace() as t:
+        assert replacement_search(S5, A5, gens, keep) == expected
+    assert t.generation_tests <= bound
 
 
 @pytest.mark.parametrize("htilde", [None, S4_FIX1], ids=["None", "a-group"])
@@ -1431,10 +1356,8 @@ def test_replacement_search_requires_a_callable_htilde(htilde):
         replacement_search(S5, A5, (P("(2,3,4,5)", 5), P("(2,3)", 5)), htilde)
 
 
-def test_every_search_is_the_one_tuple_walk(monkeypatch):
-    calls = []
-    walk = gensets._tuple_walk
-    monkeypatch.setattr(gensets, "_tuple_walk", lambda *a, **k: calls.append(1) or walk(*a, **k))
+def test_every_search_is_the_one_tuple_walk():
+    # nodes are counted only inside gensets._tuple_walk
     gens = (P("(2,3,4,5)", 5), P("(2,3)", 5))
     lifts = (P("(1,2)", 5), Permutation.identity(5))
     queries = {  # fresh groups, since d(G) is kept on G
@@ -1444,9 +1367,9 @@ def test_every_search_is_the_one_tuple_walk(monkeypatch):
         "replacement_search": lambda: replacement_search(S5, A5, gens, S4_FIX1.contains),
     }
     for name, query in queries.items():
-        calls.clear()
-        query()
-        assert calls, name
+        with trace() as t:
+            query()
+        assert t.nodes, name
     assert not hasattr(gensets, "_lift_walk")
 
 
@@ -1521,32 +1444,25 @@ def test_replacement_search_wreath():
     assert Group([v1 * g1, v2 * g2], 10).order() == W.order()
 
 
-def test_replacement_search_walks_the_socle_lazily(monkeypatch):
+def test_replacement_search_walks_the_socle_lazily(record):
     W, N = _wreath_a5_c2()
     htilde = wreath_product(make(["(1,2,3)", "(1,2)(3,4)"], 5), make(["(1,2)"], 2)).contains
-    enumerated = []
-    original = Group.elements_raw
-
-    def spy(self, *args, **kwargs):
-        enumerated.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Group, "elements_raw", spy)
-    calls = _spy_generates(monkeypatch)
+    enumerated = record(Group, "elements_raw")
     gens = (P("(1,2,3)(6,7,8)", 10), P("(1,6)(2,7)(3,8)(4,9)(5,10)", 10))
-    got = replacement_search(W, N, gens, htilde)
+    with trace() as t:
+        got = replacement_search(W, N, gens, htilde)
     assert got == (Permutation.identity(10), P("(8,9,10)", 10))
     # the certificate reads both factors as Alt of their supports
     assert enumerated == []
-    assert len(calls) <= 3  # the lifts' check included
+    assert t.generation_tests <= 3  # the lifts' check included
     # PSL(2,5) wr C2 on 12 points, over Htilde = A4 wr C2, with the lex-first
     # pair found by a brute-force walk of N x N
     W, N = SCANNED_CASES["A5wrC2/A5xA5"]
     A4 = make(["(1,5,6)(2,3,4)", "(3,5)(4,6)"], 6)
     htilde = wreath_product(A4, make(["(1,2)"], 2)).contains
-    calls.clear()
     gens = (P("(1,5,6)(2,3,4)(7,11,12)(8,9,10)", 12), P("(1,7)(2,8)(3,9)(4,10)(5,11)(6,12)", 12))
-    got = replacement_search(W, N, gens, htilde)
+    with trace() as t:
+        got = replacement_search(W, N, gens, htilde)
     assert got == (Permutation.identity(12), P("(8,9,12,10,11)", 12))
-    assert {g.order() for g in enumerated} == {60}  # the certificate's factors only
-    assert len(calls) == 5  # the lifts' check and four pairs (1, v2)
+    assert {g.order() for (g,), _ in enumerated} == {60}  # the certificate's factors only
+    assert t.generation_tests == 5  # the lifts' check and four pairs (1, v2)

@@ -30,7 +30,7 @@ from genex.group import (
 )
 from genex.gensets import _generates, min_generators
 from genex.grpfmt import parse_group_text, serialize_group
-from genex.perm import BOUNDS, Permutation, _identity, _inv, _mul, parse_permutation
+from genex.perm import BOUNDS, Permutation, _identity, _inv, _mul, parse_permutation, trace
 from genex.structure import all_subgroups
 
 
@@ -191,13 +191,12 @@ def test_stabilizer_moves_each_orbit_point_once():
 @pytest.mark.parametrize(("G", "x"), [(S4, "()"), (make(["(1,2,3,4)", "(1,3)"], 4), "(1,3)(2,4)"),
                                       (Q8, "(1,2)(3,4)(5,6)(7,8)")],
                          ids=["identity in S4", "centre of D8", "centre of Q8"])
-def test_stabilizer_of_a_fixed_point_is_the_group(monkeypatch, G, x):
+def test_stabilizer_of_a_fixed_point_is_the_group(G, x):
     # an x that every generator fixes under conjugation has the whole group
     # as centralizer, returned as is, with no chain built
-    built = []
-    monkeypatch.setattr(group_module, "_build_chain", lambda *args: built.append(args))
-    assert centralizer_in(G, P(x, G.degree)) is G
-    assert built == []
+    with trace() as t:
+        assert centralizer_in(G, P(x, G.degree)) is G
+    assert t.chain_builds == 0
 
 
 def _eager_schreier(degree, gens, moves, start):
@@ -283,18 +282,16 @@ def test_normal_closure():
     assert normal_closure(S4, [P("(1,2)(3,4)", 4)]).order() == 4
 
 
-def test_normal_closure_stops_at_the_whole_group(monkeypatch):
+def test_normal_closure_stops_at_the_whole_group(record):
     # the closure lies in G, so once its chain reaches |G| no further
     # conjugate is sifted: the last extension is the one that grew it to G
-    grew = []
-    original = _Chain.extend
-    monkeypatch.setattr(_Chain, "extend",
-                        lambda self, p: grew.append(original(self, p)) or grew[-1])
+    grew = record(_Chain, "extend")
     for n in (4, 5, 6, 7):
         G = Group([Permutation(list(range(1, n)) + [0]), P("(1,2)", n)], n)
         grew.clear()
         assert normal_closure(G, [P("(1,2)", n)]).order() == math.factorial(n)
-        assert grew[-1]
+        _, grown = grew[-1]
+        assert grown
 
 
 def test_normal_closure_rejects_seeds_outside_the_group():
@@ -306,12 +303,8 @@ def test_normal_closure_rejects_seeds_outside_the_group():
         normal_closure(A5, [P("(1,2)", 5)])
 
 
-def test_commutator_subgroup_matches_oracle(monkeypatch):
-    seeded = []
-    closure = group_module._normal_closure
-    monkeypatch.setattr(group_module, "_normal_closure",
-                        lambda G, seeds, stops:
-                        seeded.append(len(seeds)) or closure(G, seeds, stops))
+def test_commutator_subgroup_matches_oracle(record):
+    closures = record(group_module, "_normal_closure")
     for g in [S4, A4, Q8, C6, make(["(1,2)", "(2,3)", "(3,4)", "(4,5)"], 5)]:
         elems = oracles.closure([x.imgs for x in g.generators], g.degree)
         expect = oracles.commutator_closure(elems, g.degree)
@@ -320,7 +313,7 @@ def test_commutator_subgroup_matches_oracle(monkeypatch):
         assert all(imgs in expect for imgs in got.elements_raw())
         # one seed per unordered pair of the generators G acts by
         k = len(g._raw_gens)
-        assert seeded.pop() == k * (k - 1) // 2
+        assert len(closures.pop()[0][1]) == k * (k - 1) // 2
 
 
 def test_centralizer():
@@ -467,20 +460,13 @@ def test_quotient_kernel_is_v4():
     assert set(hom.kernel().elements_raw()) == set(v4.elements_raw())
 
 
-def test_kernel_does_not_enumerate_source(monkeypatch):
+def test_kernel_does_not_enumerate_source(record):
     G = make(["(1,2,3,4,5)", "(1,2)"], 5)
     H = make(["(1,2,3,4)", "(1,3)"], 5)  # D4, core trivial
     _, hom = coset_action(G, H)
-    enumerated = []
-    elements_raw = Group.elements_raw
-
-    def counted(self, *args, **kwargs):
-        enumerated.append(self)
-        return elements_raw(self, *args, **kwargs)
-
-    monkeypatch.setattr(Group, "elements_raw", counted)
+    enumerated = record(Group, "elements_raw")
     assert hom.kernel().order() == 1
-    assert not any(g is G for g in enumerated)
+    assert not any(g is G for (g,), _ in enumerated)
 
 
 def test_faithful_coset_action_kernel_needs_no_stabilizer(monkeypatch):
@@ -807,18 +793,9 @@ def _odd(p):
     return odd
 
 
-def _spy(monkeypatch, name):
-    # the result of every call of group_module's function ``name``
-    results = []
-    original = getattr(group_module, name)
-    monkeypatch.setattr(group_module, name,
-                        lambda *args: results.append(original(*args)) or results[-1])
-    return results
-
-
-def _spies(monkeypatch):
-    # chain builds and Jordan certificates
-    return [_spy(monkeypatch, name) for name in ("_build_chain", "_jordan")]
+def _counts(t):
+    # chain builds, and Jordan certificates tried and proved
+    return t.chain_builds, t.jordan_tests, t.jordan_certified
 
 
 def _moving(rng, degree, support, point):
@@ -868,7 +845,7 @@ def _on_support(rng, degree, support, odd=None):
 @pytest.mark.parametrize(("n", "spare"), [(n, 7) for n in range(8, 15)] + [(n, 0) for n in range(8, 15)],
                          ids=[str(n) for n in range(8, 15)] + [f"{n} on every point" for n in range(8, 15)])
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
-def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
+def test_giant_chain_equals_schreier_sims(n, alt, spare):
     # a random generating pair of Sym or Alt on n points placed at random
     # in a larger degree, away from point 1, or on every point, plus two
     # redundant words: the group is certified, acts by the pair and builds
@@ -885,32 +862,32 @@ def test_giant_chain_equals_schreier_sims(monkeypatch, n, alt, spare):
         if _plain_schreier_sims(degree, pair)[0].order() == target:
             break
     words = [_mul(pair[0], pair[1]), _mul(_mul(pair[1], pair[0]), pair[1])]
-    built, certified = _spies(monkeypatch)
-    G = Group([Permutation(g) for g in pair + words], degree)
-    assert built == [] and certified == [True]
-    assert G.order() == target and G._raw_gens == tuple(pair)
-    assert G._alt_or_sym == (support, tuple(outside), alt)
-    members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
-    members += [_on_support(rng, degree, support, 0) for _ in range(20)]
-    others = [_on_support(rng, degree, support, 1) for _ in range(20)]
-    others += [_on_support(rng, degree, outside[:2] + support[:3]) for _ in range(20)]
-    inside = [all(p[q] == q for q in outside) and not (alt and _odd(p)) for p in members + others]
-    assert [G.contains(Permutation(p)) for p in members + others] == inside
-    base, primitive = G.base(), is_primitive(G)
-    cosets = [coset_canonical(G, p) for p in members + others]
-    assert built == []
-    chain = G._chain
-    assert len(built) == 1 and built[0][0] is chain and G._chain is chain
-    ours, theirs, _ = _schreier_sims_summary(G)
-    assert ours == theirs
-    _check_chain_invariants(chain, degree)
-    assert [chain.sift(p) for p in members + others] == inside
-    assert base == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
-    assert primitive == (spare == 0)
-    by_chain = _read_by_chain(degree, chain, G._raw_gens)
-    assert base == by_chain.base() and primitive == is_primitive(by_chain)
-    assert cosets == [coset_canonical(by_chain, p) for p in members + others]
-    assert len(built) == 1 and certified == [True]
+    with trace() as t:
+        G = Group([Permutation(g) for g in pair + words], degree)
+        assert _counts(t) == (0, 1, 1)
+        assert G.order() == target and G._raw_gens == tuple(pair)
+        assert G._alt_or_sym == (support, tuple(outside), alt)
+        members = [_mul(_mul(pair[i % 2], pair[1 - i % 2]), words[i % 2]) for i in range(4)]
+        members += [_on_support(rng, degree, support, 0) for _ in range(20)]
+        others = [_on_support(rng, degree, support, 1) for _ in range(20)]
+        others += [_on_support(rng, degree, outside[:2] + support[:3]) for _ in range(20)]
+        inside = [all(p[q] == q for q in outside) and not (alt and _odd(p)) for p in members + others]
+        assert [G.contains(Permutation(p)) for p in members + others] == inside
+        base, primitive = G.base(), is_primitive(G)
+        cosets = [coset_canonical(G, p) for p in members + others]
+        assert t.chain_builds == 0
+        chain = G._chain
+        assert t.chain_builds == 1 and G._chain is chain
+        ours, theirs, _ = _schreier_sims_summary(G)
+        assert ours == theirs
+        _check_chain_invariants(chain, degree)
+        assert [chain.sift(p) for p in members + others] == inside
+        assert base == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
+        assert primitive == (spare == 0)
+        by_chain = _read_by_chain(degree, chain, G._raw_gens)
+        assert base == by_chain.base() and primitive == is_primitive(by_chain)
+        assert cosets == [coset_canonical(by_chain, p) for p in members + others]
+    assert _counts(t) == (1, 1, 1)
 
 
 def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
@@ -928,15 +905,15 @@ def _grown_giant_answers_as_a_plain_chain(G, chain, omega, alt, rng):
     assert True in inside and False in inside
 
 
-def test_certified_prefix_acts_by_a_repeated_generator_once(monkeypatch):
+def test_certified_prefix_acts_by_a_repeated_generator_once():
     # the first transitive prefix of a, a, b is all three, and a repeat adds
     # nothing to the group: S8 on 9 points acts by a and b, keeps all three
     # as given (so the .grp text does not change), and answers membership
     # as S8 on the pair
     a, b = P("(1,2,3,4,5,6,7)", 9), P("(7,8)", 9)
-    built, certified = _spies(monkeypatch)
-    G = Group([a, a, b], 9)
-    assert built == [] and certified == [True]
+    with trace() as t:
+        G = Group([a, a, b], 9)
+    assert _counts(t) == (0, 1, 1)
     assert G._raw_gens == (a.imgs, b.imgs) and G.generators == (a, a, b)
     assert G.order() == math.factorial(8)
     assert parse_group_text(serialize_group(G)).generators == (a, a, b)
@@ -971,7 +948,7 @@ def test_alt_or_sym_record_matches_brute_force_on_a_lattice(name):
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
-def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
+def test_giant_chain_extended_by_a_later_generator(alt):
     # after a prefix that alone is certified, a generator outside its giant
     # (an odd one over Alt, one moving a new point over Sym) leaves the
     # group to a plain chain, with no certificate tried; it is Sym of a
@@ -981,10 +958,10 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
     second = P("(2,3)" if not alt else "(2,3,4)", degree)
     later = P("(11,12)" if not alt else "(5,6)", degree)
     assert Group([cycle, second], degree)._alt_or_sym == (list(range(1, 11)), (0, 11, 12), alt)
-    built, certified = _spies(monkeypatch)
-    G = Group([cycle, second, later], degree)
-    assert len(built) == 1 and certified == []
-    assert G._chain is built[0][0]
+    with trace() as t:
+        G = Group([cycle, second, later], degree)
+        G._chain
+    assert _counts(t) == (1, 0, 0)
     ours, theirs, chain = _schreier_sims_summary(G)
     assert ours == theirs
     assert G.order() == math.factorial(n + (not alt))
@@ -993,17 +970,17 @@ def test_giant_chain_extended_by_a_later_generator(monkeypatch, alt):
     _grown_giant_answers_as_a_plain_chain(G, chain, omega, False, random.Random(11 + alt))
 
 
-def test_giant_reached_by_a_normal_closure(monkeypatch):
+def test_giant_reached_by_a_normal_closure():
     # the normal closure in Sym(2..12) of a pair generating Alt(2..11) grows
     # a plain chain by conjugates (``_grown``), with no certificate tried,
     # into Alt(2..12), which answers membership as a plain chain does
     degree = 13
     G = make(["(2,3,4,5,6,7,8,9,10,11,12)", "(2,3)"], degree)
     seeds = [P("(3,4,5,6,7,8,9,10,11)", degree), P("(2,3,4)", degree)]
-    built, certified = _spies(monkeypatch)
-    N = normal_closure(G, seeds)
-    assert len(built) == 1 and certified == []
-    assert N._chain is built[0][0]
+    with trace() as t:
+        N = normal_closure(G, seeds)
+        N._chain
+    assert _counts(t) == (1, 0, 0)
     assert N.order() == math.factorial(11) // 2
     _check_chain_invariants(N._chain, degree)
     chain = _plain_schreier_sims(degree, [g.imgs for g in N.generators])[0]
@@ -1049,19 +1026,19 @@ SHOWS_BLOCKS = {"A5wrC2", "S4wrS2"}  # the last generator of the prefix swaps th
 
 
 @pytest.mark.parametrize("name", NON_GIANTS)
-def test_giant_search_certifies_no_other_transitive_group(monkeypatch, name):
+def test_giant_search_certifies_no_other_transitive_group(name):
     # none of these contains Alt of its points, so Jordan's theorem certifies
     # none: each group's prefix that shows no blocks is tried once, fails,
     # and the group is built by Schreier-Sims; the wreath products' prefixes
     # show blocks, so theirs are never tried, and a chain built for a moment
     # (closures) tries none
     given, order = NON_GIANTS[name]()
-    certified = _spy(monkeypatch, "_jordan")
-    G = Group(given.generators, given.degree)
-    tried = [] if name in SHOWS_BLOCKS else [False]
-    assert certified == tried
-    transient = group_module._build_chain(G.degree, [g.imgs for g in given.generators])
-    assert certified == tried
+    tried = (0, 0) if name in SHOWS_BLOCKS else (1, 0)
+    with trace() as t:
+        G = Group(given.generators, given.degree)
+        assert (t.jordan_tests, t.jordan_certified) == tried
+        transient = group_module._build_chain(G.degree, [g.imgs for g in given.generators])
+    assert (t.jordan_tests, t.jordan_certified) == tried
     ours, theirs, _ = _schreier_sims_summary(G)
     assert ours == theirs == _summary(*transient)
     assert G.order() == order and G._alt_or_sym is None
@@ -1202,26 +1179,26 @@ WREATHS = {  # name: (inner generators and degree, top generators and degree)
 
 
 @pytest.mark.parametrize("name", WREATHS)
-def test_wreath_products_show_blocks(monkeypatch, name):
+def test_wreath_products_show_blocks(name):
     # the generators of inner wr top list each block's inner generators,
     # then top's: the first transitive prefix ends with a generator of top,
     # which permutes the blocks, the orbits of the generators before it, so
     # it is offered to no certificate, and the chain is Schreier-Sims's
     (inner, m), (top, k) = WREATHS[name]
     A, B = make(inner, m), make(top, k)
-    results = _spy(monkeypatch, "_jordan")
-    W = wreath_product(A, B)
+    with trace() as t:
+        W = wreath_product(A, B)
     gens = [g.imgs for g in W.generators]
     prefix = _bfs_transitive_prefix(W.degree, gens)
     assert prefix is not None and _bfs_shows_blocks(W.degree, gens, prefix[0])
     assert group_module._transitive_prefix(W.degree, gens) is None
-    assert results == []
+    assert t.jordan_tests == 0
     assert W.order() == A.order() ** k * B.order()
     ours, theirs, _ = _schreier_sims_summary(W)
     assert ours == theirs
 
 
-def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
+def test_generates_certifies_a_generating_pair_of_s30():
     # a 30-cycle and a transposition of adjacent points, relabelled at random:
     # S30 is Sym of its points, so Jordan's theorem certifies the pair with
     # no chain built, and an all-even pair is rejected with none either
@@ -1232,19 +1209,14 @@ def test_generates_certifies_a_generating_pair_of_s30(monkeypatch):
     cycle = tuple((a + 1) % n for a in range(n))
     swap = (1, 0) + tuple(range(2, n))
     pair = [tuple(relabel[p[back[x]]] for x in range(n)) for p in (cycle, swap)]
-    built, certified = [], []
-    original, jordan = group_module._build_chain, group_module._jordan
-    monkeypatch.setattr(group_module, "_build_chain",
-                        lambda *args: built.append(1) or original(*args))
-    monkeypatch.setattr(group_module, "_jordan",
-                        lambda *args: certified.append(jordan(*args)) or certified[-1])
-    assert _generates(G, pair)
-    assert built == [] and certified == [True]
-    assert not _generates(G, [_mul(p, p) for p in pair] + [_mul(pair[1], pair[0])])
-    assert built == [] and certified == [True]
+    with trace() as t:
+        assert _generates(G, pair)
+        assert _counts(t) == (0, 1, 1)
+        assert not _generates(G, [_mul(p, p) for p in pair] + [_mul(pair[1], pair[0])])
+    assert _counts(t) == (0, 1, 1)
 
 
-def test_generates_tries_one_certificate_on_a_proper_transitive_pair(monkeypatch):
+def test_generates_tries_one_certificate_on_a_proper_transitive_pair():
     # PGL(2,7) on the projective line over F_7 (point 7 standing for
     # infinity) is transitive on 8 points and holds odd elements, but no
     # Alt(8): on seeded pairs generating it, S8's generation test tries
@@ -1255,12 +1227,11 @@ def test_generates_tries_one_certificate_on_a_proper_transitive_pair(monkeypatch
     PGL = Group([Permutation(g) for g in (t, m, s)], 8)
     assert PGL.order() == 336
     S8 = make(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
-    certified = _spy(monkeypatch, "_jordan")
     for pair in _generating_tuples(random.Random(113), PGL, 2, 5):
         assert any(_odd(g) for g in pair)
-        before = len(certified)
-        assert not _generates(S8, pair)
-        assert certified[before:] == [False]
+        with trace() as t:
+            assert not _generates(S8, pair)
+        assert (t.jordan_tests, t.jordan_certified) == (1, 0)
 
 
 def _generating_tuples(rng, H, size, count):
@@ -1383,7 +1354,7 @@ def test_membership_and_alt_or_sym_match_the_closure(case):
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
-def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
+def test_giant_chain_above_the_byte_boundary(alt):
     # Sym or Alt of 40 points inside 260 answers base, is_primitive and
     # coset_canonical from its record with no chain; a chain read then
     # builds the plain chain in the tuple encoding, whose answers are the
@@ -1399,30 +1370,30 @@ def test_giant_chain_above_the_byte_boundary(monkeypatch, alt):
     short_cycle = support[:3] if alt else support[:2]
     for a, b in zip(short_cycle, short_cycle[1:] + short_cycle[:1]):
         short[a] = b
-    built, certified = _spies(monkeypatch)
-    G = Group([Permutation(long_cycle), Permutation(short)], degree)
-    assert built == [] and certified == [True]
-    assert G.order() == math.factorial(n) // (2 if alt else 1)
-    assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
-    assert not is_primitive(G)
-    probes = [tuple(rng.sample(range(degree), degree)) for _ in range(5)]
-    probes += [_on_support(rng, degree, support, odd) for odd in (0, 1) * 3]
-    cosets = [coset_canonical(G, p) for p in probes]
-    assert built == []
-    chain = G._chain
-    assert len(built) == 1 and built[0][0] is chain and isinstance(chain.one, tuple)
-    _check_chain_invariants(chain, degree)
-    by_chain = _read_by_chain(degree, chain, G._raw_gens)
-    assert G.base() == by_chain.base() and not is_primitive(by_chain)
-    assert cosets == [coset_canonical(by_chain, p) for p in probes]
-    outside = [q for q in range(degree) if q not in support]
-    for odd in (0, 1) * 10:
-        p = _on_support(rng, degree, support, odd)
-        assert G.contains(Permutation(p)) == (not (alt and odd)) == chain.sift(p)
-    for _ in range(5):
-        p = _moving(rng, degree, support, rng.choice(outside))
-        assert not G.contains(Permutation(p)) and not chain.sift(p)
-    assert len(built) == 1
+    with trace() as t:
+        G = Group([Permutation(long_cycle), Permutation(short)], degree)
+        assert _counts(t) == (0, 1, 1)
+        assert G.order() == math.factorial(n) // (2 if alt else 1)
+        assert G.base() == tuple(q + 1 for q in support[:n - 2 if alt else n - 1])
+        assert not is_primitive(G)
+        probes = [tuple(rng.sample(range(degree), degree)) for _ in range(5)]
+        probes += [_on_support(rng, degree, support, odd) for odd in (0, 1) * 3]
+        cosets = [coset_canonical(G, p) for p in probes]
+        assert t.chain_builds == 0
+        chain = G._chain
+        assert t.chain_builds == 1 and G._chain is chain and isinstance(chain.one, tuple)
+        _check_chain_invariants(chain, degree)
+        by_chain = _read_by_chain(degree, chain, G._raw_gens)
+        assert G.base() == by_chain.base() and not is_primitive(by_chain)
+        assert cosets == [coset_canonical(by_chain, p) for p in probes]
+        outside = [q for q in range(degree) if q not in support]
+        for odd in (0, 1) * 10:
+            p = _on_support(rng, degree, support, odd)
+            assert G.contains(Permutation(p)) == (not (alt and odd)) == chain.sift(p)
+        for _ in range(5):
+            p = _moving(rng, degree, support, rng.choice(outside))
+            assert not G.contains(Permutation(p)) and not chain.sift(p)
+    assert t.chain_builds == 1
 
 
 def _least_by_sorting(p, omega, alt):
@@ -1440,7 +1411,7 @@ def _least_by_sorting(p, omega, alt):
 @pytest.mark.parametrize("spare", [0, 3])
 @pytest.mark.parametrize("n", range(5, 13))
 @pytest.mark.parametrize("alt", [False, True], ids=["Sym", "Alt"])
-def test_alt_and_sym_closed_forms_match_a_chain(monkeypatch, alt, n, spare):
+def test_alt_and_sym_closed_forms_match_a_chain(alt, n, spare):
     # on Alt and Sym of n points, placed at random among n + spare, the
     # record's base, is_primitive and coset_canonical equal a plain
     # Schreier-Sims chain's, with no chain built for them; below 8 points
@@ -1460,11 +1431,11 @@ def test_alt_and_sym_closed_forms_match_a_chain(monkeypatch, alt, n, spare):
     assert G._alt_or_sym == (omega, tuple(q for q in range(degree) if q not in omega), alt)
     by_chain = _read_by_chain(degree, chain, used)
     probes = [tuple(rng.sample(range(degree), degree)) for _ in range(50)]
-    built = _spy(monkeypatch, "_build_chain")
-    cosets = [coset_canonical(G, p) for p in probes]
-    assert G.base() == by_chain.base() == tuple(q + 1 for q in chain.base)
-    assert is_primitive(G) == is_primitive(by_chain) == (spare == 0)
-    assert built == []
+    with trace() as t:
+        cosets = [coset_canonical(G, p) for p in probes]
+        assert G.base() == by_chain.base() == tuple(q + 1 for q in chain.base)
+        assert is_primitive(G) == is_primitive(by_chain) == (spare == 0)
+    assert t.chain_builds == 0
     assert cosets == [coset_canonical(by_chain, p) for p in probes]
     if n <= 7:
         elems = G.elements_raw()
@@ -1472,7 +1443,7 @@ def test_alt_and_sym_closed_forms_match_a_chain(monkeypatch, alt, n, spare):
 
 
 @pytest.mark.parametrize("alt", [False, True], ids=["S1000", "A1000"])
-def test_giant_of_1000_points_keeps_no_chain(monkeypatch, alt):
+def test_giant_of_1000_points_keeps_no_chain(alt):
     # Sym or Alt of points 2..1001 inside 1002: certified with no chain
     # built, in well under 1 MiB, where a chain of S1000 held 3.86 GB;
     # order, record, membership, base, coset_canonical and is_primitive
@@ -1481,55 +1452,57 @@ def test_giant_of_1000_points_keeps_no_chain(monkeypatch, alt):
     omega = list(range(1, 1001))
     texts = ["(2,3,4)", _cycle_text(3, 1001)] if alt else [_cycle_text(2, 1001), "(2,3)"]
     gens = [P(text, degree) for text in texts]
-    built, certified = _spies(monkeypatch)
-    tracemalloc.start()
-    try:
-        G = Group(gens, degree)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert built == [] and certified == [True]
+    with trace() as t:
+        tracemalloc.start()
+        try:
+            G = Group(gens, degree)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert _counts(t) == (0, 1, 1)
     assert held < 1 << 20
     assert G.order() == math.factorial(1000) // (2 if alt else 1)
     assert G._alt_or_sym == (omega, (0, 1001), alt)
     rng = random.Random(1000 + alt)
     probes = [_on_support(rng, degree, omega, odd) for odd in (0, 1) * 5]
     probes += [_moving(rng, degree, omega, rng.choice((0, 1001))) for _ in range(10)]
-    assert ([G.contains(Permutation(p)) for p in probes]
-            == [not (alt and odd) for odd in (0, 1) * 5] + [False] * 10)
-    assert G.base() == tuple(range(2, 1000 if alt else 1001))
-    assert [coset_canonical(G, p) for p in probes] == [_least_by_sorting(p, omega, alt) for p in probes]
-    assert not is_primitive(G)
-    alone = make(["(1,2,3)", _cycle_text(2, 1000)] if alt else [_cycle_text(1, 1000), "(1,2)"], 1000)
-    assert alone._alt_or_sym == (list(range(1000)), (), alt) and is_primitive(alone)
-    assert built == [] and "_chain" not in vars(G) and "_chain" not in vars(alone)
+    with trace(t):
+        assert ([G.contains(Permutation(p)) for p in probes]
+                == [not (alt and odd) for odd in (0, 1) * 5] + [False] * 10)
+        assert G.base() == tuple(range(2, 1000 if alt else 1001))
+        assert [coset_canonical(G, p) for p in probes] == [_least_by_sorting(p, omega, alt) for p in probes]
+        assert not is_primitive(G)
+        alone = make(["(1,2,3)", _cycle_text(2, 1000)] if alt else [_cycle_text(1, 1000), "(1,2)"], 1000)
+        assert alone._alt_or_sym == (list(range(1000)), (), alt) and is_primitive(alone)
+    assert t.chain_builds == 0 and "_chain" not in vars(G) and "_chain" not in vars(alone)
 
 
-def test_first_base_read_builds_no_chain(monkeypatch):
+def test_first_base_read_builds_no_chain():
     # S200's base is read off its record, as often as it is asked
-    built, _ = _spies(monkeypatch)
-    G = make([_cycle_text(1, 200), "(1,2)"], 200)
-    assert G.base() == tuple(range(1, 200)) == G.base()
-    assert built == [] and "_chain" not in vars(G)
+    with trace() as t:
+        G = make([_cycle_text(1, 200), "(1,2)"], 200)
+        assert G.base() == tuple(range(1, 200)) == G.base()
+    assert t.chain_builds == 0 and "_chain" not in vars(G)
 
 
-def test_coset_action_of_s200_on_s199_builds_no_chain(monkeypatch):
+def test_coset_action_of_s200_on_s199_builds_no_chain():
     # S200 on the cosets of the stabilizer of point 200: the cosets are
     # walked by the record's least members, and the image, S200 again, is
     # certified and primitive, with no chain built; the kernel is the
     # trivial group, whose chain has no level
-    built, certified = _spies(monkeypatch)
-    G = make([_cycle_text(1, 200), "(1,2)"], 200)
-    H = make([_cycle_text(1, 199), "(1,2)"], 200)
-    image, hom = coset_action(G, H)
-    assert image.order() == math.factorial(200) and image._alt_or_sym == (list(range(200)), (), False)
-    assert is_primitive(image)
-    assert built == [] and certified == [True] * 3
-    assert hom.kernel().order() == 1
-    assert len(built) == 1 and built[0][0].levels == []
+    with trace() as t:
+        G = make([_cycle_text(1, 200), "(1,2)"], 200)
+        H = make([_cycle_text(1, 199), "(1,2)"], 200)
+        image, hom = coset_action(G, H)
+        assert image.order() == math.factorial(200) and image._alt_or_sym == (list(range(200)), (), False)
+        assert is_primitive(image)
+        assert _counts(t) == (0, 3, 3)
+        K = hom.kernel()
+        assert K.order() == 1 and K._chain.levels == []
+    assert _counts(t) == (1, 3, 3)
 
 
-def test_kernel_onto_a_certified_image_walks_its_record_base(monkeypatch):
+def test_kernel_onto_a_certified_image_walks_its_record_base():
     # S10 x C2 on the cosets of S9 x C2 maps onto a certified S10, whose
     # base the kernel's stabilizer steps walk with no chain of the image:
     # the kernel is the C2

@@ -1,9 +1,13 @@
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from genex.perm import Trace
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # stdlib modules genex computes nothing with; each costs import time in the
 # fresh interpreter that answers every query
@@ -116,3 +120,33 @@ def test_only_build_chain_constructs_a_chain():
             elif name == "_build_chain":
                 assert len(node.args) <= 2 and not node.keywords, (path.stem, node.lineno)
         assert constructed == (path.stem == "group"), path.stem
+
+
+def test_each_trace_counter_has_one_site_and_a_reader():
+    # every Trace counter is counted by exactly one _count("...") call in
+    # genex, and some test reads it, so a count is pinned where it happens
+    sites = Counter()
+    for path in sorted((SRC / "genex").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_count":
+                assert len(node.args) == 1 and isinstance(node.args[0], ast.Constant), \
+                    (path.stem, node.lineno)
+                sites[node.args[0].value] += 1
+    assert sites == Counter(Trace.__slots__)
+    read = {node.attr for path in TESTS.glob("test_*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert set(Trace.__slots__) <= read, set(Trace.__slots__) - read
+
+
+# what tests read through a Trace, never by patching (or recording) the name
+COUNTED_NOT_PATCHED = {"_build_chain", "_generates"}
+
+
+def test_no_test_patches_a_counted_function():
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+            if called in {"setattr", "patch", "object", "record"}:
+                names = {arg.value.rpartition(".")[2] for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+                assert not names & COUNTED_NOT_PATCHED, (path.name, node.lineno)

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from genex.gensets import min_generators
 from genex.group import Group, wreath_product
 from genex.perm import (
     BOUNDS,
     BoundExceeded,
     Permutation,
+    _TRACES,
+    _count,
     _identity,
     _inv,
     _mul,
@@ -18,6 +21,7 @@ from genex.perm import (
     is_prime,
     parse_permutation,
     prime_factors,
+    trace,
 )
 
 
@@ -256,3 +260,29 @@ def test_degree_is_checked_before_any_point_list(build):
         with pytest.raises(ValueError) as caught:
             build(bad)
         assert not isinstance(caught.value, BoundExceeded)
+
+
+# -- traces -------------------------------------------------------------------
+
+def test_traces_nest_resume_and_close_on_an_exception():
+    with trace() as outer:
+        with pytest.raises(ZeroDivisionError), trace() as inner:
+            _count("nodes")  # both traces
+            1 // 0
+        assert _TRACES.get() == (outer,)
+        _count("pruned")  # the outer one alone
+    _count("nodes")  # outside every trace: nowhere
+    with trace(inner) as again:
+        _count("nodes")  # inner resumed
+    assert again is inner and _TRACES.get() == ()
+    assert (outer.nodes, outer.pruned, inner.nodes, inner.pruned) == (1, 1, 2, 0)
+
+
+def test_a_query_outside_every_trace_leaves_nothing_behind():
+    # min_generators counts into a trace of its own, closed with the call
+    G = Group([parse_permutation("(1,2,3,4,5,6)", 6), parse_permutation("(1,2)", 6)], 6)
+    assert min_generators(G).stats.generation_tests > 0 and _TRACES.get() == ()
+    with trace() as t, pytest.raises(AttributeError):  # a misspelt counter reads no 0
+        _count("node")
+    with pytest.raises(AttributeError):
+        t.node

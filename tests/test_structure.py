@@ -17,7 +17,7 @@ from genex.group import (
     is_transitive,
     wreath_product,
 )
-from genex.perm import Permutation, parse_permutation
+from genex.perm import Permutation, parse_permutation, trace
 from genex.structure import (
     MaximalSubgroupReport,
     all_subgroups,
@@ -79,18 +79,11 @@ def _is_prime(n):
     return n > 1 and all(n % k for k in range(2, n))
 
 
-def test_minimal_normal_subgroups_orbit_no_classes(monkeypatch):
-    calls = []
-    original = Group.conjugacy_classes_raw
-
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Group, "conjugacy_classes_raw", counting)
+def test_minimal_normal_subgroups_orbit_no_classes():
     for g in [make(["(1,2,3,4,5)", "(1,2)"], 5), direct_product(A5, make(["(1,2)"], 2))]:
-        assert minimal_normal_subgroups(g)
-    assert calls == []
+        with trace() as t:
+            assert minimal_normal_subgroups(g)
+        assert t.class_tables == 0
 
 
 @pytest.mark.parametrize("name", MINIMAL_NORMAL_CASES)
@@ -145,39 +138,29 @@ def test_minimal_normals_inside_every_normal_subgroup_match_oracle(name):
             assert found == [K] and found[0] is K
 
 
-def _closures_in_scan(monkeypatch):
-    calls = []
-    original = structure.normal_closure
-    monkeypatch.setattr(structure, "normal_closure",
-                        lambda G, gens: calls.append(G) or original(G, gens))
-    return calls
-
-
 @pytest.mark.parametrize("G, found", [(S4, 4), (S5, 60)], ids=["S4", "S5"])
-def test_class_sizes_leave_a_proper_normal_order_to_the_scan(monkeypatch, G, found):
+def test_class_sizes_leave_a_proper_normal_order_to_the_scan(record, G, found):
     # K = G is not minimal, and its closures find S4's V4 and S5's A5
-    calls = _closures_in_scan(monkeypatch)
+    calls = record(structure, "normal_closure")
     K = Group(G.generators, G.degree)
     assert [m.order() for m in structure.minimal_normals_inside(K, K)] == [found]
     assert calls
 
 
-def test_scan_orders_one_element_per_class(monkeypatch):
+def test_scan_orders_one_element_per_class(record):
     # conjugation keeps orders, so the scan orders each non-identity G-class
     # of K by its least member alone: 19 classes of a fresh A5 wr C2 (7199
     # elements), and 4 of A5 in the socle certificate of S5 over A5 (59), as
     # PGL(2, 5) over PSL(2, 5)
-    calls = []
-    original = structure._order
-    monkeypatch.setattr(structure, "_order", lambda p: calls.append(p) or original(p))
+    calls = record(structure, "_order")
     W = wreath_product(A5, C2)
     G = Group(W.generators, W.degree)
     assert [m.order() for m in minimal_normal_subgroups(G)] == [3600]
-    assert calls == [cls[0] for cls in G.conjugacy_classes_raw()[1:]]
+    assert [p for (p,), _ in calls] == [cls[0] for cls in G.conjugacy_classes_raw()[1:]]
     assert len(calls) == 19
     calls.clear()
     structure.check_monolithic_nonabelian(Group(PGL25.generators, 6), Group(PSL25.generators, 6))
-    assert calls == [cls[0] for cls in PSL25.conjugacy_classes_raw()[1:]]
+    assert [p for (p,), _ in calls] == [cls[0] for cls in PSL25.conjugacy_classes_raw()[1:]]
     assert len(calls) == 4
 
 
@@ -394,40 +377,27 @@ def test_eulerian_least_k_is_d_on_every_class(texts, degree):
     (["(1,2,3,4,5)", "(4,5,6)"], 22, 501),
     (["(1,2,3,4,5,6)", "(1,2)"], 56, 1455),
 ], ids=["A6", "S6"])
-def test_lattice_a6_s6_counts_and_perfect_seeds(monkeypatch, texts, classes, subgroups):
-    tested = []
-    is_perfect = structure.is_perfect
-
-    def counted(H):
-        tested.append(frozenset(H.elements_raw()))
-        return is_perfect(H)
-
-    monkeypatch.setattr(structure, "is_perfect", counted)
+def test_lattice_a6_s6_counts_and_perfect_seeds(record, texts, classes, subgroups):
+    calls = record(structure, "is_perfect")
     lat = all_subgroups(make(texts, 6))
     assert len(lat.classes) == classes
     assert sum(c.size for c in lat.classes) == subgroups
     # each distinct candidate subgroup is tested for perfectness at most once
+    tested = [frozenset(H.elements_raw()) for (H,), _ in calls]
     assert len(tested) == len(set(tested))
-    perfect = [c.order for c in lat.classes if c.order > 1 and is_perfect(c.rep)]
+    perfect = [c.order for c in lat.classes if c.order > 1 and structure.is_perfect(c.rep)]
     assert perfect == [60, 60, 360]
 
 
-def test_perfect_seeds_enumerate_only_the_derived_subgroup(monkeypatch):
+def test_perfect_seeds_enumerate_only_the_derived_subgroup(record):
     # candidates <a, b> are deduplicated by order and containment, so no
     # candidate's elements are listed, and the classes of G' are read off
     # G's classes, so no subgroup of G is enumerated at all
-    calls = []
-    elements_raw = Group.elements_raw
-
-    def counted(self):
-        calls.append(self)
-        return elements_raw(self)
-
-    monkeypatch.setattr(Group, "elements_raw", counted)
+    calls = record(Group, "elements_raw")
     a6 = make(["(1,2,3,4,5)", "(4,5,6)"], 6)
     seeds = structure._perfect_seed_classes(a6)
     assert [H.order() for H in seeds] == [360, 60, 60, 60]
-    assert calls and all(g is a6 for g in calls)
+    assert calls and all(g is a6 for (g,), _ in calls)
 
 
 def _conjugacy_closure(G, subgroups):
@@ -615,13 +585,10 @@ def test_power_cuts_skip_only_conjugates_of_closed_pairs(monkeypatch, texts, deg
     assert (len(built), len(a5), count) == (built_count, a5_count, skipped)
 
 
-def test_solvable_group_makes_no_seed_closure(monkeypatch):
+def test_solvable_group_makes_no_seed_closure(record):
     # S4 wr C2 is solvable: its perfect residuum is trivial, so the seed
     # search closes no pair, though |G'| = 288
-    built = []
-    closure = structure.subgroup_closure
-    monkeypatch.setattr(structure, "subgroup_closure",
-                        lambda *args: built.append(args) or closure(*args))
+    built = record(structure, "subgroup_closure")
     G = wreath_product(S4, make(["(1,2)"], 2))
     assert structure.commutator_subgroup(G).order() == 288
     lat = all_subgroups(G)
@@ -631,13 +598,10 @@ def test_solvable_group_makes_no_seed_closure(monkeypatch):
 
 @pytest.mark.parametrize("texts", [["(1,2,3,4,5)", "(3,4,5)"], ["(1,2,3,4,5)", "(1,2)"]],
                          ids=["A5", "S5"])
-def test_small_perfect_residuum_makes_no_seed_closure(monkeypatch, texts):
+def test_small_perfect_residuum_makes_no_seed_closure(record, texts):
     # |D| = 60 < 300: D has no proper perfect subgroup, so it is the one seed
     # and no pair is closed; fresh groups, so no kept lattice is reused
-    built = []
-    closure = structure.subgroup_closure
-    monkeypatch.setattr(structure, "subgroup_closure",
-                        lambda *args: built.append(args) or closure(*args))
+    built = record(structure, "subgroup_closure")
     G = make(texts, 5)
     lat = all_subgroups(G)
     assert not built
@@ -692,20 +656,13 @@ def test_normalizer_ids_are_certified(G):
             if all(id_of[oracles.mul(oracles.mul(inverse[x], g), x)] in cls.ids for g in cls.gens)}
 
 
-def test_cyclic_extension_builds_each_extension_once(monkeypatch):
+def test_cyclic_extension_builds_each_extension_once(record):
     # the cosets H n^k (0 < k < p) all give J = <H, n>, so each J is built
     # once per H: 135 builds for S6, where 151 rebuilt some J from H n^k
-    built = Counter()
-    extend = structure._cyclic_extension_ids
-
-    def counted(h_ids, *args):
-        j_ids = extend(h_ids, *args)
-        built[h_ids, j_ids] += 1
-        return j_ids
-
-    monkeypatch.setattr(structure, "_cyclic_extension_ids", counted)
+    calls = record(structure, "_cyclic_extension_ids")
     lat = all_subgroups(make(["(1,2,3,4,5,6)", "(1,2)"], 6))
     assert (len(lat.classes), sum(c.size for c in lat.classes)) == (56, 1455)
+    built = Counter((args[0], j_ids) for args, j_ids in calls)
     assert sum(built.values()) == 135
     assert set(built.values()) == {1}
 
@@ -775,20 +732,13 @@ def test_lattice_deterministic():
         [(c.order, c.size, c.key) for c in b.classes]
 
 
-def test_lattice_cached_on_group(monkeypatch):
-    calls = []
-    enumerate_classes = structure._enumerate_classes
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return enumerate_classes(*args, **kwargs)
-
-    monkeypatch.setattr(structure, "_enumerate_classes", counted)
+def test_lattice_cached_on_group(record):
+    calls = record(structure, "_enumerate_classes")
     g = make(["(1,2,3,4)", "(1,2)"], 4)
     lat = all_subgroups(g)
     assert all_subgroups(g) is lat
     assert frattini(g).order() == 1
-    assert calls == [g]
+    assert [args[0] for args, _ in calls] == [g]
 
 
 # -- frattini -----------------------------------------------------------------
@@ -874,13 +824,12 @@ def test_classify_maximal_certifies_maximality():
             classify_maximal(S4, M)
 
 
-def test_classify_rejects_the_whole_group_before_acting(monkeypatch):
-    calls = []
-    monkeypatch.setattr(structure, "coset_action", lambda *args: calls.append(args))
-    for g in [S4, A5, S5]:
-        with pytest.raises(ValueError, match="not maximal"):
-            classify_maximal(g, g)
-    assert calls == []
+def test_classify_rejects_the_whole_group_before_acting():
+    with trace() as t:
+        for g in [S4, A5, S5]:
+            with pytest.raises(ValueError, match="not maximal"):
+                classify_maximal(g, g)
+    assert t.coset_actions == 0
 
 
 def _image_reference(image, hom, M):
@@ -936,68 +885,54 @@ def test_classify_shape_matches_element_set_reference(name):
                 _image_reference(*coset_action(H, M), M)
 
 
-def test_faithful_classify_reads_minimal_normals_on_the_group(monkeypatch):
-    images, scanned = [], []
-
-    def action(*args):
-        images.append(coset_action(*args))
-        return images[-1]
-
-    original = structure.minimal_normal_subgroups
-    monkeypatch.setattr(structure, "coset_action", action)
-    monkeypatch.setattr(structure, "minimal_normal_subgroups",
-                        lambda g: scanned.append(g) or original(g))
+def test_faithful_classify_reads_minimal_normals_on_the_group(record):
+    actions, scans = record(structure, "coset_action"), record(structure, "minimal_normal_subgroups")
     # fresh groups: a lattice another test built would skip the coset action
     for G, M in [(S4, make(["(2,3,4)", "(2,3)"], 4)), (S5, make(["(2,3,4,5)", "(2,3)"], 5)),
                  (A5xA5, A5xA5_DIAGONAL), (A5wrC2, A5wrC2_DIAGONAL)]:
         assert classify_maximal(Group(G.generators, G.degree), M).core.order() == 1
-    assert scanned and not any(g is image for g in scanned for image, _ in images)
+    assert scans and not any(g is image for (g,), _ in scans for _, (image, _) in actions)
     # a nontrivial core still reads the image: S4 over D8 acts as S3
     classify_maximal(Group(S4.generators, 4), make(["(1,2,3,4)", "(1,3)"], 4))
-    assert scanned[-1] is images[-1][0]
+    ((scanned,), _), (_, (image, _)) = scans[-1], actions[-1]
+    assert scanned is image
 
 
 @pytest.mark.parametrize("name", ["S5", "S6", "S7"])
-def test_simple_socle_is_never_scanned(monkeypatch, name):
+def test_simple_socle_is_never_scanned(record, name):
     # |A5|, |A6|, |A7| are no proper powers, so a type-2 socle there is
     # simple: its shape is read off |soc| and the degree alone
-    images, scanned = [], []
-    original = structure.minimal_normal_subgroups
-    monkeypatch.setattr(structure, "coset_action",
-                        lambda *args: images.append(coset_action(*args)) or images[-1])
-    monkeypatch.setattr(structure, "minimal_normal_subgroups",
-                        lambda g: scanned.append(g) or original(g))
+    actions, scans = record(structure, "coset_action"), record(structure, "minimal_normal_subgroups")
     G, maximal = SHAPE_CASES[name]
     if isinstance(maximal, int):
         maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
     G = Group(G.generators, G.degree)  # no lattice: the coset path runs
     types = [classify_maximal(G, M).primitive_type for M in maximal]
-    assert 2 in types and images
-    assert all(g is G or any(g is image for image, _ in images) for g in scanned)
+    assert 2 in types and actions
+    assert all(g is G or any(g is image for _, (image, _) in actions) for (g,), _ in scans)
 
 
-def test_proper_power_socle_scans_one_factor(monkeypatch):
+def test_proper_power_socle_scans_one_factor(monkeypatch, record):
     # A5 wr C2 over the diagonal A5.2, as PSL(2, 5) wr C2 on 12 points:
     # |soc| = 3600 = 60^2, so the socle's factors are found and their images
     # taken; the factor walk scans one PSL(2, 5), no Alt of its points, and
     # conjugates it, so the socle itself is never scanned
-    applied, inside = [], []
+    applied = []
 
     def action(*args):
         image, hom = coset_action(*args)
         return image, Homomorphism(hom.source, hom.target,
                                    lambda p: applied.append(p) or hom._apply(p))
 
-    original = structure.minimal_normals_inside
     monkeypatch.setattr(structure, "coset_action", action)
-    monkeypatch.setattr(structure, "minimal_normals_inside",
-                        lambda G, K: inside.append(K.order()) or original(G, K))
+    inside = record(structure, "minimal_normals_inside")
     W = wreath_product(PSL25, C2)
     G = Group(W.generators, W.degree)
     diagonal = make(["(1,2,3,4,5)(7,8,9,10,11)", "(1,6)(2,5)(7,12)(8,11)",
                      "(1,7)(2,8)(3,9)(4,10)(5,11)(6,12)"], 12)
     assert classify_maximal(G, diagonal).intersection_shape == "diagonal"
-    assert 3600 not in inside and 60 in inside
+    orders = [K.order() for (_, K), _ in inside]
+    assert 3600 not in orders and 60 in orders
     (soc,) = minimal_normal_subgroups(G)
     factors = minimal_normal_subgroups(soc)
     assert [f.order() for f in factors] == [60, 60]
@@ -1034,15 +969,16 @@ def test_lattice_classify_matches_the_coset_path(monkeypatch, name):
     want = [_report_fields(classify_maximal(H, M)) for M in maximal]
 
     def forbidden(*args):
-        raise AssertionError("the lattice path acted on cosets")
+        raise AssertionError("the lattice path tested primitivity or took a kernel")
 
-    monkeypatch.setattr(structure, "coset_action", forbidden)
     monkeypatch.setattr(structure, "is_primitive", forbidden)
     monkeypatch.setattr(Homomorphism, "kernel", forbidden)
-    assert [_report_fields(classify_maximal(G, M)) for M in maximal] == want
+    with trace() as t:
+        assert [_report_fields(classify_maximal(G, M)) for M in maximal] == want
+    assert t.coset_actions == 0
 
 
-def test_lattice_classify_falls_back_to_cosets_on_a_proper_power_socle(monkeypatch):
+def test_lattice_classify_falls_back_to_cosets_on_a_proper_power_socle(record):
     # A5 wr C2: five of its six maximal classes have trivial core and the
     # type-2 socle A5 x A5, of order 3600 = 60^2, whose simple factors decide
     # the shape, so with the lattice built those five still act on cosets;
@@ -1051,12 +987,10 @@ def test_lattice_classify_falls_back_to_cosets_on_a_proper_power_socle(monkeypat
     maximal = [c.rep for c in all_subgroups(G).maximal_classes()]
     H = Group(G.generators, G.degree)  # no lattice
     want = [_report_fields(classify_maximal(H, M)) for M in maximal]
-    acted = []
-    action = structure.coset_action
-    monkeypatch.setattr(structure, "coset_action",
-                        lambda *args: acted.append(args[1]) or action(*args))
+    actions = record(structure, "coset_action")
     got = [classify_maximal(G, M) for M in maximal]
     assert [_report_fields(r) for r in got] == want
+    acted = [M for (_, M), _ in actions]
     assert len(maximal) == 6 and len(acted) == 5
     on_cosets = [r for r in got if r.subgroup in acted]
     assert all(r.primitive_type == 2 and r.quotient_order == 7200 for r in on_cosets)
