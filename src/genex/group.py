@@ -461,9 +461,10 @@ def _alt_or_sym_of(G: Group):
     """``(omega, outside, is_alt)`` when G is Alt(omega) or Sym(omega), omega
     the ascending list of the points it moves, at least 5 of them, and
     ``outside`` the tuple of the others; else None.  ``Group._setup`` keeps
-    it as ``G._alt_or_sym``, the one record of the fact: membership, the
-    generation test, the search's cyclic-quotient cut, ``structure`` and a
-    certified group's chain (``Group._chain``) read it; no chain keeps it.
+    it as ``G._alt_or_sym``, the one record of the fact: membership, ``base``,
+    ``coset_canonical``, ``is_primitive``, the generation test, the search's
+    cyclic-quotient cut and ``structure`` read it; no chain keeps it, and a
+    certified group's ``Group._chain`` is built from its generators alone.
 
     With r nontrivial orbits of a_1, .., a_r points, k = 1 + sum(a_i - 1)
     and |G| <= a_1! .. a_r!.  The only test is k! <= 2|G|, by a product

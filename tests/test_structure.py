@@ -311,27 +311,33 @@ def test_maximal_subgroups_of_every_class(texts, degree):
             assert got == set(oracles.maximal_subgroups(sorted(cls.rep.elements_raw()), degree))
 
 
-def test_s7_lattice_maximal_classes():
+A5xA5_TEXTS = ["(1,2,3,4,5)", "(3,4,5)", "(6,7,8,9,10)", "(8,9,10)"]
+
+
+@pytest.mark.parametrize("texts, degree, counts, maximal_orders", [
     # S7 is normal in itself, so the walk tests class representatives only:
     # 96 classes (OEIS A000638), 11300 subgroups (OEIS A005432), and the
     # maximal classes 7:6, S4 x S3, S5 x 2, S6 and A7 (ATLAS)
-    S7 = make(["(1,2,3,4,5,6,7)", "(1,2)"], 7)
-    lat = all_subgroups(S7)
-    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (96, 11300)
-    assert sorted(c.order for c in lat.maximal_classes()) == [42, 144, 240, 720, 2520]
-    assert frattini(S7).order() == 1
-
-
-def test_s8_lattice_counts():
+    (["(1,2,3,4,5,6,7)", "(1,2)"], 7, (96, 11300), [42, 144, 240, 720, 2520]),
     # 296 classes (OEIS A000638) and 151221 subgroups (OEIS A005432), at the
     # default bound; the maximal classes are PGL(2,7), S2 wr S4, S5 x S3,
     # S4 wr S2, S6 x S2, S7 and A8 (ATLAS)
-    S8 = make(["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)
-    lat = all_subgroups(S8)
-    assert (len(lat.classes), sum(c.size for c in lat.classes)) == (296, 151221)
-    assert sorted(c.order for c in lat.maximal_classes()) == [336, 384, 720, 1152, 1440,
-                                                             5040, 20160]
-    assert frattini(S8).order() == 1
+    (["(1,2,3,4,5,6,7,8)", "(1,2)"], 8, (296, 151221), [336, 384, 720, 1152, 1440, 5040, 20160]),
+    # the class and subgroup counts of A5 x A5 and A5 wr C2 are regression
+    # pins read off this engine, where the paper's exchange and D_M checks
+    # run.  The maximal orders follow from Goursat: A4, D10 and S3 times A5
+    # on either side, and two diagonal classes (|Out A5| = 2); in the
+    # wreath product, A5 x A5, H wr C2 for H in {A4, D10, S3}, and two
+    # diagonal classes of order 120
+    (A5xA5_TEXTS, 10, (113, 8381), [60, 60, 360, 360, 600, 600, 720, 720]),
+    (A5xA5_TEXTS + ["(1,6)(2,7)(3,8)(4,9)(5,10)"], 10, (103, 15144), [72, 120, 120, 200, 288, 3600]),
+], ids=["S7", "S8", "A5xA5", "A5wrC2"])
+def test_lattice_counts_and_maximal_classes(texts, degree, counts, maximal_orders):
+    G = make(texts, degree)
+    lat = all_subgroups(G)
+    assert (len(lat.classes), sum(c.size for c in lat.classes)) == counts
+    assert sorted(c.order for c in lat.maximal_classes()) == maximal_orders
+    assert frattini(G).order() == 1
 
 
 def eulerian(lat, k):
